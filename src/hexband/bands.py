@@ -28,7 +28,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import InputError, NoClosedFormError, ResolutionError
-from .floquet import DispersionRoots, assemble, closed_form_roots, numeric_roots
+from .floquet import (
+    DispersionRoots,
+    assemble,
+    chunk_slices,
+    closed_form_roots,
+    numeric_roots,
+)
 from .lattice import StackConfig, StackVariant, diagonal_slice, structure_function
 
 MIN_CLASSIFY_SAMPLES = 201     # coarser diagonal scans miss narrow features
@@ -50,13 +56,14 @@ PROMINENCE_TOL = 1e-10         # minima must rise this far above the floor;
 #  Point evaluation and sampled surfaces
 # ============================================================
 
-def roots_at(config: StackConfig, theta1: float, theta2: float | None = None,
+def roots_at(config: StackConfig, theta1, theta2=None,
              route: str = "auto") -> DispersionRoots:
-    """Sorted dispersion roots at one quasimomentum.
+    """Sorted dispersion roots at one quasimomentum or a batch of them
+    (theta as scalars or 1-D arrays; theta2 defaults to -theta1).
 
     ``route``: "closed" forces the analytic branch formulas, "numeric" the
     eigensolver, "auto" prefers closed forms and falls back when the
-    variant/parameters have none.
+    variant/parameters have none at some point of the batch.
     """
     if theta2 is None:
         theta2 = -theta1
@@ -100,24 +107,23 @@ class DispersionSurface:
 
 def sample_diagonal(config: StackConfig, n: int = 501,
                     route: str = "auto") -> DispersionSurface:
-    """Sample all dispersion branches on the diagonal slice (n points)."""
+    """Sample all dispersion branches on the diagonal slice (n points).
+
+    The slice is evaluated in batches; with route "auto" the first batch
+    settles the route for the rest (on the slice the closed forms exist at
+    every point or at none).
+    """
     theta = diagonal_slice(n)
-    if route == "auto":
-        try:
-            closed_form_roots(config, theta[0], -theta[0])
-            route = "closed"
-        except NoClosedFormError:
-            route = "numeric"
-    dim = config.dim
-    values = np.empty((n, dim))
-    labels = np.empty((n, dim), dtype=object) if route == "closed" else None
-    for i, t in enumerate(theta):
-        r = roots_at(config, t, -t, route=route)
-        values[i] = r.values
-        if labels is not None:
-            labels[i] = r.branch_labels
-    return DispersionSurface(config=config, theta=theta, values=values,
-                             labels=labels, route=route)
+    values, labels = [], []
+    for part in chunk_slices(n):
+        roots = roots_at(config, theta[part], -theta[part], route=route)
+        route = "closed" if len(roots.branch_labels) else "numeric"
+        values.append(roots.values)
+        labels.append(roots.branch_labels)
+    return DispersionSurface(
+        config=config, theta=theta, values=np.concatenate(values),
+        labels=np.concatenate(labels) if route == "closed" else None,
+        route=route)
 
 
 def adjacent_separations(config: StackConfig, theta1: float,

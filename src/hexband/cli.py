@@ -63,7 +63,7 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .floquet import assemble, closed_form_roots, numeric_roots
+from .floquet import assemble, chunk_slices, closed_form_roots, numeric_roots
 from .hill import PotentialSpec, bands_from_root_surface
 from .lattice import (
     ADMISSIBILITY_TOL,
@@ -161,7 +161,14 @@ def _need_mapping(value, section: str) -> dict:
 def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {field!r} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = float("inf")
+    # json.loads accepts NaN, Infinity and -Infinity
+    if not np.isfinite(value):
+        raise ConfigError(f"config field {field!r} must be a finite number")
+    return value
 
 
 def _as_int(value, field: str) -> int:
@@ -376,28 +383,48 @@ def _write_manifest(outdir: str, command: str, run: RunConfig,
 #  Shared evaluation helpers
 # ============================================================
 
-def _roots_with_source(stack: StackConfig, t1: float,
-                       t2: float) -> tuple[np.ndarray, str]:
+def _closed_where_possible(closed_fn, stack: StackConfig, t1: np.ndarray,
+                           t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form roots at the points of a batch that have them.
+
+    Returns the mask of those points and their (mask.sum(), dim) roots; the
+    caller sends the other points to the eigensolver.
+    """
+    try:
+        return np.ones(len(t1), dtype=bool), closed_fn(stack, t1, t2)
+    except NoClosedFormError as exc:
+        if exc.servable is None or not exc.servable.any():
+            return np.zeros(len(t1), dtype=bool), np.empty((0, stack.dim))
+        mask = exc.servable
+        return mask, closed_fn(stack, t1[mask], t2[mask])
+
+
+def _roots_with_source(stack: StackConfig, t1: np.ndarray,
+                       t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of a batch, (N, dim), and the route of each point, (N,)."""
     if stack.variant is StackVariant.MAGNETIC_MONOLAYER:
         if stack.flux.q == 2:
-            return closed_form_roots_q2(stack, t1, t2).values, "closed_form"
+            values = closed_form_roots_q2(stack, t1, t2).values
+            return values, np.full(len(t1), "closed_form")
         eta = np.linalg.eigvalsh(assemble_robin(stack, t1, t2).affine) / 3.0
-        return eta, "numeric"
-    try:
-        return closed_form_roots(stack, t1, t2).values, "closed_form"
-    except NoClosedFormError:
-        return numeric_roots(assemble(stack, t1, t2)).values, "numeric"
+        return eta, np.full(len(t1), "numeric")
+    closed, values = _closed_where_possible(
+        lambda st, a, b: closed_form_roots(st, a, b).values, stack, t1, t2)
+    if closed.all():
+        return values, np.full(len(t1), "closed_form")
+    out = np.empty((len(t1), stack.dim))
+    out[closed] = values
+    out[~closed] = numeric_roots(assemble(stack, t1[~closed], t2[~closed])).values
+    return out, np.where(closed, "closed_form", "numeric")
 
 
-def _grid_points(run: RunConfig):
+def _grid_thetas(run: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """theta1 and theta2 of every grid point, in CSV row order."""
     if run.grid_kind == "diagonal":
-        for t in diagonal_slice(run.grid_n):
-            yield float(t), float(-t)
-    else:
-        axis = np.linspace(-np.pi, np.pi, run.grid_n)
-        for t1 in axis:
-            for t2 in axis:
-                yield float(t1), float(t2)
+        theta = diagonal_slice(run.grid_n)
+        return theta, -theta
+    axis = np.linspace(-np.pi, np.pi, run.grid_n)
+    return np.repeat(axis, run.grid_n), np.tile(axis, run.grid_n)
 
 
 def _require_non_magnetic(run: RunConfig, what: str) -> None:
@@ -421,15 +448,18 @@ def _diagonal_reports(run: RunConfig):
 
 def _emit_bands(run: RunConfig) -> str:
     lines = [BANDS_CSV_HEADER]
-    for t1, t2 in _grid_points(run):
-        values, source = _roots_with_source(run.stack, t1, t2)
-        f = complex(structure_function(t1, t2))
-        for band, eta in enumerate(values):
-            admissible = int(abs(eta) <= 1.0 + ADMISSIBILITY_TOL)
-            lines.append(
-                f"{_g17(t1)},{_g17(t2)},{_g17(f.real)},{_g17(f.imag)},"
-                f"{band},{_g17(eta)},{admissible},{source}"
-            )
+    theta1, theta2 = _grid_thetas(run)
+    for part in chunk_slices(len(theta1)):
+        t1, t2 = theta1[part], theta2[part]
+        values, sources = _roots_with_source(run.stack, t1, t2)
+        f = structure_function(t1, t2)
+        for a, b, fr, fi, row, source in zip(t1.tolist(), t2.tolist(),
+                                             f.real.tolist(), f.imag.tolist(),
+                                             values.tolist(), sources.tolist()):
+            point = f"{_g17(a)},{_g17(b)},{_g17(fr)},{_g17(fi)},"
+            for band, eta in enumerate(row):
+                admissible = int(abs(eta) <= 1.0 + ADMISSIBILITY_TOL)
+                lines.append(f"{point}{band},{_g17(eta)},{admissible},{source}")
     return "\n".join(lines) + "\n"
 
 
@@ -618,7 +648,8 @@ def _emit_magnetic(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _closed_for_validate(stack: StackConfig, t1: float, t2: float) -> np.ndarray:
+def _closed_for_validate(stack: StackConfig, t1: np.ndarray,
+                         t2: np.ndarray) -> np.ndarray:
     if stack.variant is StackVariant.MAGNETIC_MONOLAYER:
         if stack.flux.q == 2:
             return closed_form_roots_q2(stack, t1, t2).values
@@ -628,7 +659,8 @@ def _closed_for_validate(stack: StackConfig, t1: float, t2: float) -> np.ndarray
     return closed_form_roots(stack, t1, t2).values
 
 
-def _numeric_for_validate(stack: StackConfig, t1: float, t2: float) -> np.ndarray:
+def _numeric_for_validate(stack: StackConfig, t1: np.ndarray,
+                          t2: np.ndarray) -> np.ndarray:
     if stack.variant is StackVariant.MAGNETIC_MONOLAYER:
         return np.linalg.eigvalsh(assemble_robin(stack, t1, t2).affine) / 3.0
     return numeric_roots(assemble(stack, t1, t2)).values
@@ -637,38 +669,44 @@ def _numeric_for_validate(stack: StackConfig, t1: float, t2: float) -> np.ndarra
 def _emit_validate(run: RunConfig, samples: int, seed: int,
                    corrupt: bool) -> tuple[str, float, int]:
     rng = np.random.default_rng(seed)
-    diagonal_only = run.stack.variant in _DIAGONAL_ONLY
-    devs: list[float] = []
-    skipped = 0
-    rows = ["# index,theta1,theta2,status,max_abs_deviation"]
-    for index in range(samples):
-        t1 = float(rng.uniform(-np.pi, np.pi))
-        t2 = -t1 if diagonal_only else float(rng.uniform(-np.pi, np.pi))
-        try:
-            closed = np.array(_closed_for_validate(run.stack, t1, t2))
-        except NoClosedFormError:
-            skipped += 1
-            rows.append(f"{index},{_g17(t1)},{_g17(t2)},no_closed_form,")
+    # one draw per diagonal sample, two per off-diagonal one, in sample order
+    if run.stack.variant in _DIAGONAL_ONLY:
+        theta1 = rng.uniform(-np.pi, np.pi, samples)
+        theta2 = -theta1
+    else:
+        theta1, theta2 = rng.uniform(-np.pi, np.pi, (samples, 2)).T
+    compared = np.zeros(samples, dtype=bool)
+    devs = np.zeros(samples)
+    for part in chunk_slices(samples):
+        t1, t2 = theta1[part], theta2[part]
+        mask, closed = _closed_where_possible(_closed_for_validate,
+                                              run.stack, t1, t2)
+        if not mask.any():
             continue
         if corrupt:
             closed = closed.copy()
-            closed[0] += 1e-6
-        numeric = _numeric_for_validate(run.stack, t1, t2)
-        dev = float(np.max(np.abs(closed - numeric)))
-        devs.append(dev)
-        rows.append(f"{index},{_g17(t1)},{_g17(t2)},compared,{_g17(dev)}")
-    max_dev = max(devs) if devs else 0.0
-    mean_dev = float(np.mean(devs)) if devs else 0.0
+            closed[:, 0] += 1e-6
+        numeric = _numeric_for_validate(run.stack, t1[mask], t2[mask])
+        compared[part] = mask
+        devs[part][mask] = np.max(np.abs(closed - numeric), axis=1)
+    rows = ["# index,theta1,theta2,status,max_abs_deviation"]
+    for index, (t1, t2, ok, dev) in enumerate(zip(theta1.tolist(), theta2.tolist(),
+                                                  compared.tolist(), devs.tolist())):
+        rows.append(f"{index},{_g17(t1)},{_g17(t2)},compared,{_g17(dev)}" if ok
+                    else f"{index},{_g17(t1)},{_g17(t2)},no_closed_form,")
+    devs = devs[compared]
+    max_dev = float(np.max(devs)) if devs.size else 0.0
+    mean_dev = float(np.mean(devs)) if devs.size else 0.0
     summary = [f"samples: {samples}",
-               f"compared: {len(devs)}",
-               f"skipped_no_closed_form: {skipped}",
+               f"compared: {devs.size}",
+               f"skipped_no_closed_form: {samples - devs.size}",
                f"max_abs_deviation: {_g17(max_dev)}",
                f"mean_abs_deviation: {_g17(mean_dev)}",
                f"gate: {_g17(VALIDATE_GATE)}",
-               f"verdict: {'PASS' if max_dev <= VALIDATE_GATE else 'FAIL'}"]
+               f"verdict: {'FAIL' if not max_dev <= VALIDATE_GATE else 'PASS'}"]
     header = _report_header(run, "closed-form vs eigensolver validation")
     text = "\n".join(header + [f"seed: {seed}"] + summary + [""] + rows) + "\n"
-    return text, max_dev, len(devs)
+    return text, max_dev, int(devs.size)
 
 
 # ============================================================
@@ -737,7 +775,7 @@ def _run_validate(run: RunConfig, outdir: str, samples: int, seed: int,
         mean_line = [l for l in text.splitlines()
                      if l.startswith("mean_abs_deviation:")]
         print(mean_line[0])
-    if max_dev > VALIDATE_GATE:
+    if not max_dev <= VALIDATE_GATE:
         raise ValidationError(
             f"closed-form vs eigensolver deviation {max_dev:g} exceeds "
             f"the {VALIDATE_GATE:g} gate"
@@ -795,34 +833,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        run = _apply_overrides(load_run_config(args.config), args)
+    # overflow and invalid arithmetic raise FloatingPointError (exit 2)
+    # instead of warning and carrying inf or NaN into the artifacts
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            os.makedirs(args.out, exist_ok=True)
+            run = _apply_overrides(load_run_config(args.config), args)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                print(f"hexband: cannot create output directory: {exc}",
+                      file=sys.stderr)
+                return 3
+            if args.command in ("bands", "classify", "spectrum", "plot"):
+                return _run_artifacts(args.command, run, args.out)
+            if args.command == "gaps":
+                return _run_gaps(run, args.out)
+            if args.command == "magnetic":
+                return _run_magnetic(run, args.out)
+            return _run_validate(run, args.out, args.samples, args.seed,
+                                 args.corrupt_closed_form)
+        except (ConfigError, ResolutionError) as exc:
+            print(f"hexband: config error: {exc}", file=sys.stderr)
+            return 1
+        except ValidationError as exc:
+            print(f"hexband: validation failure: {exc}", file=sys.stderr)
+            return 2
+        except (EngineError, OverflowError, FloatingPointError) as exc:
+            print(f"hexband: numerical failure: {exc}", file=sys.stderr)
+            return 2
         except OSError as exc:
-            print(f"hexband: cannot create output directory: {exc}",
-                  file=sys.stderr)
+            print(f"hexband: I/O error: {exc}", file=sys.stderr)
             return 3
-        if args.command in ("bands", "classify", "spectrum", "plot"):
-            return _run_artifacts(args.command, run, args.out)
-        if args.command == "gaps":
-            return _run_gaps(run, args.out)
-        if args.command == "magnetic":
-            return _run_magnetic(run, args.out)
-        return _run_validate(run, args.out, args.samples, args.seed,
-                             args.corrupt_closed_form)
-    except (ConfigError, ResolutionError) as exc:
-        print(f"hexband: config error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"hexband: validation failure: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
-        print(f"hexband: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"hexband: I/O error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

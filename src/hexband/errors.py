@@ -31,7 +31,16 @@ class InputError(ConfigError):
 
 
 class NoClosedFormError(EngineError):
-    """No closed-form expression exists for the requested parameters."""
+    """No closed-form expression exists for the requested parameters.
+
+    When a batch of quasimomenta was requested, ``servable`` is a boolean
+    mask of the points that do have closed forms, so that a caller can split
+    the batch between the two routes; it is None when no point has one.
+    """
+
+    def __init__(self, message: str, servable=None) -> None:
+        super().__init__(message)
+        self.servable = servable
 
 
 class ResolutionError(EngineError):

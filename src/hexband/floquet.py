@@ -13,12 +13,23 @@ when |eta| <= 1 (+ tolerance).
 
 Two independent routes to the roots are provided and never mixed:
 
-* ``char_poly`` expands det(A - eta D) symbolically in eta by cofactor
-  expansion over polynomial-valued entries (no eigensolver involved);
+* ``char_poly`` expands det(A - eta D) in eta by Laplace expansion along rows
+  over polynomial-valued entries, memoised over column subsets: every minor
+  is formed once, 2^n of them at most instead of n! expansion paths (no
+  eigensolver involved);
 * ``numeric_roots`` diagonalizes D^{-1/2} A D^{-1/2} (no polynomial involved).
 
 ``closed_form_roots`` implements the per-variant analytic root families and
 verifies every value against the characteristic polynomial at runtime.
+
+The engine is batch-first over quasimomenta.  ``assemble`` and
+``closed_form_roots`` take theta1/theta2 as scalars or as 1-D arrays of equal
+length N; a batch gives a ``FloquetMatrix`` with an (N, dim, dim) affine part
+and ``DispersionRoots`` with (N, dim) values and labels, and ``char_poly`` and
+``numeric_roots`` follow the matrix they are given.  Scalar arguments run as
+a batch of one and come back without the batch axis, so a point gives the
+same bits alone as inside a batch.  Grid sweeps call the engine on slices of
+at most ``BATCH_CHUNK`` points (``chunk_slices``) to bound memory.
 """
 
 from __future__ import annotations
@@ -39,44 +50,72 @@ from .lattice import (
 RESIDUAL_TOL = 1e-9      # |p(root)| / |leading coefficient| gate
 _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
 _PAIR_TOL = 1e-12        # |alpha_a + alpha_b| bound for the constrained forms
+BATCH_CHUNK = 4096       # quasimomenta per engine call in grid sweeps
 
 
 # ============================================================
-#  Data records
+#  Data records and batching
 # ============================================================
 
 @dataclass(frozen=True)
 class FloquetMatrix:
-    """One assembled vertex-condition system at a fixed quasimomentum."""
+    """Assembled vertex-condition systems at one quasimomentum or a batch."""
 
     dim: int
     diag_scale: np.ndarray        # (dim,) positive diagonal scales T_i
-    affine: np.ndarray            # (dim, dim) Hermitian A(theta)
+    affine: np.ndarray            # (dim, dim) Hermitian A(theta); (N, dim, dim) for a batch
     config: StackConfig
-    theta: tuple[float, float]
-
-    def at(self, eta: float) -> np.ndarray:
-        """M(eta) = A - eta * diag(T)."""
-        return self.affine - eta * np.diag(self.diag_scale)
+    theta: tuple                  # (theta1, theta2): floats, or (N,) arrays for a batch
 
 
 @dataclass(frozen=True)
 class DispersionRoots:
-    """eta roots at one quasimomentum, ascending, with branch bookkeeping."""
+    """eta roots at one quasimomentum (or a batch), ascending, with branch bookkeeping.
 
-    values: np.ndarray                       # sorted ascending
+    For a batch of N points ``values`` and ``admissible`` are (N, dim) and
+    ``branch_labels`` is an (N, dim) object array; it is the empty tuple for
+    numeric-only roots either way.
+    """
+
+    values: np.ndarray                       # sorted ascending along the last axis
     branch_labels: tuple[str, ...] = ()      # empty for numeric-only roots
     admissible: np.ndarray = field(default_factory=lambda: np.array([], bool))
 
 
+def chunk_slices(n: int) -> list[slice]:
+    """Slices that cover n grid points in batches of at most ``BATCH_CHUNK``."""
+    return [slice(start, start + BATCH_CHUNK) for start in range(0, n, BATCH_CHUNK)]
+
+
+def _theta_batch(theta1, theta2):
+    """theta as equal-length 1-D float arrays, and whether both were scalars."""
+    t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float),
+                                 np.asarray(theta2, dtype=float))
+    return t1.reshape(-1), t2.reshape(-1), t1.ndim == 0
+
+
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 rounded as Python's ``abs(z) ** 2`` rounds it (libm hypot, then
+    pow).  np.abs and ``** 2`` differ from those in the last bit for a share
+    of inputs, which would move the serialized roots."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _clip_negative(x: np.ndarray) -> np.ndarray:
+    """``max(0.0, x)`` elementwise, with Python's tie and NaN behaviour."""
+    return np.where(x > 0.0, x, 0.0)
+
+
 def _make_roots(values, labels=()):
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    if labels:
-        labels = tuple(labels[i] for i in order)
+    order = np.argsort(values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    if len(labels):
+        labels = np.asarray(labels, dtype=object)[order]
+        if values.ndim == 1:
+            labels = tuple(labels)
     admissible = np.abs(values) <= 1.0 + ADMISSIBILITY_TOL
-    return DispersionRoots(values=values, branch_labels=tuple(labels),
+    return DispersionRoots(values=values, branch_labels=labels,
                            admissible=admissible)
 
 
@@ -84,16 +123,35 @@ def _make_roots(values, labels=()):
 #  Assembly
 # ============================================================
 
-def _hermitian_guard(a: np.ndarray) -> np.ndarray:
-    dev = np.max(np.abs(a - a.conj().T))
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if dev > 1e-13 * scale:
-        raise EngineError(f"assembled matrix is not Hermitian (deviation {dev:g})")
-    return a
+def _hermitian_guard(a: np.ndarray) -> None:
+    dev = np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    bad = dev > 1e-13 * scale
+    if np.any(bad):
+        raise EngineError(
+            f"assembled matrix is not Hermitian (deviation {np.max(dev[bad]):g})")
 
 
-def assemble(config: StackConfig, theta1: float, theta2: float) -> FloquetMatrix:
-    """Build the Floquet matrix of a non-magnetic stack at theta.
+def _floquet_matrix(config: StackConfig, rows, scale: np.ndarray, t1: np.ndarray,
+                    t2: np.ndarray, scalar: bool) -> FloquetMatrix:
+    """Stack entries (scalars or per-point arrays) into an (N, d, d) batch,
+    guard Hermiticity at every point, and drop the batch axis for a scalar."""
+    dim = len(rows)
+    affine = np.empty((len(t1), dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            affine[:, i, j] = entry
+    _hermitian_guard(affine)
+    if scalar:
+        return FloquetMatrix(dim=dim, diag_scale=scale, affine=affine[0],
+                             config=config, theta=(float(t1[0]), float(t2[0])))
+    return FloquetMatrix(dim=dim, diag_scale=scale, affine=affine,
+                         config=config, theta=(t1, t2))
+
+
+def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
+    """Build the Floquet matrix of a non-magnetic stack at theta (scalars or
+    1-D arrays; see the module docstring).
 
     Sublattice order is (a1, b1, a2, b2, ...) layer by layer.  For the hetero
     bilayer and the trilayers, ``alpha_a``/``alpha_b`` always decorate the
@@ -104,54 +162,55 @@ def assemble(config: StackConfig, theta1: float, theta2: float) -> FloquetMatrix
         raise VariantError(
             "magnetic monolayer is assembled by the magnetic module, not here"
         )
-    F = complex(structure_function(theta1, theta2))
+    t1, t2, scalar = _theta_batch(theta1, theta2)
+    F = structure_function(t1, t2)
     Fc = np.conj(F)
     aa = config.vertex.alpha_a
     ab = config.vertex.alpha_b
     ac = config.vertex.alpha_c
 
     if v is StackVariant.MONOLAYER:
-        affine = np.array([[-aa, Fc], [F, -ab]], dtype=complex)
+        rows = [[-aa, Fc], [F, -ab]]
         scale = np.array([3.0, 3.0])
     elif v is StackVariant.BILAYER_AA:
         c = config.coupling.t0 ** 2
         T = 3.0 + c
-        affine = np.array([
+        rows = [
             [-aa, Fc, c, 0.0],
             [F, -ab, 0.0, c],
             [c, 0.0, -aa, Fc],
             [0.0, c, F, -ab],
-        ], dtype=complex)
+        ]
         scale = np.full(4, T)
     elif v is StackVariant.BILAYER_AA_TWO_PARAM:
         ca = config.coupling.t_a ** 2
         cb = config.coupling.t_b ** 2
-        affine = np.array([
+        rows = [
             [-aa, Fc, ca, 0.0],
             [F, -ab, 0.0, cb],
             [ca, 0.0, -aa, Fc],
             [0.0, cb, F, -ab],
-        ], dtype=complex)
+        ]
         scale = np.array([3.0 + ca, 3.0 + cb, 3.0 + ca, 3.0 + cb])
     elif v is StackVariant.BILAYER_AA_PRIME:
         c = config.coupling.t0 ** 2
         T = 3.0 + c
-        affine = np.array([
+        rows = [
             [-aa, Fc, 0.0, c],
             [F, -ab, c, 0.0],
             [0.0, c, -aa, Fc],
             [c, 0.0, F, -ab],
-        ], dtype=complex)
+        ]
         scale = np.full(4, T)
     elif v is StackVariant.HETERO_BILAYER:
         c = config.coupling.t0 ** 2
         T = 3.0 + c
-        affine = np.array([
+        rows = [
             [-aa, Fc, 0.0, c],
             [F, -ab, c, 0.0],
             [0.0, c, -ac, Fc],
             [c, 0.0, F, -ac],
-        ], dtype=complex)
+        ]
         scale = np.full(4, T)
     elif v in (StackVariant.TRILAYER_HBN_G_HBN, StackVariant.TRILAYER_G_HBN_G):
         c = config.coupling.t0 ** 2
@@ -163,21 +222,19 @@ def assemble(config: StackConfig, theta1: float, theta2: float) -> FloquetMatrix
         else:
             oa, ob = ac, ac      # plain outer layers
             ma, mb = aa, ab      # decorated middle layer
-        affine = np.array([
+        rows = [
             [-oa, Fc, 0.0, c, 0.0, 0.0],
             [F, -ob, c, 0.0, 0.0, 0.0],
             [0.0, c, -ma, Fc, 0.0, c],
             [c, 0.0, F, -mb, c, 0.0],
             [0.0, 0.0, 0.0, c, -oa, Fc],
             [0.0, 0.0, c, 0.0, F, -ob],
-        ], dtype=complex)
+        ]
         scale = np.array([T1, T1, T2, T2, T1, T1])
     else:
         raise VariantError(f"unknown stack variant {v!r}")
 
-    return FloquetMatrix(dim=len(scale), diag_scale=scale,
-                         affine=_hermitian_guard(affine), config=config,
-                         theta=(float(theta1), float(theta2)))
+    return _floquet_matrix(config, rows, scale, t1, t2, scalar)
 
 
 # ============================================================
@@ -187,46 +244,75 @@ def assemble(config: StackConfig, theta1: float, theta2: float) -> FloquetMatrix
 def char_poly(fm: FloquetMatrix) -> np.ndarray:
     """Ascending real coefficients of det(A - eta D), degree = dim.
 
-    Computed by Laplace expansion with polynomial-valued entries (degree <= 1
-    each); the leading coefficient is prod(T_i) up to the sign (-1)^dim, which
-    is +1 for the even dimensions that occur here.
+    Laplace expansion along rows with polynomial-valued entries (degree <= 1
+    each), memoised over column subsets: the minor on rows r..dim-1 and a
+    column set S is computed once and shared by every expansion path that
+    reaches it.  Entries that vanish at every point of the batch are
+    skipped.  Shape (dim + 1,) for one quasimomentum, (N, dim + 1) for a
+    batch.  The leading coefficient is prod(T_i) up to the sign (-1)^dim,
+    which is +1 for the even dimensions that occur here.
     """
     n = fm.dim
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                entries[i][j] = np.array(
-                    [fm.affine[i, i], -fm.diag_scale[i]], dtype=complex)
-            else:
-                entries[i][j] = np.array([fm.affine[i, j]], dtype=complex)
+    affine = fm.affine.reshape(-1, n, n)
+    present = np.any(affine != 0.0, axis=0)
+    empty = np.zeros((len(affine), n + 1), dtype=complex)
+    empty[:, 0] = 1.0
+    minors: dict[int, np.ndarray | None] = {0: empty}
 
-    def minor_det(rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        r = rows[0]
-        total = np.zeros(1, dtype=complex)
-        for k, cidx in enumerate(cols):
-            e = entries[r][cidx]
-            if len(e) == 1 and e[0] == 0.0:
+    def minor(cols: int) -> np.ndarray | None:
+        # determinant of rows n - |cols| .. n - 1 and the columns in the
+        # bitmask cols, expanded along its first row; None when every term
+        # vanishes structurally
+        if cols in minors:
+            return minors[cols]
+        row = n - cols.bit_count()
+        total = None
+        position = 0
+        for col in range(n):
+            if not cols >> col & 1:
                 continue
-            sub = minor_det(rows[1:], cols[:k] + cols[k + 1:])
-            term = np.convolve(e, sub)
-            if k % 2 == 1:
-                term = -term
-            if len(term) > len(total):
-                term[: len(total)] += total
-                total = term
-            else:
-                total[: len(term)] += term
+            sub = minor(cols & ~(1 << col)) if present[row, col] or col == row else None
+            if sub is not None:
+                term = affine[:, row, col, None] * sub
+                if col == row:
+                    term[:, 1:] -= fm.diag_scale[row] * sub[:, :-1]
+                if total is None:
+                    total = -term if position % 2 else term
+                elif position % 2:
+                    total -= term
+                else:
+                    total += term
+            position += 1
+        minors[cols] = total
         return total
 
-    coeffs = minor_det(tuple(range(n)), tuple(range(n)))
-    coeffs = np.pad(coeffs, (0, n + 1 - len(coeffs)))
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(np.abs(coeffs.imag)) > 1e-12 * scale:
+    coeffs = minor((1 << n) - 1)
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
+    if np.any(np.max(np.abs(coeffs.imag), axis=1) > 1e-12 * scale):
         raise EngineError("characteristic polynomial has a non-real coefficient")
-    return coeffs.real
+    return coeffs.real[0] if fm.affine.ndim == 2 else coeffs.real
+
+
+def _worst_residual(coeffs: np.ndarray, values: np.ndarray) -> float:
+    """max over all points and roots of |p(root)| / |leading coefficient|.
+
+    ``coeffs`` is (dim + 1,) or (N, dim + 1) and ``values`` the matching
+    (dim,) or (N, dim); a NaN anywhere makes the result NaN."""
+    coeffs = np.reshape(coeffs, (-1, coeffs.shape[-1]))
+    values = np.reshape(values, (len(coeffs), -1))
+    if values.size == 0:
+        return 0.0
+    residuals = (np.abs(npoly.polyval(values, coeffs.T[:, :, None], tensor=False))
+                 / np.abs(coeffs[:, -1:]))
+    return float(np.max(residuals))
+
+
+def _check_residuals(fm: FloquetMatrix, values: np.ndarray) -> None:
+    worst = _worst_residual(char_poly(fm), values)
+    if not worst < RESIDUAL_TOL:
+        raise EngineError(
+            f"closed-form root failed the residual gate: |p(r)|/lead = {worst:g}"
+        )
 
 
 # ============================================================
@@ -256,23 +342,24 @@ def match_branches(closed: DispersionRoots, numeric: DispersionRoots) -> tuple[s
 #  Closed-form root families
 # ============================================================
 
-def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float]:
-    """Real roots of A x^2 + B x + C, ascending."""
+def _quadratic_roots(A, B, C):
+    """Real roots of A x^2 + B x + C, ascending (elementwise over arrays)."""
     disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        if disc > -1e-14 * max(B * B, abs(4.0 * A * C), 1.0):
-            disc = 0.0
-        else:
-            raise EngineError("closed-form quadratic has complex roots")
-    s = np.sqrt(disc)
+    near = (disc < 0.0) & (
+        disc > -1e-14 * np.maximum(np.maximum(B * B, np.abs(4.0 * A * C)), 1.0))
+    if np.any((disc < 0.0) & ~near):
+        raise EngineError("closed-form quadratic has complex roots")
+    s = np.sqrt(np.where(near, 0.0, disc))
     return ((-B - s) / (2.0 * A), (-B + s) / (2.0 * A))
 
 
-def _require_diagonal(F: complex) -> float:
-    if abs(F.imag) > _DIAGONAL_TOL:
+def _require_diagonal(F: np.ndarray) -> np.ndarray:
+    off = np.abs(F.imag) > _DIAGONAL_TOL
+    if np.any(off):
         raise NoClosedFormError(
             "closed forms for this variant hold on the diagonal slice only "
-            f"(Im F = {F.imag:g})"
+            f"(Im F = {F.imag[off][0]:g})",
+            servable=~off,
         )
     return F.real
 
@@ -285,20 +372,22 @@ def _require_opposite_pair(aa: float, ab: float, ac: float) -> None:
         )
 
 
-def closed_form_roots(config: StackConfig, theta1: float, theta2: float) -> DispersionRoots:
-    """Analytic eta roots with branch labels, residual-checked.
+def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
+    """Analytic eta roots with branch labels, residual-checked at every point.
 
     Raises ``NoClosedFormError`` when the variant/parameter combination has no
-    analytic root family (hetero bilayer and trilayers need the diagonal slice
-    with alpha_b = -alpha_a and alpha_c = 0).
+    analytic root family at some point of the batch (hetero bilayer and
+    trilayers need the diagonal slice with alpha_b = -alpha_a and
+    alpha_c = 0); its ``servable`` mask names the points that have one.
     """
     v = config.variant
-    F = complex(structure_function(theta1, theta2))
-    fsq = abs(F) ** 2
+    t1, t2, scalar = _theta_batch(theta1, theta2)
+    F = structure_function(t1, t2)
+    fsq = _abs_sq(F)
     aa = config.vertex.alpha_a
     ab = config.vertex.alpha_b
     ac = config.vertex.alpha_c
-    pairs: list[tuple[float, str]] = []
+    pairs: list[tuple[np.ndarray, str]] = []
 
     if v is StackVariant.MONOLAYER:
         disc = np.sqrt((aa - ab) ** 2 + 4.0 * fsq)
@@ -327,24 +416,24 @@ def closed_form_roots(config: StackConfig, theta1: float, theta2: float) -> Disp
         c = config.coupling.t0 ** 2
         T = 3.0 + c
         for s, stag in ((1.0, "s+"), (-1.0, "s-")):
-            shifted = abs(F + s * c) ** 2
+            shifted = _abs_sq(F + s * c)
             disc = np.sqrt((aa - ab) ** 2 + 4.0 * shifted)
             pairs += [((-(aa + ab) - disc) / (2.0 * T), stag + "u-"),
                       ((-(aa + ab) + disc) / (2.0 * T), stag + "u+")]
     elif v is StackVariant.HETERO_BILAYER:
-        f = _require_diagonal(F)
         _require_opposite_pair(aa, ab, ac)
+        f = _require_diagonal(F)
         c = config.coupling.t0 ** 2
         T = 3.0 + c
         F2 = f * f
         a2 = aa * aa
         inner = np.sqrt(16.0 * c * c * F2 + 4.0 * a2 * c * c + a2 * a2)
         r_out = np.sqrt((2.0 * F2 + 2.0 * c * c + a2 + inner) / 2.0) / T
-        r_in = np.sqrt(max(0.0, (2.0 * F2 + 2.0 * c * c + a2 - inner) / 2.0)) / T
+        r_in = np.sqrt(_clip_negative((2.0 * F2 + 2.0 * c * c + a2 - inner) / 2.0)) / T
         pairs = [(-r_out, "out-"), (-r_in, "in-"), (r_in, "in+"), (r_out, "out+")]
     elif v in (StackVariant.TRILAYER_HBN_G_HBN, StackVariant.TRILAYER_G_HBN_G):
-        f = _require_diagonal(F)
         _require_opposite_pair(aa, ab, ac)
+        f = _require_diagonal(F)
         c = config.coupling.t0 ** 2
         T1, T2 = 3.0 + c, 3.0 + 2.0 * c
         F2 = f * f
@@ -353,15 +442,15 @@ def closed_form_roots(config: StackConfig, theta1: float, theta2: float) -> Disp
             p2 = np.sqrt(a2 + F2) / T1
             mid = a2 * T2 * T2
         else:
-            p2 = abs(f) / T1
+            p2 = np.abs(f) / T1
             mid = a2 * T1 * T1
         pairs = [(-p2, "p2-"), (p2, "p2+")]
         A = T1 * T1 * T2 * T2
         B = -(F2 * (T1 * T1 + T2 * T2) + mid + 4.0 * c * c * T1 * T2)
-        C = (F2 - 2.0 * c * c) ** 2 + a2 * F2
+        C = np.float_power(F2 - 2.0 * c * c, 2.0) + a2 * F2   # as Python's ** 2
         e2_in, e2_out = _quadratic_roots(A, B, C)
-        r_in = np.sqrt(max(0.0, e2_in))
-        r_out = np.sqrt(max(0.0, e2_out))
+        r_in = np.sqrt(_clip_negative(e2_in))
+        r_out = np.sqrt(_clip_negative(e2_out))
         pairs += [(-r_out, "pn_out-"), (-r_in, "pn_in-"),
                   (r_in, "pn_in+"), (r_out, "pn_out+")]
     elif v is StackVariant.MAGNETIC_MONOLAYER:
@@ -371,17 +460,7 @@ def closed_form_roots(config: StackConfig, theta1: float, theta2: float) -> Disp
     else:
         raise VariantError(f"unknown stack variant {v!r}")
 
-    roots = _make_roots([p[0] for p in pairs], [p[1] for p in pairs])
-    _check_residuals(assemble(config, theta1, theta2), roots.values)
+    values = np.stack([p[0] for p in pairs], axis=-1)
+    roots = _make_roots(values[0] if scalar else values, [p[1] for p in pairs])
+    _check_residuals(assemble(config, t1, t2), roots.values)
     return roots
-
-
-def _check_residuals(fm: FloquetMatrix, values: np.ndarray) -> None:
-    coeffs = char_poly(fm)
-    lead = abs(coeffs[-1])
-    residuals = np.abs(npoly.polyval(values, coeffs)) / lead
-    worst = float(np.max(residuals)) if len(residuals) else 0.0
-    if worst >= RESIDUAL_TOL:
-        raise EngineError(
-            f"closed-form root failed the residual gate: |p(r)|/lead = {worst:g}"
-        )

@@ -29,7 +29,6 @@ which is why refinement must stay inside the zone.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize
 
 from .errors import EngineError, GridError, VariantError
@@ -37,8 +36,11 @@ from .floquet import (
     RESIDUAL_TOL,
     DispersionRoots,
     FloquetMatrix,
+    _floquet_matrix,
     _make_roots,
-    char_poly,
+    _theta_batch,
+    _worst_residual,
+    chunk_slices,
 )
 from .lattice import FluxSpec, StackConfig, StackVariant, structure_function
 from .bands import (
@@ -97,27 +99,28 @@ def _require_magnetic(config: StackConfig) -> FluxSpec:
     return config.flux
 
 
-def assemble_robin(config: StackConfig, theta1: float, theta2: float) -> FloquetMatrix:
-    """Robin flux cell as a FloquetMatrix (q = 1: monolayer; q = 2: 4 x 4)."""
+def assemble_robin(config: StackConfig, theta1, theta2) -> FloquetMatrix:
+    """Robin flux cell as a FloquetMatrix (q = 1: monolayer; q = 2: 4 x 4),
+    at a scalar theta or a batch (see ``hexband.floquet``)."""
     flux = _require_magnetic(config)
     an = config.vertex.alpha_a
     ab = config.vertex.alpha_b
+    t1, t2, scalar = _theta_batch(theta1, theta2)
     if flux.q == 1:
-        f = structure_function(theta1, theta2)
-        affine = np.array([[-an, np.conj(f)], [f, -ab]], dtype=complex)
+        f = structure_function(t1, t2)
+        rows = [[-an, np.conj(f)], [f, -ab]]
         scale = np.array([3.0, 3.0])
     else:
-        e1 = np.exp(1j * theta1)
-        e2 = np.exp(1j * theta2)
-        affine = np.array([
+        e1 = np.exp(1j * t1)
+        e2 = np.exp(1j * t2)
+        rows = [
             [-an, 1.0 + e2.conjugate(), 0.0, e1.conjugate()],
             [1.0 + e2, -ab, 1.0, 0.0],
             [0.0, 1.0, -an, 1.0 - e2.conjugate()],
             [e1, 0.0, 1.0 - e2, -ab],
-        ], dtype=complex)
+        ]
         scale = np.full(4, 3.0)
-    return FloquetMatrix(dim=len(scale), diag_scale=scale, affine=affine,
-                         config=config, theta=(theta1, theta2))
+    return _floquet_matrix(config, rows, scale, t1, t2, scalar)
 
 
 def g_function(theta1, theta2):
@@ -128,33 +131,37 @@ def g_function(theta1, theta2):
     return float(out) if out.ndim == 0 else out
 
 
-def q2_quartic_coeffs(config: StackConfig, theta1: float, theta2: float) -> np.ndarray:
+def q2_quartic_coeffs(config: StackConfig, theta1, theta2) -> np.ndarray:
     """Ascending coefficients of the q = 2 determinant quartic in eta.
 
     The expansion of ([(6 eta + A)^2 - B - 12]^2 - 32 G)/16 with
     A = alpha_N + alpha_B, B = (alpha_N - alpha_B)^2: the quasimomentum enters
-    only through G(theta).
+    only through G(theta).  Shape (5,) at one quasimomentum, (N, 5) for
+    theta arrays of length N.
     """
     flux = _require_magnetic(config)
     if flux.q != 2:
         raise VariantError(f"the quartic form needs q = 2 (got q = {flux.q})")
+    return _q2_coeffs(config, g_function(theta1, theta2))
+
+
+def _q2_coeffs(config: StackConfig, g) -> np.ndarray:
     an = config.vertex.alpha_a
     ab = config.vertex.alpha_b
     a = an + ab
     prod = an * ab
-    g = g_function(theta1, theta2)
-    return np.array([
-        (prod - 3.0) ** 2 - 2.0 * g,
-        -6.0 * a * (3.0 - prod),
-        9.0 * (an * an + ab * ab + 4.0 * prod - 6.0),
-        54.0 * a,
-        81.0,
-    ])
+    coeffs = np.empty(np.shape(g) + (5,))
+    coeffs[..., 0] = (prod - 3.0) ** 2 - 2.0 * g
+    coeffs[..., 1] = -6.0 * a * (3.0 - prod)
+    coeffs[..., 2] = 9.0 * (an * an + ab * ab + 4.0 * prod - 6.0)
+    coeffs[..., 3] = 54.0 * a
+    coeffs[..., 4] = 81.0
+    return coeffs
 
 
-def closed_form_roots_q2(config: StackConfig, theta1: float,
-                         theta2: float) -> DispersionRoots:
-    """Radical roots of the q = 2 quartic, residual-checked, labeled in/out.
+def closed_form_roots_q2(config: StackConfig, theta1, theta2) -> DispersionRoots:
+    """Radical roots of the q = 2 quartic, residual-checked, labeled in/out,
+    at a scalar theta or a batch (see ``hexband.floquet``).
 
     eta = [-A +- sqrt(B + 12 +- 4 sqrt(2) sqrt(G))]/6; the smaller inner
     radicand carries the "in" pair.
@@ -166,18 +173,19 @@ def closed_form_roots_q2(config: StackConfig, theta1: float,
     ab = config.vertex.alpha_b
     a = an + ab
     b = (an - ab) ** 2
-    g = g_function(theta1, theta2)
+    t1, t2, scalar = _theta_batch(theta1, theta2)
+    g = g_function(t1, t2)
     shift = 4.0 * np.sqrt(2.0) * np.sqrt(g)
     values, labels = [], []
     for tag, radicand in (("in", b + 12.0 - shift), ("out", b + 12.0 + shift)):
-        root = np.sqrt(max(radicand, 0.0))
+        # max(radicand, 0.0), keeping -0.0 and NaN as they are
+        root = np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
         values.extend([(-a - root) / 6.0, (-a + root) / 6.0])
         labels.extend([f"{tag}-", f"{tag}+"])
-    roots = _make_roots(np.array(values), labels)
-    coeffs = q2_quartic_coeffs(config, theta1, theta2)
-    residuals = np.abs(npoly.polyval(roots.values, coeffs)) / 81.0
-    worst = float(np.max(residuals))
-    if worst >= RESIDUAL_TOL:
+    values = np.stack(values, axis=-1)
+    roots = _make_roots(values[0] if scalar else values, labels)
+    worst = _worst_residual(_q2_coeffs(config, g), roots.values)
+    if not worst < RESIDUAL_TOL:
         raise EngineError(
             f"q = 2 radical roots fail the residual gate: {worst:g}"
         )
@@ -207,29 +215,18 @@ def _roots_fn(config: StackConfig):
 
 
 def _grid_local_minima(sep: np.ndarray) -> list[tuple[int, int]]:
-    """2D local minima (4-neighborhood, boundary-aware, strict).
+    """2D local minima (4-neighborhood, boundary-aware, strict), row-major.
 
     Strictness matters: along the theta1 = 0 edge the q = 2 separations are
     constant (G is identically 4 there), and a non-strict rule would flag the
     whole plateau.
     """
-    n1, n2 = sep.shape
-    out = []
-    for i in range(n1):
-        for j in range(n2):
-            v = sep[i, j]
-            neigh = []
-            if i > 0:
-                neigh.append(sep[i - 1, j])
-            if i < n1 - 1:
-                neigh.append(sep[i + 1, j])
-            if j > 0:
-                neigh.append(sep[i, j - 1])
-            if j < n2 - 1:
-                neigh.append(sep[i, j + 1])
-            if all(v < w for w in neigh):
-                out.append((i, j))
-    return out
+    # points outside the zone are no neighbors: pad with +inf
+    padded = np.pad(sep, 1, constant_values=np.inf)
+    core = padded[1:-1, 1:-1]
+    minimum = ((core < padded[:-2, 1:-1]) & (core < padded[2:, 1:-1])
+               & (core < padded[1:-1, :-2]) & (core < padded[1:-1, 2:]))
+    return [(int(i), int(j)) for i, j in np.argwhere(minimum)]
 
 
 def magnetic_classify(config: StackConfig, n: int = 101,
@@ -250,10 +247,12 @@ def magnetic_classify(config: StackConfig, n: int = 101,
     t1_ax, t2_ax = reduced_zone_grid(flux.q, n)
     bounds = ((0.0, np.pi / flux.q), (-np.pi / flux.q, np.pi / flux.q))
     dim = config.dim
-    values = np.empty((n, n, dim))
-    for i, t1 in enumerate(t1_ax):
-        for j, t2 in enumerate(t2_ax):
-            values[i, j] = roots_fn(t1, t2)
+    grid1 = np.repeat(t1_ax, n)
+    grid2 = np.tile(t2_ax, n)
+    values = np.empty((n * n, dim))
+    for part in chunk_slices(n * n):
+        values[part] = roots_fn(grid1[part], grid2[part])
+    values = values.reshape(n, n, dim)
     reports: list[TouchReport] = []
     for pair in range(dim - 1):
         sep = values[:, :, pair + 1] - values[:, :, pair]

@@ -1,0 +1,235 @@
+"""The batch-first engine: batched calls against per-point calls, the memoised
+cofactor expansion against determinants, pinned artifact digests, and the
+independence of the residual gate from the eigensolver."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hexband.cli import main
+from hexband.errors import EngineError, NoClosedFormError
+from hexband.floquet import (
+    _check_residuals,
+    assemble,
+    char_poly,
+    closed_form_roots,
+    numeric_roots,
+)
+from hexband.lattice import (
+    CouplingParams,
+    FluxSpec,
+    StackConfig,
+    StackVariant,
+    VertexParams,
+)
+from hexband.magnetic import (
+    _grid_local_minima,
+    assemble_robin,
+    closed_form_roots_q2,
+)
+
+_DIAGONAL_ONLY = {StackVariant.HETERO_BILAYER, StackVariant.TRILAYER_HBN_G_HBN,
+                  StackVariant.TRILAYER_G_HBN_G}
+
+# every variant, the magnetic one at q = 1 and at q = 2
+CASES = [(v, None) for v in StackVariant if v is not StackVariant.MAGNETIC_MONOLAYER]
+CASES += [(StackVariant.MAGNETIC_MONOLAYER, 1), (StackVariant.MAGNETIC_MONOLAYER, 2)]
+
+
+def _case_id(case):
+    variant, q = case
+    return variant.value if q is None else f"{variant.value}_q{q}"
+
+
+def _config(variant, q, aa, ab, t0):
+    if variant is StackVariant.MAGNETIC_MONOLAYER:
+        return StackConfig(variant, VertexParams(aa, ab), flux=FluxSpec(1, q))
+    if variant in _DIAGONAL_ONLY:
+        ab = -aa        # where the closed forms exist
+    if variant is StackVariant.MONOLAYER:
+        coupling = None
+    elif variant is StackVariant.BILAYER_AA_TWO_PARAM:
+        coupling = CouplingParams(t_a=t0, t_b=0.5 * t0)
+    else:
+        coupling = CouplingParams(t0=t0)
+    return StackConfig(variant, VertexParams(aa, ab), coupling=coupling)
+
+
+def _routes(cfg):
+    """(closed-form roots, assembly) functions of a config."""
+    if cfg.variant is not StackVariant.MAGNETIC_MONOLAYER:
+        return closed_form_roots, assemble
+    if cfg.flux.q == 2:
+        return closed_form_roots_q2, assemble_robin
+    # the q = 1 cell is the monolayer: its closed forms are the monolayer's
+    mono = StackConfig(StackVariant.MONOLAYER, cfg.vertex)
+    return (lambda _cfg, t1, t2: closed_form_roots(mono, t1, t2)), assemble_robin
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_angle = st.floats(-np.pi, np.pi, allow_nan=False)
+
+
+# ============================================================
+#  Batched calls equal per-point calls
+# ============================================================
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       t0=st.floats(0.05, 1.0),
+       thetas=st.lists(st.tuples(_angle, _angle), min_size=1, max_size=12))
+def test_batch_equals_points_bit_for_bit(case, alpha, t0, thetas):
+    variant, q = case
+    cfg = _config(variant, q, alpha[0], alpha[1], t0)
+    closed_fn, assemble_fn = _routes(cfg)
+    t1 = np.array([t[0] for t in thetas])
+    t2 = np.array([t[1] for t in thetas])
+    # closed forms of the constrained variants hold on the diagonal slice
+    c2 = -t1 if variant in _DIAGONAL_ONLY else t2
+
+    closed = closed_fn(cfg, t1, c2)
+    fm = assemble_fn(cfg, t1, t2)
+    numeric = numeric_roots(fm)
+    coeffs = char_poly(fm)
+    assert closed.values.shape == numeric.values.shape == (len(t1), cfg.dim)
+    assert fm.affine.shape == (len(t1), cfg.dim, cfg.dim)
+    assert coeffs.shape == (len(t1), cfg.dim + 1)
+    for i in range(len(t1)):
+        one = closed_fn(cfg, float(t1[i]), float(c2[i]))
+        assert _same_bits(closed.values[i], one.values)
+        assert tuple(closed.branch_labels[i]) == one.branch_labels
+        assert _same_bits(closed.admissible[i], one.admissible)
+        fm_one = assemble_fn(cfg, float(t1[i]), float(t2[i]))
+        assert _same_bits(fm.affine[i], fm_one.affine)
+        assert _same_bits(numeric.values[i], numeric_roots(fm_one).values)
+        # a term that vanishes at this point but not across the batch adds
+        # an exact zero, which can only flip the sign of a zero coefficient
+        assert np.array_equal(coeffs[i], char_poly(fm_one))
+
+
+@pytest.mark.parametrize("variant", sorted(_DIAGONAL_ONLY, key=lambda v: v.value),
+                         ids=lambda v: v.value)
+def test_batch_off_the_slice_names_the_servable_points(variant):
+    cfg = _config(variant, None, -0.8, 0.8, 0.4)
+    t1 = np.array([0.3, 0.7, -1.2, 2.0])
+    t2 = np.array([-0.3, 0.1, 1.2, 0.5])
+    with pytest.raises(NoClosedFormError) as info:
+        closed_form_roots(cfg, t1, t2)
+    assert info.value.servable.tolist() == [True, False, True, False]
+    unpaired = StackConfig(variant, VertexParams(-0.8, 0.5),
+                           coupling=CouplingParams(t0=0.4))
+    with pytest.raises(NoClosedFormError) as info:
+        closed_form_roots(unpaired, t1, -t1)
+    assert info.value.servable is None
+
+
+def _grid_local_minima_loop(sep):
+    # the point-by-point scan the vectorised zone scan replaced
+    n1, n2 = sep.shape
+    out = []
+    for i in range(n1):
+        for j in range(n2):
+            neigh = [sep[a, b] for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                     if 0 <= a < n1 and 0 <= b < n2]
+            if all(sep[i, j] < w for w in neigh):
+                out.append((i, j))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 7), st.integers(1, 7)), data=st.data())
+def test_grid_local_minima_matches_the_loop(shape, data):
+    # small integer levels make plateaus and ties, where strictness matters
+    levels = data.draw(st.lists(st.integers(0, 3), min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    sep = np.array(levels, dtype=float).reshape(shape)
+    assert _grid_local_minima(sep) == _grid_local_minima_loop(sep)
+
+
+# ============================================================
+#  Memoised cofactor expansion against determinants
+# ============================================================
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_char_poly_matches_determinant_interpolation(case):
+    variant, q = case
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        aa, ab = rng.uniform(-2.0, 2.0, 2)
+        cfg = _config(variant, q, aa, ab, rng.uniform(0.05, 1.0))
+        _, assemble_fn = _routes(cfg)
+        fm = assemble_fn(cfg, *rng.uniform(-np.pi, np.pi, 2))
+        n = fm.dim
+        # det(A - eta D) at n + 1 Chebyshev nodes fixes the degree-n polynomial
+        nodes = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
+        dets = [np.linalg.det(fm.affine - eta * np.diag(fm.diag_scale))
+                for eta in nodes]
+        reference = np.linalg.solve(np.vander(nodes, increasing=True), dets).real
+        coeffs = char_poly(fm)
+        assert np.max(np.abs(coeffs - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+# ============================================================
+#  The two routes stay independent
+# ============================================================
+
+def test_cofactor_route_never_reaches_the_eigensolver(monkeypatch):
+    cfg = _config(StackVariant.TRILAYER_G_HBN_G, None, -0.6, 0.6, 0.7)
+    theta = np.linspace(-np.pi, np.pi, 9)
+    values = closed_form_roots(cfg, theta, -theta).values
+    fm = assemble(cfg, theta, -theta)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cofactor route called an eigensolver")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assert char_poly(fm).shape == (9, 7)
+    _check_residuals(fm, values)
+    _check_residuals(assemble(cfg, theta[2], -theta[2]), values[2])
+    with pytest.raises(EngineError):
+        _check_residuals(fm, values + 1e-5)
+
+
+# ============================================================
+#  Pinned artifact digests
+# ============================================================
+
+# SHA-256 of each artifact as the point-by-point engine wrote it; batching
+# must reproduce every byte
+GOLDEN = [
+    ("bands", {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
+               "alpha_b": 0.4, "t0": 0.3}, {"kind": "full", "n": 21},
+     "bands.csv",
+     "7f52dd9ea1d8fbd76e741ac7938a228f5b31ba07978ec6187eba25411a0be82e"),
+    ("classify", {"variant": "trilayer_g_hbn_g", "alpha_a": -0.8,
+                  "alpha_b": 0.8, "t0": 0.5}, {"kind": "diagonal", "n": 501},
+     "report.txt",
+     "be7b7e477cfe26721e9caca61c5608395b39be4b47fce85d8d7a3933f8959827"),
+    ("magnetic", {"variant": "magnetic_monolayer", "alpha_a": -0.5,
+                  "alpha_b": 0.9, "flux_p": 1, "flux_q": 2},
+     {"kind": "diagonal", "n": 31}, "magnetic.txt",
+     "2e0174c9c50d29a76cfdd847c772738e89bfd449acb902a63d421b3d4896c857"),
+]
+
+
+@pytest.mark.parametrize("command,stack,grid,artifact,digest", GOLDEN,
+                         ids=[g[3] for g in GOLDEN])
+def test_artifact_digest_is_pinned(tmp_path, command, stack, grid, artifact,
+                                   digest):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "stack": stack,
+                                  "grid": grid}))
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(outdir)]) == 0
+    data = (outdir / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -119,6 +119,38 @@ class TestConfig:
         code, _ = _run(tmp_path, "bands", str(tmp_path / "absent.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    def test_nan_alpha_is_config_error(self, tmp_path, capsys, command):
+        # json accepts NaN; without the check it sailed through every gate
+        cfg = _write_config(tmp_path, stack={"variant": "monolayer",
+                                             "alpha_a": float("nan"),
+                                             "alpha_b": -1.0})
+        code, _ = _run(tmp_path, command, cfg)
+        assert code == 1
+        assert "stack.alpha_a" in capsys.readouterr().err
+
+    def test_infinite_coupling_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, stack={"variant": "bilayer_aa",
+                                             "alpha_a": 0.1, "alpha_b": 0.2,
+                                             "t0": float("inf")})
+        code, _ = _run(tmp_path, "classify", cfg)
+        assert code == 1
+        assert "stack.t0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stack", [
+        {"variant": "monolayer", "alpha_a": 1e200, "alpha_b": -1.0},
+        {"variant": "trilayer_hbn_g_hbn", "alpha_a": 1e200,
+         "alpha_b": -1e200, "t0": 0.5},
+    ], ids=["python-overflow", "numpy-overflow"])
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys, stack):
+        cfg = _write_config(tmp_path, stack=stack)
+        code, _ = _run(tmp_path, "classify", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("hexband: numerical failure:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_sampled_potential_parses(self, tmp_path):
         x = list(np.linspace(0.0, 1.0, 21))
         v = list(np.cos(2.0 * np.pi * np.linspace(0.0, 1.0, 21)))

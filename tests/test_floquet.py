@@ -341,3 +341,20 @@ def test_residual_gate_trips_on_corrupted_roots():
     _check_residuals(fm, good)                     # passes silently
     with pytest.raises(EngineError):
         _check_residuals(fm, good + 1e-5)
+
+
+def test_residual_gate_trips_on_nan_roots():
+    from hexband.floquet import _check_residuals
+    fm = assemble(_cfg(StackVariant.MONOLAYER, 0.3, -0.2), 0.5, 0.7)
+    with pytest.raises(EngineError, match="residual gate"):
+        _check_residuals(fm, np.array([np.nan, 0.1]))
+
+
+@pytest.mark.parametrize("variant", [StackVariant.MONOLAYER,
+                                     StackVariant.BILAYER_AA_PRIME,
+                                     StackVariant.TRILAYER_HBN_G_HBN])
+def test_nan_alpha_fails_the_residual_gate(variant):
+    coupling = {} if variant is StackVariant.MONOLAYER else {"t0": 0.3}
+    cfg = _cfg(variant, np.nan, np.nan, **coupling)
+    with pytest.raises(EngineError, match="residual gate"):
+        closed_form_roots(cfg, 0.4, -0.4)

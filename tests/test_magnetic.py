@@ -178,6 +178,10 @@ class TestQuartic:
         roots = closed_form_roots_q2(_mag_cfg(-1.0, 1.0), 0.4, 0.9)
         assert roots.branch_labels == ("out-", "in-", "in+", "out+")
 
+    def test_nan_alpha_fails_the_residual_gate(self):
+        with pytest.raises(EngineError, match="residual gate"):
+            closed_form_roots_q2(_mag_cfg(np.nan, 0.5), 0.4, 0.9)
+
     def test_requires_q2(self):
         cfg = _mag_cfg(0.0, 0.0, q=1)
         with pytest.raises(VariantError):
