@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InputError, NoClosedFormError, ResolutionError
 from .floquet import (
@@ -36,6 +35,7 @@ from .floquet import (
     numeric_roots,
 )
 from .lattice import StackConfig, StackVariant, diagonal_slice, structure_function
+from .refine import bounded_minima
 
 MIN_CLASSIFY_SAMPLES = 201     # coarser diagonal scans miss narrow features
 DEFAULT_TOL_TOUCH = 1e-6       # refined separation below this counts as a touch
@@ -115,7 +115,7 @@ def sample_diagonal(config: StackConfig, n: int = 501,
     """
     theta = diagonal_slice(n)
     values, labels = [], []
-    for part in chunk_slices(n):
+    for part in chunk_slices(n, config.dim):
         roots = roots_at(config, theta[part], -theta[part], route=route)
         route = "closed" if len(roots.branch_labels) else "numeric"
         values.append(roots.values)
@@ -190,67 +190,94 @@ def _is_prominent(y: np.ndarray, i: int, eps: float) -> bool:
     return True
 
 
-def _pair_separation_fn(surface: DispersionSurface, pair: int):
-    def sep(t: float) -> float:
-        v = surface.roots_at(float(t)).values
-        return float(v[pair + 1] - v[pair])
-    return sep
-
-
 def _wrap_theta(t: float) -> float:
     t = (t + np.pi) % (2.0 * np.pi) - np.pi
     return float(t)
 
 
-def _is_crossing(surface: DispersionSurface, pair: int, theta_star: float,
-                 h: float) -> bool:
-    """Do the labeled branches forming the sorted pair trade order across
-    theta_star?  Requires labeled (closed-form) branches."""
-    left = surface.roots_at(theta_star - h)
-    right = surface.roots_at(theta_star + h)
-    la, lb = left.branch_labels[pair], left.branch_labels[pair + 1]
-    pos = {lab: k for k, lab in enumerate(right.branch_labels)}
-    diff_right = right.values[pos[la]] - right.values[pos[lb]]
-    # on the left, label la sits strictly below lb by construction
-    return diff_right > 0.0
+def _pair_separations(surface: DispersionSurface, theta: np.ndarray,
+                      pairs: np.ndarray) -> np.ndarray:
+    """Separation of sorted branches pairs[k], pairs[k] + 1 at theta[k]."""
+    values = surface.roots_at(theta).values
+    rows = np.arange(len(theta))
+    return values[rows, pairs + 1] - values[rows, pairs]
 
 
-def _classify_minimum(surface: DispersionSurface, pair: int, theta_star: float,
-                      sep_star: float, tol_touch: float,
-                      tol_slope: float) -> TouchReport:
-    sep = _pair_separation_fn(surface, pair)
-    roots = surface.roots_at(theta_star)
-    value = 0.5 * float(roots.values[pair] + roots.values[pair + 1])
-    f_val = float(structure_function(theta_star, -theta_star).real)
-    base = dict(band_pair=(pair, pair + 1), theta1=theta_star,
-                theta2=-theta_star, f_value=f_val, value=value,
-                separation=sep_star)
+def _classify_minima(surface: DispersionSurface,
+                     minima: list[tuple[int, float, float]], tol_touch: float,
+                     tol_slope: float) -> list[TouchReport]:
+    """Classify refined minima (pair, theta_star, sep_star).
 
-    if sep_star > tol_touch:
-        return TouchReport(kind="gap", gap_width=sep_star, gamma=None,
-                           curvature=None, **base)
+    Each stage of the probes (roots at the minimum, the crossing test,
+    one-sided slopes, curvature) is one batch over all minima that reach it.
+    """
+    pairs = np.array([m[0] for m in minima])
+    t = np.array([m[1] for m in minima])
+    k = len(minima)
+    center = surface.roots_at(t).values
+    touch = [not m[2] > tol_touch for m in minima]
 
-    if surface.labels is not None and _is_crossing(surface, pair, theta_star,
-                                                   _SLOPE_STEP):
-        return TouchReport(kind="crossing", gap_width=None, gamma=None,
-                           curvature=None, **base)
+    # crossing: the labeled branches forming the sorted pair trade order
+    # across the touch (needs labeled, closed-form branches)
+    crossing = [False] * k
+    if surface.labels is not None and any(touch):
+        at = [i for i in range(k) if touch[i]]
+        sides = surface.roots_at(np.concatenate([t[at] - _SLOPE_STEP,
+                                                 t[at] + _SLOPE_STEP]))
+        for j, i in enumerate(at):
+            left = sides.branch_labels[j]
+            la, lb = left[pairs[i]], left[pairs[i] + 1]
+            pos = {lab: c for c, lab in enumerate(sides.branch_labels[len(at) + j])}
+            right = sides.values[len(at) + j]
+            # on the left, label la sits strictly below lb by construction
+            crossing[i] = bool(right[pos[la]] - right[pos[lb]] > 0.0)
 
     # secant slopes taken strictly on each side of the contact point, so a
     # refinement offset of a few 1e-9 in theta_star cannot bias them
-    slope_left = (sep(theta_star - 2.0 * _SLOPE_STEP)
-                  - sep(theta_star - _SLOPE_STEP)) / _SLOPE_STEP
-    slope_right = (sep(theta_star + 2.0 * _SLOPE_STEP)
-                   - sep(theta_star + _SLOPE_STEP)) / _SLOPE_STEP
-    if max(slope_left, slope_right) > tol_slope:
-        # linear contact: each branch moves at half the separation slope
-        gamma = (abs(slope_left) + abs(slope_right)) / 4.0
-        return TouchReport(kind="cone", gap_width=None, gamma=gamma,
-                           curvature=None, **base)
+    slopes = {}
+    sloped = [i for i in range(k) if touch[i] and not crossing[i]]
+    if sloped:
+        offsets = (-2.0 * _SLOPE_STEP, -_SLOPE_STEP, 2.0 * _SLOPE_STEP, _SLOPE_STEP)
+        seps = _pair_separations(
+            surface, np.concatenate([t[sloped] + d for d in offsets]),
+            np.tile(pairs[sloped], len(offsets))).reshape(len(offsets), -1)
+        for j, i in enumerate(sloped):
+            slopes[i] = ((float(seps[0, j]) - float(seps[1, j])) / _SLOPE_STEP,
+                         (float(seps[2, j]) - float(seps[3, j])) / _SLOPE_STEP)
+    curved = {}
+    flat = [i for i in sloped if not max(slopes[i]) > tol_slope]
+    if flat:
+        seps = _pair_separations(
+            surface, np.concatenate([t[flat] + _CURV_STEP, t[flat] - _CURV_STEP]),
+            np.tile(pairs[flat], 2)).reshape(2, -1)
+        for j, i in enumerate(flat):
+            curved[i] = (float(seps[0, j]) - 2.0 * minima[i][2]
+                         + float(seps[1, j])) / _CURV_STEP ** 2
 
-    second = (sep(theta_star + _CURV_STEP) - 2.0 * sep_star
-              + sep(theta_star - _CURV_STEP)) / _CURV_STEP ** 2
-    return TouchReport(kind="parabolic", gap_width=None, gamma=None,
-                       curvature=0.5 * second, **base)
+    reports = []
+    for i, (pair, theta_star, sep_star) in enumerate(minima):
+        value = 0.5 * float(center[i, pair] + center[i, pair + 1])
+        f_val = float(structure_function(theta_star, -theta_star).real)
+        base = dict(band_pair=(pair, pair + 1), theta1=theta_star,
+                    theta2=-theta_star, f_value=f_val, value=value,
+                    separation=sep_star)
+        if not touch[i]:
+            reports.append(TouchReport(kind="gap", gap_width=sep_star, gamma=None,
+                                       curvature=None, **base))
+        elif crossing[i]:
+            reports.append(TouchReport(kind="crossing", gap_width=None, gamma=None,
+                                       curvature=None, **base))
+        elif i not in curved:
+            # linear contact: each branch moves at half the separation slope
+            slope_left, slope_right = slopes[i]
+            gamma = (abs(slope_left) + abs(slope_right)) / 4.0
+            reports.append(TouchReport(kind="cone", gap_width=None, gamma=gamma,
+                                       curvature=None, **base))
+        else:
+            reports.append(TouchReport(kind="parabolic", gap_width=None,
+                                       gamma=None, curvature=0.5 * curved[i],
+                                       **base))
+    return reports
 
 
 def classify_touches(surface: DispersionSurface,
@@ -261,7 +288,9 @@ def classify_touches(surface: DispersionSurface,
 
     Needs at least ``MIN_CLASSIFY_SAMPLES`` samples; each grid-level local
     minimum of each separation profile is refined by bounded minimization
-    before classification.
+    before classification.  The minima of all profiles are refined together
+    (``refine.bounded_minima``), so the engine calls of a refinement follow its
+    slowest minimum rather than the number of minima.
     """
     if surface.n_samples < MIN_CLASSIFY_SAMPLES:
         raise ResolutionError(
@@ -272,6 +301,7 @@ def classify_touches(surface: DispersionSurface,
     h = theta[1] - theta[0]
     seps = surface.separations()
     reports: list[TouchReport] = []
+    brackets: list[tuple[int, int]] = []     # (pair, grid index)
     for pair in range(surface.dim - 1):
         profile = seps[:, pair]
         if float(profile.max() - profile.min()) < FLAT_SEP_TOL:
@@ -284,26 +314,25 @@ def classify_touches(surface: DispersionSurface,
                 theta2=None, f_value=None, value=value, separation=width,
                 gap_width=width, gamma=None, curvature=None, flat=True))
             continue
-        sep_fn = _pair_separation_fn(surface, pair)
         # drop the duplicated endpoint (theta = -pi and pi are the same point)
         periodic = profile[:-1]
-        found: list[tuple[float, float]] = []
-        for i in _local_min_indices(periodic):
-            if not _is_prominent(periodic, i, PROMINENCE_TOL):
+        brackets += [(pair, int(i)) for i in _local_min_indices(periodic)
+                     if _is_prominent(periodic, i, PROMINENCE_TOL)]
+    if brackets:
+        pairs = np.array([pair for pair, _ in brackets])
+        centers = theta[[i for _, i in brackets]]
+        t_refined, s_refined = bounded_minima(
+            lambda x, lanes: _pair_separations(surface, x, pairs[lanes]),
+            centers - h, centers + h, _REFINE_XATOL)
+        minima: list[tuple[int, float, float]] = []
+        for (pair, _), t_star, s_star in zip(brackets, t_refined.tolist(),
+                                             s_refined.tolist()):
+            t_star = _wrap_theta(t_star)
+            if any(p == pair and abs(_wrap_theta(t_star - t0)) < _DEDUP_THETA
+                   for p, t0, _ in minima):
                 continue
-            lo = theta[i] - h
-            hi = theta[i] + h
-            res = minimize_scalar(sep_fn, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": _REFINE_XATOL})
-            t_star = _wrap_theta(float(res.x))
-            s_star = float(res.fun)
-            if any(abs(_wrap_theta(t_star - t0)) < _DEDUP_THETA
-                   for t0, _ in found):
-                continue
-            found.append((t_star, s_star))
-        for t_star, s_star in found:
-            reports.append(_classify_minimum(surface, pair, t_star, s_star,
-                                             tol_touch, tol_slope))
+            minima.append((pair, t_star, s_star))
+        reports += _classify_minima(surface, minima, tol_touch, tol_slope)
     reports.sort(key=lambda r: (r.band_pair, np.inf if r.theta1 is None
                                 else r.theta1))
     return tuple(reports)

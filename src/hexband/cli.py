@@ -399,23 +399,45 @@ def _closed_where_possible(closed_fn, stack: StackConfig, t1: np.ndarray,
         return mask, closed_fn(stack, t1[mask], t2[mask])
 
 
-def _roots_with_source(stack: StackConfig, t1: np.ndarray,
+def _grid_roots(stack: StackConfig, t1: np.ndarray,
                        t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of a batch, (N, dim), and the route of each point, (N,)."""
+    """Roots at every point of a grid, (N, dim), and whether each point
+    took the closed forms, (N,), evaluated in engine batches
+    (``chunk_slices``).
+
+    A batch that the closed forms cannot serve whole sends its other points
+    to the eigensolver; its closed-form points are collected and evaluated
+    together at the end, so that closed-form points scattered over a grid
+    do not cost one closed-form call per batch.
+    """
+    values = np.empty((len(t1), stack.dim))
+    closed = np.ones(len(t1), dtype=bool)
     if stack.variant is StackVariant.MAGNETIC_MONOLAYER:
-        if stack.flux.q == 2:
-            values = closed_form_roots_q2(stack, t1, t2).values
-            return values, np.full(len(t1), "closed_form")
-        eta = np.linalg.eigvalsh(assemble_robin(stack, t1, t2).affine) / 3.0
-        return eta, np.full(len(t1), "numeric")
-    closed, values = _closed_where_possible(
-        lambda st, a, b: closed_form_roots(st, a, b).values, stack, t1, t2)
-    if closed.all():
-        return values, np.full(len(t1), "closed_form")
-    out = np.empty((len(t1), stack.dim))
-    out[closed] = values
-    out[~closed] = numeric_roots(assemble(stack, t1[~closed], t2[~closed])).values
-    return out, np.where(closed, "closed_form", "numeric")
+        for part in chunk_slices(len(t1), stack.dim):
+            if stack.flux.q == 2:
+                values[part] = closed_form_roots_q2(stack, t1[part], t2[part]).values
+            else:
+                values[part] = np.linalg.eigvalsh(
+                    assemble_robin(stack, t1[part], t2[part]).affine) / 3.0
+        closed[:] = stack.flux.q == 2
+        return values, closed
+    deferred = []
+    for part in chunk_slices(len(t1), stack.dim):
+        index = np.arange(len(t1))[part]
+        try:
+            values[index] = closed_form_roots(stack, t1[index], t2[index]).values
+        except NoClosedFormError as exc:
+            servable = (exc.servable if exc.servable is not None
+                        else np.zeros(len(index), dtype=bool))
+            other = index[~servable]
+            values[other] = numeric_roots(assemble(stack, t1[other], t2[other])).values
+            closed[other] = False
+            deferred.append(index[servable])
+    deferred = np.concatenate(deferred) if deferred else np.empty(0, dtype=int)
+    for part in chunk_slices(len(deferred), stack.dim):
+        index = deferred[part]
+        values[index] = closed_form_roots(stack, t1[index], t2[index]).values
+    return values, closed
 
 
 def _grid_thetas(run: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -449,14 +471,16 @@ def _diagonal_reports(run: RunConfig):
 def _emit_bands(run: RunConfig) -> str:
     lines = [BANDS_CSV_HEADER]
     theta1, theta2 = _grid_thetas(run)
-    for part in chunk_slices(len(theta1)):
+    values, closed = _grid_roots(run.stack, theta1, theta2)
+    for part in chunk_slices(len(theta1), run.stack.dim):
         t1, t2 = theta1[part], theta2[part]
-        values, sources = _roots_with_source(run.stack, t1, t2)
         f = structure_function(t1, t2)
-        for a, b, fr, fi, row, source in zip(t1.tolist(), t2.tolist(),
-                                             f.real.tolist(), f.imag.tolist(),
-                                             values.tolist(), sources.tolist()):
+        for a, b, fr, fi, row, by_formula in zip(t1.tolist(), t2.tolist(),
+                                                 f.real.tolist(), f.imag.tolist(),
+                                                 values[part].tolist(),
+                                                 closed[part].tolist()):
             point = f"{_g17(a)},{_g17(b)},{_g17(fr)},{_g17(fi)},"
+            source = "closed_form" if by_formula else "numeric"
             for band, eta in enumerate(row):
                 admissible = int(abs(eta) <= 1.0 + ADMISSIBILITY_TOL)
                 lines.append(f"{point}{band},{_g17(eta)},{admissible},{source}")
@@ -677,7 +701,7 @@ def _emit_validate(run: RunConfig, samples: int, seed: int,
         theta1, theta2 = rng.uniform(-np.pi, np.pi, (samples, 2)).T
     compared = np.zeros(samples, dtype=bool)
     devs = np.zeros(samples)
-    for part in chunk_slices(samples):
+    for part in chunk_slices(samples, run.stack.dim):
         t1, t2 = theta1[part], theta2[part]
         mask, closed = _closed_where_possible(_closed_for_validate,
                                               run.stack, t1, t2)

@@ -28,8 +28,11 @@ length N; a batch gives a ``FloquetMatrix`` with an (N, dim, dim) affine part
 and ``DispersionRoots`` with (N, dim) values and labels, and ``char_poly`` and
 ``numeric_roots`` follow the matrix they are given.  Scalar arguments run as
 a batch of one and come back without the batch axis, so a point gives the
-same bits alone as inside a batch.  Grid sweeps call the engine on slices of
-at most ``BATCH_CHUNK`` points (``chunk_slices``) to bound memory.
+same bits alone as inside a batch.  Grid sweeps call the engine on slices
+(``chunk_slices``) whose matrices take at most ``BATCH_BYTES``, so that a
+call works in about 100 KB whatever the dimension: larger batches leave
+holes of several hundred KB in the C heap, and the speed of later array
+work in the same process would then depend on which batches ran before.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .lattice import (
 RESIDUAL_TOL = 1e-9      # |p(root)| / |leading coefficient| gate
 _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
 _PAIR_TOL = 1e-12        # |alpha_a + alpha_b| bound for the constrained forms
-BATCH_CHUNK = 4096       # quasimomenta per engine call in grid sweeps
+BATCH_BYTES = 16 * 1024  # bytes of the (N, dim, dim) complex matrices of a batch
 
 
 # ============================================================
@@ -82,9 +85,11 @@ class DispersionRoots:
     admissible: np.ndarray = field(default_factory=lambda: np.array([], bool))
 
 
-def chunk_slices(n: int) -> list[slice]:
-    """Slices that cover n grid points in batches of at most ``BATCH_CHUNK``."""
-    return [slice(start, start + BATCH_CHUNK) for start in range(0, n, BATCH_CHUNK)]
+def chunk_slices(n: int, dim: int) -> list[slice]:
+    """Slices that cover n grid points in batches whose (N, dim, dim) complex
+    matrices take at most ``BATCH_BYTES``."""
+    size = max(1, BATCH_BYTES // (16 * dim * dim))
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def _theta_batch(theta1, theta2):

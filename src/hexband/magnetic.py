@@ -29,7 +29,6 @@ which is why refinement must stay inside the zone.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import EngineError, GridError, VariantError
 from .floquet import (
@@ -43,6 +42,7 @@ from .floquet import (
     chunk_slices,
 )
 from .lattice import FluxSpec, StackConfig, StackVariant, structure_function
+from .refine import nelder_mead_minima
 from .bands import (
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
@@ -249,65 +249,95 @@ def magnetic_classify(config: StackConfig, n: int = 101,
     dim = config.dim
     grid1 = np.repeat(t1_ax, n)
     grid2 = np.tile(t2_ax, n)
-    values = np.empty((n * n, dim))
-    for part in chunk_slices(n * n):
-        values[part] = roots_fn(grid1[part], grid2[part])
-    values = values.reshape(n, n, dim)
-    reports: list[TouchReport] = []
-    for pair in range(dim - 1):
-        sep = values[:, :, pair + 1] - values[:, :, pair]
+    profiles = [np.empty(n * n) for _ in range(dim - 1)]
+    for part in chunk_slices(n * n, dim):
+        values = roots_fn(grid1[part], grid2[part])
+        for pair, sep in enumerate(profiles):
+            sep[part] = values[:, pair + 1] - values[:, pair]
+    lanes: list[tuple[int, int, int]] = []     # (pair, i, j)
+    for pair, sep in enumerate(profiles):
+        lanes += [(pair, i, j) for i, j in _grid_local_minima(sep.reshape(n, n))]
+    if not lanes:
+        return ()
+    pairs = np.array([pair for pair, _, _ in lanes])
 
-        def sep_fn(theta):
-            v = roots_fn(float(theta[0]), float(theta[1]))
-            return float(v[pair + 1] - v[pair])
+    def separations(theta: np.ndarray, which: np.ndarray) -> np.ndarray:
+        v = roots_fn(theta[:, 0], theta[:, 1])
+        rows = np.arange(len(theta))
+        return v[rows, pairs[which] + 1] - v[rows, pairs[which]]
 
-        found: list[tuple[float, float, float]] = []
-        for i, j in _grid_local_minima(sep):
-            x0 = np.array([t1_ax[i], t2_ax[j]])
-            # restarting with a fresh simplex guards against premature
-            # collapse on conical (non-smooth) minima
-            for _ in range(2):
-                res = minimize(sep_fn, x0=x0, method="Nelder-Mead",
-                               bounds=bounds,
-                               options={"xatol": _NM_XATOL, "fatol": 1e-14,
-                                        "maxiter": 2000})
-                x0 = res.x
-            t1s, t2s = float(res.x[0]), float(res.x[1])
-            s_star = float(res.fun)
-            if any(abs(t1s - a) < 1e-6 and abs(t2s - b) < 1e-6
-                   for a, b, _ in found):
-                continue
-            found.append((t1s, t2s, s_star))
-        for t1s, t2s, s_star in found:
-            reports.append(_classify_2d_minimum(
-                config, pair, np.array([t1s, t2s]), s_star, sep_fn,
-                tol_touch, tol_slope))
+    x0 = np.array([[t1_ax[i], t2_ax[j]] for _, i, j in lanes])
+    lower, upper = np.array(bounds).T
+    # restarting with a fresh simplex guards against premature collapse on
+    # conical (non-smooth) minima
+    for _ in range(2):
+        x0, s_min = nelder_mead_minima(separations, x0, lower, upper,
+                                       xatol=_NM_XATOL, fatol=1e-14, maxiter=2000)
+    found: list[tuple[int, float, float, float]] = []
+    for pair, (t1s, t2s), s_star in zip(pairs.tolist(), x0.tolist(),
+                                        s_min.tolist()):
+        if any(p == pair and abs(t1s - a) < 1e-6 and abs(t2s - b) < 1e-6
+               for p, a, b, _ in found):
+            continue
+        found.append((pair, t1s, t2s, s_star))
+    reports = _classify_2d_minima(config, found, tol_touch, tol_slope)
     reports.sort(key=lambda r: (r.band_pair, r.theta1))
     return tuple(reports)
 
 
-def _classify_2d_minimum(config: StackConfig, pair: int, theta: np.ndarray,
-                         sep_star: float, sep_fn, tol_touch: float,
-                         tol_slope: float) -> TouchReport:
-    roots = _roots_fn(config)(theta[0], theta[1])
-    value = 0.5 * float(roots[pair] + roots[pair + 1])
-    base = dict(band_pair=(pair, pair + 1), theta1=float(theta[0]),
-                theta2=float(theta[1]), f_value=None, value=value,
-                separation=sep_star)
-    if sep_star > tol_touch:
-        return TouchReport(kind="gap", gap_width=sep_star, gamma=None,
-                           curvature=None, **base)
-    h = _SLOPE_STEP
-    slope_left = (sep_fn(theta - 2.0 * h * _LOCUS_DIR)
-                  - sep_fn(theta - h * _LOCUS_DIR)) / h
-    slope_right = (sep_fn(theta + 2.0 * h * _LOCUS_DIR)
-                   - sep_fn(theta + h * _LOCUS_DIR)) / h
-    if max(abs(slope_left), abs(slope_right)) > tol_slope:
-        gamma = (abs(slope_left) + abs(slope_right)) / 4.0
-        return TouchReport(kind="cone", gap_width=None, gamma=gamma,
-                           curvature=None, **base)
-    hc = _CURV_STEP
-    second = (sep_fn(theta + hc * _LOCUS_DIR) - 2.0 * sep_star
-              + sep_fn(theta - hc * _LOCUS_DIR)) / hc ** 2
-    return TouchReport(kind="parabolic", gap_width=None, gamma=None,
-                       curvature=0.5 * second, **base)
+def _classify_2d_minima(config: StackConfig,
+                        minima: list[tuple[int, float, float, float]],
+                        tol_touch: float, tol_slope: float) -> list[TouchReport]:
+    """Classify refined minima (pair, theta1, theta2, sep_star); each probe
+    stage is one batch over the minima that reach it."""
+    roots_fn = _roots_fn(config)
+    pairs = np.array([m[0] for m in minima])
+    theta = np.array([[m[1], m[2]] for m in minima])
+
+    def separations(points: np.ndarray, which: list[int]) -> np.ndarray:
+        """Separations of minima ``which`` at ``points`` (offsets, minima, 2),
+        one row per offset."""
+        v = roots_fn(points[..., 0].ravel(), points[..., 1].ravel())
+        rows = np.arange(len(v))
+        p = np.tile(pairs[which], len(points))
+        return (v[rows, p + 1] - v[rows, p]).reshape(len(points), -1)
+
+    center = roots_fn(theta[:, 0], theta[:, 1])
+    touch = [i for i, m in enumerate(minima) if not m[3] > tol_touch]
+    h, hc = _SLOPE_STEP, _CURV_STEP
+    slopes, curved = {}, {}
+    if touch:
+        at = theta[touch]
+        probe = separations(np.stack([at - 2.0 * h * _LOCUS_DIR, at - h * _LOCUS_DIR,
+                                      at + 2.0 * h * _LOCUS_DIR, at + h * _LOCUS_DIR]),
+                            touch)
+        for k, i in enumerate(touch):
+            slopes[i] = ((float(probe[0, k]) - float(probe[1, k])) / h,
+                         (float(probe[2, k]) - float(probe[3, k])) / h)
+    flat = [i for i in touch if not max(abs(v) for v in slopes[i]) > tol_slope]
+    if flat:
+        at = theta[flat]
+        probe = separations(np.stack([at + hc * _LOCUS_DIR, at - hc * _LOCUS_DIR]),
+                            flat)
+        for k, i in enumerate(flat):
+            curved[i] = (float(probe[0, k]) - 2.0 * minima[i][3]
+                         + float(probe[1, k])) / hc ** 2
+
+    reports = []
+    for i, (pair, t1s, t2s, sep_star) in enumerate(minima):
+        value = 0.5 * float(center[i, pair] + center[i, pair + 1])
+        base = dict(band_pair=(pair, pair + 1), theta1=t1s, theta2=t2s,
+                    f_value=None, value=value, separation=sep_star)
+        if i not in slopes:
+            reports.append(TouchReport(kind="gap", gap_width=sep_star, gamma=None,
+                                       curvature=None, **base))
+        elif i not in curved:
+            slope_left, slope_right = slopes[i]
+            gamma = (abs(slope_left) + abs(slope_right)) / 4.0
+            reports.append(TouchReport(kind="cone", gap_width=None, gamma=gamma,
+                                       curvature=None, **base))
+        else:
+            reports.append(TouchReport(kind="parabolic", gap_width=None,
+                                       gamma=None, curvature=0.5 * curved[i],
+                                       **base))
+    return reports

@@ -1,0 +1,125 @@
+"""Lockstep refinement against one scipy call per minimum, bit for bit, and
+the engine-call count of a lockstep refinement."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize, minimize_scalar
+
+import hexband.bands as bands
+from hexband.bands import classify_touches, sample_diagonal
+from hexband.floquet import BATCH_BYTES, chunk_slices
+from hexband.lattice import CouplingParams, StackConfig, StackVariant, VertexParams
+from hexband.refine import bounded_minima, nelder_mead_minima
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def _profile(centers, slopes, curvatures, ripple):
+    """Objectives with cone-like (|x - c|) and smooth parts, one per lane."""
+    def f(x, lane):
+        return (slopes[lane] * abs(x - centers[lane])
+                + curvatures[lane] * (x - centers[lane]) ** 2
+                + ripple * np.cos(7.0 * x))
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0, **_finite),
+                          st.floats(1e-3, 0.5, **_finite),
+                          st.floats(-0.4, 0.4, **_finite),
+                          st.floats(0.0, 2.0, **_finite),
+                          st.floats(0.0, 3.0, **_finite)),
+                min_size=1, max_size=8),
+       st.floats(0.0, 0.05, **_finite),
+       st.sampled_from([1e-12, 1e-8, 1e-5]))
+def test_bounded_minima_match_scipy(lanes, ripple, xatol):
+    lo = np.array([c - w for c, w, _, _, _ in lanes])
+    hi = np.array([c + w for c, w, _, _, _ in lanes])
+    centers = [c + shift for c, _, shift, _, _ in lanes]
+    f = _profile(centers, [s for *_, s, _ in lanes], [k for *_, k in lanes], ripple)
+    calls = []
+
+    def batched(x, which):
+        calls.append(len(which))
+        return np.array([f(float(xi), int(k)) for xi, k in zip(x, which)])
+
+    x, fx = bounded_minima(batched, lo, hi, xatol)
+    nfev = []
+    for k in range(len(lanes)):
+        res = minimize_scalar(lambda t, k=k: f(float(t), k), bounds=(lo[k], hi[k]),
+                              method="bounded", options={"xatol": xatol})
+        assert x[k] == res.x and fx[k] == res.fun
+        nfev.append(res.nfev)
+    # one objective call per iteration, for the lanes still running
+    assert len(calls) == max(nfev)
+    assert sum(calls) == sum(nfev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, np.pi / 2, **_finite),
+                          st.floats(-np.pi / 2, np.pi / 2, **_finite),
+                          st.floats(0.0, np.pi / 2, **_finite),
+                          st.floats(-np.pi / 2, np.pi / 2, **_finite),
+                          st.floats(0.0, 1.0, **_finite)),
+                min_size=1, max_size=6),
+       st.sampled_from([1, 2]))
+def test_nelder_mead_minima_match_scipy(lanes, runs):
+    lower = np.array([0.0, -np.pi / 2])
+    upper = np.array([np.pi / 2, np.pi / 2])
+    bounds = ((0.0, np.pi / 2), (-np.pi / 2, np.pi / 2))
+    x0 = np.array([[a, b] for a, b, *_ in lanes])
+    centers = np.array([[c, d] for _, _, c, d, _ in lanes])
+    cone = np.array([w for *_, w in lanes])
+
+    def f(p, k):
+        d = p - centers[k]
+        return float(cone[k] * np.hypot(d[0], d[1]) + d @ d + 0.01 * np.cos(5.0 * p[0]))
+
+    def batched(points, which):
+        return np.array([f(p, int(k)) for p, k in zip(points, which)])
+
+    options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000}
+    x, fx = x0, None
+    for _ in range(runs):
+        x, fx = nelder_mead_minima(batched, x, lower, upper, xatol=options["xatol"],
+                                   fatol=options["fatol"], maxiter=options["maxiter"])
+    for k in range(len(lanes)):
+        start = x0[k]
+        for _ in range(runs):
+            res = minimize(lambda p, k=k: f(p, k), x0=start, method="Nelder-Mead",
+                           bounds=bounds, options=options)
+            start = res.x
+        assert np.array_equal(x[k], res.x) and fx[k] == res.fun
+
+
+def test_refinement_calls_do_not_grow_with_minima(monkeypatch):
+    """A bilayer whose profiles have several minima is refined in about as
+    many engine calls as a single bracket needs, not one run per minimum."""
+    config = StackConfig(StackVariant.BILAYER_AA, VertexParams(-1.0, -1.0),
+                         coupling=CouplingParams(t0=0.5))
+    surface = sample_diagonal(config, n=501)
+    calls = []
+    original = bands.roots_at
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bands, "roots_at", counting)
+    reports = classify_touches(surface)
+    refined = [r for r in reports if r.theta1 is not None]
+    assert len(refined) == 8
+    # one scipy run per minimum made 192 engine calls here; in lockstep the
+    # refinement and all probes take about as many as the slowest minimum
+    assert len(calls) < 60
+    assert max(calls) >= len(refined)
+
+
+def test_chunk_slices_bound_the_batch_matrices():
+    for dim in (2, 4, 6):
+        parts = chunk_slices(1000, dim)
+        sizes = [len(range(1000)[p]) for p in parts]
+        assert sum(sizes) == 1000
+        assert max(sizes) * 16 * dim * dim <= BATCH_BYTES
+        assert len(parts) == -(-1000 // max(sizes))
