@@ -1,4 +1,5 @@
-"""Dispersion sampling and band-touch classification along the diagonal slice.
+"""Root dispatch, dispersion sampling and band-touch classification along the
+diagonal slice.  Every sweep of the package evaluates through ``roots_at``.
 
 All touch analysis happens on the anti-diagonal slice theta2 = -theta1 of the
 Brillouin zone, where the structure function F = 1 + 2 cos(theta1) is real and
@@ -26,25 +27,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# a module import: magnetic imports bands back, for roots_at
+from . import magnetic
 from .errors import InputError, NoClosedFormError, ResolutionError
 from .floquet import (
     DispersionRoots,
+    _theta_batch,
     assemble,
     chunk_slices,
     closed_form_roots,
     numeric_roots,
 )
-from .lattice import StackConfig, StackVariant, diagonal_slice, structure_function
-from .refine import bounded_minima
+from .lattice import (
+    ADMISSIBILITY_TOL,
+    StackConfig,
+    StackVariant,
+    diagonal_slice,
+    structure_function,
+)
+from .refine import (
+    DEFAULT_TOL_SLOPE,
+    DEFAULT_TOL_TOUCH,
+    TouchReport,
+    _CURV_STEP,
+    _SLOPE_STEP,
+    bounded_minima,
+)
 
 MIN_CLASSIFY_SAMPLES = 201     # coarser diagonal scans miss narrow features
-DEFAULT_TOL_TOUCH = 1e-6       # refined separation below this counts as a touch
-DEFAULT_TOL_SLOPE = 1e-4       # one-sided slope below this counts as flat
 FLAT_SEP_TOL = 1e-12           # constant-separation profiles get one record
-_SLOPE_STEP = 1e-6             # one-sided finite-difference step for slopes
-                               # (small enough that quadratic contacts stay
-                               # below DEFAULT_TOL_SLOPE)
-_CURV_STEP = 1e-3              # central second-difference step for curvature
 _REFINE_XATOL = 1e-12          # bounded-minimization tolerance in theta
 _DEDUP_THETA = 1e-7            # refined minima closer than this coincide
 PROMINENCE_TOL = 1e-10         # minima must rise this far above the floor;
@@ -59,24 +70,83 @@ PROMINENCE_TOL = 1e-10         # minima must rise this far above the floor;
 def roots_at(config: StackConfig, theta1, theta2=None,
              route: str = "auto") -> DispersionRoots:
     """Sorted dispersion roots at one quasimomentum or a batch of them
-    (theta as scalars or 1-D arrays; theta2 defaults to -theta1).
+    (theta as scalars or 1-D arrays; theta2 defaults to -theta1), for every
+    variant; the one place that decides which route serves a point.
 
-    ``route``: "closed" forces the analytic branch formulas, "numeric" the
-    eigensolver, "auto" prefers closed forms and falls back when the
-    variant/parameters have none at some point of the batch.
+    ``route``: "closed" takes the analytic formulas at every point that has
+    them (the monolayer's for the magnetic q = 1 cell) and the eigensolver
+    at the others; "numeric" takes the eigensolver everywhere; "auto" is
+    "closed" except for the q = 1 cell, whose artifacts come from the
+    eigensolver.  ``closed`` on the result marks the points that took the
+    formulas; branch labels are given when all of them did.
+
+    The points go to the engine in ``chunk_slices`` batches.  A batch the
+    formulas cannot serve whole sends its other points to the eigensolver
+    and its formula points to the end, where they are evaluated together;
+    once the parameters have no closed form at all, the formulas are not
+    tried again.
     """
+    if route not in ("auto", "closed", "numeric"):
+        raise InputError(f"unknown evaluation route {route!r}")
     if theta2 is None:
         theta2 = -theta1
-    if route == "numeric":
-        return numeric_roots(assemble(config, theta1, theta2))
-    if route == "closed":
-        return closed_form_roots(config, theta1, theta2)
-    if route != "auto":
-        raise InputError(f"unknown evaluation route {route!r}")
-    try:
-        return closed_form_roots(config, theta1, theta2)
-    except NoClosedFormError:
-        return numeric_roots(assemble(config, theta1, theta2))
+    t1, t2, scalar = _theta_batch(theta1, theta2)
+    dim = config.dim
+    flux_cell = config.variant is StackVariant.MAGNETIC_MONOLAYER
+    formulas = route == "closed" or (
+        route == "auto" and not (flux_cell and config.flux.q == 1))
+    values = np.empty((len(t1), dim))
+    labels = np.empty((len(t1), dim), dtype=object)
+    closed = np.zeros(len(t1), dtype=bool)
+
+    def by_formula(part) -> DispersionRoots:
+        if not flux_cell:
+            roots = closed_form_roots(config, t1[part], t2[part])
+        elif config.flux.q == 2:
+            roots = magnetic.closed_form_roots_q2(config, t1[part], t2[part])
+        else:
+            monolayer = StackConfig(StackVariant.MONOLAYER, config.vertex)
+            roots = closed_form_roots(monolayer, t1[part], t2[part])
+        values[part] = roots.values
+        labels[part] = roots.branch_labels
+        closed[part] = True
+        return roots
+
+    parts = chunk_slices(len(t1), dim)
+    deferred = []
+    for part in parts:
+        if formulas:
+            try:
+                roots = by_formula(part)
+                if len(parts) == 1 and not scalar:
+                    return roots    # one engine batch, served whole
+                continue
+            except NoClosedFormError as exc:
+                if exc.servable is None:
+                    formulas = False
+                else:
+                    index = np.arange(len(t1))[part]
+                    deferred.append(index[exc.servable])
+                    part = index[~exc.servable]
+        if flux_cell:
+            values[part] = np.linalg.eigvalsh(
+                magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0
+        else:
+            values[part] = numeric_roots(assemble(config, t1[part],
+                                                  t2[part])).values
+    if deferred:
+        deferred = np.concatenate(deferred)
+        for part in chunk_slices(len(deferred), dim):
+            by_formula(deferred[part])
+
+    if not closed.all():
+        labels = ()
+    if scalar:
+        values, closed = values[0], closed.reshape(())
+        labels = tuple(labels[0]) if len(labels) else ()
+    return DispersionRoots(values=values, branch_labels=labels,
+                           admissible=np.abs(values) <= 1.0 + ADMISSIBILITY_TOL,
+                           closed=closed)
 
 
 @dataclass(frozen=True)
@@ -109,21 +179,16 @@ def sample_diagonal(config: StackConfig, n: int = 501,
                     route: str = "auto") -> DispersionSurface:
     """Sample all dispersion branches on the diagonal slice (n points).
 
-    The slice is evaluated in batches; with route "auto" the first batch
-    settles the route for the rest (on the slice the closed forms exist at
-    every point or at none).
+    On the slice the closed forms exist at every point or at none, so the
+    surface has one route.
     """
     theta = diagonal_slice(n)
-    values, labels = [], []
-    for part in chunk_slices(n, config.dim):
-        roots = roots_at(config, theta[part], -theta[part], route=route)
-        route = "closed" if len(roots.branch_labels) else "numeric"
-        values.append(roots.values)
-        labels.append(roots.branch_labels)
+    roots = roots_at(config, theta, -theta, route=route)
+    labelled = len(roots.branch_labels) > 0
     return DispersionSurface(
-        config=config, theta=theta, values=np.concatenate(values),
-        labels=np.concatenate(labels) if route == "closed" else None,
-        route=route)
+        config=config, theta=theta, values=roots.values,
+        labels=roots.branch_labels if labelled else None,
+        route="closed" if labelled else "numeric")
 
 
 def adjacent_separations(config: StackConfig, theta1: float,
@@ -143,23 +208,6 @@ def diagonal_theta_for_f(f: float) -> float:
 # ============================================================
 #  Touch reports
 # ============================================================
-
-@dataclass(frozen=True)
-class TouchReport:
-    """One classified feature of an adjacent-branch separation profile."""
-
-    kind: str                    # "cone" | "parabolic" | "crossing" | "gap"
-    band_pair: tuple[int, int]   # adjacent sorted-branch indices (0-based)
-    theta1: float | None         # location on the slice (None: flat profile)
-    theta2: float | None
-    f_value: float | None        # F at the location (real on the slice)
-    value: float                 # eta at the touch / mid-gap level
-    separation: float            # refined minimal separation
-    gap_width: float | None      # = separation for gap records, else None
-    gamma: float | None          # cone slope per branch (d eta / d theta1)
-    curvature: float | None      # per-branch quadratic coefficient
-    flat: bool = False           # True when the profile is constant in theta
-
 
 def _local_min_indices(y: np.ndarray) -> np.ndarray:
     """Indices of periodic local minima (strict on the left to split plateaus)."""

@@ -54,6 +54,7 @@ from .bands import (
     TouchReport,
     classify_touches,
     gap_width_closed_form,
+    roots_at,
     sample_diagonal,
 )
 from .errors import (
@@ -63,10 +64,9 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .floquet import assemble, chunk_slices, closed_form_roots, numeric_roots
+from .floquet import DIAGONAL_ONLY, chunk_slices
 from .hill import PotentialSpec, bands_from_root_surface
 from .lattice import (
-    ADMISSIBILITY_TOL,
     CouplingParams,
     FluxSpec,
     StackConfig,
@@ -75,26 +75,13 @@ from .lattice import (
     diagonal_slice,
     structure_function,
 )
-from .magnetic import (
-    assemble_robin,
-    closed_form_roots_q2,
-    g_function,
-    magnetic_classify,
-)
+from .magnetic import g_function, magnetic_classify
 from .svgplot import render_band_chart
 
 SCHEMA_VERSION = 1
 VALIDATE_GATE = 1e-8
 BANDS_CSV_HEADER = "theta1,theta2,F_real,F_imag,band_index,eta,admissible,source"
 SPECTRUM_CSV_HEADER = "record,eta_band,hill_band,lambda_lo,lambda_hi"
-
-# variants whose closed forms hold on the diagonal slice only; validate
-# draws its quasimomenta there so the comparison is actually exercised
-_DIAGONAL_ONLY = {
-    StackVariant.HETERO_BILAYER,
-    StackVariant.TRILAYER_HBN_G_HBN,
-    StackVariant.TRILAYER_G_HBN_G,
-}
 
 _ALLOWED_KEYS = {
     "": {"schema_version", "stack", "grid", "tolerances", "potential",
@@ -383,63 +370,6 @@ def _write_manifest(outdir: str, command: str, run: RunConfig,
 #  Shared evaluation helpers
 # ============================================================
 
-def _closed_where_possible(closed_fn, stack: StackConfig, t1: np.ndarray,
-                           t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form roots at the points of a batch that have them.
-
-    Returns the mask of those points and their (mask.sum(), dim) roots; the
-    caller sends the other points to the eigensolver.
-    """
-    try:
-        return np.ones(len(t1), dtype=bool), closed_fn(stack, t1, t2)
-    except NoClosedFormError as exc:
-        if exc.servable is None or not exc.servable.any():
-            return np.zeros(len(t1), dtype=bool), np.empty((0, stack.dim))
-        mask = exc.servable
-        return mask, closed_fn(stack, t1[mask], t2[mask])
-
-
-def _grid_roots(stack: StackConfig, t1: np.ndarray,
-                       t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots at every point of a grid, (N, dim), and whether each point
-    took the closed forms, (N,), evaluated in engine batches
-    (``chunk_slices``).
-
-    A batch that the closed forms cannot serve whole sends its other points
-    to the eigensolver; its closed-form points are collected and evaluated
-    together at the end, so that closed-form points scattered over a grid
-    do not cost one closed-form call per batch.
-    """
-    values = np.empty((len(t1), stack.dim))
-    closed = np.ones(len(t1), dtype=bool)
-    if stack.variant is StackVariant.MAGNETIC_MONOLAYER:
-        for part in chunk_slices(len(t1), stack.dim):
-            if stack.flux.q == 2:
-                values[part] = closed_form_roots_q2(stack, t1[part], t2[part]).values
-            else:
-                values[part] = np.linalg.eigvalsh(
-                    assemble_robin(stack, t1[part], t2[part]).affine) / 3.0
-        closed[:] = stack.flux.q == 2
-        return values, closed
-    deferred = []
-    for part in chunk_slices(len(t1), stack.dim):
-        index = np.arange(len(t1))[part]
-        try:
-            values[index] = closed_form_roots(stack, t1[index], t2[index]).values
-        except NoClosedFormError as exc:
-            servable = (exc.servable if exc.servable is not None
-                        else np.zeros(len(index), dtype=bool))
-            other = index[~servable]
-            values[other] = numeric_roots(assemble(stack, t1[other], t2[other])).values
-            closed[other] = False
-            deferred.append(index[servable])
-    deferred = np.concatenate(deferred) if deferred else np.empty(0, dtype=int)
-    for part in chunk_slices(len(deferred), stack.dim):
-        index = deferred[part]
-        values[index] = closed_form_roots(stack, t1[index], t2[index]).values
-    return values, closed
-
-
 def _grid_thetas(run: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """theta1 and theta2 of every grid point, in CSV row order."""
     if run.grid_kind == "diagonal":
@@ -449,11 +379,18 @@ def _grid_thetas(run: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(axis, run.grid_n), np.tile(axis, run.grid_n)
 
 
-def _require_non_magnetic(run: RunConfig, what: str) -> None:
+def _require_diagonal_slice(run: RunConfig, artifact: str) -> None:
+    """Every artifact but bands.csv samples the diagonal slice of a
+    non-magnetic stack; checked before anything is written."""
     if run.stack.variant is StackVariant.MAGNETIC_MONOLAYER:
         raise ConfigError(
-            f"{what} works on the diagonal slice of non-magnetic stacks; "
+            f"{artifact} samples the diagonal slice of non-magnetic stacks; "
             "use the 'magnetic' subcommand for flux runs"
+        )
+    if run.grid_kind != "diagonal":
+        raise ConfigError(
+            f"{artifact} samples the diagonal slice only; grid.kind 'full' "
+            "(--full) serves bands.csv alone"
         )
 
 
@@ -471,19 +408,18 @@ def _diagonal_reports(run: RunConfig):
 def _emit_bands(run: RunConfig) -> str:
     lines = [BANDS_CSV_HEADER]
     theta1, theta2 = _grid_thetas(run)
-    values, closed = _grid_roots(run.stack, theta1, theta2)
+    roots = roots_at(run.stack, theta1, theta2)
     for part in chunk_slices(len(theta1), run.stack.dim):
         t1, t2 = theta1[part], theta2[part]
         f = structure_function(t1, t2)
-        for a, b, fr, fi, row, by_formula in zip(t1.tolist(), t2.tolist(),
-                                                 f.real.tolist(), f.imag.tolist(),
-                                                 values[part].tolist(),
-                                                 closed[part].tolist()):
+        for a, b, fr, fi, row, flags, by_formula in zip(
+                t1.tolist(), t2.tolist(), f.real.tolist(), f.imag.tolist(),
+                roots.values[part].tolist(), roots.admissible[part].tolist(),
+                roots.closed[part].tolist()):
             point = f"{_g17(a)},{_g17(b)},{_g17(fr)},{_g17(fi)},"
             source = "closed_form" if by_formula else "numeric"
-            for band, eta in enumerate(row):
-                admissible = int(abs(eta) <= 1.0 + ADMISSIBILITY_TOL)
-                lines.append(f"{point}{band},{_g17(eta)},{admissible},{source}")
+            for band, (eta, admissible) in enumerate(zip(row, flags)):
+                lines.append(f"{point}{band},{_g17(eta)},{int(admissible)},{source}")
     return "\n".join(lines) + "\n"
 
 
@@ -572,7 +508,6 @@ def _report_header(run: RunConfig, title: str) -> list[str]:
 
 
 def _emit_report(run: RunConfig) -> str:
-    _require_non_magnetic(run, "classification")
     surface, reports = _diagonal_reports(run)
     records = _report_records(reports)
     lines = _report_header(run, "classification report")
@@ -593,7 +528,6 @@ def _emit_report(run: RunConfig) -> str:
 
 
 def _emit_gaps(run: RunConfig) -> str:
-    _require_non_magnetic(run, "gap summary")
     surface = sample_diagonal(run.stack, n=run.grid_n)
     seps = surface.separations()
     lines = _report_header(run, "minimal separations (grid resolution)")
@@ -619,7 +553,6 @@ def _emit_gaps(run: RunConfig) -> str:
 
 
 def _emit_spectrum(run: RunConfig) -> tuple[str, tuple[str, ...]]:
-    _require_non_magnetic(run, "spectrum mapping")
     potential = run.potential if run.potential is not None else PotentialSpec.zero()
     surface = sample_diagonal(run.stack, n=run.grid_n)
     eta_intervals = [
@@ -638,7 +571,6 @@ def _emit_spectrum(run: RunConfig) -> tuple[str, tuple[str, ...]]:
 
 
 def _emit_plot(run: RunConfig) -> str:
-    _require_non_magnetic(run, "plotting")
     surface = sample_diagonal(run.stack, n=run.grid_n)
     reports: tuple[TouchReport, ...] = ()
     if surface.n_samples >= MIN_CLASSIFY_SAMPLES:
@@ -672,47 +604,26 @@ def _emit_magnetic(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _closed_for_validate(stack: StackConfig, t1: np.ndarray,
-                         t2: np.ndarray) -> np.ndarray:
-    if stack.variant is StackVariant.MAGNETIC_MONOLAYER:
-        if stack.flux.q == 2:
-            return closed_form_roots_q2(stack, t1, t2).values
-        # the q = 1 cell must reproduce the monolayer branch formulas
-        mono = StackConfig(variant=StackVariant.MONOLAYER, vertex=stack.vertex)
-        return closed_form_roots(mono, t1, t2).values
-    return closed_form_roots(stack, t1, t2).values
-
-
-def _numeric_for_validate(stack: StackConfig, t1: np.ndarray,
-                          t2: np.ndarray) -> np.ndarray:
-    if stack.variant is StackVariant.MAGNETIC_MONOLAYER:
-        return np.linalg.eigvalsh(assemble_robin(stack, t1, t2).affine) / 3.0
-    return numeric_roots(assemble(stack, t1, t2)).values
-
-
 def _emit_validate(run: RunConfig, samples: int, seed: int,
                    corrupt: bool) -> tuple[str, float, int]:
     rng = np.random.default_rng(seed)
-    # one draw per diagonal sample, two per off-diagonal one, in sample order
-    if run.stack.variant in _DIAGONAL_ONLY:
+    # one draw per diagonal sample, two per off-diagonal one, in sample
+    # order; the diagonal-only variants are drawn where their closed forms
+    # hold, so that the comparison is actually exercised
+    if run.stack.variant in DIAGONAL_ONLY:
         theta1 = rng.uniform(-np.pi, np.pi, samples)
         theta2 = -theta1
     else:
         theta1, theta2 = rng.uniform(-np.pi, np.pi, (samples, 2)).T
-    compared = np.zeros(samples, dtype=bool)
+    roots = roots_at(run.stack, theta1, theta2, route="closed")
+    compared = roots.closed
+    formulas = roots.values[compared]
+    if corrupt:
+        formulas[:, 0] += 1e-6
+    numeric = roots_at(run.stack, theta1[compared], theta2[compared],
+                       route="numeric").values
     devs = np.zeros(samples)
-    for part in chunk_slices(samples, run.stack.dim):
-        t1, t2 = theta1[part], theta2[part]
-        mask, closed = _closed_where_possible(_closed_for_validate,
-                                              run.stack, t1, t2)
-        if not mask.any():
-            continue
-        if corrupt:
-            closed = closed.copy()
-            closed[:, 0] += 1e-6
-        numeric = _numeric_for_validate(run.stack, t1[mask], t2[mask])
-        compared[part] = mask
-        devs[part][mask] = np.max(np.abs(closed - numeric), axis=1)
+    devs[compared] = np.max(np.abs(formulas - numeric), axis=1)
     rows = ["# index,theta1,theta2,status,max_abs_deviation"]
     for index, (t1, t2, ok, dev) in enumerate(zip(theta1.tolist(), theta2.tolist(),
                                                   compared.tolist(), devs.tolist())):
@@ -742,6 +653,9 @@ def _run_artifacts(command: str, run: RunConfig, outdir: str) -> int:
                "spectrum": "spectrum", "plot": "plot"}[command]
     wanted = [name for name in _OUTPUT_NAMES
               if name == primary or name in run.outputs]
+    for name in wanted:
+        if name != "bands":
+            _require_diagonal_slice(run, _OUTPUT_FILES[name])
     started = time.time()
     written: dict[str, str] = {}
     notes: tuple[str, ...] = ()
@@ -768,6 +682,7 @@ def _run_artifacts(command: str, run: RunConfig, outdir: str) -> int:
 
 
 def _run_gaps(run: RunConfig, outdir: str) -> int:
+    _require_diagonal_slice(run, "gaps.txt")
     started = time.time()
     _atomic_write_text(os.path.join(outdir, "gaps.txt"), _emit_gaps(run))
     _write_manifest(outdir, "gaps", run, {"gaps.txt": ""},

@@ -35,7 +35,8 @@ class NoClosedFormError(EngineError):
 
     When a batch of quasimomenta was requested, ``servable`` is a boolean
     mask of the points that do have closed forms, so that a caller can split
-    the batch between the two routes; it is None when no point has one.
+    the batch between the two routes; it is None when the parameters have
+    no closed form at any point, in this batch or another.
     """
 
     def __init__(self, message: str, servable=None) -> None:

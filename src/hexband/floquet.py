@@ -20,7 +20,10 @@ Two independent routes to the roots are provided and never mixed:
 * ``numeric_roots`` diagonalizes D^{-1/2} A D^{-1/2} (no polynomial involved).
 
 ``closed_form_roots`` implements the per-variant analytic root families and
-verifies every value against the characteristic polynomial at runtime.
+verifies every value against the characteristic polynomial at runtime; the
+``DIAGONAL_ONLY`` variants have them on the diagonal slice only.  This
+module provides the routes; ``bands.roots_at`` alone decides which one
+serves a point, for the magnetic flux cells as well.
 
 The engine is batch-first over quasimomenta.  ``assemble`` and
 ``closed_form_roots`` take theta1/theta2 as scalars or as 1-D arrays of equal
@@ -28,7 +31,7 @@ length N; a batch gives a ``FloquetMatrix`` with an (N, dim, dim) affine part
 and ``DispersionRoots`` with (N, dim) values and labels, and ``char_poly`` and
 ``numeric_roots`` follow the matrix they are given.  Scalar arguments run as
 a batch of one and come back without the batch axis, so a point gives the
-same bits alone as inside a batch.  Grid sweeps call the engine on slices
+same bits alone as inside a batch.  ``roots_at`` calls the engine on slices
 (``chunk_slices``) whose matrices take at most ``BATCH_BYTES``, so that a
 call works in about 100 KB whatever the dimension: larger batches leave
 holes of several hundred KB in the C heap, and the speed of later array
@@ -77,12 +80,14 @@ class DispersionRoots:
 
     For a batch of N points ``values`` and ``admissible`` are (N, dim) and
     ``branch_labels`` is an (N, dim) object array; it is the empty tuple for
-    numeric-only roots either way.
+    numeric-only roots either way.  ``closed`` marks the points whose roots
+    came from the closed forms: (N,) for a batch, a 0-d array for one point.
     """
 
     values: np.ndarray                       # sorted ascending along the last axis
     branch_labels: tuple[str, ...] = ()      # empty for numeric-only roots
     admissible: np.ndarray = field(default_factory=lambda: np.array([], bool))
+    closed: np.ndarray = field(default_factory=lambda: np.array(False))
 
 
 def chunk_slices(n: int, dim: int) -> list[slice]:
@@ -121,7 +126,8 @@ def _make_roots(values, labels=()):
             labels = tuple(labels)
     admissible = np.abs(values) <= 1.0 + ADMISSIBILITY_TOL
     return DispersionRoots(values=values, branch_labels=labels,
-                           admissible=admissible)
+                           admissible=admissible,
+                           closed=np.full(values.shape[:-1], len(labels) > 0))
 
 
 # ============================================================
@@ -358,6 +364,12 @@ def _quadratic_roots(A, B, C):
     return ((-B - s) / (2.0 * A), (-B + s) / (2.0 * A))
 
 
+# variants whose closed forms hold on the diagonal slice only, and only for
+# alpha_b = -alpha_a, alpha_c = 0
+DIAGONAL_ONLY = frozenset({StackVariant.HETERO_BILAYER, StackVariant.TRILAYER_HBN_G_HBN,
+                           StackVariant.TRILAYER_G_HBN_G})
+
+
 def _require_diagonal(F: np.ndarray) -> np.ndarray:
     off = np.abs(F.imag) > _DIAGONAL_TOL
     if np.any(off):
@@ -393,6 +405,9 @@ def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
     ab = config.vertex.alpha_b
     ac = config.vertex.alpha_c
     pairs: list[tuple[np.ndarray, str]] = []
+    if v in DIAGONAL_ONLY:
+        _require_opposite_pair(aa, ab, ac)
+        f = _require_diagonal(F)
 
     if v is StackVariant.MONOLAYER:
         disc = np.sqrt((aa - ab) ** 2 + 4.0 * fsq)
@@ -426,8 +441,6 @@ def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
             pairs += [((-(aa + ab) - disc) / (2.0 * T), stag + "u-"),
                       ((-(aa + ab) + disc) / (2.0 * T), stag + "u+")]
     elif v is StackVariant.HETERO_BILAYER:
-        _require_opposite_pair(aa, ab, ac)
-        f = _require_diagonal(F)
         c = config.coupling.t0 ** 2
         T = 3.0 + c
         F2 = f * f
@@ -437,8 +450,6 @@ def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
         r_in = np.sqrt(_clip_negative((2.0 * F2 + 2.0 * c * c + a2 - inner) / 2.0)) / T
         pairs = [(-r_out, "out-"), (-r_in, "in-"), (r_in, "in+"), (r_out, "out+")]
     elif v in (StackVariant.TRILAYER_HBN_G_HBN, StackVariant.TRILAYER_G_HBN_G):
-        _require_opposite_pair(aa, ab, ac)
-        f = _require_diagonal(F)
         c = config.coupling.t0 ** 2
         T1, T2 = 3.0 + c, 3.0 + 2.0 * c
         F2 = f * f

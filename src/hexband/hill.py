@@ -18,7 +18,6 @@ alpha(v) = alpha deg(v) is exposed through ``convention="full"``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,8 @@ from scipy.optimize import brentq
 from .errors import BandEdgeError, EngineError, InputError
 
 WRONSKIAN_TOL = 1e-8          # |det W - 1| gate on every integration
-EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction
+EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction,
+                              # relative to max(1, max |q|)
 DIRICHLET_WINDOW = 1e-8       # exclusion window around point spectrum
 _ODE_TOL = 1e-10
 _SMALL_LAMBDA = 1e-8          # switch to series solutions near lambda = 0
@@ -85,8 +85,11 @@ class PotentialSpec:
 
     def _check_even(self) -> None:
         probe = np.linspace(0.0, 1.0, 1001)
-        dev = float(np.max(np.abs(self(probe) - self(1.0 - probe))))
-        if dev > EVENNESS_TOL:
+        q = self(probe)
+        dev = float(np.max(np.abs(q - self(1.0 - probe))))
+        # relative to the potential's size: interpolating q(1 - x) rounds
+        # at the scale of max |q|
+        if not dev <= EVENNESS_TOL * max(1.0, float(np.max(np.abs(q)))):
             raise InputError(
                 f"potential is not even about x = 1/2 (max |q(x) - q(1-x)| = {dev:g})"
             )
@@ -302,8 +305,9 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
 
     ``eta_intervals`` is a sequence of (lo, hi) pairs (dispersion-branch value
     ranges).  Ranges outside [-1, 1] are clipped; entirely inadmissible ranges
-    are skipped with a warning.  Returns the ac intervals per Hill band, the
-    Dirichlet points (point spectrum) in range, and diagnostics.
+    are skipped.  Returns the ac intervals per Hill band, the Dirichlet points
+    (point spectrum) in range, and diagnostics, which name every clip and
+    skip and are the only report of them.
     """
     diagnostics: list[str] = []
     cleaned: list[tuple[int, float, float]] = []
@@ -314,14 +318,12 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
             msg = (f"eta interval {idx} = [{lo:g}, {hi:g}] is entirely "
                    "inadmissible (|eta| > 1); skipped")
             diagnostics.append(msg)
-            warnings.warn(msg)
             continue
         clipped_lo, clipped_hi = max(lo, -1.0), min(hi, 1.0)
         if clipped_lo != lo or clipped_hi != hi:
             msg = (f"eta interval {idx} clipped to [{clipped_lo:g}, "
                    f"{clipped_hi:g}] (inadmissible part dropped)")
             diagnostics.append(msg)
-            warnings.warn(msg)
         cleaned.append((idx, clipped_lo, clipped_hi))
     if not cleaned:
         diagnostics.append("no admissible eta intervals: empty ac spectrum")

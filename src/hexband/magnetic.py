@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+# a module import: bands imports magnetic back, for the Robin cells
+from . import bands
 from .errors import EngineError, GridError, VariantError
 from .floquet import (
     RESIDUAL_TOL,
@@ -39,16 +41,15 @@ from .floquet import (
     _make_roots,
     _theta_batch,
     _worst_residual,
-    chunk_slices,
 )
 from .lattice import FluxSpec, StackConfig, StackVariant, structure_function
-from .refine import nelder_mead_minima
-from .bands import (
+from .refine import (
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
     TouchReport,
-    _SLOPE_STEP,
     _CURV_STEP,
+    _SLOPE_STEP,
+    nelder_mead_minima,
 )
 
 G_MAX = 4.5                          # at (pi/3, -pi/6) and its symmetry images
@@ -207,13 +208,6 @@ def reduced_zone_grid(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _roots_fn(config: StackConfig):
-    if config.flux.q == 2:
-        return lambda t1, t2: closed_form_roots_q2(config, t1, t2).values
-    return lambda t1, t2: np.linalg.eigvalsh(
-        assemble_robin(config, t1, t2).affine) / 3.0
-
-
 def _grid_local_minima(sep: np.ndarray) -> list[tuple[int, int]]:
     """2D local minima (4-neighborhood, boundary-aware, strict), row-major.
 
@@ -243,26 +237,20 @@ def magnetic_classify(config: StackConfig, n: int = 101,
     No branch-crossing detection is attempted here.
     """
     flux = _require_magnetic(config)
-    roots_fn = _roots_fn(config)
     t1_ax, t2_ax = reduced_zone_grid(flux.q, n)
     bounds = ((0.0, np.pi / flux.q), (-np.pi / flux.q, np.pi / flux.q))
-    dim = config.dim
-    grid1 = np.repeat(t1_ax, n)
-    grid2 = np.tile(t2_ax, n)
-    profiles = [np.empty(n * n) for _ in range(dim - 1)]
-    for part in chunk_slices(n * n, dim):
-        values = roots_fn(grid1[part], grid2[part])
-        for pair, sep in enumerate(profiles):
-            sep[part] = values[:, pair + 1] - values[:, pair]
+    values = bands.roots_at(config, np.repeat(t1_ax, n), np.tile(t2_ax, n)).values
+    seps = np.diff(values, axis=1)
     lanes: list[tuple[int, int, int]] = []     # (pair, i, j)
-    for pair, sep in enumerate(profiles):
-        lanes += [(pair, i, j) for i, j in _grid_local_minima(sep.reshape(n, n))]
+    for pair in range(config.dim - 1):
+        lanes += [(pair, i, j)
+                  for i, j in _grid_local_minima(seps[:, pair].reshape(n, n))]
     if not lanes:
         return ()
     pairs = np.array([pair for pair, _, _ in lanes])
 
     def separations(theta: np.ndarray, which: np.ndarray) -> np.ndarray:
-        v = roots_fn(theta[:, 0], theta[:, 1])
+        v = bands.roots_at(config, theta[:, 0], theta[:, 1]).values
         rows = np.arange(len(theta))
         return v[rows, pairs[which] + 1] - v[rows, pairs[which]]
 
@@ -290,19 +278,19 @@ def _classify_2d_minima(config: StackConfig,
                         tol_touch: float, tol_slope: float) -> list[TouchReport]:
     """Classify refined minima (pair, theta1, theta2, sep_star); each probe
     stage is one batch over the minima that reach it."""
-    roots_fn = _roots_fn(config)
     pairs = np.array([m[0] for m in minima])
     theta = np.array([[m[1], m[2]] for m in minima])
 
     def separations(points: np.ndarray, which: list[int]) -> np.ndarray:
         """Separations of minima ``which`` at ``points`` (offsets, minima, 2),
         one row per offset."""
-        v = roots_fn(points[..., 0].ravel(), points[..., 1].ravel())
+        v = bands.roots_at(config, points[..., 0].ravel(),
+                           points[..., 1].ravel()).values
         rows = np.arange(len(v))
         p = np.tile(pairs[which], len(points))
         return (v[rows, p + 1] - v[rows, p]).reshape(len(points), -1)
 
-    center = roots_fn(theta[:, 0], theta[:, 1])
+    center = bands.roots_at(config, theta[:, 0], theta[:, 1]).values
     touch = [i for i, m in enumerate(minima) if not m[3] > tol_touch]
     h, hc = _SLOPE_STEP, _CURV_STEP
     slopes, curved = {}, {}

@@ -19,13 +19,41 @@ lane, so each minimum comes out bit for bit as one scipy call would give it:
 
 An objective ``fn(x, lanes)`` returns the values of the lanes ``lanes`` at
 the points ``x`` (one point, or one row of ``x``, per entry of ``lanes``).
+
+The classifiers' shared record, tolerances and probe steps live here too,
+below ``bands`` and ``magnetic``, which import each other as modules.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+DEFAULT_TOL_TOUCH = 1e-6       # refined separation below this counts as a touch
+DEFAULT_TOL_SLOPE = 1e-4       # one-sided slope below this counts as flat
+_SLOPE_STEP = 1e-6             # one-sided finite-difference step for slopes
+                               # (small enough that quadratic contacts stay
+                               # below DEFAULT_TOL_SLOPE)
+_CURV_STEP = 1e-3              # central second-difference step for curvature
+
+
+@dataclass(frozen=True)
+class TouchReport:
+    """One classified feature of an adjacent-branch separation profile."""
+
+    kind: str                    # "cone" | "parabolic" | "crossing" | "gap"
+    band_pair: tuple[int, int]   # adjacent sorted-branch indices (0-based)
+    theta1: float | None         # location on the slice (None: flat profile)
+    theta2: float | None
+    f_value: float | None        # F at the location (real on the slice)
+    value: float                 # eta at the touch / mid-gap level
+    separation: float            # refined minimal separation
+    gap_width: float | None      # = separation for gap records, else None
+    gamma: float | None          # cone slope per branch (d eta / d theta1)
+    curvature: float | None      # per-branch quadratic coefficient
+    flat: bool = False           # True when the profile is constant in theta
 
 
 def bounded_minima(fn, lo, hi, xatol: float,

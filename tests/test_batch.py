@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexband import bands
+from hexband.bands import roots_at
 from hexband.cli import main
 from hexband.errors import EngineError, NoClosedFormError
 from hexband.floquet import (
@@ -201,29 +203,146 @@ def test_cofactor_route_never_reaches_the_eigensolver(monkeypatch):
 
 
 # ============================================================
+#  The root dispatcher
+# ============================================================
+
+def _eigensolver_reference(cfg, t1, t2):
+    if cfg.variant is StackVariant.MAGNETIC_MONOLAYER:
+        # the Robin cells' artifacts come from eigvalsh(A) / 3 (unit scales
+        # 3), which differs from numeric_roots in the last bits
+        return np.linalg.eigvalsh(assemble_robin(cfg, t1, t2).affine) / 3.0
+    return numeric_roots(assemble(cfg, t1, t2)).values
+
+
+@pytest.mark.parametrize("route", ["auto", "closed", "numeric"])
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_roots_at_serves_each_point_by_its_route(case, route):
+    variant, q = case
+    cfg = _config(variant, q, -0.8, 0.6, 0.4)
+    rng = np.random.default_rng(5)
+    n = 90                      # several engine batches at d = 4 and d = 6
+    t1, t2 = rng.uniform(-np.pi, np.pi, (2, n))
+    t2[::3] = -t1[::3]          # every third point on the diagonal slice
+    if route == "numeric" or (route == "auto" and q == 1):
+        formulas = np.zeros(n, dtype=bool)
+    elif variant in _DIAGONAL_ONLY:
+        formulas = np.arange(n) % 3 == 0
+    else:
+        formulas = np.ones(n, dtype=bool)
+
+    roots = roots_at(cfg, t1, t2, route=route)
+    assert roots.closed.tolist() == formulas.tolist()
+    closed_fn, _ = _routes(cfg)
+    if formulas.any():
+        assert _same_bits(roots.values[formulas],
+                          closed_fn(cfg, t1[formulas], t2[formulas]).values)
+    if not formulas.all():
+        assert _same_bits(roots.values[~formulas], _eigensolver_reference(
+            cfg, t1[~formulas], t2[~formulas]))
+    assert np.array_equal(roots.admissible, np.abs(roots.values) <= 1.0 + 1e-12)
+    # labels only where every point has them
+    assert (len(roots.branch_labels) > 0) == bool(formulas.all())
+    one = roots_at(cfg, t1[0], t2[0], route=route)
+    assert _same_bits(one.values, roots.values[0])
+    assert one.closed.shape == () and bool(one.closed) == formulas[0]
+    assert isinstance(one.branch_labels, tuple)
+
+
+def _count_closed_form_calls(monkeypatch):
+    calls = []
+    original = bands.closed_form_roots
+
+    def counting(config, theta1, theta2):
+        calls.append(np.size(theta1))
+        return original(config, theta1, theta2)
+
+    monkeypatch.setattr(bands, "closed_form_roots", counting)
+    return calls
+
+
+def test_roots_at_evaluates_scattered_closed_form_points_together(monkeypatch):
+    cfg = _config(StackVariant.TRILAYER_HBN_G_HBN, None, -0.8, 0.8, 0.4)
+    n = 280                     # ten engine batches of 28 points at d = 6
+    t1 = np.linspace(-3.0, 3.0, n)
+    t2 = np.where(np.arange(n) % 7 == 0, -t1, 0.5 * t1)
+    calls = _count_closed_form_calls(monkeypatch)
+    roots = roots_at(cfg, t1, t2)
+    # one refused call per batch, then the 40 diagonal points in two batches
+    assert calls == [28] * 10 + [28, 12]
+    assert roots.closed.tolist() == (np.arange(n) % 7 == 0).tolist()
+
+
+def test_roots_at_stops_trying_formulas_the_parameters_lack(monkeypatch):
+    unpaired = StackConfig(StackVariant.HETERO_BILAYER, VertexParams(-0.8, 0.5),
+                           coupling=CouplingParams(t0=0.4))
+    theta = np.linspace(-np.pi, np.pi, 301)
+    calls = _count_closed_form_calls(monkeypatch)
+    roots = roots_at(unpaired, theta, -theta)
+    assert calls == [64]
+    assert not roots.closed.any() and roots.branch_labels == ()
+    assert _same_bits(roots.values, _eigensolver_reference(unpaired, theta, -theta))
+
+
+# ============================================================
 #  Pinned artifact digests
 # ============================================================
 
 # SHA-256 of each artifact as the point-by-point engine wrote it; batching
-# must reproduce every byte
+# must reproduce every byte.  The rows after the first three pin the paths of
+# the root dispatcher that the first three do not reach: a grid that mixes
+# both routes (and so both values of the ``source`` column), the magnetic
+# q = 1 cell on its eigensolver route, and validate's forced routes.
+_HETERO = {"variant": "hetero_bilayer", "alpha_a": -0.8, "alpha_b": 0.8,
+           "t0": 0.4}
+_FLUX_Q1 = {"variant": "magnetic_monolayer", "alpha_a": -0.5, "alpha_b": 0.9,
+            "flux_p": 1, "flux_q": 1}
+_FLUX_Q2 = dict(_FLUX_Q1, flux_q=2)
+_FULL_21 = {"kind": "full", "n": 21}
 GOLDEN = [
-    ("bands", {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
-               "alpha_b": 0.4, "t0": 0.3}, {"kind": "full", "n": 21},
-     "bands.csv",
-     "7f52dd9ea1d8fbd76e741ac7938a228f5b31ba07978ec6187eba25411a0be82e"),
-    ("classify", {"variant": "trilayer_g_hbn_g", "alpha_a": -0.8,
-                  "alpha_b": 0.8, "t0": 0.5}, {"kind": "diagonal", "n": 501},
-     "report.txt",
-     "be7b7e477cfe26721e9caca61c5608395b39be4b47fce85d8d7a3933f8959827"),
-    ("magnetic", {"variant": "magnetic_monolayer", "alpha_a": -0.5,
-                  "alpha_b": 0.9, "flux_p": 1, "flux_q": 2},
-     {"kind": "diagonal", "n": 31}, "magnetic.txt",
-     "2e0174c9c50d29a76cfdd847c772738e89bfd449acb902a63d421b3d4896c857"),
+    pytest.param(
+        "bands", {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
+                  "alpha_b": 0.4, "t0": 0.3}, _FULL_21, "bands.csv",
+        "7f52dd9ea1d8fbd76e741ac7938a228f5b31ba07978ec6187eba25411a0be82e",
+        id="bands.csv"),
+    pytest.param(
+        "classify", {"variant": "trilayer_g_hbn_g", "alpha_a": -0.8,
+                     "alpha_b": 0.8, "t0": 0.5}, {"kind": "diagonal", "n": 501},
+        "report.txt",
+        "be7b7e477cfe26721e9caca61c5608395b39be4b47fce85d8d7a3933f8959827",
+        id="report.txt"),
+    pytest.param(
+        "magnetic", _FLUX_Q2, {"kind": "diagonal", "n": 31}, "magnetic.txt",
+        "2e0174c9c50d29a76cfdd847c772738e89bfd449acb902a63d421b3d4896c857",
+        id="magnetic.txt"),
+    pytest.param(
+        "bands", _HETERO, _FULL_21, "bands.csv",
+        "f386acee9fcb25a3d1816d720e92e6038c9b7c7549a5967440e98fc3d97bcc15",
+        id="bands.csv-hetero_bilayer-mixed_routes"),
+    pytest.param(
+        "bands", _FLUX_Q1, _FULL_21, "bands.csv",
+        "d7e007a3c0acb5538bc9012923e35e750e7f93eb1ece88a6b3b4a3f0658bf2c1",
+        id="bands.csv-magnetic_q1"),
+    pytest.param(
+        "magnetic", _FLUX_Q1, {"kind": "diagonal", "n": 31}, "magnetic.txt",
+        "499e141f9b1ee1ab97eb2378c361e0d95b0dc1e530f2e1162d09ae388a86e223",
+        id="magnetic.txt-q1"),
+    pytest.param(
+        "validate", {"variant": "trilayer_hbn_g_hbn", "alpha_a": -0.8,
+                     "alpha_b": 0.8, "t0": 0.5}, _FULL_21, "validate.txt",
+        "43a2ce2c6c441d8c1149240152454a2c2786fa218f83efe08ef8aba9d5a0053c",
+        id="validate.txt-trilayer_hbn_g_hbn"),
+    pytest.param(
+        "validate", _FLUX_Q1, _FULL_21, "validate.txt",
+        "f8601c94838ea0162369c6188a37f3df7fa5b2c927dff00ea07ee33ff7389645",
+        id="validate.txt-magnetic_q1"),
+    pytest.param(
+        "validate", _FLUX_Q2, _FULL_21, "validate.txt",
+        "89047fa6654ac9c49563143d0a6e8f2627e3fade48e391f117a678384a668a85",
+        id="validate.txt-magnetic_q2"),
 ]
 
 
-@pytest.mark.parametrize("command,stack,grid,artifact,digest", GOLDEN,
-                         ids=[g[3] for g in GOLDEN])
+@pytest.mark.parametrize("command,stack,grid,artifact,digest", GOLDEN)
 def test_artifact_digest_is_pinned(tmp_path, command, stack, grid, artifact,
                                    digest):
     config = tmp_path / "config.json"

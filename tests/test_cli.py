@@ -348,15 +348,19 @@ class TestSpectrum:
             tmp_path,
             stack={"variant": "monolayer", "alpha_a": -12.0,
                    "alpha_b": -12.0})
-        with pytest.warns(UserWarning):
-            code, outdir = _run(tmp_path, "spectrum", cfg)
+        code, outdir = _run(tmp_path, "spectrum", cfg)
         assert code == 0
         lines = (outdir / "spectrum.csv").read_text().splitlines()
         assert lines == [SPECTRUM_CSV_HEADER]
-        err = capsys.readouterr().err
-        assert "inadmissible" in err
+        # each diagnostic reaches stderr once, as a "spectrum:" line, and the
+        # manifest's notes; no warning carries it a second time
+        err = capsys.readouterr().err.splitlines()
         manifest = json.loads((outdir / "manifest.json").read_text())
-        assert any("inadmissible" in note for note in manifest["notes"])
+        notes = manifest["notes"]
+        assert any("inadmissible" in note for note in notes)
+        assert err == [f"spectrum: {note}" for note in notes]
+        for note in notes:
+            assert sum(note in line for line in err) == 1
 
 
 # ------------------------------------------------------------
@@ -480,6 +484,26 @@ class TestPlot:
 # ------------------------------------------------------------
 
 class TestOrchestration:
+    @pytest.mark.parametrize("command,outputs", [
+        ("classify", []), ("gaps", []), ("plot", []), ("spectrum", []),
+        ("bands", ["report"]), ("bands", ["plot"]), ("bands", ["spectrum"]),
+    ])
+    def test_diagonal_artifacts_reject_the_full_grid(self, tmp_path, capsys,
+                                                     command, outputs):
+        # these artifacts sample the diagonal slice only; a full grid asked
+        # for in the config or by --full must not be run as the diagonal
+        full = _write_config(tmp_path, grid={"kind": "full", "n": 301},
+                             outputs=outputs)
+        diagonal = _write_config(tmp_path, name="diagonal.json",
+                                 outputs=outputs)
+        for config, extra in ((full, ()), (diagonal, ("--full",))):
+            code, outdir = _run(tmp_path, command, config, *extra)
+            assert code == 1
+            assert "diagonal slice only" in capsys.readouterr().err
+            assert list(outdir.iterdir()) == []
+        code, outdir = _run(tmp_path, command, diagonal)
+        assert code == 0
+
     def test_outputs_union(self, tmp_path):
         cfg = _write_config(tmp_path, outputs=["bands", "plot"])
         code, outdir = _run(tmp_path, "classify", cfg, "--grid", "301")

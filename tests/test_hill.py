@@ -58,6 +58,15 @@ class TestPotentialSpec:
         with pytest.raises(InputError, match="not even"):
             PotentialSpec.sampled(x, x)
 
+    def test_evenness_is_judged_relative_to_the_potential_size(self):
+        # interpolating q(1 - x) rounds at the scale of max |q|: 1.7e-10 here
+        pot = PotentialSpec.sampled([0.0, 0.5, 1.0], [1e6, 0.0, 1e6])
+        assert pot(np.array([1.0]))[0] == 1e6
+        with pytest.raises(InputError, match="not even"):
+            PotentialSpec.sampled([0.0, 0.5, 1.0], [1e6, 0.0, 1e6 + 1.0])
+        with pytest.raises(InputError, match="not even"):
+            PotentialSpec.sampled([0.0, 0.5, 1.0], [1.0, np.nan, 1.0])
+
     def test_non_increasing_abscissae_rejected(self):
         with pytest.raises(InputError, match="strictly increasing"):
             PotentialSpec.sampled([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 0.0])
@@ -241,8 +250,11 @@ class TestInversion:
         assert np.any(np.abs(res.dirichlet - np.pi**2) < 1e-8)
 
     def test_partial_interval_clipped_with_warning(self):
-        with pytest.warns(UserWarning, match="clipped"):
-            res = bands_from_root_surface(ZERO, [(0.5, 1.5)], n_bands=1)
+        # the diagnostics are the one report of a clip (no warnings.warn;
+        # the suite turns warnings into errors)
+        res = bands_from_root_surface(ZERO, [(0.5, 1.5)], n_bands=1)
+        assert res.diagnostics == (
+            "eta interval 0 clipped to [0.5, 1] (inadmissible part dropped)",)
         assert len(res.intervals) == 1
         iv = res.intervals[0]
         # eta in [0.5, 1] on band 1 -> lambda in [0, (pi/3)^2]
@@ -250,10 +262,12 @@ class TestInversion:
         assert iv.hi == pytest.approx((np.pi / 3.0) ** 2, abs=1e-9)
 
     def test_all_inadmissible_empty_with_diagnostic(self):
-        with pytest.warns(UserWarning, match="inadmissible"):
-            res = bands_from_root_surface(ZERO, [(1.5, 2.0)], n_bands=1)
+        res = bands_from_root_surface(ZERO, [(1.5, 2.0)], n_bands=1)
         assert res.intervals == ()
-        assert any("empty" in d for d in res.diagnostics)
+        assert res.diagnostics == (
+            "eta interval 0 = [1.5, 2] is entirely inadmissible (|eta| > 1); "
+            "skipped",
+            "no admissible eta intervals: empty ac spectrum")
 
     def test_band_count_extends(self):
         res = bands_from_root_surface(ZERO, [(-1.0, 1.0)], n_bands=4)
