@@ -24,7 +24,11 @@ Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  Every run writes its artifacts atomically
 (temp-then-rename) into ``--out`` plus one ``manifest.json`` echoing the
 resolved configuration and the sha256 digest of each artifact; identical
-configurations reproduce byte-identical data files.
+configurations reproduce byte-identical data files.  A run that writes
+``spectrum.csv`` also records in the manifest's ``trace.hill`` block the
+Magnus step count, the worst step-halving deviation against its gate and
+the number of monodromy evaluations (null steps and deviation for the
+closed-form zero potential); these never enter the data files.
 
 Exit codes: 0 success; 1 configuration problems (including a sampling grid
 too coarse to classify); 2 numerical-validation failures; 3 I/O errors
@@ -65,7 +69,7 @@ from .errors import (
     ValidationError,
 )
 from .floquet import DIAGONAL_ONLY, chunk_slices
-from .hill import PotentialSpec, bands_from_root_surface
+from .hill import MAGNUS_TOL, PotentialSpec, bands_from_root_surface
 from .lattice import (
     CouplingParams,
     FluxSpec,
@@ -349,7 +353,8 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(outdir: str, command: str, run: RunConfig,
                     written: dict[str, str], elapsed: float,
-                    notes: tuple[str, ...] = ()) -> None:
+                    notes: tuple[str, ...] = (),
+                    trace: dict | None = None) -> None:
     manifest = {
         "tool": "hexband",
         "version": __version__,
@@ -362,6 +367,8 @@ def _write_manifest(outdir: str, command: str, run: RunConfig,
     }
     if notes:
         manifest["notes"] = list(notes)
+    if trace:
+        manifest["trace"] = trace
     _atomic_write_text(os.path.join(outdir, "manifest.json"),
                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -552,7 +559,9 @@ def _emit_gaps(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_spectrum(run: RunConfig) -> tuple[str, tuple[str, ...]]:
+def _emit_spectrum(run: RunConfig) -> tuple[str, tuple[str, ...], dict]:
+    """spectrum.csv, its diagnostics, and how the Hill layer got there (for
+    the manifest only, so that spectrum.csv stays deterministic)."""
     potential = run.potential if run.potential is not None else PotentialSpec.zero()
     surface = sample_diagonal(run.stack, n=run.grid_n)
     eta_intervals = [
@@ -567,7 +576,11 @@ def _emit_spectrum(run: RunConfig) -> tuple[str, tuple[str, ...]]:
                      f"{_g17(iv.lo)},{_g17(iv.hi)}")
     for nu in result.dirichlet:
         lines.append(f"pp,,,{_g17(nu)},{_g17(nu)}")
-    return "\n".join(lines) + "\n", result.diagnostics
+    hill = {"monodromy_evaluations": result.evaluations,
+            "magnus_steps": result.magnus_steps,
+            "magnus_halving_deviation": result.magnus_deviation,
+            "magnus_halving_gate": MAGNUS_TOL}
+    return "\n".join(lines) + "\n", result.diagnostics, {"hill": hill}
 
 
 def _emit_plot(run: RunConfig) -> str:
@@ -659,6 +672,7 @@ def _run_artifacts(command: str, run: RunConfig, outdir: str) -> int:
     started = time.time()
     written: dict[str, str] = {}
     notes: tuple[str, ...] = ()
+    trace: dict = {}
     for name in wanted:
         filename = _OUTPUT_FILES[name]
         if name == "bands":
@@ -666,7 +680,7 @@ def _run_artifacts(command: str, run: RunConfig, outdir: str) -> int:
         elif name == "report":
             text = _emit_report(run)
         elif name == "spectrum":
-            text, notes = _emit_spectrum(run)
+            text, notes, trace = _emit_spectrum(run)
             for note in notes:
                 print(f"spectrum: {note}", file=sys.stderr)
         else:
@@ -675,7 +689,7 @@ def _run_artifacts(command: str, run: RunConfig, outdir: str) -> int:
         _atomic_write_text(path, text)
         written[filename] = path
     _write_manifest(outdir, command, run, written, time.time() - started,
-                    notes=notes)
+                    notes=notes, trace=trace)
     for filename in written:
         print(f"wrote {os.path.join(outdir, filename)}")
     return 0

@@ -11,6 +11,41 @@ variable is eta = d(lambda)/2, Hill bands are the closures of {|d| < 2}, and
 the Dirichlet spectrum {s(1; lambda) = 0} carries the flat (point-spectrum)
 part, excluded from the band inversion.
 
+Integrator.  The zero potential has its monodromy in closed form.  Every
+other potential is integrated by the fourth-order Magnus method on a fixed
+x-grid (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 2009).  Each step samples the potential at its
+two Gauss nodes and applies the exact exponential of the traceless 2x2
+Magnus generator (cos/sin or cosh/sinh of its eigenvalue), so every step is
+an SL(2) map.  For a sampled potential the steps are aligned with the knots,
+so that each step sees one linear piece.
+
+Gates.  Two gates guard every integration, and NaN fails both:
+
+* Step halving (h versus h/2).  d(lambda) and s(1; lambda) on a grid and on
+  the grid with every step halved must agree within ``MAGNUS_TOL``, relative
+  to max(1, |value|).  The gate starts from ``_BASE_STEPS`` steps (at least
+  one per knot interval) and halves until they agree, at most
+  ``_MAX_HALVINGS`` times; otherwise it raises ``EngineError``.  A potential
+  remembers the grid its gate picked and the lambda range the gate has
+  checked (``MagnusState``).  A later call inside that range reuses the grid
+  without a gate.  A call outside it runs the gate on its own lambdas,
+  starting from that grid, and widens the range.  The Dirichlet scan gates
+  its whole scan grid, so the grid is picked once per potential and range,
+  and the root refinements that follow reuse it.
+* Wronskian: |det W - 1| <= ``WRONSKIAN_TOL`` at every lambda.
+
+Batch API.  ``integrate_monodromy`` (with ``discriminant``, ``hill_eta`` and
+``mu_alpha``) takes lambda, and ``invert_discriminant`` takes eta and the
+band, as scalars or 1-D arrays; a scalar call is a batch of one and gives
+floats.  A lambda gets the same bits alone as inside a batch of the same
+grid.  Lambdas are integrated in chunks of ``_LANES`` and steps in blocks
+of ``_BLOCK``: a block's step maps are multiplied pairwise, then into the
+running product, so no temporary exceeds ``floquet.BATCH_BYTES``.  Each
+Dirichlet scan is one batched call.  Its sign changes, and all band
+inversions of a spectrum, are refined together by ``refine.brent_roots``,
+bit for bit as scipy's brentq would refine each one.
+
 The vertex-weighted discriminant mu_alpha(z) = c(1; z) + (alpha/2) s(1; z)
 uses the convention alpha(v) = (alpha/2) deg(v); the alternative bookkeeping
 alpha(v) = alpha deg(v) is exposed through ``convention="full"``.
@@ -18,25 +53,57 @@ alpha(v) = alpha deg(v) is exposed through ``convention="full"``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import BandEdgeError, EngineError, InputError
+from .floquet import BATCH_BYTES
+from .refine import brent_roots
 
 WRONSKIAN_TOL = 1e-8          # |det W - 1| gate on every integration
+MAGNUS_TOL = 1e-10            # step-halving gate on d and s(1), relative to
+                              # max(1, |value|)
+EDGE_TOL = 10.0 * MAGNUS_TOL  # |d/2 - eta| at a bracket end that counts as a
+                              # root: the halving gate's bound on d plus the
+                              # Dirichlet root tolerance's share
 EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction,
                               # relative to max(1, max |q|)
 DIRICHLET_WINDOW = 1e-8       # exclusion window around point spectrum
-_ODE_TOL = 1e-10
 _SMALL_LAMBDA = 1e-8          # switch to series solutions near lambda = 0
+_BASE_STEPS = 64              # Magnus steps on [0, 1] of the coarsest grid
+_MAX_HALVINGS = 8             # finest grid the halving gate compares: 256x
+_BLOCK = 128                  # Magnus steps multiplied together per block
+_LANES = BATCH_BYTES // (8 * _BLOCK)   # lambdas per chunk: (block, lanes)
+                                       # float temporaries
+_GAUSS = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ this, per step
+_EDGE_PROBE = 1e-7            # step into a bracket, relative to its width,
+                              # that looks past an end within EDGE_TOL
 
 
 # ============================================================
 #  Potential specification
 # ============================================================
+
+@dataclass
+class MagnusState:
+    """What the step-halving gate picked for one potential, and the work done.
+
+    ``halvings`` selects the grid (the base grid halved that many times) and
+    ``steps`` is its step count, 0 before the first gate.  The gate checked
+    it on lambdas spanning [lam_lo, lam_hi]; ``deviation`` is the worst
+    h/h2 deviation a passing gate saw.  ``evaluations`` counts the
+    monodromies delivered, one per lambda, for the zero potential too.
+    """
+
+    halvings: int = 0
+    steps: int = 0
+    lam_lo: float = math.inf
+    lam_hi: float = -math.inf
+    deviation: float = 0.0
+    evaluations: int = 0
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -46,6 +113,8 @@ class PotentialSpec:
     x: np.ndarray | None = None                # sampled abscissae (increasing)
     values: np.ndarray | None = None           # sampled q values
     func: object | None = field(default=None, compare=False)
+    magnus: MagnusState = field(default_factory=MagnusState, init=False,
+                                repr=False, compare=False)
 
     @staticmethod
     def zero() -> "PotentialSpec":
@@ -115,72 +184,189 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class Monodromy:
-    """Endpoint data of the cosine/sine solutions at one energy."""
+    """Endpoint data of the cosine/sine solutions at one energy or a batch."""
 
-    lam: float
-    c1: float
-    c1_prime: float
-    s1: float
-    s1_prime: float
+    lam: float | np.ndarray
+    c1: float | np.ndarray
+    c1_prime: float | np.ndarray
+    s1: float | np.ndarray
+    s1_prime: float | np.ndarray
 
     @property
-    def det(self) -> float:
+    def det(self):
         return self.c1 * self.s1_prime - self.c1_prime * self.s1
 
     @property
-    def discriminant(self) -> float:
+    def discriminant(self):
         return self.c1 + self.s1_prime
 
 
-def _zero_potential_monodromy(lam: float) -> Monodromy:
-    if lam > _SMALL_LAMBDA:
-        w = np.sqrt(lam)
-        return Monodromy(lam, np.cos(w), -w * np.sin(w), np.sin(w) / w, np.cos(w))
-    if lam < -_SMALL_LAMBDA:
-        w = np.sqrt(-lam)
-        return Monodromy(lam, np.cosh(w), w * np.sinh(w), np.sinh(w) / w, np.cosh(w))
-    c = 1.0 - lam / 2.0 + lam * lam / 24.0
-    cp = -lam * (1.0 - lam / 6.0 + lam * lam / 120.0)
-    s = 1.0 - lam / 6.0 + lam * lam / 120.0
-    return Monodromy(lam, c, cp, s, c)
+def _zero_potential_monodromy(lam: np.ndarray):
+    """(c, c', s, s') of -y'' on the unit edge, each branch on its lambdas
+    only, so that no branch overflows on lambdas it does not serve."""
+    c, cp, s = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+    pos, neg = lam > _SMALL_LAMBDA, lam < -_SMALL_LAMBDA
+    w = np.sqrt(lam[pos])
+    c[pos], cp[pos], s[pos] = np.cos(w), -w * np.sin(w), np.sin(w) / w
+    w = np.sqrt(-lam[neg])
+    c[neg], cp[neg], s[neg] = np.cosh(w), w * np.sinh(w), np.sinh(w) / w
+    mid = ~(pos | neg)
+    l = lam[mid]
+    c[mid] = 1.0 - l / 2.0 + l * l / 24.0
+    cp[mid] = -l * (1.0 - l / 6.0 + l * l / 120.0)
+    s[mid] = 1.0 - l / 6.0 + l * l / 120.0
+    return c, cp, s, c
 
 
-def integrate_monodromy(pot: PotentialSpec, lam: float) -> Monodromy:
-    """Monodromy matrix entries at energy lambda (analytic for q = 0)."""
-    lam = float(lam)
-    if pot.is_zero:
-        m = _zero_potential_monodromy(lam)
+def _grid_pieces(pot: PotentialSpec):
+    """Edges of the linear pieces (knot intervals inside [0, 1] for a sampled
+    potential, [0, 1] otherwise) and the base grid's steps on each."""
+    if pot.kind == "sampled":
+        inner = pot.x[(pot.x > 0.0) & (pot.x < 1.0)]
+        edges = np.concatenate([[0.0], inner, [1.0]])
     else:
-        def rhs(x, y):
-            q = float(pot(x))
-            return [y[1], (q - lam) * y[0], y[3], (q - lam) * y[2]]
+        edges = np.array([0.0, 1.0])
+    per_piece = np.maximum(1, np.ceil(np.diff(edges) * _BASE_STEPS)).astype(int)
+    return edges, per_piece
 
-        sol = solve_ivp(rhs, (0.0, 1.0), [1.0, 0.0, 0.0, 1.0],
-                        method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL)
-        if not sol.success:
-            raise EngineError(f"monodromy integration failed at lambda={lam}: "
-                              f"{sol.message}")
-        c1, c1p, s1, s1p = sol.y[:, -1]
-        m = Monodromy(lam, float(c1), float(c1p), float(s1), float(s1p))
-    if abs(m.det - 1.0) > WRONSKIAN_TOL:
+
+def _step_count(pot: PotentialSpec, halvings: int) -> int:
+    return int(_grid_pieces(pot)[1].sum()) << halvings
+
+
+def _magnus_grid(pot: PotentialSpec, halvings: int):
+    """Per step of the grid ``halvings`` times finer than the base grid: the
+    width h, the commutator term sqrt(3)/12 h^2 (q1 - q2) and h (q1 + q2)/2,
+    with q1, q2 the potential at the step's Gauss nodes."""
+    edges, per_piece = _grid_pieces(pot)
+    per_piece = per_piece << halvings
+    h = np.repeat(np.diff(edges) / per_piece, per_piece)
+    first = np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
+    left = np.repeat(edges[:-1], per_piece) + (np.arange(len(h)) - first) * h
+    q1 = pot(left + (0.5 - _GAUSS) * h)
+    q2 = pot(left + (0.5 + _GAUSS) * h)
+    return h, (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2), 0.5 * h * (q1 + q2)
+
+
+def _mul(a, b):
+    """a @ b for 2x2 matrices held as their four entries (row-major)."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def _step_maps(h, sigma, hq, lam):
+    """Exact exponentials of the Magnus generators [[sigma, h], [h k, -sigma]]
+    with k = (q1 + q2)/2 - lambda, as four (steps, lambdas) arrays."""
+    h, sigma, hq = h[:, None], sigma[:, None], hq[:, None]
+    hk = hq - h * lam
+    delta = sigma * sigma + h * hk          # the generator squared is delta I
+    r = np.sqrt(np.abs(delta))
+    osc = delta < 0.0
+    r_hyp = np.where(osc, 0.0, r)           # cosh only where it is taken
+    cosine = np.where(osc, np.cos(r), np.cosh(r_hyp))
+    sine = np.divide(np.where(osc, np.sin(r), np.sinh(r_hyp)), r,
+                     out=np.ones_like(r), where=r > 0.0)
+    return (cosine + sine * sigma, sine * h, sine * hk, cosine - sine * sigma)
+
+
+def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
+    """(c, c', s, s') at x = 1 for every lambda on one grid."""
+    h, sigma, hq = _magnus_grid(pot, halvings)
+    out = np.empty((4, len(lam)))
+    for start in range(0, len(lam), _LANES):
+        chunk = lam[start:start + _LANES]
+        one, zero = np.ones_like(chunk), np.zeros_like(chunk)
+        y = (one, zero, zero, one)          # [[c, s], [c', s']] at x = 0
+        for j in range(0, len(h), _BLOCK):
+            maps = _step_maps(h[j:j + _BLOCK], sigma[j:j + _BLOCK],
+                              hq[j:j + _BLOCK], chunk)
+            while len(maps[0]) > 1:         # later steps multiply on the left
+                even = len(maps[0]) // 2 * 2
+                pairs = _mul([m[1:even:2] for m in maps],
+                             [m[0:even:2] for m in maps])
+                maps = [np.concatenate([p, m[even:]])
+                        for p, m in zip(pairs, maps)]
+            y = _mul([m[0] for m in maps], y)
+        out[:, start:start + len(chunk)] = y
+    c, s, cp, sp = out
+    return c, cp, s, sp
+
+
+def _halving_deviation(coarse, fine) -> float:
+    """Worst change of d and s(1) from a grid to its halving, relative to
+    max(1, |value|); NaN when any value is NaN."""
+    d0, d1 = coarse[0] + coarse[3], fine[0] + fine[3]
+    s0, s1 = coarse[2], fine[2]
+    return float(np.max([np.max(np.abs(d0 - d1) / np.maximum(1.0, np.abs(d1))),
+                         np.max(np.abs(s0 - s1) / np.maximum(1.0, np.abs(s1)))]))
+
+
+def _magnus_monodromy(pot: PotentialSpec, lam: np.ndarray):
+    """Magnus monodromy on the potential's gated grid (see the module
+    docstring); runs the step-halving gate when lam leaves the checked range."""
+    state = pot.magnus
+    if not len(lam):
+        return lam, lam, lam, lam
+    if state.steps and state.lam_lo <= lam.min() and lam.max() <= state.lam_hi:
+        return _magnus(pot, state.halvings, lam)
+    halvings = state.halvings
+    coarse = _magnus(pot, halvings, lam)
+    while True:
+        fine = _magnus(pot, halvings + 1, lam)
+        deviation = _halving_deviation(coarse, fine)
+        if deviation <= MAGNUS_TOL:
+            break
+        halvings += 1
+        if halvings == _MAX_HALVINGS or not math.isfinite(deviation):
+            steps = _step_count(pot, halvings)
+            raise EngineError(
+                f"Magnus step-halving gate failed: d and s(1) move by "
+                f"{deviation:g} (gate {MAGNUS_TOL:g}) from {steps // 2} to "
+                f"{steps} steps, lambda in [{lam.min():g}, {lam.max():g}]")
+        coarse = fine
+    state.halvings = halvings
+    state.steps = _step_count(pot, halvings)
+    state.lam_lo = min(state.lam_lo, float(lam.min()))
+    state.lam_hi = max(state.lam_hi, float(lam.max()))
+    state.deviation = max(state.deviation, deviation)
+    return coarse
+
+
+def integrate_monodromy(pot: PotentialSpec, lam) -> Monodromy:
+    """Monodromy matrix entries at energy lambda, a scalar or a 1-D batch
+    (closed form for q = 0, gated Magnus integration otherwise)."""
+    lam = np.asarray(lam, dtype=float)
+    scalar = lam.ndim == 0
+    lams = lam.reshape(-1)
+    if pot.is_zero:
+        c, cp, s, sp = _zero_potential_monodromy(lams)
+    else:
+        c, cp, s, sp = _magnus_monodromy(pot, lams)
+    pot.magnus.evaluations += len(lams)
+    m = Monodromy(lams, c, cp, s, sp)
+    drift = np.abs(m.det - 1.0)
+    bad = ~(drift <= WRONSKIAN_TOL)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
         raise EngineError(
-            f"Wronskian drifted from 1 by {abs(m.det - 1.0):g} at lambda={lam}"
-        )
+            f"Wronskian drifted from 1 by {drift[k]:g} at lambda={lams[k]}")
+    if scalar:
+        return Monodromy(float(lams[0]), c[0], cp[0], s[0], sp[0])
     return m
 
 
-def discriminant(pot: PotentialSpec, lam: float) -> float:
+def discriminant(pot: PotentialSpec, lam):
     """d(lambda) = c(1) + s'(1)."""
     return integrate_monodromy(pot, lam).discriminant
 
 
-def hill_eta(pot: PotentialSpec, lam: float) -> float:
+def hill_eta(pot: PotentialSpec, lam):
     """eta(lambda) = d(lambda)/2, the dispersion variable."""
     return 0.5 * discriminant(pot, lam)
 
 
-def mu_alpha(pot: PotentialSpec, lam: float, alpha: float,
-             convention: str = "half") -> float:
+def mu_alpha(pot: PotentialSpec, lam, alpha: float,
+             convention: str = "half"):
     """Vertex-weighted discriminant c(1) + (alpha/2) s(1) (or c + alpha s)."""
     m = integrate_monodromy(pot, lam)
     if convention == "half":
@@ -197,7 +383,8 @@ def discriminant_derivative(pot: PotentialSpec, lam: float,
         w = np.sqrt(lam)
         return -np.sin(w) / w
     step = h * max(1.0, abs(lam))
-    return (discriminant(pot, lam + step) - discriminant(pot, lam - step)) / (2.0 * step)
+    d = discriminant(pot, np.array([lam + step, lam - step]))
+    return (d[0] - d[1]) / (2.0 * step)
 
 
 # ============================================================
@@ -206,7 +393,8 @@ def discriminant_derivative(pot: PotentialSpec, lam: float,
 
 def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
                        tol: float = 1e-10) -> np.ndarray:
-    """All zeros of s(1; lambda) up to lam_max, by bracketing + bisection.
+    """All zeros of s(1; lambda) up to lam_max: one batched scan, then the
+    bracketed sign changes refined together.
 
     These are the edge-Dirichlet eigenvalues; on the graph they carry flat
     bands (pure-point spectrum) and are excluded from the band inversion.
@@ -222,16 +410,17 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
     grid.append(np.square(np.arange(1.0, w_hi + 0.05, 0.05)))
     lams = np.concatenate(grid)
     lams = lams[lams <= lam_max + 1.0]
-    vals = np.array([integrate_monodromy(pot, l).s1 for l in lams])
-    roots = []
-    for i in range(len(lams) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(lams[i])
-        elif a * b < 0.0:
-            roots.append(brentq(lambda l: integrate_monodromy(pot, l).s1,
-                                lams[i], lams[i + 1], xtol=tol))
-    out = np.array([r for r in roots if r <= lam_max + tol])
+    vals = integrate_monodromy(pot, lams).s1
+    lo, hi = lams[:-1], lams[1:]
+    exact = vals[:-1] == 0.0
+    change = ~exact & (vals[:-1] * vals[1:] < 0.0)
+    roots = lo[exact]
+    if change.any():
+        refined, _ = brent_roots(
+            lambda lam, lanes: integrate_monodromy(pot, lam).s1,
+            lo[change], hi[change], xtol=tol)
+        roots = np.concatenate([roots, refined])
+    out = roots[roots <= lam_max + tol]
     return np.unique(np.round(out, 12))
 
 
@@ -251,11 +440,17 @@ class LambdaInterval:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Band-inversion output: ac intervals, pp points, diagnostics."""
+    """Band-inversion output: ac intervals, pp points, diagnostics, and what
+    the integration cost: the Magnus step count (None when nothing was
+    integrated on a grid), the worst step-halving deviation against
+    ``MAGNUS_TOL`` (None likewise) and the monodromies evaluated."""
 
     intervals: tuple[LambdaInterval, ...]
     dirichlet: np.ndarray
     diagnostics: tuple[str, ...]
+    magnus_steps: int | None = None
+    magnus_deviation: float | None = None
+    evaluations: int = 0
 
 
 def _band_brackets(pot: PotentialSpec, n_bands: int):
@@ -279,24 +474,65 @@ def _band_brackets(pot: PotentialSpec, n_bands: int):
     return [(anchors[i], anchors[i + 1]) for i in range(n_bands)]
 
 
-def invert_discriminant(pot: PotentialSpec, eta: float, hill_band: int,
-                        brackets=None) -> float:
-    """The unique lambda in the given Hill band with d(lambda)/2 = eta."""
-    if not (-1.0 <= eta <= 1.0):
-        raise InputError(f"eta={eta!r} outside [-1, 1] has no band preimage")
+def invert_discriminant(pot: PotentialSpec, eta, hill_band,
+                        brackets=None):
+    """The unique lambda in the given Hill band with d(lambda)/2 = eta.
+
+    ``eta`` and ``hill_band`` broadcast to a batch whose roots are refined
+    together; a scalar pair gives a float.  Where f = d/2 - eta has the same
+    sign at both ends of a band's bracket, an end with |f| <= ``EDGE_TOL``
+    is taken as the root: for even potentials the Dirichlet eigenvalues that
+    bound the brackets sit on band edges, where d/2 = +-1 holds up to
+    rounding only.  If f changes sign just inside that end (an open gap
+    separates it from the band), the root beyond the gap is refined instead.
+    """
+    etas, bands = np.broadcast_arrays(np.asarray(eta, dtype=float),
+                                      np.asarray(hill_band))
+    scalar = etas.ndim == 0
+    etas, bands = etas.reshape(-1), bands.reshape(-1)
+    outside = ~((-1.0 <= etas) & (etas <= 1.0))
+    if outside.any():
+        raise InputError(f"eta={float(etas[outside][0])!r} outside [-1, 1] "
+                         "has no band preimage")
     if brackets is None:
-        brackets = _band_brackets(pot, hill_band)
-    a, b = brackets[hill_band - 1]
-    f = lambda l: 0.5 * discriminant(pot, l) - eta
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise EngineError(
-            f"inversion bracket failed for eta={eta} in band {hill_band}")
-    return brentq(f, a, b, xtol=1e-12)
+        brackets = _band_brackets(pot, int(bands.max()))
+    a = np.array([brackets[band - 1][0] for band in bands], dtype=float)
+    b = np.array([brackets[band - 1][1] for band in bands], dtype=float)
+
+    def f(lam, lanes):
+        return 0.5 * discriminant(pot, lam) - etas[lanes]
+
+    m = len(etas)
+    lanes = np.arange(m)
+    ends = f(np.concatenate([a, b]), np.concatenate([lanes, lanes]))
+    fa, fb = ends[:m], ends[m:]
+    roots = np.where(fa == 0.0, a, b)
+    open_ends = (fa != 0.0) & (fb != 0.0)
+    same_sign = open_ends & (np.signbit(fa) == np.signbit(fb))
+    lo, hi = a.copy(), b.copy()
+    if same_sign.any():
+        near_a = np.abs(fa) <= np.abs(fb)
+        f_end = np.where(near_a, fa, fb)
+        missed = same_sign & ~(np.abs(f_end) <= EDGE_TOL)
+        if missed.any():
+            k = np.flatnonzero(missed)[0]
+            raise EngineError(f"inversion bracket failed for "
+                              f"eta={float(etas[k])} in band {int(bands[k])}")
+        end, other = np.where(near_a, a, b), np.where(near_a, b, a)
+        roots = np.where(same_sign, end, roots)
+        probe = end + _EDGE_PROBE * (other - end)
+        k = np.flatnonzero(same_sign)
+        f_probe = f(probe[k], k)
+        beyond = k[np.signbit(f_probe) != np.signbit(f_end[k])]
+        lo[beyond] = np.where(near_a[beyond], probe[beyond], a[beyond])
+        hi[beyond] = np.where(near_a[beyond], b[beyond], probe[beyond])
+        open_ends &= ~same_sign
+        open_ends[beyond] = True
+    k = np.flatnonzero(open_ends)
+    if len(k):
+        roots[k], _ = brent_roots(lambda lam, sub: f(lam, k[sub]),
+                                  lo[k], hi[k], xtol=1e-12)
+    return float(roots[0]) if scalar else roots
 
 
 def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
@@ -306,8 +542,9 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
     ``eta_intervals`` is a sequence of (lo, hi) pairs (dispersion-branch value
     ranges).  Ranges outside [-1, 1] are clipped; entirely inadmissible ranges
     are skipped.  Returns the ac intervals per Hill band, the Dirichlet points
-    (point spectrum) in range, and diagnostics, which name every clip and
-    skip and are the only report of them.
+    (point spectrum) in range, diagnostics, which name every clip and skip
+    and are the only report of them, and the integration's cost.  All
+    interval ends of all bands are inverted in one batch.
     """
     diagnostics: list[str] = []
     cleaned: list[tuple[int, float, float]] = []
@@ -329,18 +566,27 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
         diagnostics.append("no admissible eta intervals: empty ac spectrum")
         return SpectrumResult((), np.array([]), tuple(diagnostics))
 
+    state = pot.magnus
+    evaluations = state.evaluations
     brackets = _band_brackets(pot, n_bands)
     lam_max = max(b for _, b in brackets)
+    ends = [end for _, lo, hi in cleaned for end in (lo, hi)]
+    lams = invert_discriminant(
+        pot, np.tile(ends, n_bands),
+        np.repeat(np.arange(1, n_bands + 1), len(ends)), brackets)
+    pairs = iter(lams.reshape(-1, 2))
     intervals = []
     for band in range(1, n_bands + 1):
-        for idx, lo, hi in cleaned:
-            la = invert_discriminant(pot, lo, band, brackets)
-            lb = invert_discriminant(pot, hi, band, brackets)
-            lo_l, hi_l = min(la, lb), max(la, lb)
-            intervals.append(LambdaInterval(idx, band, lo_l, hi_l))
+        for idx, _, _ in cleaned:
+            la, lb = next(pairs)
+            intervals.append(LambdaInterval(idx, band, min(la, lb), max(la, lb)))
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     nu = dirichlet_spectrum(pot, lam_max)
-    return SpectrumResult(tuple(intervals), nu, tuple(diagnostics))
+    gated = state.steps > 0
+    return SpectrumResult(tuple(intervals), nu, tuple(diagnostics),
+                          magnus_steps=state.steps if gated else None,
+                          magnus_deviation=state.deviation if gated else None,
+                          evaluations=state.evaluations - evaluations)
 
 
 # ============================================================

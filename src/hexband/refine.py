@@ -1,21 +1,23 @@
-"""Lockstep refinement of many minima at once.
+"""Lockstep refinement of many minima and roots at once.
 
 The classifiers refine every grid-level minimum of a separation profile
-with a local minimizer.  Run one minimizer call after another, the number
-of engine calls grows with the number of minima, which depends on the
-stack parameters.  The two routines here advance all minima together: each
-iteration makes one batched objective call for the minima that have not
-converged, so the engine is called about as often for one minimum as for
-twenty.
+with a local minimizer, and the Hill layer refines every bracketed root of
+a discriminant.  Run one solver call after another, the number of engine
+calls grows with the number of minima or roots, which depends on the
+inputs.  The routines here advance all of them together: each iteration
+makes one batched objective call for the lanes that have not converged, so
+the engine is called about as often for one lane as for twenty.
 
 Each routine is a step-for-step transcription of the scipy method that the
-classifiers used before, with the same floating-point operations on every
-lane, so each minimum comes out bit for bit as one scipy call would give it:
+callers used before, with the same floating-point operations on every
+lane, so each lane comes out bit for bit as one scipy call would give it:
 
 * ``bounded_minima``: ``scipy.optimize.minimize_scalar(method="bounded")``
   (Brent's method on a bracket);
 * ``nelder_mead_minima``: ``scipy.optimize.minimize(method="Nelder-Mead")``
-  with bounds, default (non-adaptive) coefficients and no ``maxfev``.
+  with bounds, default (non-adaptive) coefficients and no ``maxfev``;
+* ``brent_roots``: ``scipy.optimize.brentq`` (Brent's root finder on a
+  sign-changing bracket).
 
 An objective ``fn(x, lanes)`` returns the values of the lanes ``lanes`` at
 the points ``x`` (one point, or one row of ``x``, per entry of ``lanes``).
@@ -31,12 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EngineError
+
 DEFAULT_TOL_TOUCH = 1e-6       # refined separation below this counts as a touch
 DEFAULT_TOL_SLOPE = 1e-4       # one-sided slope below this counts as flat
 _SLOPE_STEP = 1e-6             # one-sided finite-difference step for slopes
                                # (small enough that quadratic contacts stay
                                # below DEFAULT_TOL_SLOPE)
 _CURV_STEP = 1e-3              # central second-difference step for curvature
+_BRENT_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
+_BRENT_MAXITER = 100                      # and iteration limit
 
 
 @dataclass(frozen=True)
@@ -196,3 +202,77 @@ def nelder_mead_minima(fn, x0, lower, upper, xatol: float, fatol: float,
                 dtype=float).reshape(-1, n)
         sim[live], fsim[live] = _sorted_simplices(s, f)
     return sim[:, 0], np.min(fsim, axis=1)
+
+
+def brent_roots(fn, lo, hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots found by Brent's method on every bracket [lo[k], hi[k]], and
+    the objective evaluations each lane took (brentq's defaults otherwise).
+
+    ``fn`` must change sign on every bracket (``ValueError`` otherwise, as
+    from brentq).  A NaN objective value, or a lane still running after
+    brentq's 100 iterations, raises ``EngineError``.
+    """
+    def values(x, lanes):
+        f = np.asarray(fn(x, lanes), dtype=float)
+        if np.isnan(f).any():
+            raise EngineError("root finder objective is NaN at "
+                              f"x={float(x[np.isnan(f)][0])!r}")
+        return f
+
+    xpre = np.array(lo, dtype=float)
+    xcur = np.array(hi, dtype=float)
+    m = len(xpre)
+    lanes = np.arange(m)
+    ends = values(np.concatenate([xpre, xcur]), np.concatenate([lanes, lanes]))
+    fpre, fcur = ends[:m], ends[m:]
+    calls = np.full(m, 2)
+    roots = np.where(fpre == 0.0, xpre, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    lanes, xpre, xcur, fpre, fcur = (v[live] for v in (lanes, xpre, xcur, fpre, fcur))
+    xblk, fblk = np.zeros_like(xpre), np.zeros_like(xpre)
+    spre, scur = np.zeros_like(xpre), np.zeros_like(xpre)
+    for _ in range(_BRENT_MAXITER):
+        # [xcur, xblk] brackets the root; xcur has the smaller |f|
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[lanes[done]] = xcur[done]
+            keep = ~done
+            (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (v[keep] for v in (lanes, xpre, xcur, xblk, fpre, fcur,
+                                        fblk, spre, scur, delta, sbis))
+            if not len(lanes):
+                return roots, calls
+        # secant or inverse quadratic step where the step before last was
+        # long and |f| fell, kept if short enough; otherwise bisection
+        trial = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+        stry = np.zeros_like(xcur)
+        k = trial & (xpre == xblk)
+        stry[k] = -fcur[k] * (xcur[k] - xpre[k]) / (fcur[k] - fpre[k])
+        k = trial & (xpre != xblk)
+        dpre = (fpre[k] - fcur[k]) / (xpre[k] - xcur[k])
+        dblk = (fblk[k] - fcur[k]) / (xblk[k] - xcur[k])
+        stry[k] = (-fcur[k] * (fblk[k] * dblk - fpre[k] * dpre)
+                   / (dblk * dpre * (fblk[k] - fpre[k])))
+        short = trial & (2 * np.abs(stry) < np.minimum(np.abs(spre),
+                                                       3 * np.abs(sbis) - delta))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = values(xcur, lanes)
+        calls[lanes] += 1
+    raise EngineError(f"root finder did not converge in {_BRENT_MAXITER} "
+                      f"iterations at x={float(xcur[0])!r}")

@@ -340,3 +340,28 @@ def ref_zero_potential_monodromy(lam):
     s = 1.0 - lam / 6.0 + lam * lam / 120.0
     sp = c
     return c, cp, s, sp
+
+
+def ref_rk4_monodromy(q, edges, lam, steps_per_piece):
+    """(d(lambda), s(1; lambda)) by classical RK4 on y'' = (q - lambda) y,
+    batched over lambda, with ``steps_per_piece`` equal steps between
+    consecutive ``edges`` (the knots of a sampled potential, so that every
+    step sees one linear piece)."""
+    lam = np.asarray(lam, dtype=float)
+    y = [np.ones_like(lam), np.zeros_like(lam), np.zeros_like(lam), np.ones_like(lam)]
+
+    def rhs(x, y):
+        k = q(x) - lam
+        return [y[1], k * y[0], y[3], k * y[2]]
+
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        h = (x1 - x0) / steps_per_piece
+        for i in range(steps_per_piece):
+            x = x0 + i * h
+            k1 = rhs(x, y)
+            k2 = rhs(x + 0.5 * h, [v + 0.5 * h * d for v, d in zip(y, k1)])
+            k3 = rhs(x + 0.5 * h, [v + 0.5 * h * d for v, d in zip(y, k2)])
+            k4 = rhs(x + h, [v + h * d for v, d in zip(y, k3)])
+            y = [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+                 for v, a, b, c, e in zip(y, k1, k2, k3, k4)]
+    return y[0] + y[3], y[2]

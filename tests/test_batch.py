@@ -298,6 +298,7 @@ _FLUX_Q1 = {"variant": "magnetic_monolayer", "alpha_a": -0.5, "alpha_b": 0.9,
             "flux_p": 1, "flux_q": 1}
 _FLUX_Q2 = dict(_FLUX_Q1, flux_q=2)
 _FULL_21 = {"kind": "full", "n": 21}
+_DIAGONAL_201 = {"kind": "diagonal", "n": 201}
 GOLDEN = [
     pytest.param(
         "bands", {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
@@ -339,6 +340,28 @@ GOLDEN = [
         "validate", _FLUX_Q2, _FULL_21, "validate.txt",
         "89047fa6654ac9c49563143d0a6e8f2627e3fade48e391f117a678384a668a85",
         id="validate.txt-magnetic_q2"),
+    # zero-potential spectra: the closed-form monodromy and the lockstep root
+    # finder give the bits that one brentq call per root gave
+    pytest.param(
+        "spectrum", {"variant": "monolayer", "alpha_a": 0.0, "alpha_b": 0.0},
+        _DIAGONAL_201, "spectrum.csv",
+        "e386f08b523c7731d120d0689508a3fee6e7752afe4cb9b18520cfcabcd27167",
+        id="spectrum.csv-monolayer"),
+    pytest.param(
+        "spectrum", {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
+                     "alpha_b": 0.4, "t0": 0.3}, _DIAGONAL_201, "spectrum.csv",
+        "c96c2aee675167878f15aff2b84ddcbce157efeb79dcf387f7a53fde937e9339",
+        id="spectrum.csv-bilayer_aa_prime"),
+    pytest.param(
+        "spectrum", {"variant": "trilayer_g_hbn_g", "alpha_a": -0.8,
+                     "alpha_b": 0.8, "t0": 0.5}, _DIAGONAL_201, "spectrum.csv",
+        "b4cafceba7a3f6b9fecdc3e9320ec47d5abcab1f2aafe21aa96b903181891907",
+        id="spectrum.csv-trilayer_g_hbn_g"),
+    pytest.param(      # one eta interval skipped, the other clipped
+        "spectrum", {"variant": "monolayer", "alpha_a": 4.0, "alpha_b": 4.0},
+        _DIAGONAL_201, "spectrum.csv",
+        "ae9943c89738951ddedca3a8c4f4f700549d08598c019eb2411e8115563e8e1c",
+        id="spectrum.csv-clipped_and_skipped"),
 ]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from xml.etree import ElementTree
 
 import numpy as np
@@ -20,6 +21,7 @@ from hexband.cli import (
 )
 from hexband.errors import ConfigError
 from hexband.floquet import assemble, char_poly
+from hexband.hill import MAGNUS_TOL
 from hexband.lattice import StackVariant
 
 import frozen
@@ -41,6 +43,18 @@ def _run(tmp_path, command, config, *extra):
     outdir = tmp_path / "out"
     code = main([command, "--config", config, "--out", str(outdir), *extra])
     return code, outdir
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the Hill layer integrates and finds roots without scipy, which only
+    # the test suite needs
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hexband.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _records(text):
@@ -361,6 +375,91 @@ class TestSpectrum:
         assert err == [f"spectrum: {note}" for note in notes]
         for note in notes:
             assert sum(note in line for line in err) == 1
+
+    def _assert_ends_invert(self, cfg, outdir, knots, values, steps):
+        """Every written lambda end has d/2 (by an independent RK4) at the
+        end of its clipped eta interval."""
+        run = load_run_config(cfg)
+        surface = sample_diagonal(run.stack, n=run.grid_n)
+        eta = [(max(-1.0, surface.values[:, b].min()), min(1.0, surface.values[:, b].max()))
+               for b in range(surface.dim)]
+        rows = [l.split(",") for l in (outdir / "spectrum.csv").read_text().splitlines()[1:]
+                if l.startswith("band")]
+        ends = np.array([[float(r[3]), float(r[4])] for r in rows])
+        d, _ = frozen.ref_rk4_monodromy(lambda x: np.interp(x, knots, values),
+                                         knots, ends.ravel(), steps)
+        got = np.sort(0.5 * d.reshape(-1, 2), axis=1)
+        want = np.array([eta[int(r[1])] for r in rows])
+        assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_period_half_potential_inverts_through_closed_gaps(self, tmp_path):
+        # every gap at d = -2 is closed, so d/2 + 1 vanishes up to rounding at
+        # the Dirichlet points that end the brackets (this exited 2 with
+        # "inversion bracket failed for eta=-1.0 in band 1")
+        knots, values = [0.0, 0.25, 0.5, 0.75, 1.0], [1.3, -2.1, 1.3, -2.1, 1.3]
+        cfg = _write_config(tmp_path,
+                            stack={"variant": "monolayer", "alpha_a": 0.8,
+                                   "alpha_b": 0.5},
+                            grid={"kind": "diagonal", "n": 201},
+                            potential={"kind": "sampled", "x": knots,
+                                       "values": values})
+        code, outdir = _run(tmp_path, "spectrum", cfg)
+        assert code == 0
+        self._assert_ends_invert(cfg, outdir, knots, values, 1024)
+
+    def test_bilayer_with_sampled_cosine_finishes_in_seconds(self, tmp_path):
+        # this run took ~290 s and then exited 2 (inversion bracket failed)
+        x = np.linspace(0.0, 1.0, 201)
+        values = 5.0 * np.cos(2.0 * np.pi * x)
+        cfg = _write_config(tmp_path,
+                            stack={"variant": "bilayer_aa_prime", "alpha_a": -0.7,
+                                   "alpha_b": 0.4, "t0": 0.3},
+                            grid={"kind": "diagonal", "n": 201},
+                            potential={"kind": "sampled", "x": x.tolist(),
+                                       "values": values.tolist()})
+        started = time.perf_counter()
+        code, outdir = _run(tmp_path, "spectrum", cfg)
+        assert code == 0
+        assert time.perf_counter() - started < 30.0
+        self._assert_ends_invert(cfg, outdir, x, values, 32)
+
+    def test_manifest_explains_the_hill_layer(self, tmp_path):
+        knots, values = [0.0, 0.25, 0.5, 0.75, 1.0], [1.3, -2.1, 1.3, -2.1, 1.3]
+        sampled = _write_config(tmp_path, name="sampled.json",
+                                potential={"kind": "sampled", "x": knots,
+                                           "values": values})
+        zero = _write_config(tmp_path, name="zero.json")
+        traces = []
+        for name, cfg in (("sampled", sampled), ("zero", zero)):
+            outdir = tmp_path / name
+            assert main(["spectrum", "--config", cfg, "--out", str(outdir)]) == 0
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            traces.append(manifest["trace"]["hill"])
+            assert "magnus" not in (outdir / "spectrum.csv").read_text()
+        sampled_trace, zero_trace = traces
+        assert sampled_trace["magnus_steps"] >= 64
+        assert 0.0 < sampled_trace["magnus_halving_deviation"] <= MAGNUS_TOL
+        assert sampled_trace["magnus_halving_gate"] == MAGNUS_TOL
+        assert sampled_trace["monodromy_evaluations"] > 0
+        assert zero_trace["magnus_steps"] is None
+        assert zero_trace["magnus_halving_deviation"] is None
+        assert zero_trace["monodromy_evaluations"] > 0
+
+    def test_unresolvable_potential_exits_2_at_the_step_halving_gate(
+            self, tmp_path, capsys):
+        # a bump of height 1e5 and width 0.02: the gate's finest grid
+        # (256 times the base grid) still moves d by more than its tolerance
+        cfg = _write_config(tmp_path,
+                            potential={"kind": "sampled",
+                                       "x": [0.0, 0.49, 0.5, 0.51, 1.0],
+                                       "values": [-1e5, -1e5, 0.0, -1e5, -1e5]})
+        code, outdir = _run(tmp_path, "spectrum", cfg)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "hexband: numerical failure: Magnus step-halving gate failed")
+        assert not (outdir / "spectrum.csv").exists()
 
 
 # ------------------------------------------------------------

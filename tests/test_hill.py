@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import hexband.hill as hill
 from hexband.errors import BandEdgeError, EngineError, InputError
 from hexband.hill import (
     DIRICHLET_WINDOW,
+    EDGE_TOL,
+    MAGNUS_TOL,
     Monodromy,
     PotentialSpec,
     bands_from_root_surface,
@@ -168,6 +171,108 @@ class TestIntegratedMonodromy:
             assert discriminant(samp, lam) == pytest.approx(
                 discriminant(clos, lam), abs=1e-6)
 
+    def test_nan_lambda_fails_the_gates(self):
+        # NaN fails |det W - 1| <= tol, and the step-halving gate before it
+        with pytest.raises(EngineError, match="Wronskian"):
+            integrate_monodromy(ZERO, float("nan"))
+        with pytest.raises(EngineError, match="step-halving"):
+            integrate_monodromy(PotentialSpec.closure(_cos2pi), float("nan"))
+        with pytest.raises(EngineError, match="Wronskian"):
+            integrate_monodromy(ZERO, np.array([1.0, np.nan, 4.0]))
+
+
+# ------------------------------------------------------------
+#  Magnus integrator and its step-halving gate
+# ------------------------------------------------------------
+
+def _five_cos(x):
+    return 5.0 * np.cos(2.0 * np.pi * np.asarray(x))
+
+
+_KNOTS = np.array([0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0])
+_KNOT_VALUES = np.array([2.0, -1.0, 3.0, 0.5, 3.0, -1.0, 2.0])
+
+
+class TestMagnus:
+    @pytest.mark.parametrize("case", ["closure-5cos", "sampled-knots"])
+    def test_matches_independent_reference(self, case):
+        # fixed-step RK4 with steps of at most 1/4096 is accurate to ~1e-11
+        if case == "closure-5cos":
+            pot, edges = PotentialSpec.closure(_five_cos), [0.0, 1.0]
+        else:
+            pot, edges = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES), _KNOTS
+        dirichlet_spectrum(pot, 298.0)          # gates the scan range once
+        lams = np.concatenate([np.linspace(-14.0, 1.0, 7),
+                               np.linspace(2.0, 300.0, 23)])
+        m = integrate_monodromy(pot, lams)
+        steps = 4096 if len(edges) == 2 else 1024
+        d_ref, s_ref = frozen.ref_rk4_monodromy(pot, edges, lams, steps)
+        assert np.all(np.abs(m.discriminant - d_ref)
+                      <= 1e-9 * np.maximum(1.0, np.abs(d_ref)))
+        assert np.all(np.abs(m.s1 - s_ref) <= 1e-9 * np.maximum(1.0, np.abs(s_ref)))
+        assert 0 < pot.magnus.deviation <= MAGNUS_TOL
+
+    def test_a_lambda_gets_the_same_bits_alone_as_in_a_batch(self):
+        pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
+        dirichlet_spectrum(pot, 120.0)
+        lams = np.random.default_rng(5).uniform(-10.0, 120.0, 40)
+        batch = integrate_monodromy(pot, lams)
+        for k, lam in enumerate(lams):
+            one = integrate_monodromy(pot, float(lam))
+            assert (one.c1, one.c1_prime, one.s1, one.s1_prime) == (
+                batch.c1[k], batch.c1_prime[k], batch.s1[k], batch.s1_prime[k])
+
+    def test_zero_potential_batch_matches_scalar_calls_bit_for_bit(self):
+        lams = np.concatenate([[-25.0, -1e-9, 0.0, 1e-9, 5e-9],
+                               np.linspace(-3.0, 400.0, 97)])
+        batch = integrate_monodromy(ZERO, lams)
+        for k, lam in enumerate(lams):
+            one = integrate_monodromy(ZERO, float(lam))
+            assert (one.c1, one.c1_prime, one.s1, one.s1_prime) == (
+                batch.c1[k], batch.c1_prime[k], batch.s1[k], batch.s1_prime[k])
+
+    def test_every_step_is_unimodular(self):
+        rng = np.random.default_rng(3)
+        h = rng.uniform(1e-4, 0.05, 50)
+        q1, q2 = rng.uniform(-20.0, 20.0, (2, 50))
+        sigma = np.sqrt(3.0) / 12.0 * h * h * (q1 - q2)
+        lams = rng.uniform(-30.0, 2000.0, 16)
+        e11, e12, e21, e22 = hill._step_maps(h, sigma, 0.5 * h * (q1 + q2), lams)
+        assert np.max(np.abs(e11 * e22 - e12 * e21 - 1.0)) < 1e-12
+
+    def test_steps_are_aligned_with_the_knots(self):
+        pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
+        for halvings in (0, 2):
+            h, _, _ = hill._magnus_grid(pot, halvings)
+            edges = np.concatenate([[0.0], np.cumsum(h)])
+            for knot in _KNOTS:
+                assert np.min(np.abs(edges - knot)) < 1e-14
+
+    def test_a_repeated_scan_reuses_the_gated_grid(self, monkeypatch):
+        pot = PotentialSpec.closure(_five_cos)
+        first = dirichlet_spectrum(pot, 160.0)
+        steps = pot.magnus.steps
+        grids = []
+        magnus = hill._magnus
+        monkeypatch.setattr(hill, "_magnus", lambda p, halvings, lam: (
+            grids.append((halvings, len(lam))) or magnus(p, halvings, lam)))
+        again = dirichlet_spectrum(pot, 160.0)
+        assert np.array_equal(first, again)
+        assert pot.magnus.steps == steps
+        # one batched call for the scan grid, then the lockstep root
+        # refinement (both bracket ends of every root in its first call)
+        assert grids[0][1] > 200
+        assert all(n <= 2 * len(first) for _, n in grids[1:])
+        assert {halvings for halvings, _ in grids} == {pot.magnus.halvings}
+
+    def test_unresolvable_potential_trips_the_step_halving_gate(self):
+        # a bump of height 1e5 and width 0.02 on a flat floor needs more than
+        # the finest grid the gate may compare
+        pot = PotentialSpec.sampled([0.0, 0.49, 0.5, 0.51, 1.0],
+                                    [-1e5, -1e5, 0.0, -1e5, -1e5])
+        with pytest.raises(EngineError, match="step-halving gate failed"):
+            integrate_monodromy(pot, np.array([-100.0, 50.0, 300.0]))
+
 
 # ------------------------------------------------------------
 #  Vertex-weighted discriminant
@@ -268,6 +373,44 @@ class TestInversion:
             "eta interval 0 = [1.5, 2] is entirely inadmissible (|eta| > 1); "
             "skipped",
             "no admissible eta intervals: empty ac spectrum")
+
+    def test_batch_inversion_matches_scalar_calls(self):
+        pot = PotentialSpec.closure(lambda x: 0.3 * _cos2pi(x))
+        etas = np.array([-0.9, 0.2, 0.7, -1.0, 1.0, 0.0])
+        bands = np.array([1, 1, 2, 3, 2, 4])
+        batch = invert_discriminant(pot, etas, bands)
+        for eta, band, lam in zip(etas, bands, batch):
+            assert invert_discriminant(pot, float(eta), int(band)) == lam
+            assert hill_eta(pot, lam) == pytest.approx(eta, abs=1e-9)
+
+    def test_end_within_edge_tol_is_the_root_at_a_closed_gap(self):
+        # a period-1/2 potential closes every gap at d = -2, so d/2 + 1 >= 0
+        # near the first Dirichlet eigenvalue: no sign change in band 1's
+        # bracket for eta = -1 however the rounding falls
+        pot = PotentialSpec.sampled(np.linspace(0.0, 1.0, 5),
+                                    [1.3, -2.1, 1.3, -2.1, 1.3])
+        nu1 = dirichlet_spectrum(pot, 30.0)[0]
+        lam = invert_discriminant(pot, -1.0, 1, [(-20.0, nu1)])
+        assert lam == pytest.approx(nu1, abs=1e-9)
+        assert abs(hill_eta(pot, lam) + 1.0) <= EDGE_TOL
+
+    def test_end_within_edge_tol_before_an_open_gap_looks_past_it(self):
+        # q = 2 cos 2 pi x: the first gap [8.857, 10.857] is open and the
+        # first Dirichlet eigenvalue is its lower edge.  A bracket for band 2
+        # that starts just below that edge has d/2 + 1 within EDGE_TOL and of
+        # the same sign at both ends; the root is the gap's upper edge.
+        pot = PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x))
+        nu1, nu2 = dirichlet_spectrum(pot, 50.0)[:2]
+        lo = nu1 - 1e-11
+        assert 0.0 < hill_eta(pot, lo) + 1.0 <= EDGE_TOL
+        lam = invert_discriminant(pot, -1.0, 2, [(-5.0, nu1), (lo, nu2)])
+        assert lam == pytest.approx(10.8567782022, abs=1e-8)
+        assert abs(hill_eta(pot, lam) + 1.0) <= 1e-12
+
+    def test_bracket_without_root_still_fails(self):
+        pot = PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x))
+        with pytest.raises(EngineError, match="bracket failed for eta=-1.0 in band 2"):
+            invert_discriminant(pot, -1.0, 2, [(-5.0, 8.0), (20.0, 30.0)])
 
     def test_band_count_extends(self):
         res = bands_from_root_surface(ZERO, [(-1.0, 1.0)], n_bands=4)

@@ -1,16 +1,18 @@
-"""Lockstep refinement against one scipy call per minimum, bit for bit, and
-the engine-call count of a lockstep refinement."""
+"""Lockstep refinement against one scipy call per minimum or root, bit for
+bit, and the engine-call count of a lockstep refinement."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 import hexband.bands as bands
 from hexband.bands import classify_touches, sample_diagonal
 from hexband.floquet import BATCH_BYTES, chunk_slices
 from hexband.lattice import CouplingParams, StackConfig, StackVariant, VertexParams
-from hexband.refine import bounded_minima, nelder_mead_minima
+from hexband.errors import EngineError
+from hexband.refine import bounded_minima, brent_roots, nelder_mead_minima
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -91,6 +93,67 @@ def test_nelder_mead_minima_match_scipy(lanes, runs):
                            bounds=bounds, options=options)
             start = res.x
         assert np.array_equal(x[k], res.x) and fx[k] == res.fun
+
+
+def _root_profile(centers, slopes, powers, ripple):
+    """Sign-changing objectives, one per lane: odd powers of x - c (flat or
+    steep at the root) plus a ripple."""
+    def f(x, lane):
+        d = x - centers[lane]
+        return (slopes[lane] * np.sign(d) * abs(d) ** powers[lane]
+                + ripple * np.sin(3.0 * x))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0, **_finite),
+                          st.floats(1e-3, 4.0, **_finite),
+                          st.floats(1e-3, 4.0, **_finite),
+                          st.floats(0.2, 5.0, **_finite),
+                          st.sampled_from([0.3, 1.0, 3.0])),
+                min_size=1, max_size=8),
+       st.floats(0.0, 0.1, **_finite),
+       st.sampled_from([1e-14, 1e-12, 1e-8, 1e-4]))
+def test_brent_roots_match_scipy(lanes, ripple, xtol):
+    f = _root_profile([c for c, *_ in lanes], [s for *_, s, _ in lanes],
+                      [p for *_, p in lanes], ripple)
+    lo = np.array([c - a for c, a, *_ in lanes])
+    hi = np.array([c + b for c, _, b, *_ in lanes])
+    keep = [k for k in range(len(lanes))
+            if np.signbit(f(lo[k], k)) != np.signbit(f(hi[k], k))
+            or f(lo[k], k) == 0.0 or f(hi[k], k) == 0.0]
+    if not keep:
+        return
+    lo, hi = lo[keep], hi[keep]
+    calls = []
+
+    def batched(x, which):
+        calls.append(len(which))
+        return np.array([f(float(xi), keep[int(k)]) for xi, k in zip(x, which)])
+
+    want = []
+    for j, k in enumerate(keep):
+        try:
+            want.append(brentq(lambda t, k=k: f(t, k), lo[j], hi[j], xtol=xtol,
+                               full_output=True))
+        except RuntimeError:        # scipy did not converge in 100 iterations
+            with pytest.raises(EngineError, match="did not converge"):
+                brent_roots(batched, lo, hi, xtol)
+            return
+    roots, nfev = brent_roots(batched, lo, hi, xtol)
+    for j, (root, info) in enumerate(want):
+        assert roots[j] == root
+        assert nfev[j] == info.function_calls
+    # one objective call for both ends, then one per iteration
+    assert len(calls) == max(nfev) - 1
+
+
+def test_brent_roots_refuse_brackets_without_sign_change_and_nan():
+    with pytest.raises(ValueError, match="different signs"):
+        brent_roots(lambda x, k: x * x + 1.0, [-1.0, 0.0], [1.0, 2.0], 1e-12)
+    with pytest.raises(EngineError, match="NaN"):
+        brent_roots(lambda x, k: np.where(x > 0.5, np.nan, x - 0.7), [0.0], [1.0],
+                    1e-12)
 
 
 def test_refinement_calls_do_not_grow_with_minima(monkeypatch):
