@@ -26,13 +26,17 @@ Gates.  Two gates guard every integration, and NaN fails both:
   the grid with every step halved must agree within ``MAGNUS_TOL``, relative
   to max(1, |value|).  The gate starts from ``_BASE_STEPS`` steps (at least
   one per knot interval) and halves until they agree, at most
-  ``_MAX_HALVINGS`` times; otherwise it raises ``EngineError``.  A potential
-  remembers the grid its gate picked and the lambda range the gate has
-  checked (``MagnusState``).  A later call inside that range reuses the grid
-  without a gate.  A call outside it runs the gate on its own lambdas,
-  starting from that grid, and widens the range.  The Dirichlet scan gates
-  its whole scan grid, so the grid is picked once per potential and range,
-  and the root refinements that follow reuse it.
+  ``_MAX_HALVINGS`` times; otherwise it raises ``EngineError``.  The error
+  of the method grows with the slope of q, and the base grid already
+  resolves the common slopes, so one comparison usually settles it: a
+  ladder from a coarse grid made the cost of a spectrum jump 2x or 4x from
+  one potential to the next.  A potential remembers the grid its gate
+  picked and the lambda range the gate has checked (``MagnusState``).  A
+  later call inside that range reuses the grid without a gate.  A call
+  outside it runs the gate on its own lambdas, starting from that grid, and
+  widens the range.  The Dirichlet scan gates its whole scan grid, so the
+  grid is picked once per potential and range, and the root refinements
+  that follow reuse it.
 * Wronskian: |det W - 1| <= ``WRONSKIAN_TOL`` at every lambda.
 
 Batch API.  ``integrate_monodromy`` (with ``discriminant``, ``hill_eta`` and
@@ -72,8 +76,10 @@ EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction,
                               # relative to max(1, max |q|)
 DIRICHLET_WINDOW = 1e-8       # exclusion window around point spectrum
 _SMALL_LAMBDA = 1e-8          # switch to series solutions near lambda = 0
-_BASE_STEPS = 64              # Magnus steps on [0, 1] of the coarsest grid
-_MAX_HALVINGS = 8             # finest grid the halving gate compares: 256x
+_BASE_STEPS = 512             # Magnus steps on [0, 1] of the coarsest grid:
+                              # up to lambda ~ 300 and slopes |q'| ~ 25 the
+                              # gate passes at its first comparison
+_MAX_HALVINGS = 5             # finest grid the halving gate compares: 32x
 _BLOCK = 128                  # Magnus steps multiplied together per block
 _LANES = BATCH_BYTES // (8 * _BLOCK)   # lambdas per chunk: (block, lanes)
                                        # float temporaries
@@ -479,12 +485,17 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
     """The unique lambda in the given Hill band with d(lambda)/2 = eta.
 
     ``eta`` and ``hill_band`` broadcast to a batch whose roots are refined
-    together; a scalar pair gives a float.  Where f = d/2 - eta has the same
-    sign at both ends of a band's bracket, an end with |f| <= ``EDGE_TOL``
-    is taken as the root: for even potentials the Dirichlet eigenvalues that
-    bound the brackets sit on band edges, where d/2 = +-1 holds up to
-    rounding only.  If f changes sign just inside that end (an open gap
-    separates it from the band), the root beyond the gap is refined instead.
+    together; a scalar pair gives a float.  A bracket end with
+    |f| <= ``EDGE_TOL``, f = d/2 - eta, is taken as the root whatever the
+    sign of f at the other end: for even potentials the Dirichlet
+    eigenvalues that bound the brackets sit on band edges, where d/2 = +-1
+    holds up to rounding only, and the sign of that rounding must not
+    decide (at a closed gap f has a double root there, on which Brent's
+    method would spend twice the iterations of a simple root to land up
+    to 1e-8 away).  If f changes sign between the other end and just inside
+    that end (an open gap separates it from the band), the root beyond the
+    gap is refined instead.  A bracket with neither a sign change nor such
+    an end fails.
     """
     etas, bands = np.broadcast_arrays(np.asarray(eta, dtype=float),
                                       np.asarray(hill_band))
@@ -508,25 +519,25 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
     fa, fb = ends[:m], ends[m:]
     roots = np.where(fa == 0.0, a, b)
     open_ends = (fa != 0.0) & (fb != 0.0)
-    same_sign = open_ends & (np.signbit(fa) == np.signbit(fb))
+    near_a = np.abs(fa) <= np.abs(fb)
+    f_far = np.where(near_a, fb, fa)
+    at_edge = open_ends & (np.abs(np.where(near_a, fa, fb)) <= EDGE_TOL)
+    missed = open_ends & ~at_edge & (np.signbit(fa) == np.signbit(fb))
+    if missed.any():
+        k = np.flatnonzero(missed)[0]
+        raise EngineError(f"inversion bracket failed for "
+                          f"eta={float(etas[k])} in band {int(bands[k])}")
     lo, hi = a.copy(), b.copy()
-    if same_sign.any():
-        near_a = np.abs(fa) <= np.abs(fb)
-        f_end = np.where(near_a, fa, fb)
-        missed = same_sign & ~(np.abs(f_end) <= EDGE_TOL)
-        if missed.any():
-            k = np.flatnonzero(missed)[0]
-            raise EngineError(f"inversion bracket failed for "
-                              f"eta={float(etas[k])} in band {int(bands[k])}")
+    if at_edge.any():
         end, other = np.where(near_a, a, b), np.where(near_a, b, a)
-        roots = np.where(same_sign, end, roots)
+        roots = np.where(at_edge, end, roots)
         probe = end + _EDGE_PROBE * (other - end)
-        k = np.flatnonzero(same_sign)
+        k = np.flatnonzero(at_edge)
         f_probe = f(probe[k], k)
-        beyond = k[np.signbit(f_probe) != np.signbit(f_end[k])]
+        beyond = k[np.signbit(f_probe) != np.signbit(f_far[k])]
         lo[beyond] = np.where(near_a[beyond], probe[beyond], a[beyond])
         hi[beyond] = np.where(near_a[beyond], b[beyond], probe[beyond])
-        open_ends &= ~same_sign
+        open_ends &= ~at_edge
         open_ends[beyond] = True
     k = np.flatnonzero(open_ends)
     if len(k):

@@ -448,7 +448,7 @@ class TestSpectrum:
     def test_unresolvable_potential_exits_2_at_the_step_halving_gate(
             self, tmp_path, capsys):
         # a bump of height 1e5 and width 0.02: the gate's finest grid
-        # (256 times the base grid) still moves d by more than its tolerance
+        # (32 times the base grid) still moves d by more than its tolerance
         cfg = _write_config(tmp_path,
                             potential={"kind": "sampled",
                                        "x": [0.0, 0.49, 0.5, 0.51, 1.0],

@@ -1,5 +1,7 @@
 """Hill-discriminant module: monodromy, Dirichlet spectrum, band inversion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -244,7 +246,8 @@ class TestMagnus:
         pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
         for halvings in (0, 2):
             h, _, _ = hill._magnus_grid(pot, halvings)
-            edges = np.concatenate([[0.0], np.cumsum(h)])
+            # exact prefix sums: np.cumsum's rounding grows with the steps
+            edges = np.array([math.fsum(h[:k]) for k in range(len(h) + 1)])
             for knot in _KNOTS:
                 assert np.min(np.abs(edges - knot)) < 1e-14
 
@@ -383,16 +386,20 @@ class TestInversion:
             assert invert_discriminant(pot, float(eta), int(band)) == lam
             assert hill_eta(pot, lam) == pytest.approx(eta, abs=1e-9)
 
-    def test_end_within_edge_tol_is_the_root_at_a_closed_gap(self):
-        # a period-1/2 potential closes every gap at d = -2, so d/2 + 1 >= 0
-        # near the first Dirichlet eigenvalue: no sign change in band 1's
-        # bracket for eta = -1 however the rounding falls
+    @pytest.mark.parametrize("q", [-2.1, 1.0])
+    def test_end_within_edge_tol_is_the_root_at_a_closed_gap(self, q):
+        # a period-1/2 potential closes every gap at d = -2, so d/2 + 1 has a
+        # double root at the first Dirichlet eigenvalue, which ends band 1's
+        # bracket for eta = -1.  There it rounds to -4.4e-16 for q = -2.1 (a
+        # sign change over the bracket) and to +2.2e-15 for q = 1.0 (none);
+        # either way that end is the root, not a point that Brent's method
+        # finds near it on the double root
         pot = PotentialSpec.sampled(np.linspace(0.0, 1.0, 5),
-                                    [1.3, -2.1, 1.3, -2.1, 1.3])
+                                    [1.3, q, 1.3, q, 1.3])
         nu1 = dirichlet_spectrum(pot, 30.0)[0]
-        lam = invert_discriminant(pot, -1.0, 1, [(-20.0, nu1)])
-        assert lam == pytest.approx(nu1, abs=1e-9)
-        assert abs(hill_eta(pot, lam) + 1.0) <= EDGE_TOL
+        f_end = hill_eta(pot, nu1) + 1.0
+        assert abs(f_end) <= EDGE_TOL and (f_end < 0.0) == (q < 0.0)
+        assert invert_discriminant(pot, -1.0, 1, [(-20.0, nu1)]) == nu1
 
     def test_end_within_edge_tol_before_an_open_gap_looks_past_it(self):
         # q = 2 cos 2 pi x: the first gap [8.857, 10.857] is open and the
