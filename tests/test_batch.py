@@ -362,6 +362,33 @@ GOLDEN = [
         _DIAGONAL_201, "spectrum.csv",
         "ae9943c89738951ddedca3a8c4f4f700549d08598c019eb2411e8115563e8e1c",
         id="spectrum.csv-clipped_and_skipped"),
+    # one full grid per layout that the rows above leave unpinned, and a
+    # report whose crossings read the branch labels
+    pytest.param(
+        "bands", {"variant": "monolayer", "alpha_a": -0.5, "alpha_b": 0.9},
+        _FULL_21, "bands.csv",
+        "f411ec0d50cdbdf63ab93993ed485c7c91f0d707393a40b931f52f6ba42dc12f",
+        id="bands.csv-monolayer"),
+    pytest.param(
+        "bands", {"variant": "bilayer_aa", "alpha_a": -0.7, "alpha_b": 0.4,
+                  "t0": 0.3}, _FULL_21, "bands.csv",
+        "5597e07eb2ba1e44102f0f56e409be7a4eb926017d401f4f2e477e417d32dcad",
+        id="bands.csv-bilayer_aa"),
+    pytest.param(
+        "bands", {"variant": "bilayer_aa_two_param", "alpha_a": -0.7,
+                  "alpha_b": 0.4, "t_a": 0.6, "t_b": 0.35}, _FULL_21, "bands.csv",
+        "a104fc19aae8dce5fd19008e47144422fd7a7bdb01f7e9cabe27dabde01065ab",
+        id="bands.csv-bilayer_aa_two_param"),
+    pytest.param(
+        "bands", {"variant": "trilayer_hbn_g_hbn", "alpha_a": -0.8,
+                  "alpha_b": 0.8, "t0": 0.5}, _FULL_21, "bands.csv",
+        "0ef589a98e42596502c22db29893341d0ef7a2cec1d6b22689fbe981a8d1bdf8",
+        id="bands.csv-trilayer_hbn_g_hbn"),
+    pytest.param(      # two crossings between two gaps
+        "classify", {"variant": "bilayer_aa", "alpha_a": -0.3, "alpha_b": 0.2,
+                     "t0": 0.6}, {"kind": "diagonal", "n": 501}, "report.txt",
+        "77fe03eb829441d2af12ca13843d267fa446fdb5c8c98bf76a916d61ad0819f6",
+        id="report.txt-bilayer_aa"),
 ]
 
 
