@@ -32,6 +32,7 @@ from . import magnetic
 from .errors import InputError, NoClosedFormError, ResolutionError
 from .floquet import (
     DispersionRoots,
+    _require_opposite_pair,
     _theta_batch,
     assemble,
     chunk_slices,
@@ -39,7 +40,6 @@ from .floquet import (
     numeric_roots,
 )
 from .lattice import (
-    ADMISSIBILITY_TOL,
     StackConfig,
     StackVariant,
     diagonal_slice,
@@ -78,7 +78,7 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     at the others; "numeric" takes the eigensolver everywhere; "auto" is
     "closed" except for the q = 1 cell, whose artifacts come from the
     eigensolver.  ``closed`` on the result marks the points that took the
-    formulas; branch labels are given when all of them did.
+    formulas; branch names and sort orders are given when all of them did.
 
     The points go to the engine in ``chunk_slices`` batches.  A batch the
     formulas cannot serve whole sends its other points to the eigensolver
@@ -92,24 +92,24 @@ def roots_at(config: StackConfig, theta1, theta2=None,
         theta2 = -theta1
     t1, t2, scalar = _theta_batch(theta1, theta2)
     dim = config.dim
-    flux_cell = config.variant is StackVariant.MAGNETIC_MONOLAYER
+    flux = config.flux        # set for the magnetic flux cells only
     formulas = route == "closed" or (
-        route == "auto" and not (flux_cell and config.flux.q == 1))
+        route == "auto" and not (flux is not None and flux.q == 1))
     values = np.empty((len(t1), dim))
-    labels = np.empty((len(t1), dim), dtype=object)
+    order = np.empty((len(t1), dim), dtype=np.int8)
     closed = np.zeros(len(t1), dtype=bool)
+    names = ()
 
     def by_formula(part) -> DispersionRoots:
-        if not flux_cell:
-            roots = closed_form_roots(config, t1[part], t2[part])
-        elif config.flux.q == 2:
+        nonlocal names
+        if flux is not None and flux.q == 2:
             roots = magnetic.closed_form_roots_q2(config, t1[part], t2[part])
         else:
-            monolayer = StackConfig(StackVariant.MONOLAYER, config.vertex)
-            roots = closed_form_roots(monolayer, t1[part], t2[part])
+            roots = closed_form_roots(config, t1[part], t2[part])
         values[part] = roots.values
-        labels[part] = roots.branch_labels
+        order[part] = roots.order
         closed[part] = True
+        names = roots.names
         return roots
 
     parts = chunk_slices(len(t1), dim)
@@ -128,7 +128,9 @@ def roots_at(config: StackConfig, theta1, theta2=None,
                     index = np.arange(len(t1))[part]
                     deferred.append(index[exc.servable])
                     part = index[~exc.servable]
-        if flux_cell:
+        if flux is not None:
+            # the flux cells' artifacts come from eigvalsh(A) / 3, which
+            # differs from numeric_roots' D^{-1/2} scaling in the last bits
             values[part] = np.linalg.eigvalsh(
                 magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0
         else:
@@ -140,13 +142,11 @@ def roots_at(config: StackConfig, theta1, theta2=None,
             by_formula(deferred[part])
 
     if not closed.all():
-        labels = ()
+        names = ()
     if scalar:
-        values, closed = values[0], closed.reshape(())
-        labels = tuple(labels[0]) if len(labels) else ()
-    return DispersionRoots(values=values, branch_labels=labels,
-                           admissible=np.abs(values) <= 1.0 + ADMISSIBILITY_TOL,
-                           closed=closed)
+        values, order, closed = values[0], order[0], closed.reshape(())
+    return DispersionRoots(values=values, closed=closed, names=names,
+                           order=order if names else None)
 
 
 @dataclass(frozen=True)
@@ -403,11 +403,7 @@ def gap_width_closed_form(config: StackConfig) -> float:
     if v is StackVariant.MONOLAYER:
         return abs(aa - ab) / 3.0
     if v is StackVariant.HETERO_BILAYER:
-        if abs(aa + ab) > 1e-12 or abs(config.vertex.alpha_c) > 1e-12:
-            raise NoClosedFormError(
-                "hetero-bilayer gap formula needs alpha_b = -alpha_a and "
-                "alpha_c = 0"
-            )
+        _require_opposite_pair(config.vertex)
         t0 = config.coupling.t0
         asq = aa * aa
         inner = asq + 2.0 * t0 ** 4 - np.sqrt(4.0 * asq * t0 ** 4 + asq * asq)

@@ -68,10 +68,11 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .floquet import DIAGONAL_ONLY, chunk_slices
+from .floquet import chunk_slices
 from .hill import MAGNUS_TOL, PotentialSpec, bands_from_root_surface
 from .lattice import (
     CouplingParams,
+    LAYOUTS,
     FluxSpec,
     StackConfig,
     StackVariant,
@@ -179,18 +180,22 @@ def _parse_stack(raw: dict) -> StackConfig:
         raise ConfigError(
             f"unknown stack.variant {data['variant']!r} (one of: {names})"
         ) from None
-    vertex = VertexParams(
-        alpha_a=_as_float(data.get("alpha_a", 0.0), "stack.alpha_a"),
-        alpha_b=_as_float(data.get("alpha_b", 0.0), "stack.alpha_b"),
-        alpha_c=_as_float(data.get("alpha_c", 0.0), "stack.alpha_c"),
-    )
-    coupling = None
-    if any(k in data for k in ("t0", "t_a", "t_b")):
-        coupling = CouplingParams(
-            t0=(_as_float(data["t0"], "stack.t0") if "t0" in data else None),
-            t_a=(_as_float(data["t_a"], "stack.t_a") if "t_a" in data else None),
-            t_b=(_as_float(data["t_b"], "stack.t_b") if "t_b" in data else None),
-        )
+    reads = LAYOUTS[variant].fields
+    unread = sorted(data.keys() - reads - {"variant", "flux_p", "flux_q"})
+    if unread:
+        raise ConfigError(
+            f"config field 'stack.{unread[0]}' is not read by variant "
+            f"{variant.value} (its settings: {', '.join(sorted(reads))})")
+    values = {name: _as_float(data[name], f"stack.{name}")
+              for name in sorted(reads) if name in data}
+    for name, value in values.items():
+        # beyond this the closed forms' squares of alpha overflow a float
+        if name.startswith("alpha_") and abs(value) > 1e100:
+            raise ConfigError(
+                f"config field 'stack.{name}' = {value!r} exceeds 1e100 in magnitude")
+    vertex = VertexParams(**{k: v for k, v in values.items() if k.startswith("alpha_")})
+    couplings = {k: v for k, v in values.items() if not k.startswith("alpha_")}
+    coupling = CouplingParams(**couplings) if couplings else None
     flux = None
     if "flux_p" in data or "flux_q" in data:
         flux = FluxSpec(p=_as_int(data.get("flux_p", 1), "stack.flux_p"),
@@ -294,16 +299,14 @@ def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
     return run
 
 
+def _stack_numbers(stack: StackConfig) -> dict:
+    """The alphas and the coupling strengths that are set, in config order."""
+    numbers = vars(stack.vertex) | vars(stack.coupling or CouplingParams())
+    return {name: value for name, value in numbers.items() if value is not None}
+
+
 def _config_echo(run: RunConfig) -> dict:
-    stack: dict = {"variant": run.stack.variant.value,
-                   "alpha_a": run.stack.vertex.alpha_a,
-                   "alpha_b": run.stack.vertex.alpha_b,
-                   "alpha_c": run.stack.vertex.alpha_c}
-    if run.stack.coupling is not None:
-        for name in ("t0", "t_a", "t_b"):
-            value = getattr(run.stack.coupling, name)
-            if value is not None:
-                stack[name] = value
+    stack: dict = {"variant": run.stack.variant.value, **_stack_numbers(run.stack)}
     if run.stack.flux is not None:
         stack["flux_p"] = run.stack.flux.p
         stack["flux_q"] = run.stack.flux.q
@@ -416,12 +419,13 @@ def _emit_bands(run: RunConfig) -> str:
     lines = [BANDS_CSV_HEADER]
     theta1, theta2 = _grid_thetas(run)
     roots = roots_at(run.stack, theta1, theta2)
+    admissible_all = roots.admissible
     for part in chunk_slices(len(theta1), run.stack.dim):
         t1, t2 = theta1[part], theta2[part]
         f = structure_function(t1, t2)
         for a, b, fr, fi, row, flags, by_formula in zip(
                 t1.tolist(), t2.tolist(), f.real.tolist(), f.imag.tolist(),
-                roots.values[part].tolist(), roots.admissible[part].tolist(),
+                roots.values[part].tolist(), admissible_all[part].tolist(),
                 roots.closed[part].tolist()):
             point = f"{_g17(a)},{_g17(b)},{_g17(fr)},{_g17(fi)},"
             source = "closed_form" if by_formula else "numeric"
@@ -500,15 +504,8 @@ def _record_lines(index: int, rep: TouchReport) -> list[str]:
 def _report_header(run: RunConfig, title: str) -> list[str]:
     lines = [f"# hexband {title}",
              f"tool: hexband {__version__}",
-             f"variant: {run.stack.variant.value}",
-             f"alpha_a: {_rr(run.stack.vertex.alpha_a)}",
-             f"alpha_b: {_rr(run.stack.vertex.alpha_b)}",
-             f"alpha_c: {_rr(run.stack.vertex.alpha_c)}"]
-    if run.stack.coupling is not None:
-        for name in ("t0", "t_a", "t_b"):
-            value = getattr(run.stack.coupling, name)
-            if value is not None:
-                lines.append(f"{name}: {_rr(value)}")
+             f"variant: {run.stack.variant.value}"]
+    lines += [f"{name}: {_rr(value)}" for name, value in _stack_numbers(run.stack).items()]
     if run.stack.flux is not None:
         lines.append(f"flux: {run.stack.flux.p}/{run.stack.flux.q}")
     return lines
@@ -621,9 +618,9 @@ def _emit_validate(run: RunConfig, samples: int, seed: int,
                    corrupt: bool) -> tuple[str, float, int]:
     rng = np.random.default_rng(seed)
     # one draw per diagonal sample, two per off-diagonal one, in sample
-    # order; the diagonal-only variants are drawn where their closed forms
-    # hold, so that the comparison is actually exercised
-    if run.stack.variant in DIAGONAL_ONLY:
+    # order; the paired stacks are drawn on the diagonal slice, where their
+    # closed forms hold, so that the comparison is actually exercised
+    if run.stack.layout.paired:
         theta1 = rng.uniform(-np.pi, np.pi, samples)
         theta2 = -theta1
     else:

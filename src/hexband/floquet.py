@@ -6,10 +6,12 @@ system M(eta, theta) u = 0 with
     M(eta, theta) = A(theta) - eta * diag(T_1, ..., T_n),
 
 where A is Hermitian, T_i are the per-vertex diagonal scales (3 for a bare
-degree-3 vertex, 3 + t0^2 with an inter-layer edge, 3 + 2 t0^2 with two), and
+degree-3 vertex plus the weight t^2 of each inter-layer edge at it), and
 eta = d(lambda)/2 is the Hill-discriminant variable.  A value eta belongs to
 the dispersion surface iff det M = 0; it maps back to physical spectrum only
-when |eta| <= 1 (+ tolerance).
+when |eta| <= 1 (+ tolerance).  ``assemble`` builds A and T for every stack
+from its ``lattice.LAYOUTS`` entry alone: one monolayer block per layer and
+one symmetric entry per inter-layer bond.
 
 Two independent routes to the roots are provided and never mixed:
 
@@ -19,18 +21,19 @@ Two independent routes to the roots are provided and never mixed:
   eigensolver involved);
 * ``numeric_roots`` diagonalizes D^{-1/2} A D^{-1/2} (no polynomial involved).
 
-``closed_form_roots`` implements the per-variant analytic root families and
-verifies every value against the characteristic polynomial at runtime; the
-``DIAGONAL_ONLY`` variants have them on the diagonal slice only.  This
+``closed_form_roots`` evaluates the analytic root families of ``_FORMULAS``,
+one formula and one tuple of branch names per stack, and verifies every
+value against the characteristic polynomial at runtime; the paired stacks
+(those with a plain layer) have them on the diagonal slice only.  This
 module provides the routes; ``bands.roots_at`` alone decides which one
 serves a point, for the magnetic flux cells as well.
 
 The engine is batch-first over quasimomenta.  ``assemble`` and
 ``closed_form_roots`` take theta1/theta2 as scalars or as 1-D arrays of equal
 length N; a batch gives a ``FloquetMatrix`` with an (N, dim, dim) affine part
-and ``DispersionRoots`` with (N, dim) values and labels, and ``char_poly`` and
-``numeric_roots`` follow the matrix they are given.  Scalar arguments run as
-a batch of one and come back without the batch axis, so a point gives the
+and ``DispersionRoots`` with (N, dim) values and sort orders, and ``char_poly``
+and ``numeric_roots`` follow the matrix they are given.  Scalar arguments run
+as a batch of one and come back without the batch axis, so a point gives the
 same bits alone as inside a batch.  ``roots_at`` calls the engine on slices
 (``chunk_slices``) whose matrices take at most ``BATCH_BYTES``, so that a
 call works in about 100 KB whatever the dimension: larger batches leave
@@ -70,24 +73,37 @@ class FloquetMatrix:
     dim: int
     diag_scale: np.ndarray        # (dim,) positive diagonal scales T_i
     affine: np.ndarray            # (dim, dim) Hermitian A(theta); (N, dim, dim) for a batch
-    config: StackConfig
-    theta: tuple                  # (theta1, theta2): floats, or (N,) arrays for a batch
 
 
 @dataclass(frozen=True)
 class DispersionRoots:
     """eta roots at one quasimomentum (or a batch), ascending, with branch bookkeeping.
 
-    For a batch of N points ``values`` and ``admissible`` are (N, dim) and
-    ``branch_labels`` is an (N, dim) object array; it is the empty tuple for
-    numeric-only roots either way.  ``closed`` marks the points whose roots
-    came from the closed forms: (N,) for a batch, a 0-d array for one point.
+    For a batch of N points ``values`` and ``admissible`` are (N, dim).
+    ``admissible`` is |eta| <= 1 (+ tolerance), derived on access.  ``closed`` marks the points whose roots came from the closed forms: (N,)
+    for a batch, a 0-d array for one point.  Closed-form roots carry their
+    model's branch ``names`` once and, per point, the ``order`` that sorted
+    the formula columns: sorted root k is branch ``names[order[..., k]]``.
+    Numeric-only roots have no names and no order.
     """
 
     values: np.ndarray                       # sorted ascending along the last axis
-    branch_labels: tuple[str, ...] = ()      # empty for numeric-only roots
-    admissible: np.ndarray = field(default_factory=lambda: np.array([], bool))
     closed: np.ndarray = field(default_factory=lambda: np.array(False))
+    names: tuple[str, ...] = ()
+    order: np.ndarray | None = None          # integer permutation per point
+
+    @property
+    def admissible(self) -> np.ndarray:
+        return np.abs(self.values) <= 1.0 + ADMISSIBILITY_TOL
+
+    @property
+    def branch_labels(self):
+        """The branch name of each sorted root: a tuple for one point, an
+        (N, dim) object array for a batch, () for numeric-only roots."""
+        if not self.names:
+            return ()
+        labels = np.asarray(self.names, dtype=object)[self.order]
+        return tuple(labels) if labels.ndim == 1 else labels
 
 
 def chunk_slices(n: int, dim: int) -> list[slice]:
@@ -116,18 +132,13 @@ def _clip_negative(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _make_roots(values, labels=()):
+def _make_roots(values, names=()):
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, axis=-1, kind="stable")
     values = np.take_along_axis(values, order, axis=-1)
-    if len(labels):
-        labels = np.asarray(labels, dtype=object)[order]
-        if values.ndim == 1:
-            labels = tuple(labels)
-    admissible = np.abs(values) <= 1.0 + ADMISSIBILITY_TOL
-    return DispersionRoots(values=values, branch_labels=labels,
-                           admissible=admissible,
-                           closed=np.full(values.shape[:-1], len(labels) > 0))
+    return DispersionRoots(values=values,
+                           closed=np.full(values.shape[:-1], len(names) > 0),
+                           names=tuple(names), order=order if names else None)
 
 
 # ============================================================
@@ -143,109 +154,49 @@ def _hermitian_guard(a: np.ndarray) -> None:
             f"assembled matrix is not Hermitian (deviation {np.max(dev[bad]):g})")
 
 
-def _floquet_matrix(config: StackConfig, rows, scale: np.ndarray, t1: np.ndarray,
-                    t2: np.ndarray, scalar: bool) -> FloquetMatrix:
-    """Stack entries (scalars or per-point arrays) into an (N, d, d) batch,
+def _floquet_matrix(rows, scale: np.ndarray, n: int, scalar: bool) -> FloquetMatrix:
+    """Stack entries (scalars or per-point arrays) into an (n, d, d) batch,
     guard Hermiticity at every point, and drop the batch axis for a scalar."""
     dim = len(rows)
-    affine = np.empty((len(t1), dim, dim), dtype=complex)
+    affine = np.empty((n, dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             affine[:, i, j] = entry
     _hermitian_guard(affine)
-    if scalar:
-        return FloquetMatrix(dim=dim, diag_scale=scale, affine=affine[0],
-                             config=config, theta=(float(t1[0]), float(t2[0])))
-    return FloquetMatrix(dim=dim, diag_scale=scale, affine=affine,
-                         config=config, theta=(t1, t2))
+    return FloquetMatrix(dim=dim, diag_scale=scale,
+                         affine=affine[0] if scalar else affine)
 
 
 def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
-    """Build the Floquet matrix of a non-magnetic stack at theta (scalars or
-    1-D arrays; see the module docstring).
+    """Build the Floquet matrix of a stack, or of the q = 1 flux cell, at
+    theta (scalars or 1-D arrays; see the module docstring).
 
-    Sublattice order is (a1, b1, a2, b2, ...) layer by layer.  For the hetero
-    bilayer and the trilayers, ``alpha_a``/``alpha_b`` always decorate the
-    two-species layer(s) and ``alpha_c`` the plain layer's vertices.
+    Each layer is a monolayer block [[-alpha, conj F], [F, -alpha']] with the
+    alphas its layout role names; each bond (i, j, field) puts field**2 at
+    (i, j) and (j, i), and every vertex scale is 3 + (sum of its bond
+    weights).
     """
-    v = config.variant
-    if v is StackVariant.MAGNETIC_MONOLAYER:
-        raise VariantError(
-            "magnetic monolayer is assembled by the magnetic module, not here"
-        )
+    layout = config.layout
+    if config.dim != 2 * len(layout.layers):
+        raise VariantError("the q = 2 flux cell is the magnetic module's "
+                           "(assemble_robin, closed_form_roots_q2)")
     t1, t2, scalar = _theta_batch(theta1, theta2)
     F = structure_function(t1, t2)
     Fc = np.conj(F)
-    aa = config.vertex.alpha_a
-    ab = config.vertex.alpha_b
-    ac = config.vertex.alpha_c
-
-    if v is StackVariant.MONOLAYER:
-        rows = [[-aa, Fc], [F, -ab]]
-        scale = np.array([3.0, 3.0])
-    elif v is StackVariant.BILAYER_AA:
-        c = config.coupling.t0 ** 2
-        T = 3.0 + c
-        rows = [
-            [-aa, Fc, c, 0.0],
-            [F, -ab, 0.0, c],
-            [c, 0.0, -aa, Fc],
-            [0.0, c, F, -ab],
-        ]
-        scale = np.full(4, T)
-    elif v is StackVariant.BILAYER_AA_TWO_PARAM:
-        ca = config.coupling.t_a ** 2
-        cb = config.coupling.t_b ** 2
-        rows = [
-            [-aa, Fc, ca, 0.0],
-            [F, -ab, 0.0, cb],
-            [ca, 0.0, -aa, Fc],
-            [0.0, cb, F, -ab],
-        ]
-        scale = np.array([3.0 + ca, 3.0 + cb, 3.0 + ca, 3.0 + cb])
-    elif v is StackVariant.BILAYER_AA_PRIME:
-        c = config.coupling.t0 ** 2
-        T = 3.0 + c
-        rows = [
-            [-aa, Fc, 0.0, c],
-            [F, -ab, c, 0.0],
-            [0.0, c, -aa, Fc],
-            [c, 0.0, F, -ab],
-        ]
-        scale = np.full(4, T)
-    elif v is StackVariant.HETERO_BILAYER:
-        c = config.coupling.t0 ** 2
-        T = 3.0 + c
-        rows = [
-            [-aa, Fc, 0.0, c],
-            [F, -ab, c, 0.0],
-            [0.0, c, -ac, Fc],
-            [c, 0.0, F, -ac],
-        ]
-        scale = np.full(4, T)
-    elif v in (StackVariant.TRILAYER_HBN_G_HBN, StackVariant.TRILAYER_G_HBN_G):
-        c = config.coupling.t0 ** 2
-        T1 = 3.0 + c
-        T2 = 3.0 + 2.0 * c
-        if v is StackVariant.TRILAYER_HBN_G_HBN:
-            oa, ob = aa, ab      # outer decorated layers
-            ma, mb = ac, ac      # plain middle layer
-        else:
-            oa, ob = ac, ac      # plain outer layers
-            ma, mb = aa, ab      # decorated middle layer
-        rows = [
-            [-oa, Fc, 0.0, c, 0.0, 0.0],
-            [F, -ob, c, 0.0, 0.0, 0.0],
-            [0.0, c, -ma, Fc, 0.0, c],
-            [c, 0.0, F, -mb, c, 0.0],
-            [0.0, 0.0, 0.0, c, -oa, Fc],
-            [0.0, 0.0, c, 0.0, F, -ob],
-        ]
-        scale = np.array([T1, T1, T2, T2, T1, T1])
-    else:
-        raise VariantError(f"unknown stack variant {v!r}")
-
-    return _floquet_matrix(config, rows, scale, t1, t2, scalar)
+    dim = config.dim
+    rows = [[0.0] * dim for _ in range(dim)]
+    for k, role in enumerate(layout.layers):
+        a, b = 2 * k, 2 * k + 1
+        rows[a][a] = -getattr(config.vertex, "alpha_" + role[0])
+        rows[b][b] = -getattr(config.vertex, "alpha_" + role[1])
+        rows[a][b], rows[b][a] = Fc, F
+    weights = [0.0] * dim
+    for i, j, name in layout.bonds:
+        c = getattr(config.coupling, name) ** 2
+        rows[i][j] = rows[j][i] = c
+        weights[i] += c
+        weights[j] += c
+    return _floquet_matrix(rows, 3.0 + np.array(weights), len(t1), scalar)
 
 
 # ============================================================
@@ -364,12 +315,6 @@ def _quadratic_roots(A, B, C):
     return ((-B - s) / (2.0 * A), (-B + s) / (2.0 * A))
 
 
-# variants whose closed forms hold on the diagonal slice only, and only for
-# alpha_b = -alpha_a, alpha_c = 0
-DIAGONAL_ONLY = frozenset({StackVariant.HETERO_BILAYER, StackVariant.TRILAYER_HBN_G_HBN,
-                           StackVariant.TRILAYER_G_HBN_G})
-
-
 def _require_diagonal(F: np.ndarray) -> np.ndarray:
     off = np.abs(F.imag) > _DIAGONAL_TOL
     if np.any(off):
@@ -381,7 +326,8 @@ def _require_diagonal(F: np.ndarray) -> np.ndarray:
     return F.real
 
 
-def _require_opposite_pair(aa: float, ab: float, ac: float) -> None:
+def _require_opposite_pair(vertex) -> None:
+    aa, ab, ac = vertex.alpha_a, vertex.alpha_b, vertex.alpha_c
     if abs(aa + ab) > _PAIR_TOL or abs(ac) > _PAIR_TOL:
         raise NoClosedFormError(
             "closed forms for this variant require alpha_b = -alpha_a and "
@@ -389,94 +335,114 @@ def _require_opposite_pair(aa: float, ab: float, ac: float) -> None:
         )
 
 
+# Each formula takes the config and F (the real f = F on the diagonal slice
+# for the paired stacks) and returns one root column per branch name.
+
+def _monolayer(config, F):
+    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
+    disc = np.sqrt((aa - ab) ** 2 + 4.0 * _abs_sq(F))
+    return (-(aa + ab) - disc) / 6.0, (-(aa + ab) + disc) / 6.0
+
+
+def _bilayer_aa(config, F):
+    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
+    c = config.coupling.t0 ** 2
+    T = 3.0 + c
+    disc = np.sqrt((aa - ab) ** 2 + 4.0 * _abs_sq(F))
+    return [(-(aa + ab) + 2.0 * s * c + u * disc) / (2.0 * T)
+            for s in (1.0, -1.0) for u in (1.0, -1.0)]
+
+
+def _bilayer_two_param(config, F):
+    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
+    ca = config.coupling.t_a ** 2
+    cb = config.coupling.t_b ** 2
+    Ta, Tb = 3.0 + ca, 3.0 + cb
+    fsq = _abs_sq(F)
+    columns = []
+    for s in (1.0, -1.0):
+        columns += _quadratic_roots(Ta * Tb,
+                                    (aa - s * ca) * Tb + (ab - s * cb) * Ta,
+                                    (aa - s * ca) * (ab - s * cb) - fsq)
+    return columns
+
+
+def _bilayer_prime(config, F):
+    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
+    c = config.coupling.t0 ** 2
+    T = 3.0 + c
+    columns = []
+    for s in (1.0, -1.0):
+        disc = np.sqrt((aa - ab) ** 2 + 4.0 * _abs_sq(F + s * c))
+        columns += [(-(aa + ab) - disc) / (2.0 * T), (-(aa + ab) + disc) / (2.0 * T)]
+    return columns
+
+
+def _hetero_bilayer(config, f):
+    aa = config.vertex.alpha_a
+    c = config.coupling.t0 ** 2
+    T = 3.0 + c
+    F2 = f * f
+    a2 = aa * aa
+    inner = np.sqrt(16.0 * c * c * F2 + 4.0 * a2 * c * c + a2 * a2)
+    r_out = np.sqrt((2.0 * F2 + 2.0 * c * c + a2 + inner) / 2.0) / T
+    r_in = np.sqrt(_clip_negative((2.0 * F2 + 2.0 * c * c + a2 - inner) / 2.0)) / T
+    return -r_out, -r_in, r_in, r_out
+
+
+def _trilayer(config, f):
+    aa = config.vertex.alpha_a
+    c = config.coupling.t0 ** 2
+    T1, T2 = 3.0 + c, 3.0 + 2.0 * c
+    F2 = f * f
+    a2 = aa * aa
+    if config.layout.layers[0] == "ab":      # decorated outer layers
+        p2 = np.sqrt(a2 + F2) / T1
+        mid = a2 * T2 * T2
+    else:                                    # decorated middle layer
+        p2 = np.abs(f) / T1
+        mid = a2 * T1 * T1
+    A = T1 * T1 * T2 * T2
+    B = -(F2 * (T1 * T1 + T2 * T2) + mid + 4.0 * c * c * T1 * T2)
+    C = np.float_power(F2 - 2.0 * c * c, 2.0) + a2 * F2   # as Python's ** 2
+    e2_in, e2_out = _quadratic_roots(A, B, C)
+    r_in = np.sqrt(_clip_negative(e2_in))
+    r_out = np.sqrt(_clip_negative(e2_out))
+    return -p2, p2, -r_out, -r_in, r_in, r_out
+
+
+_TRILAYER_NAMES = ("p2-", "p2+", "pn_out-", "pn_in-", "pn_in+", "pn_out+")
+
+# the branch names and the formula of each stack's closed forms
+_FORMULAS = {
+    StackVariant.MONOLAYER: (("u-", "u+"), _monolayer),
+    StackVariant.BILAYER_AA: (("s+u+", "s+u-", "s-u+", "s-u-"), _bilayer_aa),
+    StackVariant.BILAYER_AA_TWO_PARAM: (("s+u-", "s+u+", "s-u-", "s-u+"),
+                                        _bilayer_two_param),
+    StackVariant.BILAYER_AA_PRIME: (("s+u-", "s+u+", "s-u-", "s-u+"), _bilayer_prime),
+    StackVariant.HETERO_BILAYER: (("out-", "in-", "in+", "out+"), _hetero_bilayer),
+    StackVariant.TRILAYER_HBN_G_HBN: (_TRILAYER_NAMES, _trilayer),
+    StackVariant.TRILAYER_G_HBN_G: (_TRILAYER_NAMES, _trilayer),
+    StackVariant.MAGNETIC_MONOLAYER: (("u-", "u+"), _monolayer),   # the q = 1 cell
+}
+
+
 def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
-    """Analytic eta roots with branch labels, residual-checked at every point.
+    """Analytic eta roots with branch names, residual-checked at every point,
+    for every stack and the q = 1 flux cell.
 
     Raises ``NoClosedFormError`` when the variant/parameter combination has no
-    analytic root family at some point of the batch (hetero bilayer and
-    trilayers need the diagonal slice with alpha_b = -alpha_a and
-    alpha_c = 0); its ``servable`` mask names the points that have one.
+    analytic root family at some point of the batch (the paired stacks need
+    the diagonal slice with alpha_b = -alpha_a and alpha_c = 0); its
+    ``servable`` mask names the points that have one.
     """
-    v = config.variant
     t1, t2, scalar = _theta_batch(theta1, theta2)
     F = structure_function(t1, t2)
-    fsq = _abs_sq(F)
-    aa = config.vertex.alpha_a
-    ab = config.vertex.alpha_b
-    ac = config.vertex.alpha_c
-    pairs: list[tuple[np.ndarray, str]] = []
-    if v in DIAGONAL_ONLY:
-        _require_opposite_pair(aa, ab, ac)
-        f = _require_diagonal(F)
-
-    if v is StackVariant.MONOLAYER:
-        disc = np.sqrt((aa - ab) ** 2 + 4.0 * fsq)
-        pairs = [((-(aa + ab) - disc) / 6.0, "u-"),
-                 ((-(aa + ab) + disc) / 6.0, "u+")]
-    elif v is StackVariant.BILAYER_AA:
-        c = config.coupling.t0 ** 2
-        T = 3.0 + c
-        disc = np.sqrt((aa - ab) ** 2 + 4.0 * fsq)
-        for s, stag in ((1.0, "s+"), (-1.0, "s-")):
-            for u, utag in ((1.0, "u+"), (-1.0, "u-")):
-                pairs.append(((-(aa + ab) + 2.0 * s * c + u * disc) / (2.0 * T),
-                              stag + utag))
-    elif v is StackVariant.BILAYER_AA_TWO_PARAM:
-        ca = config.coupling.t_a ** 2
-        cb = config.coupling.t_b ** 2
-        Ta, Tb = 3.0 + ca, 3.0 + cb
-        for s, stag in ((1.0, "s+"), (-1.0, "s-")):
-            lo, hi = _quadratic_roots(
-                Ta * Tb,
-                (aa - s * ca) * Tb + (ab - s * cb) * Ta,
-                (aa - s * ca) * (ab - s * cb) - fsq,
-            )
-            pairs += [(lo, stag + "u-"), (hi, stag + "u+")]
-    elif v is StackVariant.BILAYER_AA_PRIME:
-        c = config.coupling.t0 ** 2
-        T = 3.0 + c
-        for s, stag in ((1.0, "s+"), (-1.0, "s-")):
-            shifted = _abs_sq(F + s * c)
-            disc = np.sqrt((aa - ab) ** 2 + 4.0 * shifted)
-            pairs += [((-(aa + ab) - disc) / (2.0 * T), stag + "u-"),
-                      ((-(aa + ab) + disc) / (2.0 * T), stag + "u+")]
-    elif v is StackVariant.HETERO_BILAYER:
-        c = config.coupling.t0 ** 2
-        T = 3.0 + c
-        F2 = f * f
-        a2 = aa * aa
-        inner = np.sqrt(16.0 * c * c * F2 + 4.0 * a2 * c * c + a2 * a2)
-        r_out = np.sqrt((2.0 * F2 + 2.0 * c * c + a2 + inner) / 2.0) / T
-        r_in = np.sqrt(_clip_negative((2.0 * F2 + 2.0 * c * c + a2 - inner) / 2.0)) / T
-        pairs = [(-r_out, "out-"), (-r_in, "in-"), (r_in, "in+"), (r_out, "out+")]
-    elif v in (StackVariant.TRILAYER_HBN_G_HBN, StackVariant.TRILAYER_G_HBN_G):
-        c = config.coupling.t0 ** 2
-        T1, T2 = 3.0 + c, 3.0 + 2.0 * c
-        F2 = f * f
-        a2 = aa * aa
-        if v is StackVariant.TRILAYER_HBN_G_HBN:
-            p2 = np.sqrt(a2 + F2) / T1
-            mid = a2 * T2 * T2
-        else:
-            p2 = np.abs(f) / T1
-            mid = a2 * T1 * T1
-        pairs = [(-p2, "p2-"), (p2, "p2+")]
-        A = T1 * T1 * T2 * T2
-        B = -(F2 * (T1 * T1 + T2 * T2) + mid + 4.0 * c * c * T1 * T2)
-        C = np.float_power(F2 - 2.0 * c * c, 2.0) + a2 * F2   # as Python's ** 2
-        e2_in, e2_out = _quadratic_roots(A, B, C)
-        r_in = np.sqrt(_clip_negative(e2_in))
-        r_out = np.sqrt(_clip_negative(e2_out))
-        pairs += [(-r_out, "pn_out-"), (-r_in, "pn_in-"),
-                  (r_in, "pn_in+"), (r_out, "pn_out+")]
-    elif v is StackVariant.MAGNETIC_MONOLAYER:
-        raise VariantError(
-            "magnetic monolayer roots come from the magnetic module, not here"
-        )
-    else:
-        raise VariantError(f"unknown stack variant {v!r}")
-
-    values = np.stack([p[0] for p in pairs], axis=-1)
-    roots = _make_roots(values[0] if scalar else values, [p[1] for p in pairs])
+    if config.layout.paired:
+        _require_opposite_pair(config.vertex)
+        F = _require_diagonal(F)
+    names, formula = _FORMULAS[config.variant]
+    values = np.stack(formula(config, F), axis=-1)
+    roots = _make_roots(values[0] if scalar else values, names)
     _check_residuals(assemble(config, t1, t2), roots.values)
     return roots

@@ -1,4 +1,5 @@
-"""Lattice-level model description: stack variants, parameters, quasimomentum.
+"""Lattice-level model description: stack variants, their layouts, parameters,
+quasimomentum.
 
 A unit cell of the hexagonal lattice carries two vertices per layer (the a/b
 sublattices).  Vertex coupling constants alpha are the Robin data divided by
@@ -9,6 +10,11 @@ the slope normalization of the edge eigenbasis; the inter-layer coupling t0
 
 collects the three in-cell/neighbor-cell hops of one sublattice; |F|^2 spans
 [0, 9] with zeros exactly at +-(2pi/3, -2pi/3) and maximum at (0, 0).
+
+``LAYOUTS`` is the one place that says how each variant is built: which alpha
+roles its layers carry and which vertices its inter-layer edges join, with
+which coupling.  A variant's dimension, the settings it reads and where its
+closed forms exist all follow from its layout.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GridError, InputError, VariantError
+from .errors import GridError, InputError
 
 ADMISSIBILITY_TOL = 1e-12  # |eta| <= 1 + tol counts as spectrally admissible
 
@@ -41,13 +47,49 @@ class StackVariant(Enum):
     MAGNETIC_MONOLAYER = "magnetic_monolayer"
 
 
-_TWO_LAYER = {
-    StackVariant.BILAYER_AA,
-    StackVariant.BILAYER_AA_TWO_PARAM,
-    StackVariant.BILAYER_AA_PRIME,
-    StackVariant.HETERO_BILAYER,
+@dataclass(frozen=True)
+class Layout:
+    """How a stack is built from hexagonal layers, its vertices numbered
+    (a1, b1, a2, b2, ...).  A layer "ab" decorates its (a, b) vertices with
+    alpha_a and alpha_b, a plain layer "cc" both with alpha_c.  A bond
+    (i, j, field) is an inter-layer edge of weight field**2, and each vertex
+    scale is T = 3 + (sum of its bond weights) (Kuchment & Post, Commun.
+    Math. Phys. 275, 2007)."""
+
+    layers: tuple[str, ...]
+    bonds: tuple[tuple[int, int, str], ...] = ()
+
+    @property
+    def fields(self) -> frozenset[str]:
+        """The stack settings the layout reads."""
+        return frozenset({"alpha_" + r for layer in self.layers for r in layer}
+                         | {name for _, _, name in self.bonds})
+
+    @property
+    def paired(self) -> bool:
+        """Whether the closed forms need the diagonal slice with
+        alpha_b = -alpha_a and alpha_c = 0: the stacks with a plain layer."""
+        return "cc" in self.layers
+
+
+_MONOLAYER = Layout(("ab",))
+_AA = ((0, 2, "t0"), (1, 3, "t0"))            # a over a, b over b
+_AA_PRIME = ((0, 3, "t0"), (1, 2, "t0"))      # a over b, b over a
+_TRILAYER = _AA_PRIME + ((2, 5, "t0"), (3, 4, "t0"))
+
+LAYOUTS = {
+    StackVariant.MONOLAYER: _MONOLAYER,
+    StackVariant.BILAYER_AA: Layout(("ab", "ab"), _AA),
+    StackVariant.BILAYER_AA_TWO_PARAM: Layout(("ab", "ab"),
+                                              ((0, 2, "t_a"), (1, 3, "t_b"))),
+    StackVariant.BILAYER_AA_PRIME: Layout(("ab", "ab"), _AA_PRIME),
+    StackVariant.HETERO_BILAYER: Layout(("ab", "cc"), _AA_PRIME),
+    StackVariant.TRILAYER_HBN_G_HBN: Layout(("ab", "cc", "ab"), _TRILAYER),
+    StackVariant.TRILAYER_G_HBN_G: Layout(("cc", "ab", "cc"), _TRILAYER),
+    # the q = 1 flux cell is the monolayer; the q = 2 cell's gauge-fixed
+    # rows live in the magnetic module
+    StackVariant.MAGNETIC_MONOLAYER: _MONOLAYER,
 }
-_THREE_LAYER = {StackVariant.TRILAYER_HBN_G_HBN, StackVariant.TRILAYER_G_HBN_G}
 
 
 # ============================================================
@@ -134,17 +176,15 @@ class StackConfig:
 
     def __post_init__(self) -> None:
         v = self.variant
-        if v is StackVariant.MONOLAYER:
-            if self.coupling is not None:
-                raise InputError("monolayer takes no inter-layer coupling")
-        elif v in _TWO_LAYER or v in _THREE_LAYER:
-            if self.coupling is None:
-                raise InputError(f"{v.value} requires coupling parameters")
-            if v is StackVariant.BILAYER_AA_TWO_PARAM:
-                if self.coupling.t_a is None or self.coupling.t_b is None:
-                    raise InputError("two-parameter bilayer requires t_a and t_b")
-            elif self.coupling.t0 is None:
-                raise InputError(f"{v.value} requires t0")
+        wanted = {name for _, _, name in self.layout.bonds}
+        given = {name for name, value in vars(self.coupling or CouplingParams()).items()
+                 if value is not None}
+        if given - wanted:
+            raise InputError(f"{v.value} does not read the coupling "
+                             f"{' or '.join(sorted(given - wanted))}")
+        if wanted - given:
+            raise InputError(
+                f"{v.value} requires {' and '.join(sorted(wanted - given))}")
         if v is StackVariant.MAGNETIC_MONOLAYER:
             if self.flux is None:
                 raise InputError("magnetic monolayer requires a flux specification")
@@ -156,19 +196,13 @@ class StackConfig:
             raise InputError(f"{v.value} does not take a flux specification")
 
     @property
+    def layout(self) -> Layout:
+        return LAYOUTS[self.variant]
+
+    @property
     def dim(self) -> int:
         """Number of dispersion branches (vertices per period cell)."""
-        v = self.variant
-        if v is StackVariant.MONOLAYER:
-            return 2
-        if v in _TWO_LAYER:
-            return 4
-        if v in _THREE_LAYER:
-            return 6
-        if v is StackVariant.MAGNETIC_MONOLAYER:
-            assert self.flux is not None
-            return 2 * self.flux.q
-        raise VariantError(f"unknown variant {v!r}")
+        return 2 * (self.flux.q if self.flux else len(self.layout.layers))
 
 
 # ============================================================

@@ -8,9 +8,11 @@ live here:
   K the cyclic shift), valid for any reduced p/q — its eigenvalues lie in
   [-1, 1] and are q-periodic in p;
 
-* Robin flux cells for q = 1 (identical to the monolayer Floquet matrix) and
-  q = 2 (a gauge-fixed 4 x 4 cell), exposed as ``FloquetMatrix`` values so the
-  characteristic-polynomial and eigensolver routes apply unchanged.
+* Robin flux cells for q = 1 and q = 2, exposed as ``FloquetMatrix`` values
+  so the characteristic-polynomial and eigensolver routes apply unchanged.
+  The q = 1 cell is the monolayer layout: ``floquet.assemble`` builds it and
+  ``floquet.closed_form_roots`` gives its roots.  The q = 2 cell is a
+  gauge-fixed 4 x 4 cell whose rows and radical roots live here.
 
 For q = 2 the determinant collapses to a quartic in eta whose coefficients
 depend on quasimomentum only through
@@ -41,8 +43,9 @@ from .floquet import (
     _make_roots,
     _theta_batch,
     _worst_residual,
+    assemble,
 )
-from .lattice import FluxSpec, StackConfig, StackVariant, structure_function
+from .lattice import FluxSpec, StackConfig
 from .refine import (
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
@@ -56,6 +59,7 @@ G_MAX = 4.5                          # at (pi/3, -pi/6) and its symmetry images
 G_MIN = 3.0 - np.sqrt(2.0)           # at the zone-closure point (pi/2, 3 pi/8)
 _LOCUS_DIR = np.array([-2.0, 1.0]) / np.sqrt(5.0)   # unit vector along theta1 = -2 theta2
 _NM_XATOL = 1e-10
+_Q2_NAMES = ("in-", "in+", "out-", "out+")   # the inner radicand's pair first
 
 
 # ============================================================
@@ -93,7 +97,7 @@ def discrete_eta_values(flux: FluxSpec, theta1: float, theta2: float) -> np.ndar
 # ============================================================
 
 def _require_magnetic(config: StackConfig) -> FluxSpec:
-    if config.variant is not StackVariant.MAGNETIC_MONOLAYER or config.flux is None:
+    if config.flux is None:
         raise VariantError(
             "Robin flux cells require the magnetic monolayer variant with a flux"
         )
@@ -101,27 +105,23 @@ def _require_magnetic(config: StackConfig) -> FluxSpec:
 
 
 def assemble_robin(config: StackConfig, theta1, theta2) -> FloquetMatrix:
-    """Robin flux cell as a FloquetMatrix (q = 1: monolayer; q = 2: 4 x 4),
-    at a scalar theta or a batch (see ``hexband.floquet``)."""
-    flux = _require_magnetic(config)
+    """Robin flux cell as a FloquetMatrix (q = 1: the monolayer layout, by
+    ``floquet.assemble``; q = 2: the gauge-fixed 4 x 4 cell), at a scalar
+    theta or a batch (see ``hexband.floquet``)."""
+    if _require_magnetic(config).q == 1:
+        return assemble(config, theta1, theta2)
     an = config.vertex.alpha_a
     ab = config.vertex.alpha_b
     t1, t2, scalar = _theta_batch(theta1, theta2)
-    if flux.q == 1:
-        f = structure_function(t1, t2)
-        rows = [[-an, np.conj(f)], [f, -ab]]
-        scale = np.array([3.0, 3.0])
-    else:
-        e1 = np.exp(1j * t1)
-        e2 = np.exp(1j * t2)
-        rows = [
-            [-an, 1.0 + e2.conjugate(), 0.0, e1.conjugate()],
-            [1.0 + e2, -ab, 1.0, 0.0],
-            [0.0, 1.0, -an, 1.0 - e2.conjugate()],
-            [e1, 0.0, 1.0 - e2, -ab],
-        ]
-        scale = np.full(4, 3.0)
-    return _floquet_matrix(config, rows, scale, t1, t2, scalar)
+    e1 = np.exp(1j * t1)
+    e2 = np.exp(1j * t2)
+    rows = [
+        [-an, 1.0 + e2.conjugate(), 0.0, e1.conjugate()],
+        [1.0 + e2, -ab, 1.0, 0.0],
+        [0.0, 1.0, -an, 1.0 - e2.conjugate()],
+        [e1, 0.0, 1.0 - e2, -ab],
+    ]
+    return _floquet_matrix(rows, np.full(4, 3.0), len(t1), scalar)
 
 
 def g_function(theta1, theta2):
@@ -177,14 +177,13 @@ def closed_form_roots_q2(config: StackConfig, theta1, theta2) -> DispersionRoots
     t1, t2, scalar = _theta_batch(theta1, theta2)
     g = g_function(t1, t2)
     shift = 4.0 * np.sqrt(2.0) * np.sqrt(g)
-    values, labels = [], []
-    for tag, radicand in (("in", b + 12.0 - shift), ("out", b + 12.0 + shift)):
+    values = []
+    for radicand in (b + 12.0 - shift, b + 12.0 + shift):
         # max(radicand, 0.0), keeping -0.0 and NaN as they are
         root = np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
         values.extend([(-a - root) / 6.0, (-a + root) / 6.0])
-        labels.extend([f"{tag}-", f"{tag}+"])
     values = np.stack(values, axis=-1)
-    roots = _make_roots(values[0] if scalar else values, labels)
+    roots = _make_roots(values[0] if scalar else values, _Q2_NAMES)
     worst = _worst_residual(_q2_coeffs(config, g), roots.values)
     if not worst < RESIDUAL_TOL:
         raise EngineError(

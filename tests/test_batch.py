@@ -67,9 +67,18 @@ def _routes(cfg):
         return closed_form_roots, assemble
     if cfg.flux.q == 2:
         return closed_form_roots_q2, assemble_robin
-    # the q = 1 cell is the monolayer: its closed forms are the monolayer's
+    # the q = 1 cell is the monolayer layout, which the general formulas serve
+    return closed_form_roots, assemble_robin
+
+
+def test_q1_cell_is_the_monolayer_bit_for_bit():
+    cfg = _config(StackVariant.MAGNETIC_MONOLAYER, 1, -0.8, 0.6, 0.4)
     mono = StackConfig(StackVariant.MONOLAYER, cfg.vertex)
-    return (lambda _cfg, t1, t2: closed_form_roots(mono, t1, t2)), assemble_robin
+    t1, t2 = np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 40))
+    assert _same_bits(assemble_robin(cfg, t1, t2).affine, assemble(mono, t1, t2).affine)
+    cell, layer = closed_form_roots(cfg, t1, t2), closed_form_roots(mono, t1, t2)
+    assert _same_bits(cell.values, layer.values)
+    assert cell.names == layer.names and _same_bits(cell.order, layer.order)
 
 
 def _same_bits(a, b):
@@ -246,6 +255,20 @@ def test_roots_at_serves_each_point_by_its_route(case, route):
     assert _same_bits(one.values, roots.values[0])
     assert one.closed.shape == () and bool(one.closed) == formulas[0]
     assert isinstance(one.branch_labels, tuple)
+
+
+def test_roots_at_keeps_one_small_sort_order_per_point():
+    # the branch names are stored once; each point carries an int8
+    # permutation, not a row of label objects
+    cfg = _config(StackVariant.MAGNETIC_MONOLAYER, 2, -0.8, 0.6, 0.4)
+    t1, t2 = np.random.default_rng(7).uniform(-np.pi, np.pi, (2, 300))
+    roots = roots_at(cfg, t1, t2)
+    assert roots.names == ("in-", "in+", "out-", "out+")
+    assert roots.order.dtype == np.int8 and roots.order.shape == (300, 4)
+    for i in (0, 150, 299):
+        one = roots_at(cfg, t1[i], t2[i])
+        assert tuple(roots.branch_labels[i]) == one.branch_labels
+        assert one.branch_labels == tuple(roots.names[k] for k in one.order)
 
 
 def _count_closed_form_calls(monkeypatch):

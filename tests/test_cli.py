@@ -151,19 +151,51 @@ class TestConfig:
         assert code == 1
         assert "stack.t0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stack", [
-        {"variant": "monolayer", "alpha_a": 1e200, "alpha_b": -1.0},
-        {"variant": "trilayer_hbn_g_hbn", "alpha_a": 1e200,
-         "alpha_b": -1e200, "t0": 0.5},
+    @pytest.mark.parametrize("command,stack", [
+        # alpha inside the bound: the q = 2 quartic's (alpha_N alpha_B - 3) ** 2
+        ("magnetic", {"variant": "magnetic_monolayer", "alpha_a": 1e100,
+                      "alpha_b": 1e100, "flux_p": 1, "flux_q": 2}),
+        ("classify", {"variant": "trilayer_hbn_g_hbn", "alpha_a": 1e100,
+                      "alpha_b": -1e100, "t0": 0.5}),
     ], ids=["python-overflow", "numpy-overflow"])
-    def test_overflow_is_numerical_failure(self, tmp_path, capsys, stack):
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys, command,
+                                           stack):
         cfg = _write_config(tmp_path, stack=stack)
-        code, _ = _run(tmp_path, "classify", cfg)
+        code, _ = _run(tmp_path, command, cfg)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("hexband: numerical failure:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["classify", "magnetic"])
+    def test_alpha_beyond_the_bound_is_config_error(self, tmp_path, capsys,
+                                                    command):
+        # it overflowed the closed forms' squares (exit 2, naming no field)
+        cfg = _write_config(tmp_path, stack={"variant": "monolayer",
+                                             "alpha_a": 1e200, "alpha_b": -1.0})
+        code, _ = _run(tmp_path, command, cfg)
+        assert code == 1
+        assert "stack.alpha_a" in capsys.readouterr().err
+        load_run_config(_write_config(tmp_path, stack={
+            "variant": "monolayer", "alpha_a": 1e100, "alpha_b": -1e100}))
+
+    @pytest.mark.parametrize("stack,field", [
+        ({"variant": "monolayer", "alpha_c": 0.7}, "stack.alpha_c"),
+        ({"variant": "bilayer_aa", "t0": 0.5, "t_a": 0.9}, "stack.t_a"),
+        ({"variant": "bilayer_aa", "t0": 0.5, "alpha_c": 0.1}, "stack.alpha_c"),
+        ({"variant": "bilayer_aa_two_param", "t_a": 0.5, "t_b": 0.4,
+          "t0": 0.3}, "stack.t0"),
+        ({"variant": "magnetic_monolayer", "flux_p": 1, "flux_q": 2,
+          "t0": 0.3}, "stack.t0"),
+    ], ids=["monolayer-alpha_c", "bilayer_aa-t_a", "bilayer_aa-alpha_c",
+            "two_param-t0", "magnetic-t0"])
+    def test_setting_the_variant_does_not_read_is_config_error(
+            self, tmp_path, capsys, stack, field):
+        cfg = _write_config(tmp_path, stack=stack)
+        code, _ = _run(tmp_path, "classify", cfg)
+        assert code == 1
+        assert field in capsys.readouterr().err
 
     def test_sampled_potential_parses(self, tmp_path):
         x = list(np.linspace(0.0, 1.0, 21))

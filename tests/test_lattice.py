@@ -7,6 +7,7 @@ import pytest
 
 import frozen
 from hexband import (
+    ConfigError,
     CouplingParams,
     FluxSpec,
     GridError,
@@ -20,6 +21,7 @@ from hexband import (
     structure_function,
     structure_function_squared,
 )
+from hexband.lattice import LAYOUTS
 
 
 # ============================================================
@@ -144,6 +146,38 @@ def test_stack_dims():
                        coupling=CouplingParams(t0=0.3)).dim == 6
     assert StackConfig(StackVariant.MAGNETIC_MONOLAYER,
                        flux=FluxSpec(1, 2)).dim == 4
+
+
+def test_layouts_give_settings_and_closed_form_domain():
+    fields = {v: LAYOUTS[v].fields for v in StackVariant}
+    assert fields[StackVariant.MONOLAYER] == {"alpha_a", "alpha_b"}
+    assert fields[StackVariant.MAGNETIC_MONOLAYER] == {"alpha_a", "alpha_b"}
+    assert fields[StackVariant.BILAYER_AA] == {"alpha_a", "alpha_b", "t0"}
+    assert fields[StackVariant.BILAYER_AA_TWO_PARAM] == {"alpha_a", "alpha_b",
+                                                         "t_a", "t_b"}
+    assert fields[StackVariant.HETERO_BILAYER] == {"alpha_a", "alpha_b",
+                                                   "alpha_c", "t0"}
+    paired = {v for v in StackVariant if LAYOUTS[v].paired}
+    assert paired == {StackVariant.HETERO_BILAYER, StackVariant.TRILAYER_HBN_G_HBN,
+                      StackVariant.TRILAYER_G_HBN_G}
+    # every vertex of a layout lies in one of its layers
+    for layout in LAYOUTS.values():
+        assert all(max(i, j) < 2 * len(layout.layers) for i, j, _ in layout.bonds)
+
+
+@pytest.mark.parametrize("variant,coupling,field", [
+    (StackVariant.MONOLAYER, CouplingParams(t0=0.3), "t0"),
+    (StackVariant.BILAYER_AA, CouplingParams(t0=0.3, t_a=0.9), "t_a"),
+    (StackVariant.BILAYER_AA_TWO_PARAM, CouplingParams(t0=0.3, t_a=0.5, t_b=0.4),
+     "t0"),
+    (StackVariant.BILAYER_AA_TWO_PARAM, CouplingParams(t_a=0.5), "t_b"),
+    (StackVariant.TRILAYER_G_HBN_G, None, "t0"),
+])
+def test_stack_config_names_a_coupling_its_layout_does_not_match(variant, coupling,
+                                                                 field):
+    with pytest.raises(InputError, match=field) as info:
+        StackConfig(variant, coupling=coupling)
+    assert isinstance(info.value, ConfigError)
 
 
 def test_quasimomentum_tuple():
