@@ -184,7 +184,7 @@ def sample_diagonal(config: StackConfig, n: int = 501,
     """
     theta = diagonal_slice(n)
     roots = roots_at(config, theta, -theta, route=route)
-    labelled = len(roots.branch_labels) > 0
+    labelled = len(roots.names) > 0
     return DispersionSurface(
         config=config, theta=theta, values=roots.values,
         labels=roots.branch_labels if labelled else None,

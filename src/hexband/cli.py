@@ -13,8 +13,9 @@ Configuration is a single JSON document, versioned by a mandatory
     }
 
 Unknown keys are rejected recursively.  ``stack`` accepts ``variant``,
-``alpha_a``/``alpha_b``/``alpha_c``, the couplings ``t0``/``t_a``/``t_b``,
-and ``flux_p``/``flux_q`` for the magnetic variant.  ``potential`` accepts
+``alpha_a``/``alpha_b``/``alpha_c`` (|alpha| <= 1e100), the couplings
+``t0``/``t_a``/``t_b``, and ``flux_p``/``flux_q`` for the magnetic variant;
+a setting the variant's layout does not read is rejected.  ``potential`` accepts
 ``{"kind": "zero"}``, ``{"kind": "file", "path": ...}`` (two-column text),
 or ``{"kind": "sampled", "x": [...], "values": [...]}``.  ``outputs`` lists
 extra artifacts from {bands, report, spectrum, plot} to emit alongside the

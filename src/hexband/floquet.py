@@ -44,6 +44,7 @@ work in the same process would then depend on which batches ran before.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -79,12 +80,13 @@ class FloquetMatrix:
 class DispersionRoots:
     """eta roots at one quasimomentum (or a batch), ascending, with branch bookkeeping.
 
-    For a batch of N points ``values`` and ``admissible`` are (N, dim).
-    ``admissible`` is |eta| <= 1 (+ tolerance), derived on access.  ``closed`` marks the points whose roots came from the closed forms: (N,)
-    for a batch, a 0-d array for one point.  Closed-form roots carry their
-    model's branch ``names`` once and, per point, the ``order`` that sorted
-    the formula columns: sorted root k is branch ``names[order[..., k]]``.
-    Numeric-only roots have no names and no order.
+    For a batch of N points ``values`` and ``admissible`` (|eta| <= 1 +
+    tolerance, derived on access) are (N, dim).  ``closed`` marks the points
+    whose roots came from the closed forms: (N,) for a batch, a 0-d array for
+    one point.  Closed-form roots carry their model's branch ``names`` once
+    and, per point, the ``order`` that sorted the formula columns: sorted
+    root k is branch ``names[order[..., k]]``.  Numeric-only roots have no
+    names and no order.
     """
 
     values: np.ndarray                       # sorted ascending along the last axis
@@ -177,13 +179,13 @@ def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
     weights).
     """
     layout = config.layout
-    if config.dim != 2 * len(layout.layers):
+    dim = 2 * len(layout.layers)
+    if config.dim != dim:
         raise VariantError("the q = 2 flux cell is the magnetic module's "
                            "(assemble_robin, closed_form_roots_q2)")
     t1, t2, scalar = _theta_batch(theta1, theta2)
     F = structure_function(t1, t2)
     Fc = np.conj(F)
-    dim = config.dim
     rows = [[0.0] * dim for _ in range(dim)]
     for k, role in enumerate(layout.layers):
         a, b = 2 * k, 2 * k + 1
@@ -196,7 +198,7 @@ def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
         rows[i][j] = rows[j][i] = c
         weights[i] += c
         weights[j] += c
-    return _floquet_matrix(rows, 3.0 + np.array(weights), len(t1), scalar)
+    return _floquet_matrix(rows, np.array([3.0 + w for w in weights]), len(t1), scalar)
 
 
 # ============================================================
@@ -335,28 +337,23 @@ def _require_opposite_pair(vertex) -> None:
         )
 
 
-# Each formula takes the config and F (the real f = F on the diagonal slice
-# for the paired stacks) and returns one root column per branch name.
+# Each formula takes alpha_a, alpha_b, F (the real f = F on the diagonal
+# slice for the paired stacks) and the squared couplings in the order the
+# layout's bonds first name them, and returns one root column per branch name.
 
-def _monolayer(config, F):
-    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
+def _monolayer(aa, ab, F):
     disc = np.sqrt((aa - ab) ** 2 + 4.0 * _abs_sq(F))
     return (-(aa + ab) - disc) / 6.0, (-(aa + ab) + disc) / 6.0
 
 
-def _bilayer_aa(config, F):
-    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
-    c = config.coupling.t0 ** 2
+def _bilayer_aa(aa, ab, F, c):
     T = 3.0 + c
     disc = np.sqrt((aa - ab) ** 2 + 4.0 * _abs_sq(F))
     return [(-(aa + ab) + 2.0 * s * c + u * disc) / (2.0 * T)
             for s in (1.0, -1.0) for u in (1.0, -1.0)]
 
 
-def _bilayer_two_param(config, F):
-    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
-    ca = config.coupling.t_a ** 2
-    cb = config.coupling.t_b ** 2
+def _bilayer_two_param(aa, ab, F, ca, cb):
     Ta, Tb = 3.0 + ca, 3.0 + cb
     fsq = _abs_sq(F)
     columns = []
@@ -367,9 +364,7 @@ def _bilayer_two_param(config, F):
     return columns
 
 
-def _bilayer_prime(config, F):
-    aa, ab = config.vertex.alpha_a, config.vertex.alpha_b
-    c = config.coupling.t0 ** 2
+def _bilayer_prime(aa, ab, F, c):
     T = 3.0 + c
     columns = []
     for s in (1.0, -1.0):
@@ -378,9 +373,7 @@ def _bilayer_prime(config, F):
     return columns
 
 
-def _hetero_bilayer(config, f):
-    aa = config.vertex.alpha_a
-    c = config.coupling.t0 ** 2
+def _hetero_bilayer(aa, ab, f, c):
     T = 3.0 + c
     F2 = f * f
     a2 = aa * aa
@@ -390,16 +383,14 @@ def _hetero_bilayer(config, f):
     return -r_out, -r_in, r_in, r_out
 
 
-def _trilayer(config, f):
-    aa = config.vertex.alpha_a
-    c = config.coupling.t0 ** 2
+def _trilayer(aa, ab, f, c, outer_decorated):
     T1, T2 = 3.0 + c, 3.0 + 2.0 * c
     F2 = f * f
     a2 = aa * aa
-    if config.layout.layers[0] == "ab":      # decorated outer layers
+    if outer_decorated:         # hBN-G-hBN
         p2 = np.sqrt(a2 + F2) / T1
         mid = a2 * T2 * T2
-    else:                                    # decorated middle layer
+    else:                       # G-hBN-G
         p2 = np.abs(f) / T1
         mid = a2 * T1 * T1
     A = T1 * T1 * T2 * T2
@@ -421,8 +412,10 @@ _FORMULAS = {
                                         _bilayer_two_param),
     StackVariant.BILAYER_AA_PRIME: (("s+u-", "s+u+", "s-u-", "s-u+"), _bilayer_prime),
     StackVariant.HETERO_BILAYER: (("out-", "in-", "in+", "out+"), _hetero_bilayer),
-    StackVariant.TRILAYER_HBN_G_HBN: (_TRILAYER_NAMES, _trilayer),
-    StackVariant.TRILAYER_G_HBN_G: (_TRILAYER_NAMES, _trilayer),
+    StackVariant.TRILAYER_HBN_G_HBN: (_TRILAYER_NAMES,
+                                      partial(_trilayer, outer_decorated=True)),
+    StackVariant.TRILAYER_G_HBN_G: (_TRILAYER_NAMES,
+                                    partial(_trilayer, outer_decorated=False)),
     StackVariant.MAGNETIC_MONOLAYER: (("u-", "u+"), _monolayer),   # the q = 1 cell
 }
 
@@ -442,7 +435,10 @@ def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
         _require_opposite_pair(config.vertex)
         F = _require_diagonal(F)
     names, formula = _FORMULAS[config.variant]
-    values = np.stack(formula(config, F), axis=-1)
+    fields = dict.fromkeys(name for _, _, name in config.layout.bonds)
+    squares = [getattr(config.coupling, name) ** 2 for name in fields]
+    alphas = config.vertex.alpha_a, config.vertex.alpha_b
+    values = np.stack(formula(*alphas, F, *squares), axis=-1)
     roots = _make_roots(values[0] if scalar else values, names)
     _check_residuals(assemble(config, t1, t2), roots.values)
     return roots

@@ -258,8 +258,8 @@ def test_roots_at_serves_each_point_by_its_route(case, route):
 
 
 def test_roots_at_keeps_one_small_sort_order_per_point():
-    # the branch names are stored once; each point carries an int8
-    # permutation, not a row of label objects
+    # the branch names are stored once, and each point carries an int8
+    # permutation of them
     cfg = _config(StackVariant.MAGNETIC_MONOLAYER, 2, -0.8, 0.6, 0.4)
     t1, t2 = np.random.default_rng(7).uniform(-np.pi, np.pi, (2, 300))
     roots = roots_at(cfg, t1, t2)

@@ -171,7 +171,7 @@ class TestConfig:
     @pytest.mark.parametrize("command", ["classify", "magnetic"])
     def test_alpha_beyond_the_bound_is_config_error(self, tmp_path, capsys,
                                                     command):
-        # it overflowed the closed forms' squares (exit 2, naming no field)
+        # the closed forms square alpha; past 1e100 a float could overflow
         cfg = _write_config(tmp_path, stack={"variant": "monolayer",
                                              "alpha_a": 1e200, "alpha_b": -1.0})
         code, _ = _run(tmp_path, command, cfg)

@@ -7,7 +7,6 @@ import pytest
 
 import frozen
 from hexband import (
-    ConfigError,
     CouplingParams,
     FluxSpec,
     GridError,
@@ -136,6 +135,15 @@ def test_stack_config_validation():
         StackConfig(StackVariant.MAGNETIC_MONOLAYER)
     with pytest.raises(InputError):
         StackConfig(StackVariant.MAGNETIC_MONOLAYER, flux=FluxSpec(1, 3))
+    # a coupling the layout does not read is named, not ignored
+    with pytest.raises(InputError, match="t_a"):
+        StackConfig(StackVariant.BILAYER_AA, coupling=CouplingParams(t0=0.3, t_a=0.9))
+    with pytest.raises(InputError, match="t0"):
+        StackConfig(StackVariant.BILAYER_AA_TWO_PARAM,
+                    coupling=CouplingParams(t0=0.3, t_a=0.5, t_b=0.4))
+    with pytest.raises(InputError, match="t0"):
+        StackConfig(StackVariant.MAGNETIC_MONOLAYER, coupling=CouplingParams(t0=0.3),
+                    flux=FluxSpec(1, 2))
 
 
 def test_stack_dims():
@@ -163,21 +171,6 @@ def test_layouts_give_settings_and_closed_form_domain():
     # every vertex of a layout lies in one of its layers
     for layout in LAYOUTS.values():
         assert all(max(i, j) < 2 * len(layout.layers) for i, j, _ in layout.bonds)
-
-
-@pytest.mark.parametrize("variant,coupling,field", [
-    (StackVariant.MONOLAYER, CouplingParams(t0=0.3), "t0"),
-    (StackVariant.BILAYER_AA, CouplingParams(t0=0.3, t_a=0.9), "t_a"),
-    (StackVariant.BILAYER_AA_TWO_PARAM, CouplingParams(t0=0.3, t_a=0.5, t_b=0.4),
-     "t0"),
-    (StackVariant.BILAYER_AA_TWO_PARAM, CouplingParams(t_a=0.5), "t_b"),
-    (StackVariant.TRILAYER_G_HBN_G, None, "t0"),
-])
-def test_stack_config_names_a_coupling_its_layout_does_not_match(variant, coupling,
-                                                                 field):
-    with pytest.raises(InputError, match=field) as info:
-        StackConfig(variant, coupling=coupling)
-    assert isinstance(info.value, ConfigError)
 
 
 def test_quasimomentum_tuple():
