@@ -72,8 +72,8 @@ from .errors import (
 from .floquet import chunk_slices
 from .hill import MAGNUS_TOL, PotentialSpec, bands_from_root_surface
 from .lattice import (
-    CouplingParams,
     LAYOUTS,
+    CouplingParams,
     FluxSpec,
     StackConfig,
     StackVariant,
@@ -189,13 +189,14 @@ def _parse_stack(raw: dict) -> StackConfig:
             f"{variant.value} (its settings: {', '.join(sorted(reads))})")
     values = {name: _as_float(data[name], f"stack.{name}")
               for name in sorted(reads) if name in data}
-    for name, value in values.items():
-        # beyond this the closed forms' squares of alpha overflow a float
-        if name.startswith("alpha_") and abs(value) > 1e100:
+    alphas = {k: v for k, v in values.items() if k.startswith("alpha_")}
+    couplings = {k: v for k, v in values.items() if k not in alphas}
+    for name, value in alphas.items():
+        # the closed forms square alpha, and a float ** 2 raises past ~1.3e154
+        if abs(value) > 1e100:
             raise ConfigError(
                 f"config field 'stack.{name}' = {value!r} exceeds 1e100 in magnitude")
-    vertex = VertexParams(**{k: v for k, v in values.items() if k.startswith("alpha_")})
-    couplings = {k: v for k, v in values.items() if not k.startswith("alpha_")}
+    vertex = VertexParams(**alphas)
     coupling = CouplingParams(**couplings) if couplings else None
     flux = None
     if "flux_p" in data or "flux_q" in data:
@@ -506,7 +507,8 @@ def _report_header(run: RunConfig, title: str) -> list[str]:
     lines = [f"# hexband {title}",
              f"tool: hexband {__version__}",
              f"variant: {run.stack.variant.value}"]
-    lines += [f"{name}: {_rr(value)}" for name, value in _stack_numbers(run.stack).items()]
+    lines += [f"{name}: {_rr(value)}"
+              for name, value in _stack_numbers(run.stack).items()]
     if run.stack.flux is not None:
         lines.append(f"flux: {run.stack.flux.p}/{run.stack.flux.q}")
     return lines

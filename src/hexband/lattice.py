@@ -177,8 +177,8 @@ class StackConfig:
     def __post_init__(self) -> None:
         v = self.variant
         wanted = {name for _, _, name in self.layout.bonds}
-        given = {name for name, value in vars(self.coupling or CouplingParams()).items()
-                 if value is not None}
+        couplings = vars(self.coupling or CouplingParams()).items()
+        given = {name for name, value in couplings if value is not None}
         if given - wanted:
             raise InputError(f"{v.value} does not read the coupling "
                              f"{' or '.join(sorted(given - wanted))}")

@@ -152,7 +152,8 @@ class TestConfig:
         assert "stack.t0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,stack", [
-        # alpha inside the bound: the q = 2 quartic's (alpha_N alpha_B - 3) ** 2
+        # alpha inside the 1e100 bound still overflows: in Python in the q = 2
+        # quartic's (alpha_N alpha_B - 3) ** 2, in numpy in the trilayer's roots
         ("magnetic", {"variant": "magnetic_monolayer", "alpha_a": 1e100,
                       "alpha_b": 1e100, "flux_p": 1, "flux_q": 2}),
         ("classify", {"variant": "trilayer_hbn_g_hbn", "alpha_a": 1e100,
