@@ -322,6 +322,11 @@ _FLUX_Q1 = {"variant": "magnetic_monolayer", "alpha_a": -0.5, "alpha_b": 0.9,
 _FLUX_Q2 = dict(_FLUX_Q1, flux_q=2)
 _FULL_21 = {"kind": "full", "n": 21}
 _DIAGONAL_201 = {"kind": "diagonal", "n": 201}
+_DIAGONAL_501 = {"kind": "diagonal", "n": 501}
+_AA_PRIME_FLAT = {"variant": "bilayer_aa_prime", "alpha_a": 0.0, "alpha_b": 0.0,
+                  "t0": 1.0}
+_FLUX_Q2_CONE = {"variant": "magnetic_monolayer", "alpha_a": -1.0,
+                 "alpha_b": -1.0, "flux_p": 1, "flux_q": 2}
 GOLDEN = [
     pytest.param(
         "bands", {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
@@ -412,6 +417,31 @@ GOLDEN = [
                      "t0": 0.6}, {"kind": "diagonal", "n": 501}, "report.txt",
         "77fe03eb829441d2af12ca13843d267fa446fdb5c8c98bf76a916d61ad0819f6",
         id="report.txt-bilayer_aa"),
+    # records the rows above leave unpinned: a parabolic contact (with
+    # crossings and a cone), cones on the eigensolver route, the plot's
+    # markers, and a cone in each reduced zone
+    pytest.param(
+        "classify", _AA_PRIME_FLAT, _DIAGONAL_501, "report.txt",
+        "3f0679ada862ed08d2bb78708c83d110da0508164f4e8c094ecf19577688fb9d",
+        id="report.txt-bilayer_aa_prime-parabolic"),
+    pytest.param(
+        "classify", {"variant": "trilayer_hbn_g_hbn", "alpha_a": 1.0,
+                     "alpha_b": 1.0, "t0": 1.0}, _DIAGONAL_501, "report.txt",
+        "993cd4151bad7141caa8500ec26a2af165a4486fda5b144ac121a74d4b164176",
+        id="report.txt-trilayer_hbn_g_hbn-numeric"),
+    pytest.param(
+        "plot", _AA_PRIME_FLAT, _DIAGONAL_501, "bands.svg",
+        "ce965ac30e042c4407824e8c9045cb4ece5ce3e6c33c907f6065e16cf7a77c05",
+        id="bands.svg-bilayer_aa_prime"),
+    pytest.param(
+        "magnetic", _FLUX_Q2_CONE, {"kind": "diagonal", "n": 101}, "magnetic.txt",
+        "016601597d78084b1c2d776765045bb564200db9478797b0e2be40a7b949c1fe",
+        id="magnetic.txt-q2-cone"),
+    pytest.param(
+        "magnetic", dict(_FLUX_Q2_CONE, flux_q=1), {"kind": "diagonal", "n": 101},
+        "magnetic.txt",
+        "fbd6cb521dc50c214560b7165c637b200f71072aeb9d851a2fbf801c4d4519fe",
+        id="magnetic.txt-q1-cone"),
 ]
 
 
