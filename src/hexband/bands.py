@@ -4,11 +4,13 @@ diagonal slice.  Every sweep of the package evaluates through ``roots_at``.
 All touch analysis happens on the anti-diagonal slice theta2 = -theta1 of the
 Brillouin zone, where the structure function F = 1 + 2 cos(theta1) is real and
 sweeps [-1, 3].  For each pair of adjacent (sorted) dispersion branches the
-classifier locates every local minimum of the separation, refines it, and
-issues one report per minimum:
+classifier locates every local minimum of the separation and refines it
+(``refine.bounded_minima``); ``refine.classify_minima``, the stage the
+magnetic zone classifier shares, issues one report per minimum:
 
-* ``cone``       — separation reaches zero with nonzero one-sided slopes and
-                   no branch relabeling across the touch;
+* ``cone``       — separation reaches zero with a one-sided slope of
+                   magnitude above tol_slope and no branch relabeling
+                   across the touch;
 * ``parabolic``  — separation reaches zero with vanishing slopes (quadratic
                    contact);
 * ``crossing``   — separation reaches zero but the labeled branches trade
@@ -23,6 +25,7 @@ like a cone and is reported as one (documented convention).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +52,16 @@ from .refine import (
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
     TouchReport,
-    _CURV_STEP,
-    _SLOPE_STEP,
     bounded_minima,
+    classify_minima,
+    pair_separations,
+    wrap_theta,
 )
 
 MIN_CLASSIFY_SAMPLES = 201     # coarser diagonal scans miss narrow features
 FLAT_SEP_TOL = 1e-12           # constant-separation profiles get one record
 _REFINE_XATOL = 1e-12          # bounded-minimization tolerance in theta
-_DEDUP_THETA = 1e-7            # refined minima closer than this coincide
+_DIAGONAL_DIR = np.array([1.0, -1.0])   # probes along the slice theta2 = -theta1
 PROMINENCE_TOL = 1e-10         # minima must rise this far above the floor;
                                # filters machine-level wobble on piecewise-
                                # constant separation plateaus
@@ -171,8 +175,8 @@ class DispersionSurface:
         """Adjacent-branch separations, shape (n, dim - 1)."""
         return np.diff(self.values, axis=1)
 
-    def roots_at(self, theta1: float) -> DispersionRoots:
-        return roots_at(self.config, theta1, -theta1, route=self.route)
+    def roots_at(self, theta1, theta2=None) -> DispersionRoots:
+        return roots_at(self.config, theta1, theta2, route=self.route)
 
 
 def sample_diagonal(config: StackConfig, n: int = 501,
@@ -238,96 +242,6 @@ def _is_prominent(y: np.ndarray, i: int, eps: float) -> bool:
     return True
 
 
-def _wrap_theta(t: float) -> float:
-    t = (t + np.pi) % (2.0 * np.pi) - np.pi
-    return float(t)
-
-
-def _pair_separations(surface: DispersionSurface, theta: np.ndarray,
-                      pairs: np.ndarray) -> np.ndarray:
-    """Separation of sorted branches pairs[k], pairs[k] + 1 at theta[k]."""
-    values = surface.roots_at(theta).values
-    rows = np.arange(len(theta))
-    return values[rows, pairs + 1] - values[rows, pairs]
-
-
-def _classify_minima(surface: DispersionSurface,
-                     minima: list[tuple[int, float, float]], tol_touch: float,
-                     tol_slope: float) -> list[TouchReport]:
-    """Classify refined minima (pair, theta_star, sep_star).
-
-    Each stage of the probes (roots at the minimum, the crossing test,
-    one-sided slopes, curvature) is one batch over all minima that reach it.
-    """
-    pairs = np.array([m[0] for m in minima])
-    t = np.array([m[1] for m in minima])
-    k = len(minima)
-    center = surface.roots_at(t).values
-    touch = [not m[2] > tol_touch for m in minima]
-
-    # crossing: the labeled branches forming the sorted pair trade order
-    # across the touch (needs labeled, closed-form branches)
-    crossing = [False] * k
-    if surface.labels is not None and any(touch):
-        at = [i for i in range(k) if touch[i]]
-        sides = surface.roots_at(np.concatenate([t[at] - _SLOPE_STEP,
-                                                 t[at] + _SLOPE_STEP]))
-        for j, i in enumerate(at):
-            left = sides.branch_labels[j]
-            la, lb = left[pairs[i]], left[pairs[i] + 1]
-            pos = {lab: c for c, lab in enumerate(sides.branch_labels[len(at) + j])}
-            right = sides.values[len(at) + j]
-            # on the left, label la sits strictly below lb by construction
-            crossing[i] = bool(right[pos[la]] - right[pos[lb]] > 0.0)
-
-    # secant slopes taken strictly on each side of the contact point, so a
-    # refinement offset of a few 1e-9 in theta_star cannot bias them
-    slopes = {}
-    sloped = [i for i in range(k) if touch[i] and not crossing[i]]
-    if sloped:
-        offsets = (-2.0 * _SLOPE_STEP, -_SLOPE_STEP, 2.0 * _SLOPE_STEP, _SLOPE_STEP)
-        seps = _pair_separations(
-            surface, np.concatenate([t[sloped] + d for d in offsets]),
-            np.tile(pairs[sloped], len(offsets))).reshape(len(offsets), -1)
-        for j, i in enumerate(sloped):
-            slopes[i] = ((float(seps[0, j]) - float(seps[1, j])) / _SLOPE_STEP,
-                         (float(seps[2, j]) - float(seps[3, j])) / _SLOPE_STEP)
-    curved = {}
-    flat = [i for i in sloped if not max(slopes[i]) > tol_slope]
-    if flat:
-        seps = _pair_separations(
-            surface, np.concatenate([t[flat] + _CURV_STEP, t[flat] - _CURV_STEP]),
-            np.tile(pairs[flat], 2)).reshape(2, -1)
-        for j, i in enumerate(flat):
-            curved[i] = (float(seps[0, j]) - 2.0 * minima[i][2]
-                         + float(seps[1, j])) / _CURV_STEP ** 2
-
-    reports = []
-    for i, (pair, theta_star, sep_star) in enumerate(minima):
-        value = 0.5 * float(center[i, pair] + center[i, pair + 1])
-        f_val = float(structure_function(theta_star, -theta_star).real)
-        base = dict(band_pair=(pair, pair + 1), theta1=theta_star,
-                    theta2=-theta_star, f_value=f_val, value=value,
-                    separation=sep_star)
-        if not touch[i]:
-            reports.append(TouchReport(kind="gap", gap_width=sep_star, gamma=None,
-                                       curvature=None, **base))
-        elif crossing[i]:
-            reports.append(TouchReport(kind="crossing", gap_width=None, gamma=None,
-                                       curvature=None, **base))
-        elif i not in curved:
-            # linear contact: each branch moves at half the separation slope
-            slope_left, slope_right = slopes[i]
-            gamma = (abs(slope_left) + abs(slope_right)) / 4.0
-            reports.append(TouchReport(kind="cone", gap_width=None, gamma=gamma,
-                                       curvature=None, **base))
-        else:
-            reports.append(TouchReport(kind="parabolic", gap_width=None,
-                                       gamma=None, curvature=0.5 * curved[i],
-                                       **base))
-    return reports
-
-
 def classify_touches(surface: DispersionSurface,
                      tol_touch: float = DEFAULT_TOL_TOUCH,
                      tol_slope: float = DEFAULT_TOL_SLOPE
@@ -348,7 +262,7 @@ def classify_touches(surface: DispersionSurface,
     theta = surface.theta
     h = theta[1] - theta[0]
     seps = surface.separations()
-    reports: list[TouchReport] = []
+    flat: list[TouchReport] = []
     brackets: list[tuple[int, int]] = []     # (pair, grid index)
     for pair in range(surface.dim - 1):
         profile = seps[:, pair]
@@ -357,7 +271,7 @@ def classify_touches(surface: DispersionSurface,
             mid = surface.n_samples // 2
             value = 0.5 * float(surface.values[mid, pair]
                                 + surface.values[mid, pair + 1])
-            reports.append(TouchReport(
+            flat.append(TouchReport(
                 kind="gap", band_pair=(pair, pair + 1), theta1=None,
                 theta2=None, f_value=None, value=value, separation=width,
                 gap_width=width, gamma=None, curvature=None, flat=True))
@@ -366,24 +280,21 @@ def classify_touches(surface: DispersionSurface,
         periodic = profile[:-1]
         brackets += [(pair, int(i)) for i in _local_min_indices(periodic)
                      if _is_prominent(periodic, i, PROMINENCE_TOL)]
-    if brackets:
-        pairs = np.array([pair for pair, _ in brackets])
-        centers = theta[[i for _, i in brackets]]
-        t_refined, s_refined = bounded_minima(
-            lambda x, lanes: _pair_separations(surface, x, pairs[lanes]),
-            centers - h, centers + h, _REFINE_XATOL)
-        minima: list[tuple[int, float, float]] = []
-        for (pair, _), t_star, s_star in zip(brackets, t_refined.tolist(),
-                                             s_refined.tolist()):
-            t_star = _wrap_theta(t_star)
-            if any(p == pair and abs(_wrap_theta(t_star - t0)) < _DEDUP_THETA
-                   for p, t0, _ in minima):
-                continue
-            minima.append((pair, t_star, s_star))
-        reports += _classify_minima(surface, minima, tol_touch, tol_slope)
-    reports.sort(key=lambda r: (r.band_pair, np.inf if r.theta1 is None
-                                else r.theta1))
-    return tuple(reports)
+    if not brackets:
+        return tuple(flat)
+    pairs = np.array([pair for pair, _ in brackets])
+    centers = theta[[i for _, i in brackets]]
+    t_refined, s_refined = bounded_minima(
+        lambda x, lanes: pair_separations(surface.roots_at, x, -x, pairs[lanes]),
+        centers - h, centers + h, _REFINE_XATOL)
+    minima = [(pair, t, -t, s) for pair, t, s in zip(
+        pairs.tolist(), map(wrap_theta, t_refined.tolist()), s_refined.tolist())]
+    reports = classify_minima(
+        surface.roots_at, minima, _DIAGONAL_DIR, tol_touch, tol_slope,
+        [float(structure_function(t1, t2).real) for _, t1, t2, _ in minima],
+        crossings=surface.labels is not None)
+    # a pair has a flat record or refined minima, never both
+    return tuple(heapq.merge(flat, reports, key=lambda r: r.band_pair))
 
 
 # ============================================================

@@ -307,8 +307,13 @@ def _stack_numbers(stack: StackConfig) -> dict:
     return {name: value for name, value in numbers.items() if value is not None}
 
 
+def _stack_settings(stack: StackConfig) -> dict:
+    """The numbers of the stack that its layout reads, in config order."""
+    return {k: v for k, v in _stack_numbers(stack).items() if k in stack.layout.fields}
+
+
 def _config_echo(run: RunConfig) -> dict:
-    stack: dict = {"variant": run.stack.variant.value, **_stack_numbers(run.stack)}
+    stack: dict = {"variant": run.stack.variant.value, **_stack_settings(run.stack)}
     if run.stack.flux is not None:
         stack["flux_p"] = run.stack.flux.p
         stack["flux_q"] = run.stack.flux.q
@@ -393,15 +398,18 @@ def _grid_thetas(run: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _require_diagonal_slice(run: RunConfig, artifact: str) -> None:
     """Every artifact but bands.csv samples the diagonal slice of a
-    non-magnetic stack; checked before anything is written."""
-    if run.stack.variant is StackVariant.MAGNETIC_MONOLAYER:
+    non-magnetic stack, and magnetic.txt the reduced zone of a magnetic one;
+    checked before anything is written."""
+    zone = artifact == "magnetic.txt"
+    if (run.stack.variant is StackVariant.MAGNETIC_MONOLAYER) != zone:
         raise ConfigError(
-            f"{artifact} samples the diagonal slice of non-magnetic stacks; "
-            "use the 'magnetic' subcommand for flux runs"
+            f"{artifact} needs a {'' if zone else 'non-'}magnetic stack; the "
+            "'magnetic' subcommand runs magnetic_monolayer stacks alone"
         )
     if run.grid_kind != "diagonal":
+        where = "reduced zone" if zone else "diagonal slice"
         raise ConfigError(
-            f"{artifact} samples the diagonal slice only; grid.kind 'full' "
+            f"{artifact} samples the {where} only; grid.kind 'full' "
             "(--full) serves bands.csv alone"
         )
 
@@ -594,11 +602,6 @@ def _emit_plot(run: RunConfig) -> str:
 
 
 def _emit_magnetic(run: RunConfig) -> str:
-    if run.stack.variant is not StackVariant.MAGNETIC_MONOLAYER:
-        raise ConfigError(
-            "the magnetic subcommand needs stack.variant = "
-            "'magnetic_monolayer' (with flux_p/flux_q)"
-        )
     reports = magnetic_classify(run.stack, n=run.grid_n,
                                 tol_touch=run.tol_touch,
                                 tol_slope=run.tol_slope)
@@ -706,6 +709,7 @@ def _run_gaps(run: RunConfig, outdir: str) -> int:
 
 
 def _run_magnetic(run: RunConfig, outdir: str) -> int:
+    _require_diagonal_slice(run, "magnetic.txt")
     started = time.time()
     _atomic_write_text(os.path.join(outdir, "magnetic.txt"),
                        _emit_magnetic(run))
@@ -786,6 +790,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run = None
     # overflow and invalid arithmetic raise FloatingPointError (exit 2)
     # instead of warning and carrying inf or NaN into the artifacts
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -812,7 +817,10 @@ def main(argv=None) -> int:
             print(f"hexband: validation failure: {exc}", file=sys.stderr)
             return 2
         except (EngineError, OverflowError, FloatingPointError) as exc:
-            print(f"hexband: numerical failure: {exc}", file=sys.stderr)
+            alphas = "" if run is None else " (stack " + ", ".join(
+                f"{k} = {_rr(v)}" for k, v in _stack_settings(run.stack).items()
+                if k.startswith("alpha_")) + ")"
+            print(f"hexband: numerical failure: {exc}{alphas}", file=sys.stderr)
             return 2
         except OSError as exc:
             print(f"hexband: I/O error: {exc}", file=sys.stderr)

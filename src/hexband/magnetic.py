@@ -21,7 +21,8 @@ depend on quasimomentum only through
 
 The four roots come in radical form and the classifier scans the reduced
 half-open zone [0, pi/q) x [-pi/q, pi/q), refining candidate minima by
-bounded simplex descent; conical contact is tested along the locus
+bounded simplex descent; the diagonal slice's probe-and-label stage
+(``refine.classify_minima``) then tests conical contact along the locus
 theta1 = -2 theta2 that carries the G maximum.  On the closure of the q = 2
 zone G ranges over [3 - sqrt(2), 4.5] (maximum at (pi/3, -pi/6), boundary
 minimum at (pi/2, 3 pi/8)); over the whole torus it ranges over [0, 4.5],
@@ -50,9 +51,9 @@ from .refine import (
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
     TouchReport,
-    _CURV_STEP,
-    _SLOPE_STEP,
+    classify_minima,
     nelder_mead_minima,
+    pair_separations,
 )
 
 G_MAX = 4.5                          # at (pi/3, -pi/6) and its symmetry images
@@ -231,14 +232,17 @@ def magnetic_classify(config: StackConfig, n: int = 101,
     Grid-level local minima of each separation are refined by Nelder-Mead
     simplex descent bounded to the zone closure (outside it G leaves the
     zone's value range and the surfaces no longer describe the model);
-    touches are probed along the theta1 = -2 theta2 locus direction (which
-    carries the G maximum transversally enough to expose conical contact).
-    No branch-crossing detection is attempted here.
+    ``refine.classify_minima`` probes touches along the theta1 = -2 theta2
+    locus (which carries the G maximum transversally enough to expose
+    conical contact), without the crossing test.
     """
     flux = _require_magnetic(config)
+
+    def roots(theta1, theta2):
+        return bands.roots_at(config, theta1, theta2)
+
     t1_ax, t2_ax = reduced_zone_grid(flux.q, n)
-    bounds = ((0.0, np.pi / flux.q), (-np.pi / flux.q, np.pi / flux.q))
-    values = bands.roots_at(config, np.repeat(t1_ax, n), np.tile(t2_ax, n)).values
+    values = roots(np.repeat(t1_ax, n), np.tile(t2_ax, n)).values
     seps = np.diff(values, axis=1)
     lanes: list[tuple[int, int, int]] = []     # (pair, i, j)
     for pair in range(config.dim - 1):
@@ -248,83 +252,17 @@ def magnetic_classify(config: StackConfig, n: int = 101,
         return ()
     pairs = np.array([pair for pair, _, _ in lanes])
 
-    def separations(theta: np.ndarray, which: np.ndarray) -> np.ndarray:
-        v = bands.roots_at(config, theta[:, 0], theta[:, 1]).values
-        rows = np.arange(len(theta))
-        return v[rows, pairs[which] + 1] - v[rows, pairs[which]]
+    def separations(theta, which):
+        return pair_separations(roots, theta[:, 0], theta[:, 1], pairs[which])
 
     x0 = np.array([[t1_ax[i], t2_ax[j]] for _, i, j in lanes])
-    lower, upper = np.array(bounds).T
+    lower = np.array([0.0, -np.pi / flux.q])
+    upper = np.array([np.pi / flux.q, np.pi / flux.q])
     # restarting with a fresh simplex guards against premature collapse on
     # conical (non-smooth) minima
     for _ in range(2):
         x0, s_min = nelder_mead_minima(separations, x0, lower, upper,
                                        xatol=_NM_XATOL, fatol=1e-14, maxiter=2000)
-    found: list[tuple[int, float, float, float]] = []
-    for pair, (t1s, t2s), s_star in zip(pairs.tolist(), x0.tolist(),
-                                        s_min.tolist()):
-        if any(p == pair and abs(t1s - a) < 1e-6 and abs(t2s - b) < 1e-6
-               for p, a, b, _ in found):
-            continue
-        found.append((pair, t1s, t2s, s_star))
-    reports = _classify_2d_minima(config, found, tol_touch, tol_slope)
-    reports.sort(key=lambda r: (r.band_pair, r.theta1))
-    return tuple(reports)
-
-
-def _classify_2d_minima(config: StackConfig,
-                        minima: list[tuple[int, float, float, float]],
-                        tol_touch: float, tol_slope: float) -> list[TouchReport]:
-    """Classify refined minima (pair, theta1, theta2, sep_star); each probe
-    stage is one batch over the minima that reach it."""
-    pairs = np.array([m[0] for m in minima])
-    theta = np.array([[m[1], m[2]] for m in minima])
-
-    def separations(points: np.ndarray, which: list[int]) -> np.ndarray:
-        """Separations of minima ``which`` at ``points`` (offsets, minima, 2),
-        one row per offset."""
-        v = bands.roots_at(config, points[..., 0].ravel(),
-                           points[..., 1].ravel()).values
-        rows = np.arange(len(v))
-        p = np.tile(pairs[which], len(points))
-        return (v[rows, p + 1] - v[rows, p]).reshape(len(points), -1)
-
-    center = bands.roots_at(config, theta[:, 0], theta[:, 1]).values
-    touch = [i for i, m in enumerate(minima) if not m[3] > tol_touch]
-    h, hc = _SLOPE_STEP, _CURV_STEP
-    slopes, curved = {}, {}
-    if touch:
-        at = theta[touch]
-        probe = separations(np.stack([at - 2.0 * h * _LOCUS_DIR, at - h * _LOCUS_DIR,
-                                      at + 2.0 * h * _LOCUS_DIR, at + h * _LOCUS_DIR]),
-                            touch)
-        for k, i in enumerate(touch):
-            slopes[i] = ((float(probe[0, k]) - float(probe[1, k])) / h,
-                         (float(probe[2, k]) - float(probe[3, k])) / h)
-    flat = [i for i in touch if not max(abs(v) for v in slopes[i]) > tol_slope]
-    if flat:
-        at = theta[flat]
-        probe = separations(np.stack([at + hc * _LOCUS_DIR, at - hc * _LOCUS_DIR]),
-                            flat)
-        for k, i in enumerate(flat):
-            curved[i] = (float(probe[0, k]) - 2.0 * minima[i][3]
-                         + float(probe[1, k])) / hc ** 2
-
-    reports = []
-    for i, (pair, t1s, t2s, sep_star) in enumerate(minima):
-        value = 0.5 * float(center[i, pair] + center[i, pair + 1])
-        base = dict(band_pair=(pair, pair + 1), theta1=t1s, theta2=t2s,
-                    f_value=None, value=value, separation=sep_star)
-        if i not in slopes:
-            reports.append(TouchReport(kind="gap", gap_width=sep_star, gamma=None,
-                                       curvature=None, **base))
-        elif i not in curved:
-            slope_left, slope_right = slopes[i]
-            gamma = (abs(slope_left) + abs(slope_right)) / 4.0
-            reports.append(TouchReport(kind="cone", gap_width=None, gamma=gamma,
-                                       curvature=None, **base))
-        else:
-            reports.append(TouchReport(kind="parabolic", gap_width=None,
-                                       gamma=None, curvature=0.5 * curved[i],
-                                       **base))
-    return reports
+    minima = [(pair, t1, t2, s) for pair, (t1, t2), s in zip(
+        pairs.tolist(), x0.tolist(), s_min.tolist())]
+    return tuple(classify_minima(roots, minima, _LOCUS_DIR, tol_touch, tol_slope))

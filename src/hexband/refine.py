@@ -22,8 +22,11 @@ lane, so each lane comes out bit for bit as one scipy call would give it:
 An objective ``fn(x, lanes)`` returns the values of the lanes ``lanes`` at
 the points ``x`` (one point, or one row of ``x``, per entry of ``lanes``).
 
-The classifiers' shared record, tolerances and probe steps live here too,
-below ``bands`` and ``magnetic``, which import each other as modules.
+The classifiers' shared stage lives here too, below ``bands`` and
+``magnetic`` (which import each other as modules): ``pair_separations``
+serves both minimizers and the probes, and ``classify_minima`` labels the
+refined minima of the diagonal slice and of the reduced zone alike; the two
+differ only in their roots, probe direction and crossing test.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ _SLOPE_STEP = 1e-6             # one-sided finite-difference step for slopes
                                # (small enough that quadratic contacts stay
                                # below DEFAULT_TOL_SLOPE)
 _CURV_STEP = 1e-3              # central second-difference step for curvature
+_DEDUP_THETA = 1e-7            # refined minima of a pair closer than this coincide
 _BRENT_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
 _BRENT_MAXITER = 100                      # and iteration limit
 
@@ -276,3 +280,96 @@ def brent_roots(fn, lo, hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
         calls[lanes] += 1
     raise EngineError(f"root finder did not converge in {_BRENT_MAXITER} "
                       f"iterations at x={float(xcur[0])!r}")
+
+
+# ============================================================
+#  Classification of refined minima
+# ============================================================
+
+def wrap_theta(t: float) -> float:
+    """The angle t in [-pi, pi)."""
+    return float((t + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+def pair_separations(roots, theta1, theta2, pairs: np.ndarray) -> np.ndarray:
+    """Separation of the sorted branches pairs[k], pairs[k] + 1 at
+    (theta1[k], theta2[k]), from one ``roots`` call."""
+    values = roots(theta1, theta2).values
+    rows = np.arange(len(values))
+    return values[rows, pairs + 1] - values[rows, pairs]
+
+
+def classify_minima(roots, minima, direction, tol_touch: float,
+                    tol_slope: float, f_values=None,
+                    crossings: bool = False) -> list[TouchReport]:
+    """Reports of the refined minima (pair, theta1, theta2, sep_star), sorted
+    by band pair and theta1; minima of a pair less than ``_DEDUP_THETA``
+    apart in both wrapped coordinates count once.  ``roots(theta1, theta2)``
+    gives the sorted roots of a batch, ``f_values`` F at each minimum.
+
+    A separation at most ``tol_touch`` is a touch.  With ``crossings``
+    (labelled branches), a touch whose labelled branches trade order across
+    it is a crossing; another is a cone when a one-sided slope exceeds
+    ``tol_slope`` in absolute value, else parabolic.  Probes lie at
+    theta + d * direction, one ``roots`` call per stage (roots at the
+    minima, crossing test, slopes, curvature) over the minima reaching it.
+    """
+    kept = []
+    for m, f in zip(minima, f_values or [None] * len(minima)):
+        if not any(k[0] == m[0] and abs(wrap_theta(m[1] - k[1])) < _DEDUP_THETA
+                   and abs(wrap_theta(m[2] - k[2])) < _DEDUP_THETA for k, _ in kept):
+            kept.append((m, f))
+    pairs = np.array([m[0] for m, _ in kept])
+    theta = np.array([[m[1], m[2]] for m, _ in kept])
+
+    def points(which: list[int], offsets: tuple[float, ...]) -> np.ndarray:
+        """theta1 and theta2 rows of theta + d * direction, d by d."""
+        return np.concatenate([theta[which] + d * direction for d in offsets]).T
+
+    def separations(which: list[int], offsets: tuple[float, ...]) -> np.ndarray:
+        return pair_separations(roots, *points(which, offsets),
+                                np.tile(pairs[which], len(offsets))
+                                ).reshape(len(offsets), -1)
+
+    center = roots(theta[:, 0], theta[:, 1]).values
+    touch = [i for i, (m, _) in enumerate(kept) if not m[3] > tol_touch]
+    crossing = set()
+    if crossings and touch:
+        sides = roots(*points(touch, (-_SLOPE_STEP, _SLOPE_STEP)))
+        labels, k = sides.branch_labels, len(touch)
+        for j, i in enumerate(touch):
+            right = dict(zip(labels[k + j], sides.values[k + j]))
+            # on the left, the lower label sits strictly below the upper one
+            if right[labels[j][pairs[i]]] - right[labels[j][pairs[i] + 1]] > 0.0:
+                crossing.add(i)
+
+    # secant slopes taken strictly on each side of the contact point, so a
+    # refinement offset of a few 1e-9 in theta cannot bias them
+    h, hc = _SLOPE_STEP, _CURV_STEP
+    slopes, curved = {}, {}
+    sloped = [i for i in touch if i not in crossing]
+    if sloped:
+        seps = separations(sloped, (-2.0 * h, -h, 2.0 * h, h))
+        for j, i in enumerate(sloped):
+            slopes[i] = ((float(seps[0, j]) - float(seps[1, j])) / h,
+                         (float(seps[2, j]) - float(seps[3, j])) / h)
+    flat = [i for i in sloped if not max(abs(v) for v in slopes[i]) > tol_slope]
+    if flat:
+        seps = separations(flat, (hc, -hc))
+        for j, i in enumerate(flat):
+            curved[i] = (float(seps[0, j]) - 2.0 * kept[i][0][3]
+                         + float(seps[1, j])) / hc ** 2
+
+    reports = []
+    for i, ((pair, t1, t2, sep), f_value) in enumerate(kept):
+        kind = ("parabolic" if i in curved else "cone" if i in slopes
+                else "crossing" if i in crossing else "gap")
+        reports.append(TouchReport(
+            kind=kind, band_pair=(pair, pair + 1), theta1=t1, theta2=t2,
+            f_value=f_value, value=0.5 * float(center[i, pair] + center[i, pair + 1]),
+            separation=sep, gap_width=sep if kind == "gap" else None,
+            # linear contact: each branch moves at half the separation slope
+            gamma=sum(map(abs, slopes[i])) / 4.0 if kind == "cone" else None,
+            curvature=0.5 * curved[i] if kind == "parabolic" else None))
+    reports.sort(key=lambda r: (r.band_pair, r.theta1))
+    return reports

@@ -168,6 +168,7 @@ class TestConfig:
         assert err.startswith("hexband: numerical failure:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert f"alpha_a = {stack['alpha_a']!r}" in err
 
     @pytest.mark.parametrize("command", ["classify", "magnetic"])
     def test_alpha_beyond_the_bound_is_config_error(self, tmp_path, capsys,
@@ -619,22 +620,65 @@ class TestOrchestration:
     @pytest.mark.parametrize("command,outputs", [
         ("classify", []), ("gaps", []), ("plot", []), ("spectrum", []),
         ("bands", ["report"]), ("bands", ["plot"]), ("bands", ["spectrum"]),
+        ("magnetic", []),
     ])
     def test_diagonal_artifacts_reject_the_full_grid(self, tmp_path, capsys,
                                                      command, outputs):
-        # these artifacts sample the diagonal slice only; a full grid asked
-        # for in the config or by --full must not be run as the diagonal
+        # these artifacts sample the diagonal slice only (magnetic.txt the
+        # reduced zone); a full grid asked for in the config or by --full
+        # must not be run as the diagonal
+        stack = {}
+        if command == "magnetic":
+            stack = {"stack": {"variant": "magnetic_monolayer", "alpha_a": 1.0,
+                               "alpha_b": -1.0, "flux_p": 1, "flux_q": 2}}
         full = _write_config(tmp_path, grid={"kind": "full", "n": 301},
-                             outputs=outputs)
+                             outputs=outputs, **stack)
         diagonal = _write_config(tmp_path, name="diagonal.json",
-                                 outputs=outputs)
+                                 outputs=outputs, **stack)
+        where = "reduced zone" if command == "magnetic" else "diagonal slice"
         for config, extra in ((full, ()), (diagonal, ("--full",))):
             code, outdir = _run(tmp_path, command, config, *extra)
             assert code == 1
-            assert "diagonal slice only" in capsys.readouterr().err
+            assert f"{where} only" in capsys.readouterr().err
             assert list(outdir.iterdir()) == []
         code, outdir = _run(tmp_path, command, diagonal)
         assert code == 0
+
+    @pytest.mark.parametrize("stack", [
+        {"variant": "monolayer", "alpha_a": 0.4, "alpha_b": -0.3},
+        {"variant": "bilayer_aa", "alpha_a": 0.4, "alpha_b": -0.3, "t0": 0.5},
+        {"variant": "bilayer_aa_two_param", "alpha_a": 0.4, "alpha_b": -0.3,
+         "t_a": 0.6, "t_b": 0.4},
+        {"variant": "bilayer_aa_prime", "alpha_a": 0.4, "alpha_b": -0.3,
+         "t0": 0.5},
+        {"variant": "hetero_bilayer", "alpha_a": 0.4, "alpha_b": -0.4,
+         "t0": 0.5},
+        {"variant": "trilayer_hbn_g_hbn", "alpha_a": 0.4, "alpha_b": -0.3,
+         "alpha_c": 0.2, "t0": 0.5},
+        {"variant": "trilayer_g_hbn_g", "alpha_a": 0.4, "alpha_b": -0.4,
+         "t0": 0.5},
+        {"variant": "magnetic_monolayer", "alpha_a": 0.4, "alpha_b": -0.3,
+         "flux_p": 1, "flux_q": 1},
+        {"variant": "magnetic_monolayer", "alpha_a": 0.4, "alpha_b": -0.3,
+         "flux_p": 1, "flux_q": 2},
+    ], ids=lambda stack: stack["variant"] + (
+        f"_q{stack['flux_q']}" if "flux_q" in stack else ""))
+    def test_manifest_echo_reruns_to_the_same_artifacts(self, tmp_path, stack):
+        # the manifest echoes the run that happened: fed back as the config,
+        # it is accepted and writes the same bytes
+        command = "magnetic" if "flux_q" in stack else "classify"
+        n = 31 if command == "magnetic" else 201
+        cfg = _write_config(tmp_path, stack=stack, grid={"kind": "diagonal", "n": n})
+        code, first = _run(tmp_path, command, cfg)
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(manifest["config"]))
+        again = tmp_path / "again"
+        assert main([command, "--config", str(echo), "--out", str(again)]) == 0
+        rerun = json.loads((again / "manifest.json").read_text())
+        assert rerun["outputs"] == manifest["outputs"]
+        assert rerun["config"] == manifest["config"]
 
     def test_outputs_union(self, tmp_path):
         cfg = _write_config(tmp_path, outputs=["bands", "plot"])
