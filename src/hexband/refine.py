@@ -311,8 +311,8 @@ def classify_minima(roots, minima, direction, tol_touch: float,
     (labelled branches), a touch whose labelled branches trade order across
     it is a crossing; another is a cone when a one-sided slope exceeds
     ``tol_slope`` in absolute value, else parabolic.  Probes lie at
-    theta + d * direction, one ``roots`` call per stage (roots at the
-    minima, crossing test, slopes, curvature) over the minima reaching it.
+    theta + d * direction (an array), one ``roots`` call per stage (roots at
+    the minima, crossing test, slopes, curvature) over the minima reaching it.
     """
     kept = []
     for m, f in zip(minima, f_values or [None] * len(minima)):

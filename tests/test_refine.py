@@ -1,5 +1,8 @@
 """Lockstep refinement against one scipy call per minimum or root, bit for
-bit, and the engine-call count of a lockstep refinement."""
+bit, the engine-call count of a lockstep refinement, and the shared
+probe-and-label stage of the classifiers."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,12 @@ from hexband.bands import classify_touches, sample_diagonal
 from hexband.floquet import BATCH_BYTES, chunk_slices
 from hexband.lattice import CouplingParams, StackConfig, StackVariant, VertexParams
 from hexband.errors import EngineError
-from hexband.refine import bounded_minima, brent_roots, nelder_mead_minima
+from hexband.refine import (
+    bounded_minima,
+    brent_roots,
+    classify_minima,
+    nelder_mead_minima,
+)
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -186,3 +194,57 @@ def test_chunk_slices_bound_the_batch_matrices():
         assert sum(sizes) == 1000
         assert max(sizes) * 16 * dim * dim <= BATCH_BYTES
         assert len(parts) == -(-1000 // max(sizes))
+
+
+def _two_branches(lower, upper, calls):
+    """A ``roots`` callable for two labelled branches of theta1, sorted."""
+    def roots(theta1, theta2):
+        calls.append(len(theta1))
+        a, b = lower(np.asarray(theta1)), upper(np.asarray(theta1))
+        return SimpleNamespace(
+            values=np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1),
+            branch_labels=[("a", "b") if x <= y else ("b", "a")
+                           for x, y in zip(a, b)])
+    return roots
+
+
+_SLICE = np.array([1.0, -1.0])
+
+
+def test_classify_minima_labels_dedups_and_sorts():
+    calls = []
+    cone = _two_branches(lambda t: 0.0 * t, lambda t: np.abs(np.sin(t)), calls)
+    seam = np.pi - 1e-9
+    # the two minima at the seam theta1 = +-pi are one point
+    minima = [(0, 0.5, -0.5, np.sin(0.5)), (0, seam, -seam, 1e-9),
+              (0, 0.0, -0.0, 0.0), (0, -seam, seam, 1e-9)]
+    reports = classify_minima(cone, minima, _SLICE, 1e-6, 1e-4,
+                              f_values=[10.0, 20.0, 30.0, 40.0])
+    assert [(r.kind, r.theta1, r.f_value) for r in reports] == [
+        ("cone", 0.0, 30.0), ("gap", 0.5, 10.0), ("cone", seam, 20.0)]
+    assert reports[0].gamma == pytest.approx(0.5)
+    assert reports[1].gap_width == np.sin(0.5)
+    # one roots call for the centres and one for the slopes of both cones
+    assert calls == [3, 8]
+
+    parabola = _two_branches(lambda t: 0.0 * t, lambda t: (t - 1.0) ** 2, calls)
+    [report] = classify_minima(parabola, [(0, 1.0, -1.0, 0.0)], _SLICE, 1e-6, 1e-4)
+    assert report.kind == "parabolic" and report.curvature == pytest.approx(1.0)
+
+
+def test_classify_minima_takes_the_absolute_slope():
+    # a touch on a concave kink: both one-sided slopes are -1e-3, which a
+    # signed rule would read as flat
+    kink = _two_branches(lambda t: 0.0 * t, lambda t: 5e-7 - 1e-3 * np.abs(t), [])
+    [report] = classify_minima(kink, [(0, 0.0, 0.0, 5e-7)], _SLICE, 1e-6, 1e-4)
+    assert report.kind == "cone" and report.gamma == pytest.approx(5e-4)
+
+
+def test_classify_minima_tells_crossings_by_their_labels():
+    calls = []
+    cross = _two_branches(lambda t: t, lambda t: -t, calls)
+    minimum = [(0, 0.0, 0.0, 0.0)]
+    [report] = classify_minima(cross, minimum, _SLICE, 1e-6, 1e-4, crossings=True)
+    assert report.kind == "crossing" and calls == [1, 2]
+    [report] = classify_minima(cross, minimum, _SLICE, 1e-6, 1e-4)
+    assert report.kind == "cone" and report.gamma == pytest.approx(1.0)
