@@ -442,6 +442,17 @@ GOLDEN = [
         "magnetic.txt",
         "fbd6cb521dc50c214560b7165c637b200f71072aeb9d851a2fbf801c4d4519fe",
         id="magnetic.txt-q1-cone"),
+    # the slice header of gaps.txt on both routes, with and without a
+    # closed-form gap
+    pytest.param(
+        "gaps", _HETERO, _DIAGONAL_501, "gaps.txt",
+        "045c2b5341ad7f3dc5e83e3cb3c2619a05c291d07754b714cf6f6eedbc648fcc",
+        id="gaps.txt-hetero_bilayer-closed"),
+    pytest.param(
+        "gaps", {"variant": "trilayer_hbn_g_hbn", "alpha_a": 0.4, "alpha_b": -0.3,
+                 "alpha_c": 0.2, "t0": 0.5}, _DIAGONAL_501, "gaps.txt",
+        "d0f68b7c4bb36a38fcd3114a539ea8e48cb5d44a82ee189f40bb157ed7d848e5",
+        id="gaps.txt-trilayer_hbn_g_hbn-numeric"),
 ]
 
 

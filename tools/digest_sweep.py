@@ -1,14 +1,17 @@
-"""Artifact digests of the diag-classify benchmark jobs, one line per job.
+"""Artifact and console digests of the benchmark jobs, one line per job.
 
     python3 tools/digest_sweep.py <first_seed> <last_seed>
 
-Runs every job of the diag-classify job lists (``perfbench/workloads.py``)
-for the seeds first_seed..last_seed through ``hexband.cli.main`` in one
-process and prints ``id exit sha256`` per job, where the digest covers the
-job's data artifacts (every file it wrote but ``manifest.json``, which
-holds a wall time) and is ``-`` for a job that wrote none.  Two checkouts
-that compute the same thing print the same lines, so a refactor is checked
-with ``diff`` of the two outputs.
+Runs every job of the three workloads' job lists (grid-bands, diag-classify
+and hill-spectrum, from ``perfbench/workloads.py``) for the seeds
+first_seed..last_seed through ``hexband.cli.main`` in one process and prints
+``id exit artifacts stdout stderr`` per job.  ``artifacts`` is the sha256 of
+the job's data artifacts (every file it wrote but ``manifest.json``, which
+holds a wall time), or ``-`` for a job that wrote none; ``stdout`` and
+``stderr`` are the sha256 of what the job printed, with its output
+directory replaced by ``<out>``.  Two checkouts that compute the same thing
+print the same lines, so a refactor is checked with ``diff`` of the two
+outputs.
 """
 
 from __future__ import annotations
@@ -40,16 +43,21 @@ def artifacts_digest(outdir: str) -> str:
     return digest.hexdigest()
 
 
-def run_job(job: dict, work: str) -> tuple[int, str]:
+def console_digest(text: str, outdir: str) -> str:
+    return hashlib.sha256(text.replace(outdir, "<out>").encode()).hexdigest()
+
+
+def run_job(job: dict, work: str) -> tuple[int, str, str, str]:
     config = os.path.join(work, f"{job['id']}.json")
     outdir = os.path.join(work, job["id"])
     os.makedirs(outdir)
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(job["config"], fh)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(workloads.cli_args(job, config, outdir))
-    return code, artifacts_digest(outdir)
+    return (code, artifacts_digest(outdir), console_digest(out.getvalue(), outdir),
+            console_digest(err.getvalue(), outdir))
 
 
 def main(argv: list[str]) -> int:
@@ -58,10 +66,11 @@ def main(argv: list[str]) -> int:
         return 2
     first, last = int(argv[0]), int(argv[1])
     for seed in range(first, last + 1):
-        with tempfile.TemporaryDirectory(prefix="hexband-digests-") as work:
-            for job in workloads.job_list("diag-classify", seed):
-                code, digest = run_job(job, work)
-                print(f"s{seed}:{job['id']} {code} {digest}", flush=True)
+        for workload in workloads.WORKLOADS:
+            with tempfile.TemporaryDirectory(prefix="hexband-digests-") as work:
+                for job in workloads.job_list(workload, seed):
+                    fields = run_job(job, work)
+                    print(f"s{seed}:{workload}:{job['id']}", *fields, flush=True)
     return 0
 
 
