@@ -18,18 +18,20 @@ Unknown keys are rejected recursively.  ``stack`` accepts ``variant``,
 a setting the variant's layout does not read is rejected.  ``potential`` accepts
 ``{"kind": "zero"}``, ``{"kind": "file", "path": ...}`` (two-column text),
 or ``{"kind": "sampled", "x": [...], "values": [...]}``.  ``outputs`` lists
-extra artifacts from {bands, report, spectrum, plot} to emit alongside the
-subcommand's own artifact.
+extra artifacts from {bands, report, spectrum, plot} that every subcommand
+emits alongside its own.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  Every run writes its artifacts atomically
 (temp-then-rename) into ``--out`` plus one ``manifest.json`` echoing the
 resolved configuration and the sha256 digest of each artifact; identical
-configurations reproduce byte-identical data files.  A run that writes
-``spectrum.csv`` also records in the manifest's ``trace.hill`` block the
-Magnus step count, the worst step-halving deviation against its gate and
-the number of monodromy evaluations (null steps and deviation for the
-closed-form zero potential); these never enter the data files.
+configurations reproduce byte-identical data files.  Stdout gets one
+``wrote <path>`` line per artifact (then validate's summary lines), stderr
+the diagnostics and errors.  A run that writes ``spectrum.csv`` also records
+in the manifest's ``trace.hill`` block the Magnus step count, the worst
+step-halving deviation against its gate and the number of monodromy
+evaluations (null steps and deviation for the closed-form zero potential);
+these never enter the data files.
 
 Exit codes: 0 success; 1 configuration problems (including a sampling grid
 too coarse to classify); 2 numerical-validation failures; 3 I/O errors
@@ -79,6 +81,7 @@ from .lattice import (
     StackVariant,
     VertexParams,
     diagonal_slice,
+    full_grid,
     structure_function,
 )
 from .magnetic import g_function, magnetic_classify
@@ -100,8 +103,6 @@ _ALLOWED_KEYS = {
 }
 
 _OUTPUT_NAMES = ("bands", "report", "spectrum", "plot")
-_OUTPUT_FILES = {"bands": "bands.csv", "report": "report.txt",
-                 "spectrum": "spectrum.csv", "plot": "bands.svg"}
 
 
 def _g17(x: float) -> str:
@@ -312,7 +313,7 @@ def _stack_settings(stack: StackConfig) -> dict:
     return {k: v for k, v in _stack_numbers(stack).items() if k in stack.layout.fields}
 
 
-def _config_echo(run: RunConfig) -> dict:
+def _config_echo(run: RunConfig, files: list[str]) -> dict:
     stack: dict = {"variant": run.stack.variant.value, **_stack_settings(run.stack)}
     if run.stack.flux is not None:
         stack["flux_p"] = run.stack.flux.p
@@ -331,6 +332,8 @@ def _config_echo(run: RunConfig) -> dict:
             pot["x"] = list(map(float, run.potential.x))
             pot["values"] = list(map(float, run.potential.values))
         echo["potential"] = pot
+    if "magnetic.txt" in files:  # the zone is its one grid; the default kind re-runs it
+        del echo["grid"]["kind"]
     return echo
 
 
@@ -362,23 +365,18 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(outdir: str, command: str, run: RunConfig,
-                    written: dict[str, str], elapsed: float,
-                    notes: tuple[str, ...] = (),
-                    trace: dict | None = None) -> None:
+                    files: list[str], elapsed: float, extra: dict) -> None:
     manifest = {
         "tool": "hexband",
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "elapsed_seconds": elapsed,
-        "config": _config_echo(run),
+        "config": _config_echo(run, files),
         "outputs": {name: _sha256(os.path.join(outdir, name))
-                    for name in sorted(written)},
+                    for name in sorted(files)},
     }
-    if notes:
-        manifest["notes"] = list(notes)
-    if trace:
-        manifest["trace"] = trace
+    manifest.update({key: value for key, value in extra.items() if value})
     _atomic_write_text(os.path.join(outdir, "manifest.json"),
                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -392,8 +390,8 @@ def _grid_thetas(run: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     if run.grid_kind == "diagonal":
         theta = diagonal_slice(run.grid_n)
         return theta, -theta
-    axis = np.linspace(-np.pi, np.pi, run.grid_n)
-    return np.repeat(axis, run.grid_n), np.tile(axis, run.grid_n)
+    theta1, theta2 = full_grid(run.grid_n)
+    return theta1.ravel(), theta2.ravel()
 
 
 def _require_diagonal_slice(run: RunConfig, artifact: str) -> None:
@@ -412,13 +410,6 @@ def _require_diagonal_slice(run: RunConfig, artifact: str) -> None:
             f"{artifact} samples the {where} only; grid.kind 'full' "
             "(--full) serves bands.csv alone"
         )
-
-
-def _diagonal_reports(run: RunConfig):
-    surface = sample_diagonal(run.stack, n=run.grid_n)
-    reports = classify_touches(surface, tol_touch=run.tol_touch,
-                               tol_slope=run.tol_slope)
-    return surface, reports
 
 
 # ============================================================
@@ -522,19 +513,27 @@ def _report_header(run: RunConfig, title: str) -> list[str]:
     return lines
 
 
-def _emit_report(run: RunConfig) -> str:
-    surface, reports = _diagonal_reports(run)
-    records = _report_records(reports)
-    lines = _report_header(run, "classification report")
+def _slice_header(run: RunConfig, title: str, surface, *settings: str) -> list[str]:
+    """Header of a diagonal-slice report, with the closed-form gap if any."""
+    lines = _report_header(run, title)
     lines += ["grid_kind: diagonal",
               f"grid_n: {surface.n_samples}",
               f"route: {surface.route}",
-              f"tol_touch: {_rr(run.tol_touch)}",
-              f"tol_slope: {_rr(run.tol_slope)}"]
+              *settings]
     try:
         lines.append(f"closed_form_gap: {_rr(gap_width_closed_form(run.stack))}")
     except NoClosedFormError:
         pass
+    return lines
+
+
+def _emit_report(run: RunConfig) -> str:
+    surface = sample_diagonal(run.stack, n=run.grid_n)
+    records = _report_records(classify_touches(surface, tol_touch=run.tol_touch,
+                                               tol_slope=run.tol_slope))
+    lines = _slice_header(run, "classification report", surface,
+                          f"tol_touch: {_rr(run.tol_touch)}",
+                          f"tol_slope: {_rr(run.tol_slope)}")
     lines.append(f"records: {len(records)}")
     for idx, rep in enumerate(records, start=1):
         lines.append("")
@@ -545,14 +544,7 @@ def _emit_report(run: RunConfig) -> str:
 def _emit_gaps(run: RunConfig) -> str:
     surface = sample_diagonal(run.stack, n=run.grid_n)
     seps = surface.separations()
-    lines = _report_header(run, "minimal separations (grid resolution)")
-    lines += ["grid_kind: diagonal",
-              f"grid_n: {surface.n_samples}",
-              f"route: {surface.route}"]
-    try:
-        lines.append(f"closed_form_gap: {_rr(gap_width_closed_form(run.stack))}")
-    except NoClosedFormError:
-        pass
+    lines = _slice_header(run, "minimal separations (grid resolution)", surface)
     lines.append(f"records: {seps.shape[1]}")
     for pair in range(seps.shape[1]):
         at = int(np.argmin(seps[:, pair]))
@@ -567,9 +559,9 @@ def _emit_gaps(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_spectrum(run: RunConfig) -> tuple[str, tuple[str, ...], dict]:
-    """spectrum.csv, its diagnostics, and how the Hill layer got there (for
-    the manifest only, so that spectrum.csv stays deterministic)."""
+def _emit_spectrum(run: RunConfig) -> tuple[str, dict]:
+    """spectrum.csv, its diagnostics (printed to stderr) and how the Hill layer
+    got there, for the manifest only so that spectrum.csv stays deterministic."""
     potential = run.potential if run.potential is not None else PotentialSpec.zero()
     surface = sample_diagonal(run.stack, n=run.grid_n)
     eta_intervals = [
@@ -588,7 +580,10 @@ def _emit_spectrum(run: RunConfig) -> tuple[str, tuple[str, ...], dict]:
             "magnus_steps": result.magnus_steps,
             "magnus_halving_deviation": result.magnus_deviation,
             "magnus_halving_gate": MAGNUS_TOL}
-    return "\n".join(lines) + "\n", result.diagnostics, {"hill": hill}
+    for note in result.diagnostics:
+        print(f"spectrum: {note}", file=sys.stderr)
+    extra = {"notes": list(result.diagnostics), "trace": {"hill": hill}}
+    return "\n".join(lines) + "\n", extra
 
 
 def _emit_plot(run: RunConfig) -> str:
@@ -620,8 +615,10 @@ def _emit_magnetic(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_validate(run: RunConfig, samples: int, seed: int,
-                   corrupt: bool) -> tuple[str, float, int]:
+def _emit_validate(run: RunConfig, args: argparse.Namespace
+                   ) -> tuple[str, list[str], float]:
+    """validate.txt, its summary lines for stdout, and the largest deviation."""
+    samples, seed = args.samples, args.seed
     rng = np.random.default_rng(seed)
     # one draw per diagonal sample, two per off-diagonal one, in sample
     # order; the paired stacks are drawn on the diagonal slice, where their
@@ -634,7 +631,7 @@ def _emit_validate(run: RunConfig, samples: int, seed: int,
     roots = roots_at(run.stack, theta1, theta2, route="closed")
     compared = roots.closed
     formulas = roots.values[compared]
-    if corrupt:
+    if args.corrupt_closed_form:
         formulas[:, 0] += 1e-6
     numeric = roots_at(run.stack, theta1[compared], theta2[compared],
                        route="numeric").values
@@ -657,86 +654,55 @@ def _emit_validate(run: RunConfig, samples: int, seed: int,
                f"verdict: {'FAIL' if not max_dev <= VALIDATE_GATE else 'PASS'}"]
     header = _report_header(run, "closed-form vs eigensolver validation")
     text = "\n".join(header + [f"seed: {seed}"] + summary + [""] + rows) + "\n"
-    return text, max_dev, int(devs.size)
+    # the max and (when any point was compared) the mean deviation lines
+    console = [f"compared: {devs.size} of {samples}", *summary[3:5 if devs.size else 4]]
+    return text, console, max_dev
 
 
 # ============================================================
-#  Command drivers
+#  Command driver
 # ============================================================
 
-def _run_artifacts(command: str, run: RunConfig, outdir: str) -> int:
-    primary = {"bands": "bands", "classify": "report",
-               "spectrum": "spectrum", "plot": "plot"}[command]
-    wanted = [name for name in _OUTPUT_NAMES
-              if name == primary or name in run.outputs]
-    for name in wanted:
-        if name != "bands":
-            _require_diagonal_slice(run, _OUTPUT_FILES[name])
+# every artifact, in the order a run writes them; `outputs` names the first four
+_ARTIFACTS = {"bands": ("bands.csv", _emit_bands),
+              "report": ("report.txt", _emit_report),
+              "spectrum": ("spectrum.csv", _emit_spectrum),
+              "plot": ("bands.svg", _emit_plot),
+              "gaps": ("gaps.txt", _emit_gaps),
+              "magnetic": ("magnetic.txt", _emit_magnetic),
+              "validate": ("validate.txt", _emit_validate)}
+
+
+def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
+    """Check, then write the subcommand's artifact and the ``outputs`` ones, the
+    manifest and a ``wrote`` line each; validation fails last, after writing."""
+    own = "report" if command == "classify" else command
+    wanted = [name for name in _ARTIFACTS if name == own or name in run.outputs]
+    files = [_ARTIFACTS[name][0] for name in wanted]
+    for name, filename in zip(wanted, files):
+        if name not in ("bands", "validate"):
+            _require_diagonal_slice(run, filename)
+    if "validate" in wanted and args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     started = time.time()
-    written: dict[str, str] = {}
-    notes: tuple[str, ...] = ()
-    trace: dict = {}
-    for name in wanted:
-        filename = _OUTPUT_FILES[name]
-        if name == "bands":
-            text = _emit_bands(run)
-        elif name == "report":
-            text = _emit_report(run)
-        elif name == "spectrum":
-            text, notes, trace = _emit_spectrum(run)
-            for note in notes:
-                print(f"spectrum: {note}", file=sys.stderr)
+    extra, console, max_dev = {}, [], 0.0
+    for name, filename in zip(wanted, files):
+        emit = _ARTIFACTS[name][1]
+        if name == "spectrum":
+            text, extra = emit(run)
+        elif name == "validate":
+            text, console, max_dev = emit(run, args)
         else:
-            text = _emit_plot(run)
-        path = os.path.join(outdir, filename)
-        _atomic_write_text(path, text)
-        written[filename] = path
-    _write_manifest(outdir, command, run, written, time.time() - started,
-                    notes=notes, trace=trace)
-    for filename in written:
-        print(f"wrote {os.path.join(outdir, filename)}")
-    return 0
-
-
-def _run_gaps(run: RunConfig, outdir: str) -> int:
-    _require_diagonal_slice(run, "gaps.txt")
-    started = time.time()
-    _atomic_write_text(os.path.join(outdir, "gaps.txt"), _emit_gaps(run))
-    _write_manifest(outdir, "gaps", run, {"gaps.txt": ""},
-                    time.time() - started)
-    print(f"wrote {os.path.join(outdir, 'gaps.txt')}")
-    return 0
-
-
-def _run_magnetic(run: RunConfig, outdir: str) -> int:
-    _require_diagonal_slice(run, "magnetic.txt")
-    started = time.time()
-    _atomic_write_text(os.path.join(outdir, "magnetic.txt"),
-                       _emit_magnetic(run))
-    _write_manifest(outdir, "magnetic", run, {"magnetic.txt": ""},
-                    time.time() - started)
-    print(f"wrote {os.path.join(outdir, 'magnetic.txt')}")
-    return 0
-
-
-def _run_validate(run: RunConfig, outdir: str, samples: int, seed: int,
-                  corrupt: bool) -> int:
-    started = time.time()
-    text, max_dev, compared = _emit_validate(run, samples, seed, corrupt)
-    _atomic_write_text(os.path.join(outdir, "validate.txt"), text)
-    _write_manifest(outdir, "validate", run, {"validate.txt": ""},
-                    time.time() - started)
-    print(f"compared: {compared} of {samples}")
-    print(f"max_abs_deviation: {_g17(max_dev)}")
-    if compared:
-        mean_line = [l for l in text.splitlines()
-                     if l.startswith("mean_abs_deviation:")]
-        print(mean_line[0])
+            text = emit(run)
+        _atomic_write_text(os.path.join(args.out, filename), text)
+    _write_manifest(args.out, command, run, files, time.time() - started, extra)
+    for filename in files:
+        print(f"wrote {os.path.join(args.out, filename)}")
+    for line in console:
+        print(line)
     if not max_dev <= VALIDATE_GATE:
-        raise ValidationError(
-            f"closed-form vs eigensolver deviation {max_dev:g} exceeds "
-            f"the {VALIDATE_GATE:g} gate"
-        )
+        raise ValidationError(f"closed-form vs eigensolver deviation {max_dev:g} "
+                              f"exceeds the {VALIDATE_GATE:g} gate")
     return 0
 
 
@@ -802,14 +768,7 @@ def main(argv=None) -> int:
                 print(f"hexband: cannot create output directory: {exc}",
                       file=sys.stderr)
                 return 3
-            if args.command in ("bands", "classify", "spectrum", "plot"):
-                return _run_artifacts(args.command, run, args.out)
-            if args.command == "gaps":
-                return _run_gaps(run, args.out)
-            if args.command == "magnetic":
-                return _run_magnetic(run, args.out)
-            return _run_validate(run, args.out, args.samples, args.seed,
-                                 args.corrupt_closed_form)
+            return _run(args.command, run, args)
         except (ConfigError, ResolutionError) as exc:
             print(f"hexband: config error: {exc}", file=sys.stderr)
             return 1

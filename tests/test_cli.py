@@ -292,6 +292,15 @@ class TestBands:
         lines = (outdir / "bands.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 6 * 2
 
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_full_grid_below_two_points_is_config_error(self, tmp_path, capsys, n):
+        cfg = _write_config(tmp_path)
+        code, outdir = _run(tmp_path, "bands", cfg, "--grid", str(n), "--full")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config error: full grid needs" in err
+        assert list(outdir.iterdir()) == []
+
     def test_trilayer_off_slice_rows_are_numeric(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -557,6 +566,17 @@ class TestValidate:
         assert header["compared"] == "0"
         assert text.count("no_closed_form") >= 25
 
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_samples_below_one_is_config_error(self, tmp_path, capsys, samples):
+        cfg = _write_config(tmp_path)
+        code, outdir = _run(tmp_path, "validate", cfg, "--samples", samples)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "config error: --samples" in captured.err
+        assert list(outdir.iterdir()) == []
+
     def test_seed_changes_draws_not_verdict(self, tmp_path):
         cfg = _write_config(tmp_path)
         _, out_a = _run(tmp_path, "validate", cfg, "--samples", "10",
@@ -679,6 +699,8 @@ class TestOrchestration:
         rerun = json.loads((again / "manifest.json").read_text())
         assert rerun["outputs"] == manifest["outputs"]
         assert rerun["config"] == manifest["config"]
+        # the reduced zone is the one grid of magnetic.txt
+        assert ("kind" not in manifest["config"]["grid"]) == (command == "magnetic")
 
     def test_outputs_union(self, tmp_path):
         cfg = _write_config(tmp_path, outputs=["bands", "plot"])
@@ -689,6 +711,35 @@ class TestOrchestration:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert sorted(manifest["outputs"]) == ["bands.csv", "bands.svg",
                                                "report.txt"]
+
+    @pytest.mark.parametrize("command", ["gaps", "validate"])
+    def test_every_subcommand_writes_its_outputs(self, tmp_path, capsys, command):
+        # the outputs are the bytes their own subcommands write
+        cfg = _write_config(tmp_path, outputs=["report", "plot"])
+        code, outdir = _run(tmp_path, command, cfg)
+        assert code == 0
+        own = f"{command}.txt"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(["report.txt", "bands.svg", own])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [f"wrote {outdir / name}"
+                             for name in ("report.txt", "bands.svg", own)]
+        assert len(lines) == (6 if command == "validate" else 3)
+        alone = _write_config(tmp_path, name="alone.json")
+        for subcommand, name in (("classify", "report.txt"), ("plot", "bands.svg")):
+            single = tmp_path / subcommand
+            assert main([subcommand, "--config", alone, "--out", str(single)]) == 0
+            assert (outdir / name).read_bytes() == (single / name).read_bytes()
+
+    def test_magnetic_with_slice_outputs_writes_nothing(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path, outputs=["report"],
+            stack={"variant": "magnetic_monolayer", "alpha_a": -1.0,
+                   "alpha_b": -1.0, "flux_p": 1, "flux_q": 2})
+        code, outdir = _run(tmp_path, "magnetic", cfg, "--grid", "31")
+        assert code == 1
+        assert "report.txt needs a non-magnetic stack" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
     def test_out_path_collision_is_io_error(self, tmp_path):
         cfg = _write_config(tmp_path)
