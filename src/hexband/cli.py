@@ -15,11 +15,13 @@ Configuration is a single JSON document, versioned by a mandatory
 Unknown keys are rejected recursively.  ``stack`` accepts ``variant``,
 ``alpha_a``/``alpha_b``/``alpha_c`` (|alpha| <= 1e100), the couplings
 ``t0``/``t_a``/``t_b``, and ``flux_p``/``flux_q`` for the magnetic variant;
-a setting the variant's layout does not read is rejected.  ``potential`` accepts
+a setting the variant's layout does not read is rejected.  ``tolerances``
+(and ``--tol-touch``) must be positive.  ``potential`` accepts
 ``{"kind": "zero"}``, ``{"kind": "file", "path": ...}`` (two-column text),
 or ``{"kind": "sampled", "x": [...], "values": [...]}``.  ``outputs`` lists
 extra artifacts from {bands, report, spectrum, plot} that every subcommand
-emits alongside its own.
+emits alongside its own; the diagonal-slice artifacts of a run share one
+sampled surface and one touch classification.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  Every run writes its artifacts atomically
@@ -52,12 +54,14 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .bands import (
     MIN_CLASSIFY_SAMPLES,
+    DispersionSurface,
     TouchReport,
     classify_touches,
     gap_width_closed_form,
@@ -163,6 +167,15 @@ def _as_float(value, field: str) -> float:
     return value
 
 
+def _tolerance(value, field: str) -> float:
+    """A finite positive tolerance: at or below zero no separation passes
+    the touch or slope gate, and every pair would read as a gap."""
+    value = _as_float(value, field)
+    if not value > 0.0:
+        raise ConfigError(f"config field {field!r} must be positive, got {value!r}")
+    return value
+
+
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config field {field!r} must be an integer")
@@ -265,10 +278,10 @@ def load_run_config(path: str) -> RunConfig:
     tol_touch, tol_slope = 1e-6, 1e-4
     if "tolerances" in raw:
         tols = _need_mapping(raw["tolerances"], "tolerances")
-        tol_touch = _as_float(tols.get("tol_touch", tol_touch),
-                              "tolerances.tol_touch")
-        tol_slope = _as_float(tols.get("tol_slope", tol_slope),
-                              "tolerances.tol_slope")
+        tol_touch = _tolerance(tols.get("tol_touch", tol_touch),
+                               "tolerances.tol_touch")
+        tol_slope = _tolerance(tols.get("tol_slope", tol_slope),
+                               "tolerances.tol_slope")
 
     potential = _parse_potential(raw["potential"]) if "potential" in raw else None
 
@@ -296,7 +309,7 @@ def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "grid_kind", None) is not None:
         run = replace(run, grid_kind=args.grid_kind)
     if getattr(args, "tol_touch", None) is not None:
-        run = replace(run, tol_touch=args.tol_touch)
+        run = replace(run, tol_touch=_tolerance(args.tol_touch, "--tol-touch"))
     return run
 
 
@@ -410,11 +423,31 @@ def _require_diagonal_slice(run: RunConfig, artifact: str) -> None:
         )
 
 
+class _RunContext:
+    """One run's settings, arguments, and the diagonal-slice surface and
+    touch classification that its artifacts share: each is computed on
+    first use, at most once per run."""
+
+    def __init__(self, run: RunConfig, args: argparse.Namespace) -> None:
+        self.run = run
+        self.args = args
+
+    @cached_property
+    def surface(self) -> DispersionSurface:
+        return sample_diagonal(self.run.stack, n=self.run.grid_n)
+
+    @cached_property
+    def touches(self) -> tuple[TouchReport, ...]:
+        return classify_touches(self.surface, tol_touch=self.run.tol_touch,
+                                tol_slope=self.run.tol_slope)
+
+
 # ============================================================
 #  Artifact emitters
 # ============================================================
 
-def _emit_bands(run: RunConfig) -> str:
+def _emit_bands(ctx: _RunContext) -> str:
+    run = ctx.run
     lines = [BANDS_CSV_HEADER]
     theta1, theta2 = _grid_thetas(run)
     roots = roots_at(run.stack, theta1, theta2)
@@ -525,11 +558,10 @@ def _slice_header(run: RunConfig, title: str, surface, *settings: str) -> list[s
     return lines
 
 
-def _emit_report(run: RunConfig) -> str:
-    surface = sample_diagonal(run.stack, n=run.grid_n)
-    records = _report_records(classify_touches(surface, tol_touch=run.tol_touch,
-                                               tol_slope=run.tol_slope))
-    lines = _slice_header(run, "classification report", surface,
+def _emit_report(ctx: _RunContext) -> str:
+    run = ctx.run
+    records = _report_records(ctx.touches)
+    lines = _slice_header(run, "classification report", ctx.surface,
                           f"tol_touch: {_rr(run.tol_touch)}",
                           f"tol_slope: {_rr(run.tol_slope)}")
     lines.append(f"records: {len(records)}")
@@ -539,10 +571,10 @@ def _emit_report(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_gaps(run: RunConfig) -> str:
-    surface = sample_diagonal(run.stack, n=run.grid_n)
+def _emit_gaps(ctx: _RunContext) -> str:
+    surface = ctx.surface
     seps = surface.separations()
-    lines = _slice_header(run, "minimal separations (grid resolution)", surface)
+    lines = _slice_header(ctx.run, "minimal separations (grid resolution)", surface)
     lines.append(f"records: {seps.shape[1]}")
     for pair in range(seps.shape[1]):
         at = int(np.argmin(seps[:, pair]))
@@ -557,11 +589,12 @@ def _emit_gaps(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_spectrum(run: RunConfig) -> tuple[str, dict]:
+def _emit_spectrum(ctx: _RunContext) -> tuple[str, dict]:
     """spectrum.csv, its diagnostics (printed to stderr) and how the Hill layer
     got there, for the manifest only so that spectrum.csv stays deterministic."""
+    run = ctx.run
     potential = run.potential if run.potential is not None else PotentialSpec.zero()
-    surface = sample_diagonal(run.stack, n=run.grid_n)
+    surface = ctx.surface
     eta_intervals = [
         (float(np.min(surface.values[:, band])),
          float(np.max(surface.values[:, band])))
@@ -584,17 +617,15 @@ def _emit_spectrum(run: RunConfig) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", extra
 
 
-def _emit_plot(run: RunConfig) -> str:
-    surface = sample_diagonal(run.stack, n=run.grid_n)
-    reports: tuple[TouchReport, ...] = ()
-    if surface.n_samples >= MIN_CLASSIFY_SAMPLES:
-        reports = classify_touches(surface, tol_touch=run.tol_touch,
-                                   tol_slope=run.tol_slope)
-    title = f"{run.stack.variant.value}: eta along the diagonal slice"
+def _emit_plot(ctx: _RunContext) -> str:
+    surface = ctx.surface
+    reports = ctx.touches if surface.n_samples >= MIN_CLASSIFY_SAMPLES else ()
+    title = f"{ctx.run.stack.variant.value}: eta along the diagonal slice"
     return render_band_chart(surface, reports, title=title)
 
 
-def _emit_magnetic(run: RunConfig) -> str:
+def _emit_magnetic(ctx: _RunContext) -> str:
+    run = ctx.run
     reports = magnetic_classify(run.stack, n=run.grid_n,
                                 tol_touch=run.tol_touch,
                                 tol_slope=run.tol_slope)
@@ -613,9 +644,9 @@ def _emit_magnetic(run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_validate(run: RunConfig, args: argparse.Namespace
-                   ) -> tuple[str, list[str], float]:
+def _emit_validate(ctx: _RunContext) -> tuple[str, list[str], float]:
     """validate.txt, its summary lines for stdout, and the largest deviation."""
+    run, args = ctx.run, ctx.args
     samples, seed = args.samples, args.seed
     rng = np.random.default_rng(seed)
     # one draw per diagonal sample, two per off-diagonal one, in sample
@@ -684,15 +715,16 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
     if "validate" in wanted and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     started = time.time()
+    ctx = _RunContext(run, args)
     extra, console, max_dev = {}, [], 0.0
     for name, filename in zip(wanted, files):
         emit = _ARTIFACTS[name][1]
         if name == "spectrum":
-            text, extra = emit(run)
+            text, extra = emit(ctx)
         elif name == "validate":
-            text, console, max_dev = emit(run, args)
+            text, console, max_dev = emit(ctx)
         else:
-            text = emit(run)
+            text = emit(ctx)
         _atomic_write_text(os.path.join(args.out, filename), text)
     _write_manifest(args.out, command, run, files, time.time() - started, extra)
     for filename in files:

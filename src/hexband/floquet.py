@@ -9,24 +9,33 @@ where A is Hermitian, T_i are the per-vertex diagonal scales (3 for a bare
 degree-3 vertex plus the weight t^2 of each inter-layer edge at it), and
 eta = d(lambda)/2 is the Hill-discriminant variable.  A value eta belongs to
 the dispersion surface iff det M = 0; it maps back to physical spectrum only
-when |eta| <= 1 (+ tolerance).  ``assemble`` builds A and T for every stack
-from its ``lattice.LAYOUTS`` entry alone: one monolayer block per layer and
-one symmetric entry per inter-layer bond.
+when |eta| <= 1 (+ tolerance).  Every stack's A is its layout's
+theta-free part A0 plus F(theta) and conj(F(theta)) at fixed places, and
+``_layout_form`` reads A0, those places and T from its ``lattice.LAYOUTS``
+entry alone: one monolayer block per layer and one symmetric entry per
+inter-layer bond.
 
 Two independent routes to the roots are provided and never mixed:
 
-* ``char_poly`` expands det(A - eta D) in eta by Laplace expansion along rows
+* ``char_poly`` expands det(A - eta D) by Laplace expansion along rows
   over polynomial-valued entries, memoised over column subsets: every minor
   is formed once, 2^n of them at most instead of n! expansion paths (no
-  eigensolver involved);
+  eigensolver involved).  Every entry of A - eta D is affine in F,
+  conj(F) and eta, so each minor is a tensor over their powers.  Given an
+  assembled matrix, the F axes have length 1 and the result is the
+  polynomial in eta at each point.  Given a layout's theta-free form with
+  the places of F, the result is the coefficient tensor a[i, j, k] of
+  F^i conj(F)^j eta^k, fixed for each config;
 * ``numeric_roots`` diagonalizes D^{-1/2} A D^{-1/2} (no polynomial involved).
 
 ``closed_form_roots`` evaluates the analytic root families of ``_FORMULAS``,
 one formula and one tuple of branch names per stack, and verifies every
-value against the characteristic polynomial at runtime; the paired stacks
-(those with a plain layer) have them on the diagonal slice only.  This
-module provides the routes; ``bands.roots_at`` alone decides which one
-serves a point, for the magnetic flux cells as well.
+value against the characteristic polynomial at runtime: the residual gate
+expands each config's tensor once (``_gate_tensor``, a small cache) and
+evaluates it at the F of each batch.  The paired stacks (those with a plain
+layer) have closed forms on the diagonal slice only.  This module provides
+the routes; ``bands.roots_at`` alone decides which one serves a point, for
+the magnetic flux cells as well.
 
 The engine is batch-first over quasimomenta.  ``assemble`` and
 ``closed_form_roots`` take theta1/theta2 as scalars or as 1-D arrays of equal
@@ -44,7 +53,7 @@ work in the same process would then depend on which batches ran before.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -61,6 +70,7 @@ RESIDUAL_TOL = 1e-9      # |p(root)| / |leading coefficient| gate
 _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
 _PAIR_TOL = 1e-12        # |alpha_a + alpha_b| bound for the constrained forms
 BATCH_BYTES = 16 * 1024  # bytes of the (N, dim, dim) complex matrices of a batch
+_GATE_CONFIGS = 4        # configs whose gate tensors stay cached
 
 
 # ============================================================
@@ -169,64 +179,95 @@ def _floquet_matrix(rows, scale: np.ndarray, n: int, scalar: bool) -> FloquetMat
                          affine=affine[0] if scalar else affine)
 
 
-def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
-    """Build the Floquet matrix of a stack, or of the q = 1 flux cell, at
-    theta (scalars or 1-D arrays; see the module docstring).
+def _layout_form(config: StackConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The theta-free part A0 of A(theta), the (dim, dim) mask of the places
+    of F and the vertex scales of a stack, or of the q = 1 flux cell:
+    A(theta) is A0 with F(theta) at the masked places and conj(F(theta)) at
+    the transposed ones.
 
     Each layer is a monolayer block [[-alpha, conj F], [F, -alpha']] with the
     alphas its layout role names; each bond (i, j, field) puts field**2 at
     (i, j) and (j, i), and every vertex scale is 3 + (sum of its bond
-    weights).
+    weights).  A0 is guarded Hermitian here, which guards every A(theta):
+    F and conj(F) stand at transposed places.
     """
     layout = config.layout
     dim = 2 * len(layout.layers)
     if config.dim != dim:
         raise VariantError("the q = 2 flux cell is the magnetic module's "
                            "(assemble_robin, closed_form_roots_q2)")
-    t1, t2, scalar = _theta_batch(theta1, theta2)
-    F = structure_function(t1, t2)
-    Fc = np.conj(F)
-    rows = [[0.0] * dim for _ in range(dim)]
+    a0 = np.zeros((dim, dim), dtype=complex)
+    f_at = np.zeros((dim, dim), dtype=bool)
     for k, role in enumerate(layout.layers):
         a, b = 2 * k, 2 * k + 1
-        rows[a][a] = -getattr(config.vertex, "alpha_" + role[0])
-        rows[b][b] = -getattr(config.vertex, "alpha_" + role[1])
-        rows[a][b], rows[b][a] = Fc, F
+        a0[a, a] = -getattr(config.vertex, "alpha_" + role[0])
+        a0[b, b] = -getattr(config.vertex, "alpha_" + role[1])
+        f_at[b, a] = True
     weights = [0.0] * dim
     for i, j, name in layout.bonds:
         c = getattr(config.coupling, name) ** 2
-        rows[i][j] = rows[j][i] = c
+        a0[i, j] = a0[j, i] = c
         weights[i] += c
         weights[j] += c
-    return _floquet_matrix(rows, np.array([3.0 + w for w in weights]), len(t1), scalar)
+    _hermitian_guard(a0)
+    return a0, f_at, np.array([3.0 + w for w in weights])
+
+
+def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
+    """Build the Floquet matrix of a stack, or of the q = 1 flux cell, at
+    theta (scalars or 1-D arrays; see the module docstring): the layout's
+    form (``_layout_form``) with F(theta) in its places."""
+    a0, f_at, scale = _layout_form(config)
+    t1, t2, scalar = _theta_batch(theta1, theta2)
+    F = structure_function(t1, t2)
+    affine = np.repeat(a0[None], len(t1), axis=0)
+    affine[:, f_at] = F[:, None]
+    affine[:, f_at.T] = np.conj(F)[:, None]
+    return FloquetMatrix(dim=len(scale), diag_scale=scale,
+                         affine=affine[0] if scalar else affine)
 
 
 # ============================================================
 #  Characteristic polynomial (cofactor route)
 # ============================================================
 
-def char_poly(fm: FloquetMatrix) -> np.ndarray:
+def char_poly(fm: FloquetMatrix, f_at: np.ndarray | None = None) -> np.ndarray:
     """Ascending real coefficients of det(A - eta D), degree = dim.
 
-    Laplace expansion along rows with polynomial-valued entries (degree <= 1
-    each), memoised over column subsets: the minor on rows r..dim-1 and a
-    column set S is computed once and shared by every expansion path that
-    reaches it.  Entries that vanish at every point of the batch are
-    skipped.  Shape (dim + 1,) for one quasimomentum, (N, dim + 1) for a
-    batch.  The leading coefficient is prod(T_i) up to the sign (-1)^dim,
-    which is +1 for the even dimensions that occur here.
+    Laplace expansion along rows over polynomial-valued entries, memoised
+    over column subsets: the minor on rows r..dim-1 and a column set S is
+    computed once and shared by every expansion path that reaches it.
+    Entries that vanish at every point of the batch are skipped.  Shape
+    (dim + 1,) for one quasimomentum, (N, dim + 1) for a batch.  The leading
+    coefficient is prod(T_i) up to the sign (-1)^dim, which is +1 for the
+    even dimensions that occur here.
+
+    Each entry is affine in F, conj(F) and eta: ``fm.affine`` holds its
+    constant part, the (dim, dim) boolean mask ``f_at`` the places where F
+    adds to it (conj(F) adds at the transposed places), and the diagonal
+    carries -eta T_i.  A minor is a tensor over the powers of F, conj(F) and
+    eta, with F and conj(F) degrees up to L, the number of places of F.
+    Without ``f_at`` (an assembled matrix) L = 0 and those two axes are
+    dropped.  With it, ``fm`` is a theta-free form (``_layout_form``) and
+    the result is the (L + 1, L + 1, dim + 1) tensor a with
+    det(A(theta) - eta D) = sum a[i, j, k] F^i conj(F)^j eta^k.
     """
     n = fm.dim
     affine = fm.affine.reshape(-1, n, n)
-    present = np.any(affine != 0.0, axis=0)
-    empty = np.zeros((len(affine), n + 1), dtype=complex)
-    empty[:, 0] = 1.0
+    f_places = np.zeros((n, n), dtype=bool) if f_at is None else f_at
+    fc_places = f_places.T
+    degree = int(np.count_nonzero(f_places))
+    present = np.any(affine != 0.0, axis=0) | f_places | fc_places
+    empty = np.zeros((len(affine), degree + 1, degree + 1, n + 1), dtype=complex)
+    empty[:, 0, 0, 0] = 1.0
     minors: dict[int, np.ndarray | None] = {0: empty}
 
     def minor(cols: int) -> np.ndarray | None:
         # determinant of rows n - |cols| .. n - 1 and the columns in the
         # bitmask cols, expanded along its first row; None when every term
-        # vanishes structurally
+        # vanishes structurally.  The rows below a row with a place of F
+        # hold fewer than L of them, so shifting the minor's F degree by one
+        # drops only zeros.
         if cols in minors:
             return minors[cols]
         row = n - cols.bit_count()
@@ -237,9 +278,13 @@ def char_poly(fm: FloquetMatrix) -> np.ndarray:
                 continue
             sub = minor(cols & ~(1 << col)) if present[row, col] or col == row else None
             if sub is not None:
-                term = affine[:, row, col, None] * sub
+                term = affine[:, row, col, None, None, None] * sub
+                if f_places[row, col]:
+                    term[:, 1:] += sub[:, :-1]
+                if fc_places[row, col]:
+                    term[:, :, 1:] += sub[:, :, :-1]
                 if col == row:
-                    term[:, 1:] -= fm.diag_scale[row] * sub[:, :-1]
+                    term[..., 1:] -= fm.diag_scale[row] * sub[..., :-1]
                 if total is None:
                     total = -term if position % 2 else term
                 elif position % 2:
@@ -251,10 +296,39 @@ def char_poly(fm: FloquetMatrix) -> np.ndarray:
         return total
 
     coeffs = minor((1 << n) - 1)
-    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
-    if np.any(np.max(np.abs(coeffs.imag), axis=1) > 1e-12 * scale):
+    coeffs = _real_coefficients(coeffs if f_at is not None else coeffs[:, 0, 0])
+    return coeffs[0] if fm.affine.ndim == 2 else coeffs
+
+
+def _real_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """The real part of an (N, ...) coefficient array, after checking that
+    the imaginary parts at each point stay at rounding level."""
+    axes = tuple(range(1, coeffs.ndim))
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=axes))
+    if np.any(np.max(np.abs(coeffs.imag), axis=axes) > 1e-12 * scale):
         raise EngineError("characteristic polynomial has a non-real coefficient")
-    return coeffs.real[0] if fm.affine.ndim == 2 else coeffs.real
+    return coeffs.real
+
+
+@lru_cache(maxsize=_GATE_CONFIGS)
+def _gate_tensor(config: StackConfig) -> np.ndarray:
+    """The (L + 1, L + 1, dim + 1) tensor of det(A(theta) - eta D) over
+    F^i conj(F)^j eta^k of a stack or the q = 1 cell: ``char_poly`` of its
+    layout form, once per config.  Read-only, since every caller shares it.
+    A CLI run gates one config; a few stay cached for library sweeps."""
+    a0, f_at, scale = _layout_form(config)
+    tensor = char_poly(FloquetMatrix(dim=len(scale), diag_scale=scale, affine=a0), f_at)
+    tensor.setflags(write=False)
+    return tensor
+
+
+def _gate_coefficients(config: StackConfig, F: np.ndarray) -> np.ndarray:
+    """Ascending real coefficients of det(A(theta) - eta D), (N, dim + 1),
+    at the structure-function values F (N,) of a batch."""
+    tensor = _gate_tensor(config)
+    powers = np.vander(F, len(tensor), increasing=True)
+    return _real_coefficients(
+        np.einsum("ni,nj,ijk->nk", powers, np.conj(powers), tensor))
 
 
 def _worst_residual(coeffs: np.ndarray, values: np.ndarray) -> float:
@@ -271,8 +345,10 @@ def _worst_residual(coeffs: np.ndarray, values: np.ndarray) -> float:
     return float(np.max(residuals))
 
 
-def _check_residuals(fm: FloquetMatrix, values: np.ndarray) -> None:
-    worst = _worst_residual(char_poly(fm), values)
+def _check_residuals(config: StackConfig, F: np.ndarray, values: np.ndarray) -> None:
+    """The residual gate of closed-form roots: ``values`` (N, dim) or (dim,)
+    at the structure-function values F (N,), against the config's tensor."""
+    worst = _worst_residual(_gate_coefficients(config, F), values)
     if not worst < RESIDUAL_TOL:
         raise EngineError(
             f"closed-form root failed the residual gate: |p(r)|/lead = {worst:g}"
@@ -430,15 +506,15 @@ def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
     ``servable`` mask names the points that have one.
     """
     t1, t2, scalar = _theta_batch(theta1, theta2)
-    F = structure_function(t1, t2)
+    F = f = structure_function(t1, t2)
     if config.layout.paired:
         _require_opposite_pair(config.vertex)
-        F = _require_diagonal(F)
+        f = _require_diagonal(F)
     names, formula = _FORMULAS[config.variant]
     fields = dict.fromkeys(name for _, _, name in config.layout.bonds)
     squares = [getattr(config.coupling, name) ** 2 for name in fields]
     alphas = config.vertex.alpha_a, config.vertex.alpha_b
-    values = np.stack(formula(*alphas, F, *squares), axis=-1)
+    values = np.stack(formula(*alphas, f, *squares), axis=-1)
     roots = _make_roots(values[0] if scalar else values, names)
-    _check_residuals(assemble(config, t1, t2), roots.values)
+    _check_residuals(config, F, roots.values)
     return roots

@@ -405,17 +405,18 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
     These are the edge-Dirichlet eigenvalues; on the graph they carry flat
     bands (pure-point spectrum) and are excluded from the band inversion.
     """
-    if lam_max <= 0.0:
+    # The scan starts just below min q.  Every Dirichlet eigenvalue lies above
+    # min q + pi^2, and further down solutions grow like exp(sqrt(q - lambda))
+    # until det W = c s' - c' s cancels past the Wronskian gate.
+    lam_lo = float(np.min(pot(np.linspace(0.0, 1.0, 257)))) - 1.0
+    if lam_max <= lam_lo:
         return np.array([])
-    q_bound = 10.0 if pot.is_zero else float(np.max(np.abs(pot(
-        np.linspace(0.0, 1.0, 257))))) + 10.0
-    lam_lo = -q_bound
     # dense scan: linear below 1, uniform in sqrt(lambda) above
     grid = [np.linspace(lam_lo, 1.0, 64, endpoint=False)]
-    w_hi = np.sqrt(lam_max)
+    w_hi = np.sqrt(max(lam_max, 0.0))
     grid.append(np.square(np.arange(1.0, w_hi + 0.05, 0.05)))
     lams = np.concatenate(grid)
-    lams = lams[lams <= lam_max + 1.0]
+    lams = lams[(lams >= lam_lo) & (lams <= lam_max + 1.0)]
     vals = integrate_monodromy(pot, lams).s1
     lo, hi = lams[:-1], lams[1:]
     exact = vals[:-1] == 0.0

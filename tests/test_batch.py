@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexband import bands
+from hexband import bands, floquet
 from hexband.bands import roots_at
 from hexband.cli import main
 from hexband.errors import EngineError, NoClosedFormError
@@ -22,11 +22,13 @@ from hexband.floquet import (
     numeric_roots,
 )
 from hexband.lattice import (
+    LAYOUTS,
     CouplingParams,
     FluxSpec,
     StackConfig,
     StackVariant,
     VertexParams,
+    structure_function,
 )
 from hexband.magnetic import (
     _grid_local_minima,
@@ -190,6 +192,55 @@ def test_char_poly_matches_determinant_interpolation(case):
 
 
 # ============================================================
+#  The residual gate's per-config tensor
+# ============================================================
+
+def _unpaired_config(variant, q, alphas, t):
+    """A config with three independent alphas (alpha_c where the layout
+    reads it) and couplings t, 0.7 t."""
+    names = sorted({name for _, _, name in LAYOUTS[variant].bonds})
+    aa, ab, ac = alphas
+    ac = ac if "alpha_c" in LAYOUTS[variant].fields else 0.0
+    coupling = (CouplingParams(**dict(zip(names, (t, 0.7 * t)))) if names else None)
+    return StackConfig(variant, VertexParams(aa, ab, ac), coupling=coupling,
+                       flux=FluxSpec(1, q) if q else None)
+
+
+@pytest.mark.parametrize("case", CASES[:-1], ids=_case_id)    # all but the q = 2 cell
+@settings(max_examples=25, deadline=None)
+@given(alphas=st.tuples(*[st.floats(-2.0, 2.0)] * 3), t=st.floats(0.05, 1.0),
+       thetas=st.lists(st.tuples(_angle, _angle), min_size=1, max_size=6))
+def test_gate_tensor_at_F_is_char_poly(case, alphas, t, thetas):
+    cfg = _unpaired_config(*case, alphas, t)
+    t1 = np.array([theta[0] for theta in thetas])
+    t2 = np.array([theta[1] for theta in thetas])
+    reference = char_poly(assemble(cfg, t1, t2))
+    coeffs = floquet._gate_coefficients(cfg, structure_function(t1, t2))
+    scale = np.max(np.abs(reference), axis=1, keepdims=True)
+    assert np.all(np.abs(coeffs - reference) <= 1e-13 * scale)
+
+
+def test_classify_expands_each_config_once(tmp_path, monkeypatch):
+    floquet._gate_tensor.cache_clear()
+    expansions = []
+    expand = floquet.char_poly
+    monkeypatch.setattr(floquet, "char_poly", lambda fm, f_at=None: (
+        expansions.append(f_at is not None) or expand(fm, f_at)))
+    stacks = [{"variant": "trilayer_hbn_g_hbn", "alpha_a": 0.4, "alpha_b": -0.4,
+               "t0": 0.5},
+              {"variant": "bilayer_aa", "alpha_a": 0.9, "alpha_b": -0.2, "t0": 0.6}]
+    for k, stack in enumerate(stacks):
+        config = tmp_path / f"{k}.json"
+        config.write_text(json.dumps({"schema_version": 1, "stack": stack,
+                                      "outputs": ["plot", "spectrum"]}))
+        assert main(["classify", "--config", str(config),
+                     "--out", str(tmp_path / str(k))]) == 0
+        # every gated batch of the run reads the one expansion of its stack
+        assert expansions == [True] * (k + 1)
+    assert floquet._gate_tensor.cache_info().misses == 2
+
+
+# ============================================================
 #  The two routes stay independent
 # ============================================================
 
@@ -198,17 +249,19 @@ def test_cofactor_route_never_reaches_the_eigensolver(monkeypatch):
     theta = np.linspace(-np.pi, np.pi, 9)
     values = closed_form_roots(cfg, theta, -theta).values
     fm = assemble(cfg, theta, -theta)
+    F = structure_function(theta, -theta)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the cofactor route called an eigensolver")
 
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, forbidden)
+    floquet._gate_tensor.cache_clear()      # the expansion runs under the patch
     assert char_poly(fm).shape == (9, 7)
-    _check_residuals(fm, values)
-    _check_residuals(assemble(cfg, theta[2], -theta[2]), values[2])
+    _check_residuals(cfg, F, values)
+    _check_residuals(cfg, F[2:3], values[2])
     with pytest.raises(EngineError):
-        _check_residuals(fm, values + 1e-5)
+        _check_residuals(cfg, F, values + 1e-5)
 
 
 # ============================================================

@@ -182,6 +182,26 @@ class TestConfig:
         load_run_config(_write_config(tmp_path, stack={
             "variant": "monolayer", "alpha_a": 1e100, "alpha_b": -1e100}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("tol_touch", -1.0), ("tol_touch", 0.0), ("tol_slope", -5.0),
+        ("tol_slope", 0.0)])
+    def test_non_positive_tolerance_is_config_error(self, tmp_path, capsys,
+                                                     field, value):
+        # below zero no separation passes the gates, so every pair read as a gap
+        cfg = _write_config(tmp_path, tolerances={field: value})
+        code, outdir = _run(tmp_path, "classify", cfg)
+        assert code == 1
+        assert f"tolerances.{field}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("value", ["-1e-6", "0", "nan"])
+    def test_non_positive_tol_touch_flag_is_config_error(self, tmp_path, capsys,
+                                                         value):
+        code, _ = _run(tmp_path, "classify", _write_config(tmp_path),
+                       f"--tol-touch={value}")
+        assert code == 1
+        assert "--tol-touch" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stack,field", [
         ({"variant": "monolayer", "alpha_c": 0.7}, "stack.alpha_c"),
         ({"variant": "bilayer_aa", "t0": 0.5, "t_a": 0.9}, "stack.t_a"),
@@ -727,6 +747,35 @@ class TestOrchestration:
         assert len(lines) == (6 if command == "validate" else 3)
         alone = _write_config(tmp_path, name="alone.json")
         for subcommand, name in (("classify", "report.txt"), ("plot", "bands.svg")):
+            single = tmp_path / subcommand
+            assert main([subcommand, "--config", alone, "--out", str(single)]) == 0
+            assert (outdir / name).read_bytes() == (single / name).read_bytes()
+
+    def test_one_run_samples_and_classifies_once(self, tmp_path, monkeypatch):
+        # report, spectrum and plot share the run's surface and classification
+        from hexband import cli
+        calls = {"sample_diagonal": 0, "classify_touches": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        cfg = _write_config(tmp_path, outputs=["report", "spectrum", "plot"],
+                            grid={"kind": "diagonal", "n": 501})
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        code, outdir = _run(tmp_path, "classify", cfg)
+        assert code == 0
+        assert calls == {"sample_diagonal": 1, "classify_touches": 1}
+        monkeypatch.undo()
+        alone = _write_config(tmp_path, name="alone.json",
+                              grid={"kind": "diagonal", "n": 501})
+        for subcommand, name in (("classify", "report.txt"),
+                                 ("spectrum", "spectrum.csv"), ("plot", "bands.svg")):
             single = tmp_path / subcommand
             assert main([subcommand, "--config", alone, "--out", str(single)]) == 0
             assert (outdir / name).read_bytes() == (single / name).read_bytes()

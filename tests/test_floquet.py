@@ -21,7 +21,7 @@ from hexband import (
     match_branches,
     numeric_roots,
 )
-from hexband.lattice import FluxSpec
+from hexband.lattice import FluxSpec, structure_function
 
 
 def _cfg(variant, aa=0.0, ab=0.0, ac=0.0, **coupling):
@@ -336,18 +336,19 @@ def test_numeric_roots_have_no_labels_and_match_branches_works():
 def test_residual_gate_trips_on_corrupted_roots():
     from hexband.floquet import _check_residuals
     cfg = _cfg(StackVariant.MONOLAYER, 0.3, -0.2)
-    fm = assemble(cfg, 0.5, 0.7)
-    good = numeric_roots(fm).values
-    _check_residuals(fm, good)                     # passes silently
+    F = structure_function(np.array([0.5]), np.array([0.7]))
+    good = numeric_roots(assemble(cfg, 0.5, 0.7)).values
+    _check_residuals(cfg, F, good)                 # passes silently
     with pytest.raises(EngineError):
-        _check_residuals(fm, good + 1e-5)
+        _check_residuals(cfg, F, good + 1e-5)
 
 
 def test_residual_gate_trips_on_nan_roots():
     from hexband.floquet import _check_residuals
-    fm = assemble(_cfg(StackVariant.MONOLAYER, 0.3, -0.2), 0.5, 0.7)
+    cfg = _cfg(StackVariant.MONOLAYER, 0.3, -0.2)
+    F = structure_function(np.array([0.5]), np.array([0.7]))
     with pytest.raises(EngineError, match="residual gate"):
-        _check_residuals(fm, np.array([np.nan, 0.1]))
+        _check_residuals(cfg, F, np.array([np.nan, 0.1]))
 
 
 @pytest.mark.parametrize("variant", [StackVariant.MONOLAYER,

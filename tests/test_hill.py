@@ -193,6 +193,7 @@ def _five_cos(x):
 
 _KNOTS = np.array([0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0])
 _KNOT_VALUES = np.array([2.0, -1.0, 3.0, 0.5, 3.0, -1.0, 2.0])
+_BUMP_KNOTS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 class TestMagnus:
@@ -323,6 +324,32 @@ class TestDirichletSpectrum:
         nu = dirichlet_spectrum(pot, 110.0)
         assert len(nu) == 3
         assert np.max(np.abs(nu - np.array([1, 4, 9]) * np.pi**2)) < 0.2
+
+    def test_constant_potential_shifts_by_its_value(self):
+        # -y'' + 50 y: nu_k = 50 + (k pi)^2; a scan from -60 drifted past
+        # the Wronskian gate (solutions grow like exp(sqrt(50 - lambda)))
+        nu = dirichlet_spectrum(PotentialSpec.sampled([0.0, 1.0], [50.0, 50.0]), 300.0)
+        expect = 50.0 + np.arange(1, 6) ** 2 * np.pi**2
+        assert len(nu) == 5
+        assert np.max(np.abs(nu - expect)) < 1e-8
+        # below zero too: -y'' - 50 y has nu_1,2 = pi^2 - 50, 4 pi^2 - 50
+        below = PotentialSpec.sampled([0.0, 1.0], [-50.0, -50.0])
+        assert np.allclose(dirichlet_spectrum(below, -5.0),
+                           np.array([1.0, 4.0]) * np.pi**2 - 50.0, rtol=0.0, atol=1e-8)
+
+    def test_tall_bumps_scan_from_just_below_min_q(self):
+        # a scan from -(max|q| + 10) = -160 drifted 1e-3 past the gate
+        pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 150.0, 0.0, 150.0, 0.0])
+        nu = dirichlet_spectrum(pot, 148.0)
+        assert len(nu) == 2 and np.all(nu > np.pi**2)
+        assert np.all(np.abs(integrate_monodromy(pot, nu).s1) < 1e-12)
+
+    @pytest.mark.xfail(raises=EngineError, strict=True,
+                       reason="solutions still grow through the bumps above min q: "
+                              "det W drifts 9.5e-7 from 1 at lambda = -1")
+    def test_taller_bumps_pass_the_wronskian_gate(self):
+        pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 300.0, 0.0, 300.0, 0.0])
+        dirichlet_spectrum(pot, 298.0)
 
 
 # ------------------------------------------------------------
