@@ -31,7 +31,7 @@ Two independent routes to the roots are provided and never mixed:
 ``closed_form_roots`` evaluates the analytic root families of ``_FORMULAS``,
 one formula and one tuple of branch names per stack, and verifies every
 value against the characteristic polynomial at runtime: the residual gate
-expands each config's tensor once (``_gate_tensor``, a small cache) and
+expands each config's tensor once (``_gate_tensor`` caches the last one) and
 evaluates it at the F of each batch.  The paired stacks (those with a plain
 layer) have closed forms on the diagonal slice only.  This module provides
 the routes; ``bands.roots_at`` alone decides which one serves a point, for
@@ -70,7 +70,6 @@ RESIDUAL_TOL = 1e-9      # |p(root)| / |leading coefficient| gate
 _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
 _PAIR_TOL = 1e-12        # |alpha_a + alpha_b| bound for the constrained forms
 BATCH_BYTES = 16 * 1024  # bytes of the (N, dim, dim) complex matrices of a batch
-_GATE_CONFIGS = 4        # configs whose gate tensors stay cached
 
 
 # ============================================================
@@ -310,12 +309,12 @@ def _real_coefficients(coeffs: np.ndarray) -> np.ndarray:
     return coeffs.real
 
 
-@lru_cache(maxsize=_GATE_CONFIGS)
+@lru_cache(maxsize=1)
 def _gate_tensor(config: StackConfig) -> np.ndarray:
     """The (L + 1, L + 1, dim + 1) tensor of det(A(theta) - eta D) over
     F^i conj(F)^j eta^k of a stack or the q = 1 cell: ``char_poly`` of its
     layout form, once per config.  Read-only, since every caller shares it.
-    A CLI run gates one config; a few stay cached for library sweeps."""
+    A CLI run gates one config, so one is cached."""
     a0, f_at, scale = _layout_form(config)
     tensor = char_poly(FloquetMatrix(dim=len(scale), diag_scale=scale, affine=a0), f_at)
     tensor.setflags(write=False)

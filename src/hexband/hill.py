@@ -37,7 +37,14 @@ Gates.  Two gates guard every integration, and NaN fails both:
   widens the range.  The Dirichlet scan gates its whole scan grid, so the
   grid is picked once per potential and range, and the root refinements
   that follow reuse it.
-* Wronskian: |det W - 1| <= ``WRONSKIAN_TOL`` at every lambda.
+* Wronskian: |det W - 1| <= ``WRONSKIAN_TOL`` + ``WRONSKIAN_ROUNDING`` *
+  (|c s'| + |c' s|) at every lambda.  Every step map is exactly SL(2), so
+  det W drifts from 1 only by rounding; once solutions grow (far below the
+  top of a tall potential) the two terms of det W = c s' - c' s far exceed
+  1, and their own rounding (100-300 ulps of them, measured on 1024-8192
+  steps) far exceeds ``WRONSKIAN_TOL``.  The second term admits that
+  rounding and no more: where the terms stay O(1) the gate is
+  ``WRONSKIAN_TOL``.
 
 Batch API.  ``integrate_monodromy`` (with ``discriminant``, ``hill_eta`` and
 ``mu_alpha``) takes lambda, and ``invert_discriminant`` takes eta and the
@@ -66,7 +73,9 @@ from .errors import BandEdgeError, EngineError, InputError
 from .floquet import BATCH_BYTES
 from .refine import brent_roots
 
-WRONSKIAN_TOL = 1e-8          # |det W - 1| gate on every integration
+WRONSKIAN_TOL = 1e-8          # |det W - 1| gate on every integration,
+WRONSKIAN_ROUNDING = 1e-12    # plus this share of |c s'| + |c' s|: ~4500
+                              # ulps of the terms det W is computed from
 MAGNUS_TOL = 1e-10            # step-halving gate on d and s(1), relative to
                               # max(1, |value|)
 EDGE_TOL = 10.0 * MAGNUS_TOL  # |d/2 - eta| at a bracket end that counts as a
@@ -351,11 +360,12 @@ def integrate_monodromy(pot: PotentialSpec, lam) -> Monodromy:
     pot.magnus.evaluations += len(lams)
     m = Monodromy(lams, c, cp, s, sp)
     drift = np.abs(m.det - 1.0)
-    bad = ~(drift <= WRONSKIAN_TOL)
+    gate = WRONSKIAN_TOL + WRONSKIAN_ROUNDING * (np.abs(c * sp) + np.abs(cp * s))
+    bad = ~(drift <= gate)
     if bad.any():
         k = np.flatnonzero(bad)[0]
-        raise EngineError(
-            f"Wronskian drifted from 1 by {drift[k]:g} at lambda={lams[k]}")
+        raise EngineError(f"Wronskian drifted from 1 by {drift[k]:g} "
+                          f"(gate {gate[k]:g}) at lambda={lams[k]}")
     if scalar:
         return Monodromy(float(lams[0]), c[0], cp[0], s[0], sp[0])
     return m
@@ -406,17 +416,20 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
     bands (pure-point spectrum) and are excluded from the band inversion.
     """
     # The scan starts just below min q.  Every Dirichlet eigenvalue lies above
-    # min q + pi^2, and further down solutions grow like exp(sqrt(q - lambda))
-    # until det W = c s' - c' s cancels past the Wronskian gate.
+    # min q + pi^2; further down there is nothing to find, only solutions
+    # that grow like exp(sqrt(q - lambda)).
     lam_lo = float(np.min(pot(np.linspace(0.0, 1.0, 257)))) - 1.0
     if lam_max <= lam_lo:
         return np.array([])
     # dense scan: linear below 1, uniform in sqrt(lambda) above
-    grid = [np.linspace(lam_lo, 1.0, 64, endpoint=False)]
     w_hi = np.sqrt(max(lam_max, 0.0))
-    grid.append(np.square(np.arange(1.0, w_hi + 0.05, 0.05)))
-    lams = np.concatenate(grid)
-    lams = lams[(lams >= lam_lo) & (lams <= lam_max + 1.0)]
+    squares = np.square(np.arange(1.0, w_hi + 0.05, 0.05))
+    if lam_lo < 1.0:
+        head = np.linspace(lam_lo, 1.0, 64, endpoint=False)
+    else:
+        head, squares = np.array([lam_lo]), squares[squares > lam_lo]
+    lams = np.concatenate([head, squares])
+    lams = lams[lams <= lam_max + 1.0]
     vals = integrate_monodromy(pot, lams).s1
     lo, hi = lams[:-1], lams[1:]
     exact = vals[:-1] == 0.0

@@ -344,12 +344,34 @@ class TestDirichletSpectrum:
         assert len(nu) == 2 and np.all(nu > np.pi**2)
         assert np.all(np.abs(integrate_monodromy(pot, nu).s1) < 1e-12)
 
-    @pytest.mark.xfail(raises=EngineError, strict=True,
-                       reason="solutions still grow through the bumps above min q: "
-                              "det W drifts 9.5e-7 from 1 at lambda = -1")
     def test_taller_bumps_pass_the_wronskian_gate(self):
+        # solutions grow ~1e5 through the bumps at every lambda below 300, so
+        # c s' and c' s reach 1e10 and det W rounds 9.5e-7 away from 1 at
+        # lambda = -1: an absolute 1e-8 gate failed there.  The eigenvalues
+        # are those of a second-order finite-difference operator on 8000
+        # cells, Richardson-extrapolated from 4000.
         pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 300.0, 0.0, 300.0, 0.0])
-        dirichlet_spectrum(pot, 298.0)
+        nu = dirichlet_spectrum(pot, 298.0)
+        assert np.allclose(nu, [114.55352228, 236.77056692, 258.72268231],
+                           rtol=0.0, atol=2e-8)
+
+    @pytest.mark.parametrize("amp, skew", [(20.0, 1e-10), (300.0, 1e-5)])
+    def test_wronskian_gate_trips_on_a_step_map_off_sl2(self, monkeypatch, amp, skew):
+        # the gate's rounding share admits the rounding of c s' and c' s, not
+        # step maps whose det is 1 + skew: at amplitude 20 the terms stay
+        # ~350 and det W = 1 + 1e-7, at 300 they reach 1e10 and det W ~ 1.04
+        pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, amp, 0.0, amp, 0.0])
+        lams = np.array([-1.0, 10.0, amp / 2.0])
+        integrate_monodromy(pot, lams)          # picks and gates the grid
+        exact = hill._step_maps
+
+        def skewed(*args):
+            a, b, c, d = exact(*args)
+            return a * (1.0 + skew), b, c, d
+
+        monkeypatch.setattr(hill, "_step_maps", skewed)
+        with pytest.raises(EngineError, match="Wronskian drifted"):
+            integrate_monodromy(pot, lams)      # same grid, no halving gate
 
 
 # ------------------------------------------------------------
