@@ -160,8 +160,7 @@ class DispersionSurface:
     config: StackConfig
     theta: np.ndarray          # (n,) theta1 samples on [-pi, pi]
     values: np.ndarray         # (n, dim) eta roots, ascending along each row
-    labels: np.ndarray | None  # (n, dim) branch labels per sorted column
-    route: str                 # "closed" or "numeric"
+    route: str                 # "closed" (labelled branches) or "numeric"
 
     @property
     def n_samples(self) -> int:
@@ -188,11 +187,8 @@ def sample_diagonal(config: StackConfig, n: int = 501,
     """
     theta = diagonal_slice(n)
     roots = roots_at(config, theta, -theta, route=route)
-    labelled = len(roots.names) > 0
-    return DispersionSurface(
-        config=config, theta=theta, values=roots.values,
-        labels=roots.branch_labels if labelled else None,
-        route="closed" if labelled else "numeric")
+    return DispersionSurface(config=config, theta=theta, values=roots.values,
+                             route="closed" if roots.names else "numeric")
 
 
 def adjacent_separations(config: StackConfig, theta1: float,
@@ -292,7 +288,7 @@ def classify_touches(surface: DispersionSurface,
     reports = classify_minima(
         surface.roots_at, minima, _DIAGONAL_DIR, tol_touch, tol_slope,
         [float(structure_function(t1, t2).real) for _, t1, t2, _ in minima],
-        crossings=surface.labels is not None)
+        crossings=surface.route == "closed")
     # a pair has a flat record or refined minima, never both
     return tuple(heapq.merge(flat, reports, key=lambda r: r.band_pair))
 

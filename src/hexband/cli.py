@@ -53,8 +53,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -75,7 +75,6 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .floquet import chunk_slices
 from .hill import MAGNUS_TOL, PotentialSpec, bands_from_root_surface
 from .lattice import (
     LAYOUTS,
@@ -423,14 +422,18 @@ def _require_diagonal_slice(run: RunConfig, artifact: str) -> None:
         )
 
 
+@dataclass
 class _RunContext:
-    """One run's settings, arguments, and the diagonal-slice surface and
-    touch classification that its artifacts share: each is computed on
-    first use, at most once per run."""
+    """One run's settings and arguments; the diagonal-slice surface and touch
+    classification that its artifacts share, each computed on first use and
+    at most once per run; and what its emitters leave for the driver besides
+    their text."""
 
-    def __init__(self, run: RunConfig, args: argparse.Namespace) -> None:
-        self.run = run
-        self.args = args
+    run: RunConfig
+    args: argparse.Namespace
+    extra: dict = field(default_factory=dict)        # manifest blocks
+    console: list[str] = field(default_factory=list)  # stdout after `wrote`
+    max_dev: float = 0.0                             # validate's, for its gate
 
     @cached_property
     def surface(self) -> DispersionSurface:
@@ -447,62 +450,43 @@ class _RunContext:
 # ============================================================
 
 def _emit_bands(ctx: _RunContext) -> str:
-    run = ctx.run
+    theta1, theta2 = _grid_thetas(ctx.run)
+    roots = roots_at(ctx.run.stack, theta1, theta2)
+    f = structure_function(theta1, theta2)
     lines = [BANDS_CSV_HEADER]
-    theta1, theta2 = _grid_thetas(run)
-    roots = roots_at(run.stack, theta1, theta2)
-    admissible_all = roots.admissible
-    for part in chunk_slices(len(theta1), run.stack.dim):
-        t1, t2 = theta1[part], theta2[part]
-        f = structure_function(t1, t2)
-        for a, b, fr, fi, row, flags, by_formula in zip(
-                t1.tolist(), t2.tolist(), f.real.tolist(), f.imag.tolist(),
-                roots.values[part].tolist(), admissible_all[part].tolist(),
-                roots.closed[part].tolist()):
-            point = f"{_g17(a)},{_g17(b)},{_g17(fr)},{_g17(fi)},"
-            source = "closed_form" if by_formula else "numeric"
-            for band, (eta, admissible) in enumerate(zip(row, flags)):
-                lines.append(f"{point}{band},{_g17(eta)},{int(admissible)},{source}")
+    for a, b, fr, fi, row, flags, by_formula in zip(
+            theta1.tolist(), theta2.tolist(), f.real.tolist(), f.imag.tolist(),
+            roots.values.tolist(), roots.admissible.tolist(), roots.closed.tolist()):
+        point = f"{_g17(a)},{_g17(b)},{_g17(fr)},{_g17(fi)},"
+        source = "closed_form" if by_formula else "numeric"
+        for band, (eta, admissible) in enumerate(zip(row, flags)):
+            lines.append(f"{point}{band},{_g17(eta)},{int(admissible)},{source}")
     return "\n".join(lines) + "\n"
 
 
-def _mirror_collapse(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
-    """Fold theta -> -theta mirror images (diagonal profiles are even)."""
-    kept: list[TouchReport] = []
-    consumed = [False] * len(reports)
+def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
+    """Fold theta -> -theta mirror images (diagonal profiles are even): a
+    record's twin is the first later unconsumed one of the same kind and pair
+    at -theta1, and the one at the larger theta1 stays.  Then keep the
+    narrowest gap of each pair."""
+    records: list[TouchReport] = []
+    gaps: dict[tuple[int, int], TouchReport] = {}
+    consumed: set[int] = set()
     for i, rep in enumerate(reports):
-        if consumed[i]:
+        if i in consumed:
             continue
-        if rep.theta1 is None:
-            kept.append(rep)
-            continue
-        twin = None
         for j in range(i + 1, len(reports)):
             other = reports[j]
-            if (not consumed[j] and other.kind == rep.kind
-                    and other.band_pair == rep.band_pair
+            if (j not in consumed and rep.theta1 is not None
+                    and other.kind == rep.kind and other.band_pair == rep.band_pair
                     and other.theta1 is not None
                     and abs(other.theta1 + rep.theta1) < 1e-6):
-                twin = j
+                consumed.add(j)
+                rep = max(rep, other, key=lambda r: r.theta1)
                 break
-        if twin is not None:
-            consumed[twin] = True
-            if rep.theta1 < reports[twin].theta1:
-                rep = reports[twin]
-        kept.append(rep)
-    return kept
-
-
-def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
-    """Collapse mirrors, then keep one gap record (the narrowest) per pair."""
-    folded = _mirror_collapse(reports)
-    records: list[TouchReport] = [r for r in folded if r.kind != "gap"]
-    gaps: dict[tuple[int, int], TouchReport] = {}
-    for rep in folded:
         if rep.kind != "gap":
-            continue
-        best = gaps.get(rep.band_pair)
-        if best is None or rep.separation < best.separation:
+            records.append(rep)
+        elif rep.band_pair not in gaps or rep.separation < gaps[rep.band_pair].separation:
             gaps[rep.band_pair] = rep
     records.extend(gaps.values())
     records.sort(key=lambda r: (r.band_pair,
@@ -511,25 +495,19 @@ def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
 
 
 def _record_lines(index: int, rep: TouchReport) -> list[str]:
-    lines = [f"record: {index}",
-             f"kind: {rep.kind}",
-             f"band_pair: {rep.band_pair[0]},{rep.band_pair[1]}"]
-    if rep.theta1 is not None:
-        lines.append(f"theta1: {_rr(rep.theta1)}")
-    if rep.theta2 is not None:
-        lines.append(f"theta2: {_rr(rep.theta2)}")
-    if rep.f_value is not None:
-        lines.append(f"f_value: {_rr(rep.f_value)}")
-    lines.append(f"eta: {_rr(rep.value)}")
-    lines.append(f"separation: {_rr(rep.separation)}")
-    if rep.gap_width is not None:
-        lines.append(f"gap_width: {_rr(rep.gap_width)}")
-    if rep.gamma is not None:
-        lines.append(f"gamma: {_rr(rep.gamma)}")
-    if rep.curvature is not None:
-        lines.append(f"curvature: {_rr(rep.curvature)}")
-    if rep.flat:
-        lines.append("flat: true")
+    """The record's set fields in declaration order (``value`` as ``eta``)."""
+    lines = [f"record: {index}"]
+    for name in (f.name for f in fields(rep)):
+        value = getattr(rep, name)
+        if value is None or value is False:
+            continue
+        if value is True:
+            value = "true"
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        elif not isinstance(value, str):
+            value = _rr(value)
+        lines.append(f"{'eta' if name == 'value' else name}: {value}")
     return lines
 
 
@@ -589,9 +567,9 @@ def _emit_gaps(ctx: _RunContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_spectrum(ctx: _RunContext) -> tuple[str, dict]:
-    """spectrum.csv, its diagnostics (printed to stderr) and how the Hill layer
-    got there, for the manifest only so that spectrum.csv stays deterministic."""
+def _emit_spectrum(ctx: _RunContext) -> str:
+    """spectrum.csv; its diagnostics go to stderr and, with how the Hill layer
+    got there, to the manifest only, so that spectrum.csv stays deterministic."""
     run = ctx.run
     potential = run.potential if run.potential is not None else PotentialSpec.zero()
     surface = ctx.surface
@@ -613,8 +591,8 @@ def _emit_spectrum(ctx: _RunContext) -> tuple[str, dict]:
             "magnus_halving_gate": MAGNUS_TOL}
     for note in result.diagnostics:
         print(f"spectrum: {note}", file=sys.stderr)
-    extra = {"notes": list(result.diagnostics), "trace": {"hill": hill}}
-    return "\n".join(lines) + "\n", extra
+    ctx.extra.update(notes=list(result.diagnostics), trace={"hill": hill})
+    return "\n".join(lines) + "\n"
 
 
 def _emit_plot(ctx: _RunContext) -> str:
@@ -644,8 +622,9 @@ def _emit_magnetic(ctx: _RunContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_validate(ctx: _RunContext) -> tuple[str, list[str], float]:
-    """validate.txt, its summary lines for stdout, and the largest deviation."""
+def _emit_validate(ctx: _RunContext) -> str:
+    """validate.txt; its summary lines for stdout and its largest deviation
+    go to the run context."""
     run, args = ctx.run, ctx.args
     samples, seed = args.samples, args.seed
     rng = np.random.default_rng(seed)
@@ -682,10 +661,10 @@ def _emit_validate(ctx: _RunContext) -> tuple[str, list[str], float]:
                f"gate: {_g17(VALIDATE_GATE)}",
                f"verdict: {'FAIL' if not max_dev <= VALIDATE_GATE else 'PASS'}"]
     header = _report_header(run, "closed-form vs eigensolver validation")
-    text = "\n".join(header + [f"seed: {seed}"] + summary + [""] + rows) + "\n"
     # the max and (when any point was compared) the mean deviation lines
-    console = [f"compared: {devs.size} of {samples}", *summary[3:5 if devs.size else 4]]
-    return text, console, max_dev
+    ctx.console += [f"compared: {devs.size} of {samples}", *summary[3:5 if devs.size else 4]]
+    ctx.max_dev = max_dev
+    return "\n".join(header + [f"seed: {seed}"] + summary + [""] + rows) + "\n"
 
 
 # ============================================================
@@ -716,23 +695,15 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     started = time.time()
     ctx = _RunContext(run, args)
-    extra, console, max_dev = {}, [], 0.0
     for name, filename in zip(wanted, files):
-        emit = _ARTIFACTS[name][1]
-        if name == "spectrum":
-            text, extra = emit(ctx)
-        elif name == "validate":
-            text, console, max_dev = emit(ctx)
-        else:
-            text = emit(ctx)
-        _atomic_write_text(os.path.join(args.out, filename), text)
-    _write_manifest(args.out, command, run, files, time.time() - started, extra)
+        _atomic_write_text(os.path.join(args.out, filename), _ARTIFACTS[name][1](ctx))
+    _write_manifest(args.out, command, run, files, time.time() - started, ctx.extra)
     for filename in files:
         print(f"wrote {os.path.join(args.out, filename)}")
-    for line in console:
+    for line in ctx.console:
         print(line)
-    if not max_dev <= VALIDATE_GATE:
-        raise ValidationError(f"closed-form vs eigensolver deviation {max_dev:g} "
+    if not ctx.max_dev <= VALIDATE_GATE:
+        raise ValidationError(f"closed-form vs eigensolver deviation {ctx.max_dev:g} "
                               f"exceeds the {VALIDATE_GATE:g} gate")
     return 0
 
@@ -741,7 +712,9 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
 #  Argument parsing and entry point
 # ============================================================
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
                         help="JSON configuration document")
@@ -757,8 +730,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       const="full", help="override grid.kind to the full grid")
     common.add_argument("--tol-touch", type=float, default=None,
                         help="override tolerances.tol_touch")
-    common.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for validate's random quasimomenta")
 
     parser = argparse.ArgumentParser(
         prog="hexband",
@@ -780,6 +751,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "validate":
             p.add_argument("--samples", type=int, default=200,
                            help="number of random quasimomenta")
+            p.add_argument("--seed", type=int, default=0,
+                           help="RNG seed for the random quasimomenta")
             p.add_argument("--corrupt-closed-form", action="store_true",
                            help=argparse.SUPPRESS)
     return parser

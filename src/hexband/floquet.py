@@ -330,28 +330,29 @@ def _gate_coefficients(config: StackConfig, F: np.ndarray) -> np.ndarray:
         np.einsum("ni,nj,ijk->nk", powers, np.conj(powers), tensor))
 
 
-def _worst_residual(coeffs: np.ndarray, values: np.ndarray) -> float:
-    """max over all points and roots of |p(root)| / |leading coefficient|.
+def _residual_gate(coeffs: np.ndarray, values: np.ndarray) -> None:
+    """The residual gate of closed-form roots: raises unless every
+    |p(root)| / |leading coefficient| is below ``RESIDUAL_TOL``.
 
     ``coeffs`` is (dim + 1,) or (N, dim + 1) and ``values`` the matching
-    (dim,) or (N, dim); a NaN anywhere makes the result NaN."""
+    (dim,) or (N, dim), possibly with N = 0; a NaN anywhere fails."""
+    if np.size(values) == 0:
+        return
     coeffs = np.reshape(coeffs, (-1, coeffs.shape[-1]))
     values = np.reshape(values, (len(coeffs), -1))
-    if values.size == 0:
-        return 0.0
     residuals = (np.abs(npoly.polyval(values, coeffs.T[:, :, None], tensor=False))
                  / np.abs(coeffs[:, -1:]))
-    return float(np.max(residuals))
+    worst = float(np.max(residuals))
+    if not worst < RESIDUAL_TOL:
+        raise EngineError(
+            f"closed-form root failed the residual gate: |p(r)|/lead = {worst:g}"
+        )
 
 
 def _check_residuals(config: StackConfig, F: np.ndarray, values: np.ndarray) -> None:
     """The residual gate of closed-form roots: ``values`` (N, dim) or (dim,)
     at the structure-function values F (N,), against the config's tensor."""
-    worst = _worst_residual(_gate_coefficients(config, F), values)
-    if not worst < RESIDUAL_TOL:
-        raise EngineError(
-            f"closed-form root failed the residual gate: |p(r)|/lead = {worst:g}"
-        )
+    _residual_gate(_gate_coefficients(config, F), values)
 
 
 # ============================================================

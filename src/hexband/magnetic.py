@@ -35,15 +35,14 @@ import numpy as np
 
 # a module import: bands imports magnetic back, for the Robin cells
 from . import bands
-from .errors import EngineError, GridError, VariantError
+from .errors import GridError, VariantError
 from .floquet import (
-    RESIDUAL_TOL,
     DispersionRoots,
     FloquetMatrix,
     _floquet_matrix,
     _make_roots,
+    _residual_gate,
     _theta_batch,
-    _worst_residual,
     assemble,
 )
 from .lattice import FluxSpec, StackConfig
@@ -185,11 +184,7 @@ def closed_form_roots_q2(config: StackConfig, theta1, theta2) -> DispersionRoots
         values.extend([(-a - root) / 6.0, (-a + root) / 6.0])
     values = np.stack(values, axis=-1)
     roots = _make_roots(values[0] if scalar else values, _Q2_NAMES)
-    worst = _worst_residual(_q2_coeffs(config, g), roots.values)
-    if not worst < RESIDUAL_TOL:
-        raise EngineError(
-            f"q = 2 radical roots fail the residual gate: {worst:g}"
-        )
+    _residual_gate(_q2_coeffs(config, g), roots.values)
     return roots
 
 

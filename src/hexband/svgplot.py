@@ -9,7 +9,7 @@ width bar, each carrying a tooltip with the classification details.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -144,7 +144,7 @@ def _markers(frame: _Frame, reports) -> list[str]:
                    f"theta1={rep.theta1:.6g}")
             parts.append(
                 f'<g stroke="{GAP_COLOR}" stroke-width="1.4">'
-                f'<title>{escape(tip)}</title>'
+                f'<title>{escape(tip, quote=False)}</title>'
                 f'<line x1="{_fmt(x)}" y1="{_fmt(y_lo)}" x2="{_fmt(x)}" '
                 f'y2="{_fmt(y_hi)}"/>'
                 f'<line x1="{_fmt(x - 4.0)}" y1="{_fmt(y_lo)}" '
@@ -165,7 +165,7 @@ def _markers(frame: _Frame, reports) -> list[str]:
             parts.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(frame.y(rep.value))}" '
                 f'r="4" fill="{fill}" stroke="#ffffff" stroke-width="1">'
-                f'<title>{escape(tip)}</title></circle>'
+                f'<title>{escape(tip, quote=False)}</title></circle>'
             )
     return parts
 
@@ -197,10 +197,10 @@ def render_band_chart(surface: DispersionSurface,
         'role="img">',
     ]
     if title:
-        parts.append(f"<title>{escape(title)}</title>")
+        parts.append(f"<title>{escape(title, quote=False)}</title>")
         parts.append(f'<text x="{_fmt(WIDTH / 2.0)}" y="26" '
                      'font-family="monospace" font-size="15" '
-                     f'text-anchor="middle" fill="#111111">{escape(title)}'
+                     f'text-anchor="middle" fill="#111111">{escape(title, quote=False)}'
                      '</text>')
     parts.extend(_axes(frame))
     for band in range(surface.dim):

@@ -53,13 +53,11 @@ class TestSampling:
         assert surf.values.shape == (301, 2)
         assert np.all(np.diff(surf.values, axis=1) >= 0.0)
         assert surf.route == "closed"
-        assert surf.labels is not None
 
     def test_numeric_fallback_for_general_hetero(self):
         cfg = _cfg("hetero_bilayer", aa=-1.0, ab=0.7, t0=0.3)
         surf = sample_diagonal(cfg, n=301)
         assert surf.route == "numeric"
-        assert surf.labels is None
 
     def test_route_forcing(self):
         cfg = _cfg("monolayer", aa=0.1, ab=0.1)

@@ -57,6 +57,19 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_network_stack():
+    # the plot escapes its text with html.escape; xml.sax.saxutils would
+    # bring in urllib.request and with it http, ssl and email
+    code = ("import json, sys; before = set(sys.modules); import hexband.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert "hexband.svgplot" in added
+    assert not added & {"urllib.request", "http.client", "ssl", "email.parser"}
+
+
 def _records(text):
     """Parse a key-value report into (header dict, list of record dicts)."""
     header: dict = {}
@@ -608,6 +621,13 @@ class TestValidate:
         text_b = (out_b / "validate.txt").read_text()
         assert text_a != text_b
         assert "verdict: PASS" in text_a and "verdict: PASS" in text_b
+
+    def test_seed_is_a_validate_option_only(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, "classify", cfg, "--seed", "3")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------

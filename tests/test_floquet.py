@@ -343,6 +343,12 @@ def test_residual_gate_trips_on_corrupted_roots():
         _check_residuals(cfg, F, good + 1e-5)
 
 
+@pytest.mark.parametrize("cfg", ALL_NONMAGNETIC, ids=lambda c: c.variant.value)
+def test_closed_form_roots_of_an_empty_batch(cfg):
+    roots = closed_form_roots(cfg, np.array([]), np.array([]))
+    assert roots.values.shape == (0, cfg.dim)
+
+
 def test_residual_gate_trips_on_nan_roots():
     from hexband.floquet import _check_residuals
     cfg = _cfg(StackVariant.MONOLAYER, 0.3, -0.2)

@@ -178,6 +178,10 @@ class TestQuartic:
         roots = closed_form_roots_q2(_mag_cfg(-1.0, 1.0), 0.4, 0.9)
         assert roots.branch_labels == ("out-", "in-", "in+", "out+")
 
+    def test_empty_batch(self):
+        roots = closed_form_roots_q2(_mag_cfg(-1.0, 1.0), np.array([]), np.array([]))
+        assert roots.values.shape == (0, 4)
+
     def test_nan_alpha_fails_the_residual_gate(self):
         with pytest.raises(EngineError, match="residual gate"):
             closed_form_roots_q2(_mag_cfg(np.nan, 0.5), 0.4, 0.9)
