@@ -509,13 +509,45 @@ GOLDEN = [
 ]
 
 
+# sampled-potential spectra pin the bits of the Magnus integrator: a
+# period-1/2 potential on five knots under a monolayer with alpha_a, alpha_b
+# > 0 (the benchmark's sampled jobs), and nine knots whose eight pieces need
+# one step halving, with a Dirichlet scan over many lane chunks
+_KNOTS_5 = [0.0, 0.25, 0.5, 0.75, 1.0]
+_KNOTS_9 = [k / 8.0 for k in range(9)]
+GOLDEN_SAMPLED = [
+    pytest.param(
+        {"variant": "monolayer", "alpha_a": 0.6, "alpha_b": 1.2},
+        {"kind": "sampled", "x": _KNOTS_5, "values": [1.5, -2.0, 1.5, -2.0, 1.5]},
+        "a372b0bd6247abe86664edf9e407240fd4daa46bb27caf9ebf19808a5540c124",
+        id="spectrum.csv-monolayer-period_half"),
+    pytest.param(
+        {"variant": "bilayer_aa_prime", "alpha_a": -0.7, "alpha_b": 0.4,
+         "t0": 0.3},
+        {"kind": "sampled", "x": _KNOTS_9,
+         "values": [0.0, 4.0, -1.0, 6.0, 2.0, 6.0, -1.0, 4.0, 0.0]},
+        "208605cb57cc9ee1dde1810b7b8b625f542c69851095aaf19438f0e7c439079d",
+        id="spectrum.csv-bilayer_aa_prime-nine_knots"),
+]
+
+
+def _artifact_sha256(tmp_path, command, config, artifact):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, **config}))
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(outdir)]) == 0
+    return hashlib.sha256((outdir / artifact).read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("command,stack,grid,artifact,digest", GOLDEN)
 def test_artifact_digest_is_pinned(tmp_path, command, stack, grid, artifact,
                                    digest):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"schema_version": 1, "stack": stack,
-                                  "grid": grid}))
-    outdir = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(outdir)]) == 0
-    data = (outdir / artifact).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    config = {"stack": stack, "grid": grid}
+    assert _artifact_sha256(tmp_path, command, config, artifact) == digest
+
+
+@pytest.mark.parametrize("stack,potential,digest", GOLDEN_SAMPLED)
+def test_sampled_spectrum_digest_is_pinned(tmp_path, stack, potential, digest):
+    config = {"stack": stack, "grid": _DIAGONAL_201, "potential": potential}
+    assert _artifact_sha256(tmp_path, "spectrum", config,
+                            "spectrum.csv") == digest
