@@ -51,11 +51,16 @@ Batch API.  ``integrate_monodromy`` (with ``discriminant``, ``hill_eta`` and
 band, as scalars or 1-D arrays; a scalar call is a batch of one and gives
 floats.  A lambda gets the same bits alone as inside a batch of the same
 grid.  Lambdas are integrated in chunks of ``_LANES`` and steps in blocks
-of ``_BLOCK``: a block's step maps are multiplied pairwise, then into the
-running product, so no temporary exceeds ``floquet.BATCH_BYTES``.  Each
-Dirichlet scan is one batched call.  Its sign changes, and all band
-inversions of a spectrum, are refined together by ``refine.brent_roots``,
-bit for bit as scipy's brentq would refine each one.
+of ``_BLOCK``.  A block is one stacked (2, 2, steps, lanes) array of
+step-map entries; its maps are multiplied pairwise as 2x2 blocks, one
+broadcast product per level of the tree, then into the running product.
+Each entry plane stays within ``floquet.BATCH_BYTES`` (16 KiB), so a
+stacked block holds the 64 KiB that four separate planes would.  Each
+potential builds each grid once and keeps it read-only on its
+``MagnusState``.  Each Dirichlet scan is one batched call.  Its sign
+changes, and all band inversions of a spectrum, are refined together by
+``refine.brent_roots``, bit for bit as scipy's brentq would refine each
+one.
 
 The vertex-weighted discriminant mu_alpha(z) = c(1; z) + (alpha/2) s(1; z)
 uses the convention alpha(v) = (alpha/2) deg(v); the alternative bookkeeping
@@ -110,6 +115,9 @@ class MagnusState:
     it on lambdas spanning [lam_lo, lam_hi]; ``deviation`` is the worst
     h/h2 deviation a passing gate saw.  ``evaluations`` counts the
     monodromies delivered, one per lambda, for the zero potential too.
+    ``grids`` holds each grid the potential was integrated on, by
+    ``halvings``: the read-only (h, sigma, hq) step arrays of
+    ``_magnus_grid``, built once per potential and grid.
     """
 
     halvings: int = 0
@@ -118,6 +126,7 @@ class MagnusState:
     lam_hi: float = -math.inf
     deviation: float = 0.0
     evaluations: int = 0
+    grids: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -260,13 +269,10 @@ def _magnus_grid(pot: PotentialSpec, halvings: int):
     left = np.repeat(edges[:-1], per_piece) + (np.arange(len(h)) - first) * h
     q1 = pot(left + (0.5 - _GAUSS) * h)
     q2 = pot(left + (0.5 + _GAUSS) * h)
-    return h, (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2), 0.5 * h * (q1 + q2)
-
-
-def _mul(a, b):
-    """a @ b for 2x2 matrices held as their four entries (row-major)."""
-    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+    grid = (h, (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2), 0.5 * h * (q1 + q2))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def _step_maps(h, sigma, hq, lam):
@@ -286,25 +292,30 @@ def _step_maps(h, sigma, hq, lam):
 
 def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
     """(c, c', s, s') at x = 1 for every lambda on one grid."""
-    h, sigma, hq = _magnus_grid(pot, halvings)
-    out = np.empty((4, len(lam)))
+    grids = pot.magnus.grids
+    if halvings not in grids:
+        grids[halvings] = _magnus_grid(pot, halvings)
+    h, sigma, hq = grids[halvings]
+    out = np.empty((2, 2, len(lam)))
     for start in range(0, len(lam), _LANES):
         chunk = lam[start:start + _LANES]
-        one, zero = np.ones_like(chunk), np.zeros_like(chunk)
-        y = (one, zero, zero, one)          # [[c, s], [c', s']] at x = 0
+        # [[c, s], [c', s']] at x = 0
+        y = np.repeat(np.eye(2)[:, :, None], len(chunk), axis=2)
         for j in range(0, len(h), _BLOCK):
-            maps = _step_maps(h[j:j + _BLOCK], sigma[j:j + _BLOCK],
-                              hq[j:j + _BLOCK], chunk)
-            while len(maps[0]) > 1:         # later steps multiply on the left
-                even = len(maps[0]) // 2 * 2
-                pairs = _mul([m[1:even:2] for m in maps],
-                             [m[0:even:2] for m in maps])
-                maps = [np.concatenate([p, m[even:]])
-                        for p, m in zip(pairs, maps)]
-            y = _mul([m[0] for m in maps], y)
-        out[:, start:start + len(chunk)] = y
-    c, s, cp, sp = out
-    return c, cp, s, sp
+            # (2, 2, steps, lanes): entry (i, j) of every step map
+            m = np.stack(_step_maps(h[j:j + _BLOCK], sigma[j:j + _BLOCK],
+                                    hq[j:j + _BLOCK], chunk))
+            m = m.reshape(2, 2, -1, len(chunk))
+            while m.shape[2] > 1:           # later steps multiply on the left
+                even = m.shape[2] // 2 * 2
+                a, b = m[:, :, 1:even:2], m[:, :, 0:even:2]
+                p = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+                m = p if even == m.shape[2] else np.concatenate(
+                    [p, m[:, :, even:]], axis=2)
+            m = m[:, :, 0]
+            y = m[:, 0, None] * y[0] + m[:, 1, None] * y[1]
+        out[:, :, start:start + len(chunk)] = y
+    return out[0, 0], out[1, 0], out[0, 1], out[1, 1]
 
 
 def _halving_deviation(coarse, fine) -> float:
@@ -519,6 +530,13 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
     if outside.any():
         raise InputError(f"eta={float(etas[outside][0])!r} outside [-1, 1] "
                          "has no band preimage")
+    top = math.inf if brackets is None else len(brackets)
+    wrong = ((bands < 1) | (bands > top) if bands.dtype.kind in "iu"
+             else np.ones(bands.shape, dtype=bool))
+    if wrong.any():
+        limit = "" if brackets is None else f" up to {top}"
+        raise InputError(f"hill_band={bands[wrong][0].item()!r} is not a Hill "
+                         f"band: bands are integers from 1{limit}")
     if brackets is None:
         brackets = _band_brackets(pot, int(bands.max()))
     a = np.array([brackets[band - 1][0] for band in bands], dtype=float)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from hexband import hill
 from hexband.bands import sample_diagonal
 from hexband.cli import (
     BANDS_CSV_HEADER,
@@ -520,6 +521,31 @@ class TestSpectrum:
         assert zero_trace["magnus_steps"] is None
         assert zero_trace["magnus_halving_deviation"] is None
         assert zero_trace["monodromy_evaluations"] > 0
+
+    def test_a_sampled_spectrum_builds_each_magnus_grid_once(
+            self, tmp_path, monkeypatch):
+        built = []
+        build = hill._magnus_grid
+
+        def counted(pot, halvings):
+            built.append((id(pot), halvings, build(pot, halvings)))
+            return built[-1][2]
+
+        monkeypatch.setattr(hill, "_magnus_grid", counted)
+        cfg = _write_config(tmp_path,
+                            potential={"kind": "sampled",
+                                       "x": [0.0, 0.25, 0.5, 0.75, 1.0],
+                                       "values": [1.3, -2.1, 1.3, -2.1, 1.3]})
+        code, _ = _run(tmp_path, "spectrum", cfg)
+        assert code == 0
+        grids = [(pot, halvings) for pot, halvings, _ in built]
+        # the step-halving gate compares a grid with its halving
+        assert len(grids) >= 2 and len(set(grids)) == len(grids)
+        for _, _, grid in built:
+            for steps in grid:
+                assert not steps.flags.writeable
+                with pytest.raises(ValueError):
+                    steps[0] = 0.0
 
     def test_unresolvable_potential_exits_2_at_the_step_halving_gate(
             self, tmp_path, capsys):

@@ -393,6 +393,15 @@ class TestInversion:
         with pytest.raises(InputError, match="no band preimage"):
             invert_discriminant(ZERO, 1.2, 1)
 
+    @pytest.mark.parametrize("band, bracketed", [
+        (0, True), (-1, True), (4, True), (0, False), (-1, False),
+        (1.5, False), ([2, 0], False)])
+    def test_invert_rejects_a_band_that_is_not_one(self, band, bracketed):
+        # band 0 with brackets once read brackets[-1], band 3's bracket
+        brackets = hill._band_brackets(ZERO, 3) if bracketed else None
+        with pytest.raises(InputError, match="is not a Hill band"):
+            invert_discriminant(ZERO, 0.5, band, brackets)
+
     def test_monolayer_alpha0_lambda_intervals(self):
         res = bands_from_root_surface(ZERO, [(0.0, 1.0), (-1.0, 0.0)],
                                       n_bands=2)
