@@ -506,6 +506,17 @@ GOLDEN = [
                  "alpha_c": 0.2, "t0": 0.5}, _DIAGONAL_501, "gaps.txt",
         "d0f68b7c4bb36a38fcd3114a539ea8e48cb5d44a82ee189f40bb157ed7d848e5",
         id="gaps.txt-trilayer_hbn_g_hbn-numeric"),
+    # bands.csv on the diagonal slice (theta2 = -theta1, F real) and on the
+    # full grid of the one layout no row above writes it for
+    pytest.param(
+        "bands", _HETERO, _DIAGONAL_201, "bands.csv",
+        "343390702d221348fcab3b685ec835b07741e305f97b7231dcea5a6e064219f3",
+        id="bands.csv-hetero_bilayer-diagonal"),
+    pytest.param(
+        "bands", {"variant": "trilayer_g_hbn_g", "alpha_a": -0.8,
+                  "alpha_b": 0.8, "t0": 0.5}, _FULL_21, "bands.csv",
+        "9e67dee03ceb03ed18d4a40b7d0599772998e4fcef9e5da243f19dc284ae2f18",
+        id="bands.csv-trilayer_g_hbn_g"),
 ]
 
 
