@@ -26,14 +26,14 @@ sampled surface and one touch classification.
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  Every run writes its artifacts atomically
 (temp-then-rename) into ``--out`` plus one ``manifest.json`` echoing the
-resolved configuration and the sha256 digest of each artifact; identical
-configurations reproduce byte-identical data files.  Stdout gets one
-``wrote <path>`` line per artifact (then validate's summary lines), stderr
-the diagnostics and errors.  A run that writes ``spectrum.csv`` also records
-in the manifest's ``trace.hill`` block the Magnus step count, the worst
-step-halving deviation against its gate and the number of monodromy
-evaluations (null steps and deviation for the closed-form zero potential);
-these never enter the data files.
+resolved configuration and the sha256 digest of the bytes written for each
+artifact; identical configurations reproduce byte-identical data files.
+Stdout gets one ``wrote <path>`` line per artifact (then validate's summary
+lines), stderr the diagnostics and errors.  A run that writes
+``spectrum.csv`` also records in the manifest's ``trace.hill`` block the
+Magnus step count, the worst step-halving deviation against its gate and
+the number of monodromy evaluations (null steps and deviation for the
+closed-form zero potential); these never enter the data files.
 
 Exit codes: 0 success; 1 configuration problems (including a sampling grid
 too coarse to classify); 2 numerical-validation failures; 3 I/O errors
@@ -107,10 +107,15 @@ _ALLOWED_KEYS = {
 
 
 def _g17(x: float) -> str:
-    value = float(x)
-    if value == 0.0:  # normalize -0.0 so grids serialize uniformly
-        value = 0.0
-    return f"{value:.17g}"
+    return "%.17g" % (float(x) + 0.0)  # -0.0 + 0.0 is 0.0: grids serialize uniformly
+
+
+def _g17_text(values: np.ndarray) -> np.ndarray:
+    """``_g17`` of every value, as an object array of the same shape: each
+    distinct value is formatted once, all in one C-level pass."""
+    distinct, at = np.unique(values, return_inverse=True)
+    text = list(map("%.17g".__mod__, (distinct + 0.0).tolist()))
+    return np.array(text, dtype=object)[at.reshape(values.shape)]
 
 
 def _rr(x: float) -> str:
@@ -351,12 +356,15 @@ def _config_echo(run: RunConfig, files: list[str]) -> dict:
 #  Output plumbing
 # ============================================================
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write_text(path: str, text: str) -> str:
+    """Write ``text`` as UTF-8 through a temp file and a rename; return the
+    ``sha256:`` digest of the bytes written."""
+    data = text.encode("utf-8")
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.hexband.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -364,27 +372,19 @@ def _atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return "sha256:" + digest.hexdigest()
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _write_manifest(outdir: str, command: str, run: RunConfig,
-                    files: list[str], elapsed: float, extra: dict) -> None:
+                    digests: dict[str, str], elapsed: float, extra: dict) -> None:
     manifest = {
         "tool": "hexband",
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "elapsed_seconds": elapsed,
-        "config": _config_echo(run, files),
-        "outputs": {name: _sha256(os.path.join(outdir, name))
-                    for name in sorted(files)},
+        "config": _config_echo(run, list(digests)),
+        "outputs": digests,
     }
     manifest.update({key: value for key, value in extra.items() if value})
     _atomic_write_text(os.path.join(outdir, "manifest.json"),
@@ -450,18 +450,27 @@ class _RunContext:
 # ============================================================
 
 def _emit_bands(ctx: _RunContext) -> str:
+    """One row per grid point and band, built column by column and one grid
+    row at a time (``grid.n`` points: the slice, or one theta1 row of the
+    full grid), so no Python frame runs per value."""
     theta1, theta2 = _grid_thetas(ctx.run)
     roots = roots_at(ctx.run.stack, theta1, theta2)
     f = structure_function(theta1, theta2)
-    lines = [BANDS_CSV_HEADER]
-    for a, b, fr, fi, row, flags, by_formula in zip(
-            theta1.tolist(), theta2.tolist(), f.real.tolist(), f.imag.tolist(),
-            roots.values.tolist(), roots.admissible.tolist(), roots.closed.tolist()):
-        point = f"{_g17(a)},{_g17(b)},{_g17(fr)},{_g17(fi)},"
-        source = "closed_form" if by_formula else "numeric"
-        for band, (eta, admissible) in enumerate(zip(row, flags)):
-            lines.append(f"{point}{band},{_g17(eta)},{int(admissible)},{source}")
-    return "\n".join(lines) + "\n"
+    dim = roots.values.shape[1]
+    per_point = (_g17_text(theta1), _g17_text(theta2), _g17_text(f.real), _g17_text(f.imag),
+                 np.array(["numeric", "closed_form"], dtype=object)[roots.closed.astype(np.intp)])
+    eta = _g17_text(roots.values)
+    flag = np.array(["0", "1"], dtype=object)[roots.admissible.astype(np.intp)]
+    band = [str(index) for index in range(dim)] * ctx.run.grid_n
+    chunks = [BANDS_CSV_HEADER]
+    for lo in range(0, len(theta1), ctx.run.grid_n):
+        at = slice(lo, lo + ctx.run.grid_n)
+        t1, t2, fr, fi, source = (np.repeat(text[at], dim).tolist() for text in per_point)
+        columns = (t1, t2, fr, fi, band, eta[at].ravel().tolist(), flag[at].ravel().tolist(),
+                   source)
+        chunks.append("\n".join(map(",".join, zip(*columns))))
+    chunks.append("")
+    return "\n".join(chunks)
 
 
 def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
@@ -695,9 +704,10 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     started = time.time()
     ctx = _RunContext(run, args)
-    for name, filename in zip(wanted, files):
-        _atomic_write_text(os.path.join(args.out, filename), _ARTIFACTS[name][1](ctx))
-    _write_manifest(args.out, command, run, files, time.time() - started, ctx.extra)
+    digests = {filename: _atomic_write_text(os.path.join(args.out, filename),
+                                            _ARTIFACTS[name][1](ctx))
+               for name, filename in zip(wanted, files)}
+    _write_manifest(args.out, command, run, digests, time.time() - started, ctx.extra)
     for filename in files:
         print(f"wrote {os.path.join(args.out, filename)}")
     for line in ctx.console:

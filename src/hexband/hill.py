@@ -537,6 +537,8 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
         limit = "" if brackets is None else f" up to {top}"
         raise InputError(f"hill_band={bands[wrong][0].item()!r} is not a Hill "
                          f"band: bands are integers from 1{limit}")
+    if not etas.size:
+        return np.empty(0)
     if brackets is None:
         brackets = _band_brackets(pot, int(bands.max()))
     a = np.array([brackets[band - 1][0] for band in bands], dtype=float)

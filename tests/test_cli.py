@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,21 +10,27 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import hexband
 from hexband import hill
-from hexband.bands import sample_diagonal
+from hexband.bands import roots_at, sample_diagonal
 from hexband.cli import (
     BANDS_CSV_HEADER,
     RunConfig,
     SPECTRUM_CSV_HEADER,
+    _atomic_write_text,
+    _g17,
+    _g17_text,
     load_run_config,
     main,
 )
 from hexband.errors import ConfigError
 from hexband.floquet import assemble, char_poly
 from hexband.hill import MAGNUS_TOL
-from hexband.lattice import StackVariant
+from hexband.lattice import StackVariant, diagonal_slice, full_grid, structure_function
 
 import frozen
 
@@ -46,14 +53,20 @@ def _run(tmp_path, command, config, *extra):
     return code, outdir
 
 
+def _python(*args):
+    # a child interpreter imports the hexband that these tests import,
+    # installed or not
+    src = os.path.dirname(os.path.dirname(hexband.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_importing_the_cli_loads_no_scipy():
     # the Hill layer integrates and finds roots without scipy, which only
     # the test suite needs
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hexband.cli; print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
-        capture_output=True, text=True)
+    proc = _python("-c", "import sys, hexband.cli; print(sorted(m for m in sys.modules "
+                         "if m == 'scipy' or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -63,8 +76,7 @@ def test_importing_the_cli_loads_no_network_stack():
     # bring in urllib.request and with it http, ssl and email
     code = ("import json, sys; before = set(sys.modules); import hexband.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout))
     assert "hexband.svgplot" in added
@@ -246,7 +258,44 @@ class TestConfig:
 #  bands subcommand
 # ------------------------------------------------------------
 
+def _bands_csv_by_point(stack, theta1, theta2):
+    # the point-by-point writer that the column-wise emitter replaced
+    def g17(x):
+        value = float(x)
+        return f"{0.0 if value == 0.0 else value:.17g}"
+
+    roots = roots_at(stack, theta1, theta2)
+    f = structure_function(theta1, theta2)
+    lines = [BANDS_CSV_HEADER]
+    for a, b, fr, fi, row, flags, closed in zip(
+            theta1, theta2, f.real, f.imag, roots.values, roots.admissible, roots.closed):
+        source = "closed_form" if closed else "numeric"
+        for band, (eta, ok) in enumerate(zip(row, flags)):
+            lines.append(f"{g17(a)},{g17(b)},{g17(fr)},{g17(fi)},{band},{g17(eta)},"
+                         f"{int(ok)},{source}")
+    return "\n".join(lines) + "\n"
+
+
 class TestBands:
+    @pytest.mark.parametrize("stack,full", [
+        ({"variant": "monolayer", "alpha_a": 0.0, "alpha_b": 0.0}, False),
+        ({"variant": "hetero_bilayer", "alpha_a": -0.8, "alpha_b": 0.8, "t0": 0.4}, True),
+        ({"variant": "trilayer_g_hbn_g", "alpha_a": -1.0, "alpha_b": 0.7, "t0": 0.3}, True),
+    ], ids=["monolayer-diagonal", "hetero_bilayer-full", "trilayer_g_hbn_g-full"])
+    def test_rows_equal_the_point_by_point_writer(self, tmp_path, stack, full):
+        cfg = _write_config(tmp_path, stack=stack)
+        n = 9 if full else 41
+        code, outdir = _run(tmp_path, "bands", cfg, "--grid", str(n),
+                            *(["--full"] if full else []))
+        assert code == 0
+        if full:
+            theta1, theta2 = (axis.ravel() for axis in full_grid(n))
+        else:
+            theta1 = diagonal_slice(n)
+            theta2 = -theta1
+        expected = _bands_csv_by_point(load_run_config(cfg).stack, theta1, theta2)
+        assert (outdir / "bands.csv").read_text() == expected
+
     def test_row_count_and_header(self, tmp_path):
         cfg = _write_config(tmp_path, stack={"variant": "monolayer"})
         code, outdir = _run(tmp_path, "bands", cfg, "--grid", "5")
@@ -318,6 +367,26 @@ class TestBands:
         assert manifest["outputs"]["bands.csv"] == expected
         assert manifest["config"]["grid"] == {"kind": "diagonal", "n": 11}
         assert manifest["tool"] == "hexband"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=30))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308,
+              float("inf"), float("-inf"), float("nan"), -float("nan")])
+    def test_column_text_is_g17_with_unsigned_zero(self, values):
+        expected = ["0" if x == 0.0 else f"{x:.17g}" for x in values]
+        # each value twice, in a 2-D array: repeats share one formatting
+        text = _g17_text(np.array(values + values[::-1]).reshape(2, -1))
+        assert text.shape == (2, len(values))
+        assert text.ravel().tolist() == expected + expected[::-1]
+        assert [_g17(x) for x in values] == expected
+
+    def test_write_returns_the_digest_of_the_bytes_on_disk(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        digest = _atomic_write_text(str(path), "eta \u03b7 = 0.5\r\nline two\n")
+        assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        assert path.read_bytes() == "eta \u03b7 = 0.5\r\nline two\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
     def test_full_grid_row_count(self, tmp_path):
         cfg = _write_config(tmp_path, stack={"variant": "monolayer"})
@@ -846,9 +915,7 @@ class TestOrchestration:
     def test_console_entry_point(self, tmp_path):
         cfg = _write_config(tmp_path)
         outdir = tmp_path / "proc"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hexband.cli", "bands", "--config", cfg,
-             "--out", str(outdir), "--grid", "5"],
-            capture_output=True, text=True)
+        proc = _python("-m", "hexband.cli", "bands", "--config", cfg,
+                       "--out", str(outdir), "--grid", "5")
         assert proc.returncode == 0, proc.stderr
         assert (outdir / "bands.csv").exists()

@@ -402,6 +402,13 @@ class TestInversion:
         with pytest.raises(InputError, match="is not a Hill band"):
             invert_discriminant(ZERO, 0.5, band, brackets)
 
+    @pytest.mark.parametrize("bracketed", [True, False])
+    def test_invert_empty_batch(self, bracketed):
+        brackets = hill._band_brackets(ZERO, 3) if bracketed else None
+        lam = invert_discriminant(ZERO, np.array([]), np.array([], dtype=int),
+                                  brackets)
+        assert lam.shape == (0,) and lam.dtype == float
+
     def test_monolayer_alpha0_lambda_intervals(self):
         res = bands_from_root_surface(ZERO, [(0.0, 1.0), (-1.0, 0.0)],
                                       n_bands=2)
