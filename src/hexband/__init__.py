@@ -12,7 +12,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .errors import (
-    BandEdgeError,
     ConfigError,
     EngineError,
     GridError,
@@ -26,14 +25,12 @@ from .lattice import (
     ADMISSIBILITY_TOL,
     CouplingParams,
     FluxSpec,
-    Quasimomentum,
     StackConfig,
     StackVariant,
     VertexParams,
     diagonal_slice,
     full_grid,
     structure_function,
-    structure_function_squared,
 )
 from .floquet import (
     DispersionRoots,
@@ -41,7 +38,6 @@ from .floquet import (
     assemble,
     char_poly,
     closed_form_roots,
-    match_branches,
     numeric_roots,
 )
 from .hill import (
@@ -50,32 +46,25 @@ from .hill import (
     PotentialSpec,
     SpectrumResult,
     bands_from_root_surface,
-    cone_slope_lambda,
     dirichlet_spectrum,
     discriminant,
-    discriminant_derivative,
     hill_eta,
     integrate_monodromy,
     invert_discriminant,
-    mu_alpha,
 )
 from .bands import (
     DispersionSurface,
     TouchReport,
     adjacent_separations,
-    admissible_fraction,
     classify_touches,
     diagonal_theta_for_f,
     gap_width_closed_form,
-    monolayer_branch_admissible,
     roots_at,
     sample_diagonal,
 )
 from .magnetic import (
-    assemble_discrete,
     assemble_robin,
     closed_form_roots_q2,
-    discrete_eta_values,
     g_function,
     magnetic_classify,
     q2_quartic_coeffs,
@@ -84,7 +73,6 @@ from .magnetic import (
 
 __all__ = [
     "ADMISSIBILITY_TOL",
-    "BandEdgeError",
     "ConfigError",
     "CouplingParams",
     "DispersionRoots",
@@ -98,7 +86,6 @@ __all__ = [
     "Monodromy",
     "NoClosedFormError",
     "PotentialSpec",
-    "Quasimomentum",
     "ResolutionError",
     "SpectrumResult",
     "StackConfig",
@@ -109,22 +96,17 @@ __all__ = [
     "VertexParams",
     "__version__",
     "adjacent_separations",
-    "admissible_fraction",
     "assemble",
-    "assemble_discrete",
     "assemble_robin",
     "bands_from_root_surface",
     "char_poly",
     "classify_touches",
     "closed_form_roots",
     "closed_form_roots_q2",
-    "cone_slope_lambda",
     "diagonal_slice",
     "diagonal_theta_for_f",
     "dirichlet_spectrum",
     "discriminant",
-    "discriminant_derivative",
-    "discrete_eta_values",
     "full_grid",
     "g_function",
     "gap_width_closed_form",
@@ -132,14 +114,10 @@ __all__ = [
     "integrate_monodromy",
     "invert_discriminant",
     "magnetic_classify",
-    "match_branches",
-    "monolayer_branch_admissible",
-    "mu_alpha",
     "numeric_roots",
     "q2_quartic_coeffs",
     "reduced_zone_grid",
     "roots_at",
     "sample_diagonal",
     "structure_function",
-    "structure_function_squared",
 ]

@@ -134,7 +134,10 @@ def roots_at(config: StackConfig, theta1, theta2=None,
                     part = index[~exc.servable]
         if flux is not None:
             # the flux cells' artifacts come from eigvalsh(A) / 3, which
-            # differs from numeric_roots' D^{-1/2} scaling in the last bits
+            # differs from numeric_roots' D^{-1/2} scaling in the last bits;
+            # numeric_roots here would move the bytes of the q = 1 cell's
+            # bands.csv and magnetic.txt and of both cells' validate.txt
+            # (five GOLDEN rows of tests/test_batch.py)
             values[part] = np.linalg.eigvalsh(
                 magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0
         else:
@@ -294,7 +297,7 @@ def classify_touches(surface: DispersionSurface,
 
 
 # ============================================================
-#  Closed-form gap widths and admissibility
+#  Closed-form gap widths
 # ============================================================
 
 def gap_width_closed_form(config: StackConfig) -> float:
@@ -316,39 +319,3 @@ def gap_width_closed_form(config: StackConfig) -> float:
         inner = asq + 2.0 * t0 ** 4 - np.sqrt(4.0 * asq * t0 ** 4 + asq * asq)
         return float(np.sqrt(2.0) * np.sqrt(max(inner, 0.0)) / (3.0 + t0 ** 2))
     raise NoClosedFormError(f"no closed-form gap width for variant {v.value}")
-
-
-def monolayer_branch_admissible(alpha_a: float, alpha_b: float,
-                                branch: str) -> bool:
-    """Sufficient closed-form test that a monolayer root branch stays in
-    [-1, 1] along the whole diagonal slice.
-
-    branch "+": true when alpha_b > -3 and -3 alpha_b/(3 + alpha_b) <=
-    alpha_a <= 3 (or the same with the roles swapped — the roots are
-    symmetric in the two vertex strengths).
-    branch "-": mirrored condition, alpha_b < 3 and
-    -3 <= alpha_a <= -3 alpha_b/(3 - alpha_b) (or swapped).
-    A False verdict means "not guaranteed by the inequality", not a proof of
-    inadmissibility.
-    """
-    def plus_cond(x: float, y: float) -> bool:
-        if y <= -3.0:
-            return False
-        return -3.0 * y / (3.0 + y) <= x <= 3.0
-
-    def minus_cond(x: float, y: float) -> bool:
-        if y >= 3.0:
-            return False
-        return -3.0 <= x <= -3.0 * y / (3.0 - y)
-
-    if branch == "+":
-        return plus_cond(alpha_a, alpha_b) or plus_cond(alpha_b, alpha_a)
-    if branch == "-":
-        return minus_cond(alpha_a, alpha_b) or minus_cond(alpha_b, alpha_a)
-    raise InputError(f"branch must be '+' or '-', got {branch!r}")
-
-
-def admissible_fraction(surface: DispersionSurface) -> np.ndarray:
-    """Per-branch fraction of diagonal samples with |eta| <= 1 (+tolerance)."""
-    mask = np.abs(surface.values) <= 1.0 + 1e-12
-    return mask.mean(axis=0)

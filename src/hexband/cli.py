@@ -18,10 +18,11 @@ Unknown keys are rejected recursively.  ``stack`` accepts ``variant``,
 a setting the variant's layout does not read is rejected.  ``tolerances``
 (and ``--tol-touch``) must be positive.  ``potential`` accepts
 ``{"kind": "zero"}``, ``{"kind": "file", "path": ...}`` (two-column text),
-or ``{"kind": "sampled", "x": [...], "values": [...]}``.  ``outputs`` lists
-extra artifacts from {bands, report, spectrum, plot} that every subcommand
-emits alongside its own; the diagonal-slice artifacts of a run share one
-sampled surface and one touch classification.
+or ``{"kind": "sampled", "x": [...], "values": [...]}``, with finite
+numbers in both columns.  ``outputs`` lists extra artifacts from {bands,
+report, spectrum, plot} that every subcommand emits alongside its own; the
+diagonal-slice artifacts of a run share one sampled surface and one touch
+classification.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  Every run writes its artifacts atomically
@@ -237,7 +238,13 @@ def _parse_potential(raw) -> PotentialSpec:
                 "potential.kind 'sampled' requires potential.x and "
                 "potential.values"
             )
-        return PotentialSpec.sampled(data["x"], data["values"])
+        columns = []
+        for name in ("x", "values"):
+            if not isinstance(data[name], list):
+                raise ConfigError(f"config field 'potential.{name}' must be a list")
+            columns.append([_as_float(v, f"potential.{name}[{i}]")
+                            for i, v in enumerate(data[name])])
+        return PotentialSpec.sampled(*columns)
     raise ConfigError(
         f"unknown potential.kind {kind!r} (one of: zero, file, sampled)"
     )

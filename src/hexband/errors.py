@@ -48,9 +48,5 @@ class ResolutionError(EngineError):
     """Sampling resolution too coarse for the requested analysis."""
 
 
-class BandEdgeError(EngineError):
-    """Derivative of the discriminant vanishes (band edge); slope undefined."""
-
-
 class ValidationError(EngineError):
     """A validation run exceeded its tolerance."""

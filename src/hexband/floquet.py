@@ -367,17 +367,6 @@ def numeric_roots(fm: FloquetMatrix) -> DispersionRoots:
     return _make_roots(values)
 
 
-def match_branches(closed: DispersionRoots, numeric: DispersionRoots) -> tuple[str, ...]:
-    """Label numeric roots by the nearest closed-form value's branch label."""
-    if not closed.branch_labels:
-        return ()
-    labels = []
-    for v in numeric.values:
-        idx = int(np.argmin(np.abs(closed.values - v)))
-        labels.append(closed.branch_labels[idx])
-    return tuple(labels)
-
-
 # ============================================================
 #  Closed-form root families
 # ============================================================

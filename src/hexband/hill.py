@@ -46,9 +46,9 @@ Gates.  Two gates guard every integration, and NaN fails both:
   rounding and no more: where the terms stay O(1) the gate is
   ``WRONSKIAN_TOL``.
 
-Batch API.  ``integrate_monodromy`` (with ``discriminant``, ``hill_eta`` and
-``mu_alpha``) takes lambda, and ``invert_discriminant`` takes eta and the
-band, as scalars or 1-D arrays; a scalar call is a batch of one and gives
+Batch API.  ``integrate_monodromy`` (with ``discriminant`` and ``hill_eta``)
+takes lambda, and ``invert_discriminant`` takes eta and the band, as
+scalars or 1-D arrays; a scalar call is a batch of one and gives
 floats.  A lambda gets the same bits alone as inside a batch of the same
 grid.  Lambdas are integrated in chunks of ``_LANES`` and steps in blocks
 of ``_BLOCK``.  A block is one stacked (2, 2, steps, lanes) array of
@@ -61,10 +61,6 @@ potential builds each grid once and keeps it read-only on its
 changes, and all band inversions of a spectrum, are refined together by
 ``refine.brent_roots``, bit for bit as scipy's brentq would refine each
 one.
-
-The vertex-weighted discriminant mu_alpha(z) = c(1; z) + (alpha/2) s(1; z)
-uses the convention alpha(v) = (alpha/2) deg(v); the alternative bookkeeping
-alpha(v) = alpha deg(v) is exposed through ``convention="full"``.
 """
 
 from __future__ import annotations
@@ -74,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandEdgeError, EngineError, InputError
+from .errors import EngineError, InputError
 from .floquet import BATCH_BYTES
 from .refine import brent_roots
 
@@ -150,7 +146,11 @@ class PotentialSpec:
         values = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != values.shape or len(x) < 2:
             raise InputError("sampled potential needs two equal-length 1-d columns")
-        if np.any(np.diff(x) <= 0.0):
+        for name, column in (("abscissae (first column)", x),
+                             ("values (second column)", values)):
+            if not np.all(np.isfinite(column)):
+                raise InputError(f"sampled potential {name} must be finite")
+        if not np.all(np.diff(x) > 0.0):
             raise InputError("sampled potential abscissae must be strictly increasing")
         if x[0] > 1e-12 or x[-1] < 1.0 - 1e-12:
             raise InputError("sampled potential must cover [0, 1]")
@@ -392,28 +392,6 @@ def hill_eta(pot: PotentialSpec, lam):
     return 0.5 * discriminant(pot, lam)
 
 
-def mu_alpha(pot: PotentialSpec, lam, alpha: float,
-             convention: str = "half"):
-    """Vertex-weighted discriminant c(1) + (alpha/2) s(1) (or c + alpha s)."""
-    m = integrate_monodromy(pot, lam)
-    if convention == "half":
-        return m.c1 + 0.5 * alpha * m.s1
-    if convention == "full":
-        return m.c1 + alpha * m.s1
-    raise InputError(f"unknown discriminant convention {convention!r}")
-
-
-def discriminant_derivative(pot: PotentialSpec, lam: float,
-                            h: float = 1e-6) -> float:
-    """d'(lambda) by central difference (analytic for the zero potential)."""
-    if pot.is_zero and lam > _SMALL_LAMBDA:
-        w = np.sqrt(lam)
-        return -np.sin(w) / w
-    step = h * max(1.0, abs(lam))
-    d = discriminant(pot, np.array([lam + step, lam - step]))
-    return (d[0] - d[1]) / (2.0 * step)
-
-
 # ============================================================
 #  Dirichlet spectrum (point part)
 # ============================================================
@@ -632,41 +610,3 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
                           magnus_steps=state.steps if gated else None,
                           magnus_deviation=state.deviation if gated else None,
                           evaluations=state.evaluations - evaluations)
-
-
-# ============================================================
-#  Slope pullback
-# ============================================================
-
-def cone_slope_lambda(pot: PotentialSpec, lam0: float, gamma_eta: float) -> float:
-    """Physical cone slope: gamma_lambda = 2 gamma_eta / |d'(lambda0)|.
-
-    Raises ``BandEdgeError`` where d' vanishes (band edges), since the
-    eta -> lambda change of variables degenerates there.
-    """
-    dprime = discriminant_derivative(pot, lam0)
-    if abs(dprime) < 1e-8:
-        raise BandEdgeError(
-            f"discriminant derivative vanishes at lambda={lam0:g}; "
-            "slope pullback undefined at a band edge"
-        )
-    return 2.0 * gamma_eta / abs(dprime)
-
-
-def mu_pullback_check(pot: PotentialSpec, eta0: float, gamma_eta: float,
-                      hill_band: int = 1, delta: float = 1e-5):
-    """Consistency of the chain rule for the pulled-back cone slope.
-
-    Returns (gamma_chain, gamma_fd): the chain-rule value 2 gamma/|d'| at
-    lambda0 = inverse(eta0), and a one-sided finite-difference slope of
-    lambda(s) = inverse(eta0 + gamma s) along the slice arclength.
-    """
-    brackets = _band_brackets(pot, hill_band)
-    lam0 = invert_discriminant(pot, eta0, hill_band, brackets)
-    gamma_chain = cone_slope_lambda(pot, lam0, gamma_eta)   # BandEdgeError inside
-    eta1 = eta0 + gamma_eta * delta
-    if abs(eta1) > 1.0:
-        eta1 = eta0 - gamma_eta * delta
-    lam1 = invert_discriminant(pot, eta1, hill_band, brackets)
-    gamma_fd = abs(lam1 - lam0) / delta
-    return gamma_chain, gamma_fd

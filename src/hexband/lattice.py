@@ -97,17 +97,6 @@ LAYOUTS = {
 # ============================================================
 
 @dataclass(frozen=True)
-class Quasimomentum:
-    """A point theta = (theta1, theta2) of the Brillouin torus [-pi, pi]^2."""
-
-    theta1: float
-    theta2: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.theta1, self.theta2)
-
-
-@dataclass(frozen=True)
 class VertexParams:
     """Robin vertex constants per sublattice (alpha_c for a third species)."""
 
@@ -143,7 +132,7 @@ class FluxSpec:
     """Rational magnetic flux p/q per hexagon (in units of 2 pi).
 
     Stored gcd-reduced.  ``p`` must be positive; the Robin magnetic lattice
-    supports q in {1, 2}, while the discrete normalized operator accepts any q.
+    supports q in {1, 2}.
     """
 
     p: int
@@ -158,11 +147,6 @@ class FluxSpec:
         if g != 1:
             object.__setattr__(self, "p", self.p // g)
             object.__setattr__(self, "q", self.q // g)
-
-    @property
-    def phase(self) -> float:
-        """Per-row Peierls phase 2 pi p / q."""
-        return 2.0 * math.pi * self.p / self.q
 
 
 @dataclass(frozen=True)
@@ -214,13 +198,6 @@ def structure_function(theta1, theta2):
     t1 = np.asarray(theta1, dtype=float)
     t2 = np.asarray(theta2, dtype=float)
     return 1.0 + np.exp(1j * t1) + np.exp(1j * t2)
-
-
-def structure_function_squared(theta1, theta2):
-    """|F|^2 via the product identity 1 + 8 cos((t1-t2)/2) cos(t1/2) cos(t2/2)."""
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    return 1.0 + 8.0 * np.cos((t1 - t2) / 2.0) * np.cos(t1 / 2.0) * np.cos(t2 / 2.0)
 
 
 def diagonal_slice(n: int) -> np.ndarray:

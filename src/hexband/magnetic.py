@@ -1,18 +1,11 @@
-"""Magnetic-flux variants: discrete flux operator, Robin flux cells, spectra.
+"""Magnetic-flux variants: Robin flux cells and their reduced-zone classifier.
 
-Rational flux 2*pi*p/q per hexagon enters through edge phases.  Two objects
-live here:
-
-* the zero-Robin discrete flux operator ``M_F = (1/3) [[0, B], [B*, 0]]``
-  with ``B = I + e^{i theta1} J + e^{i theta2} K`` (J the flux-phase diagonal,
-  K the cyclic shift), valid for any reduced p/q — its eigenvalues lie in
-  [-1, 1] and are q-periodic in p;
-
-* Robin flux cells for q = 1 and q = 2, exposed as ``FloquetMatrix`` values
-  so the characteristic-polynomial and eigensolver routes apply unchanged.
-  The q = 1 cell is the monolayer layout: ``floquet.assemble`` builds it and
-  ``floquet.closed_form_roots`` gives its roots.  The q = 2 cell is a
-  gauge-fixed 4 x 4 cell whose rows and radical roots live here.
+Rational flux 2*pi*p/q per hexagon enters through edge phases.  The Robin
+flux cells for q = 1 and q = 2 are ``FloquetMatrix`` values, so the
+characteristic-polynomial and eigensolver routes apply unchanged.  The q = 1
+cell is the monolayer layout: ``floquet.assemble`` builds it and
+``floquet.closed_form_roots`` gives its roots.  The q = 2 cell is a
+gauge-fixed 4 x 4 cell whose rows and radical roots live here.
 
 For q = 2 the determinant collapses to a quartic in eta whose coefficients
 depend on quasimomentum only through
@@ -60,36 +53,6 @@ G_MIN = 3.0 - np.sqrt(2.0)           # at the zone-closure point (pi/2, 3 pi/8)
 _LOCUS_DIR = np.array([-2.0, 1.0]) / np.sqrt(5.0)   # unit vector along theta1 = -2 theta2
 _NM_XATOL = 1e-10
 _Q2_NAMES = ("in-", "in+", "out-", "out+")   # the inner radicand's pair first
-
-
-# ============================================================
-#  Discrete flux operator (zero Robin, any p/q)
-# ============================================================
-
-def flux_shift_matrices(flux: FluxSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The flux-phase diagonal J and the cyclic shift K for denominator q."""
-    q = flux.q
-    j = np.diag(np.exp(1j * flux.phase * np.arange(q)))
-    k = np.zeros((q, q), dtype=complex)
-    for row in range(q):
-        k[row, (row + 1) % q] = 1.0
-    return j, k
-
-
-def assemble_discrete(flux: FluxSpec, theta1: float, theta2: float) -> np.ndarray:
-    """The 2q x 2q discrete flux operator (1/3) [[0, B], [B*, 0]]."""
-    q = flux.q
-    j, k = flux_shift_matrices(flux)
-    b = np.eye(q, dtype=complex) + np.exp(1j * theta1) * j + np.exp(1j * theta2) * k
-    m = np.zeros((2 * q, 2 * q), dtype=complex)
-    m[:q, q:] = b
-    m[q:, :q] = b.conj().T
-    return m / 3.0
-
-
-def discrete_eta_values(flux: FluxSpec, theta1: float, theta2: float) -> np.ndarray:
-    """Sorted eigenvalues of the discrete flux operator (all within [-1, 1])."""
-    return np.linalg.eigvalsh(assemble_discrete(flux, theta1, theta2))
 
 
 # ============================================================

@@ -160,9 +160,6 @@ MAG_OUTER_SEP_MIN = 0.3048936528144243            # adjacent outer pair, at G mi
 #  Hill spectrum (zero potential)
 # ============================================================
 
-HILL_MU2_AT_PISQ = -1.0                           # c(1) + (2/2) s(1) at z = pi^2
-HILL_LAMBDA_CONE = (np.pi / 2.0) ** 2             # d(lambda)/2 = 0, first band
-HILL_GAMMA_LAMBDA = 1.8137993642342176            # pi*sqrt(3)/3
 # first lambda-intervals of the zero-potential monolayer (alpha = 0):
 # eta-bands [0,1] and [-1,0] pulled back through d/2 = cos(sqrt(lambda))
 HILL_LAMBDA_INTERVALS = (
@@ -181,13 +178,6 @@ HILL_LAMBDA_INTERVALS = (
 def ref_structure_function(theta1, theta2):
     """F = 1 + e^{i theta1} + e^{i theta2}."""
     return 1.0 + np.exp(1j * np.asarray(theta1)) + np.exp(1j * np.asarray(theta2))
-
-
-def ref_fsq_identity(theta1, theta2):
-    """|F|^2 = 1 + 8 cos((t1 - t2)/2) cos(t1/2) cos(t2/2)."""
-    t1 = np.asarray(theta1)
-    t2 = np.asarray(theta2)
-    return 1.0 + 8.0 * np.cos((t1 - t2) / 2.0) * np.cos(t1 / 2.0) * np.cos(t2 / 2.0)
 
 
 def ref_monolayer_roots(alpha_a, alpha_b, fsq):

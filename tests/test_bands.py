@@ -7,11 +7,9 @@ from hexband.bands import (
     DispersionSurface,
     TouchReport,
     adjacent_separations,
-    admissible_fraction,
     classify_touches,
     diagonal_theta_for_f,
     gap_width_closed_form,
-    monolayer_branch_admissible,
     roots_at,
     sample_diagonal,
 )
@@ -353,47 +351,3 @@ class TestTwoParam:
         reports = classify_touches(sample_diagonal(cfg, n=501))
         assert {r.kind for r in reports} <= {"gap", "crossing"}
         assert _kinds(reports, "gap")
-
-
-# ------------------------------------------------------------
-#  Admissibility
-# ------------------------------------------------------------
-
-class TestAdmissibility:
-    def test_equal_alpha_plus_branch(self):
-        # alpha in [0, 3] guarantees the upper branch stays within [-1, 1]
-        assert monolayer_branch_admissible(1.5, 1.5, "+")
-        assert monolayer_branch_admissible(-1.5, -1.5, "-")
-
-    def test_guard_at_divergent_strength(self):
-        assert not monolayer_branch_admissible(0.5, -3.0, "+")
-        assert not monolayer_branch_admissible(0.5, 3.0, "-")
-
-    def test_invalid_branch_name(self):
-        with pytest.raises(InputError, match="branch"):
-            monolayer_branch_admissible(0.0, 0.0, "x")
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_verdict_implies_bounded_branch(self, seed):
-        rng = np.random.default_rng(7000 + seed)
-        aa, ab = rng.uniform(-4.0, 4.0, size=2)
-        surf = sample_diagonal(_cfg("monolayer", aa=aa, ab=ab), n=301)
-        # include the extremal slice points F = 3 and F = 0 exactly
-        extremes = np.array([
-            roots_at(surf.config, t).values for t in (0.0, THETA_K)
-        ])
-        hi = max(surf.values[:, 1].max(), extremes[:, 1].max())
-        lo = min(surf.values[:, 0].min(), extremes[:, 0].min())
-        if monolayer_branch_admissible(aa, ab, "+"):
-            assert hi <= 1.0 + 1e-6
-        if monolayer_branch_admissible(aa, ab, "-"):
-            assert lo >= -1.0 - 1e-6
-
-    def test_admissible_fraction_neutral_monolayer(self):
-        surf = sample_diagonal(_cfg("monolayer"), n=301)
-        assert np.all(admissible_fraction(surf) == 1.0)
-
-    def test_admissible_fraction_detects_escape(self):
-        surf = sample_diagonal(_cfg("monolayer", aa=-3.5, ab=-3.5), n=301)
-        frac = admissible_fraction(surf)
-        assert frac[1] < 1.0

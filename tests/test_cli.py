@@ -253,6 +253,21 @@ class TestConfig:
         run = load_run_config(path)
         assert run.potential is not None and run.potential.kind == "sampled"
 
+    @pytest.mark.parametrize("x,values,field", [
+        # a string raised a bare ValueError traceback; booleans read as 0 and 1
+        (["0", "1"], [0.0, 0.0], "potential.x[0]"),
+        ([0.0, 0.5, 1.0], [True, False, True], "potential.values[0]"),
+        (0.0, [0.0], "potential.x"),
+    ], ids=["string", "boolean", "scalar"])
+    def test_non_numeric_sampled_potential_is_config_error(
+            self, tmp_path, capsys, x, values, field):
+        cfg = _write_config(tmp_path, potential={"kind": "sampled", "x": x,
+                                                 "values": values})
+        code, _ = _run(tmp_path, "spectrum", cfg)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"'{field}'" in err[0]
+
 
 # ------------------------------------------------------------
 #  bands subcommand
@@ -630,6 +645,24 @@ class TestSpectrum:
         assert len(err) == 1
         assert err[0].startswith(
             "hexband: numerical failure: Magnus step-halving gate failed")
+        assert not (outdir / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("rows,column", [
+        # a NaN abscissa passed every check and gave the zero potential's
+        # spectrum; an infinite value exited 2 from the evenness check
+        ("0 0\n0.5 0\nnan 0\n1 0\n", "abscissae (first column)"),
+        ("0 inf\n0.5 0\n1 inf\n", "values (second column)"),
+    ], ids=["nan-abscissa", "inf-value"])
+    def test_non_finite_potential_file_exits_1(self, tmp_path, capsys, rows,
+                                               column):
+        path = tmp_path / "potential.txt"
+        path.write_text(rows)
+        cfg = _write_config(tmp_path,
+                            potential={"kind": "file", "path": str(path)})
+        code, outdir = _run(tmp_path, "spectrum", cfg)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"potential {column} must be finite" in err[0]
         assert not (outdir / "spectrum.csv").exists()
 
 

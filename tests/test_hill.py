@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hexband.hill as hill
-from hexband.errors import BandEdgeError, EngineError, InputError
+from hexband.errors import EngineError, InputError
 from hexband.hill import (
     DIRICHLET_WINDOW,
     EDGE_TOL,
@@ -14,15 +14,11 @@ from hexband.hill import (
     Monodromy,
     PotentialSpec,
     bands_from_root_surface,
-    cone_slope_lambda,
     dirichlet_spectrum,
     discriminant,
-    discriminant_derivative,
     hill_eta,
     integrate_monodromy,
     invert_discriminant,
-    mu_alpha,
-    mu_pullback_check,
 )
 
 import frozen
@@ -70,7 +66,18 @@ class TestPotentialSpec:
         with pytest.raises(InputError, match="not even"):
             PotentialSpec.sampled([0.0, 0.5, 1.0], [1e6, 0.0, 1e6 + 1.0])
         with pytest.raises(InputError, match="not even"):
-            PotentialSpec.sampled([0.0, 0.5, 1.0], [1.0, np.nan, 1.0])
+            PotentialSpec.closure(lambda x: np.where(np.asarray(x) == 0.5,
+                                                     np.nan, 1.0))
+
+    @pytest.mark.parametrize("x,values,column", [
+        ([0.0, 0.5, np.nan, 1.0], [0.0] * 4, "abscissae"),
+        ([0.0, 0.5, 1.0, np.nan], [0.0] * 4, "abscissae"),
+        ([0.0, 0.5, 1.0], [1.0, np.nan, 1.0], "values"),
+        ([0.0, 0.5, 1.0], [np.inf, 0.0, np.inf], "values"),
+    ], ids=["nan-inner-abscissa", "nan-last-abscissa", "nan-value", "inf-value"])
+    def test_non_finite_sampled_potential_rejected(self, x, values, column):
+        with pytest.raises(InputError, match=f"{column} .* must be finite"):
+            PotentialSpec.sampled(x, values)
 
     def test_non_increasing_abscissae_rejected(self):
         with pytest.raises(InputError, match="strictly increasing"):
@@ -279,33 +286,6 @@ class TestMagnus:
 
 
 # ------------------------------------------------------------
-#  Vertex-weighted discriminant
-# ------------------------------------------------------------
-
-class TestMuAlpha:
-    def test_mu2_at_pi_squared(self):
-        # c(1) + s(1) at pi^2: cos(pi) + sin(pi)/pi = -1 exactly
-        val = mu_alpha(ZERO, np.pi**2, 2.0, convention="half")
-        assert val == pytest.approx(frozen.HILL_MU2_AT_PISQ, abs=1e-12)
-
-    def test_conventions_differ_by_half_weight(self):
-        lam, alpha = 3.7, 1.3
-        half = mu_alpha(ZERO, lam, alpha, convention="half")
-        full = mu_alpha(ZERO, lam, alpha, convention="full")
-        s = integrate_monodromy(ZERO, lam).s1
-        assert full - half == pytest.approx(0.5 * alpha * s, abs=1e-14)
-
-    def test_unknown_convention(self):
-        with pytest.raises(InputError, match="convention"):
-            mu_alpha(ZERO, 1.0, 1.0, convention="double")
-
-    def test_alpha_zero_is_plain_cosine_solution(self):
-        lam = 7.7
-        assert mu_alpha(ZERO, lam, 0.0) == pytest.approx(
-            integrate_monodromy(ZERO, lam).c1, abs=1e-14)
-
-
-# ------------------------------------------------------------
 #  Dirichlet spectrum
 # ------------------------------------------------------------
 
@@ -489,36 +469,3 @@ class TestInversion:
         # full eta range per band: contiguous cover of [0, 16 pi^2]
         assert res.intervals[0].lo == pytest.approx(0.0, abs=1e-9)
         assert res.intervals[-1].hi == pytest.approx(16.0 * np.pi**2, abs=1e-7)
-
-
-# ------------------------------------------------------------
-#  Slope pullback
-# ------------------------------------------------------------
-
-class TestSlopePullback:
-    def test_cone_slope_zero_potential(self):
-        gamma = np.sqrt(3.0) / 3.0
-        lam0 = frozen.HILL_LAMBDA_CONE
-        assert cone_slope_lambda(ZERO, lam0, gamma) == pytest.approx(
-            frozen.HILL_GAMMA_LAMBDA, rel=1e-10)
-
-    def test_band_edge_error(self):
-        with pytest.raises(BandEdgeError, match="band edge"):
-            cone_slope_lambda(ZERO, np.pi**2, 1.0)
-
-    def test_derivative_matches_analytic(self):
-        lam = 5.3
-        exact = -np.sin(np.sqrt(lam)) / np.sqrt(lam)
-        assert discriminant_derivative(ZERO, lam) == pytest.approx(
-            exact, abs=1e-9)
-
-    def test_chain_rule_consistency(self):
-        gamma = np.sqrt(3.0) / 3.0
-        chain, fd = mu_pullback_check(ZERO, 0.0, gamma, hill_band=1)
-        assert chain == pytest.approx(frozen.HILL_GAMMA_LAMBDA, rel=1e-6)
-        assert fd == pytest.approx(chain, rel=1e-3)
-
-    def test_chain_rule_nonzero_potential(self):
-        pot = PotentialSpec.closure(lambda x: 0.2 * _cos2pi(x))
-        chain, fd = mu_pullback_check(pot, 0.1, 0.5, hill_band=1)
-        assert fd == pytest.approx(chain, rel=1e-3)

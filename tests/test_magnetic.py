@@ -1,8 +1,9 @@
-"""Discrete flux operator, Robin flux cells, and reduced-zone classification."""
+"""Robin flux cells, the q = 2 quartic, and reduced-zone classification."""
 
 import numpy as np
 import pytest
 
+from hexband.bands import roots_at
 from hexband.errors import EngineError, GridError, InputError, VariantError
 from hexband.floquet import assemble, char_poly, numeric_roots
 from hexband.lattice import (
@@ -15,11 +16,8 @@ from hexband.lattice import (
 from hexband.magnetic import (
     G_MAX,
     G_MIN,
-    assemble_discrete,
     assemble_robin,
     closed_form_roots_q2,
-    discrete_eta_values,
-    flux_shift_matrices,
     g_function,
     magnetic_classify,
     q2_quartic_coeffs,
@@ -38,59 +36,6 @@ def _mag_cfg(an, ab, p=1, q=2):
 def _mono_cfg(aa, ab):
     return StackConfig(variant=StackVariant.MONOLAYER,
                        vertex=VertexParams(alpha_a=aa, alpha_b=ab))
-
-
-# ------------------------------------------------------------
-#  Discrete flux operator (any p/q)
-# ------------------------------------------------------------
-
-class TestDiscreteOperator:
-    def test_shift_matrices_q3(self):
-        j, k = flux_shift_matrices(FluxSpec(p=1, q=3))
-        phi = 2.0 * np.pi / 3.0
-        assert np.allclose(np.diag(j),
-                           [1.0, np.exp(1j * phi), np.exp(2j * phi)])
-        expected_k = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-        assert np.array_equal(k, expected_k)
-
-    def test_hermitian_and_bounded_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            q = int(rng.integers(1, 9))
-            p = int(rng.integers(1, 20))
-            t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
-            m = assemble_discrete(FluxSpec(p=p, q=q), t1, t2)
-            qq = m.shape[0] // 2
-            assert m.shape == (2 * qq, 2 * qq)
-            assert np.max(np.abs(m - m.conj().T)) < 1e-14
-            eigs = np.linalg.eigvalsh(m)
-            assert np.all(np.abs(eigs) <= 1.0 + 1e-12)
-
-    def test_chiral_symmetry_of_spectrum(self):
-        # the block off-diagonal structure forces eigenvalues in +- pairs
-        vals = discrete_eta_values(FluxSpec(p=2, q=5), 0.9, -1.7)
-        assert np.allclose(vals, -vals[::-1], atol=1e-13)
-
-    def test_flux_periodicity_in_p(self):
-        rng = np.random.default_rng(11)
-        for p, q in [(1, 3), (2, 5), (3, 8), (1, 1), (5, 7)]:
-            t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
-            a = assemble_discrete(FluxSpec(p=p, q=q), t1, t2)
-            b = assemble_discrete(FluxSpec(p=p + q, q=q), t1, t2)
-            assert np.allclose(a, b, atol=1e-15)
-
-    def test_q1_reduces_to_structure_function(self):
-        for t1, t2 in [(0.0, 0.0), (1.1, -0.4), (2.0, 2.9)]:
-            f = structure_function(t1, t2)
-            vals = discrete_eta_values(FluxSpec(p=1, q=1), t1, t2)
-            assert np.allclose(vals, [-abs(f) / 3.0, abs(f) / 3.0], atol=1e-14)
-
-    def test_half_flux_spectrum_bounded_by_sqrt6_over_3(self):
-        # at flux 1/2 the squared block satisfies |B|^2 <= 6, not 9
-        grid = np.linspace(-np.pi, np.pi, 41)
-        top = max(np.max(np.abs(discrete_eta_values(FluxSpec(p=1, q=2), a, b)))
-                  for a in grid for b in grid)
-        assert top <= np.sqrt(6.0) / 3.0 + 1e-12
 
 
 # ------------------------------------------------------------
@@ -124,6 +69,25 @@ class TestRobinCells:
     def test_assemble_refuses_magnetic_variant(self):
         with pytest.raises(VariantError):
             assemble(_mag_cfg(0.0, 0.0), 0.0, 0.0)
+
+    def test_q1_reduces_to_structure_function(self):
+        t1 = np.array([0.0, 1.1, 2.0])
+        t2 = np.array([0.0, -0.4, 2.9])
+        top = np.abs(structure_function(t1, t2)) / 3.0
+        vals = roots_at(_mag_cfg(0.0, 0.0, q=1), t1, t2).values
+        np.testing.assert_allclose(vals, np.stack([-top, top], axis=1),
+                                   rtol=0.0, atol=1e-14)
+
+    def test_half_flux_spectrum_bounded_by_sqrt6_over_3(self):
+        # at alpha = 0, eta^2 = (12 +- 4 sqrt(2 G)) / 36 peaks at G = 4.5:
+        # |eta| <= sqrt(6)/3, not 1
+        cfg = _mag_cfg(0.0, 0.0)
+        grid = np.linspace(-np.pi, np.pi, 41)
+        vals = roots_at(cfg, np.repeat(grid, 41), np.tile(grid, 41)).values
+        assert np.max(np.abs(vals)) <= np.sqrt(6.0) / 3.0 + 1e-12
+        # the bound is reached at the G maximum
+        top = roots_at(cfg, np.pi / 3.0, -np.pi / 6.0).values[-1]
+        assert top == pytest.approx(np.sqrt(6.0) / 3.0, abs=1e-14)
 
 
 # ------------------------------------------------------------
