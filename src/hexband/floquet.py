@@ -44,10 +44,16 @@ and ``DispersionRoots`` with (N, dim) values and sort orders, and ``char_poly``
 and ``numeric_roots`` follow the matrix they are given.  Scalar arguments run
 as a batch of one and come back without the batch axis, so a point gives the
 same bits alone as inside a batch.  ``roots_at`` calls the engine on slices
-(``chunk_slices``) whose matrices take at most ``BATCH_BYTES``, so that a
-call works in about 100 KB whatever the dimension: larger batches leave
-holes of several hundred KB in the C heap, and the speed of later array
-work in the same process would then depend on which batches ran before.
+(``chunk_slices``) whose matrices take at most ``BATCH_BYTES``.  Every
+formula is elementwise and ``eigvalsh`` works matrix by matrix, so the
+budget moves no bit; it trades the fixed numpy cost of a call against its
+working set.  256 KiB of matrices (455 points at d = 6, 1024 at d = 4)
+made full-grid ``bands`` sweeps about a quarter faster than 16 KiB did (on
+a 2-core x86 VM) and left the process's peak memory within 2 %.  The
+closed forms and the q = 2 quartic run on the same slices: a slice the
+formulas cannot serve goes to the eigensolver, and their peak allocation
+per point (tracemalloc: 440 B at d = 6, 280 B for the quartic) is of the
+order of a matrix's 16 d^2.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ from .lattice import (
 RESIDUAL_TOL = 1e-9      # |p(root)| / |leading coefficient| gate
 _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
 _PAIR_TOL = 1e-12        # |alpha_a + alpha_b| bound for the constrained forms
-BATCH_BYTES = 16 * 1024  # bytes of the (N, dim, dim) complex matrices of a batch
+BATCH_BYTES = 256 * 1024  # bytes of an engine call's arrays: the (N, dim, dim)
+                          # complex matrices of a batch, a Magnus entry plane
 
 
 # ============================================================
@@ -149,7 +156,8 @@ def _make_roots(values, names=()):
     values = np.take_along_axis(values, order, axis=-1)
     return DispersionRoots(values=values,
                            closed=np.full(values.shape[:-1], len(names) > 0),
-                           names=tuple(names), order=order if names else None)
+                           names=tuple(names),
+                           order=order.astype(np.int8) if names else None)
 
 
 # ============================================================
@@ -178,6 +186,7 @@ def _floquet_matrix(rows, scale: np.ndarray, n: int, scalar: bool) -> FloquetMat
                          affine=affine[0] if scalar else affine)
 
 
+@lru_cache(maxsize=1)
 def _layout_form(config: StackConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The theta-free part A0 of A(theta), the (dim, dim) mask of the places
     of F and the vertex scales of a stack, or of the q = 1 flux cell:
@@ -188,7 +197,8 @@ def _layout_form(config: StackConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     alphas its layout role names; each bond (i, j, field) puts field**2 at
     (i, j) and (j, i), and every vertex scale is 3 + (sum of its bond
     weights).  A0 is guarded Hermitian here, which guards every A(theta):
-    F and conj(F) stand at transposed places.
+    F and conj(F) stand at transposed places.  Built once per config, like
+    ``_gate_tensor``, and read-only, since every batch shares it.
     """
     layout = config.layout
     dim = 2 * len(layout.layers)
@@ -209,7 +219,10 @@ def _layout_form(config: StackConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
         weights[i] += c
         weights[j] += c
     _hermitian_guard(a0)
-    return a0, f_at, np.array([3.0 + w for w in weights])
+    form = a0, f_at, np.array([3.0 + w for w in weights])
+    for a in form:
+        a.flags.writeable = False
+    return form
 
 
 def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:

@@ -54,8 +54,9 @@ grid.  Lambdas are integrated in chunks of ``_LANES`` and steps in blocks
 of ``_BLOCK``.  A block is one stacked (2, 2, steps, lanes) array of
 step-map entries; its maps are multiplied pairwise as 2x2 blocks, one
 broadcast product per level of the tree, then into the running product.
-Each entry plane stays within ``floquet.BATCH_BYTES`` (16 KiB), so a
-stacked block holds the 64 KiB that four separate planes would.  Each
+Each (steps, lanes) entry plane takes ``floquet.BATCH_BYTES``, the engine's
+one budget per call, so a chunk holds 256 lambdas; every step map and
+product is elementwise over the lanes, so the chunking moves no bit.  Each
 potential builds each grid once and keeps it read-only on its
 ``MagnusState``.  Each Dirichlet scan is one batched call.  Its sign
 changes, and all band inversions of a spectrum, are refined together by
@@ -66,6 +67,7 @@ one.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +93,8 @@ _BASE_STEPS = 512             # Magnus steps on [0, 1] of the coarsest grid:
                               # gate passes at its first comparison
 _MAX_HALVINGS = 5             # finest grid the halving gate compares: 32x
 _BLOCK = 128                  # Magnus steps multiplied together per block
-_LANES = BATCH_BYTES // (8 * _BLOCK)   # lambdas per chunk: (block, lanes)
-                                       # float temporaries
+_LANES = BATCH_BYTES // (8 * _BLOCK)   # lambdas per chunk: each (block,
+                                       # lanes) float plane takes the budget
 _GAUSS = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ this, per step
 _EDGE_PROBE = 1e-7            # step into a bracket, relative to its width,
                               # that looks past an end within EDGE_TOL
@@ -161,10 +163,16 @@ class PotentialSpec:
     @staticmethod
     def from_file(path) -> "PotentialSpec":
         try:
-            data = np.loadtxt(path)
+            with warnings.catch_warnings():
+                # an empty file: the row check below reports it, on the one
+                # diagnostics channel
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, ndmin=2)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read sampled potential from {path!r}: {exc}")
-        if data.ndim != 2 or data.shape[1] != 2:
+        if len(data) < 2:
+            raise InputError("potential file needs at least two rows of x q")
+        if data.shape[1] != 2:
             raise InputError("potential file must have exactly two columns")
         return PotentialSpec.sampled(data[:, 0], data[:, 1])
 

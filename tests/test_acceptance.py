@@ -11,7 +11,6 @@ protected.  See the note on criterion 6 below.
 import decimal
 
 import numpy as np
-import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from hexband.bands import (
-    DispersionSurface,
-    TouchReport,
     adjacent_separations,
     classify_touches,
     diagonal_theta_for_f,

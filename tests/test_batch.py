@@ -18,6 +18,7 @@ from hexband.floquet import (
     _check_residuals,
     assemble,
     char_poly,
+    chunk_slices,
     closed_form_roots,
     numeric_roots,
 )
@@ -276,13 +277,23 @@ def _eigensolver_reference(cfg, t1, t2):
     return numeric_roots(assemble(cfg, t1, t2)).values
 
 
+def _batch_sizes(n, dim):
+    """The points of each engine batch that ``roots_at`` makes of n points."""
+    return [len(range(n)[part]) for part in chunk_slices(n, dim)]
+
+
+def _batch(dim):
+    """The points of a full engine batch at dimension dim."""
+    return _batch_sizes(1 << 20, dim)[0]
+
+
 @pytest.mark.parametrize("route", ["auto", "closed", "numeric"])
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_roots_at_serves_each_point_by_its_route(case, route):
     variant, q = case
     cfg = _config(variant, q, -0.8, 0.6, 0.4)
     rng = np.random.default_rng(5)
-    n = 90                      # several engine batches at d = 4 and d = 6
+    n = _batch(4) + 90          # several engine batches at d = 4 and d = 6
     t1, t2 = rng.uniform(-np.pi, np.pi, (2, n))
     t2[::3] = -t1[::3]          # every third point on the diagonal slice
     if route == "numeric" or (route == "auto" and q == 1):
@@ -312,16 +323,18 @@ def test_roots_at_serves_each_point_by_its_route(case, route):
 
 def test_roots_at_keeps_one_small_sort_order_per_point():
     # the branch names are stored once, and each point carries an int8
-    # permutation of them
+    # permutation of them, whether the points take one engine batch or more
     cfg = _config(StackVariant.MAGNETIC_MONOLAYER, 2, -0.8, 0.6, 0.4)
-    t1, t2 = np.random.default_rng(7).uniform(-np.pi, np.pi, (2, 300))
-    roots = roots_at(cfg, t1, t2)
-    assert roots.names == ("in-", "in+", "out-", "out+")
-    assert roots.order.dtype == np.int8 and roots.order.shape == (300, 4)
-    for i in (0, 150, 299):
-        one = roots_at(cfg, t1[i], t2[i])
-        assert tuple(roots.branch_labels[i]) == one.branch_labels
-        assert one.branch_labels == tuple(roots.names[k] for k in one.order)
+    for n in (10, 3 * _batch(4) + 5):
+        t1, t2 = np.random.default_rng(7).uniform(-np.pi, np.pi, (2, n))
+        roots = roots_at(cfg, t1, t2)
+        assert roots.names == ("in-", "in+", "out-", "out+")
+        assert roots.order.dtype == np.int8 and roots.order.shape == (n, 4)
+        for i in (0, n // 2, n - 1):
+            one = roots_at(cfg, t1[i], t2[i])
+            assert one.order.dtype == np.int8
+            assert tuple(roots.branch_labels[i]) == one.branch_labels
+            assert one.branch_labels == tuple(roots.names[k] for k in one.order)
 
 
 def _count_closed_form_calls(monkeypatch):
@@ -338,25 +351,53 @@ def _count_closed_form_calls(monkeypatch):
 
 def test_roots_at_evaluates_scattered_closed_form_points_together(monkeypatch):
     cfg = _config(StackVariant.TRILAYER_HBN_G_HBN, None, -0.8, 0.8, 0.4)
-    n = 280                     # ten engine batches of 28 points at d = 6
+    batch = _batch(6)
+    n = 10 * batch              # ten engine batches at d = 6
+    diagonal = np.arange(n) % 7 == 0
     t1 = np.linspace(-3.0, 3.0, n)
-    t2 = np.where(np.arange(n) % 7 == 0, -t1, 0.5 * t1)
+    t2 = np.where(diagonal, -t1, 0.5 * t1)
     calls = _count_closed_form_calls(monkeypatch)
     roots = roots_at(cfg, t1, t2)
-    # one refused call per batch, then the 40 diagonal points in two batches
-    assert calls == [28] * 10 + [28, 12]
-    assert roots.closed.tolist() == (np.arange(n) % 7 == 0).tolist()
+    # one refused call per batch, then the diagonal points in two batches
+    together = _batch_sizes(int(diagonal.sum()), 6)
+    assert len(together) == 2
+    assert calls == [batch] * 10 + together
+    assert roots.closed.tolist() == diagonal.tolist()
 
 
 def test_roots_at_stops_trying_formulas_the_parameters_lack(monkeypatch):
     unpaired = StackConfig(StackVariant.HETERO_BILAYER, VertexParams(-0.8, 0.5),
                            coupling=CouplingParams(t0=0.4))
-    theta = np.linspace(-np.pi, np.pi, 301)
+    theta = np.linspace(-np.pi, np.pi, 4 * _batch(4) + 45)   # five batches
     calls = _count_closed_form_calls(monkeypatch)
     roots = roots_at(unpaired, theta, -theta)
-    assert calls == [64]
+    assert calls == [_batch(4)]
     assert not roots.closed.any() and roots.branch_labels == ()
     assert _same_bits(roots.values, _eigensolver_reference(unpaired, theta, -theta))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_roots_at_bits_do_not_depend_on_the_batch_budget(case, monkeypatch):
+    # every formula is elementwise and eigvalsh works matrix by matrix, so
+    # the budget that sizes the engine batches moves no bit: 16 KiB, the
+    # earlier budget, cuts the same points into more batches
+    variant, q = case
+    cfg = _config(variant, q, -0.8, 0.6, 0.4)
+    rng = np.random.default_rng(11)
+    n = 2 * _batch(4) + 7
+    t1, t2 = rng.uniform(-np.pi, np.pi, (2, n))
+    t2[::3] = -t1[::3]          # both routes for the diagonal-only stacks
+    routes = ("auto", "numeric")
+    now = [roots_at(cfg, t1, t2, route=route) for route in routes]
+    batches = len(chunk_slices(n, cfg.dim))
+    monkeypatch.setattr(floquet, "BATCH_BYTES", 16 * 1024)
+    assert len(chunk_slices(n, cfg.dim)) > batches
+    for route, roots in zip(routes, now):
+        before = roots_at(cfg, t1, t2, route=route)
+        assert _same_bits(before.values, roots.values)
+        assert _same_bits(before.closed, roots.closed)
+        assert before.names == roots.names
+        assert _same_bits(before.order, roots.order)
 
 
 # ============================================================
@@ -523,7 +564,7 @@ GOLDEN = [
 # sampled-potential spectra pin the bits of the Magnus integrator: a
 # period-1/2 potential on five knots under a monolayer with alpha_a, alpha_b
 # > 0 (the benchmark's sampled jobs), and nine knots whose eight pieces need
-# one step halving, with a Dirichlet scan over many lane chunks
+# one step halving, with a Dirichlet scan of 391 lambdas over two lane chunks
 _KNOTS_5 = [0.0, 0.25, 0.5, 0.75, 1.0]
 _KNOTS_9 = [k / 8.0 for k in range(9)]
 GOLDEN_SAMPLED = [

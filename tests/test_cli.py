@@ -665,6 +665,20 @@ class TestSpectrum:
         assert len(err) == 1 and f"potential {column} must be finite" in err[0]
         assert not (outdir / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("rows", ["", "0 1\n"], ids=["empty", "one-row"])
+    def test_short_potential_file_exits_1(self, tmp_path, capsys, rows):
+        # an empty file printed numpy's loadtxt warning before the config
+        # error; one row was refused as "not two columns"
+        path = tmp_path / "potential.txt"
+        path.write_text(rows)
+        cfg = _write_config(tmp_path,
+                            potential={"kind": "file", "path": str(path)})
+        code, outdir = _run(tmp_path, "spectrum", cfg)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "needs at least two rows" in err[0]
+        assert not (outdir / "spectrum.csv").exists()
+
 
 # ------------------------------------------------------------
 #  magnetic subcommand

@@ -8,10 +8,8 @@ import pytest
 import hexband.hill as hill
 from hexband.errors import EngineError, InputError
 from hexband.hill import (
-    DIRICHLET_WINDOW,
     EDGE_TOL,
     MAGNUS_TOL,
-    Monodromy,
     PotentialSpec,
     bands_from_root_surface,
     dirichlet_spectrum,
@@ -99,6 +97,15 @@ class TestPotentialSpec:
         path = tmp_path / "bad.txt"
         np.savetxt(path, np.ones((4, 3)))
         with pytest.raises(InputError, match="two columns"):
+            PotentialSpec.from_file(path)
+
+    @pytest.mark.parametrize("text", ["", "0 1\n"], ids=["empty", "one-row"])
+    def test_from_file_needs_two_rows(self, tmp_path, text):
+        # an empty file made numpy warn (an error under this suite's warning
+        # filter), and one row of two columns was refused as not two columns
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match="at least two rows"):
             PotentialSpec.from_file(path)
 
     def test_from_file_missing(self, tmp_path):
@@ -225,7 +232,8 @@ class TestMagnus:
     def test_a_lambda_gets_the_same_bits_alone_as_in_a_batch(self):
         pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
         dirichlet_spectrum(pot, 120.0)
-        lams = np.random.default_rng(5).uniform(-10.0, 120.0, 40)
+        # a batch over three lane chunks
+        lams = np.random.default_rng(5).uniform(-10.0, 120.0, 2 * hill._LANES + 40)
         batch = integrate_monodromy(pot, lams)
         for k, lam in enumerate(lams):
             one = integrate_monodromy(pot, float(lam))

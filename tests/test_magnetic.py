@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hexband.bands import roots_at
-from hexband.errors import EngineError, GridError, InputError, VariantError
-from hexband.floquet import assemble, char_poly, numeric_roots
+from hexband.errors import EngineError, GridError, VariantError
+from hexband.floquet import assemble, char_poly
 from hexband.lattice import (
     FluxSpec,
     StackConfig,

@@ -188,12 +188,14 @@ def test_refinement_calls_do_not_grow_with_minima(monkeypatch):
 
 
 def test_chunk_slices_bound_the_batch_matrices():
+    n = BATCH_BYTES // 16 + 1       # several batches at every dimension
     for dim in (2, 4, 6):
-        parts = chunk_slices(1000, dim)
-        sizes = [len(range(1000)[p]) for p in parts]
-        assert sum(sizes) == 1000
+        parts = chunk_slices(n, dim)
+        sizes = [len(range(n)[p]) for p in parts]
+        assert sum(sizes) == n
         assert max(sizes) * 16 * dim * dim <= BATCH_BYTES
-        assert len(parts) == -(-1000 // max(sizes))
+        assert (max(sizes) + 1) * 16 * dim * dim > BATCH_BYTES
+        assert len(parts) == -(-n // max(sizes)) > 1
 
 
 def _two_branches(lower, upper, calls):
