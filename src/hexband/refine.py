@@ -8,9 +8,9 @@ inputs.  The routines here advance all of them together: each iteration
 makes one batched objective call for the lanes that have not converged, so
 the engine is called about as often for one lane as for twenty.
 
-Each routine is a step-for-step transcription of the scipy method that the
-callers used before, with the same floating-point operations on every
-lane, so each lane comes out bit for bit as one scipy call would give it:
+Each routine follows the scipy method that the callers used before, with
+the same floating-point operations on every lane, so each lane comes out
+bit for bit as one scipy call would give it:
 
 * ``bounded_minima``: ``scipy.optimize.minimize_scalar(method="bounded")``
   (Brent's method on a bracket);
@@ -18,6 +18,20 @@ lane, so each lane comes out bit for bit as one scipy call would give it:
   with bounds, default (non-adaptive) coefficients and no ``maxfev``;
 * ``brent_roots``: ``scipy.optimize.brentq`` (Brent's root finder on a
   sign-changing bracket).
+
+``bounded_minima`` and ``brent_roots`` run one generator per lane, a line
+for line copy of scipy's ``_minimize_scalar_bounded`` and of its
+``brentq.c`` on Python floats.  A lane yields the points where it needs
+the objective and receives the values there.  The driver ``_lockstep``
+gathers the points of all live lanes into one objective call per round,
+sends each lane its values and collects what each lane returns.  A round
+costs one Python step per live lane.  Holding every lane's state in numpy
+arrays instead costs a fixed ~75 array operations a round, which only
+pays past a few dozen lanes.  With a cheap objective on a 2-core VM the crossover sits
+near 45 lanes for ``brent_roots`` and 70 for ``bounded_minima`` (at 128
+lanes 2.5 against 1.2 ms and 7.5 against 4.3 ms a call).  Over the
+benchmark's job lists of seeds 0-10, the largest calls have 41 and 26
+lanes (medians 5 and 8).
 
 An objective ``fn(x, lanes)`` returns the values of the lanes ``lanes`` at
 the points ``x`` (one point, or one row of ``x``, per entry of ``lanes``).
@@ -32,6 +46,7 @@ differ only in their roots, probe direction and crossing test.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +60,9 @@ _SLOPE_STEP = 1e-6             # one-sided finite-difference step for slopes
                                # below DEFAULT_TOL_SLOPE)
 _CURV_STEP = 1e-3              # central second-difference step for curvature
 _DEDUP_THETA = 1e-7            # refined minima of a pair closer than this coincide
-_BRENT_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
-_BRENT_MAXITER = 100                      # and iteration limit
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon   # brentq's default relative
+                                               # tolerance
+_BRENT_MAXITER = 100                           # and iteration limit
 
 
 @dataclass(frozen=True)
@@ -66,70 +82,118 @@ class TouchReport:
     flat: bool = False           # True when the profile is constant in theta
 
 
+def _lockstep(fn, lanes: list) -> list:
+    """What each generator of ``lanes`` returns, the lanes run together.
+
+    A lane yields a tuple of the points where it needs the objective and
+    is sent the list of values there.  Each round gathers the points of
+    every live lane into one ``fn(x, lanes)`` call, so a round costs one
+    objective call however many lanes are live.
+    """
+    out = [None] * len(lanes)
+    live = list(range(len(lanes)))
+    sent = [None] * len(lanes)
+    while True:
+        asks, running = [], []
+        for k in live:
+            try:
+                asks.append(lanes[k].send(sent[k]))
+                running.append(k)
+            except StopIteration as stop:
+                out[k] = stop.value
+        if not running:
+            return out
+        live, x, which = running, [], []
+        for k, ask in zip(live, asks):
+            x += ask
+            which += [k] * len(ask)
+        f = np.asarray(fn(np.array(x), np.array(which)), dtype=float).tolist()
+        i = 0
+        for k, ask in zip(live, asks):
+            sent[k] = f[i:i + len(ask)]
+            i += len(ask)
+
+
+def _bounded_lane(a: float, b: float, xatol: float, maxfun: int):
+    """One lane of ``bounded_minima``: scipy's ``_minimize_scalar_bounded``
+    line for line, on Python floats; returns (xf, fx)."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    [fx] = yield (x,)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # a parabola through the three best points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    # np.sign(xm - xf) + ((xm - xf) == 0); xm, xf are finite
+                    rat = tol1 * (1.0 if xm - xf >= 0.0 else -1.0)
+            else:
+                golden = True
+        # otherwise a golden-section step into the larger part
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        # np.sign(rat) + (rat == 0); rat is finite
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        [fu] = yield (x,)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def bounded_minima(fn, lo, hi, xatol: float,
                    maxfun: int = 500) -> tuple[np.ndarray, np.ndarray]:
     """Minimizers and minima of Brent's bounded method on every bracket
-    [lo[k], hi[k]]."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    lanes = np.arange(len(a))
-    xf = a + golden_mean * (b - a)
-    nfc, fulc = xf.copy(), xf.copy()
-    rat, e = np.zeros_like(xf), np.zeros_like(xf)
-    fx = np.asarray(fn(xf, lanes), dtype=float)
-    fnfc, ffulc = fx.copy(), fx.copy()
-    x_out, f_out = np.empty_like(xf), np.empty_like(xf)
-    for _ in range(maxfun - 1):
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        done = ~(np.abs(xf - xm) > (tol2 - 0.5 * (b - a)))
-        if done.any():
-            x_out[lanes[done]], f_out[lanes[done]] = xf[done], fx[done]
-            keep = ~done
-            (lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1,
-             tol2) = (v[keep] for v in (lanes, a, b, xf, fx, nfc, fnfc, fulc,
-                                        ffulc, rat, e, xm, tol1, tol2))
-            if not len(lanes):
-                return x_out, f_out
-        # a parabola through the three best points, where the step before
-        # last was long enough and the parabola's minimum lies in the bracket
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                     & (p > q * (a - xf)) & (p < q * (b - xf)))
-        rat_fit = np.divide(p + 0.0, q, out=np.zeros_like(p), where=parabolic)
-        x_fit = xf + rat_fit
-        toward = np.sign(xm - xf) + ((xm - xf) == 0)
-        rat_fit = np.where(((x_fit - a) < tol2) | ((b - x_fit) < tol2),
-                           tol1 * toward, rat_fit)
-        # otherwise a golden-section step into the larger part
-        e_golden = np.where(xf >= xm, a - xf, b - xf)
-        e = np.where(parabolic, rat, e_golden)
-        rat = np.where(parabolic, rat_fit, golden_mean * e_golden)
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = np.asarray(fn(x, lanes), dtype=float)
-
-        better = fu <= fx
-        a = np.where(better, np.where(x >= xf, xf, a), np.where(x < xf, x, a))
-        b = np.where(better, np.where(x >= xf, b, xf), np.where(x < xf, b, x))
-        to_nfc = ~better & ((fu <= fnfc) | (nfc == xf))
-        to_fulc = ~better & ~to_nfc & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        shift = better | to_nfc
-        fulc = np.where(shift, nfc, np.where(to_fulc, x, fulc))
-        ffulc = np.where(shift, fnfc, np.where(to_fulc, fu, ffulc))
-        nfc = np.where(better, xf, np.where(to_nfc, x, nfc))
-        fnfc = np.where(better, fx, np.where(to_nfc, fu, fnfc))
-        xf = np.where(better, x, xf)
-        fx = np.where(better, fu, fx)
-    x_out[lanes], f_out[lanes] = xf, fx
-    return x_out, f_out
+    [lo[k], hi[k]] (``maxfun`` is scipy's ``maxiter`` option)."""
+    lanes = [_bounded_lane(a, b, float(xatol), maxfun)
+             for a, b in zip(np.asarray(lo, dtype=float).tolist(),
+                             np.asarray(hi, dtype=float).tolist())]
+    out = np.array(_lockstep(fn, lanes), dtype=float).reshape(-1, 2)
+    return out[:, 0], out[:, 1]
 
 
 def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
@@ -208,6 +272,58 @@ def nelder_mead_minima(fn, x0, lower, upper, xatol: float, fatol: float,
     return sim[:, 0], np.min(fsim, axis=1)
 
 
+def _brent_lane(xpre: float, xcur: float, xtol: float):
+    """One lane of ``brent_roots``: scipy's ``brentq.c`` line for line, on
+    Python floats; returns (root, objective evaluations)."""
+    fpre, fcur = yield (xpre, xcur)
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls
+    if fcur == 0.0:
+        return xcur, calls
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        # [xcur, xblk] brackets the root; xcur has the smaller |f|
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:   # C gives inf or NaN: bisect
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        [fcur] = yield (xcur,)
+        calls += 1
+    raise EngineError(f"root finder did not converge in {_BRENT_MAXITER} "
+                      f"iterations at x={xcur!r}")
+
+
 def brent_roots(fn, lo, hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Roots found by Brent's method on every bracket [lo[k], hi[k]], and
     the objective evaluations each lane took (brentq's defaults otherwise).
@@ -223,63 +339,11 @@ def brent_roots(fn, lo, hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
                               f"x={float(x[np.isnan(f)][0])!r}")
         return f
 
-    xpre = np.array(lo, dtype=float)
-    xcur = np.array(hi, dtype=float)
-    m = len(xpre)
-    lanes = np.arange(m)
-    ends = values(np.concatenate([xpre, xcur]), np.concatenate([lanes, lanes]))
-    fpre, fcur = ends[:m], ends[m:]
-    calls = np.full(m, 2)
-    roots = np.where(fpre == 0.0, xpre, xcur)
-    live = (fpre != 0.0) & (fcur != 0.0)
-    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    lanes, xpre, xcur, fpre, fcur = (v[live] for v in (lanes, xpre, xcur, fpre, fcur))
-    xblk, fblk = np.zeros_like(xpre), np.zeros_like(xpre)
-    spre, scur = np.zeros_like(xpre), np.zeros_like(xpre)
-    for _ in range(_BRENT_MAXITER):
-        # [xcur, xblk] brackets the root; xcur has the smaller |f|
-        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        step = xcur - xpre
-        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            roots[lanes[done]] = xcur[done]
-            keep = ~done
-            (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
-             sbis) = (v[keep] for v in (lanes, xpre, xcur, xblk, fpre, fcur,
-                                        fblk, spre, scur, delta, sbis))
-            if not len(lanes):
-                return roots, calls
-        # secant or inverse quadratic step where the step before last was
-        # long and |f| fell, kept if short enough; otherwise bisection
-        trial = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-        stry = np.zeros_like(xcur)
-        k = trial & (xpre == xblk)
-        stry[k] = -fcur[k] * (xcur[k] - xpre[k]) / (fcur[k] - fpre[k])
-        k = trial & (xpre != xblk)
-        dpre = (fpre[k] - fcur[k]) / (xpre[k] - xcur[k])
-        dblk = (fblk[k] - fcur[k]) / (xblk[k] - xcur[k])
-        stry[k] = (-fcur[k] * (fblk[k] * dblk - fpre[k] * dpre)
-                   / (dblk * dpre * (fblk[k] - fpre[k])))
-        short = trial & (2 * np.abs(stry) < np.minimum(np.abs(spre),
-                                                       3 * np.abs(sbis) - delta))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                               np.where(sbis > 0, delta, -delta))
-        fcur = values(xcur, lanes)
-        calls[lanes] += 1
-    raise EngineError(f"root finder did not converge in {_BRENT_MAXITER} "
-                      f"iterations at x={float(xcur[0])!r}")
+    lanes = [_brent_lane(a, b, float(xtol))
+             for a, b in zip(np.asarray(lo, dtype=float).tolist(),
+                             np.asarray(hi, dtype=float).tolist())]
+    roots, calls = zip(*_lockstep(values, lanes)) if lanes else ((), ())
+    return np.array(roots, dtype=float), np.array(calls, dtype=int)
 
 
 # ============================================================

@@ -40,10 +40,11 @@ def _profile(centers, slopes, curvatures, ripple):
                           st.floats(-0.4, 0.4, **_finite),
                           st.floats(0.0, 2.0, **_finite),
                           st.floats(0.0, 3.0, **_finite)),
-                min_size=1, max_size=8),
+                min_size=1, max_size=48),
        st.floats(0.0, 0.05, **_finite),
-       st.sampled_from([1e-12, 1e-8, 1e-5]))
-def test_bounded_minima_match_scipy(lanes, ripple, xatol):
+       st.sampled_from([1e-12, 1e-8, 1e-5]),
+       st.sampled_from([2, 5, 500]))
+def test_bounded_minima_match_scipy(lanes, ripple, xatol, maxfun):
     lo = np.array([c - w for c, w, _, _, _ in lanes])
     hi = np.array([c + w for c, w, _, _, _ in lanes])
     centers = [c + shift for c, _, shift, _, _ in lanes]
@@ -54,11 +55,12 @@ def test_bounded_minima_match_scipy(lanes, ripple, xatol):
         calls.append(len(which))
         return np.array([f(float(xi), int(k)) for xi, k in zip(x, which)])
 
-    x, fx = bounded_minima(batched, lo, hi, xatol)
+    x, fx = bounded_minima(batched, lo, hi, xatol, maxfun=maxfun)
     nfev = []
     for k in range(len(lanes)):
         res = minimize_scalar(lambda t, k=k: f(float(t), k), bounds=(lo[k], hi[k]),
-                              method="bounded", options={"xatol": xatol})
+                              method="bounded",
+                              options={"xatol": xatol, "maxiter": maxfun})
         assert x[k] == res.x and fx[k] == res.fun
         nfev.append(res.nfev)
     # one objective call per iteration, for the lanes still running
@@ -119,7 +121,7 @@ def _root_profile(centers, slopes, powers, ripple):
                           st.floats(1e-3, 4.0, **_finite),
                           st.floats(0.2, 5.0, **_finite),
                           st.sampled_from([0.3, 1.0, 3.0])),
-                min_size=1, max_size=8),
+                min_size=1, max_size=48),
        st.floats(0.0, 0.1, **_finite),
        st.sampled_from([1e-14, 1e-12, 1e-8, 1e-4]))
 def test_brent_roots_match_scipy(lanes, ripple, xtol):
@@ -154,6 +156,7 @@ def test_brent_roots_match_scipy(lanes, ripple, xtol):
         assert nfev[j] == info.function_calls
     # one objective call for both ends, then one per iteration
     assert len(calls) == max(nfev) - 1
+    assert calls[0] == 2 * len(keep)
 
 
 def test_brent_roots_refuse_brackets_without_sign_change_and_nan():
@@ -161,6 +164,10 @@ def test_brent_roots_refuse_brackets_without_sign_change_and_nan():
         brent_roots(lambda x, k: x * x + 1.0, [-1.0, 0.0], [1.0, 2.0], 1e-12)
     with pytest.raises(EngineError, match="NaN"):
         brent_roots(lambda x, k: np.where(x > 0.5, np.nan, x - 0.7), [0.0], [1.0],
+                    1e-12)
+    # the message names the first point of the call whose value is NaN
+    with pytest.raises(EngineError, match=r"NaN at x=1\.0$"):
+        brent_roots(lambda x, k: np.where(x > 0.5, np.nan, x - 0.2), [0.0], [1.0],
                     1e-12)
 
 
