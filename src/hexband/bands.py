@@ -29,11 +29,13 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # a module import: magnetic imports bands back, for roots_at
 from . import magnetic
 from .errors import InputError, NoClosedFormError, ResolutionError
 from .floquet import (
+    BATCH_BYTES,
     DispersionRoots,
     _require_opposite_pair,
     _theta_batch,
@@ -219,26 +221,30 @@ def _local_min_indices(y: np.ndarray) -> np.ndarray:
     return np.nonzero((y < prev) & (y <= nxt))[0]
 
 
-def _is_prominent(y: np.ndarray, i: int, eps: float) -> bool:
-    """True when the periodic profile rises by more than eps on both sides of
-    index i before dropping below y[i] - eps.
+def _is_prominent(y: np.ndarray, idx: np.ndarray, eps: float) -> np.ndarray:
+    """For each index i of idx: True when the periodic profile rises by more
+    than eps on both sides of i before dropping below y[i] - eps.
 
     Rejects rounding-level wobble minima on flat plateau stretches while
     keeping every minimum with real structure around it (a deeper neighboring
     minimum is always separated by an intervening local maximum, so the rise
-    is seen first)."""
+    is seen first).  Each side is one pass over the (indices, m) walks, in
+    blocks of ``BATCH_BYTES``; a NaN neither rises nor drops."""
     m = len(y)
-    for direction in (-1, 1):
-        j = i
-        for _ in range(m):
-            j = (j + direction) % m
-            if y[j] > y[i] + eps:
-                break
-            if y[j] < y[i] - eps:
-                return False
-        else:
-            return False
-    return True
+    rows = max(1, BATCH_BYTES // (8 * m))
+    keep = np.ones(len(idx), dtype=bool)
+    # the walk to the left of i is the walk to the right of m - 1 - i in y[::-1]
+    for line, start in ((y, idx), (y[::-1], m - 1 - idx)):
+        # walks[i + 1] holds the m points after i, ending on i itself
+        walks = sliding_window_view(np.concatenate([line, line]), m)
+        for lo in range(0, len(idx), rows):
+            at = start[lo:lo + rows]
+            walk, level = walks[at + 1], line[at, None]
+            rise, drop = walk > level + eps, walk < level - eps
+            first_rise = np.where(rise.any(axis=1), rise.argmax(axis=1), m)
+            first_drop = np.where(drop.any(axis=1), drop.argmax(axis=1), m)
+            keep[lo:lo + rows] &= (first_rise < m) & (first_rise <= first_drop)
+    return keep
 
 
 def classify_touches(surface: DispersionSurface,
@@ -277,8 +283,9 @@ def classify_touches(surface: DispersionSurface,
             continue
         # drop the duplicated endpoint (theta = -pi and pi are the same point)
         periodic = profile[:-1]
-        brackets += [(pair, int(i)) for i in _local_min_indices(periodic)
-                     if _is_prominent(periodic, i, PROMINENCE_TOL)]
+        minima = _local_min_indices(periodic)
+        brackets += [(pair, i) for i in minima[
+            _is_prominent(periodic, minima, PROMINENCE_TOL)].tolist()]
     if not brackets:
         return tuple(flat)
     pairs = np.array([pair for pair, _ in brackets])

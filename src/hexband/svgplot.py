@@ -69,8 +69,11 @@ def _frame_for(surface: DispersionSurface) -> _Frame:
 
 def _polyline(frame: _Frame, theta: np.ndarray, values: np.ndarray,
               color: str) -> str:
-    points = " ".join(f"{_fmt(frame.x(t))},{_fmt(frame.y(v))}"
-                      for t, v in zip(theta, values))
+    # _fmt on every coordinate; only a "-0.000000" token holds that text
+    xs = map("%.6f".__mod__, frame.x(theta).tolist())
+    ys = map("%.6f".__mod__, frame.y(values).tolist())
+    points = " ".join(map(",".join, zip(xs, ys)))
+    points = points.replace("-0.000000", "0.000000")
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
             f'points="{points}"/>')
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexband.bands import (
+    _is_prominent,
     adjacent_separations,
     classify_touches,
     diagonal_theta_for_f,
@@ -349,3 +352,44 @@ class TestTwoParam:
         reports = classify_touches(sample_diagonal(cfg, n=501))
         assert {r.kind for r in reports} <= {"gap", "crossing"}
         assert _kinds(reports, "gap")
+
+
+def _is_prominent_walk(y, i, eps):
+    """Reference: walk each side of i until the profile rises above
+    y[i] + eps (prominent on that side) or drops below y[i] - eps (not)."""
+    m = len(y)
+    for direction in (-1, 1):
+        j = i
+        for _ in range(m):
+            j = (j + direction) % m
+            if y[j] > y[i] + eps:
+                break
+            if y[j] < y[i] - eps:
+                return False
+        else:
+            return False
+    return True
+
+
+# plateaus, ties and NaN, with steps at the scale of eps
+_levels = st.sampled_from([0.0, 1.0, 1.0 + 1e-10, 1.0 + 3e-10, 1.0 - 2e-10,
+                           2.0, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_levels, min_size=1, max_size=40),
+       st.sampled_from([0.0, 1e-10, 0.5]))
+def test_is_prominent_matches_the_walk(profile, eps):
+    y = np.array(profile)
+    idx = np.arange(len(y))
+    want = [_is_prominent_walk(y, i, eps) for i in idx]
+    assert _is_prominent(y, idx, eps).tolist() == want
+
+
+def test_is_prominent_blocks_match_the_walk():
+    # long enough that the walks of all indices take several blocks
+    rng = np.random.default_rng(7)
+    y = np.repeat(rng.choice([0.0, 1.0, 1.0 + 1e-10, np.nan], 300), 3)
+    idx = rng.permutation(len(y))
+    want = [_is_prominent_walk(y, i, 1e-10) for i in idx]
+    assert _is_prominent(y, idx, 1e-10).tolist() == want
