@@ -426,7 +426,14 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
     else:
         head, squares = np.array([lam_lo]), squares[squares > lam_lo]
     lams = np.concatenate([head, squares])
-    lams = lams[lams <= lam_max + 1.0]
+    # through the first point at or past lam_max, so that every root up to
+    # lam_max lies in a scanned interval (above 100 the points are more
+    # than 1 apart)
+    top = lam_max + 1.0
+    past = lams[lams >= lam_max]
+    if len(past):
+        top = max(top, past[0])
+    lams = lams[lams <= top]
     vals = integrate_monodromy(pot, lams).s1
     lo, hi = lams[:-1], lams[1:]
     exact = vals[:-1] == 0.0

@@ -571,14 +571,14 @@ GOLDEN_SAMPLED = [
     pytest.param(
         {"variant": "monolayer", "alpha_a": 0.6, "alpha_b": 1.2},
         {"kind": "sampled", "x": _KNOTS_5, "values": [1.5, -2.0, 1.5, -2.0, 1.5]},
-        "a372b0bd6247abe86664edf9e407240fd4daa46bb27caf9ebf19808a5540c124",
+        "74113dc1a0702bfc9d261217ec47ddc7c5df6d345adb77f7dce2466e13a0b374",
         id="spectrum.csv-monolayer-period_half"),
     pytest.param(
         {"variant": "bilayer_aa_prime", "alpha_a": -0.7, "alpha_b": 0.4,
          "t0": 0.3},
         {"kind": "sampled", "x": _KNOTS_9,
          "values": [0.0, 4.0, -1.0, 6.0, 2.0, 6.0, -1.0, 4.0, 0.0]},
-        "208605cb57cc9ee1dde1810b7b8b625f542c69851095aaf19438f0e7c439079d",
+        "927343d69fa043c93c303c55f6248b491c03dc93003dcf72f72062e31f9def54",
         id="spectrum.csv-bilayer_aa_prime-nine_knots"),
 ]
 
@@ -603,3 +603,16 @@ def test_sampled_spectrum_digest_is_pinned(tmp_path, stack, potential, digest):
     config = {"stack": stack, "grid": _DIAGONAL_201, "potential": potential}
     assert _artifact_sha256(tmp_path, "spectrum", config,
                             "spectrum.csv") == digest
+
+
+def test_sampled_spectrum_lists_the_top_dirichlet_point(tmp_path):
+    # the 4th Dirichlet eigenvalue ends the last band's bracket and is the
+    # scan's lam_max; like the zero potential's, the spectrum lists all 4
+    stack, potential, _ = GOLDEN_SAMPLED[0].values
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, "stack": stack,
+                                "grid": _DIAGONAL_201, "potential": potential}))
+    assert main(["spectrum", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows].count("pp") == 4

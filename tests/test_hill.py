@@ -325,6 +325,16 @@ class TestDirichletSpectrum:
         assert np.allclose(dirichlet_spectrum(below, -5.0),
                            np.array([1.0, 4.0]) * np.pi**2 - 50.0, rtol=0.0, atol=1e-8)
 
+    def test_scan_brackets_a_root_at_lam_max(self):
+        # above lambda = 100 the scan points are more than 1 apart, so a scan
+        # cut at lam_max + 1 can end before the point past a root at lam_max
+        rng = np.random.default_rng(5)
+        for p, q in rng.uniform(-3.0, 3.0, (12, 2)):
+            pot = PotentialSpec.sampled(np.linspace(0.0, 1.0, 5), [p, q, p, q, p])
+            nu = dirichlet_spectrum(pot, 5.5 ** 2 * np.pi ** 2)
+            for k in range(4):
+                assert nu[k] in dirichlet_spectrum(pot, nu[k])
+
     def test_tall_bumps_scan_from_just_below_min_q(self):
         # a scan from -(max|q| + 10) = -160 drifted 1e-3 past the gate
         pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 150.0, 0.0, 150.0, 0.0])
