@@ -241,9 +241,9 @@ def _is_prominent(y: np.ndarray, idx: np.ndarray, eps: float) -> np.ndarray:
             at = start[lo:lo + rows]
             walk, level = walks[at + 1], line[at, None]
             rise, drop = walk > level + eps, walk < level - eps
-            first_rise = np.where(rise.any(axis=1), rise.argmax(axis=1), m)
             first_drop = np.where(drop.any(axis=1), drop.argmax(axis=1), m)
-            keep[lo:lo + rows] &= (first_rise < m) & (first_rise <= first_drop)
+            keep[lo:lo + rows] &= (rise.any(axis=1)
+                                   & (rise.argmax(axis=1) <= first_drop))
     return keep
 
 

@@ -192,8 +192,9 @@ def bounded_minima(fn, lo, hi, xatol: float,
     lanes = [_bounded_lane(a, b, float(xatol), maxfun)
              for a, b in zip(np.asarray(lo, dtype=float).tolist(),
                              np.asarray(hi, dtype=float).tolist())]
-    out = np.array(_lockstep(fn, lanes), dtype=float).reshape(-1, 2)
-    return out[:, 0], out[:, 1]
+    found = _lockstep(fn, lanes)
+    return (np.array([x for x, _ in found], dtype=float),
+            np.array([f for _, f in found], dtype=float))
 
 
 def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
@@ -342,8 +343,9 @@ def brent_roots(fn, lo, hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
     lanes = [_brent_lane(a, b, float(xtol))
              for a, b in zip(np.asarray(lo, dtype=float).tolist(),
                              np.asarray(hi, dtype=float).tolist())]
-    roots, calls = zip(*_lockstep(values, lanes)) if lanes else ((), ())
-    return np.array(roots, dtype=float), np.array(calls, dtype=int)
+    found = _lockstep(values, lanes)
+    return (np.array([root for root, _ in found], dtype=float),
+            np.array([calls for _, calls in found], dtype=int))
 
 
 # ============================================================
