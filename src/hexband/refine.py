@@ -22,14 +22,14 @@ bit for bit as one scipy call would give it:
 ``bounded_minima`` and ``brent_roots`` run one generator per lane, a line
 for line copy of scipy's ``_minimize_scalar_bounded`` and of its
 ``brentq.c`` on Python floats.  A lane yields the points where it needs
-the objective and receives the values there.  The driver ``_lockstep``
-gathers the points of all live lanes into one objective call per round,
-sends each lane its values and collects what each lane returns.  A round
-costs one Python step per live lane.  Holding every lane's state in numpy
-arrays instead costs a fixed ~75 array operations a round, which only
-pays past a few dozen lanes.  With a cheap objective on a 2-core VM the crossover sits
-near 45 lanes for ``brent_roots`` and 70 for ``bounded_minima`` (at 128
-lanes 2.5 against 1.2 ms and 7.5 against 4.3 ms a call).  Over the
+the objective and receives the values there.  ``_lockstep`` gathers the
+points of all live lanes into one objective call per round, sends each
+lane its values and collects what each lane returns.  A round costs one
+Python step per live lane.  Holding every lane's state in numpy arrays
+instead costs a fixed ~75 array operations a round, which only pays past
+a few dozen lanes.  With a cheap objective on a 2-core VM the crossover
+sits near 45 lanes for ``brent_roots`` and 70 for ``bounded_minima`` (at
+128 lanes 2.5 against 1.2 ms and 7.5 against 4.3 ms a call).  Over the
 benchmark's job lists of seeds 0-10, the largest calls have 41 and 26
 lanes (medians 5 and 8).
 
