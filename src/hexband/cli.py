@@ -25,10 +25,11 @@ diagonal-slice artifacts of a run share one sampled surface and one touch
 classification.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
-``validate``, ``plot``.  Every run writes its artifacts atomically
-(temp-then-rename) into ``--out`` plus one ``manifest.json`` echoing the
-resolved configuration and the sha256 digest of the bytes written for each
-artifact; identical configurations reproduce byte-identical data files.
+``validate``, ``plot``.  Every run streams each artifact, line by line, into a
+temp file renamed into ``--out``, hashing the bytes as they are written, and
+last writes ``manifest.json`` echoing the resolved configuration and each
+artifact's sha256; a run that fails part-way leaves no manifest.  Identical
+configurations reproduce byte-identical data files.
 Stdout gets one ``wrote <path>`` line per artifact (then validate's summary
 lines), stderr the diagnostics and errors.  A run that writes
 ``spectrum.csv`` also records in the manifest's ``trace.hill`` block the
@@ -37,8 +38,8 @@ the number of monodromy evaluations (null steps and deviation for the
 closed-form zero potential); these never enter the data files.
 
 Exit codes: 0 success; 1 configuration problems (including a sampling grid
-too coarse to classify); 2 numerical-validation failures; 3 I/O errors
-while writing outputs.
+too coarse to classify) and running out of memory; 2 numerical-validation
+failures; 3 I/O errors while writing outputs.
 
 Number formatting: CSV floats use fixed 17-significant-digit formatting;
 key-value reports use shortest round-trip (repr) formatting.  Both survive
@@ -48,12 +49,14 @@ text -> float -> text round trips exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property
 
@@ -267,7 +270,7 @@ def load_run_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     _reject_unknown("", raw)
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    if _as_int(raw.get("schema_version", 0), "schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config must declare schema_version = {SCHEMA_VERSION} "
             f"(got {raw.get('schema_version')!r})"
@@ -363,23 +366,24 @@ def _config_echo(run: RunConfig, files: list[str]) -> dict:
 #  Output plumbing
 # ============================================================
 
-def _atomic_write_text(path: str, text: str) -> str:
-    """Write ``text`` as UTF-8 through a temp file and a rename; return the
-    ``sha256:`` digest of the bytes written."""
-    data = text.encode("utf-8")
+def _write_artifact(path: str, lines: Iterable[str]) -> str:
+    """Write each of ``lines`` plus ``"\n"``, as UTF-8 and as it comes, to a temp
+    file renamed to ``path``; return the ``sha256:`` digest of the bytes written."""
+    digest = hashlib.sha256()
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.hexband.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for line in lines:
+                data = (line + "\n").encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + digest.hexdigest()
 
 
 def _write_manifest(outdir: str, command: str, run: RunConfig,
@@ -394,8 +398,8 @@ def _write_manifest(outdir: str, command: str, run: RunConfig,
         "outputs": digests,
     }
     manifest.update({key: value for key, value in extra.items() if value})
-    _atomic_write_text(os.path.join(outdir, "manifest.json"),
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_artifact(os.path.join(outdir, "manifest.json"),
+                    [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 # ============================================================
@@ -456,10 +460,10 @@ class _RunContext:
 #  Artifact emitters
 # ============================================================
 
-def _emit_bands(ctx: _RunContext) -> str:
-    """One row per grid point and band, built column by column and one grid
-    row at a time (``grid.n`` points: the slice, or one theta1 row of the
-    full grid), so no Python frame runs per value."""
+def _emit_bands(ctx: _RunContext) -> Iterator[str]:
+    """The header, then one chunk of text per grid row (``grid.n`` points: the
+    slice, or one theta1 row of the full grid) with one CSV row per point and
+    band, built column by column so that no Python frame runs per value."""
     theta1, theta2 = _grid_thetas(ctx.run)
     roots = roots_at(ctx.run.stack, theta1, theta2)
     f = structure_function(theta1, theta2)
@@ -469,15 +473,13 @@ def _emit_bands(ctx: _RunContext) -> str:
     eta = _g17_text(roots.values)
     flag = np.array(["0", "1"], dtype=object)[roots.admissible.astype(np.intp)]
     band = [str(index) for index in range(dim)] * ctx.run.grid_n
-    chunks = [BANDS_CSV_HEADER]
+    yield BANDS_CSV_HEADER
     for lo in range(0, len(theta1), ctx.run.grid_n):
         at = slice(lo, lo + ctx.run.grid_n)
         t1, t2, fr, fi, source = (np.repeat(text[at], dim).tolist() for text in per_point)
         columns = (t1, t2, fr, fi, band, eta[at].ravel().tolist(), flag[at].ravel().tolist(),
                    source)
-        chunks.append("\n".join(map(",".join, zip(*columns))))
-    chunks.append("")
-    return "\n".join(chunks)
+        yield "\n".join(map(",".join, zip(*columns)))
 
 
 def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
@@ -511,8 +513,9 @@ def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
 
 
 def _record_lines(index: int, rep: TouchReport) -> list[str]:
-    """The record's set fields in declaration order (``value`` as ``eta``)."""
-    lines = [f"record: {index}"]
+    """A blank line, then the record's set fields in declaration order
+    (``value`` as ``eta``)."""
+    lines = ["", f"record: {index}"]
     for name in (f.name for f in fields(rep)):
         value = getattr(rep, name)
         if value is None or value is False:
@@ -552,7 +555,7 @@ def _slice_header(run: RunConfig, title: str, surface, *settings: str) -> list[s
     return lines
 
 
-def _emit_report(ctx: _RunContext) -> str:
+def _emit_report(ctx: _RunContext) -> list[str]:
     run = ctx.run
     records = _report_records(ctx.touches)
     lines = _slice_header(run, "classification report", ctx.surface,
@@ -560,12 +563,11 @@ def _emit_report(ctx: _RunContext) -> str:
                           f"tol_slope: {_rr(run.tol_slope)}")
     lines.append(f"records: {len(records)}")
     for idx, rep in enumerate(records, start=1):
-        lines.append("")
-        lines.extend(_record_lines(idx, rep))
-    return "\n".join(lines) + "\n"
+        lines += _record_lines(idx, rep)
+    return lines
 
 
-def _emit_gaps(ctx: _RunContext) -> str:
+def _emit_gaps(ctx: _RunContext) -> list[str]:
     surface = ctx.surface
     seps = surface.separations()
     lines = _slice_header(ctx.run, "minimal separations (grid resolution)", surface)
@@ -580,27 +582,17 @@ def _emit_gaps(ctx: _RunContext) -> str:
                   f"min_separation: {_rr(float(seps[at, pair]))}",
                   f"theta1: {_rr(theta)}",
                   f"f_value: {_rr(f.real)}"]
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _emit_spectrum(ctx: _RunContext) -> str:
+def _emit_spectrum(ctx: _RunContext) -> list[str]:
     """spectrum.csv; its diagnostics go to stderr and, with how the Hill layer
     got there, to the manifest only, so that spectrum.csv stays deterministic."""
     run = ctx.run
     potential = run.potential if run.potential is not None else PotentialSpec.zero()
-    surface = ctx.surface
-    eta_intervals = [
-        (float(np.min(surface.values[:, band])),
-         float(np.max(surface.values[:, band])))
-        for band in range(surface.dim)
-    ]
+    values = ctx.surface.values
+    eta_intervals = list(zip(values.min(axis=0).tolist(), values.max(axis=0).tolist()))
     result = bands_from_root_surface(potential, eta_intervals)
-    lines = [SPECTRUM_CSV_HEADER]
-    for iv in result.intervals:
-        lines.append(f"band,{iv.eta_band},{iv.hill_band},"
-                     f"{_g17(iv.lo)},{_g17(iv.hi)}")
-    for nu in result.dirichlet:
-        lines.append(f"pp,,,{_g17(nu)},{_g17(nu)}")
     hill = {"monodromy_evaluations": result.evaluations,
             "magnus_steps": result.magnus_steps,
             "magnus_halving_deviation": result.magnus_deviation,
@@ -608,17 +600,20 @@ def _emit_spectrum(ctx: _RunContext) -> str:
     for note in result.diagnostics:
         print(f"spectrum: {note}", file=sys.stderr)
     ctx.extra.update(notes=list(result.diagnostics), trace={"hill": hill})
-    return "\n".join(lines) + "\n"
+    return [SPECTRUM_CSV_HEADER,
+            *(f"band,{iv.eta_band},{iv.hill_band},{_g17(iv.lo)},{_g17(iv.hi)}"
+              for iv in result.intervals),
+            *(f"pp,,,{_g17(nu)},{_g17(nu)}" for nu in result.dirichlet)]
 
 
-def _emit_plot(ctx: _RunContext) -> str:
+def _emit_plot(ctx: _RunContext) -> list[str]:
     surface = ctx.surface
     reports = ctx.touches if surface.n_samples >= MIN_CLASSIFY_SAMPLES else ()
     title = f"{ctx.run.stack.variant.value}: eta along the diagonal slice"
     return render_band_chart(surface, reports, title=title)
 
 
-def _emit_magnetic(ctx: _RunContext) -> str:
+def _emit_magnetic(ctx: _RunContext) -> list[str]:
     run = ctx.run
     reports = magnetic_classify(run.stack, n=run.grid_n,
                                 tol_touch=run.tol_touch,
@@ -631,14 +626,13 @@ def _emit_magnetic(ctx: _RunContext) -> str:
               f"tol_slope: {_rr(run.tol_slope)}",
               f"records: {len(reports)}"]
     for idx, rep in enumerate(reports, start=1):
-        lines.append("")
-        lines.extend(_record_lines(idx, rep))
+        lines += _record_lines(idx, rep)
         if rep.theta1 is not None and q == 2:
             lines.append(f"g_value: {_rr(g_function(rep.theta1, rep.theta2))}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _emit_validate(ctx: _RunContext) -> str:
+def _emit_validate(ctx: _RunContext) -> list[str]:
     """validate.txt; its summary lines for stdout and its largest deviation
     go to the run context."""
     run, args = ctx.run, ctx.args
@@ -680,7 +674,7 @@ def _emit_validate(ctx: _RunContext) -> str:
     # the max and (when any point was compared) the mean deviation lines
     ctx.console += [f"compared: {devs.size} of {samples}", *summary[3:5 if devs.size else 4]]
     ctx.max_dev = max_dev
-    return "\n".join(header + [f"seed: {seed}"] + summary + [""] + rows) + "\n"
+    return header + [f"seed: {seed}"] + summary + [""] + rows
 
 
 # ============================================================
@@ -699,8 +693,8 @@ _OUTPUT_NAMES = tuple(_ARTIFACTS)[:4]
 
 
 def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
-    """Check, then write the subcommand's artifact and the ``outputs`` ones, the
-    manifest and a ``wrote`` line each; validation fails last, after writing."""
+    """Check, drop an earlier manifest, write the subcommand's artifact and the
+    ``outputs`` ones, the manifest and a ``wrote`` line each; validation fails last."""
     own = "report" if command == "classify" else command
     wanted = [name for name in _ARTIFACTS if name == own or name in run.outputs]
     files = [_ARTIFACTS[name][0] for name in wanted]
@@ -709,10 +703,12 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
             _require_diagonal_slice(run, filename)
     if "validate" in wanted and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(args.out, "manifest.json"))
     started = time.time()
     ctx = _RunContext(run, args)
-    digests = {filename: _atomic_write_text(os.path.join(args.out, filename),
-                                            _ARTIFACTS[name][1](ctx))
+    digests = {filename: _write_artifact(os.path.join(args.out, filename),
+                                         _ARTIFACTS[name][1](ctx))
                for name, filename in zip(wanted, files)}
     _write_manifest(args.out, command, run, digests, time.time() - started, ctx.extra)
     for filename in files:
@@ -805,6 +801,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"hexband: I/O error: {exc}", file=sys.stderr)
             return 3
+        except MemoryError as exc:
+            print(f"hexband: out of memory: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -190,8 +190,8 @@ def _legend(frame: _Frame, dim: int) -> list[str]:
 
 def render_band_chart(surface: DispersionSurface,
                       reports: tuple[TouchReport, ...] = (),
-                      title: str = "") -> str:
-    """Serialize a sampled surface (plus classified features) to SVG text."""
+                      title: str = "") -> list[str]:
+    """Serialize a sampled surface (plus classified features) to SVG lines."""
     frame = _frame_for(surface)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -213,4 +213,4 @@ def render_band_chart(surface: DispersionSurface,
     parts.extend(_markers(frame, reports))
     parts.extend(_legend(frame, surface.dim))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts

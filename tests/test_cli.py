@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import hexband
-from hexband import hill
+from hexband import cli, hill
 from hexband.bands import roots_at, sample_diagonal
 from hexband.cli import (
     BANDS_CSV_HEADER,
     RunConfig,
     SPECTRUM_CSV_HEADER,
-    _atomic_write_text,
     _g17,
     _g17_text,
+    _write_artifact,
     load_run_config,
     main,
 )
@@ -133,6 +133,12 @@ class TestConfig:
         path.write_text(json.dumps({"stack": {"variant": "monolayer"}}))
         with pytest.raises(ConfigError, match="schema_version"):
             load_run_config(str(path))
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_schema_version_is_the_integer_one(self, tmp_path, version):
+        path = _write_config(tmp_path, schema_version=version)
+        with pytest.raises(ConfigError, match="'schema_version' must be an integer"):
+            load_run_config(path)
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "c.json"
@@ -398,10 +404,29 @@ class TestBands:
 
     def test_write_returns_the_digest_of_the_bytes_on_disk(self, tmp_path):
         path = tmp_path / "notes.txt"
-        digest = _atomic_write_text(str(path), "eta \u03b7 = 0.5\r\nline two\n")
+        digest = _write_artifact(str(path), iter(["eta \u03b7 = 0.5\r", "line two"]))
         assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
         assert path.read_bytes() == "eta \u03b7 = 0.5\r\nline two\n".encode()
         assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+    def test_write_of_no_lines_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        assert _write_artifact(str(path), []) == "sha256:" + hashlib.sha256().hexdigest()
+        assert path.read_bytes() == b""
+
+    def test_lines_failing_part_way_keep_the_previous_file(self, tmp_path):
+        path = tmp_path / "bands.csv"
+        _write_artifact(str(path), ["old"])
+
+        def lines():
+            yield "new header"
+            yield "x" * 100_000  # past the write buffer, so bytes reach the temp file
+            raise MemoryError("out of rows")
+
+        with pytest.raises(MemoryError, match="out of rows"):
+            _write_artifact(str(path), lines())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bands.csv"]
 
     def test_full_grid_row_count(self, tmp_path):
         cfg = _write_config(tmp_path, stack={"variant": "monolayer"})
@@ -915,7 +940,6 @@ class TestOrchestration:
 
     def test_one_run_samples_and_classifies_once(self, tmp_path, monkeypatch):
         # report, spectrum and plot share the run's surface and classification
-        from hexband import cli
         calls = {"sample_diagonal": 0, "classify_touches": 0}
 
         def counted(name):
@@ -950,6 +974,46 @@ class TestOrchestration:
         code, outdir = _run(tmp_path, "magnetic", cfg, "--grid", "31")
         assert code == 1
         assert "report.txt needs a non-magnetic stack" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_failed_run_leaves_no_manifest(self, tmp_path, capsys):
+        good = _write_config(tmp_path, "good.json", outputs=["spectrum"],
+                             stack={"variant": "monolayer", "alpha_a": 0.5, "alpha_b": -0.5})
+        code, outdir = _run(tmp_path, "classify", good)
+        assert code == 0 and (outdir / "manifest.json").exists()
+        # report.txt is rewritten, then the spectrum stage fails on the bump
+        bad = _write_config(tmp_path, "bad.json", outputs=["spectrum"],
+                            stack={"variant": "monolayer", "alpha_a": 0.4, "alpha_b": -0.4},
+                            potential={"kind": "sampled", "x": [0.0, 0.5, 1.0],
+                                       "values": [0.0, 1e7, 0.0]})
+        capsys.readouterr()
+        code, outdir = _run(tmp_path, "classify", bad)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("hexband: numerical failure:")
+        assert "alpha_a: 0.4" in (outdir / "report.txt").read_text()
+        assert sorted(p.name for p in outdir.iterdir()) == ["report.txt", "spectrum.csv"]
+
+    def test_config_error_before_writing_keeps_the_previous_run(self, tmp_path):
+        cfg = _write_config(tmp_path, outputs=["report"])
+        code, outdir = _run(tmp_path, "bands", cfg)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        assert "manifest.json" in before
+        # report.txt samples the diagonal slice only: refused before writing
+        assert _run(tmp_path, "bands", cfg, "--full")[0] == 1
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    def test_out_of_memory_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
+        def too_large(n):
+            raise MemoryError(f"Unable to allocate 72.8 TiB for an array with shape ({n},)")
+
+        monkeypatch.setattr(cli, "diagonal_slice", too_large)
+        cfg = _write_config(tmp_path)
+        code, outdir = _run(tmp_path, "bands", cfg, "--grid", "10000000000000")
+        assert code == 1
+        assert capsys.readouterr().err == ("hexband: out of memory: Unable to allocate "
+                                           "72.8 TiB for an array with shape "
+                                           "(10000000000000,)\n")
         assert list(outdir.iterdir()) == []
 
     def test_out_path_collision_is_io_error(self, tmp_path):

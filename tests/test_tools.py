@@ -6,13 +6,21 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_digest_sweep_prints_one_clean_line_per_job(monkeypatch):
-    proc = subprocess.run(
+@pytest.fixture(scope="module")
+def sweep_s0():
+    """The tool's run over the seed-0 job lists of the three workloads."""
+    return subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "digest_sweep.py"), "0", "0"],
         capture_output=True, text=True)
+
+
+def test_digest_sweep_prints_one_clean_line_per_job(monkeypatch, sweep_s0):
+    proc = sweep_s0
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     # the job lists the tool runs, imported as the tool imports them
@@ -27,3 +35,11 @@ def test_digest_sweep_prints_one_clean_line_per_job(monkeypatch):
         assert fields[1] == "0", fields
         for digest in fields[2:]:
             assert digest == "-" or re.fullmatch("[0-9a-f]{64}", digest), fields
+
+
+def test_digest_sweep_matches_the_recorded_seed_0_digests(sweep_s0):
+    # every artifact, stdout and stderr byte of the 83 seed-0 jobs, pinned;
+    # a change that means to move them re-records digests_s0.txt and says why
+    with open(os.path.join(ROOT, "tests", "digests_s0.txt"), encoding="utf-8") as fh:
+        recorded = fh.read().splitlines()
+    assert sweep_s0.stdout.splitlines() == recorded
