@@ -40,7 +40,7 @@ from .floquet import (
     _require_opposite_pair,
     _theta_batch,
     assemble,
-    chunk_slices,
+    batch_points,
     closed_form_roots,
     numeric_roots,
 )
@@ -86,70 +86,83 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     eigensolver.  ``closed`` on the result marks the points that took the
     formulas; branch names and sort orders are given when all of them did.
 
-    The points go to the engine in ``chunk_slices`` batches.  A batch the
-    formulas cannot serve whole sends its other points to the eigensolver
-    and its formula points to the end, where they are evaluated together;
-    once the parameters have no closed form at all, the formulas are not
-    tried again.
+    The points go to the engine in batches of ``batch_points``.  A call that
+    fits in one batch the formulas serve is their result as it is, returned
+    before any result array is made: the refiners make hundreds of such
+    calls a job.  A batch the formulas cannot serve whole sends its other
+    points to the eigensolver and its formula points to the end, where they
+    are evaluated together; once the parameters have no closed form at all,
+    the formulas are not tried again.
     """
     if route not in ("auto", "closed", "numeric"):
         raise InputError(f"unknown evaluation route {route!r}")
     if theta2 is None:
         theta2 = -theta1
     t1, t2, scalar = _theta_batch(theta1, theta2)
-    dim = config.dim
+    n, dim = len(t1), config.dim
     flux = config.flux        # set for the magnetic flux cells only
     formulas = route == "closed" or (
         route == "auto" and not (flux is not None and flux.q == 1))
-    values = np.empty((len(t1), dim))
-    order = np.empty((len(t1), dim), dtype=np.int8)
-    closed = np.zeros(len(t1), dtype=bool)
+    # the result arrays, made by the first batch that does not serve the
+    # call whole
+    values = order = closed = None
     names = ()
 
-    def by_formula(part) -> DispersionRoots:
-        nonlocal names
-        if flux is not None and flux.q == 2:
-            roots = magnetic.closed_form_roots_q2(config, t1[part], t2[part])
-        else:
-            roots = closed_form_roots(config, t1[part], t2[part])
-        values[part] = roots.values
-        order[part] = roots.order
-        closed[part] = True
-        names = roots.names
-        return roots
+    def fill(index, part_values, roots=None) -> None:
+        nonlocal values, order, closed, names
+        if values is None:
+            values = np.empty((n, dim))
+            order = np.empty((n, dim), dtype=np.int8)
+            closed = np.zeros(n, dtype=bool)
+        values[index] = part_values
+        if roots is not None:
+            order[index] = roots.order
+            closed[index] = True
+            names = roots.names
 
-    parts = chunk_slices(len(t1), dim)
+    def by_formula(index) -> DispersionRoots:
+        if flux is not None and flux.q == 2:
+            return magnetic.closed_form_roots_q2(config, t1[index], t2[index])
+        return closed_form_roots(config, t1[index], t2[index])
+
+    size = batch_points(dim)
     deferred = []
-    for part in parts:
+    for start in range(0, n, size):
+        part = slice(start, start + size)
         if formulas:
             try:
                 roots = by_formula(part)
-                if len(parts) == 1 and not scalar:
-                    return roots    # one engine batch, served whole
-                continue
             except NoClosedFormError as exc:
                 if exc.servable is None:
                     formulas = False
                 else:
-                    index = np.arange(len(t1))[part]
+                    index = np.arange(n)[part]
                     deferred.append(index[exc.servable])
                     part = index[~exc.servable]
+            else:
+                if n <= size and not scalar:
+                    return roots    # one engine batch, served whole
+                fill(part, roots.values, roots)
+                continue
         if flux is not None:
             # the flux cells' artifacts come from eigvalsh(A) / 3, which
             # differs from numeric_roots' D^{-1/2} scaling in the last bits;
             # numeric_roots here would move the bytes of the q = 1 cell's
             # bands.csv and magnetic.txt and of both cells' validate.txt
             # (five GOLDEN rows of tests/test_batch.py)
-            values[part] = np.linalg.eigvalsh(
-                magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0
+            fill(part, np.linalg.eigvalsh(
+                magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0)
         else:
-            values[part] = numeric_roots(assemble(config, t1[part],
-                                                  t2[part])).values
+            fill(part, numeric_roots(assemble(config, t1[part], t2[part])).values)
     if deferred:
         deferred = np.concatenate(deferred)
-        for part in chunk_slices(len(deferred), dim):
-            by_formula(deferred[part])
+        for start in range(0, len(deferred), size):
+            index = deferred[start:start + size]
+            roots = by_formula(index)
+            fill(index, roots.values, roots)
 
+    if values is None:      # no points
+        fill(slice(0), np.empty((0, dim)))
     if not closed.all():
         names = ()
     if scalar:

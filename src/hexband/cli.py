@@ -19,10 +19,12 @@ a setting the variant's layout does not read is rejected.  ``tolerances``
 (and ``--tol-touch``) must be positive.  ``potential`` accepts
 ``{"kind": "zero"}``, ``{"kind": "file", "path": ...}`` (two-column text),
 or ``{"kind": "sampled", "x": [...], "values": [...]}``, with finite
-numbers in both columns.  ``outputs`` lists extra artifacts from {bands,
-report, spectrum, plot} that every subcommand emits alongside its own; the
-diagonal-slice artifacts of a run share one sampled surface and one touch
-classification.
+numbers in both columns; only ``spectrum.csv`` reads it, and a run that
+does not write ``spectrum.csv`` rejects it.  ``outputs`` lists extra
+artifacts from {bands, report, spectrum, plot}, each at most once, that
+every subcommand emits alongside its own; the diagonal-slice artifacts of a
+run share one sampled surface and one touch classification.  ``validate``'s
+``--samples`` must be at least 1 and its ``--seed`` non-negative.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  Every run streams each artifact, line by line, into a
@@ -304,12 +306,14 @@ def load_run_config(path: str) -> RunConfig:
         if (not isinstance(raw["outputs"], list)
                 or not all(isinstance(o, str) for o in raw["outputs"])):
             raise ConfigError("config field 'outputs' must be a list of names")
-        for name in raw["outputs"]:
+        for i, name in enumerate(raw["outputs"]):
             if name not in _OUTPUT_NAMES:
                 raise ConfigError(
                     f"unknown output {name!r} "
                     f"(one of: {', '.join(_OUTPUT_NAMES)})"
                 )
+            if name in raw["outputs"][:i]:
+                raise ConfigError(f"output {name!r} is listed twice in 'outputs'")
         outputs = tuple(raw["outputs"])
 
     return RunConfig(stack=stack, grid_kind=grid_kind, grid_n=grid_n,
@@ -701,8 +705,15 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
     for name, filename in zip(wanted, files):
         if name not in ("bands", "validate"):
             _require_diagonal_slice(run, filename)
+    if run.potential is not None and "spectrum" not in wanted:
+        raise ConfigError(
+            f"config section 'potential' is read only for spectrum.csv, which "
+            f"this {command!r} run does not write (add \"spectrum\" to 'outputs' "
+            "or drop the potential)")
     if "validate" in wanted and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if "validate" in wanted and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(args.out, "manifest.json"))
     started = time.time()

@@ -31,11 +31,13 @@ Two independent routes to the roots are provided and never mixed:
 ``closed_form_roots`` evaluates the analytic root families of ``_FORMULAS``,
 one formula and one tuple of branch names per stack, and verifies every
 value against the characteristic polynomial at runtime: the residual gate
-expands each config's tensor once (``_gate_tensor`` caches the last one) and
-evaluates it at the F of each batch.  The paired stacks (those with a plain
-layer) have closed forms on the diagonal slice only.  This module provides
-the routes; ``bands.roots_at`` alone decides which one serves a point, for
-the magnetic flux cells as well.
+expands each config's tensor once (``_gate_tensor`` caches the last one),
+evaluates it at the F of each batch (one matrix product of the F^i
+conj(F)^j with the flattened tensor) and the polynomial at each root by
+Horner's scheme.  The paired stacks (those with a plain layer) have closed
+forms on the diagonal slice only.  This module provides the routes;
+``bands.roots_at`` alone decides which one serves a point, for the magnetic
+flux cells as well.
 
 The engine is batch-first over quasimomenta.  ``assemble`` and
 ``closed_form_roots`` take theta1/theta2 as scalars or as 1-D arrays of equal
@@ -43,17 +45,28 @@ length N; a batch gives a ``FloquetMatrix`` with an (N, dim, dim) affine part
 and ``DispersionRoots`` with (N, dim) values and sort orders, and ``char_poly``
 and ``numeric_roots`` follow the matrix they are given.  Scalar arguments run
 as a batch of one and come back without the batch axis, so a point gives the
-same bits alone as inside a batch.  ``roots_at`` calls the engine on slices
-(``chunk_slices``) whose matrices take at most ``BATCH_BYTES``.  Every
-formula is elementwise and ``eigvalsh`` works matrix by matrix, so the
-budget moves no bit; it trades the fixed numpy cost of a call against its
-working set.  256 KiB of matrices (455 points at d = 6, 1024 at d = 4)
-made full-grid ``bands`` sweeps about a quarter faster than 16 KiB did (on
-a 2-core x86 VM) and left the process's peak memory within 2 %.  The
-closed forms and the q = 2 quartic run on the same slices: a slice the
+same bits alone as inside a batch.  ``roots_at`` calls the engine on
+batches of ``batch_points`` points, whose matrices take at most
+``BATCH_BYTES``.  Every formula is elementwise and ``eigvalsh`` works
+matrix by matrix, so the budget moves no bit; it trades the fixed numpy
+cost of a call against its working set.  256 KiB of matrices (455 points
+at d = 6, 1024 at d = 4) made full-grid ``bands`` sweeps about a quarter
+faster than 16 KiB did (on a 2-core x86 VM) and left the process's peak
+memory within 2 %.  The
+closed forms and the q = 2 quartic run on the same batches: a batch the
 formulas cannot serve goes to the eigensolver, and their peak allocation
-per point (tracemalloc: 440 B at d = 6, 280 B for the quartic) is of the
-order of a matrix's 16 d^2.
+per point (tracemalloc, gate included: 1 020 B at d = 6, 580 B at d = 4,
+280 B for the quartic) stays within twice a matrix's 16 d^2.
+
+The refiners call the engine hundreds of times a job on a few points each,
+where numpy's fixed cost per operation is most of a call: ``roots_at`` on
+4 paired-trilayer points or on 6 points of the q = 2 cell costs about 100
+and 50 us (timeit minima on a 2-core x86 VM).  So the small-call path
+counts operations: ``_theta_batch`` takes equal-length 1-D arrays as they
+are, ``_make_roots`` gathers the sorted rows by index, and the gate is a
+matrix product and Horner's scheme rather than ``vander``, a 3-operand
+einsum and ``polyval``: 43 -> 28 us on 4 points at d = 6, and 470 -> 180 us
+on a 455-point batch, where the einsum was the cost.
 """
 
 from __future__ import annotations
@@ -62,7 +75,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import EngineError, NoClosedFormError, VariantError
 from .lattice import (
@@ -124,17 +136,19 @@ class DispersionRoots:
         return tuple(labels) if labels.ndim == 1 else labels
 
 
-def chunk_slices(n: int, dim: int) -> list[slice]:
-    """Slices that cover n grid points in batches whose (N, dim, dim) complex
-    matrices take at most ``BATCH_BYTES``."""
-    size = max(1, BATCH_BYTES // (16 * dim * dim))
-    return [slice(start, start + size) for start in range(0, n, size)]
+def batch_points(dim: int) -> int:
+    """The points of an engine batch: its (N, dim, dim) complex matrices
+    take at most ``BATCH_BYTES``."""
+    return max(1, BATCH_BYTES // (16 * dim * dim))
 
 
 def _theta_batch(theta1, theta2):
     """theta as equal-length 1-D float arrays, and whether both were scalars."""
-    t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float),
-                                 np.asarray(theta2, dtype=float))
+    t1 = np.asarray(theta1, dtype=float)
+    t2 = np.asarray(theta2, dtype=float)
+    if t1.ndim == 1 and t1.shape == t2.shape:
+        return t1, t2, False
+    t1, t2 = np.broadcast_arrays(t1, t2)
     return t1.reshape(-1), t2.reshape(-1), t1.ndim == 0
 
 
@@ -153,7 +167,8 @@ def _clip_negative(x: np.ndarray) -> np.ndarray:
 def _make_roots(values, names=()):
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
+    values = values[order] if values.ndim == 1 else values[
+        np.arange(len(values))[:, None], order]
     return DispersionRoots(values=values,
                            closed=np.full(values.shape[:-1], len(names) > 0),
                            names=tuple(names),
@@ -316,8 +331,8 @@ def _real_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """The real part of an (N, ...) coefficient array, after checking that
     the imaginary parts at each point stay at rounding level."""
     axes = tuple(range(1, coeffs.ndim))
-    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=axes))
-    if np.any(np.max(np.abs(coeffs.imag), axis=axes) > 1e-12 * scale):
+    scale = np.abs(coeffs).max(axis=axes, initial=1.0)
+    if (np.abs(coeffs.imag).max(axis=axes) > 1e-12 * scale).any():
         raise EngineError("characteristic polynomial has a non-real coefficient")
     return coeffs.real
 
@@ -338,9 +353,10 @@ def _gate_coefficients(config: StackConfig, F: np.ndarray) -> np.ndarray:
     """Ascending real coefficients of det(A(theta) - eta D), (N, dim + 1),
     at the structure-function values F (N,) of a batch."""
     tensor = _gate_tensor(config)
-    powers = np.vander(F, len(tensor), increasing=True)
-    return _real_coefficients(
-        np.einsum("ni,nj,ijk->nk", powers, np.conj(powers), tensor))
+    powers = F[:, None] ** np.arange(len(tensor))
+    products = powers[:, :, None] * powers[:, None, :].conj()
+    return _real_coefficients(products.reshape(-1, len(tensor) ** 2)
+                              @ tensor.reshape(len(tensor) ** 2, -1))
 
 
 def _residual_gate(coeffs: np.ndarray, values: np.ndarray) -> None:
@@ -349,13 +365,14 @@ def _residual_gate(coeffs: np.ndarray, values: np.ndarray) -> None:
 
     ``coeffs`` is (dim + 1,) or (N, dim + 1) and ``values`` the matching
     (dim,) or (N, dim), possibly with N = 0; a NaN anywhere fails."""
-    if np.size(values) == 0:
+    if values.size == 0:
         return
-    coeffs = np.reshape(coeffs, (-1, coeffs.shape[-1]))
-    values = np.reshape(values, (len(coeffs), -1))
-    residuals = (np.abs(npoly.polyval(values, coeffs.T[:, :, None], tensor=False))
-                 / np.abs(coeffs[:, -1:]))
-    worst = float(np.max(residuals))
+    coeffs = coeffs.reshape(-1, coeffs.shape[-1])
+    values = values.reshape(len(coeffs), -1)
+    p = coeffs[:, -1:]
+    for k in range(coeffs.shape[1] - 2, -1, -1):     # Horner's scheme
+        p = p * values + coeffs[:, k, None]
+    worst = float((np.abs(p) / np.abs(coeffs[:, -1:])).max())
     if not worst < RESIDUAL_TOL:
         raise EngineError(
             f"closed-form root failed the residual gate: |p(r)|/lead = {worst:g}"

@@ -19,19 +19,22 @@ bit for bit as one scipy call would give it:
 * ``brent_roots``: ``scipy.optimize.brentq`` (Brent's root finder on a
   sign-changing bracket).
 
-``bounded_minima`` and ``brent_roots`` run one generator per lane, a line
-for line copy of scipy's ``_minimize_scalar_bounded`` and of its
-``brentq.c`` on Python floats.  A lane yields the points where it needs
-the objective and receives the values there.  ``_lockstep`` gathers the
-points of all live lanes into one objective call per round, sends each
-lane its values and collects what each lane returns.  A round costs one
-Python step per live lane.  Holding every lane's state in numpy arrays
-instead costs a fixed ~75 array operations a round, which only pays past
-a few dozen lanes.  With a cheap objective on a 2-core VM the crossover
-sits near 45 lanes for ``brent_roots`` and 70 for ``bounded_minima`` (at
-128 lanes 2.5 against 1.2 ms and 7.5 against 4.3 ms a call).  Over the
-benchmark's job lists of seeds 0-10, the largest calls have 41 and 26
-lanes (medians 5 and 8).
+Each routine runs one generator per lane, a line for line copy of scipy's
+``_minimize_scalar_bounded``, ``_minimize_neldermead`` or ``brentq.c`` on
+Python floats.  A lane yields the points where it needs the objective and
+receives the values there: a simplex lane asks for its n + 1 initial
+vertices at once, then for one point per reflection, expansion or
+contraction, and for its n shrink vertices at once.  ``_lockstep`` gathers
+the points of all live lanes into one objective call per round, sends each
+lane its values and collects what each lane returns, so lanes at different
+steps share a round.  A round costs one Python step per live lane.
+Holding every lane's state in numpy arrays instead costs a fixed ~75 array
+operations a round, which only pays past a few dozen lanes.  With a cheap
+objective on a 2-core VM the crossover sits near 45 lanes for
+``brent_roots`` and 70 for ``bounded_minima`` (at 128 lanes 2.5 against
+1.2 ms and 7.5 against 4.3 ms a call).  Over the benchmark's job lists of
+seeds 0-10, the largest calls have 41 and 26 lanes (medians 5 and 8), and
+the Nelder-Mead calls of the reduced zone 6.6 lanes on average.
 
 An objective ``fn(x, lanes)`` returns the values of the lanes ``lanes`` at
 the points ``x`` (one point, or one row of ``x``, per entry of ``lanes``).
@@ -197,80 +200,99 @@ def bounded_minima(fn, lo, hi, xatol: float,
             np.array([f for _, f in found], dtype=float))
 
 
-def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
-    """Each lane's vertices in ascending order of value (np.argsort per lane,
-    as scipy sorts one simplex)."""
-    order = np.argsort(fsim, axis=1)
-    return (np.take_along_axis(sim, order[:, :, None], axis=1),
-            np.take_along_axis(fsim, order, axis=1))
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float: its C ternaries, so that -0.0 and 0.0 tie
+    as they do there (Python's ``max`` keeps the first of the two)."""
+    x = x if x > lo or x != x else lo
+    return x if x < hi or x != x else hi
+
+
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    """A simplex's vertices and values in ascending order of value, sorted
+    stably, as np.argsort sorts at most 16 values."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _toward(a: float, xbar: list, b: float, worst: list, box: list) -> list:
+    """a * xbar + b * worst, clipped to the box coordinate by coordinate
+    (scipy's a * xbar - c * worst is this with b = -c: the same bits)."""
+    return [_clip(a * x + b * w, lo, hi) for x, w, (lo, hi) in zip(xbar, worst, box)]
+
+
+def _nelder_mead_lane(x0: list, box: list, xatol: float, fatol: float,
+                      maxiter: int):
+    """One lane of ``nelder_mead_minima``: scipy's bounded, non-adaptive
+    ``_minimize_neldermead`` line for line, on Python floats; returns the
+    best vertex and the simplex's values."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    n = len(x0)
+    x0 = [_clip(v, lo, hi) for v, (lo, hi) in zip(x0, box)]
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim.append(y)
+    # vertices past the upper bound are reflected into the box, then clipped
+    sim = [[_clip(2 * hi - v if v > hi else v, lo, hi) for v, (lo, hi) in zip(y, box)]
+           for y in sim]
+    fsim = yield sim
+    # scipy sorts the first simplex twice; after a stable sort the second
+    # pass changes nothing
+    sim, fsim = _by_value(sim, fsim)
+    for _ in range(maxiter - 1):
+        best, worst = sim[0], sim[-1]
+        if (all(abs(v - b) <= xatol for y in sim[1:] for v, b in zip(y, best))
+                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
+            break
+        xbar = sim[0]
+        for y in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, y)]
+        xbar = [a / n for a in xbar]
+        xr = _toward(1 + rho, xbar, -rho, worst, box)
+        [fxr] = yield (xr,)
+        doshrink = False
+        if fxr < fsim[0]:
+            xe = _toward(1 + rho * chi, xbar, -rho * chi, worst, box)
+            [fxe] = yield (xe,)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:        # contraction outside the simplex
+            xc = _toward(1 + psi * rho, xbar, -psi * rho, worst, box)
+            [fxc] = yield (xc,)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                doshrink = True
+        else:                       # contraction inside it
+            xcc = _toward(1 - psi, xbar, psi, worst, box)
+            [fxcc] = yield (xcc,)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                doshrink = True
+        if doshrink:
+            sim[1:] = [[_clip(b + sigma * (v - b), lo, hi)
+                        for b, v, (lo, hi) in zip(best, y, box)] for y in sim[1:]]
+            fsim[1:] = yield sim[1:]
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0], fsim
 
 
 def nelder_mead_minima(fn, x0, lower, upper, xatol: float, fatol: float,
                        maxiter: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimizers (m, n) and minima (m,) of bounded Nelder-Mead simplex
-    descent from every start point x0[k] (x0 of shape (m, n))."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    m, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for k in range(n):
-        y = x0[:, k]
-        sim[:, k + 1, k] = np.where(y != 0, (1 + nonzdelt) * y, zdelt)
-    # vertices past the upper bound are reflected into the box, then clipped
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.asarray(fn(sim.reshape(-1, n), np.repeat(np.arange(m), n + 1)),
-                      dtype=float).reshape(m, n + 1)
-    # scipy sorts the first simplex twice; ties make that visible
-    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim))
-
-    live = np.arange(m)
-    for _ in range(maxiter - 1):
-        s, f = sim[live], fsim[live]
-        done = ((np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol)
-                & (np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol))
-        live, s, f = live[~done], s[~done], f[~done]
-        if not len(live):
-            break
-        xbar = s[:, 0]
-        for j in range(1, n):
-            xbar = xbar + s[:, j]
-        xbar = xbar / n
-        worst = s[:, -1]
-        xr = np.clip((1 + rho) * xbar - rho * worst, lower, upper)
-        fxr = np.asarray(fn(xr, live), dtype=float)
-
-        expand = fxr < f[:, 0]
-        keep_r = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~keep_r & (fxr < f[:, -1])
-        inside = ~expand & ~keep_r & ~outside
-        xe = np.clip((1 + rho * chi) * xbar - rho * chi * worst, lower, upper)
-        xc = np.clip((1 + psi * rho) * xbar - psi * rho * worst, lower, upper)
-        xcc = np.clip((1 - psi) * xbar + psi * worst, lower, upper)
-        trial = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
-        ftrial = np.full(len(live), np.inf)
-        probe = ~keep_r
-        if probe.any():
-            ftrial[probe] = fn(trial[probe], live[probe])
-
-        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
-                      | (inside & (ftrial < f[:, -1])))
-        take_r = keep_r | (expand & ~take_trial)
-        s[:, -1] = np.where(take_trial[:, None], trial,
-                            np.where(take_r[:, None], xr, worst))
-        f[:, -1] = np.where(take_trial, ftrial, np.where(take_r, fxr, f[:, -1]))
-        shrink = (outside | inside) & ~take_trial
-        if shrink.any():
-            best = s[shrink, :1]
-            moved = np.clip(best + sigma * (s[shrink, 1:] - best), lower, upper)
-            s[shrink, 1:] = moved
-            f[shrink, 1:] = np.asarray(
-                fn(moved.reshape(-1, n), np.repeat(live[shrink], n)),
-                dtype=float).reshape(-1, n)
-        sim[live], fsim[live] = _sorted_simplices(s, f)
-    return sim[:, 0], np.min(fsim, axis=1)
+    descent from every start point x0[k] (x0 of shape (m, n)); the objective
+    is given the points of a round as the rows of a (k, n) array."""
+    box = list(zip(np.asarray(lower, dtype=float).tolist(),
+                   np.asarray(upper, dtype=float).tolist()))
+    lanes = [_nelder_mead_lane(x, box, float(xatol), float(fatol), maxiter)
+             for x in np.asarray(x0, dtype=float).tolist()]
+    found = _lockstep(fn, lanes)
+    return (np.array([x for x, _ in found], dtype=float),
+            np.min(np.array([f for _, f in found], dtype=float), axis=1))
 
 
 def _brent_lane(xpre: float, xcur: float, xtol: float):

@@ -18,7 +18,7 @@ from hexband.floquet import (
     _check_residuals,
     assemble,
     char_poly,
-    chunk_slices,
+    batch_points,
     closed_form_roots,
     numeric_roots,
 )
@@ -279,12 +279,8 @@ def _eigensolver_reference(cfg, t1, t2):
 
 def _batch_sizes(n, dim):
     """The points of each engine batch that ``roots_at`` makes of n points."""
-    return [len(range(n)[part]) for part in chunk_slices(n, dim)]
-
-
-def _batch(dim):
-    """The points of a full engine batch at dimension dim."""
-    return _batch_sizes(1 << 20, dim)[0]
+    size = batch_points(dim)
+    return [min(size, n - start) for start in range(0, n, size)]
 
 
 @pytest.mark.parametrize("route", ["auto", "closed", "numeric"])
@@ -293,7 +289,7 @@ def test_roots_at_serves_each_point_by_its_route(case, route):
     variant, q = case
     cfg = _config(variant, q, -0.8, 0.6, 0.4)
     rng = np.random.default_rng(5)
-    n = _batch(4) + 90          # several engine batches at d = 4 and d = 6
+    n = batch_points(4) + 90    # several engine batches at d = 4 and d = 6
     t1, t2 = rng.uniform(-np.pi, np.pi, (2, n))
     t2[::3] = -t1[::3]          # every third point on the diagonal slice
     if route == "numeric" or (route == "auto" and q == 1):
@@ -325,7 +321,7 @@ def test_roots_at_keeps_one_small_sort_order_per_point():
     # the branch names are stored once, and each point carries an int8
     # permutation of them, whether the points take one engine batch or more
     cfg = _config(StackVariant.MAGNETIC_MONOLAYER, 2, -0.8, 0.6, 0.4)
-    for n in (10, 3 * _batch(4) + 5):
+    for n in (10, 3 * batch_points(4) + 5):
         t1, t2 = np.random.default_rng(7).uniform(-np.pi, np.pi, (2, n))
         roots = roots_at(cfg, t1, t2)
         assert roots.names == ("in-", "in+", "out-", "out+")
@@ -351,7 +347,7 @@ def _count_closed_form_calls(monkeypatch):
 
 def test_roots_at_evaluates_scattered_closed_form_points_together(monkeypatch):
     cfg = _config(StackVariant.TRILAYER_HBN_G_HBN, None, -0.8, 0.8, 0.4)
-    batch = _batch(6)
+    batch = batch_points(6)
     n = 10 * batch              # ten engine batches at d = 6
     diagonal = np.arange(n) % 7 == 0
     t1 = np.linspace(-3.0, 3.0, n)
@@ -368,10 +364,10 @@ def test_roots_at_evaluates_scattered_closed_form_points_together(monkeypatch):
 def test_roots_at_stops_trying_formulas_the_parameters_lack(monkeypatch):
     unpaired = StackConfig(StackVariant.HETERO_BILAYER, VertexParams(-0.8, 0.5),
                            coupling=CouplingParams(t0=0.4))
-    theta = np.linspace(-np.pi, np.pi, 4 * _batch(4) + 45)   # five batches
+    theta = np.linspace(-np.pi, np.pi, 4 * batch_points(4) + 45)   # five batches
     calls = _count_closed_form_calls(monkeypatch)
     roots = roots_at(unpaired, theta, -theta)
-    assert calls == [_batch(4)]
+    assert calls == [batch_points(4)]
     assert not roots.closed.any() and roots.branch_labels == ()
     assert _same_bits(roots.values, _eigensolver_reference(unpaired, theta, -theta))
 
@@ -384,14 +380,14 @@ def test_roots_at_bits_do_not_depend_on_the_batch_budget(case, monkeypatch):
     variant, q = case
     cfg = _config(variant, q, -0.8, 0.6, 0.4)
     rng = np.random.default_rng(11)
-    n = 2 * _batch(4) + 7
+    n = 2 * batch_points(4) + 7
     t1, t2 = rng.uniform(-np.pi, np.pi, (2, n))
     t2[::3] = -t1[::3]          # both routes for the diagonal-only stacks
     routes = ("auto", "numeric")
     now = [roots_at(cfg, t1, t2, route=route) for route in routes]
-    batches = len(chunk_slices(n, cfg.dim))
+    batches = len(_batch_sizes(n, cfg.dim))
     monkeypatch.setattr(floquet, "BATCH_BYTES", 16 * 1024)
-    assert len(chunk_slices(n, cfg.dim)) > batches
+    assert len(_batch_sizes(n, cfg.dim)) > batches
     for route, roots in zip(routes, now):
         before = roots_at(cfg, t1, t2, route=route)
         assert _same_bits(before.values, roots.values)

@@ -161,6 +161,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="hologram"):
             load_run_config(path)
 
+    def test_duplicate_output_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, outputs=["spectrum", "plot", "spectrum"])
+        code, outdir = _run(tmp_path, "classify", cfg)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["hexband: config error: output 'spectrum' is listed twice "
+                       "in 'outputs'"]
+        assert not outdir.exists()
+
     def test_missing_file_is_config_error_exit(self, tmp_path):
         code, _ = _run(tmp_path, "bands", str(tmp_path / "absent.json"))
         assert code == 1
@@ -777,6 +786,17 @@ class TestValidate:
         assert "config error: --samples" in captured.err
         assert list(outdir.iterdir()) == []
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        # numpy's generator refuses it with a bare ValueError traceback
+        code, outdir = _run(tmp_path, "validate", _write_config(tmp_path),
+                            "--seed", "-1")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "hexband: config error: --seed must be a non-negative integer, got -1"]
+        assert list(outdir.iterdir()) == []
+
     def test_seed_changes_draws_not_verdict(self, tmp_path):
         cfg = _write_config(tmp_path)
         _, out_a = _run(tmp_path, "validate", cfg, "--samples", "10",
@@ -870,6 +890,28 @@ class TestOrchestration:
             assert list(outdir.iterdir()) == []
         code, outdir = _run(tmp_path, command, diagonal)
         assert code == 0
+
+    @pytest.mark.parametrize("command,args,outputs", [
+        ("classify", (), []), ("classify", (), ["plot", "bands"]),
+        ("bands", ("--full",), []), ("gaps", (), []), ("plot", (), []),
+        ("validate", ("--samples", "5"), ["report"]), ("magnetic", (), []),
+    ])
+    def test_potential_without_spectrum_is_config_error(self, tmp_path, capsys,
+                                                       command, args, outputs):
+        # only spectrum.csv reads the potential; the other runs ignored it and
+        # echoed it in their manifests
+        stack = {"stack": {"variant": "magnetic_monolayer", "alpha_a": 1.0,
+                           "alpha_b": -1.0, "flux_p": 1, "flux_q": 2}
+                 } if command == "magnetic" else {}
+        sampled = {"kind": "sampled", "x": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]}
+        for potential in ({"kind": "zero"}, sampled):
+            cfg = _write_config(tmp_path, potential=potential, outputs=outputs,
+                                grid={"kind": "diagonal", "n": 31}, **stack)
+            code, outdir = _run(tmp_path, command, cfg, *args)
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "config section 'potential'" in err[0]
+            assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("stack", [
         {"variant": "monolayer", "alpha_a": 0.4, "alpha_b": -0.3},

@@ -12,7 +12,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 
 import hexband.bands as bands
 from hexband.bands import classify_touches, sample_diagonal
-from hexband.floquet import BATCH_BYTES, chunk_slices
+from hexband.floquet import BATCH_BYTES, batch_points
 from hexband.lattice import CouplingParams, StackConfig, StackVariant, VertexParams
 from hexband.errors import EngineError
 from hexband.refine import (
@@ -105,6 +105,57 @@ def test_nelder_mead_minima_match_scipy(lanes, runs):
         assert np.array_equal(x[k], res.x) and fx[k] == res.fun
 
 
+# start coordinates on and past the bounds of [0, pi/2] x [-pi/2, pi/2]: the
+# clip of -0.0 to a 0.0 bound gives 0.0 (Python's max gives -0.0), and a
+# vertex past the upper bound is reflected into the box
+_EDGES = (0.0, -0.0, 5e-324, -0.5, np.pi / 2, np.nextafter(np.pi / 2, 4.0), 2.0,
+          -np.pi / 2, -2.0)
+_START = st.one_of(st.floats(-2.5, 2.5, **_finite), st.sampled_from(_EDGES))
+
+
+@pytest.mark.filterwarnings("ignore:Initial guess is not within the specified bounds")
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_START, _START,
+                          st.floats(-0.5, 2.0, **_finite),
+                          st.floats(-2.0, 2.0, **_finite),
+                          st.floats(0.0, 1.0, **_finite)),
+                min_size=1, max_size=6))
+def test_nelder_mead_minima_from_any_start_match_scipy_and_share_rounds(lanes):
+    lower = np.array([0.0, -np.pi / 2])
+    upper = np.array([np.pi / 2, np.pi / 2])
+    x0 = np.array([[a, b] for a, b, *_ in lanes])
+    centers = np.array([[c, d] for _, _, c, d, _ in lanes])
+    cone = np.array([w for *_, w in lanes])
+    options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000}
+
+    def f(p, k):
+        d = p - centers[k]
+        return float(cone[k] * np.hypot(d[0], d[1]) + d @ d + 0.01 * np.cos(5.0 * p[0]))
+
+    def counted(calls, lanes_of):
+        def batched(points, which):
+            calls.append(len(which))
+            return np.array([f(p, lanes_of[int(k)]) for p, k in zip(points, which)])
+        return batched
+
+    calls = []
+    x, fx = nelder_mead_minima(counted(calls, range(len(lanes))), x0, lower, upper,
+                               **options)
+    nfev, rounds = [], []
+    for k in range(len(lanes)):
+        res = minimize(lambda p, k=k: f(p, k), x0=x0[k], method="Nelder-Mead",
+                       bounds=tuple(zip(lower, upper)), options=options)
+        assert x[k].tobytes() == res.x.tobytes() and fx[k] == res.fun
+        nfev.append(res.nfev)
+        alone = []
+        nelder_mead_minima(counted(alone, [k]), x0[k:k + 1], lower, upper, **options)
+        rounds.append(len(alone))
+    # one objective call per round, for the lanes still running, whatever
+    # step each lane is at; the points asked for are scipy's evaluations
+    assert len(calls) == max(rounds)
+    assert sum(calls) == sum(nfev)
+
+
 def _root_profile(centers, slopes, powers, ripple):
     """Sign-changing objectives, one per lane: odd powers of x - c (flat or
     steep at the root) plus a ripple."""
@@ -194,15 +245,10 @@ def test_refinement_calls_do_not_grow_with_minima(monkeypatch):
     assert max(calls) >= len(refined)
 
 
-def test_chunk_slices_bound_the_batch_matrices():
-    n = BATCH_BYTES // 16 + 1       # several batches at every dimension
+def test_batch_points_bound_the_batch_matrices():
     for dim in (2, 4, 6):
-        parts = chunk_slices(n, dim)
-        sizes = [len(range(n)[p]) for p in parts]
-        assert sum(sizes) == n
-        assert max(sizes) * 16 * dim * dim <= BATCH_BYTES
-        assert (max(sizes) + 1) * 16 * dim * dim > BATCH_BYTES
-        assert len(parts) == -(-n // max(sizes)) > 1
+        size = batch_points(dim)
+        assert size * 16 * dim * dim <= BATCH_BYTES < (size + 1) * 16 * dim * dim
 
 
 def _two_branches(lower, upper, calls):
