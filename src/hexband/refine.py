@@ -286,13 +286,16 @@ def nelder_mead_minima(fn, x0, lower, upper, xatol: float, fatol: float,
     """Minimizers (m, n) and minima (m,) of bounded Nelder-Mead simplex
     descent from every start point x0[k] (x0 of shape (m, n)); the objective
     is given the points of a round as the rows of a (k, n) array."""
+    x0 = np.asarray(x0, dtype=float)
+    m, n = x0.shape
     box = list(zip(np.asarray(lower, dtype=float).tolist(),
                    np.asarray(upper, dtype=float).tolist()))
     lanes = [_nelder_mead_lane(x, box, float(xatol), float(fatol), maxiter)
-             for x in np.asarray(x0, dtype=float).tolist()]
+             for x in x0.tolist()]
     found = _lockstep(fn, lanes)
-    return (np.array([x for x, _ in found], dtype=float),
-            np.min(np.array([f for _, f in found], dtype=float), axis=1))
+    return (np.array([x for x, _ in found], dtype=float).reshape(m, n),
+            np.min(np.array([f for _, f in found], dtype=float).reshape(m, n + 1),
+                   axis=1))
 
 
 def _brent_lane(xpre: float, xcur: float, xtol: float):

@@ -156,6 +156,12 @@ def test_nelder_mead_minima_from_any_start_match_scipy_and_share_rounds(lanes):
     assert sum(calls) == sum(nfev)
 
 
+def test_nelder_mead_minima_of_no_lanes():
+    x, fx = nelder_mead_minima(lambda p, k: np.hypot(p[:, 0], p[:, 1]), np.empty((0, 2)),
+                               [0.0, 0.0], [1.0, 1.0], 1e-10, 1e-14, 2000)
+    assert x.shape == (0, 2) and fx.shape == (0,)
+
+
 def _root_profile(centers, slopes, powers, ripple):
     """Sign-changing objectives, one per lane: odd powers of x - c (flat or
     steep at the root) plus a ripple."""
