@@ -48,7 +48,6 @@ from .hill import (
     bands_from_root_surface,
     dirichlet_spectrum,
     discriminant,
-    hill_eta,
     integrate_monodromy,
     invert_discriminant,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "full_grid",
     "g_function",
     "gap_width_closed_form",
-    "hill_eta",
     "integrate_monodromy",
     "invert_discriminant",
     "magnetic_classify",

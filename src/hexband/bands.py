@@ -306,12 +306,12 @@ def classify_touches(surface: DispersionSurface,
     t_refined, s_refined = bounded_minima(
         lambda x, lanes: pair_separations(surface.roots_at, x, -x, pairs[lanes]),
         centers - h, centers + h, _REFINE_XATOL)
+    t_refined = [wrap_theta(t) for t in t_refined.tolist()]
     minima = [(pair, t, -t, s) for pair, t, s in zip(
-        pairs.tolist(), map(wrap_theta, t_refined.tolist()), s_refined.tolist())]
-    reports = classify_minima(
-        surface.roots_at, minima, _DIAGONAL_DIR, tol_touch, tol_slope,
-        [float(structure_function(t1, t2).real) for _, t1, t2, _ in minima],
-        crossings=surface.route == "closed")
+        pairs.tolist(), t_refined, s_refined.tolist())]
+    f_values = structure_function(t_refined, [-t for t in t_refined]).real.tolist()
+    reports = classify_minima(surface.roots_at, minima, _DIAGONAL_DIR, tol_touch,
+                              tol_slope, f_values, crossings=surface.route == "closed")
     # a pair has a flat record or refined minima, never both
     return tuple(heapq.merge(flat, reports, key=lambda r: r.band_pair))
 

@@ -16,7 +16,9 @@ Unknown keys are rejected recursively.  ``stack`` accepts ``variant``,
 ``alpha_a``/``alpha_b``/``alpha_c`` (|alpha| <= 1e100), the couplings
 ``t0``/``t_a``/``t_b``, and ``flux_p``/``flux_q`` for the magnetic variant;
 a setting the variant's layout does not read is rejected.  ``tolerances``
-(and ``--tol-touch``) must be positive.  ``potential`` accepts
+(and ``--tol-touch``) must be positive; only the touch classifications of
+``report.txt``, ``magnetic.txt`` and ``bands.svg`` (from 201 samples) read
+them, and a run that writes none of those rejects them.  ``potential`` accepts
 ``{"kind": "zero"}``, ``{"kind": "file", "path": ...}`` (two-column text),
 or ``{"kind": "sampled", "x": [...], "values": [...]}``, with finite
 numbers in both columns; only ``spectrum.csv`` reads it, and a run that
@@ -29,14 +31,15 @@ run share one sampled surface and one touch classification.  ``validate``'s
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  Every run streams each artifact, line by line, into a
 temp file renamed into ``--out``, hashing the bytes as they are written, and
-last writes ``manifest.json`` echoing the resolved configuration and each
-artifact's sha256; a run that fails part-way leaves no manifest.  Identical
-configurations reproduce byte-identical data files.
-Stdout gets one ``wrote <path>`` line per artifact (then validate's summary
-lines), stderr the diagnostics and errors.  A run that writes
-``spectrum.csv`` also records in the manifest's ``trace.hill`` block the
-Magnus step count, the worst step-halving deviation against its gate and
-the number of monodromy evaluations (null steps and deviation for the
+last writes ``manifest.json`` echoing the resolved settings its artifacts
+read (``validate.txt`` alone reads no grid) and each artifact's sha256; a
+run that fails part-way leaves no manifest.  Identical configurations
+reproduce byte-identical data files.  Stdout gets one ``wrote <path>`` line
+per artifact (then validate's summary lines), stderr the diagnostics and
+errors.  A run that writes ``spectrum.csv`` also records in the manifest's
+``trace.hill`` block, from its potential's ``hill.MagnusState``, the Magnus
+step count, the worst step-halving deviation against its gate and the
+number of monodromy evaluations (null steps and deviation for the
 closed-form zero potential); these never enter the data files.
 
 Exit codes: 0 success; 1 configuration problems (including a sampling grid
@@ -94,6 +97,7 @@ from .lattice import (
     structure_function,
 )
 from .magnetic import g_function, magnetic_classify
+from .refine import DEFAULT_TOL_SLOPE, DEFAULT_TOL_TOUCH
 from .svgplot import render_band_chart
 
 SCHEMA_VERSION = 1
@@ -140,10 +144,12 @@ class RunConfig:
     stack: StackConfig
     grid_kind: str = "diagonal"
     grid_n: int = 501
-    tol_touch: float = 1e-6
-    tol_slope: float = 1e-4
+    tol_touch: float = DEFAULT_TOL_TOUCH
+    tol_slope: float = DEFAULT_TOL_SLOPE
     potential: PotentialSpec | None = None
     outputs: tuple[str, ...] = ()
+    tolerances_from: tuple[str, ...] = ()   # the settings that set tol_touch
+                                            # or tol_slope, for their check
 
 
 def _reject_unknown(section: str, mapping: dict) -> None:
@@ -279,29 +285,29 @@ def load_run_config(path: str) -> RunConfig:
         )
     if "stack" not in raw:
         raise ConfigError("config section 'stack' is required")
-    stack = _parse_stack(raw["stack"])
+    run = RunConfig(stack=_parse_stack(raw["stack"]))
 
-    grid_kind, grid_n = "diagonal", 501
     if "grid" in raw:
         grid = _need_mapping(raw["grid"], "grid")
-        grid_kind = grid.get("kind", "diagonal")
+        grid_kind = grid.get("kind", run.grid_kind)
         if grid_kind not in ("diagonal", "full"):
             raise ConfigError(
                 f"grid.kind must be 'diagonal' or 'full', got {grid_kind!r}"
             )
-        grid_n = _as_int(grid.get("n", 501), "grid.n")
+        run = replace(run, grid_kind=grid_kind,
+                      grid_n=_as_int(grid.get("n", run.grid_n), "grid.n"))
 
-    tol_touch, tol_slope = 1e-6, 1e-4
     if "tolerances" in raw:
         tols = _need_mapping(raw["tolerances"], "tolerances")
-        tol_touch = _tolerance(tols.get("tol_touch", tol_touch),
-                               "tolerances.tol_touch")
-        tol_slope = _tolerance(tols.get("tol_slope", tol_slope),
-                               "tolerances.tol_slope")
+        run = replace(run, tolerances_from=("config section 'tolerances'",),
+                      tol_touch=_tolerance(tols.get("tol_touch", run.tol_touch),
+                                           "tolerances.tol_touch"),
+                      tol_slope=_tolerance(tols.get("tol_slope", run.tol_slope),
+                                           "tolerances.tol_slope"))
 
-    potential = _parse_potential(raw["potential"]) if "potential" in raw else None
+    if "potential" in raw:
+        run = replace(run, potential=_parse_potential(raw["potential"]))
 
-    outputs: tuple[str, ...] = ()
     if "outputs" in raw:
         if (not isinstance(raw["outputs"], list)
                 or not all(isinstance(o, str) for o in raw["outputs"])):
@@ -314,11 +320,8 @@ def load_run_config(path: str) -> RunConfig:
                 )
             if name in raw["outputs"][:i]:
                 raise ConfigError(f"output {name!r} is listed twice in 'outputs'")
-        outputs = tuple(raw["outputs"])
-
-    return RunConfig(stack=stack, grid_kind=grid_kind, grid_n=grid_n,
-                     tol_touch=tol_touch, tol_slope=tol_slope,
-                     potential=potential, outputs=outputs)
+        run = replace(run, outputs=tuple(raw["outputs"]))
+    return run
 
 
 def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -327,7 +330,8 @@ def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "grid_kind", None) is not None:
         run = replace(run, grid_kind=args.grid_kind)
     if getattr(args, "tol_touch", None) is not None:
-        run = replace(run, tol_touch=_tolerance(args.tol_touch, "--tol-touch"))
+        run = replace(run, tol_touch=_tolerance(args.tol_touch, "--tol-touch"),
+                      tolerances_from=(*run.tolerances_from, "--tol-touch"))
     return run
 
 
@@ -342,19 +346,26 @@ def _stack_settings(stack: StackConfig) -> dict:
     return {k: v for k, v in _stack_numbers(stack).items() if k in stack.layout.fields}
 
 
+def _reads_tolerances(run: RunConfig, files: list[str]) -> bool:
+    """Whether an artifact of ``files`` is built on a touch classification,
+    the one reader of the tolerances: a plot classifies only from
+    ``MIN_CLASSIFY_SAMPLES`` samples on."""
+    return ("report.txt" in files or "magnetic.txt" in files
+            or ("bands.svg" in files and run.grid_n >= MIN_CLASSIFY_SAMPLES))
+
+
 def _config_echo(run: RunConfig, files: list[str]) -> dict:
+    """The settings that the artifacts ``files`` read, as a config."""
     stack: dict = {"variant": run.stack.variant.value, **_stack_settings(run.stack)}
     if run.stack.flux is not None:
         stack["flux_p"] = run.stack.flux.p
         stack["flux_q"] = run.stack.flux.q
-    echo = {
-        "schema_version": SCHEMA_VERSION,
-        "stack": stack,
-        "grid": {"kind": run.grid_kind, "n": run.grid_n},
-        "tolerances": {"tol_touch": run.tol_touch,
-                       "tol_slope": run.tol_slope},
-        "outputs": list(run.outputs),
-    }
+    echo = {"schema_version": SCHEMA_VERSION, "stack": stack,
+            "outputs": list(run.outputs)}
+    if files != ["validate.txt"]:    # validate draws its own quasimomenta
+        echo["grid"] = {"kind": run.grid_kind, "n": run.grid_n}
+    if _reads_tolerances(run, files):
+        echo["tolerances"] = {"tol_touch": run.tol_touch, "tol_slope": run.tol_slope}
     if run.potential is not None:
         pot: dict = {"kind": run.potential.kind}
         if run.potential.kind == "sampled":
@@ -597,9 +608,11 @@ def _emit_spectrum(ctx: _RunContext) -> list[str]:
     values = ctx.surface.values
     eta_intervals = list(zip(values.min(axis=0).tolist(), values.max(axis=0).tolist()))
     result = bands_from_root_surface(potential, eta_intervals)
-    hill = {"monodromy_evaluations": result.evaluations,
-            "magnus_steps": result.magnus_steps,
-            "magnus_halving_deviation": result.magnus_deviation,
+    # the run's potential is its own, so its state is what the spectrum cost
+    state = potential.magnus
+    hill = {"monodromy_evaluations": state.evaluations,
+            "magnus_steps": state.steps or None,
+            "magnus_halving_deviation": state.deviation if state.steps else None,
             "magnus_halving_gate": MAGNUS_TOL}
     for note in result.diagnostics:
         print(f"spectrum: {note}", file=sys.stderr)
@@ -710,6 +723,12 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
             f"config section 'potential' is read only for spectrum.csv, which "
             f"this {command!r} run does not write (add \"spectrum\" to 'outputs' "
             "or drop the potential)")
+    if run.tolerances_from and not _reads_tolerances(run, files):
+        raise ConfigError(
+            f"{run.tolerances_from[0]} is read only for report.txt, magnetic.txt "
+            f"and bands.svg from {MIN_CLASSIFY_SAMPLES} samples, none of which this "
+            f"{command!r} run writes (add \"report\" to 'outputs' or drop the "
+            "tolerances)")
     if "validate" in wanted and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if "validate" in wanted and args.seed < 0:

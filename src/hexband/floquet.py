@@ -49,24 +49,18 @@ same bits alone as inside a batch.  ``roots_at`` calls the engine on
 batches of ``batch_points`` points, whose matrices take at most
 ``BATCH_BYTES``.  Every formula is elementwise and ``eigvalsh`` works
 matrix by matrix, so the budget moves no bit; it trades the fixed numpy
-cost of a call against its working set.  256 KiB of matrices (455 points
-at d = 6, 1024 at d = 4) made full-grid ``bands`` sweeps about a quarter
-faster than 16 KiB did (on a 2-core x86 VM) and left the process's peak
-memory within 2 %.  The
-closed forms and the q = 2 quartic run on the same batches: a batch the
-formulas cannot serve goes to the eigensolver, and their peak allocation
-per point (tracemalloc, gate included: 1 020 B at d = 6, 580 B at d = 4,
-280 B for the quartic) stays within twice a matrix's 16 d^2.
+cost of a call against its working set (256 KiB of matrices: 455 points at
+d = 6, 1024 at d = 4).  The closed forms and the q = 2 quartic run on the
+same batches: a batch the formulas cannot serve goes to the eigensolver,
+and their peak allocation per point, gate included, stays within twice a
+matrix's 16 d^2 bytes.
 
 The refiners call the engine hundreds of times a job on a few points each,
-where numpy's fixed cost per operation is most of a call: ``roots_at`` on
-4 paired-trilayer points or on 6 points of the q = 2 cell costs about 100
-and 50 us (timeit minima on a 2-core x86 VM).  So the small-call path
-counts operations: ``_theta_batch`` takes equal-length 1-D arrays as they
-are, ``_make_roots`` gathers the sorted rows by index, and the gate is a
-matrix product and Horner's scheme rather than ``vander``, a 3-operand
-einsum and ``polyval``: 43 -> 28 us on 4 points at d = 6, and 470 -> 180 us
-on a 455-point batch, where the einsum was the cost.
+where numpy's fixed cost per operation is most of a call.  So the
+small-call path counts operations: ``_theta_batch`` takes equal-length 1-D
+arrays as they are, ``_make_roots`` gathers the sorted rows by index, and
+the gate is a matrix product and Horner's scheme rather than ``vander``, a
+3-operand einsum and ``polyval``.
 """
 
 from __future__ import annotations
@@ -99,9 +93,12 @@ BATCH_BYTES = 256 * 1024  # bytes of an engine call's arrays: the (N, dim, dim)
 class FloquetMatrix:
     """Assembled vertex-condition systems at one quasimomentum or a batch."""
 
-    dim: int
     diag_scale: np.ndarray        # (dim,) positive diagonal scales T_i
     affine: np.ndarray            # (dim, dim) Hermitian A(theta); (N, dim, dim) for a batch
+
+    @property
+    def dim(self) -> int:
+        return len(self.diag_scale)
 
 
 @dataclass(frozen=True)
@@ -191,14 +188,12 @@ def _hermitian_guard(a: np.ndarray) -> None:
 def _floquet_matrix(rows, scale: np.ndarray, n: int, scalar: bool) -> FloquetMatrix:
     """Stack entries (scalars or per-point arrays) into an (n, d, d) batch,
     guard Hermiticity at every point, and drop the batch axis for a scalar."""
-    dim = len(rows)
-    affine = np.empty((n, dim, dim), dtype=complex)
+    affine = np.empty((n, len(rows), len(rows)), dtype=complex)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             affine[:, i, j] = entry
     _hermitian_guard(affine)
-    return FloquetMatrix(dim=dim, diag_scale=scale,
-                         affine=affine[0] if scalar else affine)
+    return FloquetMatrix(diag_scale=scale, affine=affine[0] if scalar else affine)
 
 
 @lru_cache(maxsize=1)
@@ -250,8 +245,7 @@ def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
     affine = np.repeat(a0[None], len(t1), axis=0)
     affine[:, f_at] = F[:, None]
     affine[:, f_at.T] = np.conj(F)[:, None]
-    return FloquetMatrix(dim=len(scale), diag_scale=scale,
-                         affine=affine[0] if scalar else affine)
+    return FloquetMatrix(diag_scale=scale, affine=affine[0] if scalar else affine)
 
 
 # ============================================================
@@ -344,7 +338,7 @@ def _gate_tensor(config: StackConfig) -> np.ndarray:
     layout form, once per config.  Read-only, since every caller shares it.
     A CLI run gates one config, so one is cached."""
     a0, f_at, scale = _layout_form(config)
-    tensor = char_poly(FloquetMatrix(dim=len(scale), diag_scale=scale, affine=a0), f_at)
+    tensor = char_poly(FloquetMatrix(diag_scale=scale, affine=a0), f_at)
     tensor.setflags(write=False)
     return tensor
 

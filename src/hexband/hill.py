@@ -36,7 +36,10 @@ Gates.  Two gates guard every integration, and NaN fails both:
   outside it runs the gate on its own lambdas, starting from that grid, and
   widens the range.  The Dirichlet scan gates its whole scan grid, so the
   grid is picked once per potential and range, and the root refinements
-  that follow reuse it.
+  that follow reuse it.  ``MagnusState`` is the one record of how a
+  potential was integrated (grid, step count, worst deviation, monodromies
+  evaluated): the CLI's ``trace.hill`` manifest block reads it from the
+  run's potential.
 * Wronskian: |det W - 1| <= ``WRONSKIAN_TOL`` + ``WRONSKIAN_ROUNDING`` *
   (|c s'| + |c' s|) at every lambda.  Every step map is exactly SL(2), so
   det W drifts from 1 only by rounding; once solutions grow (far below the
@@ -46,14 +49,14 @@ Gates.  Two gates guard every integration, and NaN fails both:
   rounding and no more: where the terms stay O(1) the gate is
   ``WRONSKIAN_TOL``.
 
-Batch API.  ``integrate_monodromy`` (with ``discriminant`` and ``hill_eta``)
-takes lambda, and ``invert_discriminant`` takes eta and the band, as
-scalars or 1-D arrays; a scalar call is a batch of one and gives
-floats.  A lambda gets the same bits alone as inside a batch of the same
-grid.  Lambdas are integrated in chunks of ``_LANES`` and steps in blocks
-of ``_BLOCK``.  A block is one stacked (2, 2, steps, lanes) array of
-step-map entries; its maps are multiplied pairwise as 2x2 blocks, one
-broadcast product per level of the tree, then into the running product.
+Batch API.  ``integrate_monodromy`` (with ``discriminant``) takes lambda,
+and ``invert_discriminant`` takes eta and the band, as scalars or 1-D
+arrays; a scalar call is a batch of one and gives floats.  A lambda gets
+the same bits alone as inside a batch of the same grid.  Lambdas are
+integrated in chunks of ``_LANES`` and steps in blocks of ``_BLOCK``.  A
+block is one stacked (2, 2, steps, lanes) array of step-map entries; its
+maps are multiplied pairwise as 2x2 blocks, one broadcast product per level
+of the tree, then into the running product.
 Each (steps, lanes) entry plane takes ``floquet.BATCH_BYTES``, the engine's
 one budget per call, so a chunk holds 256 lambdas; every step map and
 product is elementwise over the lanes, so the chunking moves no bit.  Each
@@ -86,7 +89,6 @@ EDGE_TOL = 10.0 * MAGNUS_TOL  # |d/2 - eta| at a bracket end that counts as a
                               # Dirichlet root tolerance's share
 EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction,
                               # relative to max(1, max |q|)
-DIRICHLET_WINDOW = 1e-8       # exclusion window around point spectrum
 _SMALL_LAMBDA = 1e-8          # switch to series solutions near lambda = 0
 _BASE_STEPS = 512             # Magnus steps on [0, 1] of the coarsest grid:
                               # up to lambda ~ 300 and slopes |q'| ~ 25 the
@@ -106,25 +108,32 @@ _EDGE_PROBE = 1e-7            # step into a bracket, relative to its width,
 
 @dataclass
 class MagnusState:
-    """What the step-halving gate picked for one potential, and the work done.
+    """What the step-halving gate picked for one potential, and the work done:
+    the one record of how a potential was integrated.
 
-    ``halvings`` selects the grid (the base grid halved that many times) and
-    ``steps`` is its step count, 0 before the first gate.  The gate checked
-    it on lambdas spanning [lam_lo, lam_hi]; ``deviation`` is the worst
-    h/h2 deviation a passing gate saw.  ``evaluations`` counts the
-    monodromies delivered, one per lambda, for the zero potential too.
-    ``grids`` holds each grid the potential was integrated on, by
-    ``halvings``: the read-only (h, sigma, hq) step arrays of
-    ``_magnus_grid``, built once per potential and grid.
+    ``halvings`` selects the grid (the base grid halved that many times).
+    The gate checked it on lambdas spanning [lam_lo, lam_hi], an empty range
+    before the first gate; ``deviation`` is the worst h/h2 deviation a
+    passing gate saw.  ``evaluations`` counts the monodromies delivered, one
+    per lambda, for the zero potential too.  ``grids`` holds each grid the
+    potential was integrated on, by ``halvings``: the read-only
+    (h, sigma, hq) step arrays of ``_magnus_grid``, built once per potential
+    and grid.
     """
 
     halvings: int = 0
-    steps: int = 0
     lam_lo: float = math.inf
     lam_hi: float = -math.inf
     deviation: float = 0.0
     evaluations: int = 0
     grids: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def steps(self) -> int:
+        """The step count of the gated grid, 0 before the first gate."""
+        if not self.lam_lo <= self.lam_hi:
+            return 0
+        return len(self.grids[self.halvings][0])
 
 
 @dataclass(frozen=True)
@@ -262,10 +271,6 @@ def _grid_pieces(pot: PotentialSpec):
     return edges, per_piece
 
 
-def _step_count(pot: PotentialSpec, halvings: int) -> int:
-    return int(_grid_pieces(pot)[1].sum()) << halvings
-
-
 def _magnus_grid(pot: PotentialSpec, halvings: int):
     """Per step of the grid ``halvings`` times finer than the base grid: the
     width h, the commutator term sqrt(3)/12 h^2 (q1 - q2) and h (q1 + q2)/2,
@@ -341,7 +346,7 @@ def _magnus_monodromy(pot: PotentialSpec, lam: np.ndarray):
     state = pot.magnus
     if not len(lam):
         return lam, lam, lam, lam
-    if state.steps and state.lam_lo <= lam.min() and lam.max() <= state.lam_hi:
+    if state.lam_lo <= lam.min() and lam.max() <= state.lam_hi:
         return _magnus(pot, state.halvings, lam)
     halvings = state.halvings
     coarse = _magnus(pot, halvings, lam)
@@ -352,14 +357,13 @@ def _magnus_monodromy(pot: PotentialSpec, lam: np.ndarray):
             break
         halvings += 1
         if halvings == _MAX_HALVINGS or not math.isfinite(deviation):
-            steps = _step_count(pot, halvings)
+            steps = len(state.grids[halvings][0])
             raise EngineError(
                 f"Magnus step-halving gate failed: d and s(1) move by "
                 f"{deviation:g} (gate {MAGNUS_TOL:g}) from {steps // 2} to "
                 f"{steps} steps, lambda in [{lam.min():g}, {lam.max():g}]")
         coarse = fine
     state.halvings = halvings
-    state.steps = _step_count(pot, halvings)
     state.lam_lo = min(state.lam_lo, float(lam.min()))
     state.lam_hi = max(state.lam_hi, float(lam.max()))
     state.deviation = max(state.deviation, deviation)
@@ -393,11 +397,6 @@ def integrate_monodromy(pot: PotentialSpec, lam) -> Monodromy:
 def discriminant(pot: PotentialSpec, lam):
     """d(lambda) = c(1) + s'(1)."""
     return integrate_monodromy(pot, lam).discriminant
-
-
-def hill_eta(pot: PotentialSpec, lam):
-    """eta(lambda) = d(lambda)/2, the dispersion variable."""
-    return 0.5 * discriminant(pot, lam)
 
 
 # ============================================================
@@ -464,17 +463,12 @@ class LambdaInterval:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Band-inversion output: ac intervals, pp points, diagnostics, and what
-    the integration cost: the Magnus step count (None when nothing was
-    integrated on a grid), the worst step-halving deviation against
-    ``MAGNUS_TOL`` (None likewise) and the monodromies evaluated."""
+    """Band-inversion output: ac intervals, pp points and diagnostics.  What
+    the integration cost stays on the potential's ``MagnusState``."""
 
     intervals: tuple[LambdaInterval, ...]
     dirichlet: np.ndarray
     diagnostics: tuple[str, ...]
-    magnus_steps: int | None = None
-    magnus_deviation: float | None = None
-    evaluations: int = 0
 
 
 def _band_brackets(pot: PotentialSpec, n_bands: int):
@@ -580,9 +574,9 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
     ``eta_intervals`` is a sequence of (lo, hi) pairs (dispersion-branch value
     ranges).  Ranges outside [-1, 1] are clipped; entirely inadmissible ranges
     are skipped.  Returns the ac intervals per Hill band, the Dirichlet points
-    (point spectrum) in range, diagnostics, which name every clip and skip
-    and are the only report of them, and the integration's cost.  All
-    interval ends of all bands are inverted in one batch.
+    (point spectrum) in range, and diagnostics, which name every clip and
+    skip and are the only report of them.  All interval ends of all bands
+    are inverted in one batch.
     """
     diagnostics: list[str] = []
     cleaned: list[tuple[int, float, float]] = []
@@ -604,8 +598,6 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
         diagnostics.append("no admissible eta intervals: empty ac spectrum")
         return SpectrumResult((), np.array([]), tuple(diagnostics))
 
-    state = pot.magnus
-    evaluations = state.evaluations
     brackets = _band_brackets(pot, n_bands)
     lam_max = max(b for _, b in brackets)
     ends = [end for _, lo, hi in cleaned for end in (lo, hi)]
@@ -620,8 +612,4 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
             intervals.append(LambdaInterval(idx, band, min(la, lb), max(la, lb)))
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     nu = dirichlet_spectrum(pot, lam_max)
-    gated = state.steps > 0
-    return SpectrumResult(tuple(intervals), nu, tuple(diagnostics),
-                          magnus_steps=state.steps if gated else None,
-                          magnus_deviation=state.deviation if gated else None,
-                          evaluations=state.evaluations - evaluations)
+    return SpectrumResult(tuple(intervals), nu, tuple(diagnostics))

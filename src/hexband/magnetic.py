@@ -59,11 +59,14 @@ _Q2_NAMES = ("in-", "in+", "out-", "out+")   # the inner radicand's pair first
 #  Robin flux cells, q = 1 and q = 2
 # ============================================================
 
-def _require_magnetic(config: StackConfig) -> FluxSpec:
+def _require_magnetic(config: StackConfig, q: int | None = None) -> FluxSpec:
+    """The flux of a magnetic stack, whose denominator must be ``q`` if given."""
     if config.flux is None:
         raise VariantError(
             "Robin flux cells require the magnetic monolayer variant with a flux"
         )
+    if q is not None and config.flux.q != q:
+        raise VariantError(f"the q = {q} quartic needs q = {q} (got q = {config.flux.q})")
     return config.flux
 
 
@@ -103,9 +106,7 @@ def q2_quartic_coeffs(config: StackConfig, theta1, theta2) -> np.ndarray:
     only through G(theta).  Shape (5,) at one quasimomentum, (N, 5) for
     theta arrays of length N.
     """
-    flux = _require_magnetic(config)
-    if flux.q != 2:
-        raise VariantError(f"the quartic form needs q = 2 (got q = {flux.q})")
+    _require_magnetic(config, q=2)
     return _q2_coeffs(config, g_function(theta1, theta2))
 
 
@@ -130,9 +131,7 @@ def closed_form_roots_q2(config: StackConfig, theta1, theta2) -> DispersionRoots
     eta = [-A +- sqrt(B + 12 +- 4 sqrt(2) sqrt(G))]/6; the smaller inner
     radicand carries the "in" pair.
     """
-    flux = _require_magnetic(config)
-    if flux.q != 2:
-        raise VariantError(f"closed q = 2 roots need q = 2 (got q = {flux.q})")
+    _require_magnetic(config, q=2)
     an = config.vertex.alpha_a
     ab = config.vertex.alpha_b
     a = an + ab

@@ -29,21 +29,22 @@ the points of all live lanes into one objective call per round, sends each
 lane its values and collects what each lane returns, so lanes at different
 steps share a round.  A round costs one Python step per live lane.
 Holding every lane's state in numpy arrays instead costs a fixed ~75 array
-operations a round, which only pays past a few dozen lanes.  With a cheap
-objective on a 2-core VM the crossover sits near 45 lanes for
-``brent_roots`` and 70 for ``bounded_minima`` (at 128 lanes 2.5 against
-1.2 ms and 7.5 against 4.3 ms a call).  Over the benchmark's job lists of
-seeds 0-10, the largest calls have 41 and 26 lanes (medians 5 and 8), and
-the Nelder-Mead calls of the reduced zone 6.6 lanes on average.
+operations a round, which only pays past a few dozen lanes: near 45 lanes
+for ``brent_roots`` and 70 for ``bounded_minima`` with a cheap objective.
+Over the benchmark's job lists of seeds 0-10, the largest calls have 41 and
+26 lanes (medians 5 and 8), and the Nelder-Mead calls of the reduced zone
+6.6 lanes on average.
 
 An objective ``fn(x, lanes)`` returns the values of the lanes ``lanes`` at
 the points ``x`` (one point, or one row of ``x``, per entry of ``lanes``).
 
 The classifiers' shared stage lives here too, below ``bands`` and
 ``magnetic`` (which import each other as modules): ``pair_separations``
-serves both minimizers and the probes, and ``classify_minima`` labels the
-refined minima of the diagonal slice and of the reduced zone alike; the two
-differ only in their roots, probe direction and crossing test.
+serves both minimizers, and ``classify_minima`` labels the refined minima
+of the diagonal slice and of the reduced zone alike, from one ``roots``
+call per labelling that holds the minima and the probes of every touch;
+the two classifiers differ only in their roots, probe direction and
+crossing test.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ _SLOPE_STEP = 1e-6             # one-sided finite-difference step for slopes
                                # (small enough that quadratic contacts stay
                                # below DEFAULT_TOL_SLOPE)
 _CURV_STEP = 1e-3              # central second-difference step for curvature
+_PROBES = (-2.0 * _SLOPE_STEP, -_SLOPE_STEP, 2.0 * _SLOPE_STEP, _SLOPE_STEP,
+           _CURV_STEP, -_CURV_STEP)   # probe offsets of a touch along its
+                                      # direction: slopes, then curvature
 _DEDUP_THETA = 1e-7            # refined minima of a pair closer than this coincide
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon   # brentq's default relative
                                                # tolerance
@@ -401,9 +405,11 @@ def classify_minima(roots, minima, direction, tol_touch: float,
     A separation at most ``tol_touch`` is a touch.  With ``crossings``
     (labelled branches), a touch whose labelled branches trade order across
     it is a crossing; another is a cone when a one-sided slope exceeds
-    ``tol_slope`` in absolute value, else parabolic.  Probes lie at
-    theta + d * direction (an array), one ``roots`` call per stage (roots at
-    the minima, crossing test, slopes, curvature) over the minima reaching it.
+    ``tol_slope`` in absolute value, else parabolic.  One ``roots`` call
+    serves the labelling: the minima, and every touch probed at
+    theta + d * direction (an array) for each d of ``_PROBES``.  A crossing
+    reads two of its probes and a cone four; the others cost nothing next
+    to the fixed cost of a call.
     """
     kept = []
     for m, f in zip(minima, f_values or [None] * len(minima)):
@@ -412,44 +418,36 @@ def classify_minima(roots, minima, direction, tol_touch: float,
             kept.append((m, f))
     pairs = np.array([m[0] for m, _ in kept])
     theta = np.array([[m[1], m[2]] for m, _ in kept])
-
-    def points(which: list[int], offsets: tuple[float, ...]) -> np.ndarray:
-        """theta1 and theta2 rows of theta + d * direction, d by d."""
-        return np.concatenate([theta[which] + d * direction for d in offsets]).T
-
-    def separations(which: list[int], offsets: tuple[float, ...]) -> np.ndarray:
-        return pair_separations(roots, *points(which, offsets),
-                                np.tile(pairs[which], len(offsets))
-                                ).reshape(len(offsets), -1)
-
-    center = roots(theta[:, 0], theta[:, 1]).values
     touch = [i for i, (m, _) in enumerate(kept) if not m[3] > tol_touch]
+    found = roots(*np.concatenate(
+        [theta, *(theta[touch] + d * direction for d in _PROBES)]).T)
+    k, t = len(kept), len(touch)
+    center = found.values[:k]
+    # seps[j]: the separation of touch j's pair at each probe
+    probes = found.values[k:].reshape(len(_PROBES), t, found.values.shape[-1])
+    rows, touch_pairs = np.arange(t), pairs[touch]
+    seps = (probes[:, rows, touch_pairs + 1] - probes[:, rows, touch_pairs]).T.tolist()
+
     crossing = set()
     if crossings and touch:
-        sides = roots(*points(touch, (-_SLOPE_STEP, _SLOPE_STEP)))
-        labels, k = sides.branch_labels, len(touch)
+        labels = found.branch_labels
         for j, i in enumerate(touch):
-            right = dict(zip(labels[k + j], sides.values[k + j]))
+            left, right = k + t + j, k + 3 * t + j   # at -h and h: _PROBES[1], [3]
+            at_right = dict(zip(labels[right], found.values[right]))
             # on the left, the lower label sits strictly below the upper one
-            if right[labels[j][pairs[i]]] - right[labels[j][pairs[i] + 1]] > 0.0:
+            if at_right[labels[left][pairs[i]]] - at_right[labels[left][pairs[i] + 1]] > 0.0:
                 crossing.add(i)
 
     # secant slopes taken strictly on each side of the contact point, so a
     # refinement offset of a few 1e-9 in theta cannot bias them
     h, hc = _SLOPE_STEP, _CURV_STEP
     slopes, curved = {}, {}
-    sloped = [i for i in touch if i not in crossing]
-    if sloped:
-        seps = separations(sloped, (-2.0 * h, -h, 2.0 * h, h))
-        for j, i in enumerate(sloped):
-            slopes[i] = ((float(seps[0, j]) - float(seps[1, j])) / h,
-                         (float(seps[2, j]) - float(seps[3, j])) / h)
-    flat = [i for i in sloped if not max(abs(v) for v in slopes[i]) > tol_slope]
-    if flat:
-        seps = separations(flat, (hc, -hc))
-        for j, i in enumerate(flat):
-            curved[i] = (float(seps[0, j]) - 2.0 * kept[i][0][3]
-                         + float(seps[1, j])) / hc ** 2
+    for i, (far_left, near_left, far_right, near_right, plus, minus) in zip(touch, seps):
+        if i in crossing:
+            continue
+        slopes[i] = ((far_left - near_left) / h, (far_right - near_right) / h)
+        if not max(map(abs, slopes[i])) > tol_slope:
+            curved[i] = (plus - 2.0 * kept[i][0][3] + minus) / hc ** 2
 
     reports = []
     for i, ((pair, t1, t2, sep), f_value) in enumerate(kept):

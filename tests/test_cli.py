@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 
 import hexband
@@ -410,6 +411,29 @@ class TestBands:
         assert text.shape == (2, len(values))
         assert text.ravel().tolist() == expected + expected[::-1]
         assert [_g17(x) for x in values] == expected
+
+    # values where %.17g is hard: subnormals, signed zeros, powers of ten and
+    # both sides of its switch to exponent notation (below 1e-4 and from 1e17)
+    _HARD_FLOATS = st.one_of(
+        st.floats(),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                         2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17,
+                         np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0),
+                         float("inf"), float("nan")]),
+        st.integers(-323, 308).map(lambda k: float(f"1e{k}")),
+        st.floats(5e-6, 5e-4), st.floats(1e16, 1e18),
+        st.floats(-1e-300, 1e-300))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                      elements=_HARD_FLOATS),
+           st.integers(1, 3))
+    def test_column_text_is_g17_of_each_value(self, values, copies):
+        # repeats share one formatting; each must still read as its own value
+        values = np.concatenate([values, -values[::-1]] * copies)
+        text = cli._g17_text(values)
+        assert text.shape == values.shape and text.dtype == object
+        assert text.ravel().tolist() == [cli._g17(x) for x in values.ravel().tolist()]
 
     def test_write_returns_the_digest_of_the_bytes_on_disk(self, tmp_path):
         path = tmp_path / "notes.txt"
@@ -851,12 +875,16 @@ class TestPlot:
         text = (outdir / "bands.svg").read_text()
         assert "gap pair=(1, 2)" in text
 
-    def test_coarse_grid_plots_without_markers(self, tmp_path):
+    def test_coarse_grid_plots_without_markers(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         code, outdir = _run(tmp_path, "plot", cfg, "--grid", "51")
         assert code == 0
         text = (outdir / "bands.svg").read_text()
         assert "<polyline" in text and "<circle" not in text
+        # nothing is classified, so nothing reads a tolerance
+        assert "tolerances" not in json.loads((outdir / "manifest.json").read_text())["config"]
+        code, _ = _run(tmp_path, "plot", cfg, "--grid", "51", "--tol-touch", "0.5")
+        assert code == 1 and "--tol-touch" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------
@@ -912,6 +940,37 @@ class TestOrchestration:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and "config section 'potential'" in err[0]
             assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("command,args", [
+        ("bands", ()), ("gaps", ()), ("spectrum", ()), ("validate", ("--samples", "5")),
+    ])
+    def test_tolerances_without_a_classification_are_config_error(
+            self, tmp_path, capsys, command, args):
+        # only report.txt, bands.svg and magnetic.txt classify touches; the
+        # other runs ignored the tolerances and echoed them in their manifests
+        grid = {"grid": {"kind": "diagonal", "n": 201}}
+        tolerances = {"tol_touch": 0.5, "tol_slope": 7.0}
+        for cfg, extra, setting in (
+                (_write_config(tmp_path, name="tolerances.json", tolerances=tolerances,
+                               **grid), (), "config section 'tolerances'"),
+                (_write_config(tmp_path, **grid), ("--tol-touch", "0.25"), "--tol-touch")):
+            code, outdir = _run(tmp_path, command, cfg, *args, *extra)
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "config error" in err[0] and setting in err[0]
+            assert list(outdir.iterdir()) == []
+        # the echo holds the tolerances of the runs that read them, and only those
+        plain = _write_config(tmp_path, name="plain.json", **grid)
+        assert _run(tmp_path, command, plain, *args)[0] == 0
+        echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert "tolerances" not in echo
+        assert ("grid" in echo) == (command != "validate")
+        cfg = _write_config(tmp_path, tolerances=tolerances, outputs=["report"], **grid)
+        code, outdir = _run(tmp_path, command, cfg, *args, "--tol-touch", "0.25")
+        assert code == 0
+        echo = json.loads((outdir / "manifest.json").read_text())["config"]
+        assert echo["tolerances"] == {"tol_touch": 0.25, "tol_slope": 7.0}
+        assert echo["grid"] == grid["grid"]
 
     @pytest.mark.parametrize("stack", [
         {"variant": "monolayer", "alpha_a": 0.4, "alpha_b": -0.3},

@@ -1,6 +1,7 @@
 """Hill-discriminant module: monodromy, Dirichlet spectrum, band inversion."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hexband.hill import (
     bands_from_root_surface,
     dirichlet_spectrum,
     discriminant,
-    hill_eta,
     integrate_monodromy,
     invert_discriminant,
 )
@@ -140,9 +140,6 @@ class TestZeroPotentialMonodromy:
         lams = np.linspace(0.1, 200.0, 101)
         d = np.array([discriminant(ZERO, l) for l in lams])
         assert np.max(np.abs(d - 2.0 * np.cos(np.sqrt(lams)))) < 1e-12
-
-    def test_eta_is_half_discriminant(self):
-        assert hill_eta(ZERO, 4.0) == pytest.approx(np.cos(2.0), abs=1e-14)
 
     def test_series_branch_continuous(self):
         # both sides of the series switch-over agree with the exact cosine
@@ -291,6 +288,19 @@ class TestMagnus:
                                     [-1e5, -1e5, 0.0, -1e5, -1e5])
         with pytest.raises(EngineError, match="step-halving gate failed"):
             integrate_monodromy(pot, np.array([-100.0, 50.0, 300.0]))
+        assert pot.magnus.steps == 0        # no gate passed
+
+    def test_the_step_count_is_the_gated_grids(self):
+        # MagnusState is the one record of the integration: a spectrum
+        # result carries none of it
+        pot = PotentialSpec.closure(_five_cos)
+        assert pot.magnus.steps == 0
+        result = bands_from_root_surface(pot, [(-0.9, 0.9)], n_bands=2)
+        state = pot.magnus
+        # the base grid's 512 steps on [0, 1], halved as often as the gate chose
+        assert state.steps == len(state.grids[state.halvings][0]) == 512 << state.halvings
+        assert 0.0 < state.deviation <= MAGNUS_TOL and state.evaluations > 0
+        assert [f.name for f in fields(result)] == ["intervals", "dirichlet", "diagnostics"]
 
 
 # ------------------------------------------------------------
@@ -447,7 +457,7 @@ class TestInversion:
         batch = invert_discriminant(pot, etas, bands)
         for eta, band, lam in zip(etas, bands, batch):
             assert invert_discriminant(pot, float(eta), int(band)) == lam
-            assert hill_eta(pot, lam) == pytest.approx(eta, abs=1e-9)
+            assert 0.5 * discriminant(pot, lam) == pytest.approx(eta, abs=1e-9)
 
     @pytest.mark.parametrize("q", [-2.1, 1.0])
     def test_end_within_edge_tol_is_the_root_at_a_closed_gap(self, q):
@@ -460,7 +470,7 @@ class TestInversion:
         pot = PotentialSpec.sampled(np.linspace(0.0, 1.0, 5),
                                     [1.3, q, 1.3, q, 1.3])
         nu1 = dirichlet_spectrum(pot, 30.0)[0]
-        f_end = hill_eta(pot, nu1) + 1.0
+        f_end = 0.5 * discriminant(pot, nu1) + 1.0
         assert abs(f_end) <= EDGE_TOL and (f_end < 0.0) == (q < 0.0)
         assert invert_discriminant(pot, -1.0, 1, [(-20.0, nu1)]) == nu1
 
@@ -472,10 +482,10 @@ class TestInversion:
         pot = PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x))
         nu1, nu2 = dirichlet_spectrum(pot, 50.0)[:2]
         lo = nu1 - 1e-11
-        assert 0.0 < hill_eta(pot, lo) + 1.0 <= EDGE_TOL
+        assert 0.0 < 0.5 * discriminant(pot, lo) + 1.0 <= EDGE_TOL
         lam = invert_discriminant(pot, -1.0, 2, [(-5.0, nu1), (lo, nu2)])
         assert lam == pytest.approx(10.8567782022, abs=1e-8)
-        assert abs(hill_eta(pot, lam) + 1.0) <= 1e-12
+        assert abs(0.5 * discriminant(pot, lam) + 1.0) <= 1e-12
 
     def test_bracket_without_root_still_fails(self):
         pot = PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x))

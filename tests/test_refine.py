@@ -1,6 +1,6 @@
 """Lockstep refinement against one scipy call per minimum or root, bit for
 bit, the engine-call count of a lockstep refinement, and the shared
-probe-and-label stage of the classifiers."""
+probe-and-label stage of the classifiers, one engine call per labelling."""
 
 from types import SimpleNamespace
 
@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize, minimize_scalar
 
 import hexband.bands as bands
+import hexband.magnetic as magnetic
 from hexband.bands import classify_touches, sample_diagonal
 from hexband.floquet import BATCH_BYTES, batch_points
-from hexband.lattice import CouplingParams, StackConfig, StackVariant, VertexParams
+from hexband.lattice import (
+    CouplingParams,
+    FluxSpec,
+    StackConfig,
+    StackVariant,
+    VertexParams,
+)
 from hexband.errors import EngineError
 from hexband.refine import (
     bounded_minima,
@@ -285,12 +292,14 @@ def test_classify_minima_labels_dedups_and_sorts():
         ("cone", 0.0, 30.0), ("gap", 0.5, 10.0), ("cone", seam, 20.0)]
     assert reports[0].gamma == pytest.approx(0.5)
     assert reports[1].gap_width == np.sin(0.5)
-    # one roots call for the centres and one for the slopes of both cones
-    assert calls == [3, 8]
+    # one roots call: the three minima left, and six probes of each cone
+    assert calls == [3 + 6 * 2]
 
+    calls.clear()
     parabola = _two_branches(lambda t: 0.0 * t, lambda t: (t - 1.0) ** 2, calls)
     [report] = classify_minima(parabola, [(0, 1.0, -1.0, 0.0)], _SLICE, 1e-6, 1e-4)
     assert report.kind == "parabolic" and report.curvature == pytest.approx(1.0)
+    assert calls == [1 + 6]
 
 
 def test_classify_minima_takes_the_absolute_slope():
@@ -306,6 +315,85 @@ def test_classify_minima_tells_crossings_by_their_labels():
     cross = _two_branches(lambda t: t, lambda t: -t, calls)
     minimum = [(0, 0.0, 0.0, 0.0)]
     [report] = classify_minima(cross, minimum, _SLICE, 1e-6, 1e-4, crossings=True)
-    assert report.kind == "crossing" and calls == [1, 2]
+    # the minimum and its six probes, of which the crossing test reads two
+    assert report.kind == "crossing" and calls == [1 + 6]
     [report] = classify_minima(cross, minimum, _SLICE, 1e-6, 1e-4)
     assert report.kind == "cone" and report.gamma == pytest.approx(1.0)
+    assert calls == [7, 7]
+
+
+def test_classify_minima_labels_every_kind_in_one_call():
+    calls = []
+    # one pair whose upper branch crosses the lower one at 0, touches it
+    # quadratically at 1 and linearly at 2, and stays 0.5 above it at 3
+    upper = _two_branches(lambda t: 0.0 * t, lambda t: np.select(
+        [t < 0.5, t < 1.5, t < 2.5], [-t, (t - 1.0) ** 2, np.abs(t - 2.0)],
+        0.5 + (t - 3.0) ** 2), calls)
+    minima = [(0, 2.0, -2.0, 0.0), (0, 3.0, -3.0, 0.5), (0, 0.0, -0.0, 0.0),
+              (0, 1.0, -1.0, 0.0)]
+    reports = classify_minima(upper, minima, _SLICE, 1e-6, 1e-4, crossings=True)
+    assert [(r.kind, r.theta1) for r in reports] == [
+        ("crossing", 0.0), ("parabolic", 1.0), ("cone", 2.0), ("gap", 3.0)]
+    crossing, parabola, cone, gap = reports
+    assert cone.gamma == pytest.approx(0.5) and cone.curvature is None
+    assert parabola.curvature == pytest.approx(1.0) and parabola.gamma is None
+    assert crossing.gamma is None and crossing.curvature is None
+    assert gap.gap_width == 0.5
+    assert calls == [4 + 6 * 3]
+
+
+def _stage_calls(monkeypatch, module):
+    """The sizes of the ``roots`` calls of each ``classify_minima`` call made
+    through ``module``, one list per stage call."""
+    stages = []
+    stage = module.classify_minima
+
+    def counted_stage(roots, *args, **kwargs):
+        stages.append([])
+
+        def counted(theta1, theta2):
+            stages[-1].append(len(theta1))
+            return roots(theta1, theta2)
+        return stage(counted, *args, **kwargs)
+
+    monkeypatch.setattr(module, "classify_minima", counted_stage)
+    return stages
+
+
+_SLICE_STACKS = {
+    "monolayer-cones": StackConfig(StackVariant.MONOLAYER, VertexParams(0.0, 0.0)),
+    "aa-crossings": StackConfig(StackVariant.BILAYER_AA, VertexParams(-1.0, -1.0),
+                                coupling=CouplingParams(t0=0.5)),
+    "aa-parabolas": StackConfig(StackVariant.BILAYER_AA, VertexParams(-1.0, -0.5),
+                                coupling=CouplingParams(t0=0.5)),
+    "hetero-numeric": StackConfig(StackVariant.HETERO_BILAYER,
+                                  VertexParams(-1.0, 0.7, 0.2),
+                                  coupling=CouplingParams(t0=0.3)),
+}
+
+
+@pytest.mark.parametrize("config", _SLICE_STACKS.values(), ids=_SLICE_STACKS)
+def test_classify_touches_labels_in_one_engine_call(monkeypatch, config):
+    surface = sample_diagonal(config, n=501)
+    stages = _stage_calls(monkeypatch, bands)
+    f_calls = []
+    structure_function = bands.structure_function
+    monkeypatch.setattr(bands, "structure_function", lambda t1, t2: (
+        f_calls.append(len(t1)) or structure_function(t1, t2)))
+    reports = [r for r in classify_touches(surface) if r.theta1 is not None]
+    touches = sum(r.kind != "gap" for r in reports)
+    # the minima and six probes per touch, in one roots call; F at the
+    # refined minima (duplicates included) in one structure_function call
+    assert stages == [[len(reports) + 6 * touches]]
+    assert len(f_calls) == 1 and f_calls[0] >= len(reports)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_magnetic_classify_labels_in_one_engine_call(monkeypatch, q):
+    config = StackConfig(StackVariant.MAGNETIC_MONOLAYER, VertexParams(0.0, 0.0),
+                         flux=FluxSpec(1, q))
+    stages = _stage_calls(monkeypatch, magnetic)
+    reports = magnetic.magnetic_classify(config, n=41)
+    touches = sum(r.kind != "gap" for r in reports)
+    assert touches >= 1
+    assert stages == [[len(reports) + 6 * touches]]
