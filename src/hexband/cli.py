@@ -19,7 +19,7 @@ a setting the variant's layout does not read is rejected.  ``tolerances``
 (and ``--tol-touch``) must be positive; only the touch classifications of
 ``report.txt``, ``magnetic.txt`` and ``bands.svg`` (from 201 samples) read
 them, and a run that writes none of those rejects them.  ``potential`` accepts
-``{"kind": "zero"}``, ``{"kind": "file", "path": ...}`` (two-column text),
+``{"kind": "zero"}``, ``{"kind": "file", "path": "..."}`` (a two-column text file),
 or ``{"kind": "sampled", "x": [...], "values": [...]}``, with finite
 numbers in both columns; only ``spectrum.csv`` reads it, and a run that
 does not write ``spectrum.csv`` rejects it.  ``outputs`` lists extra
@@ -48,7 +48,8 @@ failures; 3 I/O errors while writing outputs.
 
 Number formatting: CSV floats use fixed 17-significant-digit formatting;
 key-value reports use shortest round-trip (repr) formatting.  Both survive
-text -> float -> text round trips exactly.
+text -> float -> text round trips exactly.  ``_record_lines`` writes every
+record of ``report.txt``, ``magnetic.txt`` and ``gaps.txt`` from a mapping.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -242,6 +243,9 @@ def _parse_potential(raw) -> PotentialSpec:
     if kind == "file":
         if "path" not in data:
             raise ConfigError("potential.kind 'file' requires potential.path")
+        # np.loadtxt would read a list of strings as inline data rows
+        if not isinstance(data["path"], str):
+            raise ConfigError("config field 'potential.path' must be a string")
         return PotentialSpec.from_file(data["path"])
     if kind == "sampled":
         if "x" not in data or "values" not in data:
@@ -527,12 +531,11 @@ def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
     return records
 
 
-def _record_lines(index: int, rep: TouchReport) -> list[str]:
-    """A blank line, then the record's set fields in declaration order
+def _record_lines(index: int, fields: dict) -> list[str]:
+    """A blank line, then the record's set fields in the mapping's order
     (``value`` as ``eta``)."""
     lines = ["", f"record: {index}"]
-    for name in (f.name for f in fields(rep)):
-        value = getattr(rep, name)
+    for name, value in fields.items():
         if value is None or value is False:
             continue
         if value is True:
@@ -578,7 +581,7 @@ def _emit_report(ctx: _RunContext) -> list[str]:
                           f"tol_slope: {_rr(run.tol_slope)}")
     lines.append(f"records: {len(records)}")
     for idx, rep in enumerate(records, start=1):
-        lines += _record_lines(idx, rep)
+        lines += _record_lines(idx, vars(rep))
     return lines
 
 
@@ -590,13 +593,10 @@ def _emit_gaps(ctx: _RunContext) -> list[str]:
     for pair in range(seps.shape[1]):
         at = int(np.argmin(seps[:, pair]))
         theta = float(surface.theta[at])
-        f = complex(structure_function(theta, -theta))
-        lines += ["",
-                  f"record: {pair + 1}",
-                  f"band_pair: {pair},{pair + 1}",
-                  f"min_separation: {_rr(float(seps[at, pair]))}",
-                  f"theta1: {_rr(theta)}",
-                  f"f_value: {_rr(f.real)}"]
+        f = structure_function(theta, -theta).real
+        lines += _record_lines(pair + 1, {"band_pair": (pair, pair + 1),
+                                          "min_separation": seps[at, pair],
+                                          "theta1": theta, "f_value": f})
     return lines
 
 
@@ -643,9 +643,10 @@ def _emit_magnetic(ctx: _RunContext) -> list[str]:
               f"tol_slope: {_rr(run.tol_slope)}",
               f"records: {len(reports)}"]
     for idx, rep in enumerate(reports, start=1):
-        lines += _record_lines(idx, rep)
+        fields = vars(rep)
         if rep.theta1 is not None and q == 2:
-            lines.append(f"g_value: {_rr(g_function(rep.theta1, rep.theta2))}")
+            fields = {**fields, "g_value": g_function(rep.theta1, rep.theta2)}
+        lines += _record_lines(idx, fields)
     return lines
 
 

@@ -34,8 +34,10 @@ value against the characteristic polynomial at runtime: the residual gate
 expands each config's tensor once (``_gate_tensor`` caches the last one),
 evaluates it at the F of each batch (one matrix product of the F^i
 conj(F)^j with the flattened tensor) and the polynomial at each root by
-Horner's scheme.  The paired stacks (those with a plain layer) have closed
-forms on the diagonal slice only.  This module provides the routes;
+Horner's scheme, each root on its own scale: the residual against the sum
+of the polynomial's absolute terms at radius max(1, |root|).  The paired
+stacks (those with a plain layer) have closed forms on the diagonal slice
+only.  This module provides the routes;
 ``bands.roots_at`` alone decides which one serves a point, for the magnetic
 flux cells as well.
 
@@ -78,7 +80,7 @@ from .lattice import (
     structure_function,
 )
 
-RESIDUAL_TOL = 1e-9      # |p(root)| / |leading coefficient| gate
+RESIDUAL_TOL = 1e-9      # gate on each root's |p(r)| / sum |c_i| max(1, |r|)^i
 _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
 _PAIR_TOL = 1e-12        # |alpha_a + alpha_b| bound for the constrained forms
 BATCH_BYTES = 256 * 1024  # bytes of an engine call's arrays: the (N, dim, dim)
@@ -354,22 +356,25 @@ def _gate_coefficients(config: StackConfig, F: np.ndarray) -> np.ndarray:
 
 
 def _residual_gate(coeffs: np.ndarray, values: np.ndarray) -> None:
-    """The residual gate of closed-form roots: raises unless every
-    |p(root)| / |leading coefficient| is below ``RESIDUAL_TOL``.
-
+    """The residual gate of closed-form roots: raises unless every root r has
+    |p(r)| / sum_i |c_i| rho^i below ``RESIDUAL_TOL``, rho = max(1, |r|):
+    relative to p's terms where |r| > 1, as at |r| = 1 inside the unit disc.
     ``coeffs`` is (dim + 1,) or (N, dim + 1) and ``values`` the matching
     (dim,) or (N, dim), possibly with N = 0; a NaN anywhere fails."""
     if values.size == 0:
         return
     coeffs = coeffs.reshape(-1, coeffs.shape[-1])
     values = values.reshape(len(coeffs), -1)
-    p = coeffs[:, -1:]
-    for k in range(coeffs.shape[1] - 2, -1, -1):     # Horner's scheme
-        p = p * values + coeffs[:, k, None]
-    worst = float((np.abs(p) / np.abs(coeffs[:, -1:])).max())
+    # p(r) and its size sum_i |c_i| rho^i in one Horner pass; NaN stays NaN
+    x = np.stack([values, np.maximum(1.0, np.abs(values))])
+    c = np.stack([coeffs, np.abs(coeffs)])[..., None]
+    acc = c[:, :, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * x + c[:, :, k]
+    worst = float((np.abs(acc[0]) / acc[1]).max())
     if not worst < RESIDUAL_TOL:
         raise EngineError(
-            f"closed-form root failed the residual gate: |p(r)|/lead = {worst:g}"
+            f"closed-form root failed the residual gate: scaled residual {worst:g}"
         )
 
 

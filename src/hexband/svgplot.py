@@ -5,6 +5,11 @@ canvas, a fixed palette, and fixed-width coordinate formatting mean the same
 surface always serializes to the same bytes.  One polyline per sorted branch;
 touch and crossing locations get circular markers, gap records a vertical
 width bar, each carrying a tooltip with the classification details.
+
+One writer, ``_el``, writes every element's tag and attributes, and the
+root's open tag takes its attributes from the same ``_attrs``, each float
+through ``_fmt``; only a polyline's ``points`` are formatted apart, in one
+pass over the whole branch.
 """
 
 from __future__ import annotations
@@ -67,6 +72,20 @@ def _frame_for(surface: DispersionSurface) -> _Frame:
                   lo - pad, hi + pad)
 
 
+def _attrs(**attrs) -> str:
+    """Attributes in the order given: each name's ``_`` as ``-``, each float
+    through ``_fmt``."""
+    return "".join(
+        f' {name.replace("_", "-")}="{_fmt(v) if isinstance(v, float) else v}"'
+        for name, v in attrs.items())
+
+
+def _el(tag: str, body: str | None = None, **attrs) -> str:
+    """One element: its tag and ``_attrs``, then ``body`` and a close tag, or
+    self-closing without a body."""
+    return f"<{tag}{_attrs(**attrs)}" + ("/>" if body is None else f">{body}</{tag}>")
+
+
 def _polyline(frame: _Frame, theta: np.ndarray, values: np.ndarray,
               color: str) -> str:
     # _fmt on every coordinate; only a "-0.000000" token holds that text
@@ -74,62 +93,47 @@ def _polyline(frame: _Frame, theta: np.ndarray, values: np.ndarray,
     ys = map("%.6f".__mod__, frame.y(values).tolist())
     points = " ".join(map(",".join, zip(xs, ys)))
     points = points.replace("-0.000000", "0.000000")
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
-            f'points="{points}"/>')
+    return _el("polyline", fill="none", stroke=color, stroke_width="1.6",
+               points=points)
 
 
 def _axes(frame: _Frame) -> list[str]:
-    parts = [
-        f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" '
-        'fill="#ffffff"/>',
-    ]
+    parts = [_el("rect", x=0, y=0, width=WIDTH, height=HEIGHT, fill="#ffffff")]
     # admissibility window |eta| <= 1, clipped to the frame
     win_lo = max(frame.eta_lo, -1.0)
     win_hi = min(frame.eta_hi, 1.0)
     if win_hi > win_lo:
         top = frame.y(win_hi)
-        parts.append(
-            f'<rect x="{_fmt(frame.x0)}" y="{_fmt(top)}" '
-            f'width="{_fmt(frame.x1 - frame.x0)}" '
-            f'height="{_fmt(frame.y(win_lo) - top)}" fill="#edf3fa"/>'
-        )
-    parts.append(
-        f'<rect x="{_fmt(frame.x0)}" y="{_fmt(frame.y1)}" '
-        f'width="{_fmt(frame.x1 - frame.x0)}" '
-        f'height="{_fmt(frame.y0 - frame.y1)}" fill="none" stroke="#333333" '
-        'stroke-width="1"/>'
-    )
+        parts.append(_el("rect", x=frame.x0, y=top, width=frame.x1 - frame.x0,
+                         height=frame.y(win_lo) - top, fill="#edf3fa"))
+    parts.append(_el("rect", x=frame.x0, y=frame.y1, width=frame.x1 - frame.x0,
+                     height=frame.y0 - frame.y1, fill="none", stroke="#333333",
+                     stroke_width=1))
     for tick, label in _X_TICKS:
         if tick < frame.theta_lo - 1e-9 or tick > frame.theta_hi + 1e-9:
             continue
         x = frame.x(tick)
-        parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(frame.y0)}" '
-                     f'x2="{_fmt(x)}" y2="{_fmt(frame.y0 + 5.0)}" '
-                     'stroke="#333333" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(x)}" y="{_fmt(frame.y0 + 20.0)}" '
-                     'font-family="monospace" font-size="12" '
-                     f'text-anchor="middle" fill="#333333">{label}</text>')
+        parts.append(_el("line", x1=x, y1=frame.y0, x2=x, y2=frame.y0 + 5.0,
+                         stroke="#333333", stroke_width=1))
+        parts.append(_el("text", label, x=x, y=frame.y0 + 20.0,
+                         font_family="monospace", font_size=12,
+                         text_anchor="middle", fill="#333333"))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         eta = frame.eta_lo + frac * (frame.eta_hi - frame.eta_lo)
         y = frame.y(eta)
-        parts.append(f'<line x1="{_fmt(frame.x0 - 5.0)}" y1="{_fmt(y)}" '
-                     f'x2="{_fmt(frame.x0)}" y2="{_fmt(y)}" '
-                     'stroke="#333333" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(frame.x0 - 9.0)}" y="{_fmt(y + 4.0)}" '
-                     'font-family="monospace" font-size="12" '
-                     f'text-anchor="end" fill="#333333">{eta:.3f}</text>')
-    parts.append(
-        f'<text x="{_fmt((frame.x0 + frame.x1) / 2.0)}" '
-        f'y="{_fmt(HEIGHT - 14.0)}" font-family="monospace" font-size="13" '
-        'text-anchor="middle" fill="#333333">theta1 (diagonal slice, '
-        'theta2 = -theta1)</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_fmt((frame.y0 + frame.y1) / 2.0)}" '
-        'font-family="monospace" font-size="13" text-anchor="middle" '
-        f'fill="#333333" transform="rotate(-90 18 '
-        f'{_fmt((frame.y0 + frame.y1) / 2.0)})">eta</text>'
-    )
+        parts.append(_el("line", x1=frame.x0 - 5.0, y1=y, x2=frame.x0, y2=y,
+                         stroke="#333333", stroke_width=1))
+        parts.append(_el("text", f"{eta:.3f}", x=frame.x0 - 9.0, y=y + 4.0,
+                         font_family="monospace", font_size=12,
+                         text_anchor="end", fill="#333333"))
+    parts.append(_el("text", "theta1 (diagonal slice, theta2 = -theta1)",
+                     x=(frame.x0 + frame.x1) / 2.0, y=HEIGHT - 14.0,
+                     font_family="monospace", font_size=13,
+                     text_anchor="middle", fill="#333333"))
+    mid = (frame.y0 + frame.y1) / 2.0
+    parts.append(_el("text", "eta", x=18, y=mid, font_family="monospace",
+                     font_size=13, text_anchor="middle", fill="#333333",
+                     transform=f"rotate(-90 18 {_fmt(mid)})"))
     return parts
 
 
@@ -145,17 +149,13 @@ def _markers(frame: _Frame, reports) -> list[str]:
             y_hi = frame.y(rep.value + half)
             tip = (f"gap pair={rep.band_pair} width={rep.gap_width:.6g} "
                    f"theta1={rep.theta1:.6g}")
-            parts.append(
-                f'<g stroke="{GAP_COLOR}" stroke-width="1.4">'
-                f'<title>{escape(tip, quote=False)}</title>'
-                f'<line x1="{_fmt(x)}" y1="{_fmt(y_lo)}" x2="{_fmt(x)}" '
-                f'y2="{_fmt(y_hi)}"/>'
-                f'<line x1="{_fmt(x - 4.0)}" y1="{_fmt(y_lo)}" '
-                f'x2="{_fmt(x + 4.0)}" y2="{_fmt(y_lo)}"/>'
-                f'<line x1="{_fmt(x - 4.0)}" y1="{_fmt(y_hi)}" '
-                f'x2="{_fmt(x + 4.0)}" y2="{_fmt(y_hi)}"/>'
-                '</g>'
-            )
+            parts.append(_el(
+                "g",
+                _el("title", escape(tip, quote=False))
+                + _el("line", x1=x, y1=y_lo, x2=x, y2=y_hi)
+                + _el("line", x1=x - 4.0, y1=y_lo, x2=x + 4.0, y2=y_lo)
+                + _el("line", x1=x - 4.0, y1=y_hi, x2=x + 4.0, y2=y_hi),
+                stroke=GAP_COLOR, stroke_width="1.4"))
         else:
             fill = MARKER_FILL.get(rep.kind, "#444444")
             detail = ""
@@ -165,11 +165,9 @@ def _markers(frame: _Frame, reports) -> list[str]:
                 detail = f" curvature={rep.curvature:.6g}"
             tip = (f"{rep.kind} pair={rep.band_pair} "
                    f"theta1={rep.theta1:.6g}{detail}")
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(frame.y(rep.value))}" '
-                f'r="4" fill="{fill}" stroke="#ffffff" stroke-width="1">'
-                f'<title>{escape(tip, quote=False)}</title></circle>'
-            )
+            parts.append(_el("circle", _el("title", escape(tip, quote=False)),
+                             cx=x, cy=frame.y(rep.value), r=4, fill=fill,
+                             stroke="#ffffff", stroke_width=1))
     return parts
 
 
@@ -179,12 +177,10 @@ def _legend(frame: _Frame, dim: int) -> list[str]:
     for band in range(dim):
         color = BAND_PALETTE[band % len(BAND_PALETTE)]
         y = frame.y1 + 14.0 + 16.0 * band
-        parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y - 4.0)}" '
-                     f'x2="{_fmt(x + 18.0)}" y2="{_fmt(y - 4.0)}" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_fmt(x + 24.0)}" y="{_fmt(y)}" '
-                     'font-family="monospace" font-size="12" '
-                     f'fill="#333333">band {band}</text>')
+        parts.append(_el("line", x1=x, y1=y - 4.0, x2=x + 18.0, y2=y - 4.0,
+                         stroke=color, stroke_width=2))
+        parts.append(_el("text", f"band {band}", x=x + 24.0, y=y,
+                         font_family="monospace", font_size=12, fill="#333333"))
     return parts
 
 
@@ -193,18 +189,14 @@ def render_band_chart(surface: DispersionSurface,
                       title: str = "") -> list[str]:
     """Serialize a sampled surface (plus classified features) to SVG lines."""
     frame = _frame_for(surface)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
-        f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}" '
-        'role="img">',
-    ]
+    root = _attrs(xmlns="http://www.w3.org/2000/svg", width=WIDTH, height=HEIGHT,
+                  viewBox=f"0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}", role="img")
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>', f"<svg{root}>"]
     if title:
-        parts.append(f"<title>{escape(title, quote=False)}</title>")
-        parts.append(f'<text x="{_fmt(WIDTH / 2.0)}" y="26" '
-                     'font-family="monospace" font-size="15" '
-                     f'text-anchor="middle" fill="#111111">{escape(title, quote=False)}'
-                     '</text>')
+        text = escape(title, quote=False)
+        parts.append(_el("title", text))
+        parts.append(_el("text", text, x=WIDTH / 2.0, y=26, font_family="monospace",
+                         font_size=15, text_anchor="middle", fill="#111111"))
     parts.extend(_axes(frame))
     for band in range(surface.dim):
         color = BAND_PALETTE[band % len(BAND_PALETTE)]

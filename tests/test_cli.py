@@ -212,6 +212,47 @@ class TestConfig:
         assert "Traceback" not in err
         assert f"alpha_a = {stack['alpha_a']!r}" in err
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
+    @pytest.mark.parametrize("command,stack,alpha", [
+        # |p(r)| / |lead| grows with the roots' scale, so these accurate
+        # closed forms failed the residual gate from |alpha| ~ 40 (trilayers)
+        # to 5600 (monolayer)
+        *((command, stack, alpha) for command in ("classify", "validate")
+          for stack, alpha in (
+              ({"variant": "monolayer"}, 1e4),
+              ({"variant": "bilayer_aa", "t0": 0.3}, 200.0),
+              ({"variant": "bilayer_aa_two_param", "t_a": 0.4, "t_b": 0.2}, 200.0),
+              ({"variant": "bilayer_aa_prime", "t0": 0.3}, 200.0),
+              ({"variant": "hetero_bilayer", "t0": 0.3}, 200.0),
+              ({"variant": "trilayer_hbn_g_hbn", "t0": 0.5}, 50.0),
+              ({"variant": "trilayer_g_hbn_g", "t0": 0.3}, 50.0))),
+        ("magnetic", {"variant": "magnetic_monolayer", "flux_p": 1,
+                      "flux_q": 2}, 200.0),
+    ], ids=lambda v: v["variant"] if isinstance(v, dict) else None)
+    def test_large_alpha_passes_the_residual_gate(self, tmp_path, command,
+                                                  stack, alpha, sign):
+        cfg = _write_config(tmp_path, stack={**stack, "alpha_a": sign * alpha,
+                                             "alpha_b": -sign * alpha})
+        extra = ("--samples", "50") if command == "validate" else ()
+        code, _ = _run(tmp_path, command, cfg, *extra)
+        assert code == 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
+    @pytest.mark.parametrize("stack", [
+        {"variant": "hetero_bilayer", "t0": 0.3},
+        {"variant": "trilayer_hbn_g_hbn", "t0": 0.5},
+        {"variant": "trilayer_g_hbn_g", "t0": 0.3},
+    ], ids=lambda s: s["variant"])
+    def test_cancelled_inner_roots_fail_the_residual_gate(self, tmp_path, capsys,
+                                                          stack, sign):
+        # at |alpha| = 1e8 the inner roots of these closed forms, found by
+        # cancellation, are rounding noise
+        cfg = _write_config(tmp_path, stack={**stack, "alpha_a": sign * 1e8,
+                                             "alpha_b": -sign * 1e8})
+        code, _ = _run(tmp_path, "classify", cfg)
+        assert code == 2
+        assert "residual gate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["classify", "magnetic"])
     def test_alpha_beyond_the_bound_is_config_error(self, tmp_path, capsys,
                                                     command):
@@ -283,6 +324,20 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"'{field}'" in err[0]
+
+    @pytest.mark.parametrize("path", [["0 1", "0.5 0", "1 1"], 3],
+                             ids=["list", "number"])
+    def test_non_string_potential_path_is_config_error(self, tmp_path, capsys,
+                                                       path):
+        # np.loadtxt read a list of strings as inline data rows (exit 0), and
+        # a number exited 1 with numpy's own message
+        cfg = _write_config(tmp_path, potential={"kind": "file", "path": path})
+        code, outdir = _run(tmp_path, "spectrum", cfg)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["hexband: config error: config field 'potential.path' "
+                       "must be a string"]
+        assert not outdir.exists()
 
 
 # ------------------------------------------------------------

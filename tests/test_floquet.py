@@ -336,6 +336,36 @@ def test_residual_gate_trips_on_corrupted_roots():
         _check_residuals(cfg, F, good + 1e-5)
 
 
+@pytest.mark.parametrize("variant,alpha,branch,shift,coupling", [
+    (StackVariant.MONOLAYER, 1.0, "u+", 1e-6, {}),
+    (StackVariant.MONOLAYER, 1.0, "u+", 1e-7, {}),
+    (StackVariant.MONOLAYER, 1.0, "u+", 1e-8, {}),
+    # roots near +-3333, measured relative to themselves: a relative shift
+    # of 3e-9 still trips the gate
+    (StackVariant.MONOLAYER, 1e4, "u+", 1e-5, {}),
+    # inner roots near 0.8 beside outer ones near 60: the gate must see a
+    # small root's error past the scale of the large ones
+    *((variant, sign * 200.0, branch, 1e-7, {"t0": t0})
+      for variant, branch, t0 in ((StackVariant.HETERO_BILAYER, "in+", 0.3),
+                                  (StackVariant.TRILAYER_HBN_G_HBN, "pn_in+", 0.5))
+      for sign in (1.0, -1.0)),
+    # at large |alpha| the G-hBN-G inner pair lies within 1e-6 of the p2
+    # pair, a near-double root whose shift no residual can see
+    (StackVariant.TRILAYER_G_HBN_G, 1.0, "pn_in+", 1e-6, {"t0": 0.3}),
+    (StackVariant.TRILAYER_G_HBN_G, -1.0, "pn_in+", 1e-6, {"t0": 0.3}),
+])
+def test_residual_gate_trips_on_shifted_roots(variant, alpha, branch, shift,
+                                              coupling):
+    from hexband.floquet import _check_residuals
+    cfg = _cfg(variant, alpha, -alpha, **coupling)
+    F = structure_function(np.array([0.5]), np.array([-0.5]))
+    roots = closed_form_roots(cfg, 0.5, -0.5)      # passes the gate
+    values = roots.values.copy()
+    values[list(roots.order).index(roots.names.index(branch))] += shift
+    with pytest.raises(EngineError, match="residual gate"):
+        _check_residuals(cfg, F, values)
+
+
 @pytest.mark.parametrize("cfg", ALL_NONMAGNETIC, ids=lambda c: c.variant.value)
 def test_closed_form_roots_of_an_empty_batch(cfg):
     roots = closed_form_roots(cfg, np.array([]), np.array([]))
