@@ -53,18 +53,23 @@ Batch API.  ``integrate_monodromy`` (with ``discriminant``) takes lambda,
 and ``invert_discriminant`` takes eta and the band, as scalars or 1-D
 arrays; a scalar call is a batch of one and gives floats.  A lambda gets
 the same bits alone as inside a batch of the same grid.  Lambdas are
-integrated in chunks of ``_LANES`` and steps in blocks of ``_BLOCK``.  A
-block is one stacked (2, 2, steps, lanes) array of step-map entries; its
-maps are multiplied pairwise as 2x2 blocks, one broadcast product per level
-of the tree, then into the running product.
-Each (steps, lanes) entry plane takes ``floquet.BATCH_BYTES``, the engine's
-one budget per call, so a chunk holds 256 lambdas; every step map and
-product is elementwise over the lanes, so the chunking moves no bit.  Each
-potential builds each grid once and keeps it read-only on its
-``MagnusState``.  Each Dirichlet scan is one batched call.  Its sign
-changes, and all band inversions of a spectrum, are refined together by
-``refine.brent_roots``, bit for bit as scipy's brentq would refine each
-one.
+integrated in chunks of up to ``_LANES`` (64) and steps in blocks of
+``_BLOCK`` (128).  Each (steps, lanes) plane of step-map entries holds at
+most ``_PLANE`` floats (64 KiB), small enough that glibc serves the
+temporaries from its heap instead of mapping each afresh from the OS (and
+page-faulting on it).  One pass stacks as many whole blocks of a chunk as
+fit in one (2, 2, blocks, steps, lanes) array: up to 64 blocks for one
+lambda, one block for 33 to 64.  Each block's maps are multiplied pairwise
+as 2x2 blocks, one broadcast product per level of the tree, and the block
+products then into the running product in step order; a trailing partial
+block runs alone.  The association does not depend on the chunk, and every
+operation is elementwise over the lanes, so the chunking moves no bit.
+Each step map takes cos/sin only where it oscillates and cosh/sinh only
+where it grows.  Each potential builds each grid once and keeps it
+read-only on its ``MagnusState``.  Each Dirichlet scan is one batched
+call.  Its sign changes, and all band inversions of a spectrum, are
+refined together by ``refine.brent_roots``, bit for bit as scipy's brentq
+would refine each one.
 """
 
 from __future__ import annotations
@@ -76,7 +81,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EngineError, InputError
-from .floquet import BATCH_BYTES
 from .refine import brent_roots
 
 WRONSKIAN_TOL = 1e-8          # |det W - 1| gate on every integration,
@@ -95,8 +99,10 @@ _BASE_STEPS = 512             # Magnus steps on [0, 1] of the coarsest grid:
                               # gate passes at its first comparison
 _MAX_HALVINGS = 5             # finest grid the halving gate compares: 32x
 _BLOCK = 128                  # Magnus steps multiplied together per block
-_LANES = BATCH_BYTES // (8 * _BLOCK)   # lambdas per chunk: each (block,
-                                       # lanes) float plane takes the budget
+_PLANE = 8192                 # float64 entries (64 KiB) of each (steps, lanes)
+                              # entry plane: below glibc's 128 KiB mmap
+                              # threshold
+_LANES = _PLANE // _BLOCK     # lambdas per chunk: one block fills a plane
 _GAUSS = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ this, per step
 _EDGE_PROBE = 1e-7            # step into a bracket, relative to its width,
                               # that looks past an end within EDGE_TOL
@@ -242,20 +248,40 @@ class Monodromy:
         return self.c1 + self.s1_prime
 
 
+def _cosine_branch(lam: np.ndarray):
+    """(c, c', s) of -y'' for lambda > ``_SMALL_LAMBDA``."""
+    w = np.sqrt(lam)
+    sine = np.sin(w)
+    return np.cos(w), -w * sine, sine / w
+
+
+def _cosh_branch(lam: np.ndarray):
+    """(c, c', s) of -y'' for lambda < -``_SMALL_LAMBDA``."""
+    w = np.sqrt(-lam)
+    sinh = np.sinh(w)
+    return np.cosh(w), w * sinh, sinh / w
+
+
+def _series_branch(l: np.ndarray):
+    """(c, c', s) of -y'' near lambda = 0 (and at NaN)."""
+    return (1.0 - l / 2.0 + l * l / 24.0, -l * (1.0 - l / 6.0 + l * l / 120.0),
+            1.0 - l / 6.0 + l * l / 120.0)
+
+
 def _zero_potential_monodromy(lam: np.ndarray):
-    """(c, c', s, s') of -y'' on the unit edge, each branch on its lambdas
-    only, so that no branch overflows on lambdas it does not serve."""
+    """(c, c', s, s') of -y'' on the unit edge.  Each branch runs on its
+    lambdas only, so that no branch overflows on lambdas it does not serve,
+    and only when it has any."""
+    pos = lam > _SMALL_LAMBDA
+    if pos.all():                   # the common batch: no masked copies
+        c, cp, s = _cosine_branch(lam)
+        return c, cp, s, c
     c, cp, s = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
-    pos, neg = lam > _SMALL_LAMBDA, lam < -_SMALL_LAMBDA
-    w = np.sqrt(lam[pos])
-    c[pos], cp[pos], s[pos] = np.cos(w), -w * np.sin(w), np.sin(w) / w
-    w = np.sqrt(-lam[neg])
-    c[neg], cp[neg], s[neg] = np.cosh(w), w * np.sinh(w), np.sinh(w) / w
-    mid = ~(pos | neg)
-    l = lam[mid]
-    c[mid] = 1.0 - l / 2.0 + l * l / 24.0
-    cp[mid] = -l * (1.0 - l / 6.0 + l * l / 120.0)
-    s[mid] = 1.0 - l / 6.0 + l * l / 120.0
+    neg = lam < -_SMALL_LAMBDA
+    for mask, branch in ((pos, _cosine_branch), (neg, _cosh_branch),
+                         (~(pos | neg), _series_branch)):
+        if mask.any():
+            c[mask], cp[mask], s[mask] = branch(lam[mask])
     return c, cp, s, c
 
 
@@ -290,17 +316,32 @@ def _magnus_grid(pot: PotentialSpec, halvings: int):
 
 def _step_maps(h, sigma, hq, lam):
     """Exact exponentials of the Magnus generators [[sigma, h], [h k, -sigma]]
-    with k = (q1 + q2)/2 - lambda, as four (steps, lambdas) arrays."""
+    with k = (q1 + q2)/2 - lambda, as one (2, 2, steps, lambdas) array of
+    their entries.  Each temporary but the boolean masks lives in it or in
+    one more plane."""
     h, sigma, hq = h[:, None], sigma[:, None], hq[:, None]
-    hk = hq - h * lam
-    delta = sigma * sigma + h * hk          # the generator squared is delta I
-    r = np.sqrt(np.abs(delta))
+    m = np.empty((2, 2, len(h), len(lam)))
+    (s11, s12), (s21, s22) = m
+    hk = np.subtract(hq, np.multiply(h, lam, out=s21), out=s21)
+    delta = np.multiply(h, hk, out=s11)
+    delta += sigma * sigma                  # the generator squared is delta I
     osc = delta < 0.0
-    r_hyp = np.where(osc, 0.0, r)           # cosh only where it is taken
-    cosine = np.where(osc, np.cos(r), np.cosh(r_hyp))
-    sine = np.divide(np.where(osc, np.sin(r), np.sinh(r_hyp)), r,
-                     out=np.ones_like(r), where=r > 0.0)
-    return (cosine + sine * sigma, sine * h, sine * hk, cosine - sine * sigma)
+    r = np.sqrt(np.abs(delta, out=s12), out=s12)
+    # cos/sin where delta < 0, cosh/sinh elsewhere, so that neither is taken
+    # (nor overflows) on the other branch's entries; sine is sin(r)/r or
+    # sinh(r)/r, and 1 where r is 0 or NaN (r > 0 wherever delta < 0)
+    grows = r > 0.0
+    cosine = np.cos(r, out=s22, where=osc)
+    np.cosh(r, out=cosine, where=~osc)
+    sine = np.sin(r, out=np.ones_like(r), where=osc)
+    np.sinh(r, out=sine, where=grows ^ osc)
+    np.divide(sine, r, out=sine, where=grows)
+    np.multiply(sine, h, out=s12)
+    np.multiply(sine, hk, out=s21)
+    shear = np.multiply(sine, sigma, out=sine)
+    np.add(cosine, shear, out=s11)
+    np.subtract(cosine, shear, out=s22)
+    return m
 
 
 def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
@@ -309,25 +350,30 @@ def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
     if halvings not in grids:
         grids[halvings] = _magnus_grid(pot, halvings)
     h, sigma, hq = grids[halvings]
+    full = len(h) // _BLOCK * _BLOCK       # steps in whole blocks
     out = np.empty((2, 2, len(lam)))
     for start in range(0, len(lam), _LANES):
         chunk = lam[start:start + _LANES]
+        lanes = len(chunk)
+        # whole blocks per pass, then the trailing partial block alone
+        span = max(1, _PLANE // (_BLOCK * lanes)) * _BLOCK
+        cuts = sorted({*range(0, full, span), full, len(h)})
         # [[c, s], [c', s']] at x = 0
-        y = np.repeat(np.eye(2)[:, :, None], len(chunk), axis=2)
-        for j in range(0, len(h), _BLOCK):
-            # (2, 2, steps, lanes): entry (i, j) of every step map
-            m = np.stack(_step_maps(h[j:j + _BLOCK], sigma[j:j + _BLOCK],
-                                    hq[j:j + _BLOCK], chunk))
-            m = m.reshape(2, 2, -1, len(chunk))
-            while m.shape[2] > 1:           # later steps multiply on the left
-                even = m.shape[2] // 2 * 2
-                a, b = m[:, :, 1:even:2], m[:, :, 0:even:2]
-                p = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
-                m = p if even == m.shape[2] else np.concatenate(
-                    [p, m[:, :, even:]], axis=2)
-            m = m[:, :, 0]
-            y = m[:, 0, None] * y[0] + m[:, 1, None] * y[1]
-        out[:, :, start:start + len(chunk)] = y
+        y = np.repeat(np.eye(2)[:, :, None], lanes, axis=2)
+        for j, stop in zip(cuts, cuts[1:]):
+            # (2, 2, blocks, steps, lanes): entry (i, j) of every step map
+            m = _step_maps(h[j:stop], sigma[j:stop], hq[j:stop], chunk)
+            m = m.reshape(2, 2, -1, min(stop - j, _BLOCK), lanes)
+            while m.shape[3] > 1:           # later steps multiply on the left
+                even = m.shape[3] // 2 * 2
+                a, b = m[..., 1:even:2, :], m[..., 0:even:2, :]
+                p = a[:, 0, None] * b[0]
+                p += a[:, 1, None] * b[1]
+                m = p if even == m.shape[3] else np.concatenate(
+                    [p, m[..., even:, :]], axis=3)
+            for block in np.moveaxis(m[..., 0, :], 2, 0):   # in step order
+                y = block[:, 0, None] * y[0] + block[:, 1, None] * y[1]
+        out[:, :, start:start + lanes] = y
     return out[0, 0], out[1, 0], out[0, 1], out[1, 1]
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 # a module import: bands imports magnetic back, for the Robin cells
 from . import bands
-from .errors import GridError, VariantError
+from .errors import EngineError, GridError, VariantError
 from .floquet import (
     DispersionRoots,
     FloquetMatrix,
@@ -115,8 +115,15 @@ def _q2_coeffs(config: StackConfig, g) -> np.ndarray:
     ab = config.vertex.alpha_b
     a = an + ab
     prod = an * ab
+    try:
+        square = (prod - 3.0) ** 2
+    except OverflowError:
+        # a Python float power raises OverflowError naming nothing
+        raise EngineError(
+            f"q = 2 quartic coefficients overflow: (alpha_a alpha_b - 3)^2 "
+            f"at alpha_a alpha_b = {prod:g}") from None
     coeffs = np.empty(np.shape(g) + (5,))
-    coeffs[..., 0] = (prod - 3.0) ** 2 - 2.0 * g
+    coeffs[..., 0] = square - 2.0 * g
     coeffs[..., 1] = -6.0 * a * (3.0 - prod)
     coeffs[..., 2] = 9.0 * (an * an + ab * ab + 4.0 * prod - 6.0)
     coeffs[..., 3] = 54.0 * a

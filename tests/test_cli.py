@@ -193,21 +193,23 @@ class TestConfig:
         assert code == 1
         assert "stack.t0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,stack", [
+    @pytest.mark.parametrize("command,stack,cause", [
         # alpha inside the 1e100 bound still overflows: in Python in the q = 2
         # quartic's (alpha_N alpha_B - 3) ** 2, in numpy in the trilayer's roots
         ("magnetic", {"variant": "magnetic_monolayer", "alpha_a": 1e100,
-                      "alpha_b": 1e100, "flux_p": 1, "flux_q": 2}),
+                      "alpha_b": 1e100, "flux_p": 1, "flux_q": 2},
+         "q = 2 quartic coefficients overflow: (alpha_a alpha_b - 3)^2 "
+         "at alpha_a alpha_b = 1e+200"),
         ("classify", {"variant": "trilayer_hbn_g_hbn", "alpha_a": 1e100,
-                      "alpha_b": -1e100, "t0": 0.5}),
+                      "alpha_b": -1e100, "t0": 0.5}, "overflow encountered"),
     ], ids=["python-overflow", "numpy-overflow"])
     def test_overflow_is_numerical_failure(self, tmp_path, capsys, command,
-                                           stack):
+                                           stack, cause):
         cfg = _write_config(tmp_path, stack=stack)
         code, _ = _run(tmp_path, command, cfg)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("hexband: numerical failure:")
+        assert err.startswith(f"hexband: numerical failure: {cause}")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert f"alpha_a = {stack['alpha_a']!r}" in err

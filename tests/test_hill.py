@@ -1,6 +1,7 @@
 """Hill-discriminant module: monodromy, Dirichlet spectrum, band inversion."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -252,7 +253,7 @@ class TestMagnus:
         q1, q2 = rng.uniform(-20.0, 20.0, (2, 50))
         sigma = np.sqrt(3.0) / 12.0 * h * h * (q1 - q2)
         lams = rng.uniform(-30.0, 2000.0, 16)
-        e11, e12, e21, e22 = hill._step_maps(h, sigma, 0.5 * h * (q1 + q2), lams)
+        (e11, e12), (e21, e22) = hill._step_maps(h, sigma, 0.5 * h * (q1 + q2), lams)
         assert np.max(np.abs(e11 * e22 - e12 * e21 - 1.0)) < 1e-12
 
     def test_steps_are_aligned_with_the_knots(self):
@@ -301,6 +302,121 @@ class TestMagnus:
         assert state.steps == len(state.grids[state.halvings][0]) == 512 << state.halvings
         assert 0.0 < state.deviation <= MAGNUS_TOL and state.evaluations > 0
         assert [f.name for f in fields(result)] == ["intervals", "dirichlet", "diagnostics"]
+
+
+# ------------------------------------------------------------
+#  Kernels against their earlier forms, bit for bit
+# ------------------------------------------------------------
+
+def _three_branch_zero_monodromy(lam):
+    """The zero-potential closed form as it masked all three branches on
+    every call: frozen, the bit-for-bit reference of the one that skips
+    empty branches."""
+    c, cp, s = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+    pos, neg = lam > hill._SMALL_LAMBDA, lam < -hill._SMALL_LAMBDA
+    w = np.sqrt(lam[pos])
+    c[pos], cp[pos], s[pos] = np.cos(w), -w * np.sin(w), np.sin(w) / w
+    w = np.sqrt(-lam[neg])
+    c[neg], cp[neg], s[neg] = np.cosh(w), w * np.sinh(w), np.sinh(w) / w
+    mid = ~(pos | neg)
+    l = lam[mid]
+    c[mid] = 1.0 - l / 2.0 + l * l / 24.0
+    cp[mid] = -l * (1.0 - l / 6.0 + l * l / 120.0)
+    s[mid] = 1.0 - l / 6.0 + l * l / 120.0
+    return c, cp, s, c
+
+
+def _block_by_block_magnus(h, sigma, hq, lam):
+    """The Magnus kernel as it ran one 128-step block of up to 256 lambdas
+    at a time, with both branches of every step map taken everywhere:
+    frozen, the bit-for-bit reference of ``hill._magnus``."""
+    def step_maps(h, sigma, hq, lam):
+        h, sigma, hq = h[:, None], sigma[:, None], hq[:, None]
+        hk = hq - h * lam
+        delta = sigma * sigma + h * hk
+        r = np.sqrt(np.abs(delta))
+        osc = delta < 0.0
+        r_hyp = np.where(osc, 0.0, r)
+        cosine = np.where(osc, np.cos(r), np.cosh(r_hyp))
+        sine = np.divide(np.where(osc, np.sin(r), np.sinh(r_hyp)), r,
+                         out=np.ones_like(r), where=r > 0.0)
+        return (cosine + sine * sigma, sine * h, sine * hk, cosine - sine * sigma)
+
+    out = np.empty((2, 2, len(lam)))
+    for start in range(0, len(lam), 256):
+        chunk = lam[start:start + 256]
+        y = np.repeat(np.eye(2)[:, :, None], len(chunk), axis=2)
+        for j in range(0, len(h), 128):
+            m = np.stack(step_maps(h[j:j + 128], sigma[j:j + 128],
+                                   hq[j:j + 128], chunk))
+            m = m.reshape(2, 2, -1, len(chunk))
+            while m.shape[2] > 1:
+                even = m.shape[2] // 2 * 2
+                a, b = m[:, :, 1:even:2], m[:, :, 0:even:2]
+                p = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+                m = p if even == m.shape[2] else np.concatenate(
+                    [p, m[:, :, even:]], axis=2)
+            m = m[:, :, 0]
+            y = m[:, 0, None] * y[0] + m[:, 1, None] * y[1]
+        out[:, :, start:start + len(chunk)] = y
+    return out[0, 0], out[1, 0], out[0, 1], out[1, 1]
+
+
+def _bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("lam", [
+        np.array([]),
+        np.linspace(0.5, 400.0, 37),
+        np.array([-25.0, -1e-8, -1e-9, -0.0, 0.0, 1e-9, 1e-8, 2e-8, 3.0]),
+        np.array([4.0, np.nan, -2.0, 0.0, np.nan]),
+    ], ids=["empty", "all-positive", "mixed", "nan"])
+    def test_zero_potential_skips_only_empty_branches(self, lam):
+        assert _bits(hill._zero_potential_monodromy(lam)) == _bits(
+            _three_branch_zero_monodromy(lam))
+
+    @pytest.mark.parametrize("halvings", [0, 1, 2])
+    @pytest.mark.parametrize("lanes", [1, 2, 16, 17, 63, 64, 65, 200, 391])
+    @pytest.mark.parametrize("case", ["knots", "bumps"])
+    def test_magnus_matches_the_block_by_block_kernel(self, case, lanes, halvings):
+        # "knots": 514 << halvings steps, so a partial block trails; "bumps":
+        # whole blocks only, and lambdas from below min q = -40, where the
+        # planes mix oscillating and growing steps
+        if case == "knots":
+            pot, lo = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES), -10.0
+        else:
+            pot = PotentialSpec.sampled(_BUMP_KNOTS, [-40.0, 30.0, -40.0, 30.0, -40.0])
+            lo = -60.0
+        lams = np.random.default_rng(lanes).uniform(lo, 300.0, lanes)
+        got = hill._magnus(pot, halvings, lams)
+        h, sigma, hq = pot.magnus.grids[halvings]
+        assert len(h) % hill._BLOCK != 0 if case == "knots" else len(h) % hill._BLOCK == 0
+        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
+
+    def test_magnus_matches_the_block_by_block_kernel_at_edge_lambdas(self):
+        # delta = 0 (r = 0) at lambda = 0 on a flat potential, and NaN
+        pot = PotentialSpec.closure(lambda x: np.zeros_like(np.asarray(x)))
+        lams = np.array([0.0, np.nan, -0.0, 1e-300, -1e-300, 5.0, -5.0])
+        got = hill._magnus(pot, 0, lams)
+        h, sigma, hq = pot.magnus.grids[0]
+        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
+
+    def test_a_large_call_keeps_its_temporaries_in_a_few_planes(self):
+        # 391 lambdas on 512 steps: the block-by-block kernel peaked at
+        # 2.9 MB of 256 KiB planes; each pass now holds the four entry planes
+        # of its step maps and the first tree level's product and addend
+        pot = PotentialSpec.sampled(_BUMP_KNOTS, [2.0, -1.5, 2.0, -1.5, 2.0])
+        lams = np.linspace(-3.0, 300.0, 391)
+        hill._magnus(pot, 0, lams[:1])          # the grid is built outside
+        tracemalloc.start()
+        try:
+            hill._magnus(pot, 0, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * hill._PLANE
 
 
 # ------------------------------------------------------------
@@ -374,8 +490,9 @@ class TestDirichletSpectrum:
         exact = hill._step_maps
 
         def skewed(*args):
-            a, b, c, d = exact(*args)
-            return a * (1.0 + skew), b, c, d
+            m = exact(*args)
+            m[0, 0] *= 1.0 + skew
+            return m
 
         monkeypatch.setattr(hill, "_step_maps", skewed)
         with pytest.raises(EngineError, match="Wronskian drifted"):
