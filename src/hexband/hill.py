@@ -55,15 +55,20 @@ arrays; a scalar call is a batch of one and gives floats.  A lambda gets
 the same bits alone as inside a batch of the same grid.  Lambdas are
 integrated in chunks of up to ``_LANES`` (64) and steps in blocks of
 ``_BLOCK`` (128).  Each (steps, lanes) plane of step-map entries holds at
-most ``_PLANE`` floats (64 KiB), small enough that glibc serves the
-temporaries from its heap instead of mapping each afresh from the OS (and
-page-faulting on it).  One pass stacks as many whole blocks of a chunk as
-fit in one (2, 2, blocks, steps, lanes) array: up to 64 blocks for one
-lambda, one block for 33 to 64.  Each block's maps are multiplied pairwise
-as 2x2 blocks, one broadcast product per level of the tree, and the block
-products then into the running product in step order; a trailing partial
-block runs alone.  The association does not depend on the chunk, and every
-operation is elementwise over the lanes, so the chunking moves no bit.
+most ``_PLANE`` floats (64 KiB), so a pass's largest array, the four entry
+planes of its step maps, takes 256 KiB and its temporaries peak near
+650 KiB.  That is under the mmap and trim thresholds that glibc raises
+once a process frees a larger mapped block (an 800 KB array, say); such a
+process serves the temporaries from its heap instead of mapping and
+page-faulting them afresh.  At glibc's default thresholds they still fault
+(a 391-lambda call about 2 300 times).  One pass stacks as many whole
+blocks of a chunk as fit in one (2, 2, blocks, steps, lanes) array: up to
+64 blocks for one lambda, one block for 33 to 64.  Each block's maps are
+multiplied pairwise as 2x2 blocks, one broadcast product per level of the
+tree, and the block products then into the running product in step order;
+a trailing partial block runs alone.  The association does not depend on
+the chunk, and every operation is elementwise over the lanes, so the
+chunking moves no bit.
 Each step map takes cos/sin only where it oscillates and cosh/sinh only
 where it grows.  Each potential builds each grid once and keeps it
 read-only on its ``MagnusState``.  Each Dirichlet scan is one batched
@@ -100,8 +105,7 @@ _BASE_STEPS = 512             # Magnus steps on [0, 1] of the coarsest grid:
 _MAX_HALVINGS = 5             # finest grid the halving gate compares: 32x
 _BLOCK = 128                  # Magnus steps multiplied together per block
 _PLANE = 8192                 # float64 entries (64 KiB) of each (steps, lanes)
-                              # entry plane: below glibc's 128 KiB mmap
-                              # threshold
+                              # entry plane; a pass's step maps take four
 _LANES = _PLANE // _BLOCK     # lambdas per chunk: one block fills a plane
 _GAUSS = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ this, per step
 _EDGE_PROBE = 1e-7            # step into a bracket, relative to its width,
@@ -248,40 +252,24 @@ class Monodromy:
         return self.c1 + self.s1_prime
 
 
-def _cosine_branch(lam: np.ndarray):
-    """(c, c', s) of -y'' for lambda > ``_SMALL_LAMBDA``."""
-    w = np.sqrt(lam)
-    sine = np.sin(w)
-    return np.cos(w), -w * sine, sine / w
-
-
-def _cosh_branch(lam: np.ndarray):
-    """(c, c', s) of -y'' for lambda < -``_SMALL_LAMBDA``."""
-    w = np.sqrt(-lam)
-    sinh = np.sinh(w)
-    return np.cosh(w), w * sinh, sinh / w
-
-
-def _series_branch(l: np.ndarray):
-    """(c, c', s) of -y'' near lambda = 0 (and at NaN)."""
-    return (1.0 - l / 2.0 + l * l / 24.0, -l * (1.0 - l / 6.0 + l * l / 120.0),
-            1.0 - l / 6.0 + l * l / 120.0)
-
-
 def _zero_potential_monodromy(lam: np.ndarray):
     """(c, c', s, s') of -y'' on the unit edge.  Each branch runs on its
     lambdas only, so that no branch overflows on lambdas it does not serve,
     and only when it has any."""
-    pos = lam > _SMALL_LAMBDA
-    if pos.all():                   # the common batch: no masked copies
-        c, cp, s = _cosine_branch(lam)
-        return c, cp, s, c
     c, cp, s = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
-    neg = lam < -_SMALL_LAMBDA
-    for mask, branch in ((pos, _cosine_branch), (neg, _cosh_branch),
-                         (~(pos | neg), _series_branch)):
-        if mask.any():
-            c[mask], cp[mask], s[mask] = branch(lam[mask])
+    pos, neg = lam > _SMALL_LAMBDA, lam < -_SMALL_LAMBDA
+    if pos.any():
+        w = np.sqrt(lam[pos])
+        c[pos], cp[pos], s[pos] = np.cos(w), -w * np.sin(w), np.sin(w) / w
+    if neg.any():
+        w = np.sqrt(-lam[neg])
+        c[neg], cp[neg], s[neg] = np.cosh(w), w * np.sinh(w), np.sinh(w) / w
+    mid = ~(pos | neg)
+    if mid.any():
+        l = lam[mid]
+        c[mid] = 1.0 - l / 2.0 + l * l / 24.0
+        cp[mid] = -l * (1.0 - l / 6.0 + l * l / 120.0)
+        s[mid] = 1.0 - l / 6.0 + l * l / 120.0
     return c, cp, s, c
 
 

@@ -43,21 +43,3 @@ def test_digest_sweep_matches_the_recorded_seed_0_digests(sweep_s0):
     with open(os.path.join(ROOT, "tests", "digests_s0.txt"), encoding="utf-8") as fh:
         recorded = fh.read().splitlines()
     assert sweep_s0.stdout.splitlines() == recorded
-
-
-def test_digest_sweep_runs_one_named_workload(sweep_s0):
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "digest_sweep.py"), "0", "0",
-         "hill-spectrum"], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        line for line in sweep_s0.stdout.splitlines()
-        if line.startswith("s0:hill-spectrum:")]
-
-
-def test_digest_sweep_refuses_an_unknown_workload():
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "digest_sweep.py"), "0", "0",
-         "hill"], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == "" and proc.stderr.startswith("usage: digest_sweep.py")

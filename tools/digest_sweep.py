@@ -1,11 +1,10 @@
 """Artifact and console digests of the benchmark jobs, one line per job.
 
-    python3 tools/digest_sweep.py <first_seed> <last_seed> [workload]
+    python3 tools/digest_sweep.py <first_seed> <last_seed>
 
 Runs every job of the three workloads' job lists (grid-bands, diag-classify
-and hill-spectrum, from ``perfbench/workloads.py``), or of the one workload
-named, for the seeds first_seed..last_seed through ``hexband.cli.main`` in
-one process and prints
+and hill-spectrum, from ``perfbench/workloads.py``) for the seeds
+first_seed..last_seed through ``hexband.cli.main`` in one process and prints
 ``id exit artifacts stdout stderr`` per job.  ``artifacts`` is the sha256 of
 the job's data artifacts (every file it wrote but ``manifest.json``, which
 holds a wall time), or ``-`` for a job that wrote none; ``stdout`` and
@@ -62,14 +61,12 @@ def run_job(job: dict, work: str) -> tuple[int, str, str, str]:
 
 
 def main(argv: list[str]) -> int:
-    names = list(workloads.WORKLOADS)
-    if len(argv) not in (2, 3) or argv[2:] and argv[2] not in names:
-        print("usage: digest_sweep.py <first_seed> <last_seed> "
-              f"[{' | '.join(names)}]", file=sys.stderr)
+    if len(argv) != 2:
+        print("usage: digest_sweep.py <first_seed> <last_seed>", file=sys.stderr)
         return 2
     first, last = int(argv[0]), int(argv[1])
     for seed in range(first, last + 1):
-        for workload in argv[2:] or names:
+        for workload in workloads.WORKLOADS:
             with tempfile.TemporaryDirectory(prefix="hexband-digests-") as work:
                 for job in workloads.job_list(workload, seed):
                     fields = run_job(job, work)
