@@ -93,6 +93,15 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     points to the eigensolver and its formula points to the end, where they
     are evaluated together; once the parameters have no closed form at all,
     the formulas are not tried again.
+
+    A call of more than one batch evaluates each distinct F once: every
+    row, its route included, is a function of F's bits alone, so the engine
+    runs on one point per bit pattern (``_distinct_f``) and the rows are
+    scattered back, bit for bit.  On a full grid, the inclusive -pi/pi
+    edges and the theta1 <-> theta2 swap repeat about a third of the F.
+    Calls of one batch skip the grouping, whose fixed cost would outweigh
+    the saving there, and the magnetic flux cells stay on theta (the q = 2
+    cell's matrix is not a function of F).
     """
     if route not in ("auto", "closed", "numeric"):
         raise InputError(f"unknown evaluation route {route!r}")
@@ -111,9 +120,9 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     def fill(index, part_values, roots=None) -> None:
         nonlocal values, order, closed, names
         if values is None:
-            values = np.empty((n, dim))
-            order = np.empty((n, dim), dtype=np.int8)
-            closed = np.zeros(n, dtype=bool)
+            values = np.empty((len(t1), dim))
+            order = np.empty((len(t1), dim), dtype=np.int8)
+            closed = np.zeros(len(t1), dtype=bool)
         values[index] = part_values
         if roots is not None:
             order[index] = roots.order
@@ -126,8 +135,13 @@ def roots_at(config: StackConfig, theta1, theta2=None,
         return closed_form_roots(config, t1[index], t2[index])
 
     size = batch_points(dim)
+    inverse = None
+    if flux is None and n > size:
+        # n > size: the one-batch return below never skips the scatter
+        first, inverse = _distinct_f(structure_function(t1, t2))
+        t1, t2 = t1[first], t2[first]
     deferred = []
-    for start in range(0, n, size):
+    for start in range(0, len(t1), size):
         part = slice(start, start + size)
         if formulas:
             try:
@@ -136,7 +150,7 @@ def roots_at(config: StackConfig, theta1, theta2=None,
                 if exc.servable is None:
                     formulas = False
                 else:
-                    index = np.arange(n)[part]
+                    index = np.arange(len(t1))[part]
                     deferred.append(index[exc.servable])
                     part = index[~exc.servable]
             else:
@@ -163,12 +177,35 @@ def roots_at(config: StackConfig, theta1, theta2=None,
 
     if values is None:      # no points
         fill(slice(0), np.empty((0, dim)))
+    if inverse is not None:
+        values, order, closed = (np.take(a, inverse, axis=0)
+                                 for a in (values, order, closed))
     if not closed.all():
         names = ()
     if scalar:
         values, order, closed = values[0], order[0], closed.reshape(())
     return DispersionRoots(values=values, closed=closed, names=names,
                            order=order if names else None)
+
+
+def _distinct_f(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group points by the exact bits of F: the index of one point of each
+    group, and each point's group in that index.
+
+    A stable argsort of F (numpy orders complex values by real part, then
+    imaginary part) brings equal F together, and a group is a run of
+    neighbours whose bits match.  So 0.0 and -0.0 stay apart, where
+    ``np.unique`` on complex values merges them; the sort ranks them equal,
+    which can at worst split a group.
+    """
+    by_value = np.argsort(F, kind="stable")
+    re, im = (part.view(np.int64)[by_value] for part in (F.real, F.imag))
+    new = np.empty(len(F), dtype=bool)
+    new[:1] = True
+    new[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+    inverse = np.empty(len(F), dtype=np.intp)
+    inverse[by_value] = np.cumsum(new) - 1
+    return by_value[new], inverse
 
 
 @dataclass(frozen=True)

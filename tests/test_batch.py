@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexband import bands, floquet
+from hexband import bands, floquet, magnetic
 from hexband.bands import roots_at
 from hexband.cli import main
 from hexband.errors import EngineError, NoClosedFormError
@@ -29,6 +29,7 @@ from hexband.lattice import (
     StackConfig,
     StackVariant,
     VertexParams,
+    full_grid,
     structure_function,
 )
 from hexband.magnetic import (
@@ -394,6 +395,88 @@ def test_roots_at_bits_do_not_depend_on_the_batch_budget(case, monkeypatch):
         assert _same_bits(before.closed, roots.closed)
         assert before.names == roots.names
         assert _same_bits(before.order, roots.order)
+
+
+def _distinct_bits(F):
+    return len(set(zip(F.real.view(np.uint64).tolist(), F.imag.view(np.uint64).tolist())))
+
+
+def _count_served_points(monkeypatch):
+    """The points of each numeric_roots call and each closed_form_roots call
+    that serves its batch (a refused batch serves none)."""
+    served = []
+    closed_fn, numeric_fn = bands.closed_form_roots, bands.numeric_roots
+
+    def closed(config, theta1, theta2):
+        roots = closed_fn(config, theta1, theta2)
+        served.append(np.size(theta1))
+        return roots
+
+    def numeric(fm):
+        served.append(len(fm.affine))
+        return numeric_fn(fm)
+
+    monkeypatch.setattr(bands, "closed_form_roots", closed)
+    monkeypatch.setattr(bands, "numeric_roots", numeric)
+    return served
+
+
+@pytest.mark.parametrize("variant, aa, ab, n", [
+    (StackVariant.HETERO_BILAYER, -1.0, 1.0, 33),       # both routes
+    (StackVariant.TRILAYER_G_HBN_G, -0.7, 0.7, 25),     # both routes
+    (StackVariant.BILAYER_AA, -0.8, 0.6, 33),           # closed forms only
+], ids=["hetero_bilayer", "trilayer_g_hbn_g", "bilayer_aa"])
+def test_roots_at_on_a_full_grid_evaluates_each_distinct_f_once(variant, aa, ab, n,
+                                                                 monkeypatch):
+    cfg = StackConfig(variant, VertexParams(aa, ab), coupling=CouplingParams(t0=0.3))
+    g1, g2 = full_grid(n)
+    t1, t2 = g1.ravel(), g2.ravel()
+    assert len(t1) > batch_points(cfg.dim)
+    points = [roots_at(cfg, a, b) for a, b in zip(t1, t2)]
+    served = _count_served_points(monkeypatch)
+    roots = roots_at(cfg, t1, t2)
+
+    distinct = _distinct_bits(structure_function(t1, t2))
+    assert sum(served) == distinct < len(t1)
+    assert _same_bits(roots.values, np.stack([one.values for one in points]))
+    assert roots.closed.tolist() == [bool(one.closed) for one in points]
+    if variant is StackVariant.BILAYER_AA:
+        assert roots.closed.all()
+        assert [tuple(row) for row in roots.branch_labels] == [
+            one.branch_labels for one in points]
+    else:
+        assert 0 < roots.closed.sum() < len(t1) and roots.branch_labels == ()
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_roots_at_sends_every_point_of_a_flux_cell(q, monkeypatch):
+    # the flux cells stay on theta: the q = 2 cell's matrix is not a
+    # function of F, so a grid whose F repeat sends all of its points
+    cfg = _config(StackVariant.MAGNETIC_MONOLAYER, q, -0.8, 0.6, 0.4)
+    g1, g2 = full_grid(65)     # more than one batch at d = 2 and d = 4
+    t1, t2 = g1.ravel(), g2.ravel()
+    assert _distinct_bits(structure_function(t1, t2)) < len(t1) > batch_points(cfg.dim)
+    name = "closed_form_roots_q2" if q == 2 else "assemble_robin"
+    sent, original = [], getattr(magnetic, name)
+
+    def counting(config, theta1, theta2):
+        sent.append(np.size(theta1))
+        return original(config, theta1, theta2)
+
+    monkeypatch.setattr(magnetic, name, counting)
+    roots_at(cfg, t1, t2)
+    assert sum(sent) == len(t1)
+
+
+def test_distinct_f_keys_on_the_bits():
+    # 0.0 and -0.0 compare equal but are different bits, so different groups
+    F = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                  1 + 1j, complex(np.nextafter(1.0, 2.0), 1.0), 1 + 1j])
+    first, inverse = bands._distinct_f(F)
+    assert _same_bits(F[first][inverse], F)       # a group shares its bits
+    assert len(set(inverse[:4].tolist())) == 4
+    assert inverse[4] == inverse[6] != inverse[5]
+    assert len(first) == _distinct_bits(F) == 6
 
 
 # ============================================================
