@@ -38,7 +38,6 @@ from .floquet import (
     BATCH_BYTES,
     DispersionRoots,
     _require_opposite_pair,
-    _theta_batch,
     assemble,
     batch_points,
     closed_form_roots,
@@ -47,6 +46,7 @@ from .floquet import (
 from .lattice import (
     StackConfig,
     StackVariant,
+    _theta_batch,
     diagonal_slice,
     structure_function,
 )
@@ -76,8 +76,9 @@ PROMINENCE_TOL = 1e-10         # minima must rise this far above the floor;
 def roots_at(config: StackConfig, theta1, theta2=None,
              route: str = "auto") -> DispersionRoots:
     """Sorted dispersion roots at one quasimomentum or a batch of them
-    (theta as scalars or 1-D arrays; theta2 defaults to -theta1), for every
-    variant; the one place that decides which route serves a point.
+    (theta as scalars, sequences or 1-D arrays; theta2 defaults to
+    -theta1), for every variant; the one place that decides which route
+    serves a point.
 
     ``route``: "closed" takes the analytic formulas at every point that has
     them (the monolayer's for the magnetic q = 1 cell) and the eigensolver
@@ -85,6 +86,12 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     "closed" except for the q = 1 cell, whose artifacts come from the
     eigensolver.  ``closed`` on the result marks the points that took the
     formulas; branch names and sort orders are given when all of them did.
+
+    theta enters the engine here: for the stacks, the call computes the
+    structure function F once, and the engine (``assemble``,
+    ``closed_form_roots``) takes slices of it.  The magnetic flux cells stay
+    on theta (the q = 2 cell's matrix is not a function of F), and only the
+    q = 1 cell's formula route computes its batch's F.
 
     The points go to the engine in batches of ``batch_points``.  A call that
     fits in one batch the formulas serve is their result as it is, returned
@@ -94,24 +101,30 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     are evaluated together; once the parameters have no closed form at all,
     the formulas are not tried again.
 
-    A call of more than one batch evaluates each distinct F once: every
-    row, its route included, is a function of F's bits alone, so the engine
-    runs on one point per bit pattern (``_distinct_f``) and the rows are
-    scattered back, bit for bit.  On a full grid, the inclusive -pi/pi
+    A stack's call of more than one batch evaluates each distinct F once:
+    every row, its route included, is a function of F's bits alone, so the
+    engine runs on one value per bit pattern (``_distinct_f``) and the rows
+    are scattered back, bit for bit.  On a full grid, the inclusive -pi/pi
     edges and the theta1 <-> theta2 swap repeat about a third of the F.
     Calls of one batch skip the grouping, whose fixed cost would outweigh
-    the saving there, and the magnetic flux cells stay on theta (the q = 2
-    cell's matrix is not a function of F).
+    the saving there.
     """
     if route not in ("auto", "closed", "numeric"):
         raise InputError(f"unknown evaluation route {route!r}")
-    if theta2 is None:
-        theta2 = -theta1
     t1, t2, scalar = _theta_batch(theta1, theta2)
     n, dim = len(t1), config.dim
     flux = config.flux        # set for the magnetic flux cells only
     formulas = route == "closed" or (
         route == "auto" and not (flux is not None and flux.q == 1))
+    size = batch_points(dim)
+    points, inverse = n, None     # the engine's points, and the scatter back
+    if flux is None:
+        F = structure_function(t1, t2)      # the call's one F pass
+        if n > size:
+            # n > size: the one-batch return below never skips the scatter
+            first, inverse = _distinct_f(F)
+            F = F[first]
+            points = len(F)
     # the result arrays, made by the first batch that does not serve the
     # call whole
     values = order = closed = None
@@ -120,9 +133,9 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     def fill(index, part_values, roots=None) -> None:
         nonlocal values, order, closed, names
         if values is None:
-            values = np.empty((len(t1), dim))
-            order = np.empty((len(t1), dim), dtype=np.int8)
-            closed = np.zeros(len(t1), dtype=bool)
+            values = np.empty((points, dim))
+            order = np.empty((points, dim), dtype=np.int8)
+            closed = np.zeros(points, dtype=bool)
         values[index] = part_values
         if roots is not None:
             order[index] = roots.order
@@ -130,18 +143,14 @@ def roots_at(config: StackConfig, theta1, theta2=None,
             names = roots.names
 
     def by_formula(index) -> DispersionRoots:
-        if flux is not None and flux.q == 2:
+        if flux is None:
+            return closed_form_roots(config, F[index])
+        if flux.q == 2:
             return magnetic.closed_form_roots_q2(config, t1[index], t2[index])
-        return closed_form_roots(config, t1[index], t2[index])
+        return closed_form_roots(config, structure_function(t1[index], t2[index]))
 
-    size = batch_points(dim)
-    inverse = None
-    if flux is None and n > size:
-        # n > size: the one-batch return below never skips the scatter
-        first, inverse = _distinct_f(structure_function(t1, t2))
-        t1, t2 = t1[first], t2[first]
     deferred = []
-    for start in range(0, len(t1), size):
+    for start in range(0, points, size):
         part = slice(start, start + size)
         if formulas:
             try:
@@ -150,7 +159,7 @@ def roots_at(config: StackConfig, theta1, theta2=None,
                 if exc.servable is None:
                     formulas = False
                 else:
-                    index = np.arange(len(t1))[part]
+                    index = np.arange(points)[part]
                     deferred.append(index[exc.servable])
                     part = index[~exc.servable]
             else:
@@ -158,7 +167,9 @@ def roots_at(config: StackConfig, theta1, theta2=None,
                     return roots    # one engine batch, served whole
                 fill(part, roots.values, roots)
                 continue
-        if flux is not None:
+        if flux is None:
+            fill(part, numeric_roots(assemble(config, F[part])).values)
+        else:
             # the flux cells' artifacts come from eigvalsh(A) / 3, which
             # differs from numeric_roots' D^{-1/2} scaling in the last bits;
             # numeric_roots here would move the bytes of the q = 1 cell's
@@ -166,8 +177,6 @@ def roots_at(config: StackConfig, theta1, theta2=None,
             # (five GOLDEN rows of tests/test_batch.py)
             fill(part, np.linalg.eigvalsh(
                 magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0)
-        else:
-            fill(part, numeric_roots(assemble(config, t1[part], t2[part])).values)
     if deferred:
         deferred = np.concatenate(deferred)
         for start in range(0, len(deferred), size):

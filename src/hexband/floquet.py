@@ -9,11 +9,14 @@ where A is Hermitian, T_i are the per-vertex diagonal scales (3 for a bare
 degree-3 vertex plus the weight t^2 of each inter-layer edge at it), and
 eta = d(lambda)/2 is the Hill-discriminant variable.  A value eta belongs to
 the dispersion surface iff det M = 0; it maps back to physical spectrum only
-when |eta| <= 1 (+ tolerance).  Every stack's A is its layout's
-theta-free part A0 plus F(theta) and conj(F(theta)) at fixed places, and
-``_layout_form`` reads A0, those places and T from its ``lattice.LAYOUTS``
-entry alone: one monolayer block per layer and one symmetric entry per
-inter-layer bond.
+when |eta| <= 1 (+ tolerance).  Every stack's A, and the q = 1 flux cell's,
+reads theta only through the structure function F = 1 + exp(i theta1) +
+exp(i theta2): it is its layout's F-free part A0 plus F and conj(F) at fixed
+places, and ``_layout_form`` reads A0, those places and T from its
+``lattice.LAYOUTS`` entry alone: one monolayer block per layer and one
+symmetric entry per inter-layer bond.  So this module takes F, not theta:
+theta becomes F where it enters (``bands.roots_at``, the magnetic q = 1
+cell), once per call.
 
 Two independent routes to the roots are provided and never mixed:
 
@@ -23,7 +26,7 @@ Two independent routes to the roots are provided and never mixed:
   eigensolver involved).  Every entry of A - eta D is affine in F,
   conj(F) and eta, so each minor is a tensor over their powers.  Given an
   assembled matrix, the F axes have length 1 and the result is the
-  polynomial in eta at each point.  Given a layout's theta-free form with
+  polynomial in eta at each point.  Given a layout's F-free form with
   the places of F, the result is the coefficient tensor a[i, j, k] of
   F^i conj(F)^j eta^k, fixed for each config;
 * ``numeric_roots`` diagonalizes D^{-1/2} A D^{-1/2} (no polynomial involved).
@@ -41,12 +44,12 @@ only.  This module provides the routes;
 ``bands.roots_at`` alone decides which one serves a point, for the magnetic
 flux cells as well.
 
-The engine is batch-first over quasimomenta.  ``assemble`` and
-``closed_form_roots`` take theta1/theta2 as scalars or as 1-D arrays of equal
-length N; a batch gives a ``FloquetMatrix`` with an (N, dim, dim) affine part
-and ``DispersionRoots`` with (N, dim) values and sort orders, and ``char_poly``
-and ``numeric_roots`` follow the matrix they are given.  Scalar arguments run
-as a batch of one and come back without the batch axis, so a point gives the
+The engine is batch-first.  ``assemble`` and ``closed_form_roots`` take F
+as a complex scalar or a 1-D array of N values; a batch gives a
+``FloquetMatrix`` with an (N, dim, dim) affine part and ``DispersionRoots``
+with (N, dim) values and sort orders, and ``char_poly`` and
+``numeric_roots`` follow the matrix they are given.  A scalar runs as a
+batch of one and comes back without the batch axis, so a point gives the
 same bits alone as inside a batch.  ``roots_at`` calls the engine on
 batches of ``batch_points`` points, whose matrices take at most
 ``BATCH_BYTES``.  Every formula is elementwise and ``eigvalsh`` works
@@ -59,10 +62,10 @@ matrix's 16 d^2 bytes.
 
 The refiners call the engine hundreds of times a job on a few points each,
 where numpy's fixed cost per operation is most of a call.  So the
-small-call path counts operations: ``_theta_batch`` takes equal-length 1-D
-arrays as they are, ``_make_roots`` gathers the sorted rows by index, and
-the gate is a matrix product and Horner's scheme rather than ``vander``, a
-3-operand einsum and ``polyval``.
+small-call path counts operations: ``_f_batch`` takes a 1-D complex array
+as it is, ``_make_roots`` gathers the sorted rows by index, and the gate is
+a matrix product and Horner's scheme rather than ``vander``, a 3-operand
+einsum and ``polyval``.
 """
 
 from __future__ import annotations
@@ -73,12 +76,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import EngineError, NoClosedFormError, VariantError
-from .lattice import (
-    ADMISSIBILITY_TOL,
-    StackConfig,
-    StackVariant,
-    structure_function,
-)
+from .lattice import ADMISSIBILITY_TOL, StackConfig, StackVariant
 
 RESIDUAL_TOL = 1e-9      # gate on each root's |p(r)| / sum |c_i| max(1, |r|)^i
 _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
@@ -97,7 +95,7 @@ class FloquetMatrix:
     """Assembled vertex-condition systems at one quasimomentum or a batch."""
 
     diag_scale: np.ndarray        # (dim,) positive diagonal scales T_i
-    affine: np.ndarray            # (dim, dim) Hermitian A(theta); (N, dim, dim) for a batch
+    affine: np.ndarray            # (dim, dim) Hermitian A(F); (N, dim, dim) for a batch
 
     @property
     def dim(self) -> int:
@@ -142,14 +140,10 @@ def batch_points(dim: int) -> int:
     return max(1, BATCH_BYTES // (16 * dim * dim))
 
 
-def _theta_batch(theta1, theta2):
-    """theta as equal-length 1-D float arrays, and whether both were scalars."""
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    if t1.ndim == 1 and t1.shape == t2.shape:
-        return t1, t2, False
-    t1, t2 = np.broadcast_arrays(t1, t2)
-    return t1.reshape(-1), t2.reshape(-1), t1.ndim == 0
+def _f_batch(F):
+    """F as a 1-D complex array, and whether it was a scalar."""
+    F = np.asarray(F, dtype=complex)
+    return F.reshape(-1), F.ndim == 0
 
 
 def _abs_sq(z: np.ndarray) -> np.ndarray:
@@ -201,15 +195,14 @@ def _floquet_matrix(rows, scale: np.ndarray, n: int, scalar: bool) -> FloquetMat
 
 @lru_cache(maxsize=1)
 def _layout_form(config: StackConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The theta-free part A0 of A(theta), the (dim, dim) mask of the places
-    of F and the vertex scales of a stack, or of the q = 1 flux cell:
-    A(theta) is A0 with F(theta) at the masked places and conj(F(theta)) at
-    the transposed ones.
+    """The F-free part A0 of A(F), the (dim, dim) mask of the places of F
+    and the vertex scales of a stack, or of the q = 1 flux cell: A(F) is A0
+    with F at the masked places and conj(F) at the transposed ones.
 
     Each layer is a monolayer block [[-alpha, conj F], [F, -alpha']] with the
     alphas its layout role names; each bond (i, j, field) puts field**2 at
     (i, j) and (j, i), and every vertex scale is 3 + (sum of its bond
-    weights).  A0 is guarded Hermitian here, which guards every A(theta):
+    weights).  A0 is guarded Hermitian here, which guards every A(F):
     F and conj(F) stand at transposed places.  Built once per config, like
     ``_gate_tensor``, and read-only, since every batch shares it.
     """
@@ -238,14 +231,13 @@ def _layout_form(config: StackConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return form
 
 
-def assemble(config: StackConfig, theta1, theta2) -> FloquetMatrix:
+def assemble(config: StackConfig, F) -> FloquetMatrix:
     """Build the Floquet matrix of a stack, or of the q = 1 flux cell, at
-    theta (scalars or 1-D arrays; see the module docstring): the layout's
-    form (``_layout_form``) with F(theta) in its places."""
+    the structure-function value F (a scalar or a 1-D array; see the module
+    docstring): the layout's form (``_layout_form``) with F in its places."""
     a0, f_at, scale = _layout_form(config)
-    t1, t2, scalar = _theta_batch(theta1, theta2)
-    F = structure_function(t1, t2)
-    affine = np.repeat(a0[None], len(t1), axis=0)
+    F, scalar = _f_batch(F)
+    affine = np.repeat(a0[None], len(F), axis=0)
     affine[:, f_at] = F[:, None]
     affine[:, f_at.T] = np.conj(F)[:, None]
     return FloquetMatrix(diag_scale=scale, affine=affine[0] if scalar else affine)
@@ -272,9 +264,9 @@ def char_poly(fm: FloquetMatrix, f_at: np.ndarray | None = None) -> np.ndarray:
     carries -eta T_i.  A minor is a tensor over the powers of F, conj(F) and
     eta, with F and conj(F) degrees up to L, the number of places of F.
     Without ``f_at`` (an assembled matrix) L = 0 and those two axes are
-    dropped.  With it, ``fm`` is a theta-free form (``_layout_form``) and
+    dropped.  With it, ``fm`` is an F-free form (``_layout_form``) and
     the result is the (L + 1, L + 1, dim + 1) tensor a with
-    det(A(theta) - eta D) = sum a[i, j, k] F^i conj(F)^j eta^k.
+    det(A(F) - eta D) = sum a[i, j, k] F^i conj(F)^j eta^k.
     """
     n = fm.dim
     affine = fm.affine.reshape(-1, n, n)
@@ -336,7 +328,7 @@ def _real_coefficients(coeffs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _gate_tensor(config: StackConfig) -> np.ndarray:
-    """The (L + 1, L + 1, dim + 1) tensor of det(A(theta) - eta D) over
+    """The (L + 1, L + 1, dim + 1) tensor of det(A(F) - eta D) over
     F^i conj(F)^j eta^k of a stack or the q = 1 cell: ``char_poly`` of its
     layout form, once per config.  Read-only, since every caller shares it.
     A CLI run gates one config, so one is cached."""
@@ -347,7 +339,7 @@ def _gate_tensor(config: StackConfig) -> np.ndarray:
 
 
 def _gate_coefficients(config: StackConfig, F: np.ndarray) -> np.ndarray:
-    """Ascending real coefficients of det(A(theta) - eta D), (N, dim + 1),
+    """Ascending real coefficients of det(A(F) - eta D), (N, dim + 1),
     at the structure-function values F (N,) of a batch."""
     tensor = _gate_tensor(config)
     powers = F[:, None] ** np.arange(len(tensor))
@@ -377,12 +369,6 @@ def _residual_gate(coeffs: np.ndarray, values: np.ndarray) -> None:
         raise EngineError(
             f"closed-form root failed the residual gate: scaled residual {worst:g}"
         )
-
-
-def _check_residuals(config: StackConfig, F: np.ndarray, values: np.ndarray) -> None:
-    """The residual gate of closed-form roots: ``values`` (N, dim) or (dim,)
-    at the structure-function values F (N,), against the config's tensor."""
-    _residual_gate(_gate_coefficients(config, F), values)
 
 
 # ============================================================
@@ -515,7 +501,7 @@ _FORMULAS = {
 }
 
 
-def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
+def closed_form_roots(config: StackConfig, F) -> DispersionRoots:
     """Analytic eta roots with branch names, residual-checked at every point,
     for every stack and the q = 1 flux cell.
 
@@ -524,8 +510,8 @@ def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
     the diagonal slice with alpha_b = -alpha_a and alpha_c = 0); its
     ``servable`` mask names the points that have one.
     """
-    t1, t2, scalar = _theta_batch(theta1, theta2)
-    F = f = structure_function(t1, t2)
+    F, scalar = _f_batch(F)
+    f = F
     if config.layout.paired:
         _require_opposite_pair(config.vertex)
         f = _require_diagonal(F)
@@ -535,5 +521,5 @@ def closed_form_roots(config: StackConfig, theta1, theta2) -> DispersionRoots:
     alphas = config.vertex.alpha_a, config.vertex.alpha_b
     values = np.stack(formula(*alphas, f, *squares), axis=-1)
     roots = _make_roots(values[0] if scalar else values, names)
-    _check_residuals(config, F, roots.values)
+    _residual_gate(_gate_coefficients(config, F), roots.values)
     return roots

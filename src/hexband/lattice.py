@@ -200,6 +200,18 @@ def structure_function(theta1, theta2):
     return 1.0 + np.exp(1j * t1) + np.exp(1j * t2)
 
 
+def _theta_batch(theta1, theta2=None):
+    """theta as equal-length 1-D float arrays, and whether both were scalars;
+    theta2 defaults to -theta1.  Equal-length 1-D arrays pass as they are:
+    the refiners make hundreds of small calls a job."""
+    t1 = np.asarray(theta1, dtype=float)
+    t2 = -t1 if theta2 is None else np.asarray(theta2, dtype=float)
+    if t1.ndim == 1 and t1.shape == t2.shape:
+        return t1, t2, False
+    t1, t2 = np.broadcast_arrays(t1, t2)
+    return t1.reshape(-1), t2.reshape(-1), t1.ndim == 0
+
+
 def diagonal_slice(n: int) -> np.ndarray:
     """n equally spaced theta1 values on [-pi, pi] (inclusive) for theta2 = -theta1.
 

@@ -4,8 +4,8 @@ Rational flux 2*pi*p/q per hexagon enters through edge phases.  The Robin
 flux cells for q = 1 and q = 2 are ``FloquetMatrix`` values, so the
 characteristic-polynomial and eigensolver routes apply unchanged.  The q = 1
 cell is the monolayer layout: ``floquet.assemble`` builds it and
-``floquet.closed_form_roots`` gives its roots.  The q = 2 cell is a
-gauge-fixed 4 x 4 cell whose rows and radical roots live here.
+``floquet.closed_form_roots`` gives its roots, both at F(theta).  The q = 2
+cell is a gauge-fixed 4 x 4 cell whose rows and radical roots live here.
 
 For q = 2 the determinant collapses to a quartic in eta whose coefficients
 depend on quasimomentum only through
@@ -35,10 +35,9 @@ from .floquet import (
     _floquet_matrix,
     _make_roots,
     _residual_gate,
-    _theta_batch,
     assemble,
 )
-from .lattice import FluxSpec, StackConfig
+from .lattice import FluxSpec, StackConfig, _theta_batch, structure_function
 from .refine import (
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
@@ -72,10 +71,10 @@ def _require_magnetic(config: StackConfig, q: int | None = None) -> FluxSpec:
 
 def assemble_robin(config: StackConfig, theta1, theta2) -> FloquetMatrix:
     """Robin flux cell as a FloquetMatrix (q = 1: the monolayer layout, by
-    ``floquet.assemble``; q = 2: the gauge-fixed 4 x 4 cell), at a scalar
-    theta or a batch (see ``hexband.floquet``)."""
+    ``floquet.assemble`` at F(theta); q = 2: the gauge-fixed 4 x 4 cell), at
+    a scalar theta or a batch (see ``hexband.floquet``)."""
     if _require_magnetic(config).q == 1:
-        return assemble(config, theta1, theta2)
+        return assemble(config, structure_function(theta1, theta2))
     an = config.vertex.alpha_a
     ab = config.vertex.alpha_b
     t1, t2, scalar = _theta_batch(theta1, theta2)

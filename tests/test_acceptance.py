@@ -34,6 +34,7 @@ from hexband.lattice import (
     StackConfig,
     StackVariant,
     VertexParams,
+    structure_function,
 )
 from hexband.magnetic import (
     assemble_robin,
@@ -219,8 +220,8 @@ def test_criterion_05_hetero_bilayer_gap_formula():
     g = gap(-1.0, 0.3)
     reference = _hetero_gap_decimal(-1, "0.3")
     clause_formula = abs(g - reference) <= 1e-6
-    eta = numeric_roots(assemble(_cfg("hetero_bilayer", aa=-1.0, ab=1.0,
-                                      t0=0.3), THETA_K, -THETA_K)).values
+    eta = numeric_roots(assemble(_cfg("hetero_bilayer", aa=-1.0, ab=1.0, t0=0.3),
+                                 structure_function(THETA_K, -THETA_K))).values
     mid_sep = eta[2] - eta[1]
     clause_eigen = abs(mid_sep - reference) <= 1e-12
     misprint = _hetero_gap_decimal(-1, "0.3", inner_root="1.016076")
@@ -299,7 +300,7 @@ def test_criterion_06_trilayer_regressions():
     for an in (-1.0, -0.1, 0.7):
         for theta in (0.7, THETA_K, 2.9):
             roots = closed_form_roots(tri("trilayer_g_hbn_g", an),
-                                      theta, -theta)
+                                      structure_function(theta, -theta))
             f_abs = abs(1.0 + 2.0 * np.cos(theta))
             got = sorted(v for v, lab in zip(roots.values,
                                              roots.branch_labels)
@@ -343,8 +344,8 @@ def test_criterion_07_oracle_equivalence():
     max_dev = 0.0
 
     def compare(cfg, t1, t2):
-        closed = closed_form_roots(cfg, t1, t2).values
-        numeric = numeric_roots(assemble(cfg, t1, t2)).values
+        closed = closed_form_roots(cfg, structure_function(t1, t2)).values
+        numeric = numeric_roots(assemble(cfg, structure_function(t1, t2))).values
         return float(np.max(np.abs(closed - numeric)))
 
     for _ in range(n_draws):
@@ -377,7 +378,7 @@ def test_criterion_07_oracle_equivalence():
         t0 = rng.uniform(0.1, 1.0)
         fsq = abs(frozen.ref_structure_function(t1, t2)) ** 2
         coeffs = char_poly(assemble(_cfg("bilayer_aa", aa=aa, ab=ab, t0=t0),
-                                    t1, t2))
+                                    structure_function(t1, t2)))
         product = npoly.polymul(frozen.ref_aa_factor(aa, ab, t0, fsq, +1.0),
                                 frozen.ref_aa_factor(aa, ab, t0, fsq, -1.0))
         factor_dev = max(factor_dev,
@@ -388,7 +389,7 @@ def test_criterion_07_oracle_equivalence():
             ("trilayer_g_hbn_g", np.array([-fsq, 0.0, T1 * T1])),
         ):
             sextic = char_poly(assemble(_cfg(variant, aa=aa, ab=-aa, t0=t0),
-                                        t1, t2))
+                                        structure_function(t1, t2)))
             _, remainder = npoly.polydiv(sextic, p2)
             divisor_dev = max(divisor_dev,
                               np.max(np.abs(remainder)) / abs(sextic[-1]))
@@ -449,7 +450,8 @@ def test_criterion_09_magnetic_flux_variants():
         aa, ab = rng.uniform(-2.0, 2.0, 2)
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         mag = char_poly(assemble_robin(_mag_cfg(aa, ab, p=1, q=1), t1, t2))
-        mono = char_poly(assemble(_cfg("monolayer", aa=aa, ab=ab), t1, t2))
+        mono = char_poly(assemble(_cfg("monolayer", aa=aa, ab=ab),
+                                  structure_function(t1, t2)))
         q1_dev = max(q1_dev, float(np.max(np.abs(mag - mono))))
 
     q2_dev = 0.0

@@ -15,7 +15,8 @@ from hexband.bands import roots_at
 from hexband.cli import main
 from hexband.errors import EngineError, NoClosedFormError
 from hexband.floquet import (
-    _check_residuals,
+    _gate_coefficients,
+    _residual_gate,
     assemble,
     char_poly,
     batch_points,
@@ -65,22 +66,28 @@ def _config(variant, q, aa, ab, t0):
     return StackConfig(variant, VertexParams(aa, ab), coupling=coupling)
 
 
+def _at_theta(engine_fn):
+    """An engine function of (config, F) as a function of (config, theta1, theta2)."""
+    return lambda cfg, t1, t2: engine_fn(cfg, structure_function(t1, t2))
+
+
 def _routes(cfg):
-    """(closed-form roots, assembly) functions of a config."""
+    """(closed-form roots, assembly) functions of a config, at theta."""
     if cfg.variant is not StackVariant.MAGNETIC_MONOLAYER:
-        return closed_form_roots, assemble
+        return _at_theta(closed_form_roots), _at_theta(assemble)
     if cfg.flux.q == 2:
         return closed_form_roots_q2, assemble_robin
     # the q = 1 cell is the monolayer layout, which the general formulas serve
-    return closed_form_roots, assemble_robin
+    return _at_theta(closed_form_roots), assemble_robin
 
 
 def test_q1_cell_is_the_monolayer_bit_for_bit():
     cfg = _config(StackVariant.MAGNETIC_MONOLAYER, 1, -0.8, 0.6, 0.4)
     mono = StackConfig(StackVariant.MONOLAYER, cfg.vertex)
     t1, t2 = np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 40))
-    assert _same_bits(assemble_robin(cfg, t1, t2).affine, assemble(mono, t1, t2).affine)
-    cell, layer = closed_form_roots(cfg, t1, t2), closed_form_roots(mono, t1, t2)
+    F = structure_function(t1, t2)
+    assert _same_bits(assemble_robin(cfg, t1, t2).affine, assemble(mono, F).affine)
+    cell, layer = closed_form_roots(cfg, F), closed_form_roots(mono, F)
     assert _same_bits(cell.values, layer.values)
     assert cell.names == layer.names and _same_bits(cell.order, layer.order)
 
@@ -138,12 +145,12 @@ def test_batch_off_the_slice_names_the_servable_points(variant):
     t1 = np.array([0.3, 0.7, -1.2, 2.0])
     t2 = np.array([-0.3, 0.1, 1.2, 0.5])
     with pytest.raises(NoClosedFormError) as info:
-        closed_form_roots(cfg, t1, t2)
+        closed_form_roots(cfg, structure_function(t1, t2))
     assert info.value.servable.tolist() == [True, False, True, False]
     unpaired = StackConfig(variant, VertexParams(-0.8, 0.5),
                            coupling=CouplingParams(t0=0.4))
     with pytest.raises(NoClosedFormError) as info:
-        closed_form_roots(unpaired, t1, -t1)
+        closed_form_roots(unpaired, structure_function(t1, -t1))
     assert info.value.servable is None
 
 
@@ -216,7 +223,7 @@ def test_gate_tensor_at_F_is_char_poly(case, alphas, t, thetas):
     cfg = _unpaired_config(*case, alphas, t)
     t1 = np.array([theta[0] for theta in thetas])
     t2 = np.array([theta[1] for theta in thetas])
-    reference = char_poly(assemble(cfg, t1, t2))
+    reference = char_poly(assemble(cfg, structure_function(t1, t2)))
     coeffs = floquet._gate_coefficients(cfg, structure_function(t1, t2))
     scale = np.max(np.abs(reference), axis=1, keepdims=True)
     assert np.all(np.abs(coeffs - reference) <= 1e-13 * scale)
@@ -249,9 +256,9 @@ def test_classify_expands_each_config_once(tmp_path, monkeypatch):
 def test_cofactor_route_never_reaches_the_eigensolver(monkeypatch):
     cfg = _config(StackVariant.TRILAYER_G_HBN_G, None, -0.6, 0.6, 0.7)
     theta = np.linspace(-np.pi, np.pi, 9)
-    values = closed_form_roots(cfg, theta, -theta).values
-    fm = assemble(cfg, theta, -theta)
     F = structure_function(theta, -theta)
+    values = closed_form_roots(cfg, F).values
+    fm = assemble(cfg, F)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the cofactor route called an eigensolver")
@@ -260,10 +267,10 @@ def test_cofactor_route_never_reaches_the_eigensolver(monkeypatch):
         monkeypatch.setattr(np.linalg, name, forbidden)
     floquet._gate_tensor.cache_clear()      # the expansion runs under the patch
     assert char_poly(fm).shape == (9, 7)
-    _check_residuals(cfg, F, values)
-    _check_residuals(cfg, F[2:3], values[2])
+    _residual_gate(_gate_coefficients(cfg, F), values)
+    _residual_gate(_gate_coefficients(cfg, F[2:3]), values[2])
     with pytest.raises(EngineError):
-        _check_residuals(cfg, F, values + 1e-5)
+        _residual_gate(_gate_coefficients(cfg, F), values + 1e-5)
 
 
 # ============================================================
@@ -275,7 +282,7 @@ def _eigensolver_reference(cfg, t1, t2):
         # the Robin cells' artifacts come from eigvalsh(A) / 3 (unit scales
         # 3), which differs from numeric_roots in the last bits
         return np.linalg.eigvalsh(assemble_robin(cfg, t1, t2).affine) / 3.0
-    return numeric_roots(assemble(cfg, t1, t2)).values
+    return numeric_roots(assemble(cfg, structure_function(t1, t2))).values
 
 
 def _batch_sizes(n, dim):
@@ -338,9 +345,9 @@ def _count_closed_form_calls(monkeypatch):
     calls = []
     original = bands.closed_form_roots
 
-    def counting(config, theta1, theta2):
-        calls.append(np.size(theta1))
-        return original(config, theta1, theta2)
+    def counting(config, F):
+        calls.append(np.size(F))
+        return original(config, F)
 
     monkeypatch.setattr(bands, "closed_form_roots", counting)
     return calls
@@ -407,9 +414,9 @@ def _count_served_points(monkeypatch):
     served = []
     closed_fn, numeric_fn = bands.closed_form_roots, bands.numeric_roots
 
-    def closed(config, theta1, theta2):
-        roots = closed_fn(config, theta1, theta2)
-        served.append(np.size(theta1))
+    def closed(config, F):
+        roots = closed_fn(config, F)
+        served.append(np.size(F))
         return roots
 
     def numeric(fm):
@@ -477,6 +484,44 @@ def test_distinct_f_keys_on_the_bits():
     assert len(set(inverse[:4].tolist())) == 4
     assert inverse[4] == inverse[6] != inverse[5]
     assert len(first) == _distinct_bits(F) == 6
+
+
+@pytest.mark.parametrize("variant", [StackVariant.HETERO_BILAYER, StackVariant.BILAYER_AA],
+                         ids=lambda v: v.value)
+def test_roots_at_evaluates_f_once_per_call(variant, monkeypatch):
+    # theta becomes F once, where it enters: the grouping and every engine
+    # batch of a call of several batches read that one F
+    cfg = _config(variant, None, -1.0, 1.0, 0.3)
+    g1, g2 = full_grid(33)
+    t1, t2 = g1.ravel(), g2.ravel()
+    assert len(_batch_sizes(len(t1), cfg.dim)) > 1
+    assert not hasattr(floquet, "structure_function")
+    calls, original = [], bands.structure_function
+
+    def counting(theta1, theta2):
+        calls.append(np.size(theta1))
+        return original(theta1, theta2)
+
+    monkeypatch.setattr(bands, "structure_function", counting)
+    roots_at(cfg, t1, t2)
+    assert calls == [len(t1)]
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_roots_at_takes_theta_sequences(case):
+    # lists and tuples give the bits of the array call, theta2 given or not
+    cfg = _config(*case, -0.8, 0.6, 0.4)
+    t1, t2 = [0.1, 0.2, -2.5], [0.3, -0.2, 1.0]
+    for theta2 in (None, t2):
+        arrays = roots_at(cfg, np.array(t1), None if theta2 is None else np.array(t2))
+        separations = bands.adjacent_separations(cfg, np.array(t1), theta2)
+        for seq in (list, tuple):
+            other = None if theta2 is None else seq(theta2)
+            roots = roots_at(cfg, seq(t1), other)
+            assert _same_bits(roots.values, arrays.values)
+            assert _same_bits(roots.closed, arrays.closed)
+            assert _same_bits(bands.adjacent_separations(cfg, seq(t1), other),
+                              separations)
 
 
 # ============================================================

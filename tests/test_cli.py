@@ -429,7 +429,7 @@ class TestBands:
         for line in (outdir / "bands.csv").read_text().splitlines()[1:]:
             cells = line.split(",")
             t1, t2, eta = float(cells[0]), float(cells[1]), float(cells[5])
-            coeffs = char_poly(assemble(stack, t1, t2))
+            coeffs = char_poly(assemble(stack, structure_function(t1, t2)))
             residual = abs(npoly.polyval(eta, coeffs)) / abs(coeffs[-1])
             assert residual < 1e-9
 

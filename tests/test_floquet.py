@@ -48,7 +48,7 @@ def test_affine_part_is_hermitian(cfg):
     rng = np.random.default_rng(5)
     for _ in range(20):
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-        fm = assemble(cfg, t1, t2)
+        fm = assemble(cfg, structure_function(t1, t2))
         np.testing.assert_allclose(fm.affine, fm.affine.conj().T, atol=1e-14)
         assert fm.dim == cfg.dim
         assert np.all(fm.diag_scale > 0)
@@ -57,9 +57,9 @@ def test_affine_part_is_hermitian(cfg):
 def test_assemble_rejects_magnetic():
     cfg = StackConfig(StackVariant.MAGNETIC_MONOLAYER, flux=FluxSpec(1, 2))
     with pytest.raises(VariantError):
-        assemble(cfg, 0.1, 0.2)
+        assemble(cfg, structure_function(0.1, 0.2))
     with pytest.raises(VariantError):
-        closed_form_roots(cfg, 0.1, 0.2)
+        closed_form_roots(cfg, structure_function(0.1, 0.2))
 
 
 # ============================================================
@@ -68,7 +68,7 @@ def test_assemble_rejects_magnetic():
 
 @pytest.mark.parametrize("cfg", ALL_NONMAGNETIC, ids=lambda c: c.variant.value)
 def test_char_poly_leading_coefficient(cfg):
-    fm = assemble(cfg, 0.37, -1.1)
+    fm = assemble(cfg, structure_function(0.37, -1.1))
     coeffs = char_poly(fm)
     assert len(coeffs) == cfg.dim + 1
     assert coeffs[-1] == pytest.approx(float(np.prod(fm.diag_scale)), rel=1e-12)
@@ -79,7 +79,7 @@ def test_char_poly_vanishes_on_numeric_roots(cfg):
     rng = np.random.default_rng(17)
     for _ in range(10):
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-        fm = assemble(cfg, t1, t2)
+        fm = assemble(cfg, structure_function(t1, t2))
         coeffs = char_poly(fm)
         roots = numeric_roots(fm)
         resid = np.abs(npoly.polyval(roots.values, coeffs)) / abs(coeffs[-1])
@@ -91,7 +91,7 @@ def test_char_poly_monolayer_explicit():
     cfg = _cfg(StackVariant.MONOLAYER, 0.8, -0.5)
     t1, t2 = 0.9, -1.7
     fsq = abs(frozen.ref_structure_function(t1, t2)) ** 2
-    coeffs = char_poly(assemble(cfg, t1, t2))
+    coeffs = char_poly(assemble(cfg, structure_function(t1, t2)))
     np.testing.assert_allclose(
         coeffs, [0.8 * (-0.5) - fsq, 3.0 * (0.8 - 0.5), 9.0], atol=1e-12)
 
@@ -105,7 +105,7 @@ def test_aa_quartic_factorization_random():
         t0 = rng.uniform(0.05, 1.0)
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         cfg = _cfg(StackVariant.BILAYER_AA, aa, ab, t0=t0)
-        coeffs = char_poly(assemble(cfg, t1, t2))
+        coeffs = char_poly(assemble(cfg, structure_function(t1, t2)))
         fsq = abs(frozen.ref_structure_function(t1, t2)) ** 2
         product = npoly.polymul(frozen.ref_aa_factor(aa, ab, t0, fsq, +1.0),
                                 frozen.ref_aa_factor(aa, ab, t0, fsq, -1.0))
@@ -123,7 +123,7 @@ def test_aap_quartic_factorization_random():
         c = t0 * t0
         T = 3.0 + c
         cfg = _cfg(StackVariant.BILAYER_AA_PRIME, aa, ab, t0=t0)
-        coeffs = char_poly(assemble(cfg, t1, t2))
+        coeffs = char_poly(assemble(cfg, structure_function(t1, t2)))
         F = complex(frozen.ref_structure_function(t1, t2))
         product = np.array([1.0])
         for s in (1.0, -1.0):
@@ -143,9 +143,9 @@ def test_two_param_reduces_to_single_coupling():
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         c_two = char_poly(assemble(
             _cfg(StackVariant.BILAYER_AA_TWO_PARAM, aa, ab, t_a=t0, t_b=t0),
-            t1, t2))
+            structure_function(t1, t2)))
         c_one = char_poly(assemble(
-            _cfg(StackVariant.BILAYER_AA, aa, ab, t0=t0), t1, t2))
+            _cfg(StackVariant.BILAYER_AA, aa, ab, t0=t0), structure_function(t1, t2)))
         np.testing.assert_allclose(c_two, c_one, atol=1e-10)
 
 
@@ -163,7 +163,7 @@ def test_trilayer_p2_divides_char_poly_all_theta(variant):
         T1 = 3.0 + c
         fsq = abs(frozen.ref_structure_function(t1, t2)) ** 2
         cfg = _cfg(variant, aN, -aN, t0=t0)
-        coeffs = char_poly(assemble(cfg, t1, t2))
+        coeffs = char_poly(assemble(cfg, structure_function(t1, t2)))
         if variant is StackVariant.TRILAYER_HBN_G_HBN:
             p2 = np.array([-aN * aN - fsq, 0.0, T1 * T1])
         else:
@@ -178,8 +178,9 @@ def test_aa_degenerates_to_squared_monolayer():
     aa, ab = -0.6, 0.9
     t1, t2 = 1.3, -0.2
     quartic = char_poly(assemble(
-        _cfg(StackVariant.BILAYER_AA, aa, ab, t0=1e-8), t1, t2))
-    quad = char_poly(assemble(_cfg(StackVariant.MONOLAYER, aa, ab), t1, t2))
+        _cfg(StackVariant.BILAYER_AA, aa, ab, t0=1e-8), structure_function(t1, t2)))
+    quad = char_poly(assemble(_cfg(StackVariant.MONOLAYER, aa, ab),
+                              structure_function(t1, t2)))
     np.testing.assert_allclose(quartic, npoly.polymul(quad, quad), atol=1e-12)
 
 
@@ -188,7 +189,7 @@ def test_aa_factor_roots_at_unit_coupling():
     # i.e. (4 eta -+ 1)^2: the roots are +-1/4, each doubled.
     cfg = _cfg(StackVariant.BILAYER_AA, 0.0, 0.0, t0=1.0)
     theta = 2.0 * np.pi / 3.0
-    roots = closed_form_roots(cfg, theta, -theta)
+    roots = closed_form_roots(cfg, structure_function(theta, -theta))
     np.testing.assert_allclose(roots.values, [-0.25, -0.25, 0.25, 0.25],
                                atol=1e-9)
     fsq = 0.0
@@ -208,8 +209,8 @@ def test_monolayer_closed_vs_numeric_random():
         aa, ab = rng.uniform(-3.0, 3.0, 2)
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         cfg = _cfg(StackVariant.MONOLAYER, aa, ab)
-        closed = closed_form_roots(cfg, t1, t2)
-        numeric = numeric_roots(assemble(cfg, t1, t2))
+        closed = closed_form_roots(cfg, structure_function(t1, t2))
+        numeric = numeric_roots(assemble(cfg, structure_function(t1, t2)))
         np.testing.assert_allclose(closed.values, numeric.values, atol=1e-9)
         fsq = abs(frozen.ref_structure_function(t1, t2)) ** 2
         np.testing.assert_allclose(closed.values,
@@ -230,8 +231,8 @@ def test_bilayer_closed_vs_numeric_random(variant, ref):
         t0 = rng.uniform(0.05, 1.0)
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         cfg = _cfg(variant, aa, ab, t0=t0)
-        closed = closed_form_roots(cfg, t1, t2)
-        numeric = numeric_roots(assemble(cfg, t1, t2))
+        closed = closed_form_roots(cfg, structure_function(t1, t2))
+        numeric = numeric_roots(assemble(cfg, structure_function(t1, t2)))
         np.testing.assert_allclose(closed.values, numeric.values, atol=1e-9)
         F = complex(frozen.ref_structure_function(t1, t2))
         np.testing.assert_allclose(closed.values, ref(aa, ab, t0, F), atol=1e-10)
@@ -244,8 +245,8 @@ def test_two_param_closed_vs_numeric_random():
         ta, tb = rng.uniform(0.05, 1.0, 2)
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         cfg = _cfg(StackVariant.BILAYER_AA_TWO_PARAM, aa, ab, t_a=ta, t_b=tb)
-        closed = closed_form_roots(cfg, t1, t2)
-        numeric = numeric_roots(assemble(cfg, t1, t2))
+        closed = closed_form_roots(cfg, structure_function(t1, t2))
+        numeric = numeric_roots(assemble(cfg, structure_function(t1, t2)))
         np.testing.assert_allclose(closed.values, numeric.values, atol=1e-9)
         fsq = abs(frozen.ref_structure_function(t1, t2)) ** 2
         np.testing.assert_allclose(closed.values,
@@ -265,8 +266,8 @@ def test_constrained_closed_vs_numeric_on_diagonal(variant, refname):
         t0 = rng.uniform(0.05, 1.0)
         th = rng.uniform(-np.pi, np.pi)
         cfg = _cfg(variant, aN, -aN, t0=t0)
-        closed = closed_form_roots(cfg, th, -th)
-        numeric = numeric_roots(assemble(cfg, th, -th))
+        closed = closed_form_roots(cfg, structure_function(th, -th))
+        numeric = numeric_roots(assemble(cfg, structure_function(th, -th)))
         np.testing.assert_allclose(closed.values, numeric.values, atol=1e-9)
         f = 1.0 + 2.0 * np.cos(th)
         if refname == "hetero":
@@ -282,14 +283,14 @@ def test_constrained_closed_vs_numeric_on_diagonal(variant, refname):
 def test_constrained_variants_reject_unsupported_requests(variant):
     good = _cfg(variant, -1.0, 1.0, t0=0.3)
     with pytest.raises(NoClosedFormError):
-        closed_form_roots(good, 0.4, 0.3)            # off the diagonal slice
+        closed_form_roots(good, structure_function(0.4, 0.3))   # off the diagonal slice
     bad_pair = _cfg(variant, -1.0, 0.5, t0=0.3)
     with pytest.raises(NoClosedFormError):
-        closed_form_roots(bad_pair, 0.4, -0.4)
+        closed_form_roots(bad_pair, structure_function(0.4, -0.4))
     bad_third = StackConfig(variant, VertexParams(-1.0, 1.0, 0.2),
                             coupling=CouplingParams(t0=0.3))
     with pytest.raises(NoClosedFormError):
-        closed_form_roots(bad_third, 0.4, -0.4)
+        closed_form_roots(bad_third, structure_function(0.4, -0.4))
 
 
 # ============================================================
@@ -298,7 +299,7 @@ def test_constrained_variants_reject_unsupported_requests(variant):
 
 def test_roots_sorted_with_aligned_labels():
     cfg = _cfg(StackVariant.BILAYER_AA, -1.0, -0.9, t0=0.3)
-    roots = closed_form_roots(cfg, 0.3, -0.3)
+    roots = closed_form_roots(cfg, structure_function(0.3, -0.3))
     assert np.all(np.diff(roots.values) >= 0)
     assert len(roots.branch_labels) == 4
     assert set(roots.branch_labels) == {"s+u+", "s+u-", "s-u+", "s-u-"}
@@ -314,26 +315,26 @@ def test_roots_sorted_with_aligned_labels():
 
 def test_admissibility_mask():
     cfg = _cfg(StackVariant.MONOLAYER, 0.0, 0.0)
-    roots = closed_form_roots(cfg, 0.0, 0.0)   # eta = +-1 exactly
+    roots = closed_form_roots(cfg, structure_function(0.0, 0.0))   # eta = +-1 exactly
     assert np.all(roots.admissible)
     big = _cfg(StackVariant.MONOLAYER, -3.5, -3.5)
-    roots2 = closed_form_roots(big, 0.0, 0.0)  # upper branch beyond 1
+    roots2 = closed_form_roots(big, structure_function(0.0, 0.0))  # upper branch beyond 1
     assert not roots2.admissible[-1]
 
 
 def test_numeric_roots_have_no_labels():
     cfg = _cfg(StackVariant.BILAYER_AA, -1.0, 1.0, t0=0.3)
-    assert numeric_roots(assemble(cfg, 0.9, -0.9)).branch_labels == ()
+    assert numeric_roots(assemble(cfg, structure_function(0.9, -0.9))).branch_labels == ()
 
 
 def test_residual_gate_trips_on_corrupted_roots():
-    from hexband.floquet import _check_residuals
+    from hexband.floquet import _gate_coefficients, _residual_gate
     cfg = _cfg(StackVariant.MONOLAYER, 0.3, -0.2)
     F = structure_function(np.array([0.5]), np.array([0.7]))
-    good = numeric_roots(assemble(cfg, 0.5, 0.7)).values
-    _check_residuals(cfg, F, good)                 # passes silently
+    good = numeric_roots(assemble(cfg, structure_function(0.5, 0.7))).values
+    _residual_gate(_gate_coefficients(cfg, F), good)       # passes silently
     with pytest.raises(EngineError):
-        _check_residuals(cfg, F, good + 1e-5)
+        _residual_gate(_gate_coefficients(cfg, F), good + 1e-5)
 
 
 @pytest.mark.parametrize("variant,alpha,branch,shift,coupling", [
@@ -356,28 +357,28 @@ def test_residual_gate_trips_on_corrupted_roots():
 ])
 def test_residual_gate_trips_on_shifted_roots(variant, alpha, branch, shift,
                                               coupling):
-    from hexband.floquet import _check_residuals
+    from hexband.floquet import _gate_coefficients, _residual_gate
     cfg = _cfg(variant, alpha, -alpha, **coupling)
     F = structure_function(np.array([0.5]), np.array([-0.5]))
-    roots = closed_form_roots(cfg, 0.5, -0.5)      # passes the gate
+    roots = closed_form_roots(cfg, structure_function(0.5, -0.5))   # passes the gate
     values = roots.values.copy()
     values[list(roots.order).index(roots.names.index(branch))] += shift
     with pytest.raises(EngineError, match="residual gate"):
-        _check_residuals(cfg, F, values)
+        _residual_gate(_gate_coefficients(cfg, F), values)
 
 
 @pytest.mark.parametrize("cfg", ALL_NONMAGNETIC, ids=lambda c: c.variant.value)
 def test_closed_form_roots_of_an_empty_batch(cfg):
-    roots = closed_form_roots(cfg, np.array([]), np.array([]))
+    roots = closed_form_roots(cfg, structure_function(np.array([]), np.array([])))
     assert roots.values.shape == (0, cfg.dim)
 
 
 def test_residual_gate_trips_on_nan_roots():
-    from hexband.floquet import _check_residuals
+    from hexband.floquet import _gate_coefficients, _residual_gate
     cfg = _cfg(StackVariant.MONOLAYER, 0.3, -0.2)
     F = structure_function(np.array([0.5]), np.array([0.7]))
     with pytest.raises(EngineError, match="residual gate"):
-        _check_residuals(cfg, F, np.array([np.nan, 0.1]))
+        _residual_gate(_gate_coefficients(cfg, F), np.array([np.nan, 0.1]))
 
 
 @pytest.mark.parametrize("variant", [StackVariant.MONOLAYER,
@@ -387,4 +388,68 @@ def test_nan_alpha_fails_the_residual_gate(variant):
     coupling = {} if variant is StackVariant.MONOLAYER else {"t0": 0.3}
     cfg = _cfg(variant, np.nan, np.nan, **coupling)
     with pytest.raises(EngineError, match="residual gate"):
-        closed_form_roots(cfg, 0.4, -0.4)
+        closed_form_roots(cfg, structure_function(0.4, -0.4))
+
+
+# ============================================================
+#  The engine as a function of F alone
+# ============================================================
+
+def _f_image_edges():
+    """F on the three edges of the image of the zone under F, by name: the
+    diameter [-1, 3], the segment iy with |y| <= sqrt(3) and the circle
+    |F - 1| = 2, and one F outside the disc.  The real points are exactly
+    real: F = 0 on the segment, F = -1 and 3 on the circle."""
+    root3 = np.sqrt(3.0)
+    phi = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    phi = phi[(phi != 0.0) & (np.abs(phi - np.pi) > 0.1)]
+    return {
+        "diameter": np.linspace(-1.0, 3.0, 17) + 0j,
+        "segment": np.array([-root3, -1.2, -0.5, 0.0, 0.3, 1.0, root3]) * 1j,
+        "circle": np.concatenate([[3.0, -1.0], 1.0 + 2.0 * np.exp(1j * phi)]),
+        "outside": np.array([5.0 + 0j]),
+    }
+
+
+_EVERYWHERE = [StackVariant.MONOLAYER, StackVariant.BILAYER_AA,
+               StackVariant.BILAYER_AA_TWO_PARAM, StackVariant.BILAYER_AA_PRIME]
+_DIAMETER_ONLY = [StackVariant.HETERO_BILAYER, StackVariant.TRILAYER_HBN_G_HBN,
+                  StackVariant.TRILAYER_G_HBN_G]
+
+
+def _random_cfgs(variant, paired):
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        aa, ab = rng.uniform(-2.0, 2.0, 2)
+        t = rng.uniform(0.05, 1.0)
+        coupling = ({} if variant is StackVariant.MONOLAYER else
+                    {"t_a": t, "t_b": 0.6 * t}
+                    if variant is StackVariant.BILAYER_AA_TWO_PARAM else {"t0": t})
+        yield _cfg(variant, aa, -aa if paired else ab, **coupling)
+
+
+@pytest.mark.parametrize("variant", _EVERYWHERE, ids=lambda v: v.value)
+def test_closed_forms_match_the_eigensolver_on_the_f_image_edges(variant):
+    F = np.concatenate(list(_f_image_edges().values()))
+    for cfg in _random_cfgs(variant, paired=False):
+        closed = closed_form_roots(cfg, F)
+        numeric = numeric_roots(assemble(cfg, F))
+        assert closed.closed.all()
+        assert np.max(np.abs(closed.values - numeric.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", _DIAMETER_ONLY, ids=lambda v: v.value)
+def test_paired_stacks_serve_exactly_the_real_f(variant):
+    edges = _f_image_edges()
+    for cfg in _random_cfgs(variant, paired=True):
+        for F in (edges["diameter"], edges["outside"]):
+            closed = closed_form_roots(cfg, F)
+            numeric = numeric_roots(assemble(cfg, F))
+            assert closed.closed.all()
+            assert np.max(np.abs(closed.values - numeric.values)) <= 1e-12
+        for name in ("segment", "circle"):
+            F = edges[name]
+            with pytest.raises(NoClosedFormError) as info:
+                closed_form_roots(cfg, F)
+            assert info.value.servable.tolist() == (F.imag == 0.0).tolist()
+            assert 0 < info.value.servable.sum() < len(F)

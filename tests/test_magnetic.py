@@ -50,7 +50,7 @@ class TestRobinCells:
         for _ in range(20):
             t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
             fm_mag = assemble_robin(mag, t1, t2)
-            fm_mono = assemble(mono, t1, t2)
+            fm_mono = assemble(mono, structure_function(t1, t2))
             assert np.array_equal(fm_mag.affine, fm_mono.affine)
             assert np.array_equal(fm_mag.diag_scale, fm_mono.diag_scale)
             assert np.allclose(char_poly(fm_mag), char_poly(fm_mono),
@@ -68,7 +68,7 @@ class TestRobinCells:
 
     def test_assemble_refuses_magnetic_variant(self):
         with pytest.raises(VariantError):
-            assemble(_mag_cfg(0.0, 0.0), 0.0, 0.0)
+            assemble(_mag_cfg(0.0, 0.0), structure_function(0.0, 0.0))
 
     def test_q1_reduces_to_structure_function(self):
         t1 = np.array([0.0, 1.1, 2.0])

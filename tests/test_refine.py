@@ -2,6 +2,7 @@
 bit, the engine-call count of a lockstep refinement, and the shared
 probe-and-label stage of the classifiers, one engine call per labelling."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -378,8 +379,14 @@ def test_classify_touches_labels_in_one_engine_call(monkeypatch, config):
     stages = _stage_calls(monkeypatch, bands)
     f_calls = []
     structure_function = bands.structure_function
-    monkeypatch.setattr(bands, "structure_function", lambda t1, t2: (
-        f_calls.append(len(t1)) or structure_function(t1, t2)))
+
+    def counting(t1, t2):
+        # roots_at makes the F of its own points; count the others' calls
+        if sys._getframe(1).f_code is not bands.roots_at.__code__:
+            f_calls.append(len(t1))
+        return structure_function(t1, t2)
+
+    monkeypatch.setattr(bands, "structure_function", counting)
     reports = [r for r in classify_touches(surface) if r.theta1 is not None]
     touches = sum(r.kind != "gap" for r in reports)
     # the minima and six probes per touch, in one roots call; F at the

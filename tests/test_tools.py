@@ -1,6 +1,7 @@
-"""Smoke test of ``tools/digest_sweep.py``, the byte-for-byte refactor check."""
+"""Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
+and of ``tools/src_lines.py``, the code-line count."""
 
-import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -43,3 +44,42 @@ def test_digest_sweep_matches_the_recorded_seed_0_digests(sweep_s0):
     with open(os.path.join(ROOT, "tests", "digests_s0.txt"), encoding="utf-8") as fh:
         recorded = fh.read().splitlines()
     assert sweep_s0.stdout.splitlines() == recorded
+
+
+_SOURCE = '''"""A module docstring,
+
+over three lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """A class docstring."""
+
+    def f(self, x):
+        """A function docstring."""
+        return (x +
+                1)
+
+
+TEXT = """two
+lines"""
+'''
+
+
+def test_src_lines_counts_code_lines_only():
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "src_lines.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    modules = sorted(name for name in os.listdir(os.path.join(ROOT, "src", "hexband"))
+                     if name.endswith(".py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    assert sum(int(count) for count, _ in rows[:-1]) == int(rows[-1][0]) > 0
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", os.path.join(ROOT, "tools", "src_lines.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # import, class, def, the two lines of the return and the two of TEXT
+    assert tool.code_lines(_SOURCE) == 7
