@@ -29,11 +29,15 @@ run share one sampled surface and one touch classification.  ``validate``'s
 ``--samples`` must be at least 1 and its ``--seed`` non-negative.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
-``validate``, ``plot``.  Every run streams each artifact, line by line, into a
-temp file renamed into ``--out``, hashing the bytes as they are written, and
-last writes ``manifest.json`` echoing the resolved settings its artifacts
-read (``validate.txt`` alone reads no grid) and each artifact's sha256; a
-run that fails part-way leaves no manifest.  Identical configurations
+``validate``, ``plot``.  After its configuration checks a run removes the
+``manifest.json`` and the artifacts that it is about to write from ``--out``
+(so each rename lands on a free name: on ext4 a rename over an existing
+file writes back the new file's dirty pages inside the rename).  It then
+streams each artifact, line by line, into a temp file renamed into
+``--out``, hashing the bytes as they are written, and last writes
+``manifest.json`` echoing the resolved settings its artifacts read
+(``validate.txt`` alone reads no grid) and each artifact's sha256; a run
+that fails part-way leaves no manifest.  Identical configurations
 reproduce byte-identical data files.  Stdout gets one ``wrote <path>`` line
 per artifact (then validate's summary lines), stderr the diagnostics and
 errors.  A run that writes ``spectrum.csv`` also records in the manifest's
@@ -482,22 +486,25 @@ class _RunContext:
 def _emit_bands(ctx: _RunContext) -> Iterator[str]:
     """The header, then one chunk of text per grid row (``grid.n`` points: the
     slice, or one theta1 row of the full grid) with one CSV row per point and
-    band, built column by column so that no Python frame runs per value."""
+    band, built column by column so that no Python frame runs per value.  A
+    point's ``theta1,theta2,F_real,F_imag`` head is joined once, in its row's
+    chunk, and repeated for each of its bands."""
     theta1, theta2 = _grid_thetas(ctx.run)
     roots = roots_at(ctx.run.stack, theta1, theta2)
     f = structure_function(theta1, theta2)
     dim = roots.values.shape[1]
-    per_point = (_g17_text(theta1), _g17_text(theta2), _g17_text(f.real), _g17_text(f.imag),
-                 np.array(["numeric", "closed_form"], dtype=object)[roots.closed.astype(np.intp)])
+    head = (_g17_text(theta1), _g17_text(theta2), _g17_text(f.real), _g17_text(f.imag))
+    source = np.array(["numeric", "closed_form"], dtype=object)[roots.closed.astype(np.intp)]
     eta = _g17_text(roots.values)
     flag = np.array(["0", "1"], dtype=object)[roots.admissible.astype(np.intp)]
     band = [str(index) for index in range(dim)] * ctx.run.grid_n
     yield BANDS_CSV_HEADER
     for lo in range(0, len(theta1), ctx.run.grid_n):
         at = slice(lo, lo + ctx.run.grid_n)
-        t1, t2, fr, fi, source = (np.repeat(text[at], dim).tolist() for text in per_point)
-        columns = (t1, t2, fr, fi, band, eta[at].ravel().tolist(), flag[at].ravel().tolist(),
-                   source)
+        heads = np.array(list(map(",".join, zip(*(text[at].tolist() for text in head)))),
+                         dtype=object)
+        columns = (np.repeat(heads, dim).tolist(), band, eta[at].ravel().tolist(),
+                   flag[at].ravel().tolist(), np.repeat(source[at], dim).tolist())
         yield "\n".join(map(",".join, zip(*columns)))
 
 
@@ -711,8 +718,10 @@ _OUTPUT_NAMES = tuple(_ARTIFACTS)[:4]
 
 
 def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
-    """Check, drop an earlier manifest, write the subcommand's artifact and the
-    ``outputs`` ones, the manifest and a ``wrote`` line each; validation fails last."""
+    """Check, drop the earlier manifest and the artifacts about to be written
+    (every rename then lands on a free name), write the subcommand's artifact
+    and the ``outputs`` ones, the manifest and a ``wrote`` line each;
+    validation fails last.  ``elapsed_seconds`` comes from a monotonic clock."""
     own = "report" if command == "classify" else command
     wanted = [name for name in _ARTIFACTS if name == own or name in run.outputs]
     files = [_ARTIFACTS[name][0] for name in wanted]
@@ -734,14 +743,16 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if "validate" in wanted and args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(args.out, "manifest.json"))
-    started = time.time()
+    for filename in ("manifest.json", *files):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, filename))
+    started = time.perf_counter()
     ctx = _RunContext(run, args)
     digests = {filename: _write_artifact(os.path.join(args.out, filename),
                                          _ARTIFACTS[name][1](ctx))
                for name, filename in zip(wanted, files)}
-    _write_manifest(args.out, command, run, digests, time.time() - started, ctx.extra)
+    _write_manifest(args.out, command, run, digests, time.perf_counter() - started,
+                    ctx.extra)
     for filename in files:
         print(f"wrote {os.path.join(args.out, filename)}")
     for line in ctx.console:

@@ -384,6 +384,42 @@ class TestBands:
         expected = _bands_csv_by_point(load_run_config(cfg).stack, theta1, theta2)
         assert (outdir / "bands.csv").read_text() == expected
 
+    @pytest.mark.parametrize("stack,dim", [
+        ({"variant": "monolayer", "alpha_a": 0.3, "alpha_b": -0.4}, 2),
+        ({"variant": "bilayer_aa_prime", "alpha_a": -1.0, "alpha_b": 1.0, "t0": 0.3}, 4),
+        ({"variant": "trilayer_g_hbn_g", "alpha_a": -1.0, "alpha_b": 0.7, "t0": 0.3}, 6),
+    ], ids=["dim2", "dim4", "dim6"])
+    def test_each_line_is_its_point_head_then_its_band(self, tmp_path, monkeypatch,
+                                                       stack, dim):
+        # the theta1,theta2,F_real,F_imag head is joined once per point and
+        # repeated for its bands; a signed zero in Re F must read "0" there.
+        # The 7 x 7 grid has no exact zero in Re F, so two points get +0.0 and -0.0
+        def with_signed_zeros(theta1, theta2):
+            f = structure_function(theta1, theta2)
+            f.real[:2] = (0.0, -0.0)
+            return f
+
+        monkeypatch.setattr(cli, "structure_function", with_signed_zeros)
+        cfg = _write_config(tmp_path, stack=stack, grid={"kind": "full", "n": 7})
+        code, outdir = _run(tmp_path, "bands", cfg)
+        assert code == 0
+        theta1, theta2 = (axis.ravel() for axis in full_grid(7))
+        f = with_signed_zeros(theta1, theta2)
+        assert np.signbit(f.real[:2]).tolist() == [False, True]
+        roots = roots_at(load_run_config(cfg).stack, theta1, theta2)
+        assert roots.values.shape == (49, dim)
+        lines = (outdir / "bands.csv").read_text().splitlines()
+        assert lines[0] == BANDS_CSV_HEADER and len(lines) == 1 + 49 * dim
+        for point in range(49):
+            head = [_g17(theta1[point]), _g17(theta2[point]),
+                    _g17(f.real[point]), _g17(f.imag[point])]
+            source = "closed_form" if roots.closed[point] else "numeric"
+            for band in range(dim):
+                assert lines[1 + point * dim + band] == ",".join(
+                    [*head, str(band), _g17(roots.values[point, band]),
+                     str(int(roots.admissible[point, band])), source])
+        assert lines[1].split(",")[2] == lines[1 + dim].split(",")[2] == "0"
+
     def test_row_count_and_header(self, tmp_path):
         cfg = _write_config(tmp_path, stack={"variant": "monolayer"})
         code, outdir = _run(tmp_path, "bands", cfg, "--grid", "5")
@@ -1139,7 +1175,8 @@ class TestOrchestration:
                              stack={"variant": "monolayer", "alpha_a": 0.5, "alpha_b": -0.5})
         code, outdir = _run(tmp_path, "classify", good)
         assert code == 0 and (outdir / "manifest.json").exists()
-        # report.txt is rewritten, then the spectrum stage fails on the bump
+        # the run removes the manifest and both artifacts, rewrites report.txt,
+        # then the spectrum stage fails on the bump
         bad = _write_config(tmp_path, "bad.json", outputs=["spectrum"],
                             stack={"variant": "monolayer", "alpha_a": 0.4, "alpha_b": -0.4},
                             potential={"kind": "sampled", "x": [0.0, 0.5, 1.0],
@@ -1149,7 +1186,7 @@ class TestOrchestration:
         assert code == 2
         assert capsys.readouterr().err.startswith("hexband: numerical failure:")
         assert "alpha_a: 0.4" in (outdir / "report.txt").read_text()
-        assert sorted(p.name for p in outdir.iterdir()) == ["report.txt", "spectrum.csv"]
+        assert sorted(p.name for p in outdir.iterdir()) == ["report.txt"]
 
     def test_config_error_before_writing_keeps_the_previous_run(self, tmp_path):
         cfg = _write_config(tmp_path, outputs=["report"])
@@ -1160,6 +1197,57 @@ class TestOrchestration:
         # report.txt samples the diagonal slice only: refused before writing
         assert _run(tmp_path, "bands", cfg, "--full")[0] == 1
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    def test_reruns_rename_onto_free_names(self, tmp_path, monkeypatch):
+        # a rename over an existing file can write back the new file's pages
+        # inside the rename (ext4's auto_da_alloc); a run first removes the
+        # artifacts it will write, so each rename lands on a free name
+        real = os.replace
+
+        def onto_free_name(src, dst):
+            assert not os.path.exists(dst), f"rename over {dst}"
+            real(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", onto_free_name)
+        full = _write_config(tmp_path, "full.json", grid={"kind": "full", "n": 9})
+        spectrum = _write_config(tmp_path, "spectrum.json", outputs=["spectrum"])
+        for command, cfg, extra in (("bands", full, ()), ("classify", spectrum, ()),
+                                    ("validate", full, ("--samples", "20"))):
+            runs = []
+            for _ in range(2):
+                code, outdir = _run(tmp_path, command, cfg, *extra)
+                assert code == 0
+                runs.append({p.name: p.read_bytes() for p in outdir.iterdir()
+                             if p.name != "manifest.json"})
+            assert runs[0] == runs[1] and runs[0]
+
+    def test_occupied_artifact_name_fails_before_engine_work(self, tmp_path, capsys,
+                                                             monkeypatch):
+        cfg = _write_config(tmp_path)
+        code, outdir = _run(tmp_path, "bands", cfg, "--grid", "11")
+        assert code == 0 and (outdir / "manifest.json").exists()
+        (outdir / "bands.csv").unlink()
+        (outdir / "bands.csv").mkdir()
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("roots_at called")
+
+        monkeypatch.setattr(cli, "roots_at", no_engine)
+        capsys.readouterr()
+        code, outdir = _run(tmp_path, "bands", cfg, "--grid", "11")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hexband: I/O error:")
+        assert sorted(p.name for p in outdir.iterdir()) == ["bands.csv"]
+
+    def test_elapsed_seconds_survive_a_clock_step_back(self, tmp_path, monkeypatch):
+        # each wall-clock read lands 1000 s before the previous one
+        clock = iter(range(10**9, 0, -1000))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+        code, outdir = _run(tmp_path, "bands", _write_config(tmp_path), "--grid", "11")
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["elapsed_seconds"] >= 0.0
 
     def test_out_of_memory_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
         def too_large(n):
