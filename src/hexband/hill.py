@@ -20,12 +20,25 @@ Magnus generator (cos/sin or cosh/sinh of its eigenvalue), so every step is
 an SL(2) map.  For a sampled potential the steps are aligned with the knots,
 so that each step sees one linear piece.
 
+Only the half edge [0, 1/2] is integrated.  For an even q, x -> 1 - x maps
+solutions to solutions, so the map from 1/2 to 1 is R N^-1 R, with the
+half-edge map N = W(1/2) = [[c, s], [c', s']] and R = diag(1, -1):
+
+    W(1) = R N^-1 R N = [[c s' + s c', 2 s s'], [2 c c', c s' + s c']],
+
+and det W(1) = (det N)^2.  That is exact for every even q, not an
+approximation of the integrator, which is why evenness is checked exactly
+for a sampled potential (``PotentialSpec._check_even``).  The grid keeps
+``_BASE_STEPS`` = 512 steps per unit length, 256 on the half edge; for
+knots placed symmetrically about 1/2 it is the first half of the whole
+edge's grid step for step.
+
 Gates.  Two gates guard every integration, and NaN fails both:
 
 * Step halving (h versus h/2).  d(lambda) and s(1; lambda) on a grid and on
   the grid with every step halved must agree within ``MAGNUS_TOL``, relative
-  to max(1, |value|).  The gate starts from ``_BASE_STEPS`` steps (at least
-  one per knot interval) and halves until they agree, at most
+  to max(1, |value|).  The gate starts from the base grid (see above; at
+  least one step per knot interval) and halves until they agree, at most
   ``_MAX_HALVINGS`` times; otherwise it raises ``EngineError``.  The error
   of the method grows with the slope of q, and the base grid already
   resolves the common slopes, so one comparison usually settles it: a
@@ -42,33 +55,34 @@ Gates.  Two gates guard every integration, and NaN fails both:
   run's potential.
 * Wronskian: |det W - 1| <= ``WRONSKIAN_TOL`` + ``WRONSKIAN_ROUNDING`` *
   (|c s'| + |c' s|) at every lambda.  Every step map is exactly SL(2), so
-  det W drifts from 1 only by rounding; once solutions grow (far below the
-  top of a tall potential) the two terms of det W = c s' - c' s far exceed
-  1, and their own rounding (100-300 ulps of them, measured on 1024-8192
-  steps) far exceeds ``WRONSKIAN_TOL``.  The second term admits that
-  rounding and no more: where the terms stay O(1) the gate is
-  ``WRONSKIAN_TOL``.
+  det N, and det W = (det N)^2 with it, drifts from 1 only by rounding;
+  once solutions grow (far below the top of a tall potential) the two
+  terms of det W = c s' - c' s far exceed 1, and their own rounding
+  (100-300 ulps of them, measured on 1024-8192 steps) far exceeds
+  ``WRONSKIAN_TOL``.  The second term admits that rounding and no more:
+  where the terms stay O(1) the gate is ``WRONSKIAN_TOL``.
 
 Batch API.  ``integrate_monodromy`` (with ``discriminant``) takes lambda,
 and ``invert_discriminant`` takes eta and the band, as scalars or 1-D
 arrays; a scalar call is a batch of one and gives floats.  A lambda gets
 the same bits alone as inside a batch of the same grid.  Lambdas are
-integrated in chunks of up to ``_LANES`` (64) and steps in blocks of
-``_BLOCK`` (128).  Each (steps, lanes) plane of step-map entries holds at
-most ``_PLANE`` floats (64 KiB), so a pass's largest array, the four entry
-planes of its step maps, takes 256 KiB and its temporaries peak near
-650 KiB.  That is under the mmap and trim thresholds that glibc raises
-once a process frees a larger mapped block (an 800 KB array, say); such a
-process serves the temporaries from its heap instead of mapping and
-page-faulting them afresh.  At glibc's default thresholds they still fault
-(a 391-lambda call about 2 300 times).  One pass stacks as many whole
-blocks of a chunk as fit in one (2, 2, blocks, steps, lanes) array: up to
-64 blocks for one lambda, one block for 33 to 64.  Each block's maps are
-multiplied pairwise as 2x2 blocks, one broadcast product per level of the
-tree, and the block products then into the running product in step order;
-a trailing partial block runs alone.  The association does not depend on
-the chunk, and every operation is elementwise over the lanes, so the
-chunking moves no bit.
+integrated in chunks of up to ``_LANES`` (64) and the half edge's steps in
+blocks of ``_BLOCK`` (128), two blocks on the base grid.  Each (steps,
+lanes) plane of step-map entries holds at most ``_PLANE`` floats (64 KiB),
+so a pass's largest array, the four entry planes of its step maps, takes
+256 KiB and its temporaries peak near 650 KiB.  That is under the mmap and
+trim thresholds that glibc raises once a process frees a larger mapped
+block (an 800 KB array, say); such a process serves the temporaries from
+its heap instead of mapping and page-faulting them afresh.  At glibc's
+default thresholds they can still fault (a 391-lambda call on the base
+grid about 1 150 times).  One pass stacks as many whole blocks of a chunk
+as fit in one (2, 2, blocks, steps, lanes) array: up to 64 blocks for one
+lambda, one block for 33 to 64.  Each block's maps are multiplied pairwise
+as 2x2 blocks, one broadcast product per level of the tree, and the block
+products then into the running product in step order; a trailing partial
+block runs alone.  The association does not depend on the chunk, and every
+operation is elementwise over the lanes, so the chunking moves no bit; nor
+does the reflection, elementwise on the half-edge product.
 Each step map takes cos/sin only where it oscillates and cosh/sinh only
 where it grows.  Each potential builds each grid once and keeps it
 read-only on its ``MagnusState``.  Each Dirichlet scan is one batched
@@ -99,9 +113,10 @@ EDGE_TOL = 10.0 * MAGNUS_TOL  # |d/2 - eta| at a bracket end that counts as a
 EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction,
                               # relative to max(1, max |q|)
 _SMALL_LAMBDA = 1e-8          # switch to series solutions near lambda = 0
-_BASE_STEPS = 512             # Magnus steps on [0, 1] of the coarsest grid:
-                              # up to lambda ~ 300 and slopes |q'| ~ 25 the
-                              # gate passes at its first comparison
+_BASE_STEPS = 512             # Magnus steps per unit length of the coarsest
+                              # grid (256 on the half edge): up to lambda ~ 300
+                              # and slopes |q'| ~ 25 the gate passes at its
+                              # first comparison
 _MAX_HALVINGS = 5             # finest grid the halving gate compares: 32x
 _BLOCK = 128                  # Magnus steps multiplied together per block
 _PLANE = 8192                 # float64 entries (64 KiB) of each (steps, lanes)
@@ -204,7 +219,15 @@ class PotentialSpec:
         return spec
 
     def _check_even(self) -> None:
+        """Reject q unless |q(x) - q(1 - x)| <= ``EVENNESS_TOL`` max(1, max |q|)
+        on 1001 probes and, for a sampled q, at every knot x and its mirror
+        1 - x.  A sampled q(x) and q(1 - x) are piecewise linear with breaks
+        only at those points, so for them the check is exact; a closure is
+        judged on the probes alone.  The integrator relies on evenness: it
+        integrates only [0, 1/2] and reflects."""
         probe = np.linspace(0.0, 1.0, 1001)
+        if self.kind == "sampled":
+            probe = np.concatenate([probe, self.x, 1.0 - self.x])
         q = self(probe)
         dev = float(np.max(np.abs(q - self(1.0 - probe))))
         # relative to the potential's size: interpolating q(1 - x) rounds
@@ -274,13 +297,14 @@ def _zero_potential_monodromy(lam: np.ndarray):
 
 
 def _grid_pieces(pot: PotentialSpec):
-    """Edges of the linear pieces (knot intervals inside [0, 1] for a sampled
-    potential, [0, 1] otherwise) and the base grid's steps on each."""
+    """Edges of the linear pieces on the half edge [0, 1/2] (the knot
+    intervals there for a sampled potential, [0, 1/2] otherwise) and the base
+    grid's steps on each."""
     if pot.kind == "sampled":
-        inner = pot.x[(pot.x > 0.0) & (pot.x < 1.0)]
-        edges = np.concatenate([[0.0], inner, [1.0]])
+        inner = pot.x[(pot.x > 0.0) & (pot.x < 0.5)]
+        edges = np.concatenate([[0.0], inner, [0.5]])
     else:
-        edges = np.array([0.0, 1.0])
+        edges = np.array([0.0, 0.5])
     per_piece = np.maximum(1, np.ceil(np.diff(edges) * _BASE_STEPS)).astype(int)
     return edges, per_piece
 
@@ -333,7 +357,8 @@ def _step_maps(h, sigma, hq, lam):
 
 
 def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
-    """(c, c', s, s') at x = 1 for every lambda on one grid."""
+    """(c, c', s, s') at x = 1 for every lambda on one grid: the product of
+    the half edge's step maps, reflected (see the module docstring)."""
     grids = pot.magnus.grids
     if halvings not in grids:
         grids[halvings] = _magnus_grid(pot, halvings)
@@ -362,7 +387,10 @@ def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
             for block in np.moveaxis(m[..., 0, :], 2, 0):   # in step order
                 y = block[:, 0, None] * y[0] + block[:, 1, None] * y[1]
         out[:, :, start:start + lanes] = y
-    return out[0, 0], out[1, 0], out[0, 1], out[1, 1]
+    # W(1) from N = W(1/2) of an even potential; c(1) = s'(1)
+    (c, s), (cp, sp) = out
+    c1 = c * sp + s * cp
+    return c1, 2.0 * c * cp, 2.0 * s * sp, c1
 
 
 def _halving_deviation(coarse, fine) -> float:

@@ -68,6 +68,15 @@ class TestPotentialSpec:
             PotentialSpec.closure(lambda x: np.where(np.asarray(x) == 0.5,
                                                      np.nan, 1.0))
 
+    def test_sampled_evenness_is_checked_at_every_knot_and_its_mirror(self):
+        # a spike between the 1001 probes: q(0.1235) = 100, q(0.8765) = 0
+        with pytest.raises(InputError, match="not even"):
+            PotentialSpec.sampled([0.0, 0.1232, 0.1235, 0.1238, 1.0],
+                                  [0.0, 0.0, 100.0, 0.0, 0.0])
+        # even, with a knot at 0.9 whose mirror 0.1 is not a knot (collinear)
+        pot = PotentialSpec.sampled([0.0, 0.5, 0.9, 1.0], [0.0, 2.0, 0.4, 0.0])
+        assert pot(np.array([0.1]))[0] == pytest.approx(0.4, abs=1e-15)
+
     @pytest.mark.parametrize("x,values,column", [
         ([0.0, 0.5, np.nan, 1.0], [0.0] * 4, "abscissae"),
         ([0.0, 0.5, 1.0, np.nan], [0.0] * 4, "abscissae"),
@@ -227,6 +236,21 @@ class TestMagnus:
         assert np.all(np.abs(m.s1 - s_ref) <= 1e-9 * np.maximum(1.0, np.abs(s_ref)))
         assert 0 < pot.magnus.deviation <= MAGNUS_TOL
 
+    def test_knots_need_not_be_mirror_symmetric(self):
+        # only [0, 1/2] is integrated: this even q has a knot at 0.9 (on a
+        # straight line) and none at 0.1, and only the reference sees [1/2, 1]
+        knots = [0.0, 0.5, 0.9, 1.0]
+        pot = PotentialSpec.sampled(knots, [0.0, 2.0, 0.4, 0.0])
+        lams = np.concatenate([np.linspace(-10.0, 1.0, 5),
+                               np.linspace(2.0, 300.0, 17)])
+        m = integrate_monodromy(pot, lams)
+        # one piece, [0, 1/2]: the whole edge's grid took 256 + 205 + 52 steps
+        assert pot.magnus.steps == 256 << pot.magnus.halvings
+        d_ref, s_ref = frozen.ref_rk4_monodromy(pot, knots, lams, 2048)
+        assert np.all(np.abs(m.discriminant - d_ref)
+                      <= 1e-9 * np.maximum(1.0, np.abs(d_ref)))
+        assert np.all(np.abs(m.s1 - s_ref) <= 1e-9 * np.maximum(1.0, np.abs(s_ref)))
+
     def test_a_lambda_gets_the_same_bits_alone_as_in_a_batch(self):
         pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
         dirichlet_spectrum(pot, 120.0)
@@ -257,13 +281,16 @@ class TestMagnus:
         assert np.max(np.abs(e11 * e22 - e12 * e21 - 1.0)) < 1e-12
 
     def test_steps_are_aligned_with_the_knots(self):
+        # the grid covers the half edge [0, 1/2], with a step edge on each
+        # knot there
         pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
         for halvings in (0, 2):
             h, _, _ = hill._magnus_grid(pot, halvings)
             # exact prefix sums: np.cumsum's rounding grows with the steps
             edges = np.array([math.fsum(h[:k]) for k in range(len(h) + 1)])
-            for knot in _KNOTS:
+            for knot in [*_KNOTS[_KNOTS <= 0.5], 0.5]:
                 assert np.min(np.abs(edges - knot)) < 1e-14
+            assert abs(edges[-1] - 0.5) < 1e-14
 
     def test_a_repeated_scan_reuses_the_gated_grid(self, monkeypatch):
         pot = PotentialSpec.closure(_five_cos)
@@ -298,8 +325,8 @@ class TestMagnus:
         assert pot.magnus.steps == 0
         result = bands_from_root_surface(pot, [(-0.9, 0.9)], n_bands=2)
         state = pot.magnus
-        # the base grid's 512 steps on [0, 1], halved as often as the gate chose
-        assert state.steps == len(state.grids[state.halvings][0]) == 512 << state.halvings
+        # the base grid's 256 steps on [0, 1/2], halved as often as the gate chose
+        assert state.steps == len(state.grids[state.halvings][0]) == 256 << state.halvings
         assert 0.0 < state.deviation <= MAGNUS_TOL and state.evaluations > 0
         assert [f.name for f in fields(result)] == ["intervals", "dirichlet", "diagnostics"]
 
@@ -362,6 +389,34 @@ def _block_by_block_magnus(h, sigma, hq, lam):
     return out[0, 0], out[1, 0], out[0, 1], out[1, 1]
 
 
+def _reflected(c, cp, s, sp):
+    """W(1) = [[c s' + s c', 2 s s'], [2 c c', c s' + s c']] from the
+    half-edge map N = W(1/2) = [[c, s], [c', s']] of an even potential:
+    frozen, the bit-for-bit reference of the reflection ``hill._magnus``
+    applies; returns (c(1), c'(1), s(1), s'(1))."""
+    c1 = c * sp + s * cp
+    return c1, 2.0 * c * cp, 2.0 * s * sp, c1
+
+
+def _full_edge_grid(pot, halvings):
+    """The Magnus grid on all of [0, 1], as ``hill._magnus_grid`` built it
+    before the half-edge reflection (knot intervals inside [0, 1], 512
+    steps per unit length, halved ``halvings`` times): frozen, the
+    reference the half-edge kernel is held to within rounding."""
+    if pot.kind == "sampled":
+        inner = pot.x[(pot.x > 0.0) & (pot.x < 1.0)]
+        edges = np.concatenate([[0.0], inner, [1.0]])
+    else:
+        edges = np.array([0.0, 1.0])
+    per_piece = np.maximum(1, np.ceil(np.diff(edges) * 512)).astype(int) << halvings
+    h = np.repeat(np.diff(edges) / per_piece, per_piece)
+    first = np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
+    left = np.repeat(edges[:-1], per_piece) + (np.arange(len(h)) - first) * h
+    q1 = pot(left + (0.5 - hill._GAUSS) * h)
+    q2 = pot(left + (0.5 + hill._GAUSS) * h)
+    return h, (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2), 0.5 * h * (q1 + q2)
+
+
 def _bits(arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
@@ -381,9 +436,9 @@ class TestKernelBits:
     @pytest.mark.parametrize("lanes", [1, 2, 16, 17, 63, 64, 65, 200, 391])
     @pytest.mark.parametrize("case", ["knots", "bumps"])
     def test_magnus_matches_the_block_by_block_kernel(self, case, lanes, halvings):
-        # "knots": 514 << halvings steps, so a partial block trails; "bumps":
-        # whole blocks only, and lambdas from below min q = -40, where the
-        # planes mix oscillating and growing steps
+        # on the half edge, "knots": 257 << halvings steps, so a partial block
+        # trails; "bumps": whole blocks only, and lambdas from below
+        # min q = -40, where the planes mix oscillating and growing steps
         if case == "knots":
             pot, lo = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES), -10.0
         else:
@@ -393,7 +448,7 @@ class TestKernelBits:
         got = hill._magnus(pot, halvings, lams)
         h, sigma, hq = pot.magnus.grids[halvings]
         assert len(h) % hill._BLOCK != 0 if case == "knots" else len(h) % hill._BLOCK == 0
-        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
+        assert _bits(got) == _bits(_reflected(*_block_by_block_magnus(h, sigma, hq, lams)))
 
     def test_magnus_matches_the_block_by_block_kernel_at_edge_lambdas(self):
         # delta = 0 (r = 0) at lambda = 0 on a flat potential, and NaN
@@ -401,10 +456,26 @@ class TestKernelBits:
         lams = np.array([0.0, np.nan, -0.0, 1e-300, -1e-300, 5.0, -5.0])
         got = hill._magnus(pot, 0, lams)
         h, sigma, hq = pot.magnus.grids[0]
-        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
+        assert _bits(got) == _bits(_reflected(*_block_by_block_magnus(h, sigma, hq, lams)))
+
+    @pytest.mark.parametrize("halvings", [0, 1])
+    @pytest.mark.parametrize("case", ["knots", "bumps"])
+    def test_the_half_edge_matches_the_full_edge_kernel(self, case, halvings):
+        # the reflection replaces the product over [1/2, 1]; for an even q the
+        # two agree up to rounding, from below min q (-1, -40) up to 300
+        if case == "knots":
+            pot, lo = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES), -10.0
+        else:
+            pot = PotentialSpec.sampled(_BUMP_KNOTS, [-40.0, 30.0, -40.0, 30.0, -40.0])
+            lo = -60.0
+        lams = np.linspace(lo, 300.0, 97)
+        c, cp, s, sp = hill._magnus(pot, halvings, lams)
+        c_f, cp_f, s_f, sp_f = _block_by_block_magnus(*_full_edge_grid(pot, halvings), lams)
+        for got, want in ((c + sp, c_f + sp_f), (s, s_f), (cp, cp_f)):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     def test_a_large_call_keeps_its_temporaries_in_a_few_planes(self):
-        # 391 lambdas on 512 steps: the block-by-block kernel peaked at
+        # 391 lambdas on 256 steps: the block-by-block kernel peaked at
         # 2.9 MB of 256 KiB planes; each pass now holds the four entry planes
         # of its step maps and the first tree level's product and addend
         pot = PotentialSpec.sampled(_BUMP_KNOTS, [2.0, -1.5, 2.0, -1.5, 2.0])
