@@ -11,6 +11,21 @@ variable is eta = d(lambda)/2, Hill bands are the closures of {|d| < 2}, and
 the Dirichlet spectrum {s(1; lambda) = 0} carries the flat (point-spectrum)
 part, excluded from the band inversion.
 
+The zero potential.  For -y'' alone, d(lambda) = 2 cos sqrt(lambda): Hill
+band k is sqrt(lambda) in [(k - 1) pi, k pi], on which eta = cos sqrt(lambda)
+inverts to
+
+    lambda = ((k - 1) pi + arccos eta)^2  (odd k),
+    lambda = (k pi - arccos eta)^2        (even k),
+
+and the Dirichlet points are (k pi)^2, k >= 1 (the eta = cos sqrt(lambda)
+relation of Kuchment & Post, Commun. Math. Phys. 275, 2007; the free case
+of Magnus & Winkler, Hill's Equation, 1966).  ``invert_discriminant`` and
+``dirichlet_spectrum`` return these forms without a scan or a root finder,
+so a zero-potential spectrum evaluates one monodromy: the probe below the
+first band in ``_band_brackets``.  The gaps are closed, and the forms give
+each shared edge of bands 1-4 the bits of its Dirichlet point.
+
 Integrator.  The zero potential has its monodromy in closed form.  Every
 other potential is integrated by the fourth-order Magnus method on a fixed
 x-grid (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas,
@@ -85,10 +100,10 @@ operation is elementwise over the lanes, so the chunking moves no bit; nor
 does the reflection, elementwise on the half-edge product.
 Each step map takes cos/sin only where it oscillates and cosh/sinh only
 where it grows.  Each potential builds each grid once and keeps it
-read-only on its ``MagnusState``.  Each Dirichlet scan is one batched
-call.  Its sign changes, and all band inversions of a spectrum, are
-refined together by ``refine.brent_roots``, bit for bit as scipy's brentq
-would refine each one.
+read-only on its ``MagnusState``.  For a non-zero potential each Dirichlet
+scan is one batched call.  Its sign changes, and all band inversions of a
+spectrum, are refined together by ``refine.brent_roots``, bit for bit as
+scipy's brentq would refine each one.
 """
 
 from __future__ import annotations
@@ -467,12 +482,19 @@ def discriminant(pot: PotentialSpec, lam):
 
 def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
                        tol: float = 1e-10) -> np.ndarray:
-    """All zeros of s(1; lambda) up to lam_max: one batched scan, then the
-    bracketed sign changes refined together.
+    """All zeros of s(1; lambda) up to lam_max + tol: one batched scan, then
+    the bracketed sign changes refined together.  For the zero potential
+    they are (k pi)^2, k >= 1, in closed form.
 
     These are the edge-Dirichlet eigenvalues; on the graph they carry flat
     bands (pure-point spectrum) and are excluded from the band inversion.
     """
+    if pot.is_zero:
+        # s(1) = sin(sqrt(lambda)) / sqrt(lambda); one k past the float
+        # quotient, so that lam_max = (k pi)^2 itself is listed
+        last = int(math.sqrt(max(lam_max + tol, 0.0)) / math.pi) + 1
+        nu = np.square(np.pi * np.arange(1, last + 1))
+        return nu[nu <= lam_max + tol]
     # The scan starts just below min q.  Every Dirichlet eigenvalue lies above
     # min q + pi^2; further down there is nothing to find, only solutions
     # that grow like exp(sqrt(q - lambda)).
@@ -559,7 +581,9 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
     """The unique lambda in the given Hill band with d(lambda)/2 = eta.
 
     ``eta`` and ``hill_band`` broadcast to a batch whose roots are refined
-    together; a scalar pair gives a float.  A bracket end with
+    together; a scalar pair gives a float.  The zero potential takes its
+    closed form (see the module docstring) after the same checks of eta and
+    the band, and leaves ``brackets`` unread.  A bracket end with
     |f| <= ``EDGE_TOL``, f = d/2 - eta, is taken as the root whatever the
     sign of f at the other end: for even potentials the Dirichlet
     eigenvalues that bound the brackets sit on band edges, where d/2 = +-1
@@ -588,6 +612,13 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
                          f"band: bands are integers from 1{limit}")
     if not etas.size:
         return np.empty(0)
+    if pot.is_zero:
+        # d = 2 cos sqrt(lambda): band k is sqrt(lambda) in [(k - 1) pi, k pi],
+        # where cos runs down for odd k and up for even k
+        w = np.arccos(etas)
+        lams = np.square(np.where(bands % 2 == 1, (bands - 1) * np.pi + w,
+                                  bands * np.pi - w))
+        return float(lams[0]) if scalar else lams
     if brackets is None:
         brackets = _band_brackets(pot, int(bands.max()))
     a = np.array([brackets[band - 1][0] for band in bands], dtype=float)

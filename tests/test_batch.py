@@ -586,27 +586,27 @@ GOLDEN = [
         "validate", _FLUX_Q2, _FULL_21, "validate.txt",
         "89047fa6654ac9c49563143d0a6e8f2627e3fade48e391f117a678384a668a85",
         id="validate.txt-magnetic_q2"),
-    # zero-potential spectra: the closed-form monodromy and the lockstep root
-    # finder give the bits that one brentq call per root gave
+    # zero-potential spectra: band ends ((k - 1) pi + arccos eta)^2 or
+    # (k pi - arccos eta)^2 and Dirichlet points (k pi)^2, in closed form
     pytest.param(
         "spectrum", {"variant": "monolayer", "alpha_a": 0.0, "alpha_b": 0.0},
         _DIAGONAL_201, "spectrum.csv",
-        "e386f08b523c7731d120d0689508a3fee6e7752afe4cb9b18520cfcabcd27167",
+        "7934422821ec7e084e2afe391a43c90e8bd3d844b2de42e08fc12c4ae26c241f",
         id="spectrum.csv-monolayer"),
     pytest.param(
         "spectrum", {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
                      "alpha_b": 0.4, "t0": 0.3}, _DIAGONAL_201, "spectrum.csv",
-        "c96c2aee675167878f15aff2b84ddcbce157efeb79dcf387f7a53fde937e9339",
+        "8d23242212ce16f67a4002bbadcecc52aac7ce479f91c6d22a3e4133a5c37b07",
         id="spectrum.csv-bilayer_aa_prime"),
     pytest.param(
         "spectrum", {"variant": "trilayer_g_hbn_g", "alpha_a": -0.8,
                      "alpha_b": 0.8, "t0": 0.5}, _DIAGONAL_201, "spectrum.csv",
-        "b4cafceba7a3f6b9fecdc3e9320ec47d5abcab1f2aafe21aa96b903181891907",
+        "04e1a5213f3a8194ad5d0df5647e4b16024e7caebe7872aeac2174853002670b",
         id="spectrum.csv-trilayer_g_hbn_g"),
     pytest.param(      # one eta interval skipped, the other clipped
         "spectrum", {"variant": "monolayer", "alpha_a": 4.0, "alpha_b": 4.0},
         _DIAGONAL_201, "spectrum.csv",
-        "ae9943c89738951ddedca3a8c4f4f700549d08598c019eb2411e8115563e8e1c",
+        "d5309a23891fd95fd57d2eb4d9ed69b69c6f0961a01a6d12a4e9adf954044176",
         id="spectrum.csv-clipped_and_skipped"),
     # one full grid per layout that the rows above leave unpinned, and a
     # report whose crossings read the branch labels

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -497,9 +498,14 @@ class TestKernelBits:
 class TestDirichletSpectrum:
     def test_zero_potential_squares_of_pi_multiples(self):
         nu = dirichlet_spectrum(ZERO, 110.0)
-        expect = np.array([1, 4, 9]) * np.pi**2
-        assert len(nu) == 3
-        assert np.max(np.abs(nu - expect)) < 1e-8
+        assert nu.tolist() == [(np.pi * k) ** 2 for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize("k", [*range(1, 9), 11])
+    def test_zero_potential_lists_a_point_at_lam_max(self, k):
+        # with tol = 0 too: sqrt((11 pi)^2) / pi rounds to just below 11
+        expect = [(np.pi * j) ** 2 for j in range(1, k + 1)]
+        assert dirichlet_spectrum(ZERO, (np.pi * k) ** 2).tolist() == expect
+        assert dirichlet_spectrum(ZERO, (np.pi * k) ** 2, tol=0.0).tolist() == expect
 
     def test_empty_below_first(self):
         assert len(dirichlet_spectrum(ZERO, 5.0)) == 0
@@ -685,3 +691,60 @@ class TestInversion:
         # full eta range per band: contiguous cover of [0, 16 pi^2]
         assert res.intervals[0].lo == pytest.approx(0.0, abs=1e-9)
         assert res.intervals[-1].hi == pytest.approx(16.0 * np.pi**2, abs=1e-7)
+
+
+class TestZeroPotentialClosedForm:
+    """q = 0: d = 2 cos sqrt(lambda), so Hill band k is sqrt(lambda) in
+    [(k - 1) pi, k pi] and eta = cos sqrt(lambda) inverts in closed form."""
+
+    @staticmethod
+    def _exact(eta, band):
+        with mpmath.workdps(50):
+            w = mpmath.acos(mpmath.mpf(eta))
+            root = (band - 1) * mpmath.pi + w if band % 2 else band * mpmath.pi - w
+            return root ** 2
+
+    @pytest.mark.parametrize("band", [1, 2, 3, 4])
+    def test_inverse_matches_50_digits(self, band):
+        # measured worst 2.3 eps relative
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(band)
+        etas = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 64)])
+        lams = invert_discriminant(ZERO, etas, band)
+        for eta, lam in zip(etas, lams):
+            exact = self._exact(float(eta), band)
+            assert abs(mpmath.mpf(float(lam)) - exact) <= 4 * eps * exact
+
+    def test_inverse_matches_the_integrated_zero_potential(self):
+        # q = 0 as a closure takes the Magnus integrator, the Dirichlet scans
+        # and Brent's method through the same call
+        rng = np.random.default_rng(11)
+        intervals = [(-1.0, 1.0), (-1.0, -0.2), (0.3, 1.0),
+                     *map(tuple, rng.uniform(-1.0, 1.0, (8, 2)))]
+        exact = bands_from_root_surface(ZERO, intervals)
+        brent = bands_from_root_surface(PotentialSpec.closure(np.zeros_like),
+                                        intervals)
+        assert len(exact.intervals) == len(brent.intervals) == 4 * len(intervals)
+        for iv, ref in zip(exact.intervals, brent.intervals):
+            assert (iv.eta_band, iv.hill_band) == (ref.eta_band, ref.hill_band)
+            for lam, lam_ref in ((iv.lo, ref.lo), (iv.hi, ref.hi)):
+                assert abs(lam - lam_ref) <= 1e-11 * max(1.0, abs(lam_ref))
+        assert len(exact.dirichlet) == len(brent.dirichlet) == 4
+        assert np.all(np.abs(exact.dirichlet - brent.dirichlet)
+                      <= 1e-11 * np.maximum(1.0, brent.dirichlet))
+
+    def test_batch_gives_the_bits_of_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        etas = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 61)])
+        bands = rng.integers(1, 7, len(etas))
+        batch = invert_discriminant(ZERO, etas, bands)
+        for eta, band, lam in zip(etas, bands, batch):
+            scalar = invert_discriminant(ZERO, float(eta), int(band))
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == lam.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_closed_gap_has_one_edge(self, k):
+        # bands k and k + 1 meet at eta = (-1)^k, the Dirichlet point (k pi)^2
+        lams = invert_discriminant(ZERO, [(-1.0) ** k] * 2, [k, k + 1])
+        assert lams.tolist() == [(np.pi * k) ** 2] * 2
