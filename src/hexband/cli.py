@@ -43,9 +43,9 @@ per artifact (then validate's summary lines), stderr the diagnostics and
 errors.  A run that writes ``spectrum.csv`` also records in the manifest's
 ``trace.hill`` block, from its potential's ``hill.MagnusState``, the Magnus
 step count, the worst step-halving deviation against its gate and the
-number of monodromy evaluations (null steps and deviation for the
-closed-form zero potential, whose one evaluation is the probe below the
-first band); these never enter the data files.
+number of monodromy evaluations (null steps and deviation, and no
+evaluations, for the closed-form zero potential); these never enter the
+data files.
 
 Exit codes: 0 success; 1 configuration problems (including a sampling grid
 too coarse to classify) and running out of memory; 2 numerical-validation

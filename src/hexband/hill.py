@@ -22,9 +22,19 @@ and the Dirichlet points are (k pi)^2, k >= 1 (the eta = cos sqrt(lambda)
 relation of Kuchment & Post, Commun. Math. Phys. 275, 2007; the free case
 of Magnus & Winkler, Hill's Equation, 1966).  ``invert_discriminant`` and
 ``dirichlet_spectrum`` return these forms without a scan or a root finder,
-so a zero-potential spectrum evaluates one monodromy: the probe below the
-first band in ``_band_brackets``.  The gaps are closed, and the forms give
-each shared edge of bands 1-4 the bits of its Dirichlet point.
+so a zero-potential spectrum evaluates no monodromy.  The gaps are closed,
+and the forms give each shared edge of bands 1-4 the bits of its Dirichlet
+point.
+
+Band edges.  With the half-edge map N (see below) and det N = 1,
+
+    d/2 - 1 = 2 s c',   d/2 + 1 = 2 c s',   s(1) = 2 s s',
+
+so every band edge is a simple zero of one entry of N, even at a closed
+gap, where d/2 -+ 1 has a double root (the even-coefficient case of Magnus
+& Winkler 1966; Eastham, The Spectral Theory of Periodic Differential
+Equations, 1973).  ``invert_discriminant`` finds the edges and inverts eta
+on these forms (see there).
 
 Integrator.  The zero potential has its monodromy in closed form.  Every
 other potential is integrated by the fourth-order Magnus method on a fixed
@@ -37,7 +47,8 @@ so that each step sees one linear piece.
 
 Only the half edge [0, 1/2] is integrated.  For an even q, x -> 1 - x maps
 solutions to solutions, so the map from 1/2 to 1 is R N^-1 R, with the
-half-edge map N = W(1/2) = [[c, s], [c', s']] and R = diag(1, -1):
+half-edge map N = W(1/2) = [[c, s], [c', s']] (``_magnus``) and
+R = diag(1, -1) (``_reflect``):
 
     W(1) = R N^-1 R N = [[c s' + s c', 2 s s'], [2 c c', c s' + s c']],
 
@@ -101,9 +112,9 @@ does the reflection, elementwise on the half-edge product.
 Each step map takes cos/sin only where it oscillates and cosh/sinh only
 where it grows.  Each potential builds each grid once and keeps it
 read-only on its ``MagnusState``.  For a non-zero potential each Dirichlet
-scan is one batched call.  Its sign changes, and all band inversions of a
-spectrum, are refined together by ``refine.brent_roots``, bit for bit as
-scipy's brentq would refine each one.
+scan is one batched call, and its sign changes are refined together by
+``refine.brent_roots``, bit for bit as scipy's brentq would refine each
+one; so are all band edges and inversions of a spectrum, in one more call.
 """
 
 from __future__ import annotations
@@ -122,9 +133,6 @@ WRONSKIAN_ROUNDING = 1e-12    # plus this share of |c s'| + |c' s|: ~4500
                               # ulps of the terms det W is computed from
 MAGNUS_TOL = 1e-10            # step-halving gate on d and s(1), relative to
                               # max(1, |value|)
-EDGE_TOL = 10.0 * MAGNUS_TOL  # |d/2 - eta| at a bracket end that counts as a
-                              # root: the halving gate's bound on d plus the
-                              # Dirichlet root tolerance's share
 EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction,
                               # relative to max(1, max |q|)
 _SMALL_LAMBDA = 1e-8          # switch to series solutions near lambda = 0
@@ -138,8 +146,6 @@ _PLANE = 8192                 # float64 entries (64 KiB) of each (steps, lanes)
                               # entry plane; a pass's step maps take four
 _LANES = _PLANE // _BLOCK     # lambdas per chunk: one block fills a plane
 _GAUSS = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ this, per step
-_EDGE_PROBE = 1e-7            # step into a bracket, relative to its width,
-                              # that looks past an end within EDGE_TOL
 
 
 # ============================================================
@@ -372,8 +378,8 @@ def _step_maps(h, sigma, hq, lam):
 
 
 def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
-    """(c, c', s, s') at x = 1 for every lambda on one grid: the product of
-    the half edge's step maps, reflected (see the module docstring)."""
+    """(c, c', s, s') at x = 1/2 for every lambda on one grid: the product of
+    the half edge's step maps."""
     grids = pot.magnus.grids
     if halvings not in grids:
         grids[halvings] = _magnus_grid(pot, halvings)
@@ -402,8 +408,13 @@ def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
             for block in np.moveaxis(m[..., 0, :], 2, 0):   # in step order
                 y = block[:, 0, None] * y[0] + block[:, 1, None] * y[1]
         out[:, :, start:start + lanes] = y
-    # W(1) from N = W(1/2) of an even potential; c(1) = s'(1)
     (c, s), (cp, sp) = out
+    return c, cp, s, sp
+
+
+def _reflect(c, cp, s, sp):
+    """(c(1), c'(1), s(1), s'(1)) from the half-edge map N = W(1/2) =
+    [[c, s], [c', s']] of an even potential (see the module docstring)."""
     c1 = c * sp + s * cp
     return c1, 2.0 * c * cp, 2.0 * s * sp, c1
 
@@ -418,7 +429,7 @@ def _halving_deviation(coarse, fine) -> float:
 
 
 def _magnus_monodromy(pot: PotentialSpec, lam: np.ndarray):
-    """Magnus monodromy on the potential's gated grid (see the module
+    """Half-edge map N on the potential's gated grid (see the module
     docstring); runs the step-halving gate when lam leaves the checked range."""
     state = pot.magnus
     if not len(lam):
@@ -429,7 +440,7 @@ def _magnus_monodromy(pot: PotentialSpec, lam: np.ndarray):
     coarse = _magnus(pot, halvings, lam)
     while True:
         fine = _magnus(pot, halvings + 1, lam)
-        deviation = _halving_deviation(coarse, fine)
+        deviation = _halving_deviation(_reflect(*coarse), _reflect(*fine))
         if deviation <= MAGNUS_TOL:
             break
         halvings += 1
@@ -447,28 +458,38 @@ def _magnus_monodromy(pot: PotentialSpec, lam: np.ndarray):
     return coarse
 
 
-def integrate_monodromy(pot: PotentialSpec, lam) -> Monodromy:
-    """Monodromy matrix entries at energy lambda, a scalar or a 1-D batch
-    (closed form for q = 0, gated Magnus integration otherwise)."""
-    lam = np.asarray(lam, dtype=float)
-    scalar = lam.ndim == 0
-    lams = lam.reshape(-1)
-    if pot.is_zero:
-        c, cp, s, sp = _zero_potential_monodromy(lams)
-    else:
-        c, cp, s, sp = _magnus_monodromy(pot, lams)
-    pot.magnus.evaluations += len(lams)
-    m = Monodromy(lams, c, cp, s, sp)
-    drift = np.abs(m.det - 1.0)
+def _deliver(pot: PotentialSpec, lam: np.ndarray, c, cp, s, sp) -> None:
+    """Count the monodromies (c(1), c'(1), s(1), s'(1)) at lam as evaluated
+    and hold each to the Wronskian gate (see the module docstring)."""
+    pot.magnus.evaluations += len(lam)
+    drift = np.abs(c * sp - cp * s - 1.0)
     gate = WRONSKIAN_TOL + WRONSKIAN_ROUNDING * (np.abs(c * sp) + np.abs(cp * s))
     bad = ~(drift <= gate)
     if bad.any():
         k = np.flatnonzero(bad)[0]
         raise EngineError(f"Wronskian drifted from 1 by {drift[k]:g} "
-                          f"(gate {gate[k]:g}) at lambda={lams[k]}")
-    if scalar:
-        return Monodromy(float(lams[0]), c[0], cp[0], s[0], sp[0])
-    return m
+                          f"(gate {gate[k]:g}) at lambda={lam[k]}")
+
+
+def _half_edge(pot: PotentialSpec, lam: np.ndarray):
+    """(c, c', s, s') at x = 1/2 of a non-zero potential at every lambda of
+    a 1-D batch, through the gates and the count of ``integrate_monodromy``."""
+    n = _magnus_monodromy(pot, lam)
+    _deliver(pot, lam, *_reflect(*n))
+    return n
+
+
+def integrate_monodromy(pot: PotentialSpec, lam) -> Monodromy:
+    """Monodromy matrix entries at energy lambda, a scalar or a 1-D batch
+    (closed form for q = 0, gated Magnus integration otherwise)."""
+    lam = np.asarray(lam, dtype=float)
+    lams = lam.reshape(-1)
+    w = (_zero_potential_monodromy(lams) if pot.is_zero
+         else _reflect(*_magnus_monodromy(pot, lams)))
+    _deliver(pot, lams, *w)
+    if lam.ndim == 0:
+        return Monodromy(float(lams[0]), *(v[0] for v in w))
+    return Monodromy(lams, *w)
 
 
 def discriminant(pot: PotentialSpec, lam):
@@ -479,6 +500,12 @@ def discriminant(pot: PotentialSpec, lam):
 # ============================================================
 #  Dirichlet spectrum (point part)
 # ============================================================
+
+def _below_min_q(pot: PotentialSpec) -> float:
+    """A lambda below min q, and so below the spectrum: min q on 257 probes,
+    less 1."""
+    return float(np.min(pot(np.linspace(0.0, 1.0, 257)))) - 1.0
+
 
 def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
                        tol: float = 1e-10) -> np.ndarray:
@@ -498,7 +525,7 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
     # The scan starts just below min q.  Every Dirichlet eigenvalue lies above
     # min q + pi^2; further down there is nothing to find, only solutions
     # that grow like exp(sqrt(q - lambda)).
-    lam_lo = float(np.min(pot(np.linspace(0.0, 1.0, 257)))) - 1.0
+    lam_lo = _below_min_q(pot)
     if lam_max <= lam_lo:
         return np.array([])
     # dense scan: linear below 1, uniform in sqrt(lambda) above
@@ -555,45 +582,53 @@ class SpectrumResult:
     diagnostics: tuple[str, ...]
 
 
-def _band_brackets(pot: PotentialSpec, n_bands: int):
-    """Per-band brackets [a_n, b_n] with the discriminant passing through +-2.
-
-    Uses the Dirichlet eigenvalues, which sit in the (closed) spectral gaps:
-    between consecutive ones the discriminant crosses the band monotonically.
-    """
+def _dirichlet_anchors(pot: PotentialSpec, n_bands: int) -> np.ndarray:
+    """nu_1 ... nu_{n+1} for bands 1 to n, from one Dirichlet scan to
+    (n + 1.5)^2 pi^2; the scan's top stands in for a nu_{n+1} past it."""
     lam_max = (n_bands + 1.5) ** 2 * np.pi ** 2
     nu = dirichlet_spectrum(pot, lam_max)
     if len(nu) < n_bands:
         raise EngineError("could not locate enough Dirichlet eigenvalues "
                           f"for {n_bands} bands")
-    # point strictly below the first band: discriminant > 2 there
-    lo = min(0.0, float(nu[0])) - 1.0
-    while discriminant(pot, lo) <= 2.0:
-        lo -= max(1.0, abs(lo))
-        if lo < -1e6:
-            raise EngineError("failed to bracket the lowest band edge")
-    anchors = np.concatenate([[lo], nu[:n_bands]])
-    return [(anchors[i], anchors[i + 1]) for i in range(n_bands)]
+    return np.append(nu, lam_max)[:n_bands + 1]
 
 
-def invert_discriminant(pot: PotentialSpec, eta, hill_band,
-                        brackets=None):
+def invert_discriminant(pot: PotentialSpec, eta, hill_band, nu=None):
     """The unique lambda in the given Hill band with d(lambda)/2 = eta.
 
     ``eta`` and ``hill_band`` broadcast to a batch whose roots are refined
-    together; a scalar pair gives a float.  The zero potential takes its
-    closed form (see the module docstring) after the same checks of eta and
-    the band, and leaves ``brackets`` unread.  A bracket end with
-    |f| <= ``EDGE_TOL``, f = d/2 - eta, is taken as the root whatever the
-    sign of f at the other end: for even potentials the Dirichlet
-    eigenvalues that bound the brackets sit on band edges, where d/2 = +-1
-    holds up to rounding only, and the sign of that rounding must not
-    decide (at a closed gap f has a double root there, on which Brent's
-    method would spend twice the iterations of a simple root to land up
-    to 1e-8 away).  If f changes sign between the other end and just inside
-    that end (an open gap separates it from the band), the root beyond the
-    gap is refined instead.  A bracket with neither a sign change nor such
-    an end fails.
+    together; a scalar pair gives a float.  ``nu`` holds the anchors
+    nu_1 < nu_2 < ... of bands 1 to len(nu) - 1: the potential's lowest
+    Dirichlet points, the last of which may be any lambda between gap
+    len(nu) - 1 and the next Dirichlet point (the top of a scan that found
+    no more).  Without ``nu`` one Dirichlet scan supplies them.  The zero
+    potential takes its closed form (see the module docstring) after the
+    same checks of eta and the band, and leaves ``nu`` unread.
+
+    Otherwise the inversion reads the half-edge map N = [[c, s], [c', s']].
+    For an even potential with det N = 1,
+
+        d/2 - 1 = 2 s c',   d/2 + 1 = 2 c s'
+
+    (Magnus & Winkler 1966; Eastham 1973), so every band edge is a simple
+    zero of one entry of N.  Gap k >= 1 holds nu_k, a zero of s (even k) or
+    s' (odd k), and one partner edge, the zero of c' (even k) or c (odd k)
+    on [nu_{k-1}, nu_{k+1}]; the partner of gap 0, band 1's lower edge, is
+    the zero of c' between a point below min q (nu_0) and nu_1.  Those
+    bracket ends lie in gaps of the other parity, where the entry is bounded
+    away from 0.  The sorted partners and nu_1, nu_2, ... are the band edges
+    e_0 <= e_1 <= ..., band k is [e_{2k-2}, e_{2k-1}], and eta = +-1 returns
+    its edge.  An eta in (-1, 1) is bracketed by [nu_{k-1}, nu_k], on which
+    d/2 - eta = 2 s c' + (1 - eta) (eta >= 0) or 2 c s' - (1 + eta)
+    (eta < 0) changes sign once and cancels at neither end.  At the end
+    nu_j where its product vanishes by definition of nu_j, f takes its
+    exact value, the offset: computed there, the product rounds to
+    ~1e-14 of either sign, which swamps an eta within rounding of +-1.
+    Such an eta can still take its root at a nu_j across an open gap,
+    where d/2 = +-1 too; so each root is clipped to its band, whose edge
+    it then is.  One ``brent_roots`` call refines the partners and these
+    roots together; a bracket without a sign change raises
+    ``EngineError``.
     """
     etas, bands = np.broadcast_arrays(np.asarray(eta, dtype=float),
                                       np.asarray(hill_band))
@@ -603,11 +638,11 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
     if outside.any():
         raise InputError(f"eta={float(etas[outside][0])!r} outside [-1, 1] "
                          "has no band preimage")
-    top = math.inf if brackets is None else len(brackets)
+    top = math.inf if nu is None else len(nu) - 1
     wrong = ((bands < 1) | (bands > top) if bands.dtype.kind in "iu"
              else np.ones(bands.shape, dtype=bool))
     if wrong.any():
-        limit = "" if brackets is None else f" up to {top}"
+        limit = "" if nu is None else f" up to {top}"
         raise InputError(f"hill_band={bands[wrong][0].item()!r} is not a Hill "
                          f"band: bands are integers from 1{limit}")
     if not etas.size:
@@ -619,45 +654,46 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band,
         lams = np.square(np.where(bands % 2 == 1, (bands - 1) * np.pi + w,
                                   bands * np.pi - w))
         return float(lams[0]) if scalar else lams
-    if brackets is None:
-        brackets = _band_brackets(pot, int(bands.max()))
-    a = np.array([brackets[band - 1][0] for band in bands], dtype=float)
-    b = np.array([brackets[band - 1][1] for band in bands], dtype=float)
+    last = int(bands.max())
+    if nu is None:
+        nu = _dirichlet_anchors(pot, last)
+    anchors = np.concatenate([[_below_min_q(pot)], nu[:last + 1]])
+    gaps = np.arange(last + 1)
+    inner = np.flatnonzero(np.abs(etas) < 1.0)
+    pos = etas[inner] >= 0.0
+    # lane l refines f = 2 N[first] N[second] + offset, N = (c, c', s, s', 1):
+    # the partners of gaps 0 ... last, then each eta in (-1, 1)
+    first = np.r_[1 - gaps % 2, np.where(pos, 2, 0)]
+    second = np.r_[np.full(last + 1, 4), np.where(pos, 1, 3)]
+    offset = np.r_[np.zeros(last + 1), np.where(pos, 1.0, -1.0) - etas[inner]]
+    lo = anchors[np.r_[np.maximum(gaps - 1, 0), bands[inner] - 1]]
+    hi = anchors[np.r_[gaps + 1, bands[inner]]]
+    # an eta lane's product vanishes at the end nu_j with even j (s = 0) for
+    # eta >= 0, odd j (s' = 0) for eta < 0: there f is its offset exactly
+    j = np.where((bands[inner] % 2 == 0) == pos, bands[inner], bands[inner] - 1)
+    at_nu = np.r_[np.full(last + 1, np.nan), np.where(j > 0, anchors[j], np.nan)]
 
     def f(lam, lanes):
-        return 0.5 * discriminant(pot, lam) - etas[lanes]
+        n = np.stack([*_half_edge(pot, lam), np.ones_like(lam)])
+        cols = np.arange(len(lam))
+        out = 2.0 * n[first[lanes], cols] * n[second[lanes], cols] + offset[lanes]
+        return np.where(lam == at_nu[lanes], offset[lanes], out)
 
-    m = len(etas)
-    lanes = np.arange(m)
-    ends = f(np.concatenate([a, b]), np.concatenate([lanes, lanes]))
-    fa, fb = ends[:m], ends[m:]
-    roots = np.where(fa == 0.0, a, b)
-    open_ends = (fa != 0.0) & (fb != 0.0)
-    near_a = np.abs(fa) <= np.abs(fb)
-    f_far = np.where(near_a, fb, fa)
-    at_edge = open_ends & (np.abs(np.where(near_a, fa, fb)) <= EDGE_TOL)
-    missed = open_ends & ~at_edge & (np.signbit(fa) == np.signbit(fb))
-    if missed.any():
-        k = np.flatnonzero(missed)[0]
-        raise EngineError(f"inversion bracket failed for "
-                          f"eta={float(etas[k])} in band {int(bands[k])}")
-    lo, hi = a.copy(), b.copy()
-    if at_edge.any():
-        end, other = np.where(near_a, a, b), np.where(near_a, b, a)
-        roots = np.where(at_edge, end, roots)
-        probe = end + _EDGE_PROBE * (other - end)
-        k = np.flatnonzero(at_edge)
-        f_probe = f(probe[k], k)
-        beyond = k[np.signbit(f_probe) != np.signbit(f_far[k])]
-        lo[beyond] = np.where(near_a[beyond], probe[beyond], a[beyond])
-        hi[beyond] = np.where(near_a[beyond], b[beyond], probe[beyond])
-        open_ends &= ~at_edge
-        open_ends[beyond] = True
-    k = np.flatnonzero(open_ends)
-    if len(k):
-        roots[k], _ = brent_roots(lambda lam, sub: f(lam, k[sub]),
-                                  lo[k], hi[k], xtol=1e-12)
-    return float(roots[0]) if scalar else roots
+    try:
+        roots, _ = brent_roots(f, lo, hi, xtol=1e-12)
+    except ValueError:
+        lanes = np.arange(len(lo))
+        k = np.flatnonzero(np.sign(f(lo, lanes)) * np.sign(f(hi, lanes)) > 0.0)[0]
+        what = (f"the partner edge of gap {k}" if k <= last else
+                f"eta={etas[inner][k - last - 1]} in band {bands[inner][k - last - 1]}")
+        raise EngineError(f"inversion bracket [{lo[k]:g}, {hi[k]:g}] failed for "
+                          f"{what}: no sign change") from None
+    edges = np.sort(np.concatenate([roots[:last + 1], nu[:last]]))
+    low = 2 * bands - 2                     # band k is edges[low], edges[low + 1]
+    # eta = +-1: band k falls from d/2 = 1 to -1 for odd k, and rises for even k
+    lams = edges[low + ((etas > 0.0) != (bands % 2 == 1))]
+    lams[inner] = np.clip(roots[last + 1:], edges[low[inner]], edges[low[inner] + 1])
+    return float(lams[0]) if scalar else lams
 
 
 def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
@@ -691,12 +727,11 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
         diagnostics.append("no admissible eta intervals: empty ac spectrum")
         return SpectrumResult((), np.array([]), tuple(diagnostics))
 
-    brackets = _band_brackets(pot, n_bands)
-    lam_max = max(b for _, b in brackets)
+    nu = _dirichlet_anchors(pot, n_bands)
     ends = [end for _, lo, hi in cleaned for end in (lo, hi)]
     lams = invert_discriminant(
         pot, np.tile(ends, n_bands),
-        np.repeat(np.arange(1, n_bands + 1), len(ends)), brackets)
+        np.repeat(np.arange(1, n_bands + 1), len(ends)), nu)
     pairs = iter(lams.reshape(-1, 2))
     intervals = []
     for band in range(1, n_bands + 1):
@@ -704,5 +739,5 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
             la, lb = next(pairs)
             intervals.append(LambdaInterval(idx, band, min(la, lb), max(la, lb)))
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
-    nu = dirichlet_spectrum(pot, lam_max)
-    return SpectrumResult(tuple(intervals), nu, tuple(diagnostics))
+    points = dirichlet_spectrum(pot, nu[n_bands - 1])
+    return SpectrumResult(tuple(intervals), points, tuple(diagnostics))

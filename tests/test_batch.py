@@ -695,14 +695,14 @@ GOLDEN_SAMPLED = [
     pytest.param(
         {"variant": "monolayer", "alpha_a": 0.6, "alpha_b": 1.2},
         {"kind": "sampled", "x": _KNOTS_5, "values": [1.5, -2.0, 1.5, -2.0, 1.5]},
-        "497e23b249d55e2a444e61dc8763dbbdb6135ecbd9785f596d99c97357be0a93",
+        "dbcee39cd360e68c7b05be0d22ff6f1fbf4b790cd0e481635b1f11a1cd0ba8a9",
         id="spectrum.csv-monolayer-period_half"),
     pytest.param(
         {"variant": "bilayer_aa_prime", "alpha_a": -0.7, "alpha_b": 0.4,
          "t0": 0.3},
         {"kind": "sampled", "x": _KNOTS_9,
          "values": [0.0, 4.0, -1.0, 6.0, 2.0, 6.0, -1.0, 4.0, 0.0]},
-        "81ff401d04ff417d4c120e2ff8082b2a72667001f810bb61c9f28d845e236edf",
+        "4a2de5d3b09d21bfb64bdc81f2c8c561f440f73b0051ba15af0ec3030cebee0d",
         id="spectrum.csv-bilayer_aa_prime-nine_knots"),
 ]
 

@@ -755,9 +755,8 @@ class TestSpectrum:
         assert sampled_trace["monodromy_evaluations"] > 0
         assert zero_trace["magnus_steps"] is None
         assert zero_trace["magnus_halving_deviation"] is None
-        # q = 0 has its band ends and Dirichlet points in closed form; the one
-        # evaluation is the bracket probe below the first band
-        assert zero_trace["monodromy_evaluations"] == 1
+        # q = 0 has its band ends and Dirichlet points in closed form
+        assert zero_trace["monodromy_evaluations"] == 0
 
     def test_a_sampled_spectrum_builds_each_magnus_grid_once(
             self, tmp_path, monkeypatch):

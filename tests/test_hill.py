@@ -11,7 +11,6 @@ import pytest
 import hexband.hill as hill
 from hexband.errors import EngineError, InputError
 from hexband.hill import (
-    EDGE_TOL,
     MAGNUS_TOL,
     PotentialSpec,
     bands_from_root_surface,
@@ -393,8 +392,8 @@ def _block_by_block_magnus(h, sigma, hq, lam):
 def _reflected(c, cp, s, sp):
     """W(1) = [[c s' + s c', 2 s s'], [2 c c', c s' + s c']] from the
     half-edge map N = W(1/2) = [[c, s], [c', s']] of an even potential:
-    frozen, the bit-for-bit reference of the reflection ``hill._magnus``
-    applies; returns (c(1), c'(1), s(1), s'(1))."""
+    frozen, the bit-for-bit reference of ``hill._reflect``; returns
+    (c(1), c'(1), s(1), s'(1))."""
     c1 = c * sp + s * cp
     return c1, 2.0 * c * cp, 2.0 * s * sp, c1
 
@@ -449,7 +448,7 @@ class TestKernelBits:
         got = hill._magnus(pot, halvings, lams)
         h, sigma, hq = pot.magnus.grids[halvings]
         assert len(h) % hill._BLOCK != 0 if case == "knots" else len(h) % hill._BLOCK == 0
-        assert _bits(got) == _bits(_reflected(*_block_by_block_magnus(h, sigma, hq, lams)))
+        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
 
     def test_magnus_matches_the_block_by_block_kernel_at_edge_lambdas(self):
         # delta = 0 (r = 0) at lambda = 0 on a flat potential, and NaN
@@ -457,7 +456,16 @@ class TestKernelBits:
         lams = np.array([0.0, np.nan, -0.0, 1e-300, -1e-300, 5.0, -5.0])
         got = hill._magnus(pot, 0, lams)
         h, sigma, hq = pot.magnus.grids[0]
-        assert _bits(got) == _bits(_reflected(*_block_by_block_magnus(h, sigma, hq, lams)))
+        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
+
+    def test_the_reflection_matches_its_frozen_form(self):
+        # on half-edge maps of a sampled potential, from below min q, with
+        # the signed zeros and NaN of the edge lambdas
+        pot = PotentialSpec.sampled(_BUMP_KNOTS, [-40.0, 30.0, -40.0, 30.0, -40.0])
+        lams = np.concatenate([np.linspace(-60.0, 300.0, 61),
+                               [0.0, -0.0, np.nan]])
+        n = hill._magnus(pot, 0, lams)
+        assert _bits(hill._reflect(*n)) == _bits(_reflected(*n))
 
     @pytest.mark.parametrize("halvings", [0, 1])
     @pytest.mark.parametrize("case", ["knots", "bumps"])
@@ -470,7 +478,7 @@ class TestKernelBits:
             pot = PotentialSpec.sampled(_BUMP_KNOTS, [-40.0, 30.0, -40.0, 30.0, -40.0])
             lo = -60.0
         lams = np.linspace(lo, 300.0, 97)
-        c, cp, s, sp = hill._magnus(pot, halvings, lams)
+        c, cp, s, sp = hill._reflect(*hill._magnus(pot, halvings, lams))
         c_f, cp_f, s_f, sp_f = _block_by_block_magnus(*_full_edge_grid(pot, halvings), lams)
         for got, want in ((c + sp, c_f + sp_f), (s, s_f), (cp, cp_f)):
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
@@ -595,20 +603,19 @@ class TestInversion:
         with pytest.raises(InputError, match="no band preimage"):
             invert_discriminant(ZERO, 1.2, 1)
 
-    @pytest.mark.parametrize("band, bracketed", [
+    @pytest.mark.parametrize("band, anchored", [
         (0, True), (-1, True), (4, True), (0, False), (-1, False),
         (1.5, False), ([2, 0], False)])
-    def test_invert_rejects_a_band_that_is_not_one(self, band, bracketed):
-        # band 0 with brackets once read brackets[-1], band 3's bracket
-        brackets = hill._band_brackets(ZERO, 3) if bracketed else None
+    def test_invert_rejects_a_band_that_is_not_one(self, band, anchored):
+        # nu_1 ... nu_4 anchor bands 1-3; band 0 once read the last bracket
+        nu = dirichlet_spectrum(ZERO, (4.0 * np.pi) ** 2) if anchored else None
         with pytest.raises(InputError, match="is not a Hill band"):
-            invert_discriminant(ZERO, 0.5, band, brackets)
+            invert_discriminant(ZERO, 0.5, band, nu)
 
-    @pytest.mark.parametrize("bracketed", [True, False])
-    def test_invert_empty_batch(self, bracketed):
-        brackets = hill._band_brackets(ZERO, 3) if bracketed else None
-        lam = invert_discriminant(ZERO, np.array([]), np.array([], dtype=int),
-                                  brackets)
+    @pytest.mark.parametrize("anchored", [True, False])
+    def test_invert_empty_batch(self, anchored):
+        nu = dirichlet_spectrum(ZERO, (4.0 * np.pi) ** 2) if anchored else None
+        lam = invert_discriminant(ZERO, np.array([]), np.array([], dtype=int), nu)
         assert lam.shape == (0,) and lam.dtype == float
 
     def test_monolayer_alpha0_lambda_intervals(self):
@@ -654,43 +661,115 @@ class TestInversion:
             assert 0.5 * discriminant(pot, lam) == pytest.approx(eta, abs=1e-9)
 
     @pytest.mark.parametrize("q", [-2.1, 1.0])
-    def test_end_within_edge_tol_is_the_root_at_a_closed_gap(self, q):
-        # a period-1/2 potential closes every gap at d = -2, so d/2 + 1 has a
-        # double root at the first Dirichlet eigenvalue, which ends band 1's
-        # bracket for eta = -1.  There it rounds to -4.4e-16 for q = -2.1 (a
-        # sign change over the bracket) and to +2.2e-15 for q = 1.0 (none);
-        # either way that end is the root, not a point that Brent's method
-        # finds near it on the double root
+    def test_eta_minus_one_at_a_closed_gap_zeroes_c_and_s_prime(self, q):
+        # a period-1/2 potential closes every gap at d = -2, where d/2 + 1 =
+        # 2 c s' has a double root: both c(1/2) and s'(1/2) vanish at band
+        # 1's upper edge.  d/2 + 1 at the first Dirichlet point once rounded
+        # to -4.4e-16 for q = -2.1 and to +2.2e-15 for q = 1.0.
         pot = PotentialSpec.sampled(np.linspace(0.0, 1.0, 5),
                                     [1.3, q, 1.3, q, 1.3])
-        nu1 = dirichlet_spectrum(pot, 30.0)[0]
-        f_end = 0.5 * discriminant(pot, nu1) + 1.0
-        assert abs(f_end) <= EDGE_TOL and (f_end < 0.0) == (q < 0.0)
-        assert invert_discriminant(pot, -1.0, 1, [(-20.0, nu1)]) == nu1
+        lam = invert_discriminant(pot, -1.0, 1)
+        c, _, _, sp = hill._half_edge(pot, np.array([lam]))
+        assert abs(c[0]) <= 1e-12 and abs(sp[0]) <= 1e-12
 
-    def test_end_within_edge_tol_before_an_open_gap_looks_past_it(self):
+    def test_band_two_starts_past_an_open_gap(self):
         # q = 2 cos 2 pi x: the first gap [8.857, 10.857] is open and the
-        # first Dirichlet eigenvalue is its lower edge.  A bracket for band 2
-        # that starts just below that edge has d/2 + 1 within EDGE_TOL and of
-        # the same sign at both ends; the root is the gap's upper edge.
+        # first Dirichlet eigenvalue is its lower edge; band 2 starts at the
+        # upper one, the zero of c(1/2)
         pot = PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x))
-        nu1, nu2 = dirichlet_spectrum(pot, 50.0)[:2]
-        lo = nu1 - 1e-11
-        assert 0.0 < 0.5 * discriminant(pot, lo) + 1.0 <= EDGE_TOL
-        lam = invert_discriminant(pot, -1.0, 2, [(-5.0, nu1), (lo, nu2)])
+        lam = invert_discriminant(pot, -1.0, 2)
         assert lam == pytest.approx(10.8567782022, abs=1e-8)
         assert abs(0.5 * discriminant(pot, lam) + 1.0) <= 1e-12
+        assert lam - dirichlet_spectrum(pot, 50.0)[0] > 1.9
 
-    def test_bracket_without_root_still_fails(self):
+    @pytest.mark.parametrize("eta, band, nu, what", [
+        # nu_2, nu_3 in place of nu_1, nu_2: [below min q, nu_2] holds the
+        # roots of bands 1 and 2
+        (0.5, 1, [39.46997455, 88.83261247], "eta=0.5 in band 1"),
+        # nu_2 = 8 below nu_1: c(1/2) has no zero on [below min q, 8]
+        (-1.0, 2, [5.0, 8.0, 50.0], "the partner edge of gap 1"),
+    ], ids=["eta", "partner"])
+    def test_anchors_without_a_sign_change_fail(self, eta, band, nu, what):
+        # an engine failure (exit 2), not brent_roots' bare ValueError
         pot = PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x))
-        with pytest.raises(EngineError, match="bracket failed for eta=-1.0 in band 2"):
-            invert_discriminant(pot, -1.0, 2, [(-5.0, 8.0), (20.0, 30.0)])
+        with pytest.raises(EngineError, match=f"bracket .* failed for {what}: "
+                                              "no sign change"):
+            invert_discriminant(pot, eta, band, nu)
 
     def test_band_count_extends(self):
         res = bands_from_root_surface(ZERO, [(-1.0, 1.0)], n_bands=4)
         # full eta range per band: contiguous cover of [0, 16 pi^2]
         assert res.intervals[0].lo == pytest.approx(0.0, abs=1e-9)
         assert res.intervals[-1].hi == pytest.approx(16.0 * np.pi**2, abs=1e-7)
+
+
+def _random_even(seed):
+    """A sampled potential on 2-5 random knots in (0, 1/2), mirrored, with
+    values in [-6, 6]."""
+    rng = np.random.default_rng(seed)
+    half = np.sort(rng.uniform(0.01, 0.49, rng.integers(2, 6)))
+    x = np.concatenate([[0.0], half, [0.5], 1.0 - half[::-1], [1.0]])
+    v = rng.uniform(-6.0, 6.0, len(half) + 2)
+    return PotentialSpec.sampled(x, np.concatenate([v, v[-2::-1]]))
+
+
+_EDGE_CASES = pytest.mark.parametrize("pot", [
+    PotentialSpec.sampled(np.linspace(0.0, 1.0, 5), [1.3, -2.1, 1.3, -2.1, 1.3]),
+    PotentialSpec.closure(_cos2pi),
+    PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x)),
+    PotentialSpec.closure(lambda x: 5.0 * _cos2pi(x)),
+    *(_random_even(seed) for seed in range(6)),
+], ids=["period_half", "cos", "2cos", "5cos", *(f"random{s}" for s in range(6))])
+
+
+def _edges(pot, nu, n=4):
+    """Bands 1 ... n as rows [lo, hi], from eta = +-1."""
+    lams = invert_discriminant(pot, np.tile([1.0, -1.0], n),
+                               np.repeat(np.arange(1, n + 1), 2), nu)
+    return np.sort(lams.reshape(n, 2), axis=1)
+
+
+class TestBandEdges:
+    """Each band edge is a simple zero of one entry of the half-edge map:
+    d/2 - 1 = 2 s c' and d/2 + 1 = 2 c s' for an even potential."""
+
+    @_EDGE_CASES
+    def test_edges_zero_the_half_edge_map_and_interlace_with_nu(self, pot):
+        n = 4
+        nu = hill._dirichlet_anchors(pot, n)
+        bands = np.repeat(np.arange(1, n + 1), 2)
+        etas = np.tile([1.0, -1.0], n)
+        lams = invert_discriminant(pot, etas, bands, nu)
+        c, cp, s, sp = hill._half_edge(pot, lams)
+        # eta = 1: d/2 - 1 = 2 s c', eta = -1: d/2 + 1 = 2 c s'
+        assert np.all(np.abs(np.where(etas > 0, 2 * s * cp, 2 * c * sp)) <= 1e-12)
+        edges = np.sort(lams.reshape(n, 2), axis=1)
+        assert np.all(edges[:, 0] < edges[:, 1])
+        # gap k lies between bands k and k + 1 and has nu_k at one end
+        for k in range(1, n):
+            assert edges[k - 1, 1] <= edges[k, 0]
+            assert nu[k - 1] in (edges[k - 1, 1], edges[k, 0])
+        # etas inside (-1, 1) land inside their bands
+        inner = invert_discriminant(pot, np.tile([0.9, -0.9], n), bands, nu)
+        assert np.all((np.repeat(edges[:, 0], 2) < inner)
+                      & (inner < np.repeat(edges[:, 1], 2)))
+
+    @_EDGE_CASES
+    def test_an_eta_within_rounding_of_one_stays_in_its_band(self, pot):
+        # 1 - |eta| below the rounding of 2 s c' or 2 c s' at a Dirichlet
+        # end: computed there, f had no sign change (2 cos 2 pi x, bands 1
+        # and 2), and across an open gap a root could land on nu beyond it
+        # (random1, band 2, 0.6 away from the band)
+        eps = np.finfo(float).eps
+        nu = hill._dirichlet_anchors(pot, 4)
+        edges = _edges(pot, nu)
+        bands = np.repeat(np.arange(1, 5), 2)
+        for d in (eps / 2, eps, 4 * eps, 1e-14, 1e-13):
+            etas = np.tile([1.0 - d, d - 1.0], 4)
+            lams = invert_discriminant(pot, etas, bands, nu)
+            assert np.all((np.repeat(edges[:, 0], 2) <= lams)
+                          & (lams <= np.repeat(edges[:, 1], 2)))
+            assert np.all(np.abs(0.5 * discriminant(pot, lams) - etas) <= 1e-12)
 
 
 class TestZeroPotentialClosedForm:
