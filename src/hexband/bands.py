@@ -6,7 +6,13 @@ Brillouin zone, where the structure function F = 1 + 2 cos(theta1) is real and
 sweeps [-1, 3].  For each pair of adjacent (sorted) dispersion branches the
 classifier locates every local minimum of the separation and refines it
 (``refine.bounded_minima``); ``refine.classify_minima``, the stage the
-magnetic zone classifier shares, issues one report per minimum:
+magnetic zone classifier shares, issues one report per minimum.
+
+The profiles depend on theta1 only through F, which is even in theta1, so
+a feature off theta1 in {0, pi} lies at +-theta1.  The classifier refines
+the half slice only (the grid minima from theta1 = 0, or -h/2 for an even
+sample count, up to pi, and the one at -pi), so it gives one record per
+feature; ``mirror_images`` draws the other half of the slice.  The kinds:
 
 * ``cone``       — separation reaches zero with a one-sided slope of
                    magnitude above tol_slope and no branch relabeling
@@ -26,7 +32,7 @@ like a cone and is reported as one (documented convention).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -313,10 +319,12 @@ def classify_touches(surface: DispersionSurface,
     """Classify every adjacent-branch feature of a diagonal dispersion surface.
 
     Needs at least ``MIN_CLASSIFY_SAMPLES`` samples; each grid-level local
-    minimum of each separation profile is refined by bounded minimization
-    before classification.  The minima of all profiles are refined together
-    (``refine.bounded_minima``), so the engine calls of a refinement follow its
-    slowest minimum rather than the number of minima.
+    minimum of each separation profile on the half slice is refined by
+    bounded minimization before classification, so a feature off theta1 in
+    {0, pi} gets one record, at theta1 > 0 (``mirror_images`` gives the
+    slice's other half).  The minima of all profiles are refined together
+    (``refine.bounded_minima``), so the engine calls of a refinement follow
+    its slowest minimum rather than the number of minima.
     """
     if surface.n_samples < MIN_CLASSIFY_SAMPLES:
         raise ResolutionError(
@@ -325,6 +333,10 @@ def classify_touches(surface: DispersionSurface,
         )
     theta = surface.theta
     h = theta[1] - theta[0]
+    # the half slice: the grid minima from index half on (theta1 = 0 for
+    # odd n, -h/2 for even n, where the scan's strict-left rule puts an even
+    # profile's minimum at 0) and the one at index 0 (-pi, which is pi)
+    half = (surface.n_samples - 1) // 2
     seps = surface.separations()
     flat: list[TouchReport] = []
     brackets: list[tuple[int, int]] = []     # (pair, grid index)
@@ -343,6 +355,7 @@ def classify_touches(surface: DispersionSurface,
         # drop the duplicated endpoint (theta = -pi and pi are the same point)
         periodic = profile[:-1]
         minima = _local_min_indices(periodic)
+        minima = minima[(minima == 0) | (minima >= half)]
         brackets += [(pair, i) for i in minima[
             _is_prominent(periodic, minima, PROMINENCE_TOL)].tolist()]
     if not brackets:
@@ -360,6 +373,19 @@ def classify_touches(surface: DispersionSurface,
                               tol_slope, f_values, crossings=surface.route == "closed")
     # a pair has a flat record or refined minima, never both
     return tuple(heapq.merge(flat, reports, key=lambda r: r.band_pair))
+
+
+def mirror_images(surface: DispersionSurface, reports) -> list[TouchReport]:
+    """The located records of ``reports`` (from ``classify_touches``), each
+    at theta1 and again at -theta1 when h/2 < theta1 < pi - h/2 (h the
+    surface's step), sorted by band pair and theta1: the features of the
+    whole slice, for drawing it."""
+    h = float(surface.theta[1] - surface.theta[0])
+    located = [r for r in reports if r.theta1 is not None]
+    images = located + [replace(r, theta1=-r.theta1, theta2=r.theta1) for r in located
+                        if h / 2.0 < r.theta1 < np.pi - h / 2.0]
+    images.sort(key=lambda r: (r.band_pair, r.theta1))
+    return images
 
 
 # ============================================================

@@ -25,8 +25,13 @@ numbers in both columns; only ``spectrum.csv`` reads it, and a run that
 does not write ``spectrum.csv`` rejects it.  ``outputs`` lists extra
 artifacts from {bands, report, spectrum, plot}, each at most once, that
 every subcommand emits alongside its own; the diagonal-slice artifacts of a
-run share one sampled surface and one touch classification.  ``validate``'s
-``--samples`` must be at least 1 and its ``--seed`` non-negative.
+run share one sampled surface and one touch classification.  That
+classification has one record per feature, refined on the half slice of the
+even profiles (``bands.classify_touches``): ``report.txt`` keeps every touch
+and the narrowest gap of each pair (of two exactly equal gaps, the one at
+the larger |theta1|), and ``bands.svg`` draws each record at +-theta1.
+``validate``'s ``--samples`` must be at least 1 and its ``--seed``
+non-negative.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  After its configuration checks a run removes the
@@ -510,33 +515,17 @@ def _emit_bands(ctx: _RunContext) -> Iterator[str]:
 
 
 def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
-    """Fold theta -> -theta mirror images (diagonal profiles are even): a
-    record's twin is the first later unconsumed one of the same kind and pair
-    at -theta1, and the one at the larger theta1 stays.  Then keep the
-    narrowest gap of each pair."""
-    records: list[TouchReport] = []
-    gaps: dict[tuple[int, int], TouchReport] = {}
-    consumed: set[int] = set()
-    for i, rep in enumerate(reports):
-        if i in consumed:
-            continue
-        for j in range(i + 1, len(reports)):
-            other = reports[j]
-            if (j not in consumed and rep.theta1 is not None
-                    and other.kind == rep.kind and other.band_pair == rep.band_pair
-                    and other.theta1 is not None
-                    and abs(other.theta1 + rep.theta1) < 1e-6):
-                consumed.add(j)
-                rep = max(rep, other, key=lambda r: r.theta1)
-                break
-        if rep.kind != "gap":
-            records.append(rep)
-        elif rep.band_pair not in gaps or rep.separation < gaps[rep.band_pair].separation:
-            gaps[rep.band_pair] = rep
-    records.extend(gaps.values())
-    records.sort(key=lambda r: (r.band_pair,
-                                r.theta1 if r.theta1 is not None else -10.0))
-    return records
+    """Every touch and the narrowest gap of each pair, in the order of
+    ``classify_touches`` (one record per feature, by band pair and theta1).
+    Of two gaps of exactly equal width the one at the larger |theta1|
+    stays; near-ties fall either way, by the grid's resolution."""
+    narrowest: dict[tuple[int, int], TouchReport] = {}
+    for rep in reports:
+        if rep.kind == "gap":
+            narrowest[rep.band_pair] = min(
+                narrowest.get(rep.band_pair, rep), rep,
+                key=lambda r: (r.separation, -abs(r.theta1 or 0.0)))
+    return [r for r in reports if r.kind != "gap" or r is narrowest[r.band_pair]]
 
 
 def _record_lines(index: int, fields: dict) -> list[str]:

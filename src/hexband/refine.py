@@ -401,6 +401,10 @@ def classify_minima(roots, minima, direction, tol_touch: float,
     by band pair and theta1; minima of a pair less than ``_DEDUP_THETA``
     apart in both wrapped coordinates count once.  ``roots(theta1, theta2)``
     gives the sorted roots of a batch, ``f_values`` F at each minimum.
+    It reports every minimum it is given; the diagonal classifier gives the
+    minima of the half slice only, so there a feature has one record, and
+    ``cli`` keeps a pair's narrowest gap (of exactly equal ones, the one at
+    the larger |theta1|).
 
     A separation at most ``tol_touch`` is a touch.  With ``crossings``
     (labelled branches), a touch whose labelled branches trade order across

@@ -4,7 +4,10 @@ Hand-rolled SVG keeps the plot dependency-free and byte-stable: a fixed
 canvas, a fixed palette, and fixed-width coordinate formatting mean the same
 surface always serializes to the same bytes.  One polyline per sorted branch;
 touch and crossing locations get circular markers, gap records a vertical
-width bar, each carrying a tooltip with the classification details.
+width bar, each carrying a tooltip with the classification details.  The
+classifier gives one record per feature, from the half slice of the even
+profiles; ``bands.mirror_images`` places each at theta1 and, off 0 and pi,
+at -theta1.
 
 One writer, ``_el``, writes every element's tag and attributes, and the
 root's open tag takes its attributes from the same ``_attrs``, each float
@@ -18,7 +21,7 @@ from html import escape
 
 import numpy as np
 
-from .bands import DispersionSurface, TouchReport
+from .bands import DispersionSurface, TouchReport, mirror_images
 
 WIDTH = 800.0
 HEIGHT = 500.0
@@ -140,8 +143,6 @@ def _axes(frame: _Frame) -> list[str]:
 def _markers(frame: _Frame, reports) -> list[str]:
     parts = []
     for rep in reports:
-        if rep.theta1 is None:
-            continue
         x = frame.x(rep.theta1)
         if rep.kind == "gap":
             half = 0.5 * rep.separation
@@ -187,7 +188,11 @@ def _legend(frame: _Frame, dim: int) -> list[str]:
 def render_band_chart(surface: DispersionSurface,
                       reports: tuple[TouchReport, ...] = (),
                       title: str = "") -> list[str]:
-    """Serialize a sampled surface (plus classified features) to SVG lines."""
+    """Serialize a sampled surface (plus classified features) to SVG lines.
+
+    ``reports`` are ``classify_touches``'s, one record per feature; each
+    located one is drawn at theta1 and, off 0 and pi, at its mirror image
+    -theta1 (``bands.mirror_images``)."""
     frame = _frame_for(surface)
     root = _attrs(xmlns="http://www.w3.org/2000/svg", width=WIDTH, height=HEIGHT,
                   viewBox=f"0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}", role="img")
@@ -202,7 +207,7 @@ def render_band_chart(surface: DispersionSurface,
         color = BAND_PALETTE[band % len(BAND_PALETTE)]
         parts.append(_polyline(frame, surface.theta, surface.values[:, band],
                                color))
-    parts.extend(_markers(frame, reports))
+    parts.extend(_markers(frame, mirror_images(surface, reports)))
     parts.extend(_legend(frame, surface.dim))
     parts.append("</svg>")
     return parts

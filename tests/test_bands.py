@@ -11,6 +11,7 @@ from hexband.bands import (
     classify_touches,
     diagonal_theta_for_f,
     gap_width_closed_form,
+    mirror_images,
     roots_at,
     sample_diagonal,
 )
@@ -98,11 +99,13 @@ class TestMonolayerClassification:
         surf = sample_diagonal(_cfg("monolayer", aa=alpha, ab=alpha), n=501)
         reports = classify_touches(surf)
         cones = _kinds(reports, "cone")
-        assert len(cones) == 2
+        # one record per feature: the cone at theta_K, whose mirror image
+        # at -theta_K is the slice's other cone
+        assert len(cones) == 1
         assert {r.kind for r in reports} == {"cone"}
-        locs = sorted(r.theta1 for r in cones)
-        assert locs[0] == pytest.approx(-THETA_K, abs=1e-6)
-        assert locs[1] == pytest.approx(THETA_K, abs=1e-6)
+        assert cones[0].theta1 == pytest.approx(THETA_K, abs=1e-6)
+        locs = [r.theta1 for r in mirror_images(surf, cones)]
+        assert locs == pytest.approx([-THETA_K, THETA_K], abs=1e-6)
         for r in cones:
             assert r.gamma == pytest.approx(frozen.SQRT3_OVER_3, rel=1e-4)
             assert r.value == pytest.approx(-alpha / 3.0, abs=1e-9)
@@ -112,8 +115,9 @@ class TestMonolayerClassification:
         surf = sample_diagonal(_cfg("monolayer", aa=1.0, ab=-1.0), n=501)
         reports = classify_touches(surf)
         gaps = _kinds(reports, "gap")
-        assert len(gaps) == 2 and len(reports) == 2
+        assert len(gaps) == 1 and len(reports) == 1
         for r in gaps:
+            assert r.theta1 >= 0.0
             assert r.gap_width == pytest.approx(
                 frozen.MONO_GAP_ALPHA_1_M1, abs=1e-12)
             assert not r.flat
@@ -139,16 +143,18 @@ class TestAATrichotomy:
     def test_equal_alpha_cones(self):
         reports = classify_touches(sample_diagonal(self._aa(-1.0), n=501))
         cones = _kinds(reports, "cone")
-        assert len(cones) == 4                       # pairs (0,1) and (2,3)
+        assert len(cones) == 2                       # pairs (0,1) and (2,3)
         assert {r.band_pair for r in cones} == {(0, 1), (2, 3)}
         for r in cones:
+            assert r.theta1 >= 0.0
             assert r.gamma == pytest.approx(frozen.AA_CONE_SLOPE, rel=1e-4)
         assert not _kinds(reports, "parabolic")
         # the sorted middle pair swaps analytic branches where |F| = t0^2
         crossings = _kinds(reports, "crossing")
         assert {r.band_pair for r in crossings} == {(1, 2)}
-        assert len(crossings) == 4
+        assert len(crossings) == 2
         for r in crossings:
+            assert r.theta1 >= 0.0
             assert abs(abs(r.f_value) - 0.09) < 1e-7
         assert not _kinds(reports, "gap")
 
@@ -156,8 +162,9 @@ class TestAATrichotomy:
         # alpha_b = alpha_a + 2 t0^2 puts the u-index at an integer: quadratic contact
         reports = classify_touches(sample_diagonal(self._aa(-0.82), n=501))
         parabs = _kinds(reports, "parabolic")
-        assert len(parabs) == 2
+        assert len(parabs) == 1
         for r in parabs:
+            assert r.theta1 >= 0.0
             assert r.band_pair == (1, 2)
             assert r.value == pytest.approx(frozen.AA_PARABOLIC_TOUCH_VALUE,
                                             abs=1e-9)
@@ -170,8 +177,9 @@ class TestAATrichotomy:
         reports = classify_touches(sample_diagonal(self._aa(1.0), n=501))
         assert {r.kind for r in reports} == {"gap"}
         mid = [r for r in reports if r.band_pair == (1, 2)]
-        assert len(mid) == 2
+        assert len(mid) == 1
         for r in mid:
+            assert r.theta1 >= 0.0
             assert r.gap_width == pytest.approx(frozen.AA_GAP_ORIGIN, abs=1e-10)
         # outer pairs have theta-independent separation: one flat record each
         for pair in [(0, 1), (2, 3)]:
@@ -183,9 +191,10 @@ class TestAATrichotomy:
     def test_generic_alpha_crossing(self):
         reports = classify_touches(sample_diagonal(self._aa(-0.9), n=501))
         crossings = _kinds(reports, "crossing")
-        assert len(crossings) == 4
+        assert len(crossings) == 2
         assert {r.band_pair for r in crossings} == {(1, 2)}
         for r in crossings:
+            assert r.theta1 >= 0.0
             assert abs(abs(r.f_value) - frozen.AA_CROSSING_F) < 1e-7
         assert not _kinds(reports, "cone")
         assert not _kinds(reports, "parabolic")
@@ -195,7 +204,36 @@ class TestAATrichotomy:
         surf = sample_diagonal(self._aa(-0.9), n=501, route="numeric")
         reports = classify_touches(surf)
         assert not _kinds(reports, "crossing")
-        assert len(_kinds(reports, "cone")) == 4
+        cones = _kinds(reports, "cone")
+        assert len(cones) == 2
+        assert all(r.theta1 >= 0.0 for r in cones)
+
+
+# ------------------------------------------------------------
+#  Classification: one record per feature, from the half slice
+# ------------------------------------------------------------
+
+class TestHalfSlice:
+    @pytest.mark.parametrize("config", [
+        # pairs 0-1 and 2-3 have minima at theta1 = 0 and at +-pi
+        _cfg("hetero_bilayer", aa=-1.0, ab=1.0, ac=0.0, t0=0.3),
+        _cfg("monolayer", aa=0.2, ab=0.2),
+    ], ids=["hetero_bilayer", "monolayer"])
+    def test_even_and_odd_sample_counts_give_the_same_records(self, config):
+        # an even count has no sample at theta1 = 0: the half slice starts
+        # at -h/2 there, where "theta1 >= 0" would lose the minimum at 0
+        records = {}
+        for n in (500, 501):
+            surface = sample_diagonal(config, n=n)
+            h = surface.theta[1] - surface.theta[0]
+            reports = classify_touches(surface)
+            for r in reports:
+                assert r.theta1 >= -h / 2.0 or r.theta1 == -np.pi, r
+            records[n] = reports
+        assert ([(r.kind, r.band_pair) for r in records[500]]
+                == [(r.kind, r.band_pair) for r in records[501]])
+        assert ([r.theta1 for r in records[500]]
+                == pytest.approx([r.theta1 for r in records[501]], abs=1e-6))
 
 
 # ------------------------------------------------------------

@@ -618,6 +618,22 @@ class TestClassify:
         assert all(float(r["theta1"]) >= 0.0 for r in records
                    if "theta1" in r)
 
+    def test_equal_gaps_keep_the_record_at_the_larger_theta1(self, tmp_path):
+        # the pair 1-2 separation has two minima of bitwise equal depth,
+        # at theta1 = 1.7135 and 2.6018
+        cfg = _write_config(
+            tmp_path,
+            stack={"variant": "bilayer_aa_prime", "alpha_a": -1.242549031104316,
+                   "alpha_b": -0.5357957389638797, "t0": 0.8459614195116405},
+            grid={"kind": "diagonal", "n": 501})
+        code, outdir = _run(tmp_path, "classify", cfg)
+        assert code == 0
+        _, records = _records((outdir / "report.txt").read_text())
+        gaps = [r for r in records if r["kind"] == "gap" and r["band_pair"] == "1,2"]
+        assert len(gaps) == 1
+        assert gaps[0]["separation"] == "0.190209829925116"
+        assert float(gaps[0]["theta1"]) == pytest.approx(2.6018, abs=1e-4)
+
     def test_coarse_grid_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path)
         code, _ = _run(tmp_path, "classify", cfg, "--grid", "99")

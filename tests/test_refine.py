@@ -252,7 +252,8 @@ def test_refinement_calls_do_not_grow_with_minima(monkeypatch):
     monkeypatch.setattr(bands, "roots_at", counting)
     reports = classify_touches(surface)
     refined = [r for r in reports if r.theta1 is not None]
-    assert len(refined) == 8
+    assert len(refined) == 4
+    assert all(r.theta1 >= 0.0 for r in refined)
     # one scipy run per minimum made 192 engine calls here; in lockstep the
     # refinement and all probes take about as many as the slowest minimum
     assert len(calls) < 60

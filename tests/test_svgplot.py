@@ -1,8 +1,16 @@
-"""Polyline coordinates of the band chart, against ``_fmt`` point by point."""
+"""The band chart: polyline coordinates against ``_fmt`` point by point,
+and the markers of the classified features."""
+
+import re
 
 import numpy as np
+import pytest
 
-from hexband.svgplot import _fmt, _Frame, _polyline
+from hexband.bands import classify_touches, sample_diagonal
+from hexband.lattice import CouplingParams, StackConfig, StackVariant, VertexParams
+from hexband.svgplot import _fmt, _Frame, _frame_for, _polyline, render_band_chart
+
+import frozen
 
 
 def test_polyline_formats_every_coordinate_as_fmt():
@@ -18,3 +26,32 @@ def test_polyline_formats_every_coordinate_as_fmt():
     line = _polyline(frame, theta, values, "#000000")
     assert f'points="{want}"' in line
     assert "-0.000000" not in line and "-0.000001" in line
+
+
+def _chart(config):
+    """The surface, its records and the cx of the chart's circles, and its
+    count of markers (circles and gap bars)."""
+    surface = sample_diagonal(config, n=501)
+    reports = classify_touches(surface)
+    svg = "\n".join(render_band_chart(surface, reports))
+    cx = [float(x) for x in re.findall(r'<circle cx="([^"]+)"', svg)]
+    return surface, reports, cx, len(cx) + svg.count('<g stroke="#2e8540"')
+
+
+def test_one_cone_record_is_drawn_at_both_mirror_images():
+    config = StackConfig(StackVariant.MONOLAYER, VertexParams(0.2, 0.2))
+    surface, reports, cx, count = _chart(config)
+    assert [r.kind for r in reports] == ["cone"]
+    frame = _frame_for(surface)
+    theta_k = frozen.DIRAC_THETA1
+    assert cx == pytest.approx([frame.x(-theta_k), frame.x(theta_k)], abs=1e-5)
+    assert count == 2
+
+
+def test_aa_bilayer_keeps_its_eight_markers():
+    # two cones and two crossings, each drawn at +-theta1
+    config = StackConfig(StackVariant.BILAYER_AA, VertexParams(-1.0, -1.0),
+                         coupling=CouplingParams(t0=0.3))
+    _, reports, _, count = _chart(config)
+    assert len(reports) == 4
+    assert count == 8
