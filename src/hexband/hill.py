@@ -75,10 +75,15 @@ Gates.  Two gates guard every integration, and NaN fails both:
   outside it runs the gate on its own lambdas, starting from that grid, and
   widens the range.  The Dirichlet scan gates its whole scan grid, so the
   grid is picked once per potential and range, and the root refinements
-  that follow reuse it.  ``MagnusState`` is the one record of how a
-  potential was integrated (grid, step count, worst deviation, monodromies
-  evaluated): the CLI's ``trace.hill`` manifest block reads it from the
-  run's potential.
+  that follow reuse it.  The potential also keeps its widest scan's roots
+  (``MagnusState.scan``), and a later scan to a lambda at or below that
+  scan's top, with the same tol on the same grid, is cut from them without
+  integrating: its scan points are a prefix of the recorded scan's, so it
+  has the same brackets and refines them to the same bits.
+  ``MagnusState`` is the one record of how a potential was integrated
+  (grid, step count, worst deviation, monodromies evaluated, the scan):
+  the CLI's ``trace.hill`` manifest block reads it from the run's
+  potential.
 * Wronskian: |det W - 1| <= ``WRONSKIAN_TOL`` + ``WRONSKIAN_ROUNDING`` *
   (|c s'| + |c' s|) at every lambda.  Every step map is exactly SL(2), so
   det N, and det W = (det N)^2 with it, drifts from 1 only by rounding;
@@ -164,7 +169,11 @@ class MagnusState:
     per lambda, for the zero potential too.  ``grids`` holds each grid the
     potential was integrated on, by ``halvings``: the read-only
     (h, sigma, hq) step arrays of ``_magnus_grid``, built once per potential
-    and grid.
+    and grid.  ``scan`` records the widest Dirichlet scan on the gated grid,
+    as (halvings, tol, lam_max, roots) with its refined roots before the
+    ``<= lam_max + tol`` cut, or None before the first scan:
+    ``dirichlet_spectrum`` answers a call on that grid with that tol and a
+    lam_max at or below the record's from it, integrating nothing.
     """
 
     halvings: int = 0
@@ -173,6 +182,7 @@ class MagnusState:
     deviation: float = 0.0
     evaluations: int = 0
     grids: dict = field(default_factory=dict, repr=False, compare=False)
+    scan: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
@@ -513,22 +523,44 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
     the bracketed sign changes refined together.  For the zero potential
     they are (k pi)^2, k >= 1, in closed form.
 
+    A scan no wider than the potential's recorded one, with the same tol on
+    the same grid, is cut from that record (``MagnusState.scan``) bit for
+    bit as a fresh scan would find it; a wider one scans afresh and
+    replaces the record.
+
     These are the edge-Dirichlet eigenvalues; on the graph they carry flat
     bands (pure-point spectrum) and are excluded from the band inversion.
     """
+    if not lam_max < math.inf:
+        raise InputError(f"lam_max={lam_max!r}: the Dirichlet scan needs a "
+                         "finite top")
     if pot.is_zero:
         # s(1) = sin(sqrt(lambda)) / sqrt(lambda); one k past the float
         # quotient, so that lam_max = (k pi)^2 itself is listed
         last = int(math.sqrt(max(lam_max + tol, 0.0)) / math.pi) + 1
         nu = np.square(np.pi * np.arange(1, last + 1))
         return nu[nu <= lam_max + tol]
+    state = pot.magnus
+    record = state.scan
+    if record is None or record[:2] != (state.halvings, tol) or lam_max > record[2]:
+        roots = _scan_roots(pot, lam_max, tol)
+        record = state.scan = (state.halvings, tol, lam_max, roots)
+    roots = record[3]
+    return np.unique(np.round(roots[roots <= lam_max + tol], 12))
+
+
+def _scan_roots(pot: PotentialSpec, lam_max: float, tol: float) -> np.ndarray:
+    """The zeros of s(1; lambda) that one scan to lam_max finds, refined to
+    tol, before they are cut at lam_max + tol."""
     # The scan starts just below min q.  Every Dirichlet eigenvalue lies above
     # min q + pi^2; further down there is nothing to find, only solutions
     # that grow like exp(sqrt(q - lambda)).
     lam_lo = _below_min_q(pot)
     if lam_max <= lam_lo:
         return np.array([])
-    # dense scan: linear below 1, uniform in sqrt(lambda) above
+    # dense scan: linear below 1, uniform in sqrt(lambda) above.  The points
+    # do not depend on lam_max, only where they stop: a narrower scan's
+    # points are a prefix of a wider one's.
     w_hi = np.sqrt(max(lam_max, 0.0))
     squares = np.square(np.arange(1.0, w_hi + 0.05, 0.05))
     if lam_lo < 1.0:
@@ -554,8 +586,7 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
             lambda lam, lanes: integrate_monodromy(pot, lam).s1,
             lo[change], hi[change], xtol=tol)
         roots = np.concatenate([roots, refined])
-    out = roots[roots <= lam_max + tol]
-    return np.unique(np.round(out, 12))
+    return roots
 
 
 # ============================================================

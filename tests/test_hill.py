@@ -296,18 +296,13 @@ class TestMagnus:
         pot = PotentialSpec.closure(_five_cos)
         first = dirichlet_spectrum(pot, 160.0)
         steps = pot.magnus.steps
-        grids = []
-        magnus = hill._magnus
-        monkeypatch.setattr(hill, "_magnus", lambda p, halvings, lam: (
-            grids.append((halvings, len(lam))) or magnus(p, halvings, lam)))
+        grids = _count_magnus(monkeypatch)
         again = dirichlet_spectrum(pot, 160.0)
         assert np.array_equal(first, again)
         assert pot.magnus.steps == steps
-        # one batched call for the scan grid, then the lockstep root
-        # refinement (both bracket ends of every root in its first call)
-        assert grids[0][1] > 200
-        assert all(n <= 2 * len(first) for _, n in grids[1:])
-        assert {halvings for halvings, _ in grids} == {pot.magnus.halvings}
+        # the repeat is cut from the potential's scan record: nothing is
+        # integrated, not even the refinement
+        assert grids == []
 
     def test_unresolvable_potential_trips_the_step_halving_gate(self):
         # a bump of height 1e5 and width 0.02 on a flat floor needs more than
@@ -503,6 +498,15 @@ class TestKernelBits:
 #  Dirichlet spectrum
 # ------------------------------------------------------------
 
+def _count_magnus(monkeypatch):
+    """Record (halvings, lambdas) of every ``hill._magnus`` call from now on."""
+    calls = []
+    magnus = hill._magnus
+    monkeypatch.setattr(hill, "_magnus", lambda p, halvings, lam: (
+        calls.append((halvings, len(lam))) or magnus(p, halvings, lam)))
+    return calls
+
+
 class TestDirichletSpectrum:
     def test_zero_potential_squares_of_pi_multiples(self):
         nu = dirichlet_spectrum(ZERO, 110.0)
@@ -545,6 +549,81 @@ class TestDirichletSpectrum:
             nu = dirichlet_spectrum(pot, 5.5 ** 2 * np.pi ** 2)
             for k in range(4):
                 assert nu[k] in dirichlet_spectrum(pot, nu[k])
+
+    @pytest.mark.parametrize("kind", ["zero", "sampled"])
+    @pytest.mark.parametrize("lam_max", [math.nan, math.inf])
+    def test_a_scan_needs_a_finite_top(self, monkeypatch, kind, lam_max):
+        # a raw ValueError or OverflowError from arange or int() before
+        pot = ZERO if kind == "zero" else PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
+        dirichlet_spectrum(pot, 100.0)
+        record, evaluations = pot.magnus.scan, pot.magnus.evaluations
+        calls = _count_magnus(monkeypatch)
+        with pytest.raises(InputError, match="finite top"):
+            dirichlet_spectrum(pot, lam_max)
+        assert calls == [] and pot.magnus.evaluations == evaluations
+        assert pot.magnus.scan is record
+
+    def test_a_scan_cut_from_the_record_equals_a_fresh_scan(self, monkeypatch):
+        # a narrower scan's points are a prefix of the recorded scan's, so it
+        # has the same brackets, and each refined root the same bits.  The
+        # reference is a new potential of the same knots that takes the same
+        # calls, so its gate picks the same grid, but drops its record
+        # before each one and so scans afresh every time.
+        widest = 5.5 ** 2 * np.pi ** 2
+        calls = _count_magnus(monkeypatch)
+
+        def twins(pot, twin, lam_max, tol=1e-10):
+            del calls[:]
+            served = dirichlet_spectrum(pot, lam_max, tol)
+            integrated = len(calls)
+            twin.magnus.scan = None
+            fresh = dirichlet_spectrum(twin, lam_max, tol)
+            assert twin.magnus.halvings == pot.magnus.halvings
+            assert served.dtype == fresh.dtype
+            assert served.tobytes() == fresh.tobytes()
+            return served, integrated
+
+        for seed in range(8):
+            pot = _random_even(seed)
+            twin = PotentialSpec.sampled(pot.x, pot.values)
+            wide, _ = twins(pot, twin, widest)
+            record = pot.magnus.scan
+            rng = np.random.default_rng(seed)
+            # below the widest scan: anywhere, at a found root, at its top
+            # and below min q
+            for lam_max in [*rng.uniform(0.0, widest, 4), wide[2], widest,
+                            float(np.min(pot.values)) - 2.0]:
+                _, integrated = twins(pot, twin, lam_max)
+                assert integrated == 0 and pot.magnus.scan is record
+            assert wide[2] in dirichlet_spectrum(pot, wide[2])
+            # a wider scan, or one with another tol, integrates afresh and
+            # replaces the record
+            for lam_max, tol in ((widest + 60.0, 1e-10), (100.0, 1e-8)):
+                _, integrated = twins(pot, twin, lam_max, tol)
+                assert integrated > 0
+                assert pot.magnus.scan[1:3] == (tol, lam_max)
+        # so does one after the gate picked a finer grid past the record
+        pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 150.0, 0.0, 150.0, 0.0])
+        twin = PotentialSpec.sampled(pot.x, pot.values)
+        twins(pot, twin, 60.0)
+        halvings = pot.magnus.halvings
+        for p in (pot, twin):
+            integrate_monodromy(p, np.linspace(60.0, 300.0, 40))
+        assert pot.magnus.halvings > halvings
+        _, integrated = twins(pot, twin, 40.0)
+        assert integrated > 0
+        assert pot.magnus.scan[:3] == (pot.magnus.halvings, 1e-10, 40.0)
+
+    def test_a_spectrum_integrates_its_scan_grid_in_the_gate_only(self, monkeypatch):
+        # the scan for the Dirichlet points is cut from the anchors' scan:
+        # the gate's coarse and fine passes are the only calls on a scan
+        # grid (a refinement batch holds at most two lambdas a lane)
+        pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
+        calls = _count_magnus(monkeypatch)
+        result = bands_from_root_surface(pot, [(-0.9, 0.9)], n_bands=4)
+        full = max(n for _, n in calls)
+        assert [call for call in calls if call[1] > 100] == [(0, full), (1, full)]
+        assert len(result.dirichlet) == 4
 
     def test_tall_bumps_scan_from_just_below_min_q(self):
         # a scan from -(max|q| + 10) = -160 drifted 1e-3 past the gate
