@@ -100,9 +100,9 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     q = 1 cell's formula route computes its batch's F.
 
     The points go to the engine in batches of ``batch_points``.  A call that
-    fits in one batch the formulas serve is their result as it is, returned
-    before any result array is made: the refiners make hundreds of such
-    calls a job.  A batch the formulas cannot serve whole sends its other
+    fits in one batch that one route serves, formulas or eigensolver, is
+    that engine call's result as it is, returned before any result array
+    is made: the refiners make about a thousand such calls a job.  A batch the formulas cannot serve whole sends its other
     points to the eigensolver and its formula points to the end, where they
     are evaluated together; once the parameters have no closed form at all,
     the formulas are not tried again.
@@ -174,15 +174,19 @@ def roots_at(config: StackConfig, theta1, theta2=None,
                 fill(part, roots.values, roots)
                 continue
         if flux is None:
-            fill(part, numeric_roots(assemble(config, F[part])).values)
+            part_values = numeric_roots(assemble(config, F[part])).values
         else:
             # the flux cells' artifacts come from eigvalsh(A) / 3, which
             # differs from numeric_roots' D^{-1/2} scaling in the last bits;
             # numeric_roots here would move the bytes of the q = 1 cell's
             # bands.csv and magnetic.txt and of both cells' validate.txt
             # (five GOLDEN rows of tests/test_batch.py)
-            fill(part, np.linalg.eigvalsh(
-                magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0)
+            part_values = np.linalg.eigvalsh(
+                magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0
+        if n <= size and not scalar and not deferred:
+            # one engine batch, served whole by the eigensolver
+            return DispersionRoots(values=part_values, closed=np.zeros(n, dtype=bool))
+        fill(part, part_values)
     if deferred:
         deferred = np.concatenate(deferred)
         for start in range(0, len(deferred), size):

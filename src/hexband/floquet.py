@@ -56,16 +56,27 @@ batches of ``batch_points`` points, whose matrices take at most
 matrix by matrix, so the budget moves no bit; it trades the fixed numpy
 cost of a call against its working set (256 KiB of matrices: 455 points at
 d = 6, 1024 at d = 4).  The closed forms and the q = 2 quartic run on the
-same batches: a batch the formulas cannot serve goes to the eigensolver,
-and their peak allocation per point, gate included, stays within twice a
-matrix's 16 d^2 bytes.
+same batches: a batch the formulas cannot serve goes to the eigensolver.
+Their peak allocation per point, gate included, is about 280 B at d = 2,
+600 B at d = 4 and 1.3 KB at d = 6 (2.2 to 4.4 times a matrix's 16 d^2
+bytes); at d = 6 the gate's coefficient planes, 16 (d + 1) d bytes, are
+half of it.
 
-The refiners call the engine hundreds of times a job on a few points each,
-where numpy's fixed cost per operation is most of a call.  So the
-small-call path counts operations: ``_f_batch`` takes a 1-D complex array
-as it is, ``_make_roots`` gathers the sorted rows by index, and the gate is
-a matrix product and Horner's scheme rather than ``vander``, a 3-operand
-einsum and ``polyval``.
+The refiners call the engine about a thousand times a job on 1-20 points
+each, where numpy's fixed cost per operation (0.2-1 us) is most of a call.
+So the small-call path counts operations.  ``_f_batch`` takes a 1-D
+complex array as it is.  The formulas write their columns into one
+(N, dim) array, ``_make_roots`` gathers the sorted rows by index, and
+``numeric_roots`` takes ``eigvalsh``'s values as they come, ascending.  A
+mask is built only once a reduction says it is needed: the quadratic's
+near-zero discriminants once one is negative, the off-slice points once
+one is off.  The gate is a matrix product and one Horner pass rather than
+``vander``, a 3-operand einsum and ``polyval``; the pass runs on
+preallocated planes that hold each coefficient at its roots' places, so
+every step combines arrays of one shape in place.  A ``roots_at`` call of
+1-8 points then costs 30-55 us on the closed forms, 40-55 % of it the
+gate, and 15-40 us on the eigensolver (2-core x86 VM;
+``tools/call_cost.py`` prints it per route).
 """
 
 from __future__ import annotations
@@ -158,15 +169,14 @@ def _clip_negative(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _make_roots(values, names=()):
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, axis=-1, kind="stable")
+def _make_roots(values: np.ndarray, names: tuple[str, ...]) -> DispersionRoots:
+    """Closed-form roots from their formula columns, (dim,) or (N, dim):
+    each row sorted, with the order that sorted it."""
+    order = values.argsort(axis=-1, kind="stable")
     values = values[order] if values.ndim == 1 else values[
         np.arange(len(values))[:, None], order]
-    return DispersionRoots(values=values,
-                           closed=np.full(values.shape[:-1], len(names) > 0),
-                           names=tuple(names),
-                           order=order.astype(np.int8) if names else None)
+    return DispersionRoots(values=values, closed=np.ones(values.shape[:-1], dtype=bool),
+                           names=names, order=order.astype(np.int8))
 
 
 # ============================================================
@@ -237,7 +247,8 @@ def assemble(config: StackConfig, F) -> FloquetMatrix:
     docstring): the layout's form (``_layout_form``) with F in its places."""
     a0, f_at, scale = _layout_form(config)
     F, scalar = _f_batch(F)
-    affine = np.repeat(a0[None], len(F), axis=0)
+    affine = np.empty((len(F),) + a0.shape, dtype=complex)
+    affine[:] = a0
     affine[:, f_at] = F[:, None]
     affine[:, f_at.T] = np.conj(F)[:, None]
     return FloquetMatrix(diag_scale=scale, affine=affine[0] if scalar else affine)
@@ -319,9 +330,12 @@ def char_poly(fm: FloquetMatrix, f_at: np.ndarray | None = None) -> np.ndarray:
 def _real_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """The real part of an (N, ...) coefficient array, after checking that
     the imaginary parts at each point stay at rounding level."""
-    axes = tuple(range(1, coeffs.ndim))
-    scale = np.abs(coeffs).max(axis=axes, initial=1.0)
-    if (np.abs(coeffs.imag).max(axis=axes) > 1e-12 * scale).any():
+    # the point axis last: numpy reduces a point's few entries per point,
+    # but reduces across points one vectorised step per entry
+    by_point = coeffs.T.copy()
+    axes = tuple(range(coeffs.ndim - 1))
+    scale = np.maximum.reduce(np.abs(by_point), axis=axes, initial=1.0)
+    if (np.maximum.reduce(np.abs(by_point.imag), axis=axes) > 1e-12 * scale).any():
         raise EngineError("characteristic polynomial has a non-real coefficient")
     return coeffs.real
 
@@ -358,13 +372,23 @@ def _residual_gate(coeffs: np.ndarray, values: np.ndarray) -> None:
         return
     coeffs = coeffs.reshape(-1, coeffs.shape[-1])
     values = values.reshape(len(coeffs), -1)
-    # p(r) and its size sum_i |c_i| rho^i in one Horner pass; NaN stays NaN
-    x = np.stack([values, np.maximum(1.0, np.abs(values))])
-    c = np.stack([coeffs, np.abs(coeffs)])[..., None]
-    acc = c[:, :, -1]
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * x + c[:, :, k]
-    worst = float((np.abs(acc[0]) / acc[1]).max())
+    # p(r) and its size sum_i |c_i| rho^i in one Horner pass over the planes
+    # x = (r, rho) and c[i] = (c_i, |c_i|), c_i copied to each root's place
+    # so that every step adds arrays of one shape; NaN stays NaN
+    x = np.empty((2,) + values.shape)
+    x[0] = values
+    np.maximum(1.0, np.abs(values), out=x[1])
+    c = np.empty((coeffs.shape[1], 2) + values.shape)
+    c[:, 0] = coeffs.T[:, :, None]
+    np.abs(c[:, 0], out=c[:, 1])
+    acc = c[-1] * x
+    acc += c[-2]
+    for k in range(len(c) - 3, -1, -1):
+        acc *= x
+        acc += c[k]
+    ratio = np.abs(acc[0], out=acc[0])
+    ratio /= acc[1]
+    worst = float(np.maximum.reduce(ratio, axis=None))
     if not worst < RESIDUAL_TOL:
         raise EngineError(
             f"closed-form root failed the residual gate: scaled residual {worst:g}"
@@ -378,9 +402,9 @@ def _residual_gate(coeffs: np.ndarray, values: np.ndarray) -> None:
 def numeric_roots(fm: FloquetMatrix) -> DispersionRoots:
     """Solve det(A - eta D) = 0 via the Hermitian eigenproblem of D^{-1/2} A D^{-1/2}."""
     dinv = 1.0 / np.sqrt(fm.diag_scale)
-    sym = fm.affine * np.outer(dinv, dinv)
-    values = np.linalg.eigvalsh(sym)
-    return _make_roots(values)
+    # eigvalsh returns each matrix's eigenvalues in ascending order
+    values = np.linalg.eigvalsh(fm.affine * (dinv[:, None] * dinv))
+    return DispersionRoots(values=values, closed=np.zeros(values.shape[:-1], dtype=bool))
 
 
 # ============================================================
@@ -390,17 +414,24 @@ def numeric_roots(fm: FloquetMatrix) -> DispersionRoots:
 def _quadratic_roots(A, B, C):
     """Real roots of A x^2 + B x + C, ascending (elementwise over arrays)."""
     disc = B * B - 4.0 * A * C
-    near = (disc < 0.0) & (
-        disc > -1e-14 * np.maximum(np.maximum(B * B, np.abs(4.0 * A * C)), 1.0))
-    if np.any((disc < 0.0) & ~near):
-        raise EngineError("closed-form quadratic has complex roots")
-    s = np.sqrt(np.where(near, 0.0, disc))
-    return ((-B - s) / (2.0 * A), (-B + s) / (2.0 * A))
+    # fmin skips NaN, so a NaN point hides no negative discriminant
+    if np.fmin.reduce(disc, axis=None, initial=0.0) < 0.0:
+        near = (disc < 0.0) & (
+            disc > -1e-14 * np.maximum(np.maximum(B * B, np.abs(4.0 * A * C)), 1.0))
+        if np.any((disc < 0.0) & ~near):
+            raise EngineError("closed-form quadratic has complex roots")
+        disc = np.where(near, 0.0, disc)
+    s = np.sqrt(disc)
+    minus_b, two_a = -B, 2.0 * A
+    return (minus_b - s) / two_a, (minus_b + s) / two_a
 
 
 def _require_diagonal(F: np.ndarray) -> np.ndarray:
-    off = np.abs(F.imag) > _DIAGONAL_TOL
-    if np.any(off):
+    im = np.abs(F.imag)
+    # fmax skips NaN: a NaN point counts as on the slice, as ``im > tol``
+    # counts it, and hides no point off it
+    if np.fmax.reduce(im, initial=0.0) > _DIAGONAL_TOL:
+        off = im > _DIAGONAL_TOL
         raise NoClosedFormError(
             "closed forms for this variant hold on the diagonal slice only "
             f"(Im F = {F.imag[off][0]:g})",
@@ -519,7 +550,9 @@ def closed_form_roots(config: StackConfig, F) -> DispersionRoots:
     fields = dict.fromkeys(name for _, _, name in config.layout.bonds)
     squares = [getattr(config.coupling, name) ** 2 for name in fields]
     alphas = config.vertex.alpha_a, config.vertex.alpha_b
-    values = np.stack(formula(*alphas, f, *squares), axis=-1)
+    values = np.empty((len(F), len(names)))
+    for k, column in enumerate(formula(*alphas, f, *squares)):
+        values[:, k] = column
     roots = _make_roots(values[0] if scalar else values, names)
     _residual_gate(_gate_coefficients(config, F), roots.values)
     return roots

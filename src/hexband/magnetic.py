@@ -24,6 +24,8 @@ which is why refinement must stay inside the zone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # a module import: bands imports magnetic back, for the Robin cells
@@ -92,8 +94,8 @@ def assemble_robin(config: StackConfig, theta1, theta2) -> FloquetMatrix:
 def g_function(theta1, theta2):
     """G(theta) = 3 + cos(theta1) + cos(2 theta2) - cos(theta1 - 2 theta2)."""
     t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    out = 3.0 + np.cos(t1) + np.cos(2.0 * t2) - np.cos(t1 - 2.0 * t2)
+    twice_t2 = 2.0 * np.asarray(theta2, dtype=float)
+    out = 3.0 + np.cos(t1) + np.cos(twice_t2) - np.cos(t1 - twice_t2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,13 +146,13 @@ def closed_form_roots_q2(config: StackConfig, theta1, theta2) -> DispersionRoots
     b = (an - ab) ** 2
     t1, t2, scalar = _theta_batch(theta1, theta2)
     g = g_function(t1, t2)
-    shift = 4.0 * np.sqrt(2.0) * np.sqrt(g)
-    values = []
-    for radicand in (b + 12.0 - shift, b + 12.0 + shift):
+    shift = 4.0 * math.sqrt(2.0) * np.sqrt(g)
+    values = np.empty((len(g), 4))
+    for k, radicand in enumerate((b + 12.0 - shift, b + 12.0 + shift)):
         # max(radicand, 0.0), keeping -0.0 and NaN as they are
         root = np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
-        values.extend([(-a - root) / 6.0, (-a + root) / 6.0])
-    values = np.stack(values, axis=-1)
+        values[:, 2 * k] = (-a - root) / 6.0
+        values[:, 2 * k + 1] = (-a + root) / 6.0
     roots = _make_roots(values[0] if scalar else values, _Q2_NAMES)
     _residual_gate(_q2_coeffs(config, g), roots.values)
     return roots

@@ -390,8 +390,7 @@ def pair_separations(roots, theta1, theta2, pairs: np.ndarray) -> np.ndarray:
     """Separation of the sorted branches pairs[k], pairs[k] + 1 at
     (theta1[k], theta2[k]), from one ``roots`` call."""
     values = roots(theta1, theta2).values
-    rows = np.arange(len(values))
-    return values[rows, pairs + 1] - values[rows, pairs]
+    return (values[:, 1:] - values[:, :-1])[np.arange(len(values)), pairs]
 
 
 def classify_minima(roots, minima, direction, tol_touch: float,

@@ -21,7 +21,9 @@ from hexband.lattice import (
     StackConfig,
     StackVariant,
     VertexParams,
+    structure_function,
 )
+from hexband.refine import bounded_minima, pair_separations
 
 import frozen
 
@@ -273,6 +275,43 @@ class TestAAPrime:
 #  Hetero bilayer
 # ------------------------------------------------------------
 
+# Three edges of the image of the zone under F, as paths theta(x) for x in
+# [-end, end]: the diagonal (the diameter F in [-1, 3]), the circle
+# |F - 1| = 2 (theta1 = theta2) and the segment F = iy, |y| <= sqrt(3)
+# (F - 1 = 2 cos(d / 2) exp(i s) at theta = s +- d / 2).
+
+def _diagonal(x):
+    return x, -x
+
+
+def _circle(x):
+    return x, x
+
+
+def _segment(y):
+    u = -1.0 + 1j * y
+    half = np.arccos(np.minimum(np.abs(u) / 2.0, 1.0))
+    return np.angle(u) + half, np.angle(u) - half
+
+
+def _refined_minima(cfg, path, end, pair, n=201):
+    """Every grid minimum of a pair's separation along a path, refined by
+    ``bounded_minima`` within a grid step: the separations and their F."""
+    x = np.linspace(-end, end, n)
+    values = roots_at(cfg, *path(x)).values
+    sep = np.pad(values[:, pair + 1] - values[:, pair], 1, constant_values=np.inf)
+    at = x[(sep[1:-1] <= sep[:-2]) & (sep[1:-1] <= sep[2:])]
+    h = x[1] - x[0]
+
+    def separations(x, lanes):
+        return pair_separations(lambda t1, t2: roots_at(cfg, t1, t2), *path(x),
+                                np.full(len(x), pair))
+
+    x, sep = bounded_minima(separations, np.maximum(at - h, -end),
+                            np.minimum(at + h, end), 1e-12)
+    return sep, structure_function(*path(x))
+
+
 class TestHeteroBilayer:
     def test_gap_formula_value(self):
         cfg = _cfg("hetero_bilayer", aa=-1.0, ab=1.0, t0=0.3)
@@ -298,6 +337,27 @@ class TestHeteroBilayer:
         assert mid
         assert min(r.gap_width for r in mid) == pytest.approx(
             frozen.HETERO_GAP_M1_03, rel=1e-9)
+
+    def test_narrowest_gaps_off_the_diagonal(self):
+        # pair 0-1 is narrower on the circle |F - 1| = 2 than anywhere on
+        # the diagonal, at a conjugate pair of F; pair 1-2's gap at F = 0
+        # is not undercut on the circle or on the segment F = iy
+        cfg = _cfg("hetero_bilayer", aa=-1.0, ab=1.0, t0=0.3)
+        sep, F = _refined_minima(cfg, _circle, np.pi, pair=0)
+        narrowest = F[sep - sep.min() < 1e-12]
+        assert round(sep.min(), 6) == 0.073037
+        assert sorted(np.round(narrowest.imag, 3)) == [-1.916, 1.916]
+        assert (np.round(narrowest.real, 3) == 1.572).all()
+        sep, F = _refined_minima(cfg, _diagonal, np.pi, pair=0)
+        assert round(sep.min(), 6) == 0.077873
+        assert F[np.argmin(sep)] == pytest.approx(3.0, abs=1e-12)
+
+        gap = frozen.HETERO_GAP_M1_03          # 0.0052009 at F = 0
+        sep, F = _refined_minima(cfg, _circle, np.pi, pair=1)
+        assert sep.min() > 100.0 * gap
+        sep, F = _refined_minima(cfg, _segment, np.sqrt(3.0), pair=1)
+        assert sep.min() == pytest.approx(gap, abs=1e-12)
+        assert sep.min() >= gap - 1e-15 and abs(F[np.argmin(sep)]) < 1e-6
 
     def test_no_formula_off_the_constraint(self):
         with pytest.raises(NoClosedFormError, match="alpha_b"):

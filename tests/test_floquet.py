@@ -20,6 +20,7 @@ from hexband import (
     closed_form_roots,
     numeric_roots,
 )
+from hexband.bands import roots_at
 from hexband.lattice import FluxSpec, structure_function
 
 
@@ -453,3 +454,93 @@ def test_paired_stacks_serve_exactly_the_real_f(variant):
                 closed_form_roots(cfg, F)
             assert info.value.servable.tolist() == (F.imag == 0.0).tolist()
             assert 0 < info.value.servable.sum() < len(F)
+
+
+# ============================================================
+#  The masks of the small-call path
+# ============================================================
+#
+# The gate, the diagonal check and the quadratic build their masks only
+# when a reduction says one is needed.  A max reduction propagates NaN where
+# ``any(x > tol)`` ignores it, so these pin what a NaN point does.
+
+@pytest.mark.parametrize("variant", _DIAMETER_ONLY, ids=lambda v: v.value)
+def test_nan_theta_on_a_paired_stack_fails_the_residual_gate(variant):
+    cfg = _cfg(variant, -0.8, 0.8, t0=0.4)
+    for theta in ([np.nan], [0.3, np.nan], [np.nan, 0.3, 1.1]):
+        theta = np.array(theta)
+        with pytest.raises(EngineError, match="residual gate") as info:
+            closed_form_roots(cfg, structure_function(theta, -theta))
+        assert not isinstance(info.value, NoClosedFormError)
+        with pytest.raises(EngineError, match="residual gate"):
+            roots_at(cfg, theta, -theta)
+
+
+@pytest.mark.parametrize("variant", _DIAMETER_ONLY, ids=lambda v: v.value)
+def test_a_nan_point_beside_an_off_slice_point(variant):
+    # a NaN point counts as on the slice and hides no point off it: the
+    # batch is refused with its servable points named, and roots_at sends
+    # the NaN point to the formulas, whose gate fails
+    cfg = _cfg(variant, -0.8, 0.8, t0=0.4)
+    t1 = np.array([np.nan, 0.7, 0.3])
+    t2 = np.array([np.nan, 0.1, -0.3])
+    for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
+        F = structure_function(t1[order], t2[order])
+        with pytest.raises(NoClosedFormError, match=r"Im F = 0\.744051\)") as info:
+            closed_form_roots(cfg, F)
+        assert info.value.servable.tolist() == [k != 1 for k in order]
+        with pytest.raises(EngineError, match="residual gate"):
+            roots_at(cfg, t1[order], t2[order])
+    # without the NaN point the batch splits between the routes
+    roots = roots_at(cfg, t1[1:], t2[1:])
+    assert roots.closed.tolist() == [False, True]
+
+
+def _sorted_eigenvalues(fm):
+    dinv = 1.0 / np.sqrt(fm.diag_scale)
+    return np.sort(np.linalg.eigvalsh(fm.affine * np.outer(dinv, dinv)), axis=-1)
+
+
+@pytest.mark.parametrize("cfg", ALL_NONMAGNETIC, ids=lambda c: c.variant.value)
+def test_numeric_roots_are_the_sorted_eigenvalues(cfg):
+    # eigvalsh returns ascending values, so numeric_roots takes them as
+    # they are: the same bits as sorting them
+    rng = np.random.default_rng(17)
+    for n in (1, 5, 40):
+        F = structure_function(*rng.uniform(-np.pi, np.pi, (2, n)))
+        fm = assemble(cfg, F)
+        roots = numeric_roots(fm)
+        assert roots.values.tobytes() == _sorted_eigenvalues(fm).tobytes()
+        assert roots.closed.shape == (n,) and not roots.closed.any()
+        assert roots.order is None and roots.names == ()
+    one = numeric_roots(assemble(cfg, F[0]))
+    assert one.values.tobytes() == _sorted_eigenvalues(assemble(cfg, F[0])).tobytes()
+    assert one.closed.shape == () and not one.closed
+
+
+def test_numeric_roots_of_degenerate_configs_are_the_sorted_eigenvalues():
+    # equal eigenvalues: the zero matrix of an undecorated monolayer at
+    # F = 0, and the AA bilayer's +-t0^2 pairs there
+    for cfg in (_cfg(StackVariant.MONOLAYER),
+                _cfg(StackVariant.BILAYER_AA, t0=0.5),
+                _cfg(StackVariant.TRILAYER_G_HBN_G, t0=0.5)):
+        F = np.array([0.0, 0.0, 1.0, -1.0, 3.0]) + 0j
+        fm = assemble(cfg, F)
+        values = numeric_roots(fm).values
+        assert values.tobytes() == _sorted_eigenvalues(fm).tobytes()
+        assert np.any(np.diff(values, axis=1) == 0.0)
+
+
+def test_quadratic_clips_a_near_zero_discriminant():
+    from hexband.floquet import _quadratic_roots
+    B = np.array([0.0, 2.0, 2.0])
+    C = np.array([2.5e-16, 1.0 + 2.5e-16, 1.0])     # disc ~ -1e-15, -1e-15, 0
+    lo, hi = _quadratic_roots(1.0, B, C)
+    assert (lo == -B / 2.0).all() and (hi == -B / 2.0).all()
+    # a NaN point hides neither a clipped discriminant nor a negative one
+    lo, hi = _quadratic_roots(1.0, np.array([np.nan, 0.0]), np.array([1.0, 2.5e-16]))
+    assert np.isnan(lo[0]) and np.isnan(hi[0]) and lo[1] == hi[1] == 0.0
+    with pytest.raises(EngineError, match="complex roots"):
+        _quadratic_roots(1.0, np.array([np.nan, 0.0]), np.array([1.0, 1e-13]))
+    with pytest.raises(EngineError, match="complex roots"):
+        _quadratic_roots(1.0, np.array([0.0]), np.array([1e-13]))

@@ -1,5 +1,6 @@
 """Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
-and of ``tools/src_lines.py``, the code-line count."""
+of ``tools/src_lines.py``, the code-line count, and of ``tools/call_cost.py``,
+the cost of a small ``roots_at`` call."""
 
 import importlib.util
 import os
@@ -68,6 +69,14 @@ lines"""
 '''
 
 
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "tools", f"{name}.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_src_lines_counts_code_lines_only():
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "src_lines.py")],
                           capture_output=True, text=True)
@@ -77,9 +86,18 @@ def test_src_lines_counts_code_lines_only():
                      if name.endswith(".py"))
     assert [name for _, name in rows] == modules + ["total"]
     assert sum(int(count) for count, _ in rows[:-1]) == int(rows[-1][0]) > 0
-    spec = importlib.util.spec_from_file_location(
-        "src_lines", os.path.join(ROOT, "tools", "src_lines.py"))
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool("src_lines")
     # import, class, def, the two lines of the return and the two of TEXT
     assert tool.code_lines(_SOURCE) == 7
+
+
+def test_call_cost_prints_one_line_per_route(capsys):
+    tool = _tool("call_cost")
+    assert tool.main(repeat=1) == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head.split()[:2] == ["variant", "route"]
+    assert len(lines) == len(tool.ROUTES) == 12
+    for line, (variant, route, _) in zip(lines, tool.ROUTES):
+        assert line.startswith(f"{variant:<22} {route:<18} ")
+        costs = line[42:].split()
+        assert len(costs) == len(tool.SIZES) and all(float(c) > 0.0 for c in costs)
