@@ -5,8 +5,9 @@ All touch analysis happens on the anti-diagonal slice theta2 = -theta1 of the
 Brillouin zone, where the structure function F = 1 + 2 cos(theta1) is real and
 sweeps [-1, 3].  For each pair of adjacent (sorted) dispersion branches the
 classifier locates every local minimum of the separation and refines it
-(``refine.bounded_minima``); ``refine.classify_minima``, the stage the
-magnetic zone classifier shares, issues one report per minimum.
+(``refine.bounded_minima``), or takes it exactly at theta1 = 0 or -pi;
+``refine.classify_minima``, the stage the magnetic zone classifier shares,
+issues one report per minimum.
 
 The profiles depend on theta1 only through F, which is even in theta1, so
 a feature off theta1 in {0, pi} lies at +-theta1.  The classifier refines
@@ -57,6 +58,7 @@ from .lattice import (
     structure_function,
 )
 from .refine import (
+    _CURV_STEP,
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
     TouchReport,
@@ -102,10 +104,12 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     The points go to the engine in batches of ``batch_points``.  A call that
     fits in one batch that one route serves, formulas or eigensolver, is
     that engine call's result as it is, returned before any result array
-    is made: the refiners make about a thousand such calls a job.  A batch the formulas cannot serve whole sends its other
-    points to the eigensolver and its formula points to the end, where they
-    are evaluated together; once the parameters have no closed form at all,
-    the formulas are not tried again.
+    is made: the refiners make most of a classifying job's calls, about
+    800 over a pass of the benchmark's diag-classify jobs.  A batch the
+    formulas cannot serve whole sends its other points to the eigensolver
+    and its formula points to the end, where they are evaluated together;
+    once the parameters have no closed form at all, the formulas are not
+    tried again.
 
     A stack's call of more than one batch evaluates each distinct F once:
     every row, its route included, is a function of F's bits alone, so the
@@ -329,6 +333,18 @@ def classify_touches(surface: DispersionSurface,
     slice's other half).  The minima of all profiles are refined together
     (``refine.bounded_minima``), so the engine calls of a refinement follow
     its slowest minimum rather than the number of minima.
+
+    A grid minimum at a symmetry point, theta1 = 0 (F = 3, odd n) or -pi
+    (F = -1), is taken exactly: the profile is even about the point, so
+    its slope there is 0, and the sign of its curvature decides.  One
+    batched probe evaluates every such point and the point _CURV_STEP past
+    it (at most h/2).  Where the profile does not fall, the record is the
+    point itself, theta1 = 0.0 or -pi, with the separation evaluated
+    there; where it falls, two symmetric minima lie within h of the point,
+    and the one in (0, h] or [-pi, -pi + h] is refined.  Refined on
+    [-h, h] instead, a minimum at 0 golden-steps through a profile flat to
+    rounding, because the bounded method's tolerance sqrt(eps) |x| +
+    xatol / 3 shrinks with |x|.
     """
     if surface.n_samples < MIN_CLASSIFY_SAMPLES:
         raise ResolutionError(
@@ -365,14 +381,32 @@ def classify_touches(surface: DispersionSurface,
     if not brackets:
         return tuple(flat)
     pairs = np.array([pair for pair, _ in brackets])
-    centers = theta[[i for _, i in brackets]]
-    t_refined, s_refined = bounded_minima(
-        lambda x, lanes: pair_separations(surface.roots_at, x, -x, pairs[lanes]),
-        centers - h, centers + h, _REFINE_XATOL)
-    t_refined = [wrap_theta(t) for t in t_refined.tolist()]
-    minima = [(pair, t, -t, s) for pair, t, s in zip(
-        pairs.tolist(), t_refined, s_refined.tolist())]
-    f_values = structure_function(t_refined, [-t for t in t_refined]).real.tolist()
+    index = np.array([i for _, i in brackets])
+    lo, hi = theta[index] - h, theta[index] + h
+    t_min, s_min = np.empty(len(index)), np.empty(len(index))
+    refine = np.ones(len(index), dtype=bool)
+    # the minima at the symmetry points: index half (theta1 = 0) for odd n,
+    # and index 0 (-pi); each is the point itself unless the profile falls
+    # past it, and then the minimum past it is refined
+    ends = np.flatnonzero((index == 0) | ((index == half) & (surface.n_samples % 2 == 1)))
+    if len(ends):
+        at = np.where(index[ends] == 0, -np.pi, 0.0)
+        x = np.concatenate([at, at + min(_CURV_STEP, h / 2.0)])
+        s_at, s_off = np.split(pair_separations(surface.roots_at, x, -x,
+                                                np.tile(pairs[ends], 2)), 2)
+        exact = s_off >= s_at
+        t_min[ends[exact]], s_min[ends[exact]] = at[exact], s_at[exact]
+        refine[ends[exact]] = False
+        lo[ends[~exact]], hi[ends[~exact]] = at[~exact], at[~exact] + h
+    refined = pairs[refine]
+    t_min[refine], s_min[refine] = bounded_minima(
+        lambda x, lanes: pair_separations(surface.roots_at, x, -x, refined[lanes]),
+        lo[refine], hi[refine], _REFINE_XATOL)
+    t_found = [wrap_theta(t) for t in t_min.tolist()]
+    # 0.0 - t: theta2 = 0.0, not -0.0, at the Gamma point
+    minima = [(pair, t, 0.0 - t, s) for pair, t, s in zip(
+        pairs.tolist(), t_found, s_min.tolist())]
+    f_values = structure_function(t_found, [-t for t in t_found]).real.tolist()
     reports = classify_minima(surface.roots_at, minima, _DIAGONAL_DIR, tol_touch,
                               tol_slope, f_values, crossings=surface.route == "closed")
     # a pair has a flat record or refined minima, never both
@@ -397,11 +431,17 @@ def mirror_images(surface: DispersionSurface, reports) -> list[TouchReport]:
 # ============================================================
 
 def gap_width_closed_form(config: StackConfig) -> float:
-    """Analytic minimal gap width, for the variants that have one.
+    """Analytic gap width at the Dirac point F = 0, for the variants that
+    have one.
 
-    * monolayer: |alpha_a - alpha_b| / 3 (between its two branches);
-    * hetero bilayer with alpha_b = -alpha_a, alpha_c = 0:
-      sqrt(2) sqrt(2 t0^4 + a^2 - sqrt(4 a^2 t0^4 + a^4)) / (3 + t0^2).
+    * monolayer: |alpha_a - alpha_b| / 3 (between its two branches), which
+      is also the pair's minimal gap;
+    * hetero bilayer with alpha_b = -alpha_a, alpha_c = 0 (a = |alpha_a|):
+      sqrt(2) sqrt(2 t0^4 + a^2 - sqrt(4 a^2 t0^4 + a^4)) / (3 + t0^2),
+      the gap of the inner pair 1-2 at F = 0.  It is that pair's minimal
+      gap only for a >~ 1.572 t0^2; below that the minimum leaves F = 0
+      (at t0 = 0.3 and a = 0.01 it is 0.003231 at F = -0.09, against
+      0.05511 here).
     """
     v = config.variant
     aa = config.vertex.alpha_a

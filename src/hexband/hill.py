@@ -512,8 +512,12 @@ def discriminant(pot: PotentialSpec, lam):
 # ============================================================
 
 def _below_min_q(pot: PotentialSpec) -> float:
-    """A lambda below min q, and so below the spectrum: min q on 257 probes,
-    less 1."""
+    """A lambda below min q, and so below the spectrum (the Rayleigh
+    quotient puts every eigenvalue above min q): min q less 1.  A sampled q
+    is piecewise linear, so its minimum is a knot value; a closure's is
+    taken on 257 probes."""
+    if pot.kind == "sampled":
+        return float(np.min(pot.values)) - 1.0
     return float(np.min(pot(np.linspace(0.0, 1.0, 257)))) - 1.0
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hexband.bands as bands_module
 from hexband.bands import (
     _is_prominent,
     adjacent_separations,
@@ -236,6 +237,110 @@ class TestHalfSlice:
                 == [(r.kind, r.band_pair) for r in records[501]])
         assert ([r.theta1 for r in records[500]]
                 == pytest.approx([r.theta1 for r in records[501]], abs=1e-6))
+
+
+# ------------------------------------------------------------
+#  Classification: the symmetry points theta1 = 0 and -pi, taken exactly
+# ------------------------------------------------------------
+
+# pairs 1-2 and 3-4 have gap minima at theta1 = 0 (F = 3) and -pi (F = -1)
+_BNGBN = _cfg("trilayer_hbn_g_hbn", aa=-1.0, ab=1.0, t0=0.3)
+# alpha bisected so that pair 1-2's separation, as a function of F, has
+# its minimum at F = 1 + 2 cos(0.002), just inside F = 3: two symmetric
+# minima at theta1 = +-0.002, within one step of 0 at n = 2001 (h = 0.00314)
+_DIP_ALPHA = 0.7381044390867144
+_DIP = _cfg("trilayer_hbn_g_hbn", aa=-_DIP_ALPHA, ab=_DIP_ALPHA, t0=0.3)
+
+
+def _near(reports, pair, point, h):
+    """The records of band pair (pair, pair + 1) less than h past point."""
+    return [r for r in reports if r.band_pair == (pair, pair + 1)
+            and r.theta1 is not None and point <= r.theta1 < point + h]
+
+
+class TestSymmetryPoints:
+    @pytest.mark.parametrize("n", [201, 501, 2001])
+    @pytest.mark.parametrize("point", [0.0, -np.pi], ids=["gamma", "minus_pi"])
+    def test_a_minimum_at_a_symmetry_point_is_the_point_itself(self, n, point):
+        # at n = 201 the grid's centre is 4.44e-16, not 0
+        surface = sample_diagonal(_BNGBN, n=n)
+        h = surface.theta[1] - surface.theta[0]
+        reports = classify_touches(surface)
+        fresh = adjacent_separations(_BNGBN, point)
+        for pair in (1, 3):
+            [record] = _near(reports, pair, point, h)
+            assert record.kind == "gap"
+            assert record.theta1 == point and record.theta2 == -point
+            assert record.separation == fresh[pair]
+            assert record.f_value == (3.0 if point == 0.0 else -1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from(["trilayer_hbn_g_hbn", "trilayer_g_hbn_g",
+                                    "hetero_bilayer", "monolayer"]),
+           alpha=st.floats(0.05, 2.0), t0=st.floats(0.1, 1.0))
+    def test_records_within_a_step_of_a_symmetry_point(self, variant, alpha, t0):
+        # each is the point itself, with the separation there, or a
+        # minimum past it that lies below that separation
+        coupling = {} if variant == "monolayer" else {"t0": t0}
+        cfg = _cfg(variant, aa=-alpha, ab=alpha, **coupling)
+        surface = sample_diagonal(cfg, n=201)
+        h = surface.theta[1] - surface.theta[0]
+        reports = classify_touches(surface)
+        for point in (0.0, -np.pi):
+            fresh = adjacent_separations(cfg, point)
+            for r in reports:
+                if r.theta1 is None or not point <= r.theta1 < point + h:
+                    continue
+                if r.theta1 == point:
+                    assert r.separation == fresh[r.band_pair[0]]
+                else:
+                    assert r.separation < fresh[r.band_pair[0]]
+
+    def test_two_symmetric_minima_next_to_gamma_are_refined_past_it(self, monkeypatch):
+        at_gamma = adjacent_separations(_DIP, 0.0)[1]
+        # the setting: theta1 = 0 is a local maximum of pair 1-2
+        assert adjacent_separations(_DIP, 0.002)[1] < at_gamma
+        brackets = []
+
+        def spy(fn, lo, hi, xatol):
+            brackets.extend(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()))
+            return bounded_minima(fn, lo, hi, xatol)
+
+        monkeypatch.setattr(bands_module, "bounded_minima", spy)
+        found = {}
+        for n in (201, 501, 2001):
+            brackets.clear()
+            surface = sample_diagonal(_DIP, n=n)
+            h = surface.theta[1] - surface.theta[0]
+            reports = classify_touches(surface)
+            # pairs 1-2 and 3-4 mirror each other; each is refined on (0, h]
+            assert [b for b in brackets if b[0] == 0.0] == [(0.0, h), (0.0, h)]
+            [record] = _near(reports, 1, 0.0, h)
+            assert 0.0 < record.theta1 <= h
+            assert record.separation < at_gamma
+            found[n] = record
+        # the profile is flat to its rounding (~2e-15) for ~2e-4 around the
+        # minimum, so the refined theta1 agrees to that width and the
+        # separations to the rounding
+        thetas = [r.theta1 for r in found.values()]
+        seps = [r.separation for r in found.values()]
+        assert max(thetas) - min(thetas) < 1e-4
+        assert abs(np.mean(thetas) - 0.002) < 1e-4
+        assert max(seps) - min(seps) < 3e-15
+
+    def test_gamma_lanes_cost_no_refinement_rounds(self, monkeypatch):
+        # refining the two gap minima at theta1 = 0 as well, through a
+        # profile flat to rounding, takes 30 more calls here
+        surface = sample_diagonal(_BNGBN, n=501)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return roots_at(*args, **kwargs)
+
+        monkeypatch.setattr(bands_module, "roots_at", counting)
+        classify_touches(surface)
+        assert len(calls) == 11
 
 
 # ------------------------------------------------------------

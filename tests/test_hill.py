@@ -7,6 +7,8 @@ from dataclasses import fields
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import hexband.hill as hill
 from hexband.errors import EngineError, InputError
@@ -849,6 +851,36 @@ class TestBandEdges:
             assert np.all((np.repeat(edges[:, 0], 2) <= lams)
                           & (lams <= np.repeat(edges[:, 1], 2)))
             assert np.all(np.abs(0.5 * discriminant(pot, lams) - etas) <= 1e-12)
+
+    def test_a_dip_between_the_probes_of_q_stays_above_the_start(self):
+        # two dips of depth 5 000 and width 4e-4, which 257 probes of q
+        # miss: min q less 1 on the probes was -1, above band 1's lower
+        # edge, and the partner of gap 0 had no sign change on [-1, nu_1]
+        x = [0.0, 0.2998, 0.3, 0.3002, 0.6998, 0.7, 0.7002, 1.0]
+        q = [0.0, 0.0, -5000.0, 0.0, 0.0, -5000.0, 0.0, 0.0]
+        pot = PotentialSpec.sampled(x, q)
+        assert hill._below_min_q(pot) == -5001.0
+        result = bands_from_root_surface(pot, [(-1.0, 1.0)])
+        lowest = min(iv.lo for iv in result.intervals)
+        assert -2.5 < lowest < -2.0
+        # an independent scan of c'(1/2), which vanishes at the even
+        # periodic ground state: one sign change, around the edge
+        lam = np.linspace(-2.5, -2.0, 1001)
+        cp = hill._half_edge(pot, lam)[1]
+        [k] = np.flatnonzero(np.sign(cp[:-1]) != np.sign(cp[1:]))
+        assert lam[k] <= lowest <= lam[k + 1]
+        # and the lowest eigenvalue of -y'' + q y with periodic ends, by
+        # second differences on 20 000 points (error ~1e-5 at this step)
+        m = 20_000
+        inv_h2 = float(m * m)
+        off = np.full(m - 1, -inv_h2)
+        corner = np.array([-inv_h2])
+        a = scipy.sparse.diags(
+            [2.0 * inv_h2 + np.interp(np.arange(m) / m, x, q), off, off, corner, corner],
+            [0, 1, -1, m - 1, 1 - m], format="csc")
+        [ground] = scipy.sparse.linalg.eigsh(a, k=1, sigma=-10.0,
+                                             return_eigenvectors=False)
+        assert lowest == pytest.approx(ground, abs=1e-4)
 
 
 class TestZeroPotentialClosedForm:
