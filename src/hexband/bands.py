@@ -287,37 +287,44 @@ def diagonal_theta_for_f(f: float) -> float:
 #  Touch reports
 # ============================================================
 
-def _local_min_indices(y: np.ndarray) -> np.ndarray:
-    """Indices of periodic local minima (strict on the left to split plateaus)."""
-    prev = np.roll(y, 1)
-    nxt = np.roll(y, -1)
-    return np.nonzero((y < prev) & (y <= nxt))[0]
+def _grid_minima(seps: np.ndarray, half: int,
+                 eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat columns of ``seps`` (n, pairs), and the pair and grid index of
+    every prominent periodic grid minimum of the others on the half slice
+    (index 0 and from ``half`` on), pair-major with ascending index.
 
-
-def _is_prominent(y: np.ndarray, idx: np.ndarray, eps: float) -> np.ndarray:
-    """For each index i of idx: True when the periodic profile rises by more
-    than eps on both sides of i before dropping below y[i] - eps.
-
-    Rejects rounding-level wobble minima on flat plateau stretches while
-    keeping every minimum with real structure around it (a deeper neighboring
-    minimum is always separated by an intervening local maximum, so the rise
-    is seen first).  Each side is one pass over the (indices, m) walks, in
-    blocks of ``BATCH_BYTES``; a NaN neither rises nor drops."""
-    m = len(y)
+    A column is flat when its values span less than ``FLAT_SEP_TOL``.  The
+    periodic profile drops the duplicated endpoint (theta = -pi and pi are
+    the same point).  A grid minimum is strict on the left, to split
+    plateaus, and is prominent when the profile rises by more than eps on
+    both sides of it before dropping below its value - eps: that rejects
+    rounding-level wobble on flat stretches and keeps every minimum with
+    real structure around it (a deeper neighbouring minimum is always
+    separated by an intervening maximum, so the rise is seen first).  One
+    roll/compare pass finds the minima of every pair, and each side's
+    walks are gathered in blocks of ``BATCH_BYTES``; a NaN neither rises nor
+    drops."""
+    flat = seps.max(axis=0) - seps.min(axis=0) < FLAT_SEP_TOL
+    live = np.flatnonzero(~flat)
+    y = seps[:-1, live].T
+    m = y.shape[1]
+    is_min = (y < np.roll(y, 1, axis=1)) & (y <= np.roll(y, -1, axis=1))
+    is_min[:, 1:half] = False
+    row, index = np.nonzero(is_min)
     rows = max(1, BATCH_BYTES // (8 * m))
-    keep = np.ones(len(idx), dtype=bool)
-    # the walk to the left of i is the walk to the right of m - 1 - i in y[::-1]
-    for line, start in ((y, idx), (y[::-1], m - 1 - idx)):
-        # walks[i + 1] holds the m points after i, ending on i itself
-        walks = sliding_window_view(np.concatenate([line, line]), m)
-        for lo in range(0, len(idx), rows):
-            at = start[lo:lo + rows]
-            walk, level = walks[at + 1], line[at, None]
+    keep = np.ones(len(row), dtype=bool)
+    # the walk to the left of i is the walk to the right of m - 1 - i in y[:, ::-1]
+    for line, start in ((y, index), (y[:, ::-1], m - 1 - index)):
+        # walks[p, i + 1] holds the m points after i, ending on i itself
+        walks = sliding_window_view(np.concatenate([line, line], axis=1), m, axis=1)
+        for lo in range(0, len(row), rows):
+            r, at = row[lo:lo + rows], start[lo:lo + rows]
+            walk, level = walks[r, at + 1], line[r, at, None]
             rise, drop = walk > level + eps, walk < level - eps
             first_drop = np.where(drop.any(axis=1), drop.argmax(axis=1), m)
             keep[lo:lo + rows] &= (rise.any(axis=1)
                                    & (rise.argmax(axis=1) <= first_drop))
-    return keep
+    return flat, live[row[keep]], index[keep]
 
 
 def classify_touches(surface: DispersionSurface,
@@ -330,21 +337,26 @@ def classify_touches(surface: DispersionSurface,
     minimum of each separation profile on the half slice is refined by
     bounded minimization before classification, so a feature off theta1 in
     {0, pi} gets one record, at theta1 > 0 (``mirror_images`` gives the
-    slice's other half).  The minima of all profiles are refined together
-    (``refine.bounded_minima``), so the engine calls of a refinement follow
-    its slowest minimum rather than the number of minima.
+    slice's other half).  One scan finds the grid minima of every non-flat
+    profile (``_grid_minima``: one roll/compare pass over all pairs, then
+    the prominence walks in ``BATCH_BYTES`` blocks), and the minima of all
+    profiles are refined together (``refine.bounded_minima``), so the
+    engine calls of a refinement follow its slowest minimum rather than the
+    number of minima.
 
-    A grid minimum at a symmetry point, theta1 = 0 (F = 3, odd n) or -pi
-    (F = -1), is taken exactly: the profile is even about the point, so
-    its slope there is 0, and the sign of its curvature decides.  One
-    batched probe evaluates every such point and the point _CURV_STEP past
-    it (at most h/2).  Where the profile does not fall, the record is the
-    point itself, theta1 = 0.0 or -pi, with the separation evaluated
-    there; where it falls, two symmetric minima lie within h of the point,
-    and the one in (0, h] or [-pi, -pi + h] is refined.  Refined on
-    [-h, h] instead, a minimum at 0 golden-steps through a profile flat to
-    rounding, because the bounded method's tolerance sqrt(eps) |x| +
-    xatol / 3 shrinks with |x|.
+    A grid minimum at a symmetry point, theta1 = 0 (F = 3) or -pi (F = -1),
+    is taken exactly: the profile is even about the point, so its slope
+    there is 0, and the sign of its curvature decides.  At theta1 = 0 that
+    is the centre sample for odd n, and either sample next to 0 (-h/2 or
+    h/2) for even n.  One batched probe evaluates every such point and the
+    point _CURV_STEP past it (at most h/2).  Where the profile does not
+    fall, the record is the point itself, theta1 = 0.0 or -pi, with the
+    separation evaluated there; where it falls, two symmetric minima lie
+    near the point, and the one within the mirror of the grid bracket is
+    refined: on (0, h] or [-pi, -pi + h], and on (0, 3h/2] for even n.
+    Refined on the grid bracket instead, a minimum at 0 golden-steps
+    through a profile flat to rounding, because the bounded method's
+    tolerance sqrt(eps) |x| + xatol / 3 shrinks with |x|.
     """
     if surface.n_samples < MIN_CLASSIFY_SAMPLES:
         raise ResolutionError(
@@ -358,37 +370,26 @@ def classify_touches(surface: DispersionSurface,
     # profile's minimum at 0) and the one at index 0 (-pi, which is pi)
     half = (surface.n_samples - 1) // 2
     seps = surface.separations()
-    flat: list[TouchReport] = []
-    brackets: list[tuple[int, int]] = []     # (pair, grid index)
-    for pair in range(surface.dim - 1):
-        profile = seps[:, pair]
-        if float(profile.max() - profile.min()) < FLAT_SEP_TOL:
-            width = float(profile.mean())
-            mid = surface.n_samples // 2
-            value = 0.5 * float(surface.values[mid, pair]
-                                + surface.values[mid, pair + 1])
-            flat.append(TouchReport(
-                kind="gap", band_pair=(pair, pair + 1), theta1=None,
-                theta2=None, f_value=None, value=value, separation=width,
-                gap_width=width, gamma=None, curvature=None, flat=True))
-            continue
-        # drop the duplicated endpoint (theta = -pi and pi are the same point)
-        periodic = profile[:-1]
-        minima = _local_min_indices(periodic)
-        minima = minima[(minima == 0) | (minima >= half)]
-        brackets += [(pair, i) for i in minima[
-            _is_prominent(periodic, minima, PROMINENCE_TOL)].tolist()]
-    if not brackets:
-        return tuple(flat)
-    pairs = np.array([pair for pair, _ in brackets])
-    index = np.array([i for _, i in brackets])
+    flat, pairs, index = _grid_minima(seps, half, PROMINENCE_TOL)
+    mid = surface.n_samples // 2
+    records = []
+    for pair in np.flatnonzero(flat).tolist():
+        width = float(seps[:, pair].mean())
+        value = 0.5 * float(surface.values[mid, pair] + surface.values[mid, pair + 1])
+        records.append(TouchReport(
+            kind="gap", band_pair=(pair, pair + 1), theta1=None, theta2=None,
+            f_value=None, value=value, separation=width, gap_width=width,
+            gamma=None, curvature=None, flat=True))
+    if not len(index):
+        return tuple(records)
     lo, hi = theta[index] - h, theta[index] + h
     t_min, s_min = np.empty(len(index)), np.empty(len(index))
     refine = np.ones(len(index), dtype=bool)
-    # the minima at the symmetry points: index half (theta1 = 0) for odd n,
-    # and index 0 (-pi); each is the point itself unless the profile falls
-    # past it, and then the minimum past it is refined
-    ends = np.flatnonzero((index == 0) | ((index == half) & (surface.n_samples % 2 == 1)))
+    # the minima at the symmetry points: index 0 (-pi) and the centre, index
+    # half = mid (theta1 = 0) for odd n, half or mid (-h/2 or h/2) for even
+    # n; each is the point itself unless the profile falls past it, and then
+    # the minimum past it is refined within the mirror of its grid bracket
+    ends = np.flatnonzero((index == 0) | (index == half) | (index == mid))
     if len(ends):
         at = np.where(index[ends] == 0, -np.pi, 0.0)
         x = np.concatenate([at, at + min(_CURV_STEP, h / 2.0)])
@@ -397,7 +398,8 @@ def classify_touches(surface: DispersionSurface,
         exact = s_off >= s_at
         t_min[ends[exact]], s_min[ends[exact]] = at[exact], s_at[exact]
         refine[ends[exact]] = False
-        lo[ends[~exact]], hi[ends[~exact]] = at[~exact], at[~exact] + h
+        reach = np.where((at == 0.0) & (half != mid), 1.5 * h, h)
+        lo[ends[~exact]], hi[ends[~exact]] = at[~exact], (at + reach)[~exact]
     refined = pairs[refine]
     t_min[refine], s_min[refine] = bounded_minima(
         lambda x, lanes: pair_separations(surface.roots_at, x, -x, refined[lanes]),
@@ -410,7 +412,7 @@ def classify_touches(surface: DispersionSurface,
     reports = classify_minima(surface.roots_at, minima, _DIAGONAL_DIR, tol_touch,
                               tol_slope, f_values, crossings=surface.route == "closed")
     # a pair has a flat record or refined minima, never both
-    return tuple(heapq.merge(flat, reports, key=lambda r: r.band_pair))
+    return tuple(heapq.merge(records, reports, key=lambda r: r.band_pair))
 
 
 def mirror_images(surface: DispersionSurface, reports) -> list[TouchReport]:

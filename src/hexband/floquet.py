@@ -94,7 +94,7 @@ _DIAGONAL_TOL = 1e-12    # |Im F| bound for diagonal-slice closed forms
 _PAIR_TOL = 1e-12        # |alpha_a + alpha_b| bound for the constrained forms
 BATCH_BYTES = 256 * 1024  # bytes of an engine call's arrays: the (N, dim, dim)
                           # complex matrices of a batch, a block of the
-                          # (indices, m) walks of bands._is_prominent
+                          # (minima, m) prominence walks of bands._grid_minima
 
 
 # ============================================================

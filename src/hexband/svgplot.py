@@ -11,8 +11,10 @@ at -theta1.
 
 One writer, ``_el``, writes every element's tag and attributes, and the
 root's open tag takes its attributes from the same ``_attrs``, each float
-through ``_fmt``; only a polyline's ``points`` are formatted apart, in one
-pass over the whole branch.
+through ``_fmt``; only the polylines' ``points`` are formatted apart
+(``_polylines``): the x column, which every branch shares, once per chart,
+and then each branch's points in one ``%`` format over the (x text, y)
+items.
 """
 
 from __future__ import annotations
@@ -89,15 +91,26 @@ def _el(tag: str, body: str | None = None, **attrs) -> str:
     return f"<{tag}{_attrs(**attrs)}" + ("/>" if body is None else f">{body}</{tag}>")
 
 
-def _polyline(frame: _Frame, theta: np.ndarray, values: np.ndarray,
-              color: str) -> str:
-    # _fmt on every coordinate; only a "-0.000000" token holds that text
-    xs = map("%.6f".__mod__, frame.x(theta).tolist())
-    ys = map("%.6f".__mod__, frame.y(values).tolist())
-    points = " ".join(map(",".join, zip(xs, ys)))
-    points = points.replace("-0.000000", "0.000000")
-    return _el("polyline", fill="none", stroke=color, stroke_width="1.6",
-               points=points)
+def _polylines(frame: _Frame, theta: np.ndarray, values: np.ndarray) -> list[str]:
+    """One polyline per column of ``values`` (n, bands) over the shared x
+    column ``theta``, in the band palette.
+
+    Every coordinate reads as ``_fmt``'s text: the x column is formatted
+    once as ``"x,"`` items, and each band's points take one ``%`` format
+    over the interleaved (x text, y) items; only a "-0.000000" token holds
+    that text."""
+    xs = list(map("%.6f,".__mod__, frame.x(theta).tolist()))
+    template = " ".join(["%s%.6f"] * len(xs))
+    items = [None] * (2 * len(xs))
+    items[0::2] = xs
+    lines = []
+    for band, ys in enumerate(frame.y(values).T.tolist()):
+        items[1::2] = ys
+        points = (template % tuple(items)).replace("-0.000000", "0.000000")
+        lines.append(_el("polyline", fill="none",
+                         stroke=BAND_PALETTE[band % len(BAND_PALETTE)],
+                         stroke_width="1.6", points=points))
+    return lines
 
 
 def _axes(frame: _Frame) -> list[str]:
@@ -203,10 +216,7 @@ def render_band_chart(surface: DispersionSurface,
         parts.append(_el("text", text, x=WIDTH / 2.0, y=26, font_family="monospace",
                          font_size=15, text_anchor="middle", fill="#111111"))
     parts.extend(_axes(frame))
-    for band in range(surface.dim):
-        color = BAND_PALETTE[band % len(BAND_PALETTE)]
-        parts.append(_polyline(frame, surface.theta, surface.values[:, band],
-                               color))
+    parts.extend(_polylines(frame, surface.theta, surface.values))
     parts.extend(_markers(frame, mirror_images(surface, reports)))
     parts.extend(_legend(frame, surface.dim))
     parts.append("</svg>")

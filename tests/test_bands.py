@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import hexband.bands as bands_module
 from hexband.bands import (
-    _is_prominent,
+    FLAT_SEP_TOL,
+    _grid_minima,
     adjacent_separations,
     classify_touches,
     diagonal_theta_for_f,
@@ -259,10 +260,11 @@ def _near(reports, pair, point, h):
 
 
 class TestSymmetryPoints:
-    @pytest.mark.parametrize("n", [201, 501, 2001])
+    @pytest.mark.parametrize("n", [201, 500, 501, 502, 2001])
     @pytest.mark.parametrize("point", [0.0, -np.pi], ids=["gamma", "minus_pi"])
     def test_a_minimum_at_a_symmetry_point_is_the_point_itself(self, n, point):
-        # at n = 201 the grid's centre is 4.44e-16, not 0
+        # at n = 201 the grid's centre is 4.44e-16, not 0; an even n has no
+        # sample at 0
         surface = sample_diagonal(_BNGBN, n=n)
         h = surface.theta[1] - surface.theta[0]
         reports = classify_touches(surface)
@@ -327,6 +329,53 @@ class TestSymmetryPoints:
         assert max(thetas) - min(thetas) < 1e-4
         assert abs(np.mean(thetas) - 0.002) < 1e-4
         assert max(seps) - min(seps) < 3e-15
+
+    def test_two_symmetric_minima_next_to_gamma_on_an_even_grid(self, monkeypatch):
+        at_gamma = adjacent_separations(_DIP, 0.0)[1]
+        [odd] = _near(classify_touches(sample_diagonal(_DIP, n=2001)), 1, 0.0, 0.003)
+        brackets = []
+
+        def spy(fn, lo, hi, xatol):
+            brackets.extend(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()))
+            return bounded_minima(fn, lo, hi, xatol)
+
+        monkeypatch.setattr(bands_module, "bounded_minima", spy)
+        for n in (500, 502, 2000, 2002):
+            brackets.clear()
+            surface = sample_diagonal(_DIP, n=n)
+            h = surface.theta[1] - surface.theta[0]
+            reports = classify_touches(surface)
+            # the grid bracket is [-3h/2, h/2] or [-h/2, 3h/2]; its mirror
+            # past 0 is (0, 3h/2]
+            assert [b for b in brackets if b[0] == 0.0] == [(0.0, 1.5 * h)] * 2
+            [record] = _near(reports, 1, 0.0, 1.5 * h)
+            assert record.separation < at_gamma
+            # within the ~2e-4 where the profile is flat to its rounding
+            assert abs(record.theta1 - 0.002) < 2.5e-4
+            assert abs(record.separation - odd.separation) < 3e-15
+
+    # the grid minimum at -h/2 (n = 500, 502) or, by rounding, at h/2 (282)
+    @pytest.mark.parametrize("n", [282, 500, 502])
+    def test_an_even_grid_takes_gamma_exactly(self, n, monkeypatch):
+        # with no sample at 0, the minimum sits at -h/2 or h/2; refined on
+        # the grid bracket, it took 36-38 calls and read theta1 ~ -2.5e-7
+        h = 2.0 * np.pi / (n - 1)
+        [odd_12, odd_34] = (_near(classify_touches(sample_diagonal(_BNGBN, n=501)),
+                                  pair, 0.0, h) for pair in (1, 3))
+        surface = sample_diagonal(_BNGBN, n=n)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return roots_at(*args, **kwargs)
+
+        monkeypatch.setattr(bands_module, "roots_at", counting)
+        reports = classify_touches(surface)
+        for pair, [want] in ((1, odd_12), (3, odd_34)):
+            [record] = _near(reports, pair, -h, 2.0 * h)
+            assert record.theta1 == 0.0 and record.theta2 == 0.0
+            assert record.separation == want.separation
+        assert len(calls) <= 11
 
     def test_gamma_lanes_cost_no_refinement_rounds(self, monkeypatch):
         # refining the two gap minima at theta1 = 0 as well, through a
@@ -574,25 +623,56 @@ def _is_prominent_walk(y, i, eps):
     return True
 
 
+def _grid_minima_walk(seps, half, eps):
+    """Reference for ``_grid_minima``: each column on its own, a flat one
+    skipped, and each periodic minimum on the half slice walked."""
+    flat, pairs, index = [], [], []
+    for pair, column in enumerate(seps.T):
+        flat.append(bool(column.max() - column.min() < FLAT_SEP_TOL))
+        if flat[-1]:
+            continue
+        y = column[:-1]
+        for i in range(len(y)):
+            if ((i == 0 or i >= half) and y[i] < y[i - 1]
+                    and y[i] <= y[(i + 1) % len(y)] and _is_prominent_walk(y, i, eps)):
+                pairs.append(pair)
+                index.append(i)
+    return flat, pairs, index
+
+
+def _assert_grid_minima_match_the_walk(seps, half, eps):
+    flat, pairs, index = _grid_minima(seps, half, eps)
+    got = (flat.tolist(), pairs.tolist(), index.tolist())
+    assert got == _grid_minima_walk(seps, half, eps)
+
+
 # plateaus, ties and NaN, with steps at the scale of eps
 _levels = st.sampled_from([0.0, 1.0, 1.0 + 1e-10, 1.0 + 3e-10, 1.0 - 2e-10,
                            2.0, np.nan])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_levels, min_size=1, max_size=40),
-       st.sampled_from([0.0, 1e-10, 0.5]))
-def test_is_prominent_matches_the_walk(profile, eps):
-    y = np.array(profile)
-    idx = np.arange(len(y))
-    want = [_is_prominent_walk(y, i, eps) for i in idx]
-    assert _is_prominent(y, idx, eps).tolist() == want
+@given(st.integers(1, 40).flatmap(lambda m: st.lists(
+           st.lists(_levels, min_size=m, max_size=m), min_size=1, max_size=4)),
+       st.data(), st.sampled_from([0.0, 1e-10, 0.5]))
+def test_grid_minima_match_the_walk(profiles, data, eps):
+    # the periodic profiles (m, pairs), each closed by its first sample, and
+    # a flat pair among them
+    periodic = np.array(profiles).T
+    flat_at = data.draw(st.integers(0, periodic.shape[1]), label="flat_at")
+    periodic = np.insert(periodic, flat_at, 0.25, axis=1)
+    seps = np.vstack([periodic, periodic[:1]])
+    half = data.draw(st.integers(0, len(periodic)), label="half")
+    _assert_grid_minima_match_the_walk(seps, half, eps)
 
 
-def test_is_prominent_blocks_match_the_walk():
-    # long enough that the walks of all indices take several blocks
+def test_grid_minima_blocks_match_the_walk():
+    # long enough that the walks of three pairs' minima take several blocks
     rng = np.random.default_rng(7)
-    y = np.repeat(rng.choice([0.0, 1.0, 1.0 + 1e-10, np.nan], 300), 3)
-    idx = rng.permutation(len(y))
-    want = [_is_prominent_walk(y, i, 1e-10) for i in idx]
-    assert _is_prominent(y, idx, 1e-10).tolist() == want
+    periodic = np.repeat(rng.choice([0.0, 1.0, 1.0 + 1e-10, np.nan], (300, 3)), 3, axis=0)
+    seps = np.vstack([periodic, periodic[:1]])
+    rows = bands_module.BATCH_BYTES // (8 * len(periodic))
+    for half in (0, 450):
+        _, pairs, _ = _grid_minima(seps, half, 1e-10)
+        assert len(pairs) > rows and set(pairs.tolist()) == {0, 1, 2}
+        _assert_grid_minima_match_the_walk(seps, half, 1e-10)

@@ -8,24 +8,37 @@ import pytest
 
 from hexband.bands import classify_touches, sample_diagonal
 from hexband.lattice import CouplingParams, StackConfig, StackVariant, VertexParams
-from hexband.svgplot import _fmt, _Frame, _frame_for, _polyline, render_band_chart
+from hexband.svgplot import (
+    BAND_PALETTE,
+    _fmt,
+    _Frame,
+    _frame_for,
+    _polylines,
+    render_band_chart,
+)
 
 import frozen
 
 
-def test_polyline_formats_every_coordinate_as_fmt():
-    # an identity frame, so the coordinates are the values themselves
+def test_polylines_format_every_coordinate_as_fmt():
+    # an identity frame, so the coordinates are the values themselves; the
+    # bands share one x column, which holds the awkward values too
     frame = _Frame(0.0, 1.0, 0.0, 1.0)
     frame.x0 = frame.y0 = 0.0
     frame.x1 = frame.y1 = 1.0
-    values = np.array([0.0, -0.0, -4e-7, -5e-7, -5.000001e-7, 4.9999995e-7,
-                       -1e-300, 1e15, -1e15, 123456789.1234567, 799.9999996])
-    theta = values[::-1].copy()
-    want = " ".join(f"{_fmt(frame.x(t))},{_fmt(frame.y(v))}"
-                    for t, v in zip(theta, values))
-    line = _polyline(frame, theta, values, "#000000")
-    assert f'points="{want}"' in line
-    assert "-0.000000" not in line and "-0.000001" in line
+    awkward = np.array([0.0, -0.0, -4e-7, -5e-7, -5.000001e-7, 4.9999995e-7,
+                        -1e-300, 1e15, -1e15, 123456789.1234567, 799.9999996])
+    theta = awkward[::-1].copy()
+    values = np.column_stack([awkward, -awkward, np.roll(awkward, 3),
+                              np.full(len(awkward), -0.0)])
+    lines = _polylines(frame, theta, values)
+    assert len(lines) == values.shape[1]
+    for band, line in enumerate(lines):
+        want = " ".join(f"{_fmt(frame.x(t))},{_fmt(frame.y(v))}"
+                        for t, v in zip(theta, values[:, band]))
+        assert f'points="{want}"' in line
+        assert f'stroke="{BAND_PALETTE[band]}"' in line
+        assert "-0.000000" not in line and "-0.000001" in line
 
 
 def _chart(config):

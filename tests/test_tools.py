@@ -1,6 +1,6 @@
 """Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
 of ``tools/src_lines.py``, the code-line count, and of ``tools/call_cost.py``,
-the cost of a small ``roots_at`` call."""
+the cost of a small ``roots_at`` call and of a slice's chart and grid scan."""
 
 import importlib.util
 import os
@@ -94,10 +94,21 @@ def test_src_lines_counts_code_lines_only():
 def test_call_cost_prints_one_line_per_route(capsys):
     tool = _tool("call_cost")
     assert tool.main(repeat=1) == 0
-    head, *lines = capsys.readouterr().out.splitlines()
+    calls, slices = capsys.readouterr().out.split("\n\n")
+    head, *lines = calls.splitlines()
     assert head.split()[:2] == ["variant", "route"]
     assert len(lines) == len(tool.ROUTES) == 12
     for line, (variant, route, _) in zip(lines, tool.ROUTES):
         assert line.startswith(f"{variant:<22} {route:<18} ")
         costs = line[42:].split()
         assert len(costs) == len(tool.SIZES) and all(float(c) > 0.0 for c in costs)
+    # the chart and grid scan of each stack route's n = 501 slice
+    head, *lines = slices.splitlines()
+    assert head.split() == ["n", "=", "501", "slice", "route", "chart", "µs", "scan", "µs"]
+    stacks = [(variant, route) for variant, route, config in tool.ROUTES
+              if config.flux is None]
+    assert len(lines) == len(stacks) == 10
+    for line, (variant, route) in zip(lines, stacks):
+        assert line.startswith(f"{variant:<22} {route:<18} ")
+        costs = line[42:].split()
+        assert len(costs) == 2 and all(float(c) > 0.0 for c in costs)

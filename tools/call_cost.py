@@ -1,17 +1,24 @@
-"""Microseconds per ``bands.roots_at`` call on the refiners' small batches.
+"""Microseconds per ``bands.roots_at`` call on the refiners' small batches,
+and per band chart and classifier grid scan of a diagonal slice.
 
     python3 tools/call_cost.py
 
 The refiners evaluate the dispersion in lockstep rounds of a few points, so
 a classify job makes about a thousand ``roots_at`` calls whose cost is
-numpy's fixed cost per operation, not their points.  This prints, for each
-variant and the route that serves it, the time of one call at 1 and at 8
-points: the best of 5 timings of ``REPEAT`` calls on the same points.
-Stack points lie on the diagonal slice theta2 = -theta1, where the
+numpy's fixed cost per operation, not their points.  The first table
+prints, for each variant and the route that serves it, the time of one call
+at 1 and at 8 points: the best of 5 timings of ``REPEAT`` calls on the same
+points.  Stack points lie on the diagonal slice theta2 = -theta1, where the
 refiners work; flux-cell points lie in the q = 2 reduced zone.  A paired
 stack (alpha_b = -alpha_a, alpha_c = 0) takes the closed forms there, an
 unpaired one the eigensolver; the q = 1 cell takes ``eigvalsh(A) / 3`` and
 the q = 2 cell its radical roots.
+
+The second table prints, for each stack route, the serialization and scan
+layers of a ``plot`` or ``classify`` job on the n = 501 slice: one
+``svgplot.render_band_chart`` call with the slice's classified features,
+and one grid scan of ``classify_touches`` (``bands._grid_minima`` over the
+slice's separations), each the best of 5 timings of ``REPEAT // 20`` calls.
 """
 
 from __future__ import annotations
@@ -31,8 +38,15 @@ from hexband import (  # noqa: E402
     StackVariant,
     VertexParams,
 )
-from hexband.bands import roots_at  # noqa: E402
+from hexband.bands import (  # noqa: E402
+    PROMINENCE_TOL,
+    _grid_minima,
+    classify_touches,
+    roots_at,
+    sample_diagonal,
+)
 from hexband.lattice import FluxSpec  # noqa: E402
+from hexband.svgplot import render_band_chart  # noqa: E402
 
 REPEAT = 200        # calls per timing
 SIZES = (1, 8)      # points per call
@@ -71,6 +85,11 @@ ROUTES = [
 ]
 
 
+def _best_us(call, repeat: int) -> float:
+    """Microseconds of one ``call()``, the best of 5 timings of ``repeat``."""
+    return 1e6 * min(timeit.repeat(call, number=repeat, repeat=5)) / repeat
+
+
 def call_us(config: StackConfig, points: int, repeat: int) -> float:
     """Microseconds of one ``roots_at`` call at ``points`` points, the best
     of 5 timings of ``repeat`` calls."""
@@ -82,9 +101,18 @@ def call_us(config: StackConfig, points: int, repeat: int) -> float:
         theta1 = rng.uniform(0.0, np.pi / 2, points)
         theta2 = rng.uniform(-np.pi / 2, np.pi / 2, points)
     roots_at(config, theta1, theta2)        # the config's caches, once
-    best = min(timeit.repeat(lambda: roots_at(config, theta1, theta2),
-                             number=repeat, repeat=5))
-    return 1e6 * best / repeat
+    return _best_us(lambda: roots_at(config, theta1, theta2), repeat)
+
+
+def slice_us(config: StackConfig, repeat: int) -> tuple[float, float]:
+    """Microseconds of one band chart and of one classifier grid scan of the
+    config's n = 501 diagonal slice."""
+    surface = sample_diagonal(config, n=501)
+    reports = classify_touches(surface)
+    seps = surface.separations()
+    half = (surface.n_samples - 1) // 2
+    return (_best_us(lambda: render_band_chart(surface, reports), repeat),
+            _best_us(lambda: _grid_minima(seps, half, PROMINENCE_TOL), repeat))
 
 
 def main(repeat: int = REPEAT) -> int:
@@ -93,6 +121,12 @@ def main(repeat: int = REPEAT) -> int:
     for variant, route, config in ROUTES:
         cells = "  ".join(f"{call_us(config, n, repeat):8.1f}" for n in SIZES)
         print(f"{variant:<22} {route:<18} {cells}")
+    print()
+    print(f"{'n = 501 slice':<22} {'route':<18} {'chart µs':>8}  {'scan µs':>8}")
+    for variant, route, config in ROUTES:
+        if config.flux is None:
+            chart, scan = slice_us(config, max(1, repeat // 20))
+            print(f"{variant:<22} {route:<18} {chart:8.1f}  {scan:8.1f}")
     return 0
 
 
