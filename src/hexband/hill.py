@@ -33,8 +33,15 @@ Band edges.  With the half-edge map N (see below) and det N = 1,
 so every band edge is a simple zero of one entry of N, even at a closed
 gap, where d/2 -+ 1 has a double root (the even-coefficient case of Magnus
 & Winkler 1966; Eastham, The Spectral Theory of Periodic Differential
-Equations, 1973).  ``invert_discriminant`` finds the edges and inverts eta
-on these forms (see there).
+Equations, 1973).  One scan finds them all: ``dirichlet_spectrum``
+evaluates the four entries of N on its scan grid and refines every sign
+change of every entry in one root-finder call.  The zeros of s and s' are
+the Dirichlet points, and all the zeros, sorted, are the band edges
+e_0 <= e_1 <= ..., band k being [e_{2k-2}, e_{2k-1}].  The scan for bands
+1 to n stops at (n + 1/2)^2 pi^2 + max(0, max q), past the last edge of gap
+n and past nu_n: by min-max comparison these lie at most max q above their
+zero-potential values, (n pi)^2.  ``invert_discriminant`` inverts eta
+between a band's two edges (see there).
 
 Integrator.  The zero potential has its monodromy in closed form.  Every
 other potential is integrated by the fourth-order Magnus method on a fixed
@@ -75,11 +82,12 @@ Gates.  Two gates guard every integration, and NaN fails both:
   outside it runs the gate on its own lambdas, starting from that grid, and
   widens the range.  The Dirichlet scan gates its whole scan grid, so the
   grid is picked once per potential and range, and the root refinements
-  that follow reuse it.  The potential also keeps its widest scan's roots
-  (``MagnusState.scan``), and a later scan to a lambda at or below that
-  scan's top, with the same tol on the same grid, is cut from them without
-  integrating: its scan points are a prefix of the recorded scan's, so it
-  has the same brackets and refines them to the same bits.
+  that follow reuse it.  The potential also keeps its widest scan's zeros,
+  with the entry of N each one belongs to (``MagnusState.scan``), and a
+  later scan to a lambda at or below that scan's top, on the same grid, is
+  cut from them without integrating: its scan points are a prefix of the
+  recorded scan's, so it has the same brackets and refines them to the same
+  bits.
   ``MagnusState`` is the one record of how a potential was integrated
   (grid, step count, worst deviation, monodromies evaluated, the scan):
   the CLI's ``trace.hill`` manifest block reads it from the run's
@@ -116,10 +124,12 @@ operation is elementwise over the lanes, so the chunking moves no bit; nor
 does the reflection, elementwise on the half-edge product.
 Each step map takes cos/sin only where it oscillates and cosh/sinh only
 where it grows.  Each potential builds each grid once and keeps it
-read-only on its ``MagnusState``.  For a non-zero potential each Dirichlet
-scan is one batched call, and its sign changes are refined together by
-``refine.brent_roots``, bit for bit as scipy's brentq would refine each
-one; so are all band edges and inversions of a spectrum, in one more call.
+read-only on its ``MagnusState``.  ``integrate_monodromy`` returns N next
+to W(1), and every Hill search reads N from it.  For a non-zero potential
+each scan is one batched call, and the sign changes of all four entries of
+N are refined together by ``refine.brent_roots``, bit for bit as scipy's
+brentq would refine each one; so are all inversions of a spectrum, in one
+more call.
 """
 
 from __future__ import annotations
@@ -170,10 +180,11 @@ class MagnusState:
     potential was integrated on, by ``halvings``: the read-only
     (h, sigma, hq) step arrays of ``_magnus_grid``, built once per potential
     and grid.  ``scan`` records the widest Dirichlet scan on the gated grid,
-    as (halvings, tol, lam_max, roots) with its refined roots before the
-    ``<= lam_max + tol`` cut, or None before the first scan:
-    ``dirichlet_spectrum`` answers a call on that grid with that tol and a
-    lam_max at or below the record's from it, integrating nothing.
+    as (halvings, lam_max, zeros, entries): the sorted zeros of the entries
+    of N that it found, and the index of each one's entry in (c, c', s, s'),
+    or None before the first scan.  ``dirichlet_spectrum`` answers a call on
+    that grid with a lam_max at or below the record's from it, integrating
+    nothing.
     """
 
     halvings: int = 0
@@ -289,13 +300,16 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class Monodromy:
-    """Endpoint data of the cosine/sine solutions at one energy or a batch."""
+    """Endpoint data of the cosine/sine solutions at one energy or a batch:
+    W(1) and, as ``half_edge``, the half-edge map N = W(1/2) as its entries
+    (c, c', s, s')."""
 
     lam: float | np.ndarray
     c1: float | np.ndarray
     c1_prime: float | np.ndarray
     s1: float | np.ndarray
     s1_prime: float | np.ndarray
+    half_edge: tuple
 
     @property
     def det(self):
@@ -481,25 +495,25 @@ def _deliver(pot: PotentialSpec, lam: np.ndarray, c, cp, s, sp) -> None:
                           f"(gate {gate[k]:g}) at lambda={lam[k]}")
 
 
-def _half_edge(pot: PotentialSpec, lam: np.ndarray):
-    """(c, c', s, s') at x = 1/2 of a non-zero potential at every lambda of
-    a 1-D batch, through the gates and the count of ``integrate_monodromy``."""
-    n = _magnus_monodromy(pot, lam)
-    _deliver(pot, lam, *_reflect(*n))
-    return n
-
-
 def integrate_monodromy(pot: PotentialSpec, lam) -> Monodromy:
-    """Monodromy matrix entries at energy lambda, a scalar or a 1-D batch
-    (closed form for q = 0, gated Magnus integration otherwise)."""
+    """Monodromy matrix entries and the half-edge map at energy lambda, a
+    scalar or a 1-D batch (closed form for q = 0, gated Magnus integration
+    otherwise)."""
     lam = np.asarray(lam, dtype=float)
     lams = lam.reshape(-1)
-    w = (_zero_potential_monodromy(lams) if pot.is_zero
-         else _reflect(*_magnus_monodromy(pot, lams)))
+    if pot.is_zero:
+        # the unit edge's forms at lambda/4 are those of [0, 1/2] at lambda,
+        # with c' twice and s half as large
+        w = _zero_potential_monodromy(lams)
+        c, cp, s, _ = _zero_potential_monodromy(lams / 4.0)
+        n = (c, 2.0 * cp, s / 2.0, c)
+    else:
+        n = _magnus_monodromy(pot, lams)
+        w = _reflect(*n)
     _deliver(pot, lams, *w)
     if lam.ndim == 0:
-        return Monodromy(float(lams[0]), *(v[0] for v in w))
-    return Monodromy(lams, *w)
+        return Monodromy(float(lams[0]), *(v[0] for v in w), tuple(v[0] for v in n))
+    return Monodromy(lams, *w, n)
 
 
 def discriminant(pot: PotentialSpec, lam):
@@ -511,26 +525,28 @@ def discriminant(pot: PotentialSpec, lam):
 #  Dirichlet spectrum (point part)
 # ============================================================
 
-def _below_min_q(pot: PotentialSpec) -> float:
-    """A lambda below min q, and so below the spectrum (the Rayleigh
-    quotient puts every eigenvalue above min q): min q less 1.  A sampled q
-    is piecewise linear, so its minimum is a knot value; a closure's is
-    taken on 257 probes."""
-    if pot.kind == "sampled":
-        return float(np.min(pot.values)) - 1.0
-    return float(np.min(pot(np.linspace(0.0, 1.0, 257)))) - 1.0
+def _q_range(pot: PotentialSpec) -> tuple[float, float]:
+    """min q and max q.  A sampled q is piecewise linear, so both are knot
+    values; a closure's are taken on 257 probes."""
+    if pot.is_zero:
+        return 0.0, 0.0
+    q = pot.values if pot.kind == "sampled" else pot(np.linspace(0.0, 1.0, 257))
+    return float(np.min(q)), float(np.max(q))
 
 
 def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
                        tol: float = 1e-10) -> np.ndarray:
-    """All zeros of s(1; lambda) up to lam_max + tol: one batched scan, then
-    the bracketed sign changes refined together.  For the zero potential
-    they are (k pi)^2, k >= 1, in closed form.
+    """All zeros of s(1; lambda) up to lam_max + tol, sorted.  For the zero
+    potential they are (k pi)^2, k >= 1, in closed form.
 
-    A scan no wider than the potential's recorded one, with the same tol on
-    the same grid, is cut from that record (``MagnusState.scan``) bit for
-    bit as a fresh scan would find it; a wider one scans afresh and
-    replaces the record.
+    Otherwise s(1) = 2 s s' on the half-edge map N = [[c, s], [c', s']], and
+    its zeros are those of s and of s'.  One batched scan evaluates all four
+    entries of N, and every sign change of every entry is refined to 1e-12
+    in one ``refine.brent_roots`` call: the zeros of c and c' are the other
+    band edges (see ``invert_discriminant``).  The potential records them
+    all (``MagnusState.scan``).  A scan no wider than the recorded one, on
+    the same grid, is cut from that record bit for bit as a fresh scan would
+    find it; a wider one scans afresh and replaces the record.
 
     These are the edge-Dirichlet eigenvalues; on the graph they carry flat
     bands (pure-point spectrum) and are excluded from the band inversion.
@@ -546,22 +562,24 @@ def dirichlet_spectrum(pot: PotentialSpec, lam_max: float,
         return nu[nu <= lam_max + tol]
     state = pot.magnus
     record = state.scan
-    if record is None or record[:2] != (state.halvings, tol) or lam_max > record[2]:
-        roots = _scan_roots(pot, lam_max, tol)
-        record = state.scan = (state.halvings, tol, lam_max, roots)
-    roots = record[3]
-    return np.unique(np.round(roots[roots <= lam_max + tol], 12))
+    if record is None or record[0] != state.halvings or lam_max > record[1]:
+        zeros, entries = _scan_zeros(pot, lam_max)
+        record = state.scan = (state.halvings, lam_max, zeros, entries)
+    _, _, zeros, entries = record
+    nu = zeros[entries >= 2]
+    return nu[nu <= lam_max + tol]
 
 
-def _scan_roots(pot: PotentialSpec, lam_max: float, tol: float) -> np.ndarray:
-    """The zeros of s(1; lambda) that one scan to lam_max finds, refined to
-    tol, before they are cut at lam_max + tol."""
-    # The scan starts just below min q.  Every Dirichlet eigenvalue lies above
-    # min q + pi^2; further down there is nothing to find, only solutions
-    # that grow like exp(sqrt(q - lambda)).
-    lam_lo = _below_min_q(pot)
+def _scan_zeros(pot: PotentialSpec, lam_max: float):
+    """The zeros of the entries of N that one scan to lam_max finds, sorted,
+    and the index of each one's entry in (c, c', s, s')."""
+    # The scan starts just below min q, where nothing lies: every periodic,
+    # antiperiodic and Dirichlet eigenvalue lies above min q (Rayleigh
+    # quotient), and further down solutions only grow like
+    # exp(sqrt(q - lambda)).
+    lam_lo = _q_range(pot)[0] - 1.0
     if lam_max <= lam_lo:
-        return np.array([])
+        return np.array([]), np.array([], dtype=int)
     # dense scan: linear below 1, uniform in sqrt(lambda) above.  The points
     # do not depend on lam_max, only where they stop: a narrower scan's
     # points are a prefix of a wider one's.
@@ -580,17 +598,20 @@ def _scan_roots(pot: PotentialSpec, lam_max: float, tol: float) -> np.ndarray:
     if len(past):
         top = max(top, past[0])
     lams = lams[lams <= top]
-    vals = integrate_monodromy(pot, lams).s1
-    lo, hi = lams[:-1], lams[1:]
-    exact = vals[:-1] == 0.0
-    change = ~exact & (vals[:-1] * vals[1:] < 0.0)
-    roots = lo[exact]
-    if change.any():
-        refined, _ = brent_roots(
-            lambda lam, lanes: integrate_monodromy(pot, lam).s1,
-            lo[change], hi[change], xtol=tol)
-        roots = np.concatenate([roots, refined])
-    return roots
+    vals = np.stack(integrate_monodromy(pot, lams).half_edge)
+    exact = vals[:, :-1] == 0.0
+    # one lane per sign change of an entry, entry by entry
+    entry, k = np.nonzero(~exact & (vals[:, :-1] * vals[:, 1:] < 0.0))
+
+    def f(lam, lanes):
+        return np.stack(integrate_monodromy(pot, lam).half_edge)[
+            entry[lanes], np.arange(len(lam))]
+
+    refined, _ = brent_roots(f, lams[k], lams[k + 1], xtol=1e-12)
+    on_grid, j = np.nonzero(exact)
+    zeros = np.concatenate([lams[j], refined])
+    order = np.argsort(zeros, kind="stable")
+    return zeros[order], np.concatenate([on_grid, entry])[order]
 
 
 # ============================================================
@@ -617,53 +638,53 @@ class SpectrumResult:
     diagnostics: tuple[str, ...]
 
 
-def _dirichlet_anchors(pot: PotentialSpec, n_bands: int) -> np.ndarray:
-    """nu_1 ... nu_{n+1} for bands 1 to n, from one Dirichlet scan to
-    (n + 1.5)^2 pi^2; the scan's top stands in for a nu_{n+1} past it."""
-    lam_max = (n_bands + 1.5) ** 2 * np.pi ** 2
-    nu = dirichlet_spectrum(pot, lam_max)
-    if len(nu) < n_bands:
-        raise EngineError("could not locate enough Dirichlet eigenvalues "
-                          f"for {n_bands} bands")
-    return np.append(nu, lam_max)[:n_bands + 1]
+def _band_edges(pot: PotentialSpec, n_bands: int) -> np.ndarray:
+    """The band edges e_0 <= e_1 <= ... <= e_{2n} of bands 1 to n: band k is
+    [e_{2k-2}, e_{2k-1}], and gap n, which holds nu_n, ends at e_{2n}.
+
+    They are the sorted zeros of the entries of N, from one Dirichlet scan
+    (for the zero potential, 0 and each (k pi)^2 twice: every gap is closed
+    at its Dirichlet point).  The scan's top, (n + 1/2)^2 pi^2 + max(0,
+    max q), lies past e_{2n} and nu_n: the periodic and antiperiodic
+    eigenvalues of q lie at most max q above those of the zero potential,
+    where e_{2n} = nu_n = (n pi)^2 (min-max comparison)."""
+    top = (n_bands + 0.5) ** 2 * np.pi ** 2 + max(0.0, _q_range(pot)[1])
+    nu = dirichlet_spectrum(pot, top)
+    edges = (np.concatenate([[0.0], np.repeat(nu, 2)]) if pot.is_zero
+             else pot.magnus.scan[2])
+    if len(edges) <= 2 * n_bands:
+        raise EngineError(f"found {len(edges)} band edges below lambda = "
+                          f"{top:g}, where {n_bands} bands have "
+                          f"{2 * n_bands + 1}")
+    return edges[:2 * n_bands + 1]
 
 
-def invert_discriminant(pot: PotentialSpec, eta, hill_band, nu=None):
+def invert_discriminant(pot: PotentialSpec, eta, hill_band):
     """The unique lambda in the given Hill band with d(lambda)/2 = eta.
 
     ``eta`` and ``hill_band`` broadcast to a batch whose roots are refined
-    together; a scalar pair gives a float.  ``nu`` holds the anchors
-    nu_1 < nu_2 < ... of bands 1 to len(nu) - 1: the potential's lowest
-    Dirichlet points, the last of which may be any lambda between gap
-    len(nu) - 1 and the next Dirichlet point (the top of a scan that found
-    no more).  Without ``nu`` one Dirichlet scan supplies them.  The zero
-    potential takes its closed form (see the module docstring) after the
-    same checks of eta and the band, and leaves ``nu`` unread.
+    together; a scalar pair gives a float.  The zero potential takes its
+    closed form (see the module docstring) after the same checks of eta and
+    the band.
 
-    Otherwise the inversion reads the half-edge map N = [[c, s], [c', s']].
-    For an even potential with det N = 1,
+    Otherwise the band edges come from one Dirichlet scan of the half-edge
+    map N = [[c, s], [c', s']] (``_band_edges``, served from the
+    potential's scan record).  For an even potential with det N = 1,
 
         d/2 - 1 = 2 s c',   d/2 + 1 = 2 c s'
 
     (Magnus & Winkler 1966; Eastham 1973), so every band edge is a simple
-    zero of one entry of N.  Gap k >= 1 holds nu_k, a zero of s (even k) or
-    s' (odd k), and one partner edge, the zero of c' (even k) or c (odd k)
-    on [nu_{k-1}, nu_{k+1}]; the partner of gap 0, band 1's lower edge, is
-    the zero of c' between a point below min q (nu_0) and nu_1.  Those
-    bracket ends lie in gaps of the other parity, where the entry is bounded
-    away from 0.  The sorted partners and nu_1, nu_2, ... are the band edges
-    e_0 <= e_1 <= ..., band k is [e_{2k-2}, e_{2k-1}], and eta = +-1 returns
-    its edge.  An eta in (-1, 1) is bracketed by [nu_{k-1}, nu_k], on which
+    zero of one entry of N, and the sorted zeros of all four are the edges
+    e_0 <= e_1 <= ....  Band k is [e_{2k-2}, e_{2k-1}]; d/2 falls on it from
+    1 to -1 for odd k and rises for even k, and eta = +-1 returns its edge.
+    An eta in (-1, 1) is bracketed by its band's two edges, on which
     d/2 - eta = 2 s c' + (1 - eta) (eta >= 0) or 2 c s' - (1 + eta)
-    (eta < 0) changes sign once and cancels at neither end.  At the end
-    nu_j where its product vanishes by definition of nu_j, f takes its
-    exact value, the offset: computed there, the product rounds to
-    ~1e-14 of either sign, which swamps an eta within rounding of +-1.
-    Such an eta can still take its root at a nu_j across an open gap,
-    where d/2 = +-1 too; so each root is clipped to its band, whose edge
-    it then is.  One ``brent_roots`` call refines the partners and these
-    roots together; a bracket without a sign change raises
-    ``EngineError``.
+    (eta < 0) changes sign once.  At the edge where d/2 = 1 (eta >= 0) or
+    -1 (eta < 0), the product vanishes by definition, and f takes its exact
+    value there, the offset: computed there, the product rounds to ~1e-14
+    of either sign, which swamps an eta within rounding of +-1.  One
+    ``brent_roots`` call refines every such eta; a bracket without a sign
+    change raises ``EngineError``.
     """
     etas, bands = np.broadcast_arrays(np.asarray(eta, dtype=float),
                                       np.asarray(hill_band))
@@ -673,13 +694,11 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band, nu=None):
     if outside.any():
         raise InputError(f"eta={float(etas[outside][0])!r} outside [-1, 1] "
                          "has no band preimage")
-    top = math.inf if nu is None else len(nu) - 1
-    wrong = ((bands < 1) | (bands > top) if bands.dtype.kind in "iu"
+    wrong = (bands < 1 if bands.dtype.kind in "iu"
              else np.ones(bands.shape, dtype=bool))
     if wrong.any():
-        limit = "" if nu is None else f" up to {top}"
         raise InputError(f"hill_band={bands[wrong][0].item()!r} is not a Hill "
-                         f"band: bands are integers from 1{limit}")
+                         "band: bands are integers from 1")
     if not etas.size:
         return np.empty(0)
     if pot.is_zero:
@@ -689,45 +708,32 @@ def invert_discriminant(pot: PotentialSpec, eta, hill_band, nu=None):
         lams = np.square(np.where(bands % 2 == 1, (bands - 1) * np.pi + w,
                                   bands * np.pi - w))
         return float(lams[0]) if scalar else lams
-    last = int(bands.max())
-    if nu is None:
-        nu = _dirichlet_anchors(pot, last)
-    anchors = np.concatenate([[_below_min_q(pot)], nu[:last + 1]])
-    gaps = np.arange(last + 1)
+    edges = _band_edges(pot, int(bands.max()))
+    low = 2 * bands - 2                     # band k is edges[low], edges[low + 1]
+    # the edge where d/2 = 1 (eta >= 0) or -1 (eta < 0)
+    lams = edges[low + ((bands % 2 == 0) == (etas >= 0.0))]
     inner = np.flatnonzero(np.abs(etas) < 1.0)
     pos = etas[inner] >= 0.0
-    # lane l refines f = 2 N[first] N[second] + offset, N = (c, c', s, s', 1):
-    # the partners of gaps 0 ... last, then each eta in (-1, 1)
-    first = np.r_[1 - gaps % 2, np.where(pos, 2, 0)]
-    second = np.r_[np.full(last + 1, 4), np.where(pos, 1, 3)]
-    offset = np.r_[np.zeros(last + 1), np.where(pos, 1.0, -1.0) - etas[inner]]
-    lo = anchors[np.r_[np.maximum(gaps - 1, 0), bands[inner] - 1]]
-    hi = anchors[np.r_[gaps + 1, bands[inner]]]
-    # an eta lane's product vanishes at the end nu_j with even j (s = 0) for
-    # eta >= 0, odd j (s' = 0) for eta < 0: there f is its offset exactly
-    j = np.where((bands[inner] % 2 == 0) == pos, bands[inner], bands[inner] - 1)
-    at_nu = np.r_[np.full(last + 1, np.nan), np.where(j > 0, anchors[j], np.nan)]
+    # lane l refines f = 2 N[first] N[second] + offset, N = (c, c', s, s')
+    first, second = np.where(pos, 2, 0), np.where(pos, 1, 3)
+    offset = np.where(pos, 1.0, -1.0) - etas[inner]
+    at_edge = lams[inner]
+    lo, hi = edges[low[inner]], edges[low[inner] + 1]
 
     def f(lam, lanes):
-        n = np.stack([*_half_edge(pot, lam), np.ones_like(lam)])
+        n = np.stack(integrate_monodromy(pot, lam).half_edge)
         cols = np.arange(len(lam))
         out = 2.0 * n[first[lanes], cols] * n[second[lanes], cols] + offset[lanes]
-        return np.where(lam == at_nu[lanes], offset[lanes], out)
+        return np.where(lam == at_edge[lanes], offset[lanes], out)
 
     try:
-        roots, _ = brent_roots(f, lo, hi, xtol=1e-12)
+        lams[inner], _ = brent_roots(f, lo, hi, xtol=1e-12)
     except ValueError:
         lanes = np.arange(len(lo))
         k = np.flatnonzero(np.sign(f(lo, lanes)) * np.sign(f(hi, lanes)) > 0.0)[0]
-        what = (f"the partner edge of gap {k}" if k <= last else
-                f"eta={etas[inner][k - last - 1]} in band {bands[inner][k - last - 1]}")
         raise EngineError(f"inversion bracket [{lo[k]:g}, {hi[k]:g}] failed for "
-                          f"{what}: no sign change") from None
-    edges = np.sort(np.concatenate([roots[:last + 1], nu[:last]]))
-    low = 2 * bands - 2                     # band k is edges[low], edges[low + 1]
-    # eta = +-1: band k falls from d/2 = 1 to -1 for odd k, and rises for even k
-    lams = edges[low + ((etas > 0.0) != (bands % 2 == 1))]
-    lams[inner] = np.clip(roots[last + 1:], edges[low[inner]], edges[low[inner] + 1])
+                          f"eta={etas[inner][k]} in band {bands[inner][k]}: "
+                          "no sign change") from None
     return float(lams[0]) if scalar else lams
 
 
@@ -738,9 +744,9 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
     ``eta_intervals`` is a sequence of (lo, hi) pairs (dispersion-branch value
     ranges).  Ranges outside [-1, 1] are clipped; entirely inadmissible ranges
     are skipped.  Returns the ac intervals per Hill band, the Dirichlet points
-    (point spectrum) in range, and diagnostics, which name every clip and
-    skip and are the only report of them.  All interval ends of all bands
-    are inverted in one batch.
+    nu_1 ... nu_n (point spectrum), and diagnostics, which name every clip
+    and skip and are the only report of them.  All interval ends of all
+    bands are inverted in one batch.
     """
     diagnostics: list[str] = []
     cleaned: list[tuple[int, float, float]] = []
@@ -762,11 +768,10 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
         diagnostics.append("no admissible eta intervals: empty ac spectrum")
         return SpectrumResult((), np.array([]), tuple(diagnostics))
 
-    nu = _dirichlet_anchors(pot, n_bands)
     ends = [end for _, lo, hi in cleaned for end in (lo, hi)]
     lams = invert_discriminant(
         pot, np.tile(ends, n_bands),
-        np.repeat(np.arange(1, n_bands + 1), len(ends)), nu)
+        np.repeat(np.arange(1, n_bands + 1), len(ends)))
     pairs = iter(lams.reshape(-1, 2))
     intervals = []
     for band in range(1, n_bands + 1):
@@ -774,5 +779,6 @@ def bands_from_root_surface(pot: PotentialSpec, eta_intervals,
             la, lb = next(pairs)
             intervals.append(LambdaInterval(idx, band, min(la, lb), max(la, lb)))
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
-    points = dirichlet_spectrum(pot, nu[n_bands - 1])
+    # nu_1 ... nu_n: gap n, which holds nu_n, ends at the last edge
+    points = dirichlet_spectrum(pot, _band_edges(pot, n_bands)[-1])
     return SpectrumResult(tuple(intervals), points, tuple(diagnostics))

@@ -695,14 +695,14 @@ GOLDEN_SAMPLED = [
     pytest.param(
         {"variant": "monolayer", "alpha_a": 0.6, "alpha_b": 1.2},
         {"kind": "sampled", "x": _KNOTS_5, "values": [1.5, -2.0, 1.5, -2.0, 1.5]},
-        "dbcee39cd360e68c7b05be0d22ff6f1fbf4b790cd0e481635b1f11a1cd0ba8a9",
+        "24cb60937b7953ac130ffc8a517041554c6fa2a18e5c673de901d1bb9864d96a",
         id="spectrum.csv-monolayer-period_half"),
     pytest.param(
         {"variant": "bilayer_aa_prime", "alpha_a": -0.7, "alpha_b": 0.4,
          "t0": 0.3},
         {"kind": "sampled", "x": _KNOTS_9,
          "values": [0.0, 4.0, -1.0, 6.0, 2.0, 6.0, -1.0, 4.0, 0.0]},
-        "4a2de5d3b09d21bfb64bdc81f2c8c561f440f73b0051ba15af0ec3030cebee0d",
+        "7041feb77608f3fb798405c3d1f52112ee99af4a5c412cebc9500e0743f0dcc8",
         id="spectrum.csv-bilayer_aa_prime-nine_knots"),
 ]
 

@@ -735,6 +735,24 @@ class TestSpectrum:
         assert code == 0
         self._assert_ends_invert(cfg, outdir, knots, values, 1024)
 
+    def test_a_tall_double_well_lists_every_dirichlet_point(self, tmp_path):
+        # two wells behind a barrier of 300 put a Dirichlet point of each
+        # parity closer than the scan's step: a scan of s(1) found 2 of the 4
+        # and exited 2 ("could not locate enough Dirichlet eigenvalues")
+        knots = [0.0, 0.3, 0.35, 0.65, 0.7, 1.0]
+        values = [0.0, 0.0, 300.0, 300.0, 0.0, 0.0]
+        cfg = _write_config(tmp_path,
+                            stack={"variant": "monolayer", "alpha_a": 0.0,
+                                   "alpha_b": 0.0},
+                            grid={"kind": "diagonal", "n": 201},
+                            potential={"kind": "sampled", "x": knots,
+                                       "values": values})
+        code, outdir = _run(tmp_path, "spectrum", cfg)
+        assert code == 0
+        rows = (outdir / "spectrum.csv").read_text().splitlines()[1:]
+        assert sum(row.startswith("pp,") for row in rows) == 4
+        self._assert_ends_invert(cfg, outdir, knots, values, 1024)
+
     def test_bilayer_with_sampled_cosine_finishes_in_seconds(self, tmp_path):
         # this run took ~290 s and then exited 2 (inversion bracket failed)
         x = np.linspace(0.0, 1.0, 201)

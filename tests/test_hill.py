@@ -153,6 +153,24 @@ class TestZeroPotentialMonodromy:
         d = np.array([discriminant(ZERO, l) for l in lams])
         assert np.max(np.abs(d - 2.0 * np.cos(np.sqrt(lams)))) < 1e-12
 
+    def test_the_half_edge_map_reflects_to_the_monodromy(self):
+        # N = W(1/2): the unit edge's forms at lambda/4, with c' doubled and
+        # s halved; W(1) = R N^-1 R N
+        lams = np.array([-25.0, -3.7, -1e-9, 0.0, 1e-9, 0.9, np.pi**2, 50.0, 400.0])
+        m = integrate_monodromy(ZERO, lams)
+        c, cp, s, sp = m.half_edge
+        quarter = [frozen.ref_zero_potential_monodromy(lam / 4.0) for lam in lams]
+        assert np.allclose(c, [r[0] for r in quarter], rtol=0.0, atol=1e-12)
+        assert np.allclose(cp, [2.0 * r[1] for r in quarter], rtol=0.0, atol=1e-12)
+        assert np.allclose(s, [0.5 * r[2] for r in quarter], rtol=0.0, atol=1e-12)
+        assert c.tobytes() == sp.tobytes()
+        scale = np.maximum(1.0, np.abs(m.c1_prime))
+        for whole, half in ((m.c1, c * sp + s * cp), (m.c1_prime, 2.0 * c * cp),
+                            (m.s1, 2.0 * s * sp)):
+            assert np.all(np.abs(whole - half) <= 1e-12 * scale)
+        one = integrate_monodromy(ZERO, 50.0).half_edge
+        assert one == tuple(v[7] for v in m.half_edge)
+
     def test_series_branch_continuous(self):
         # both sides of the series switch-over agree with the exact cosine
         for lam in (0.99e-8, 1.01e-8):
@@ -575,6 +593,7 @@ class TestDirichletSpectrum:
         calls = _count_magnus(monkeypatch)
 
         def twins(pot, twin, lam_max, tol=1e-10):
+            # tol only cuts: the record serves a scan with any tol
             del calls[:]
             served = dirichlet_spectrum(pot, lam_max, tol)
             integrated = len(calls)
@@ -592,18 +611,17 @@ class TestDirichletSpectrum:
             record = pot.magnus.scan
             rng = np.random.default_rng(seed)
             # below the widest scan: anywhere, at a found root, at its top
-            # and below min q
+            # and below min q, and with another tol
             for lam_max in [*rng.uniform(0.0, widest, 4), wide[2], widest,
                             float(np.min(pot.values)) - 2.0]:
-                _, integrated = twins(pot, twin, lam_max)
-                assert integrated == 0 and pot.magnus.scan is record
+                for tol in (1e-10, 1e-8):
+                    _, integrated = twins(pot, twin, lam_max, tol)
+                    assert integrated == 0 and pot.magnus.scan is record
             assert wide[2] in dirichlet_spectrum(pot, wide[2])
-            # a wider scan, or one with another tol, integrates afresh and
-            # replaces the record
-            for lam_max, tol in ((widest + 60.0, 1e-10), (100.0, 1e-8)):
-                _, integrated = twins(pot, twin, lam_max, tol)
-                assert integrated > 0
-                assert pot.magnus.scan[1:3] == (tol, lam_max)
+            # a wider scan integrates afresh and replaces the record
+            _, integrated = twins(pot, twin, widest + 60.0)
+            assert integrated > 0
+            assert pot.magnus.scan[1] == widest + 60.0
         # so does one after the gate picked a finer grid past the record
         pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 150.0, 0.0, 150.0, 0.0])
         twin = PotentialSpec.sampled(pot.x, pot.values)
@@ -614,10 +632,10 @@ class TestDirichletSpectrum:
         assert pot.magnus.halvings > halvings
         _, integrated = twins(pot, twin, 40.0)
         assert integrated > 0
-        assert pot.magnus.scan[:3] == (pot.magnus.halvings, 1e-10, 40.0)
+        assert pot.magnus.scan[:2] == (pot.magnus.halvings, 40.0)
 
     def test_a_spectrum_integrates_its_scan_grid_in_the_gate_only(self, monkeypatch):
-        # the scan for the Dirichlet points is cut from the anchors' scan:
+        # the scan for the Dirichlet points is cut from the edges' scan:
         # the gate's coarse and fine passes are the only calls on a scan
         # grid (a refinement batch holds at most two lambdas a lane)
         pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
@@ -684,19 +702,13 @@ class TestInversion:
         with pytest.raises(InputError, match="no band preimage"):
             invert_discriminant(ZERO, 1.2, 1)
 
-    @pytest.mark.parametrize("band, anchored", [
-        (0, True), (-1, True), (4, True), (0, False), (-1, False),
-        (1.5, False), ([2, 0], False)])
-    def test_invert_rejects_a_band_that_is_not_one(self, band, anchored):
-        # nu_1 ... nu_4 anchor bands 1-3; band 0 once read the last bracket
-        nu = dirichlet_spectrum(ZERO, (4.0 * np.pi) ** 2) if anchored else None
+    @pytest.mark.parametrize("band", [0, -1, 1.5, [2, 0]])
+    def test_invert_rejects_a_band_that_is_not_one(self, band):
         with pytest.raises(InputError, match="is not a Hill band"):
-            invert_discriminant(ZERO, 0.5, band, nu)
+            invert_discriminant(ZERO, 0.5, band)
 
-    @pytest.mark.parametrize("anchored", [True, False])
-    def test_invert_empty_batch(self, anchored):
-        nu = dirichlet_spectrum(ZERO, (4.0 * np.pi) ** 2) if anchored else None
-        lam = invert_discriminant(ZERO, np.array([]), np.array([], dtype=int), nu)
+    def test_invert_empty_batch(self):
+        lam = invert_discriminant(ZERO, np.array([]), np.array([], dtype=int))
         assert lam.shape == (0,) and lam.dtype == float
 
     def test_monolayer_alpha0_lambda_intervals(self):
@@ -750,8 +762,8 @@ class TestInversion:
         pot = PotentialSpec.sampled(np.linspace(0.0, 1.0, 5),
                                     [1.3, q, 1.3, q, 1.3])
         lam = invert_discriminant(pot, -1.0, 1)
-        c, _, _, sp = hill._half_edge(pot, np.array([lam]))
-        assert abs(c[0]) <= 1e-12 and abs(sp[0]) <= 1e-12
+        c, _, _, sp = integrate_monodromy(pot, lam).half_edge
+        assert abs(c) <= 1e-12 and abs(sp) <= 1e-12
 
     def test_band_two_starts_past_an_open_gap(self):
         # q = 2 cos 2 pi x: the first gap [8.857, 10.857] is open and the
@@ -763,19 +775,17 @@ class TestInversion:
         assert abs(0.5 * discriminant(pot, lam) + 1.0) <= 1e-12
         assert lam - dirichlet_spectrum(pot, 50.0)[0] > 1.9
 
-    @pytest.mark.parametrize("eta, band, nu, what", [
-        # nu_2, nu_3 in place of nu_1, nu_2: [below min q, nu_2] holds the
-        # roots of bands 1 and 2
-        (0.5, 1, [39.46997455, 88.83261247], "eta=0.5 in band 1"),
-        # nu_2 = 8 below nu_1: c(1/2) has no zero on [below min q, 8]
-        (-1.0, 2, [5.0, 8.0, 50.0], "the partner edge of gap 1"),
-    ], ids=["eta", "partner"])
-    def test_anchors_without_a_sign_change_fail(self, eta, band, nu, what):
-        # an engine failure (exit 2), not brent_roots' bare ValueError
+    @pytest.mark.parametrize("eta, band", [(0.5, 1), (-0.5, 2)])
+    def test_a_bracket_without_a_sign_change_fails(self, monkeypatch, eta, band):
+        # an engine failure (exit 2), not brent_roots' bare ValueError: with
+        # each band's edges in place of the band below's, d/2 runs the other
+        # way on the bracket, and d/2 - eta has the same sign at both ends
         pot = PotentialSpec.closure(lambda x: 2.0 * _cos2pi(x))
-        with pytest.raises(EngineError, match=f"bracket .* failed for {what}: "
-                                              "no sign change"):
-            invert_discriminant(pot, eta, band, nu)
+        edges = hill._band_edges
+        monkeypatch.setattr(hill, "_band_edges", lambda p, n: edges(p, n + 1)[2:])
+        with pytest.raises(EngineError, match=f"bracket .* failed for eta={eta} "
+                                              f"in band {band}: no sign change"):
+            invert_discriminant(pot, eta, band)
 
     def test_band_count_extends(self):
         res = bands_from_root_surface(ZERO, [(-1.0, 1.0)], n_bands=4)
@@ -803,10 +813,10 @@ _EDGE_CASES = pytest.mark.parametrize("pot", [
 ], ids=["period_half", "cos", "2cos", "5cos", *(f"random{s}" for s in range(6))])
 
 
-def _edges(pot, nu, n=4):
+def _edges(pot, n=4):
     """Bands 1 ... n as rows [lo, hi], from eta = +-1."""
     lams = invert_discriminant(pot, np.tile([1.0, -1.0], n),
-                               np.repeat(np.arange(1, n + 1), 2), nu)
+                               np.repeat(np.arange(1, n + 1), 2))
     return np.sort(lams.reshape(n, 2), axis=1)
 
 
@@ -817,21 +827,26 @@ class TestBandEdges:
     @_EDGE_CASES
     def test_edges_zero_the_half_edge_map_and_interlace_with_nu(self, pot):
         n = 4
-        nu = hill._dirichlet_anchors(pot, n)
         bands = np.repeat(np.arange(1, n + 1), 2)
         etas = np.tile([1.0, -1.0], n)
-        lams = invert_discriminant(pot, etas, bands, nu)
-        c, cp, s, sp = hill._half_edge(pot, lams)
+        lams = invert_discriminant(pot, etas, bands)
+        c, cp, s, sp = integrate_monodromy(pot, lams).half_edge
         # eta = 1: d/2 - 1 = 2 s c', eta = -1: d/2 + 1 = 2 c s'
         assert np.all(np.abs(np.where(etas > 0, 2 * s * cp, 2 * c * sp)) <= 1e-12)
         edges = np.sort(lams.reshape(n, 2), axis=1)
         assert np.all(edges[:, 0] < edges[:, 1])
+        # the scan's sorted zeros are the edges, and gap n's upper one last
+        scanned = hill._band_edges(pot, n)
+        assert scanned[:-1].tobytes() == np.sort(lams).tobytes()
         # gap k lies between bands k and k + 1 and has nu_k at one end
-        for k in range(1, n):
-            assert edges[k - 1, 1] <= edges[k, 0]
-            assert nu[k - 1] in (edges[k - 1, 1], edges[k, 0])
+        nu = dirichlet_spectrum(pot, scanned[-1])
+        assert len(nu) == n
+        for k in range(1, n + 1):
+            assert nu[k - 1] in scanned[2 * k - 1:2 * k + 1]
+            if k < n:
+                assert edges[k - 1, 1] <= edges[k, 0]
         # etas inside (-1, 1) land inside their bands
-        inner = invert_discriminant(pot, np.tile([0.9, -0.9], n), bands, nu)
+        inner = invert_discriminant(pot, np.tile([0.9, -0.9], n), bands)
         assert np.all((np.repeat(edges[:, 0], 2) < inner)
                       & (inner < np.repeat(edges[:, 1], 2)))
 
@@ -842,12 +857,11 @@ class TestBandEdges:
         # and 2), and across an open gap a root could land on nu beyond it
         # (random1, band 2, 0.6 away from the band)
         eps = np.finfo(float).eps
-        nu = hill._dirichlet_anchors(pot, 4)
-        edges = _edges(pot, nu)
+        edges = _edges(pot)
         bands = np.repeat(np.arange(1, 5), 2)
         for d in (eps / 2, eps, 4 * eps, 1e-14, 1e-13):
             etas = np.tile([1.0 - d, d - 1.0], 4)
-            lams = invert_discriminant(pot, etas, bands, nu)
+            lams = invert_discriminant(pot, etas, bands)
             assert np.all((np.repeat(edges[:, 0], 2) <= lams)
                           & (lams <= np.repeat(edges[:, 1], 2)))
             assert np.all(np.abs(0.5 * discriminant(pot, lams) - etas) <= 1e-12)
@@ -859,14 +873,14 @@ class TestBandEdges:
         x = [0.0, 0.2998, 0.3, 0.3002, 0.6998, 0.7, 0.7002, 1.0]
         q = [0.0, 0.0, -5000.0, 0.0, 0.0, -5000.0, 0.0, 0.0]
         pot = PotentialSpec.sampled(x, q)
-        assert hill._below_min_q(pot) == -5001.0
+        assert hill._q_range(pot) == (-5000.0, 0.0)
         result = bands_from_root_surface(pot, [(-1.0, 1.0)])
         lowest = min(iv.lo for iv in result.intervals)
         assert -2.5 < lowest < -2.0
         # an independent scan of c'(1/2), which vanishes at the even
         # periodic ground state: one sign change, around the edge
         lam = np.linspace(-2.5, -2.0, 1001)
-        cp = hill._half_edge(pot, lam)[1]
+        cp = integrate_monodromy(pot, lam).half_edge[1]
         [k] = np.flatnonzero(np.sign(cp[:-1]) != np.sign(cp[1:]))
         assert lam[k] <= lowest <= lam[k + 1]
         # and the lowest eigenvalue of -y'' + q y with periodic ends, by
@@ -881,6 +895,77 @@ class TestBandEdges:
         [ground] = scipy.sparse.linalg.eigsh(a, k=1, sigma=-10.0,
                                              return_eigenvectors=False)
         assert lowest == pytest.approx(ground, abs=1e-4)
+
+
+_DOUBLE_WELL = [0.0, 0.3, 0.35, 0.65, 0.7, 1.0]
+
+
+def _fd_eigenvalues(x, q, m, k, ends):
+    """The k lowest eigenvalues of -y'' + q y on [0, 1] by second
+    differences on the points j/m: periodic (ends = 1), antiperiodic (-1),
+    or Dirichlet (0, on the inner points)."""
+    inv_h2 = float(m * m)
+    diag = 2.0 * inv_h2 + np.interp(np.arange(int(ends == 0), m) / m, x, q)
+    size = len(diag)
+    off = np.full(size - 1, -inv_h2)
+    corner = np.array([-ends * inv_h2])
+    a = scipy.sparse.diags([diag, off, off, corner, corner],
+                           [0, 1, -1, size - 1, 1 - size], format="csc")
+    return np.sort(scipy.sparse.linalg.eigsh(
+        a, k=k, sigma=float(np.min(q)) - 5.0, return_eigenvectors=False))
+
+
+def _richardson(x, q, k, ends):
+    """``_fd_eigenvalues`` extrapolated from 5 000 and 10 000 points; with
+    every knot a grid point, the O(h^2) term cancels to ~1e-10 here."""
+    coarse, fine = (_fd_eigenvalues(x, q, m, k, ends) for m in (5_000, 10_000))
+    return (4.0 * fine - coarse) / 3.0
+
+
+class TestOneScan:
+    """One scan of all four entries of N finds every band edge and Dirichlet
+    point, each as a simple zero of its own entry."""
+
+    @pytest.mark.parametrize("height", [250.0, 300.0, 330.0, 360.0, 400.0])
+    def test_a_double_well_has_every_edge_and_dirichlet_point(self, height):
+        # an odd and an even state of the two wells, a zero of s(1/2) and
+        # one of s'(1/2), lie closer than the scan's step: a scan of s(1) =
+        # 2 s s' saw no sign change and found 2 Dirichlet points ("could not
+        # locate enough"), or at 360 found them but no partner edge of gap 4
+        q = [0.0, 0.0, height, height, 0.0, 0.0]
+        result = bands_from_root_surface(PotentialSpec.sampled(_DOUBLE_WELL, q),
+                                         [(-1.0, 1.0)])
+        edges = np.array([(iv.lo, iv.hi) for iv in result.intervals]).ravel()
+        assert len(edges) == 8 and len(result.dirichlet) == 4
+        periodic = np.sort(np.concatenate([_richardson(_DOUBLE_WELL, q, 4, ends)
+                                           for ends in (1, -1)]))
+        assert np.allclose(edges, periodic[:8], rtol=0.0, atol=1e-8)
+        assert np.allclose(result.dirichlet, _richardson(_DOUBLE_WELL, q, 4, 0),
+                           rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("c", [100.0, 200.0, 300.0, 1000.0])
+    def test_the_scan_top_is_past_the_last_gap_for_a_tall_potential(self, c):
+        # -y'' + c y: nu_k = (k pi)^2 + c, and every gap is closed there.  A
+        # scan to (n + 1.5)^2 pi^2, blind to q, ended below nu_4 from c = 200
+        result = bands_from_root_surface(PotentialSpec.sampled([0.0, 1.0], [c, c]),
+                                         [(-1.0, 1.0)])
+        assert np.allclose(result.dirichlet, (np.pi * np.arange(1, 5)) ** 2 + c,
+                           rtol=0.0, atol=1e-11)
+        edges = np.array([(iv.lo, iv.hi) for iv in result.intervals]).ravel()
+        assert np.allclose(edges, (np.pi * (np.arange(1, 9) // 2)) ** 2 + c,
+                           rtol=0.0, atol=1e-11)
+
+    def test_a_closed_gap_has_two_edges_a_few_ulps_apart(self):
+        # a period-1/2 potential, knot values p, q, p, q, p as the
+        # benchmark's, closes gaps 1 and 3, where d = -2.  Their edges came
+        # from refinements at xtol 1e-12 and 1e-10 and were up to 2.1e-11
+        # apart; now both are zeros of N's entries refined alike
+        rng = np.random.default_rng(27)
+        for p, q in rng.uniform(-3.0, 3.0, (22, 2)):
+            edges = _edges(PotentialSpec.sampled(np.linspace(0.0, 1.0, 5),
+                                                 [p, q, p, q, p]))
+            for k in (1, 3):
+                assert abs(edges[k, 0] - edges[k - 1, 1]) <= 4 * np.spacing(edges[k, 0])
 
 
 class TestZeroPotentialClosedForm:

@@ -1,6 +1,7 @@
 """Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
 of ``tools/src_lines.py``, the code-line count, and of ``tools/call_cost.py``,
-the cost of a small ``roots_at`` call and of a slice's chart and grid scan."""
+the cost of a small ``roots_at`` call, of a slice's chart and grid scan, and
+of a Hill scan and inversion."""
 
 import importlib.util
 import os
@@ -94,7 +95,7 @@ def test_src_lines_counts_code_lines_only():
 def test_call_cost_prints_one_line_per_route(capsys):
     tool = _tool("call_cost")
     assert tool.main(repeat=1) == 0
-    calls, slices = capsys.readouterr().out.split("\n\n")
+    calls, slices, hill = capsys.readouterr().out.split("\n\n")
     head, *lines = calls.splitlines()
     assert head.split()[:2] == ["variant", "route"]
     assert len(lines) == len(tool.ROUTES) == 12
@@ -112,3 +113,12 @@ def test_call_cost_prints_one_line_per_route(capsys):
         assert line.startswith(f"{variant:<22} {route:<18} ")
         costs = line[42:].split()
         assert len(costs) == 2 and all(float(c) > 0.0 for c in costs)
+    # the Hill scan, inversion and monodromy count of each sampled potential
+    head, *lines = hill.splitlines()
+    assert head.split() == ["Hill", "potential", "scan", "ms", "invert", "ms",
+                            "evaluations"]
+    assert len(lines) == len(tool.HILL) == 3
+    for line, (name, _, _) in zip(lines, tool.HILL):
+        assert line.startswith(f"{name:<41} ")
+        scan, invert, evaluations = line[42:].split()
+        assert float(scan) > 0.0 and float(invert) > 0.0 and int(evaluations) > 0

@@ -1,5 +1,6 @@
 """Microseconds per ``bands.roots_at`` call on the refiners' small batches,
-and per band chart and classifier grid scan of a diagonal slice.
+per band chart and classifier grid scan of a diagonal slice, and
+milliseconds per Hill scan and inversion of a sampled potential.
 
     python3 tools/call_cost.py
 
@@ -19,6 +20,17 @@ layers of a ``plot`` or ``classify`` job on the n = 501 slice: one
 ``svgplot.render_band_chart`` call with the slice's classified features,
 and one grid scan of ``classify_touches`` (``bands._grid_minima`` over the
 slice's separations), each the best of 5 timings of ``REPEAT // 20`` calls.
+
+The third table prints, for fixed sampled potentials, the Hill layers of a
+``spectrum`` job: one scan of the half-edge map for bands 1-4
+(``hill._band_edges``) on a fresh potential, so with its step-halving gate
+and its grids built; one inversion of the eta ends of a monolayer spectrum
+like the benchmark's, alpha = (0.6, 1.2) on the n = 201 diagonal, in bands
+1-4 (``invert_discriminant``, its edges served from the scan record); and
+the monodromies the two evaluate.
+The times are the best of 5 timings of ``REPEAT // 40`` calls.  The
+potentials are the benchmark's period-1/2 knots, 5 cos 2 pi x on 201 knots
+and a double well of height 250.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ from hexband.bands import (  # noqa: E402
     roots_at,
     sample_diagonal,
 )
+from hexband.hill import PotentialSpec, _band_edges, invert_discriminant  # noqa: E402
 from hexband.lattice import FluxSpec  # noqa: E402
 from hexband.svgplot import render_band_chart  # noqa: E402
 
@@ -85,6 +98,19 @@ ROUTES = [
 ]
 
 
+_COS_X = np.linspace(0.0, 1.0, 201)
+# (name, knots, values) of each sampled potential of the Hill table
+HILL = [
+    ("period-1/2 knots", [0.0, 0.25, 0.5, 0.75, 1.0], [1.5, -2.0, 1.5, -2.0, 1.5]),
+    ("5 cos 2 pi x, 201 knots", _COS_X, 5.0 * np.cos(2.0 * np.pi * _COS_X)),
+    ("double well, height 250", [0.0, 0.3, 0.35, 0.65, 0.7, 1.0],
+     [0.0, 0.0, 250.0, 250.0, 0.0, 0.0]),
+]
+HILL_BANDS = 4
+# a monolayer spectrum stack like the benchmark's
+_SPECTRUM_STACK = _stack("monolayer", 0.6, 1.2)
+
+
 def _best_us(call, repeat: int) -> float:
     """Microseconds of one ``call()``, the best of 5 timings of ``repeat``."""
     return 1e6 * min(timeit.repeat(call, number=repeat, repeat=5)) / repeat
@@ -115,6 +141,24 @@ def slice_us(config: StackConfig, repeat: int) -> tuple[float, float]:
             _best_us(lambda: _grid_minima(seps, half, PROMINENCE_TOL), repeat))
 
 
+def hill_ms(knots, values, repeat: int) -> tuple[float, float, int]:
+    """Milliseconds of one scan for bands 1-4 on a fresh potential and of one
+    inversion of the benchmark's eta ends, and the monodromies they take."""
+    surface = sample_diagonal(_SPECTRUM_STACK, n=201)
+    ends = np.clip([surface.values.min(axis=0), surface.values.max(axis=0)],
+                   -1.0, 1.0).T.ravel()
+    etas = np.tile(ends, HILL_BANDS)
+    bands = np.repeat(np.arange(1, HILL_BANDS + 1), len(ends))
+    fresh = iter([PotentialSpec.sampled(knots, values) for _ in range(5 * repeat)])
+    scan = _best_us(lambda: _band_edges(next(fresh), HILL_BANDS), repeat)
+    pot = PotentialSpec.sampled(knots, values)
+    _band_edges(pot, HILL_BANDS)
+    invert_discriminant(pot, etas, bands)
+    evaluations = pot.magnus.evaluations
+    invert = _best_us(lambda: invert_discriminant(pot, etas, bands), repeat)
+    return scan / 1e3, invert / 1e3, evaluations
+
+
 def main(repeat: int = REPEAT) -> int:
     head = "  ".join(f"{n:>2} pt µs" for n in SIZES)
     print(f"{'variant':<22} {'route':<18} {head}")
@@ -127,6 +171,11 @@ def main(repeat: int = REPEAT) -> int:
         if config.flux is None:
             chart, scan = slice_us(config, max(1, repeat // 20))
             print(f"{variant:<22} {route:<18} {chart:8.1f}  {scan:8.1f}")
+    print()
+    print(f"{'Hill potential':<41} {'scan ms':>8}  {'invert ms':>9}  {'evaluations':>11}")
+    for name, knots, values in HILL:
+        scan, invert, evaluations = hill_ms(knots, values, max(1, repeat // 40))
+        print(f"{name:<41} {scan:8.2f}  {invert:9.2f}  {evaluations:11d}")
     return 0
 
 
