@@ -101,15 +101,15 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     on theta (the q = 2 cell's matrix is not a function of F), and only the
     q = 1 cell's formula route computes its batch's F.
 
-    The points go to the engine in batches of ``batch_points``.  A call that
-    fits in one batch that one route serves, formulas or eigensolver, is
-    that engine call's result as it is, returned before any result array
-    is made: the refiners make most of a classifying job's calls, about
-    800 over a pass of the benchmark's diag-classify jobs.  A batch the
-    formulas cannot serve whole sends its other points to the eigensolver
-    and its formula points to the end, where they are evaluated together;
-    once the parameters have no closed form at all, the formulas are not
-    tried again.
+    The points go to the engine in batches of ``batch_points``, and each
+    batch is served where it stands.  The formulas serve it whole, or
+    refuse it with a ``servable`` mask: then its servable points (if any)
+    take one more formula call and the rest one eigensolver call.  Once the
+    parameters have no closed form at all, the formulas are not tried again
+    and the eigensolver serves the batch.  A call of one batch returns that
+    batch's result as it is, with no result array made: the refiners make
+    most of a classifying job's calls, about 800 over a pass of the
+    benchmark's diag-classify jobs.  A longer call joins its batches.
 
     A stack's call of more than one batch evaluates each distinct F once:
     every row, its route included, is a function of F's bits alone, so the
@@ -131,26 +131,9 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     if flux is None:
         F = structure_function(t1, t2)      # the call's one F pass
         if n > size:
-            # n > size: the one-batch return below never skips the scatter
             first, inverse = _distinct_f(F)
             F = F[first]
             points = len(F)
-    # the result arrays, made by the first batch that does not serve the
-    # call whole
-    values = order = closed = None
-    names = ()
-
-    def fill(index, part_values, roots=None) -> None:
-        nonlocal values, order, closed, names
-        if values is None:
-            values = np.empty((points, dim))
-            order = np.empty((points, dim), dtype=np.int8)
-            closed = np.zeros(points, dtype=bool)
-        values[index] = part_values
-        if roots is not None:
-            order[index] = roots.order
-            closed[index] = True
-            names = roots.names
 
     def by_formula(index) -> DispersionRoots:
         if flux is None:
@@ -159,56 +142,53 @@ def roots_at(config: StackConfig, theta1, theta2=None,
             return magnetic.closed_form_roots_q2(config, t1[index], t2[index])
         return closed_form_roots(config, structure_function(t1[index], t2[index]))
 
-    deferred = []
-    for start in range(0, points, size):
+    def by_eigensolver(index) -> np.ndarray:
+        if flux is None:
+            return numeric_roots(assemble(config, F[index])).values
+        # the flux cells' artifacts come from eigvalsh(A) / 3, which differs
+        # from numeric_roots' D^{-1/2} scaling in the last bits; numeric_roots
+        # here would move the bytes of the q = 1 cell's bands.csv and
+        # magnetic.txt and of both cells' validate.txt (five GOLDEN rows of
+        # tests/test_batch.py)
+        return np.linalg.eigvalsh(
+            magnetic.assemble_robin(config, t1[index], t2[index]).affine) / 3.0
+
+    def serve(start: int) -> DispersionRoots:
+        nonlocal formulas
         part = slice(start, start + size)
         if formulas:
             try:
-                roots = by_formula(part)
+                return by_formula(part)
             except NoClosedFormError as exc:
-                if exc.servable is None:
-                    formulas = False
+                servable = exc.servable
+                if servable is None:
+                    formulas = False    # no point has them, in any batch
                 else:
-                    index = np.arange(points)[part]
-                    deferred.append(index[exc.servable])
-                    part = index[~exc.servable]
-            else:
-                if n <= size and not scalar:
-                    return roots    # one engine batch, served whole
-                fill(part, roots.values, roots)
-                continue
-        if flux is None:
-            part_values = numeric_roots(assemble(config, F[part])).values
-        else:
-            # the flux cells' artifacts come from eigvalsh(A) / 3, which
-            # differs from numeric_roots' D^{-1/2} scaling in the last bits;
-            # numeric_roots here would move the bytes of the q = 1 cell's
-            # bands.csv and magnetic.txt and of both cells' validate.txt
-            # (five GOLDEN rows of tests/test_batch.py)
-            part_values = np.linalg.eigvalsh(
-                magnetic.assemble_robin(config, t1[part], t2[part]).affine) / 3.0
-        if n <= size and not scalar and not deferred:
-            # one engine batch, served whole by the eigensolver
-            return DispersionRoots(values=part_values, closed=np.zeros(n, dtype=bool))
-        fill(part, part_values)
-    if deferred:
-        deferred = np.concatenate(deferred)
-        for start in range(0, len(deferred), size):
-            index = deferred[start:start + size]
-            roots = by_formula(index)
-            fill(index, roots.values, roots)
+                    index = np.arange(start, start + len(servable))
+                    values = np.empty((len(index), dim))
+                    values[~servable] = by_eigensolver(index[~servable])
+                    if servable.any():
+                        values[servable] = by_formula(index[servable]).values
+                    return DispersionRoots(values=values, closed=servable)
+        values = by_eigensolver(part)
+        return DispersionRoots(values=values, closed=np.zeros(len(values), dtype=bool))
 
-    if values is None:      # no points
-        fill(slice(0), np.empty((0, dim)))
-    if inverse is not None:
-        values, order, closed = (np.take(a, inverse, axis=0)
-                                 for a in (values, order, closed))
-    if not closed.all():
-        names = ()
-    if scalar:
-        values, order, closed = values[0], order[0], closed.reshape(())
-    return DispersionRoots(values=values, closed=closed, names=names,
-                           order=order if names else None)
+    parts = [serve(start) for start in range(0, points, size)]
+    if not parts:       # no points
+        return DispersionRoots(values=np.empty((0, dim)), closed=np.zeros(0, dtype=bool))
+    if n <= size and not scalar:
+        return parts[0]     # one engine batch, as it came
+    # branch names only when every batch, and so every point, took the formulas
+    names = parts[0].names if all(roots.names for roots in parts) else ()
+    # the call's rows: scattered back through the F groups, or one point's
+    # (indexed [0, ...], which keeps its closed a 0-d array)
+    rows = inverse if inverse is not None else 0 if scalar else slice(None)
+
+    def joined(field: str) -> np.ndarray:
+        return np.concatenate([getattr(roots, field) for roots in parts])[rows, ...]
+
+    return DispersionRoots(values=joined("values"), closed=joined("closed"),
+                           names=names, order=joined("order") if names else None)
 
 
 def _distinct_f(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

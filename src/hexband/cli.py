@@ -31,7 +31,8 @@ even profiles (``bands.classify_touches``): ``report.txt`` keeps every touch
 and the narrowest gap of each pair (of two exactly equal gaps, the one at
 the larger |theta1|), and ``bands.svg`` draws each record at +-theta1.
 ``validate``'s ``--samples`` must be at least 1 and its ``--seed``
-non-negative.
+non-negative; a ``grid.n`` or ``--samples`` whose arrays numpy cannot make
+exits 1 as a config error.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  After its configuration checks a run removes the
@@ -103,6 +104,7 @@ from .lattice import (
     StackConfig,
     StackVariant,
     VertexParams,
+    _require_array_size,
     diagonal_slice,
     full_grid,
     structure_function,
@@ -729,10 +731,13 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
             f"and bands.svg from {MIN_CLASSIFY_SAMPLES} samples, none of which this "
             f"{command!r} run writes (add \"report\" to 'outputs' or drop the "
             "tolerances)")
-    if "validate" in wanted and args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    if "validate" in wanted and args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    if "validate" in wanted:
+        if args.samples < 1:
+            raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+        # up to two theta draws a sample
+        _require_array_size(2 * args.samples, f"--samples {args.samples}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     for filename in ("manifest.json", *files):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(args.out, filename))

@@ -212,6 +212,13 @@ def _theta_batch(theta1, theta2=None):
     return t1.reshape(-1), t2.reshape(-1), t1.ndim == 0
 
 
+def _require_array_size(points: int, what: str) -> None:
+    """Refuse, as a ``GridError``, a sampling of more float64 values than
+    one numpy array holds (numpy's own refusal is a bare ``ValueError``)."""
+    if points > np.iinfo(np.intp).max // 8:
+        raise GridError(f"{what} is past numpy's array limit")
+
+
 def diagonal_slice(n: int) -> np.ndarray:
     """n equally spaced theta1 values on [-pi, pi] (inclusive) for theta2 = -theta1.
 
@@ -219,6 +226,7 @@ def diagonal_slice(n: int) -> np.ndarray:
     """
     if not isinstance(n, int) or n < 2:
         raise GridError(f"diagonal slice needs an integer n >= 2, got {n!r}")
+    _require_array_size(n, f"a diagonal slice of {n} points")
     return np.linspace(-np.pi, np.pi, n)
 
 
@@ -226,5 +234,6 @@ def full_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Meshgrid (indexing='ij') of an inclusive n x n grid over [-pi, pi]^2."""
     if not isinstance(n, int) or n < 2:
         raise GridError(f"full grid needs an integer n >= 2, got {n!r}")
+    _require_array_size(n * n, f"a full grid of {n} x {n} points")
     axis = np.linspace(-np.pi, np.pi, n)
     return np.meshgrid(axis, axis, indexing="ij")

@@ -39,7 +39,13 @@ from .floquet import (
     _residual_gate,
     assemble,
 )
-from .lattice import FluxSpec, StackConfig, _theta_batch, structure_function
+from .lattice import (
+    FluxSpec,
+    StackConfig,
+    _require_array_size,
+    _theta_batch,
+    structure_function,
+)
 from .refine import (
     DEFAULT_TOL_SLOPE,
     DEFAULT_TOL_TOUCH,
@@ -168,6 +174,8 @@ def reduced_zone_grid(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise GridError(f"flux denominator must be a positive integer, got {q!r}")
     if not isinstance(n, int) or n < 2:
         raise GridError(f"grid size must be an integer >= 2, got {n!r}")
+    # the zone's n x n samples
+    _require_array_size(n * n, f"a reduced-zone grid of {n} x {n} points")
     t1 = np.linspace(0.0, np.pi / q, n, endpoint=False)
     t2 = np.linspace(-np.pi / q, np.pi / q, n, endpoint=False)
     return t1, t2

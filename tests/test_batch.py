@@ -353,20 +353,41 @@ def _count_closed_form_calls(monkeypatch):
     return calls
 
 
-def test_roots_at_evaluates_scattered_closed_form_points_together(monkeypatch):
+def test_roots_at_serves_each_mixed_batch_where_it_stands(monkeypatch):
+    # off the diagonal Re F <= 1 + 2 cos 1 < 2.1, on it Re F > 2.9, so the
+    # engine's points (sorted by F) make two batches with no formula point,
+    # one mixed batch and one the formulas serve whole
     cfg = _config(StackVariant.TRILAYER_HBN_G_HBN, None, -0.8, 0.8, 0.4)
     batch = batch_points(6)
-    n = 10 * batch              # ten engine batches at d = 6
-    diagonal = np.arange(n) % 7 == 0
-    t1 = np.linspace(-3.0, 3.0, n)
-    t2 = np.where(diagonal, -t1, 0.5 * t1)
+    off, on = 2 * batch + 100, batch + 200
+    rng = np.random.default_rng(5)
+    diagonal = rng.permutation(np.arange(off + on) < on)
+    t1 = np.where(diagonal, rng.uniform(-0.3, 0.3, off + on),
+                  rng.uniform(1.0, 2.0, off + on))
+    t2 = np.where(diagonal, -t1, rng.uniform(1.0, 2.0, off + on))
     calls = _count_closed_form_calls(monkeypatch)
     roots = roots_at(cfg, t1, t2)
-    # one refused call per batch, then the diagonal points in two batches
-    together = _batch_sizes(int(diagonal.sum()), 6)
-    assert len(together) == 2
-    assert calls == [batch] * 10 + together
+    # one refused call per batch, one more on a mixed batch's formula points
+    assert calls == [batch, batch, batch, batch - 100, on - (batch - 100)]
     assert roots.closed.tolist() == diagonal.tolist()
+    assert roots.names == () and roots.order is None
+    one = [roots_at(cfg, a, b) for a, b in zip(t1, t2)]
+    assert _same_bits(roots.values, np.array([r.values for r in one]))
+    assert _same_bits(roots.closed, np.array([r.closed for r in one]))
+
+
+@pytest.mark.parametrize("route", ["auto", "numeric"])
+@pytest.mark.parametrize("case", [(StackVariant.HETERO_BILAYER, None),
+                                  (StackVariant.BILAYER_AA_PRIME, None),
+                                  (StackVariant.MAGNETIC_MONOLAYER, 2)], ids=_case_id)
+def test_roots_at_an_empty_batch(case, route):
+    # a paired stack, an unpaired one and the q = 2 cell: no points took the
+    # formulas, so no branch names come back
+    cfg = _config(*case, -0.8, 0.6, 0.4)
+    roots = roots_at(cfg, np.empty(0), np.empty(0), route=route)
+    assert _same_bits(roots.values, np.empty((0, cfg.dim)))
+    assert _same_bits(roots.closed, np.zeros(0, dtype=bool))
+    assert roots.names == () and roots.order is None
 
 
 def test_roots_at_stops_trying_formulas_the_parameters_lack(monkeypatch):

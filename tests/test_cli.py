@@ -214,6 +214,29 @@ class TestConfig:
         assert "Traceback" not in err
         assert f"alpha_a = {stack['alpha_a']!r}" in err
 
+    @pytest.mark.parametrize("command,overrides,extra", [
+        ("classify", {}, ("--grid", str(10**20))),
+        ("classify", {"grid": {"kind": "diagonal", "n": 10**20}}, ()),
+        ("bands", {}, ("--full", "--grid", str(10**20))),
+        ("bands", {"grid": {"kind": "full", "n": 10**20}}, ()),
+        ("magnetic", {"stack": {"variant": "magnetic_monolayer", "alpha_a": -1.0,
+                                "alpha_b": -1.0, "flux_p": 1, "flux_q": 2}},
+         ("--grid", str(10**20))),
+        ("validate", {}, ("--samples", str(10**20))),
+    ], ids=["classify", "classify-config", "bands-full", "bands-full-config",
+            "magnetic", "validate-samples"])
+    def test_size_past_numpys_array_limit_is_config_error(self, tmp_path, capsys,
+                                                         command, overrides, extra):
+        # numpy refused these sizes with a bare ValueError, a traceback
+        cfg = _write_config(tmp_path, **overrides)
+        code, outdir = _run(tmp_path, command, cfg, *extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("hexband: config error: ")
+        assert "past numpy's array limit" in err
+        assert len(err.splitlines()) == 1
+        assert list(outdir.iterdir()) == []
+
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
     @pytest.mark.parametrize("command,stack,alpha", [
         # |p(r)| / |lead| grows with the roots' scale, so these accurate

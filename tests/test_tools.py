@@ -1,7 +1,7 @@
 """Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
 of ``tools/src_lines.py``, the code-line count, and of ``tools/call_cost.py``,
-the cost of a small ``roots_at`` call, of a slice's chart and grid scan, and
-of a Hill scan and inversion."""
+the cost of a small ``roots_at`` call, of a slice's chart and grid scan, of
+a Hill scan and inversion, and of a ``roots_at`` call on a full grid."""
 
 import importlib.util
 import os
@@ -95,7 +95,7 @@ def test_src_lines_counts_code_lines_only():
 def test_call_cost_prints_one_line_per_route(capsys):
     tool = _tool("call_cost")
     assert tool.main(repeat=1) == 0
-    calls, slices, hill = capsys.readouterr().out.split("\n\n")
+    calls, slices, hill, grids = capsys.readouterr().out.split("\n\n")
     head, *lines = calls.splitlines()
     assert head.split()[:2] == ["variant", "route"]
     assert len(lines) == len(tool.ROUTES) == 12
@@ -122,3 +122,14 @@ def test_call_cost_prints_one_line_per_route(capsys):
         assert line.startswith(f"{name:<41} ")
         scan, invert, evaluations = line[42:].split()
         assert float(scan) > 0.0 and float(invert) > 0.0 and int(evaluations) > 0
+    # one roots_at call on each paired stack's full grid, and its formula calls
+    head, *lines = grids.splitlines()
+    assert head.split() == ["71", "x", "71", "full", "grid", "route", "call", "ms",
+                            "formula", "calls"]
+    paired = [(variant, route) for variant, route, _ in tool.ROUTES
+              if route == "paired closed"]
+    assert len(lines) == len(paired) == 3
+    for line, (variant, route) in zip(lines, paired):
+        assert line.startswith(f"{variant:<22} {route:<18} ")
+        ms, calls = line[42:].split()
+        assert float(ms) > 0.0 and int(calls) > 0

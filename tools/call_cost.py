@@ -1,6 +1,7 @@
 """Microseconds per ``bands.roots_at`` call on the refiners' small batches,
-per band chart and classifier grid scan of a diagonal slice, and
-milliseconds per Hill scan and inversion of a sampled potential.
+per band chart and classifier grid scan of a diagonal slice, milliseconds
+per Hill scan and inversion of a sampled potential, and milliseconds per
+``roots_at`` call on a paired stack's full grid.
 
     python3 tools/call_cost.py
 
@@ -31,6 +32,13 @@ the monodromies the two evaluate.
 The times are the best of 5 timings of ``REPEAT // 40`` calls.  The
 potentials are the benchmark's period-1/2 knots, 5 cos 2 pi x on 201 knots
 and a double well of height 250.
+
+The fourth table prints, for each paired stack's route of the first table,
+the time of one ``roots_at`` call on the 71 x 71 full grid of a ``bands``
+job (the best of 5 timings of ``REPEAT // 40`` calls) and the
+``closed_form_roots`` calls it makes.  Off the diagonal slice the paired
+stacks have no closed forms, so each engine batch makes a refused formula
+call, and a batch that holds diagonal points one more call on them.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from hexband import (  # noqa: E402
     StackVariant,
     VertexParams,
 )
+from hexband import bands  # noqa: E402
 from hexband.bands import (  # noqa: E402
     PROMINENCE_TOL,
     _grid_minima,
@@ -58,7 +67,7 @@ from hexband.bands import (  # noqa: E402
     sample_diagonal,
 )
 from hexband.hill import PotentialSpec, _band_edges, invert_discriminant  # noqa: E402
-from hexband.lattice import FluxSpec  # noqa: E402
+from hexband.lattice import FluxSpec, full_grid  # noqa: E402
 from hexband.svgplot import render_band_chart  # noqa: E402
 
 REPEAT = 200        # calls per timing
@@ -159,6 +168,25 @@ def hill_ms(knots, values, repeat: int) -> tuple[float, float, int]:
     return scan / 1e3, invert / 1e3, evaluations
 
 
+def grid_ms(config: StackConfig, repeat: int) -> tuple[float, int]:
+    """Milliseconds of one ``roots_at`` call on the 71 x 71 full grid, and
+    the ``closed_form_roots`` calls it makes, refused ones included."""
+    theta1, theta2 = (axis.ravel() for axis in full_grid(71))
+    original, calls = bands.closed_form_roots, 0
+
+    def counting(config, F):
+        nonlocal calls
+        calls += 1
+        return original(config, F)
+
+    bands.closed_form_roots = counting
+    try:
+        roots_at(config, theta1, theta2)
+    finally:
+        bands.closed_form_roots = original
+    return _best_us(lambda: roots_at(config, theta1, theta2), repeat) / 1e3, calls
+
+
 def main(repeat: int = REPEAT) -> int:
     head = "  ".join(f"{n:>2} pt µs" for n in SIZES)
     print(f"{'variant':<22} {'route':<18} {head}")
@@ -176,6 +204,13 @@ def main(repeat: int = REPEAT) -> int:
     for name, knots, values in HILL:
         scan, invert, evaluations = hill_ms(knots, values, max(1, repeat // 40))
         print(f"{name:<41} {scan:8.2f}  {invert:9.2f}  {evaluations:11d}")
+    print()
+    print(f"{'71 x 71 full grid':<22} {'route':<18} {'call ms':>8}  "
+          f"{'formula calls':>13}")
+    for variant, route, config in ROUTES:
+        if route == "paired closed":
+            ms, calls = grid_ms(config, max(1, repeat // 40))
+            print(f"{variant:<22} {route:<18} {ms:8.2f}  {calls:13d}")
     return 0
 
 
