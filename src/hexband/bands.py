@@ -111,13 +111,18 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     most of a classifying job's calls, about 800 over a pass of the
     benchmark's diag-classify jobs.  A longer call joins its batches.
 
-    A stack's call of more than one batch evaluates each distinct F once:
-    every row, its route included, is a function of F's bits alone, so the
-    engine runs on one value per bit pattern (``_distinct_f``) and the rows
-    are scattered back, bit for bit.  On a full grid, the inclusive -pi/pi
-    edges and the theta1 <-> theta2 swap repeat about a third of the F.
-    Calls of one batch skip the grouping, whose fixed cost would outweigh
-    the saving there.
+    A stack's call of more than one batch evaluates each distinct F once,
+    up to conjugation: every row, its route included, is a function of F's
+    bits alone, and F and conj(F) have the same row (A(conj F) is the
+    conjugate of A(F), which eigvalsh solves to the same bits, and the
+    formulas read F through Re F and |F| alone; ``tests/test_batch.py``
+    pins both).  So the engine runs on one value per bit pattern of F with
+    Im F folded to Im F >= 0 (``_distinct_f``), and the rows are scattered
+    back, bit for bit.  On a full grid, theta and -theta give conjugate F
+    wherever the axis is mirror-symmetric bit for bit, and the inclusive
+    -pi/pi edges and the theta1 <-> theta2 swap repeat more F: the 71 x 71
+    grid's 5 041 points are 1 571 engine points.  Calls of one batch skip
+    the grouping, whose fixed cost would outweigh the saving there.
     """
     if route not in ("auto", "closed", "numeric"):
         raise InputError(f"unknown evaluation route {route!r}")
@@ -131,6 +136,9 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     if flux is None:
         F = structure_function(t1, t2)      # the call's one F pass
         if n > size:
+            # A(conj F) = conj A(F) has A(F)'s rows: fold each conjugate
+            # pair onto its Im F > 0 member (Im F = -0.0 stays)
+            F = np.where(F.imag < 0.0, F.conj(), F)
             first, inverse = _distinct_f(F)
             F = F[first]
             points = len(F)
@@ -199,7 +207,9 @@ def _distinct_f(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     imaginary part) brings equal F together, and a group is a run of
     neighbours whose bits match.  So 0.0 and -0.0 stay apart, where
     ``np.unique`` on complex values merges them; the sort ranks them equal,
-    which can at worst split a group.
+    which can at worst split a group.  ``roots_at`` passes F with each
+    conjugate pair folded onto its Im F > 0 member; Im F = -0.0 is not
+    folded, so F with Im F = +0.0 and -0.0 stay two groups here too.
     """
     by_value = np.argsort(F, kind="stable")
     re, im = (part.view(np.int64)[by_value] for part in (F.real, F.imag))

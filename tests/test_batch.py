@@ -453,9 +453,12 @@ def _count_served_points(monkeypatch):
     (StackVariant.HETERO_BILAYER, -1.0, 1.0, 33),       # both routes
     (StackVariant.TRILAYER_G_HBN_G, -0.7, 0.7, 25),     # both routes
     (StackVariant.BILAYER_AA, -0.8, 0.6, 33),           # closed forms only
-], ids=["hetero_bilayer", "trilayer_g_hbn_g", "bilayer_aa"])
+    (StackVariant.HETERO_BILAYER, -1.0, 1.0, 71),       # a benchmark grid
+], ids=["hetero_bilayer", "trilayer_g_hbn_g", "bilayer_aa", "hetero_bilayer_71"])
 def test_roots_at_on_a_full_grid_evaluates_each_distinct_f_once(variant, aa, ab, n,
                                                                  monkeypatch):
+    # distinct up to conjugation: F and conj(F) have the same rows
+    # (test_conjugate_f_has_the_same_rows), so they are one engine point
     cfg = StackConfig(variant, VertexParams(aa, ab), coupling=CouplingParams(t0=0.3))
     g1, g2 = full_grid(n)
     t1, t2 = g1.ravel(), g2.ravel()
@@ -464,8 +467,11 @@ def test_roots_at_on_a_full_grid_evaluates_each_distinct_f_once(variant, aa, ab,
     served = _count_served_points(monkeypatch)
     roots = roots_at(cfg, t1, t2)
 
-    distinct = _distinct_bits(structure_function(t1, t2))
-    assert sum(served) == distinct < len(t1)
+    F = structure_function(t1, t2)
+    folded = _distinct_bits(np.where(F.imag < 0.0, F.conj(), F))
+    assert sum(served) == folded < _distinct_bits(F) < len(t1)
+    if n == 71:     # linspace(-pi, pi, 71) is mirror-symmetric bit for bit
+        assert folded == 1571
     assert _same_bits(roots.values, np.stack([one.values for one in points]))
     assert roots.closed.tolist() == [bool(one.closed) for one in points]
     if variant is StackVariant.BILAYER_AA:
@@ -494,6 +500,68 @@ def test_roots_at_sends_every_point_of_a_flux_cell(q, monkeypatch):
     monkeypatch.setattr(magnetic, name, counting)
     roots_at(cfg, t1, t2)
     assert sum(sent) == len(t1)
+
+
+# every stack; the paired layouts, whose closed forms need alpha_b = -alpha_a
+# and alpha_c = 0, also unpaired
+_STACKS = [pytest.param(_config(variant, None, -0.7, 0.4, 0.3), id=variant.value)
+           for variant, q in CASES if q is None]
+_STACKS += [pytest.param(StackConfig(variant, VertexParams(-0.7, 0.4),
+                                     coupling=CouplingParams(t0=0.3)),
+                         id=f"{variant.value}_unpaired")
+            for variant in StackVariant if variant in _DIAGONAL_ONLY]
+
+
+def _rows(roots):
+    """Roots' values, closed mask, names and sort order, as bytes."""
+    order = None if roots.order is None else roots.order.tobytes()
+    return roots.values.tobytes(), roots.closed.tobytes(), roots.names, order
+
+
+def _engine_rows(engine, cfg, F):
+    """``_rows`` of an engine call at F, or its refusal and servable mask."""
+    try:
+        return _rows(engine(cfg, F))
+    except NoClosedFormError as exc:
+        return "refused", None if exc.servable is None else exc.servable.tobytes()
+
+
+@pytest.mark.parametrize("cfg", _STACKS)
+def test_conjugate_f_has_the_same_rows(cfg):
+    # roots_at serves F and conj(F) with one engine row.  That holds bit
+    # for bit because assemble(conj F) is the transpose of assemble(F), so
+    # its conjugate (but for the sign of the F-free entries' zero imaginary
+    # parts), whose eigenvalues eigvalsh returns unchanged, and because the
+    # formulas read F only through Re F, |F| and |F + c|, even in Im F
+    rng = np.random.default_rng(5)
+    r, phi = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 2000)), rng.uniform(-np.pi, np.pi, 2000)
+    disk = 1.0 + r * np.exp(1j * phi)       # uniform in |F - 1| <= 2
+    real = np.array([-1.0, -0.5, 0.0, 1.0, 2.5, 3.0]) + 0j    # Im F = +0.0, conj -0.0
+    axis = np.linspace(-np.pi, np.pi, 71)
+    edges = structure_function(np.repeat([-np.pi, np.pi], 71), np.tile(axis, 2))
+    for F in (disk, real, edges):
+        at, mirror = assemble(cfg, F).affine, assemble(cfg, F.conj()).affine
+        assert _same_bits(mirror, at.swapaxes(1, 2)) and np.array_equal(mirror, at.conj())
+        for engine in (closed_form_roots, lambda cfg, F: numeric_roots(assemble(cfg, F))):
+            assert _engine_rows(engine, cfg, F.conj()) == _engine_rows(engine, cfg, F)
+
+    # roots_at at theta and -theta, whose F are conjugate, one engine batch a
+    # call so that no fold joins them: F fills the disk, the grid's -pi/pi
+    # edges, and the 61 grid's anti-diagonal, Im F = +0.0 where the axis is
+    # mirror-symmetric and about 1e-16 (inside the diagonal tolerance) elsewhere
+    t1, t2 = rng.uniform(-np.pi, np.pi, (2, 2000))
+    anti = np.linspace(-np.pi, np.pi, 61)
+    t1 = np.concatenate([t1, np.repeat([-np.pi, np.pi], 71), np.tile(axis, 2), anti])
+    t2 = np.concatenate([t2, np.tile(axis, 2), np.repeat([-np.pi, np.pi], 71), anti[::-1]])
+    F, mirror = structure_function(t1, t2), structure_function(-t1, -t2)
+    zero = F.imag == 0.0            # x + (-x) is +0.0 on both sides
+    assert _same_bits(mirror[~zero], F[~zero].conj()) and _same_bits(mirror[zero], F[zero])
+    size = batch_points(cfg.dim)
+    for route in ("auto", "numeric"):
+        for start in range(0, len(t1), size):
+            part = slice(start, start + size)
+            assert _rows(roots_at(cfg, -t1[part], -t2[part], route)) == _rows(
+                roots_at(cfg, t1[part], t2[part], route))
 
 
 def test_distinct_f_keys_on_the_bits():

@@ -1,7 +1,8 @@
 """Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
 of ``tools/src_lines.py``, the code-line count, and of ``tools/call_cost.py``,
 the cost of a small ``roots_at`` call, of a slice's chart and grid scan, of
-a Hill scan and inversion, and of a ``roots_at`` call on a full grid."""
+a Hill scan and inversion, of a ``roots_at`` call on a full grid and of a
+fresh config's residual-gate tensor."""
 
 import importlib.util
 import os
@@ -95,7 +96,7 @@ def test_src_lines_counts_code_lines_only():
 def test_call_cost_prints_one_line_per_route(capsys):
     tool = _tool("call_cost")
     assert tool.main(repeat=1) == 0
-    calls, slices, hill, grids = capsys.readouterr().out.split("\n\n")
+    calls, slices, hill, grids, gates = capsys.readouterr().out.split("\n\n")
     head, *lines = calls.splitlines()
     assert head.split()[:2] == ["variant", "route"]
     assert len(lines) == len(tool.ROUTES) == 12
@@ -122,14 +123,21 @@ def test_call_cost_prints_one_line_per_route(capsys):
         assert line.startswith(f"{name:<41} ")
         scan, invert, evaluations = line[42:].split()
         assert float(scan) > 0.0 and float(invert) > 0.0 and int(evaluations) > 0
-    # one roots_at call on each paired stack's full grid, and its formula calls
+    # one roots_at call on each paired stack's full grid, its formula calls
+    # and engine points: one per F up to conjugation
     head, *lines = grids.splitlines()
     assert head.split() == ["71", "x", "71", "full", "grid", "route", "call", "ms",
-                            "formula", "calls"]
+                            "formula", "calls", "engine", "points"]
     paired = [(variant, route) for variant, route, _ in tool.ROUTES
               if route == "paired closed"]
     assert len(lines) == len(paired) == 3
     for line, (variant, route) in zip(lines, paired):
         assert line.startswith(f"{variant:<22} {route:<18} ")
-        ms, calls = line[42:].split()
-        assert float(ms) > 0.0 and int(calls) > 0
+        ms, calls, points = line[42:].split()
+        assert float(ms) > 0.0 and int(calls) > 0 and int(points) == 1571
+    # the gate tensor of a fresh config of each variant the residual gate serves
+    head, *lines = gates.splitlines()
+    assert head.split() == ["fresh", "config", "gate", "tensor", "µs"]
+    assert len(lines) == len(tool.GATED) == 8 and "magnetic q = 2" not in tool.GATED
+    for line, variant in zip(lines, tool.GATED):
+        assert line.startswith(f"{variant:<41} ") and float(line[42:]) > 0.0

@@ -1,7 +1,8 @@
 """Microseconds per ``bands.roots_at`` call on the refiners' small batches,
 per band chart and classifier grid scan of a diagonal slice, milliseconds
-per Hill scan and inversion of a sampled potential, and milliseconds per
-``roots_at`` call on a paired stack's full grid.
+per Hill scan and inversion of a sampled potential, milliseconds per
+``roots_at`` call on a paired stack's full grid, and microseconds per
+residual-gate tensor of a fresh config.
 
     python3 tools/call_cost.py
 
@@ -35,10 +36,19 @@ and a double well of height 250.
 
 The fourth table prints, for each paired stack's route of the first table,
 the time of one ``roots_at`` call on the 71 x 71 full grid of a ``bands``
-job (the best of 5 timings of ``REPEAT // 40`` calls) and the
-``closed_form_roots`` calls it makes.  Off the diagonal slice the paired
-stacks have no closed forms, so each engine batch makes a refused formula
-call, and a batch that holds diagonal points one more call on them.
+job (the best of 5 timings of ``REPEAT // 40`` calls), the
+``closed_form_roots`` calls it makes and its engine points.  Off the
+diagonal slice the paired stacks have no closed forms, so each engine batch
+makes a refused formula call, and a batch that holds diagonal points one
+more call on them.  The engine points are the points the formulas or the
+eigensolver serve: one per F up to conjugation (``roots_at`` groups the
+grid's 5 041 points by F and folds conj(F) onto F).
+
+The fifth table prints, for each variant that the closed forms' residual
+gate serves (every stack and the q = 1 cell), the time of building its gate
+tensor (``floquet._gate_tensor``, with the layout form it expands) for a
+fresh config, both caches cleared: the fixed cost of the first formula call
+of a job.  It is the best of 5 timings of ``REPEAT // 20`` builds.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from hexband import (  # noqa: E402
     StackVariant,
     VertexParams,
 )
-from hexband import bands  # noqa: E402
+from hexband import bands, floquet  # noqa: E402
 from hexband.bands import (  # noqa: E402
     PROMINENCE_TOL,
     _grid_minima,
@@ -106,6 +116,10 @@ ROUTES = [
     ("magnetic q = 2", "radicals", _flux(2)),
 ]
 
+
+# one config per variant that the residual gate serves: all but the q = 2 cell
+GATED = {variant: config for variant, _, config in ROUTES
+         if config.flux is None or config.flux.q == 1}
 
 _COS_X = np.linspace(0.0, 1.0, 201)
 # (name, knots, values) of each sampled potential of the Hill table
@@ -168,23 +182,44 @@ def hill_ms(knots, values, repeat: int) -> tuple[float, float, int]:
     return scan / 1e3, invert / 1e3, evaluations
 
 
-def grid_ms(config: StackConfig, repeat: int) -> tuple[float, int]:
-    """Milliseconds of one ``roots_at`` call on the 71 x 71 full grid, and
-    the ``closed_form_roots`` calls it makes, refused ones included."""
+def grid_ms(config: StackConfig, repeat: int) -> tuple[float, int, int]:
+    """Milliseconds of one ``roots_at`` call on the 71 x 71 full grid, the
+    ``closed_form_roots`` calls it makes, refused ones included, and the
+    points the formulas and the eigensolver serve."""
     theta1, theta2 = (axis.ravel() for axis in full_grid(71))
-    original, calls = bands.closed_form_roots, 0
+    closed_fn, numeric_fn = bands.closed_form_roots, bands.numeric_roots
+    calls = points = 0
 
-    def counting(config, F):
-        nonlocal calls
+    def closed(config, F):
+        nonlocal calls, points
         calls += 1
-        return original(config, F)
+        roots = closed_fn(config, F)
+        points += len(F)
+        return roots
 
-    bands.closed_form_roots = counting
+    def numeric(fm):
+        nonlocal points
+        points += len(fm.affine)
+        return numeric_fn(fm)
+
+    bands.closed_form_roots, bands.numeric_roots = closed, numeric
     try:
         roots_at(config, theta1, theta2)
     finally:
-        bands.closed_form_roots = original
-    return _best_us(lambda: roots_at(config, theta1, theta2), repeat) / 1e3, calls
+        bands.closed_form_roots, bands.numeric_roots = closed_fn, numeric_fn
+    ms = _best_us(lambda: roots_at(config, theta1, theta2), repeat) / 1e3
+    return ms, calls, points
+
+
+def gate_tensor_us(config: StackConfig, repeat: int) -> float:
+    """Microseconds of building a fresh config's residual-gate tensor."""
+
+    def fresh():
+        floquet._layout_form.cache_clear()
+        floquet._gate_tensor.cache_clear()
+        floquet._gate_tensor(config)
+
+    return _best_us(fresh, repeat)
 
 
 def main(repeat: int = REPEAT) -> int:
@@ -206,11 +241,15 @@ def main(repeat: int = REPEAT) -> int:
         print(f"{name:<41} {scan:8.2f}  {invert:9.2f}  {evaluations:11d}")
     print()
     print(f"{'71 x 71 full grid':<22} {'route':<18} {'call ms':>8}  "
-          f"{'formula calls':>13}")
+          f"{'formula calls':>13}  {'engine points':>13}")
     for variant, route, config in ROUTES:
         if route == "paired closed":
-            ms, calls = grid_ms(config, max(1, repeat // 40))
-            print(f"{variant:<22} {route:<18} {ms:8.2f}  {calls:13d}")
+            ms, calls, points = grid_ms(config, max(1, repeat // 40))
+            print(f"{variant:<22} {route:<18} {ms:8.2f}  {calls:13d}  {points:13d}")
+    print()
+    print(f"{'fresh config':<41} {'gate tensor µs':>14}")
+    for variant, config in GATED.items():
+        print(f"{variant:<41} {gate_tensor_us(config, max(1, repeat // 20)):14.1f}")
     return 0
 
 
