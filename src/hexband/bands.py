@@ -95,6 +95,26 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     eigensolver.  ``closed`` on the result marks the points that took the
     formulas; branch names and sort orders are given when all of them did.
 
+    The engine pass is ``engine_rows``; this scatters its rows back to the
+    call's points, bit for bit.  A call of one batch, and so each of the
+    refiners' small calls, gets that batch's result as it is, with no
+    result array made.
+    """
+    rows, inverse = engine_rows(config, theta1, theta2, route)
+    if inverse is None:
+        return rows
+    order = rows.order[inverse, ...] if rows.names else None
+    return DispersionRoots(values=rows.values[inverse, ...],
+                           closed=rows.closed[inverse, ...],
+                           names=rows.names, order=order)
+
+
+def engine_rows(config: StackConfig, theta1, theta2=None, route: str = "auto"
+                ) -> tuple[DispersionRoots, np.ndarray | int | None]:
+    """The engine's rows for the points of a ``roots_at`` call, and each
+    point's row among them: an index array, 0 for a scalar call, or None
+    when the rows are the points themselves.
+
     theta enters the engine here: for the stacks, the call computes the
     structure function F once, and the engine (``assemble``,
     ``closed_form_roots``) takes slices of it.  The magnetic flux cells stay
@@ -106,10 +126,10 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     refuse it with a ``servable`` mask: then its servable points (if any)
     take one more formula call and the rest one eigensolver call.  Once the
     parameters have no closed form at all, the formulas are not tried again
-    and the eigensolver serves the batch.  A call of one batch returns that
-    batch's result as it is, with no result array made: the refiners make
-    most of a classifying job's calls, about 800 over a pass of the
-    benchmark's diag-classify jobs.  A longer call joins its batches.
+    and the eigensolver serves the batch.  A call of one batch gives that
+    batch's result as it is: the refiners make most of a classifying job's
+    calls, about 800 over a pass of the benchmark's diag-classify jobs.  A
+    longer call joins its batches.
 
     A stack's call of more than one batch evaluates each distinct F once,
     up to conjugation: every row, its route included, is a function of F's
@@ -117,12 +137,14 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     conjugate of A(F), which eigvalsh solves to the same bits, and the
     formulas read F through Re F and |F| alone; ``tests/test_batch.py``
     pins both).  So the engine runs on one value per bit pattern of F with
-    Im F folded to Im F >= 0 (``_distinct_f``), and the rows are scattered
-    back, bit for bit.  On a full grid, theta and -theta give conjugate F
-    wherever the axis is mirror-symmetric bit for bit, and the inclusive
-    -pi/pi edges and the theta1 <-> theta2 swap repeat more F: the 71 x 71
-    grid's 5 041 points are 1 571 engine points.  Calls of one batch skip
-    the grouping, whose fixed cost would outweigh the saving there.
+    Im F folded to Im F >= 0 (``_distinct_f``), and the index maps each
+    point to its value's row.  On a full grid, whose axis is
+    mirror-symmetric bit for bit, theta and -theta give conjugate F, and the
+    inclusive -pi/pi edges and the theta1 <-> theta2 swap repeat more F:
+    the 61 x 61, 71 x 71 and 81 x 81 grids' 3 721, 5 041 and 6 561 points
+    are 1 266, 1 571 and 2 133 engine points.  ``bands.csv`` formats each
+    row's text once and gathers it through the index.  Calls of one batch
+    skip the grouping, whose fixed cost would outweigh the saving there.
     """
     if route not in ("auto", "closed", "numeric"):
         raise InputError(f"unknown evaluation route {route!r}")
@@ -183,20 +205,20 @@ def roots_at(config: StackConfig, theta1, theta2=None,
 
     parts = [serve(start) for start in range(0, points, size)]
     if not parts:       # no points
-        return DispersionRoots(values=np.empty((0, dim)), closed=np.zeros(0, dtype=bool))
-    if n <= size and not scalar:
-        return parts[0]     # one engine batch, as it came
-    # branch names only when every batch, and so every point, took the formulas
+        return DispersionRoots(values=np.empty((0, dim)),
+                               closed=np.zeros(0, dtype=bool)), None
+    # one point's row is indexed [0, ...], which keeps its closed a 0-d array
+    inverse = 0 if scalar else inverse
+    if len(parts) == 1:
+        return parts[0], inverse    # one engine batch, as it came
+    # branch names only when every batch, and so every row, took the formulas
     names = parts[0].names if all(roots.names for roots in parts) else ()
-    # the call's rows: scattered back through the F groups, or one point's
-    # (indexed [0, ...], which keeps its closed a 0-d array)
-    rows = inverse if inverse is not None else 0 if scalar else slice(None)
 
     def joined(field: str) -> np.ndarray:
-        return np.concatenate([getattr(roots, field) for roots in parts])[rows, ...]
+        return np.concatenate([getattr(roots, field) for roots in parts])
 
     return DispersionRoots(values=joined("values"), closed=joined("closed"),
-                           names=names, order=joined("order") if names else None)
+                           names=names, order=joined("order") if names else None), inverse
 
 
 def _distinct_f(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

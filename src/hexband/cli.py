@@ -76,6 +76,7 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -85,6 +86,7 @@ from .bands import (
     DispersionSurface,
     TouchReport,
     classify_touches,
+    engine_rows,
     gap_width_closed_form,
     roots_at,
     sample_diagonal,
@@ -494,26 +496,40 @@ class _RunContext:
 def _emit_bands(ctx: _RunContext) -> Iterator[str]:
     """The header, then one chunk of text per grid row (``grid.n`` points: the
     slice, or one theta1 row of the full grid) with one CSV row per point and
-    band, built column by column so that no Python frame runs per value.  A
-    point's ``theta1,theta2,F_real,F_imag`` head is joined once, in its row's
-    chunk, and repeated for each of its bands."""
+    band, built column by column so that no Python frame runs per value.
+
+    Each engine row's ``band_index,eta,admissible,source`` tails are built
+    once (``engine_rows``: on a full grid, one row per F up to conjugation),
+    and each point repeats its ``theta1,theta2,F_real,F_imag`` head before
+    its row's tails: joining ``"", tail 0, tail 1, ...`` with a newline, the
+    head and a comma between them gives the point's lines, each led by a
+    newline.  The theta columns are formatted from the grid's n axis values."""
+    n = ctx.run.grid_n
     theta1, theta2 = _grid_thetas(ctx.run)
-    roots = roots_at(ctx.run.stack, theta1, theta2)
+    rows, inverse = engine_rows(ctx.run.stack, theta1, theta2)
     f = structure_function(theta1, theta2)
-    dim = roots.values.shape[1]
-    head = (_g17_text(theta1), _g17_text(theta2), _g17_text(f.real), _g17_text(f.imag))
-    source = np.array(["numeric", "closed_form"], dtype=object)[roots.closed.astype(np.intp)]
-    eta = _g17_text(roots.values)
-    flag = np.array(["0", "1"], dtype=object)[roots.admissible.astype(np.intp)]
-    band = [str(index) for index in range(dim)] * ctx.run.grid_n
+    eta = _g17_text(rows.values).T.tolist()
+    flag = np.array(["0", "1"], dtype=object)[rows.admissible.T.astype(np.intp)].tolist()
+    source = np.array(["numeric", "closed_form"], dtype=object)[
+        rows.closed.astype(np.intp)].tolist()
+    tails = [list(map(",".join, zip(repeat(str(band)), etas, flags, source)))
+             for band, (etas, flags) in enumerate(zip(eta, flag))]
+    lines = list(zip(repeat(""), *tails))
+    if inverse is not None:
+        lines = list(map(lines.__getitem__, inverse.tolist()))
+    # theta2 of every chunk: the slice's -theta1, or the full grid's axis,
+    # which also gives each chunk of the full grid its one theta1
+    axis = _g17_text(theta2[:n]).tolist()
+    if ctx.run.grid_kind == "diagonal":
+        firsts = [["\n" + text for text in _g17_text(theta1).tolist()]]
+    else:
+        firsts = (repeat("\n" + text) for text in axis)
+    f_real, f_imag = _g17_text(f.real).tolist(), _g17_text(f.imag).tolist()
     yield BANDS_CSV_HEADER
-    for lo in range(0, len(theta1), ctx.run.grid_n):
-        at = slice(lo, lo + ctx.run.grid_n)
-        heads = np.array(list(map(",".join, zip(*(text[at].tolist() for text in head)))),
-                         dtype=object)
-        columns = (np.repeat(heads, dim).tolist(), band, eta[at].ravel().tolist(),
-                   flag[at].ravel().tolist(), np.repeat(source[at], dim).tolist())
-        yield "\n".join(map(",".join, zip(*columns)))
+    for first, lo in zip(firsts, range(0, len(theta1), n)):
+        at = slice(lo, lo + n)
+        heads = map(",".join, zip(first, axis, f_real[at], f_imag[at], repeat("")))
+        yield "".join(map(str.join, heads, lines[at]))[1:]
 
 
 def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:

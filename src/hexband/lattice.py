@@ -231,9 +231,20 @@ def diagonal_slice(n: int) -> np.ndarray:
 
 
 def full_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Meshgrid (indexing='ij') of an inclusive n x n grid over [-pi, pi]^2."""
+    """Meshgrid (indexing='ij') of an inclusive n x n grid over [-pi, pi]^2.
+
+    The axis is mirror-symmetric bit for bit: its upper half is the negated
+    lower half of ``linspace``, and the centre of an odd n is 0.0.  Each
+    moves by less than 1.2e-15, toward the exact grid (n = 71 moves none).
+    So theta and -theta give conjugate F at every grid point, and
+    ``bands.roots_at`` serves each such pair with one engine row.
+    """
     if not isinstance(n, int) or n < 2:
         raise GridError(f"full grid needs an integer n >= 2, got {n!r}")
     _require_array_size(n * n, f"a full grid of {n} x {n} points")
     axis = np.linspace(-np.pi, np.pi, n)
+    half = n // 2
+    axis[n - half:] = -axis[:half][::-1]
+    if n % 2:
+        axis[half] = 0.0
     return np.meshgrid(axis, axis, indexing="ij")

@@ -453,8 +453,11 @@ def _count_served_points(monkeypatch):
     (StackVariant.HETERO_BILAYER, -1.0, 1.0, 33),       # both routes
     (StackVariant.TRILAYER_G_HBN_G, -0.7, 0.7, 25),     # both routes
     (StackVariant.BILAYER_AA, -0.8, 0.6, 33),           # closed forms only
-    (StackVariant.HETERO_BILAYER, -1.0, 1.0, 71),       # a benchmark grid
-], ids=["hetero_bilayer", "trilayer_g_hbn_g", "bilayer_aa", "hetero_bilayer_71"])
+    (StackVariant.HETERO_BILAYER, -1.0, 1.0, 71),       # the benchmark's grids
+    (StackVariant.BILAYER_AA, -0.8, 0.6, 61),
+    (StackVariant.TRILAYER_HBN_G_HBN, -1.0, 1.0, 81),
+], ids=["hetero_bilayer", "trilayer_g_hbn_g", "bilayer_aa", "hetero_bilayer_71",
+        "bilayer_aa_61", "trilayer_hbn_g_hbn_81"])
 def test_roots_at_on_a_full_grid_evaluates_each_distinct_f_once(variant, aa, ab, n,
                                                                  monkeypatch):
     # distinct up to conjugation: F and conj(F) have the same rows
@@ -470,8 +473,8 @@ def test_roots_at_on_a_full_grid_evaluates_each_distinct_f_once(variant, aa, ab,
     F = structure_function(t1, t2)
     folded = _distinct_bits(np.where(F.imag < 0.0, F.conj(), F))
     assert sum(served) == folded < _distinct_bits(F) < len(t1)
-    if n == 71:     # linspace(-pi, pi, 71) is mirror-symmetric bit for bit
-        assert folded == 1571
+    # the mirror-symmetric axis gives theta and -theta conjugate F everywhere
+    assert folded == {61: 1266, 71: 1571, 81: 2133}.get(n, folded)
     assert _same_bits(roots.values, np.stack([one.values for one in points]))
     assert roots.closed.tolist() == [bool(one.closed) for one in points]
     if variant is StackVariant.BILAYER_AA:

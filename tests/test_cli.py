@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from hexband.cli import (
     main,
 )
 from hexband.errors import ConfigError
-from hexband.floquet import assemble, char_poly
+from hexband.floquet import assemble, batch_points, char_poly
 from hexband.hill import MAGNUS_TOL
 from hexband.lattice import StackVariant, diagonal_slice, full_grid, structure_function
 
@@ -370,21 +371,42 @@ class TestConfig:
 # ------------------------------------------------------------
 
 def _bands_csv_by_point(stack, theta1, theta2):
-    # the point-by-point writer that the column-wise emitter replaced
+    # a point-by-point writer: one roots_at call per point, "%.17g" (-0 as 0)
     def g17(x):
         value = float(x)
-        return f"{0.0 if value == 0.0 else value:.17g}"
+        return "%.17g" % (0.0 if value == 0.0 else value)
 
-    roots = roots_at(stack, theta1, theta2)
     f = structure_function(theta1, theta2)
     lines = [BANDS_CSV_HEADER]
-    for a, b, fr, fi, row, flags, closed in zip(
-            theta1, theta2, f.real, f.imag, roots.values, roots.admissible, roots.closed):
-        source = "closed_form" if closed else "numeric"
-        for band, (eta, ok) in enumerate(zip(row, flags)):
+    for a, b, fr, fi in zip(theta1, theta2, f.real, f.imag):
+        roots = roots_at(stack, a, b)
+        source = "closed_form" if roots.closed else "numeric"
+        for band, (eta, ok) in enumerate(zip(roots.values, roots.admissible)):
             lines.append(f"{g17(a)},{g17(b)},{g17(fr)},{g17(fi)},{band},{g17(eta)},"
                          f"{int(ok)},{source}")
     return "\n".join(lines) + "\n"
+
+
+# every variant, the paired layouts with the mixed routes of their full
+# grids and trilayer_g_hbn_g unpaired, and both flux cells
+_EVERY_STACK = {
+    "monolayer": {"variant": "monolayer", "alpha_a": -0.4, "alpha_b": 0.7},
+    "bilayer_aa": {"variant": "bilayer_aa", "alpha_a": -1.0, "alpha_b": 0.3, "t0": 0.3},
+    "bilayer_aa_two_param": {"variant": "bilayer_aa_two_param", "alpha_a": 0.25,
+                             "alpha_b": -0.09, "t_a": 0.5, "t_b": 0.3},
+    "bilayer_aa_prime": {"variant": "bilayer_aa_prime", "alpha_a": -0.7,
+                         "alpha_b": 0.4, "t0": 0.3},
+    "hetero_bilayer": {"variant": "hetero_bilayer", "alpha_a": -1.0, "alpha_b": 1.0,
+                       "t0": 0.3},
+    "trilayer_hbn_g_hbn": {"variant": "trilayer_hbn_g_hbn", "alpha_a": -1.0,
+                           "alpha_b": 1.0, "t0": 0.3},
+    "trilayer_g_hbn_g": {"variant": "trilayer_g_hbn_g", "alpha_a": -0.7,
+                         "alpha_b": 1.1, "alpha_c": 0.03, "t0": 0.7},
+    "magnetic_q1": {"variant": "magnetic_monolayer", "alpha_a": -0.8, "alpha_b": 0.6,
+                    "flux_p": 1, "flux_q": 1},
+    "magnetic_q2": {"variant": "magnetic_monolayer", "alpha_a": -0.8, "alpha_b": 0.6,
+                    "flux_p": 1, "flux_q": 2},
+}
 
 
 class TestBands:
@@ -405,6 +427,27 @@ class TestBands:
             theta1 = diagonal_slice(n)
             theta2 = -theta1
         expected = _bands_csv_by_point(load_run_config(cfg).stack, theta1, theta2)
+        assert (outdir / "bands.csv").read_text() == expected
+
+    @pytest.mark.parametrize("kind", ["full", "diagonal"])
+    @pytest.mark.parametrize("stack", _EVERY_STACK.values(), ids=_EVERY_STACK)
+    def test_rows_past_one_engine_batch_equal_the_point_by_point_writer(
+            self, tmp_path, stack, kind):
+        # grids of more than one engine batch, whose rows the emitter gathers
+        # from one engine row per F up to conjugation (a stack's full grid)
+        config = load_run_config(_write_config(tmp_path, stack=stack)).stack
+        size = batch_points(config.dim)
+        n = math.isqrt(size) + 1 if kind == "full" else size + 1
+        cfg = _write_config(tmp_path, stack=stack, grid={"kind": kind, "n": n})
+        code, outdir = _run(tmp_path, "bands", cfg)
+        assert code == 0
+        if kind == "full":
+            theta1, theta2 = (axis.ravel() for axis in full_grid(n))
+        else:
+            theta1 = diagonal_slice(n)
+            theta2 = -theta1
+        assert len(theta1) > size
+        expected = _bands_csv_by_point(config, theta1, theta2)
         assert (outdir / "bands.csv").read_text() == expected
 
     @pytest.mark.parametrize("stack,dim", [

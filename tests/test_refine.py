@@ -382,8 +382,8 @@ def test_classify_touches_labels_in_one_engine_call(monkeypatch, config):
     structure_function = bands.structure_function
 
     def counting(t1, t2):
-        # roots_at makes the F of its own points; count the others' calls
-        if sys._getframe(1).f_code is not bands.roots_at.__code__:
+        # the engine pass makes the F of its own points; count the others' calls
+        if sys._getframe(1).f_code is not bands.engine_rows.__code__:
             f_calls.append(len(t1))
         return structure_function(t1, t2)
 

@@ -1,8 +1,8 @@
 """Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
 of ``tools/src_lines.py``, the code-line count, and of ``tools/call_cost.py``,
 the cost of a small ``roots_at`` call, of a slice's chart and grid scan, of
-a Hill scan and inversion, of a ``roots_at`` call on a full grid and of a
-fresh config's residual-gate tensor."""
+a Hill scan and inversion, of a ``roots_at`` call on a full grid, of a
+fresh config's residual-gate tensor and of a full grid's ``bands.csv`` text."""
 
 import importlib.util
 import os
@@ -96,7 +96,7 @@ def test_src_lines_counts_code_lines_only():
 def test_call_cost_prints_one_line_per_route(capsys):
     tool = _tool("call_cost")
     assert tool.main(repeat=1) == 0
-    calls, slices, hill, grids, gates = capsys.readouterr().out.split("\n\n")
+    calls, slices, hill, grids, gates, texts = capsys.readouterr().out.split("\n\n")
     head, *lines = calls.splitlines()
     assert head.split()[:2] == ["variant", "route"]
     assert len(lines) == len(tool.ROUTES) == 12
@@ -141,3 +141,14 @@ def test_call_cost_prints_one_line_per_route(capsys):
     assert len(lines) == len(tool.GATED) == 8 and "magnetic q = 2" not in tool.GATED
     for line, variant in zip(lines, tool.GATED):
         assert line.startswith(f"{variant:<41} ") and float(line[42:]) > 0.0
+    # the text of each stack variant's bands.csv on its benchmark grid, and
+    # its engine points: one per F up to conjugation on the mirror-symmetric axis
+    head, *lines = texts.splitlines()
+    assert head.split() == ["bands.csv,", "full", "grid", "grid", "text", "ms",
+                            "engine", "points"]
+    points = {61: 1266, 71: 1571, 81: 2133}
+    assert len(lines) == len(tool.BANDS_GRID) == 7
+    for line, (variant, n) in zip(lines, tool.BANDS_GRID.items()):
+        assert line.startswith(f"{variant:<22} {f'{n} x {n}':<18} ")
+        ms, engine = line[42:].split()
+        assert float(ms) > 0.0 and int(engine) == points[n]

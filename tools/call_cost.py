@@ -1,8 +1,9 @@
 """Microseconds per ``bands.roots_at`` call on the refiners' small batches,
 per band chart and classifier grid scan of a diagonal slice, milliseconds
 per Hill scan and inversion of a sampled potential, milliseconds per
-``roots_at`` call on a paired stack's full grid, and microseconds per
-residual-gate tensor of a fresh config.
+``roots_at`` call on a paired stack's full grid, microseconds per
+residual-gate tensor of a fresh config, and milliseconds per ``bands.csv``
+text of a full grid.
 
     python3 tools/call_cost.py
 
@@ -49,10 +50,19 @@ gate serves (every stack and the q = 1 cell), the time of building its gate
 tensor (``floquet._gate_tensor``, with the layout form it expands) for a
 fresh config, both caches cleared: the fixed cost of the first formula call
 of a job.  It is the best of 5 timings of ``REPEAT // 20`` builds.
+
+The sixth table prints, for each stack variant (its first route of the
+first table) on the full grid of its benchmark ``bands`` job (61 x 61,
+71 x 71 or 81 x 81), the serialization layer of ``bands.csv``: the time of
+the text of ``cli._emit_bands`` with its engine rows computed beforehand
+(the best of 5 timings of ``REPEAT // 40`` runs), and the engine points,
+whose text it formats once each.
 """
 
 from __future__ import annotations
 
+import argparse
+import collections
 import os
 import sys
 import timeit
@@ -68,7 +78,7 @@ from hexband import (  # noqa: E402
     StackVariant,
     VertexParams,
 )
-from hexband import bands, floquet  # noqa: E402
+from hexband import bands, cli, floquet  # noqa: E402
 from hexband.bands import (  # noqa: E402
     PROMINENCE_TOL,
     _grid_minima,
@@ -120,6 +130,11 @@ ROUTES = [
 # one config per variant that the residual gate serves: all but the q = 2 cell
 GATED = {variant: config for variant, _, config in ROUTES
          if config.flux is None or config.flux.q == 1}
+
+# the full-grid size of each stack variant's benchmark bands job
+BANDS_GRID = {"monolayer": 71, "bilayer_aa": 61, "bilayer_aa_two_param": 61,
+              "bilayer_aa_prime": 81, "hetero_bilayer": 71,
+              "trilayer_hbn_g_hbn": 71, "trilayer_g_hbn_g": 71}
 
 _COS_X = np.linspace(0.0, 1.0, 201)
 # (name, knots, values) of each sampled potential of the Hill table
@@ -211,6 +226,22 @@ def grid_ms(config: StackConfig, repeat: int) -> tuple[float, int, int]:
     return ms, calls, points
 
 
+def bands_text_ms(config: StackConfig, n: int, repeat: int) -> tuple[float, int]:
+    """Milliseconds of the text of one ``bands.csv`` on the n x n full grid,
+    its engine rows computed beforehand, and its engine points."""
+    run = cli.RunConfig(stack=config, grid_kind="full", grid_n=n)
+    ctx = cli._RunContext(run=run, args=argparse.Namespace())
+    served = bands.engine_rows(config, *cli._grid_thetas(run))
+    engine = cli.engine_rows
+    cli.engine_rows = lambda *_: served
+    try:
+        ms = _best_us(lambda: collections.deque(cli._emit_bands(ctx), maxlen=0),
+                      repeat) / 1e3
+    finally:
+        cli.engine_rows = engine
+    return ms, len(served[0].values)
+
+
 def gate_tensor_us(config: StackConfig, repeat: int) -> float:
     """Microseconds of building a fresh config's residual-gate tensor."""
 
@@ -250,6 +281,12 @@ def main(repeat: int = REPEAT) -> int:
     print(f"{'fresh config':<41} {'gate tensor µs':>14}")
     for variant, config in GATED.items():
         print(f"{variant:<41} {gate_tensor_us(config, max(1, repeat // 20)):14.1f}")
+    print()
+    print(f"{'bands.csv, full grid':<22} {'grid':<18} {'text ms':>8}  {'engine points':>13}")
+    for variant, n in BANDS_GRID.items():
+        config = next(config for name, _, config in ROUTES if name == variant)
+        ms, points = bands_text_ms(config, n, max(1, repeat // 40))
+        print(f"{variant:<22} {f'{n} x {n}':<18} {ms:8.2f}  {points:13d}")
     return 0
 
 
