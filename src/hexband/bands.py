@@ -100,7 +100,7 @@ def roots_at(config: StackConfig, theta1, theta2=None,
     refiners' small calls, gets that batch's result as it is, with no
     result array made.
     """
-    rows, inverse = engine_rows(config, theta1, theta2, route)
+    rows, inverse, _, _ = engine_rows(config, theta1, theta2, route)
     if inverse is None:
         return rows
     order = rows.order[inverse, ...] if rows.names else None
@@ -110,10 +110,13 @@ def roots_at(config: StackConfig, theta1, theta2=None,
 
 
 def engine_rows(config: StackConfig, theta1, theta2=None, route: str = "auto"
-                ) -> tuple[DispersionRoots, np.ndarray | int | None]:
-    """The engine's rows for the points of a ``roots_at`` call, and each
+                ) -> tuple[DispersionRoots, np.ndarray | int | None,
+                           np.ndarray | None, np.ndarray | None]:
+    """The engine's rows for the points of a ``roots_at`` call; each
     point's row among them: an index array, 0 for a scalar call, or None
-    when the rows are the points themselves.
+    when the rows are the points themselves; a stack's F of each row (None
+    for the flux cells); and, with an index array, the points whose row
+    holds conj(F) in place of their F (else None).
 
     theta enters the engine here: for the stacks, the call computes the
     structure function F once, and the engine (``assemble``,
@@ -143,7 +146,8 @@ def engine_rows(config: StackConfig, theta1, theta2=None, route: str = "auto"
     inclusive -pi/pi edges and the theta1 <-> theta2 swap repeat more F:
     the 61 x 61, 71 x 71 and 81 x 81 grids' 3 721, 5 041 and 6 561 points
     are 1 266, 1 571 and 2 133 engine points.  ``bands.csv`` formats each
-    row's text once and gathers it through the index.  Calls of one batch
+    row's text, F included, once and gathers it through the index, negating
+    Im F for the folded points.  Calls of one batch
     skip the grouping, whose fixed cost would outweigh the saving there.
     """
     if route not in ("auto", "closed", "numeric"):
@@ -154,13 +158,15 @@ def engine_rows(config: StackConfig, theta1, theta2=None, route: str = "auto"
     formulas = route == "closed" or (
         route == "auto" and not (flux is not None and flux.q == 1))
     size = batch_points(dim)
-    points, inverse = n, None     # the engine's points, and the scatter back
+    # the engine's points, the scatter back, F, and the folded points
+    points, inverse, F, folded = n, None, None, None
     if flux is None:
         F = structure_function(t1, t2)      # the call's one F pass
         if n > size:
             # A(conj F) = conj A(F) has A(F)'s rows: fold each conjugate
             # pair onto its Im F > 0 member (Im F = -0.0 stays)
-            F = np.where(F.imag < 0.0, F.conj(), F)
+            folded = F.imag < 0.0
+            F = np.where(folded, F.conj(), F)
             first, inverse = _distinct_f(F)
             F = F[first]
             points = len(F)
@@ -206,19 +212,20 @@ def engine_rows(config: StackConfig, theta1, theta2=None, route: str = "auto"
     parts = [serve(start) for start in range(0, points, size)]
     if not parts:       # no points
         return DispersionRoots(values=np.empty((0, dim)),
-                               closed=np.zeros(0, dtype=bool)), None
+                               closed=np.zeros(0, dtype=bool)), None, F, None
     # one point's row is indexed [0, ...], which keeps its closed a 0-d array
     inverse = 0 if scalar else inverse
     if len(parts) == 1:
-        return parts[0], inverse    # one engine batch, as it came
+        return parts[0], inverse, F, folded     # one engine batch, as it came
     # branch names only when every batch, and so every row, took the formulas
     names = parts[0].names if all(roots.names for roots in parts) else ()
 
     def joined(field: str) -> np.ndarray:
         return np.concatenate([getattr(roots, field) for roots in parts])
 
-    return DispersionRoots(values=joined("values"), closed=joined("closed"),
-                           names=names, order=joined("order") if names else None), inverse
+    rows = DispersionRoots(values=joined("values"), closed=joined("closed"),
+                           names=names, order=joined("order") if names else None)
+    return rows, inverse, F, folded
 
 
 def _distinct_f(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,10 +39,10 @@ Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``manifest.json`` and the artifacts that it is about to write from ``--out``
 (so each rename lands on a free name: on ext4 a rename over an existing
 file writes back the new file's dirty pages inside the rename).  It then
-streams each artifact, line by line, into a temp file renamed into
-``--out``, hashing the bytes as they are written, and last writes
-``manifest.json`` echoing the resolved settings its artifacts read
-(``validate.txt`` alone reads no grid) and each artifact's sha256; a run
+streams each artifact, a line or a chunk of lines at a time, into a temp
+file renamed into ``--out``, hashing the bytes as they are written, and
+last writes ``manifest.json`` echoing the resolved settings its artifacts
+read (``validate.txt`` alone reads no grid) and each artifact's sha256; a run
 that fails part-way leaves no manifest.  Identical configurations
 reproduce byte-identical data files.  Stdout gets one ``wrote <path>`` line
 per artifact (then validate's summary lines), stderr the diagnostics and
@@ -57,7 +57,8 @@ Exit codes: 0 success; 1 configuration problems (including a sampling grid
 too coarse to classify) and running out of memory; 2 numerical-validation
 failures; 3 I/O errors while writing outputs.
 
-Number formatting: CSV floats use fixed 17-significant-digit formatting;
+Number formatting: CSV floats use fixed 17-significant-digit formatting
+(``%.17g``, whose bytes ``_g17_bytes`` prints for a whole array at once);
 key-value reports use shortest round-trip (repr) formatting.  Both survive
 text -> float -> text round trips exactly.  ``_record_lines`` writes every
 record of ``report.txt``, ``magnetic.txt`` and ``gaps.txt`` from a mapping.
@@ -136,11 +137,151 @@ def _g17(x: float) -> str:
 
 
 def _g17_text(values: np.ndarray) -> np.ndarray:
-    """``_g17`` of every value, as an object array of the same shape: each
-    distinct value is formatted once, all in one C-level pass."""
-    distinct, at = np.unique(values, return_inverse=True)
-    text = list(map("%.17g".__mod__, (distinct + 0.0).tolist()))
-    return np.array(text, dtype=object)[at.reshape(values.shape)]
+    """``_g17`` of every value, as an object array of str of the same shape:
+    ``_g17_bytes``' text, decoded."""
+    text = _g17_bytes(values)
+    return np.array(list(map(bytes.decode, text.ravel().tolist())),
+                    dtype=object).reshape(text.shape)
+
+
+# _g17_bytes' tables: 10**k, which scales |x| with E = 16 - k to 17 integer
+# digits, with Dekker's split of each into two 26-bit halves; and the ASCII
+# digits of each 4-digit chunk 0000..9999 as one uint32, then again with
+# its trailing zeros as NUL
+_G17_WIDTH = 24             # "-" + 17 digits + "." + "e-308" is the longest
+_G17_BLOCK = 4096           # values per pass, which bounds its temporaries
+_SPLITTER = 134217729.0     # 2**27 + 1
+_POW10 = np.array([float(10 ** k) for k in range(23)])      # exact doubles
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DIGITS = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
+_DIGITS[..., 0] = np.arange(48, 58)[:, None, None, None]
+_DIGITS[..., 1] = np.arange(48, 58)[:, None, None]
+_DIGITS[..., 2] = np.arange(48, 58)[:, None]
+_DIGITS[..., 3] = np.arange(48, 58)
+# chunk d1 d2 d3 d4 of the second copy: NUL from d4 when d4 = 0, from d3
+# when d3 = d4 = 0, and so on
+_DIGITS[1, ..., 0, 3:] = 0
+_DIGITS[1, ..., 0, 0, 2:] = 0
+_DIGITS[1, :, 0, 0, 0, 1:] = 0
+_DIGITS[1, 0, 0, 0, 0] = 0
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+
+
+def _exact_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**k`` as p + e exactly: p the rounded product, e its error
+    (Dekker's TwoProduct, exact while nothing overflows or underflows)."""
+    p = a * _POW10[k]
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _g17_bytes(values: np.ndarray) -> np.ndarray:
+    """The ASCII bytes of ``_g17`` of every value, as an ``S24`` array of the
+    same shape, made by numpy in blocks of ``_G17_BLOCK`` values.
+
+    ``%.17g`` writes 1e-4 <= |x| < 1e16 in fixed notation: the 17
+    significant digits of x rounded half to even, the decimal point after
+    digit E + 1 (E = floor(log10 |x|); "0." and -E - 1 zeros come first
+    when E < 0), and no trailing zeros in the fraction, nor its point if
+    none is left.  The kernel writes those digits itself for every such x
+    that is not a whole number.  10**k for k = 16 - E is an exact double,
+    and Dekker's product gives |x| * 10**k = p + e exactly.  The digits are
+    N = round(p + e), half to even: p >= 2**53 is an even integer, so that
+    is p + rint(e).  log10 can put E one off near a power of ten, so E moves
+    until the exact p + e lies in [1e16, 1e17), compared as the pair (p, e),
+    not p alone (0.09999999999999999 gives p = 1e16 and e < 0).  N never
+    rounds up to 10**17: that would take a double within 5e-18 (relative)
+    below a power of ten, and the doubles nearest to 1e-3, 1e-2 and 1e-1
+    lie above them (the tests cover 3 ulp either side of each power of
+    ten).  The lanes are then grouped by E and each group's text is laid
+    out by slicing.  N's
+    trailing zeros all lie in the fraction, since x is not whole, so they
+    are written as NUL, which ends an ``S24`` value.
+
+    Every other value takes ``"%.17g"`` itself, as ``_g17`` does: 0 and
+    -0.0 (both written "0"), |x| < 1e-4, |x| >= 1e16, whole numbers, inf
+    and nan.  No such lane reaches ``log10`` or the product, so the kernel
+    raises nothing under ``np.errstate(all="raise")``.  ``tests/test_cli.py``
+    holds it to ``"%.17g"`` on a million values.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel()
+    text = np.empty(flat.size, dtype=f"S{_G17_WIDTH}")
+    for start in range(0, flat.size, _G17_BLOCK):
+        _g17_block(flat[start:start + _G17_BLOCK], text[start:start + _G17_BLOCK])
+    return text.reshape(values.shape)
+
+
+def _g17_block(x: np.ndarray, text: np.ndarray) -> None:
+    """``_g17_bytes`` of one block of values, written into ``text``."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    # a whole number has no fraction to keep, nor its point
+    fast &= np.floor(a, out=np.zeros_like(a), where=fast) != a
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text[slow] = ["%.17g" % (value + 0.0) for value in x[slow].tolist()]
+    lanes = np.flatnonzero(fast)
+    if not lanes.size:
+        return
+    a = a[lanes]
+    e10 = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _exact_product(a, 16 - e10)
+    step = (((p > 1e17) | ((p == 1e17) & (e >= 0.0))).view(np.int8)
+            - ((p < 1e16) | ((p == 1e16) & (e < 0.0))).view(np.int8))
+    off = np.flatnonzero(step)
+    if off.size:
+        e10[off] += step[off]
+        p[off], e[off] = _exact_product(a[off], 16 - e10[off])
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    # group the lanes by E = -4..15; split N's 17 digits into a lead digit
+    # and four 4-digit chunks, and write each chunk's ASCII with its trailing
+    # zeros as NUL when the chunks after it are 0: N's trailing zeros, which
+    # all lie in the fraction of a number that is not whole
+    group = (e10 + 4).astype(np.uint8)
+    order = np.argsort(group, kind="stable")
+    digits = digits[order]
+    high = digits // 10 ** 8
+    low = digits - high * 10 ** 8
+    lead = high // 10 ** 8
+    high -= lead * 10 ** 8
+    c1, c3 = high // 10 ** 4, low // 10 ** 4
+    c2, c4 = high - c1 * 10 ** 4, low - c3 * 10 ** 4
+    n = len(digits)
+    ascii4 = np.empty((n, 5), dtype=np.uint32)
+    ascii4[:, 0] = _DIGITS[lead]
+    ascii4[:, 1] = _DIGITS[c1 + 10 ** 4 * ((low == 0) & (c2 == 0))]
+    ascii4[:, 2] = _DIGITS[c2 + 10 ** 4 * (low == 0)]
+    ascii4[:, 3] = _DIGITS[c3 + 10 ** 4 * (c4 == 0)]
+    ascii4[:, 4] = _DIGITS[c4 + 10 ** 4]
+    ascii = ascii4.view(np.uint8)[:, 3:]            # the 17 digits
+    # each lane's 32 bytes: "-", then the unsigned text, then NUL
+    chars = np.zeros((n, 32), dtype=np.uint8)
+    chars[:, 0] = ord("-")
+    start = 0
+    for exp, count in enumerate(np.bincount(group, minlength=20).tolist(), start=-4):
+        if not count:
+            continue
+        row, digit = chars[start:start + count], ascii[start:start + count]
+        if exp >= 0:        # E + 1 digits, ".", 16 - E digits
+            row[:, 1:exp + 2] = digit[:, :exp + 1]
+            row[:, exp + 2] = ord(".")
+            row[:, exp + 3:19] = digit[:, exp + 1:]
+        else:               # "0.", -E - 1 zeros, 17 digits
+            row[:, 1:2 - exp] = np.frombuffer(b"0." + b"0" * (-exp - 1), dtype=np.uint8)
+            row[:, 2 - exp:19 - exp] = digit
+        start += count
+    # a lane's text is the 24 bytes from its byte 0 when x < 0, else from
+    # its byte 1
+    offset = np.empty(n, dtype=np.intp)
+    offset[order] = np.arange(0, 32 * n, 32)
+    offset += x[lanes] >= 0.0
+    windows = np.ndarray((32 * n - 23,), dtype=text.dtype, buffer=chars, strides=(1,))
+    text[lanes] = windows[offset]
 
 
 def _rr(x: float) -> str:
@@ -399,16 +540,18 @@ def _config_echo(run: RunConfig, files: list[str]) -> dict:
 #  Output plumbing
 # ============================================================
 
-def _write_artifact(path: str, lines: Iterable[str]) -> str:
-    """Write each of ``lines`` plus ``"\n"``, as UTF-8 and as it comes, to a temp
-    file renamed to ``path``; return the ``sha256:`` digest of the bytes written."""
+def _write_artifact(path: str, chunks: Iterable[str | bytes]) -> str:
+    """Write each of ``chunks``, as it comes, to a temp file renamed to
+    ``path``: a str is one line, written as UTF-8 with its ``"\n"``; bytes
+    are lines an emitter made whole, written as they are.  Return the
+    ``sha256:`` digest of the bytes written."""
     digest = hashlib.sha256()
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.hexband.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for line in lines:
-                data = (line + "\n").encode("utf-8")
+            for chunk in chunks:
+                data = chunk if isinstance(chunk, bytes) else (chunk + "\n").encode("utf-8")
                 digest.update(data)
                 fh.write(data)
         os.replace(tmp, path)
@@ -493,43 +636,55 @@ class _RunContext:
 #  Artifact emitters
 # ============================================================
 
-def _emit_bands(ctx: _RunContext) -> Iterator[str]:
-    """The header, then one chunk of text per grid row (``grid.n`` points: the
-    slice, or one theta1 row of the full grid) with one CSV row per point and
-    band, built column by column so that no Python frame runs per value.
+def _emit_bands(ctx: _RunContext) -> Iterator[str | bytes]:
+    """The header line, then one bytes chunk per grid row (``grid.n`` points:
+    the slice, or one theta1 row of the full grid) with one CSV line per
+    point and band, built column by column so that no Python frame runs per
+    value.  Every number is ``_g17_bytes`` text, which goes to the file
+    without a str round trip.
 
-    Each engine row's ``band_index,eta,admissible,source`` tails are built
-    once (``engine_rows``: on a full grid, one row per F up to conjugation),
-    and each point repeats its ``theta1,theta2,F_real,F_imag`` head before
-    its row's tails: joining ``"", tail 0, tail 1, ...`` with a newline, the
-    head and a comma between them gives the point's lines, each led by a
-    newline.  The theta columns are formatted from the grid's n axis values."""
+    Each engine row's ``band_index,eta,admissible,source`` tails and its
+    ``F_real,F_imag`` text are built once (``engine_rows``: on a full grid,
+    one row per F up to conjugation, whose F the engine pass computed), and
+    each point gathers them through its row, with Im F negated where the
+    point's F is the conjugate of its row's.  Each point repeats its
+    ``theta1,theta2,F_real,F_imag`` head before its row's tails: joining
+    ``"", tail 0, tail 1, ...`` with the head gives the point's lines.  The
+    theta columns are formatted from the grid's n axis values."""
     n = ctx.run.grid_n
     theta1, theta2 = _grid_thetas(ctx.run)
-    rows, inverse = engine_rows(ctx.run.stack, theta1, theta2)
-    f = structure_function(theta1, theta2)
-    eta = _g17_text(rows.values).T.tolist()
-    flag = np.array(["0", "1"], dtype=object)[rows.admissible.T.astype(np.intp)].tolist()
-    source = np.array(["numeric", "closed_form"], dtype=object)[
-        rows.closed.astype(np.intp)].tolist()
-    tails = [list(map(",".join, zip(repeat(str(band)), etas, flags, source)))
-             for band, (etas, flags) in enumerate(zip(eta, flag))]
-    lines = list(zip(repeat(""), *tails))
+    rows, inverse, f, folded = engine_rows(ctx.run.stack, theta1, theta2)
+    if f is None:       # a flux cell's engine reads theta; its rows are the points
+        f = structure_function(theta1, theta2)
+    # each engine row's "band,eta,admissible,source\n" tails, with numpy's
+    # byte-string concatenation
+    suffix = np.array([[b",0,numeric\n", b",1,numeric\n"],
+                       [b",0,closed_form\n", b",1,closed_form\n"]])[
+        rows.closed.astype(np.intp)[:, None], rows.admissible.astype(np.intp)]
+    prefix = np.array([b"%d," % band for band in range(rows.values.shape[1])])
+    tails = np.char.add(np.char.add(prefix, _g17_bytes(rows.values)), suffix)
+    lines = np.fromiter(zip(repeat(b""), *tails.T.tolist()), dtype=object,
+                        count=len(tails))
+    re, im = _g17_bytes(np.stack([f.real, f.imag]))
+    heads = np.char.add(np.char.add(re, b","), np.char.add(im, b","))
     if inverse is not None:
-        lines = list(map(lines.__getitem__, inverse.tolist()))
+        # a folded point's row holds Im F > 0, so its own Im F reads "-" + that
+        negated = np.char.add(np.char.add(re, b",-"), np.char.add(im, b","))
+        heads = np.concatenate([heads, negated]).astype(object)[inverse + len(re) * folded]
+        lines = lines[inverse]
+    heads, lines = heads.tolist(), lines.tolist()
     # theta2 of every chunk: the slice's -theta1, or the full grid's axis,
     # which also gives each chunk of the full grid its one theta1
-    axis = _g17_text(theta2[:n]).tolist()
+    axis = _g17_bytes(theta2[:n]).tolist()
     if ctx.run.grid_kind == "diagonal":
-        firsts = [["\n" + text for text in _g17_text(theta1).tolist()]]
+        firsts = [_g17_bytes(theta1).tolist()]
     else:
-        firsts = (repeat("\n" + text) for text in axis)
-    f_real, f_imag = _g17_text(f.real).tolist(), _g17_text(f.imag).tolist()
+        firsts = map(repeat, axis)
     yield BANDS_CSV_HEADER
     for first, lo in zip(firsts, range(0, len(theta1), n)):
         at = slice(lo, lo + n)
-        heads = map(",".join, zip(first, axis, f_real[at], f_imag[at], repeat("")))
-        yield "".join(map(str.join, heads, lines[at]))[1:]
+        yield b"".join(map(bytes.join, map(b",".join, zip(first, axis, heads[at])),
+                           lines[at]))
 
 
 def _report_records(reports: tuple[TouchReport, ...]) -> list[TouchReport]:
@@ -688,11 +843,11 @@ def _emit_validate(ctx: _RunContext) -> list[str]:
                        route="numeric").values
     devs = np.zeros(samples)
     devs[compared] = np.max(np.abs(formulas - numeric), axis=1)
-    rows = ["# index,theta1,theta2,status,max_abs_deviation"]
-    for index, (t1, t2, ok, dev) in enumerate(zip(theta1.tolist(), theta2.tolist(),
-                                                  compared.tolist(), devs.tolist())):
-        rows.append(f"{index},{_g17(t1)},{_g17(t2)},compared,{_g17(dev)}" if ok
-                    else f"{index},{_g17(t1)},{_g17(t2)},no_closed_form,")
+    # one line per sample, as one chunk built column by column; a sample
+    # without a closed form has no deviation
+    first, second, deviation = _g17_text(np.stack([theta1, theta2, devs]))
+    status = np.where(compared, "compared," + deviation, "no_closed_form,")
+    rows = "\n".join(map(",".join, zip(map(str, range(samples)), first, second, status)))
     devs = devs[compared]
     max_dev = float(np.max(devs)) if devs.size else 0.0
     mean_dev = float(np.mean(devs)) if devs.size else 0.0
@@ -707,7 +862,8 @@ def _emit_validate(ctx: _RunContext) -> list[str]:
     # the max and (when any point was compared) the mean deviation lines
     ctx.console += [f"compared: {devs.size} of {samples}", *summary[3:5 if devs.size else 4]]
     ctx.max_dev = max_dev
-    return header + [f"seed: {seed}"] + summary + [""] + rows
+    return header + [f"seed: {seed}"] + summary + [
+        "", "# index,theta1,theta2,status,max_abs_deviation", rows]
 
 
 # ============================================================

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 
 import hexband
-from hexband import cli, hill
+from hexband import bands, cli, hill
 from hexband.bands import roots_at, sample_diagonal
 from hexband.cli import (
     BANDS_CSV_HEADER,
@@ -459,13 +459,14 @@ class TestBands:
                                                        stack, dim):
         # the theta1,theta2,F_real,F_imag head is joined once per point and
         # repeated for its bands; a signed zero in Re F must read "0" there.
-        # The 7 x 7 grid has no exact zero in Re F, so two points get +0.0 and -0.0
+        # The 7 x 7 grid has no exact zero in Re F, so two points get +0.0 and
+        # -0.0 in the F of the engine pass, which bands.csv's F columns read
         def with_signed_zeros(theta1, theta2):
             f = structure_function(theta1, theta2)
             f.real[:2] = (0.0, -0.0)
             return f
 
-        monkeypatch.setattr(cli, "structure_function", with_signed_zeros)
+        monkeypatch.setattr(bands, "structure_function", with_signed_zeros)
         cfg = _write_config(tmp_path, stack=stack, grid={"kind": "full", "n": 7})
         code, outdir = _run(tmp_path, "bands", cfg)
         assert code == 0
@@ -593,6 +594,71 @@ class TestBands:
         text = cli._g17_text(values)
         assert text.shape == values.shape and text.dtype == object
         assert text.ravel().tolist() == [cli._g17(x) for x in values.ravel().tolist()]
+
+    @staticmethod
+    def _hard_for_the_kernel(rng):
+        """About a million seeded values on which _g17_bytes' exact path can
+        slip, with the values that must take "%.17g" itself among them."""
+        def signs(size):
+            return rng.choice([-1.0, 1.0], size)
+
+        # random bit patterns (both signs, NaN payloads and subnormals too)
+        bits = rng.integers(0, 2 ** 64, 2 ** 15, dtype=np.uint64, endpoint=False)
+        # random mantissas in every binade that meets 1e-4 <= |x| < 1e16
+        mantissa = rng.integers(0, 2 ** 52, 450_000, dtype=np.uint64)
+        binade = rng.integers(1023 - 14, 1023 + 54, 450_000).astype(np.uint64)
+        fixed = ((binade << np.uint64(52)) | mantissa).view(np.float64) * signs(450_000)
+        # 1-3 ulp either side of every power of ten from 1e-5 to 1e17, and
+        # of both edges of the fixed-notation domain
+        anchors = np.array([float(f"1e{k}") for k in range(-5, 18)] + [1e-4, 1e16])
+        near = [anchors]
+        for direction in (np.inf, -np.inf):
+            value = anchors
+            for _ in range(3):
+                value = np.nextafter(value, direction)
+                near.append(value)
+        near = np.concatenate(near)
+        near = np.concatenate([near, -near])
+        # exact ties at the 17th digit: m / 2**(17 - E) with m odd, in decade E
+        exponent = rng.integers(-4, 16, 300_000)
+        scale = 2.0 ** (17 - exponent)
+        lo = np.ceil(10.0 ** exponent * scale)
+        hi = np.minimum(10.0 ** (exponent + 1) * scale, 2.0 ** 53)
+        odd = np.floor((lo + rng.random(300_000) * (hi - lo)) / 2) * 2 + 1
+        ties = odd / scale * signs(300_000)
+        # eta-like values, subnormals, zeros and non-finite values
+        eta = rng.uniform(-1.5, 1.5, 220_000)
+        subnormal = rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2250738585072009e-308, 0.09999999999999999,
+                            9.999999999999999e15, 1e-4, 1e16])
+        return np.concatenate([bits.view(np.float64), fixed, near, ties, eta,
+                               subnormal * signs(1000), special])
+
+    def test_kernel_text_is_g17_on_a_million_values(self):
+        values = self._hard_for_the_kernel(np.random.default_rng(20240517))
+        assert values.size >= 10 ** 6
+        # the reference writes -0.0 as "0"; == 0.0 is quiet on every NaN
+        expected = list(map(b"%.17g".__mod__, np.where(values == 0.0, 0.0, values).tolist()))
+        assert cli._g17_bytes(values).tolist() == expected
+
+    def test_kernel_raises_nothing_under_errstate_raise(self):
+        signalling = np.array([0x7FF0000000000001, 0xFFF4000000000000],
+                              dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            self._hard_for_the_kernel(np.random.default_rng(7))[::97], signalling,
+            np.zeros(5000), np.full(5000, 1e-300)])  # whole blocks of "%.17g"
+        expected = ["0" if x == 0.0 else "%.17g" % x for x in values.tolist()]
+        with np.errstate(all="raise"):
+            assert _g17_text(values).tolist() == expected
+            assert _g17_text(values[:0]).shape == (0,)
+
+    def test_write_takes_bytes_chunks_as_they_are(self, tmp_path):
+        path = tmp_path / "bands.csv"
+        chunks = ["head", b"1,2\n3,4\n", b"", "η tail"]
+        digest = _write_artifact(str(path), iter(chunks))
+        assert path.read_bytes() == "head\n1,2\n3,4\nη tail\n".encode()
+        assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_write_returns_the_digest_of_the_bytes_on_disk(self, tmp_path):
         path = tmp_path / "notes.txt"

@@ -142,13 +142,19 @@ def test_call_cost_prints_one_line_per_route(capsys):
     for line, variant in zip(lines, tool.GATED):
         assert line.startswith(f"{variant:<41} ") and float(line[42:]) > 0.0
     # the text of each stack variant's bands.csv on its benchmark grid, and
-    # its engine points: one per F up to conjugation on the mirror-symmetric axis
+    # its engine points: one per F up to conjugation on the mirror-symmetric
+    # axis; then their eta values and the ns per value of the numpy kernel
+    # and of "%.17g"
     head, *lines = texts.splitlines()
     assert head.split() == ["bands.csv,", "full", "grid", "grid", "text", "ms",
-                            "engine", "points"]
+                            "engine", "points", "eta", "values", "kernel", "ns",
+                            "%.17g", "ns"]
     points = {61: 1266, 71: 1571, 81: 2133}
     assert len(lines) == len(tool.BANDS_GRID) == 7
     for line, (variant, n) in zip(lines, tool.BANDS_GRID.items()):
         assert line.startswith(f"{variant:<22} {f'{n} x {n}':<18} ")
-        ms, engine = line[42:].split()
+        ms, engine, values, kernel, g17 = line[42:].split()
         assert float(ms) > 0.0 and int(engine) == points[n]
+        dim = next(config.dim for name, _, config in tool.ROUTES if name == variant)
+        assert int(values) == points[n] * dim
+        assert float(kernel) > 0.0 and float(g17) > 0.0

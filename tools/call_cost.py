@@ -56,7 +56,11 @@ first table) on the full grid of its benchmark ``bands`` job (61 x 61,
 71 x 71 or 81 x 81), the serialization layer of ``bands.csv``: the time of
 the text of ``cli._emit_bands`` with its engine rows computed beforehand
 (the best of 5 timings of ``REPEAT // 40`` runs), and the engine points,
-whose text it formats once each.
+whose text it formats once each.  Then the eta values of those engine rows
+and the nanoseconds per value of formatting them, with the numpy kernel
+that writes ``bands.csv`` (``cli._g17_bytes``) and with one ``"%.17g"``
+call per value (on a list of Python floats made beforehand), each the best
+of 5 timings of ``REPEAT // 40`` runs.
 """
 
 from __future__ import annotations
@@ -226,9 +230,12 @@ def grid_ms(config: StackConfig, repeat: int) -> tuple[float, int, int]:
     return ms, calls, points
 
 
-def bands_text_ms(config: StackConfig, n: int, repeat: int) -> tuple[float, int]:
+def bands_text_ms(config: StackConfig, n: int, repeat: int
+                  ) -> tuple[float, int, int, float, float]:
     """Milliseconds of the text of one ``bands.csv`` on the n x n full grid,
-    its engine rows computed beforehand, and its engine points."""
+    its engine rows computed beforehand; its engine points and their eta
+    values; and the nanoseconds per value of the kernel's and of
+    ``"%.17g"``'s text of those values."""
     run = cli.RunConfig(stack=config, grid_kind="full", grid_n=n)
     ctx = cli._RunContext(run=run, args=argparse.Namespace())
     served = bands.engine_rows(config, *cli._grid_thetas(run))
@@ -239,7 +246,11 @@ def bands_text_ms(config: StackConfig, n: int, repeat: int) -> tuple[float, int]
                       repeat) / 1e3
     finally:
         cli.engine_rows = engine
-    return ms, len(served[0].values)
+    eta = served[0].values
+    floats = eta.ravel().tolist()
+    kernel = _best_us(lambda: cli._g17_bytes(eta), repeat) * 1e3 / eta.size
+    g17 = _best_us(lambda: list(map("%.17g".__mod__, floats)), repeat) * 1e3 / eta.size
+    return ms, len(eta), eta.size, kernel, g17
 
 
 def gate_tensor_us(config: StackConfig, repeat: int) -> float:
@@ -282,11 +293,13 @@ def main(repeat: int = REPEAT) -> int:
     for variant, config in GATED.items():
         print(f"{variant:<41} {gate_tensor_us(config, max(1, repeat // 20)):14.1f}")
     print()
-    print(f"{'bands.csv, full grid':<22} {'grid':<18} {'text ms':>8}  {'engine points':>13}")
+    print(f"{'bands.csv, full grid':<22} {'grid':<18} {'text ms':>8}  {'engine points':>13}"
+          f"  {'eta values':>10}  {'kernel ns':>9}  {'%.17g ns':>8}")
     for variant, n in BANDS_GRID.items():
         config = next(config for name, _, config in ROUTES if name == variant)
-        ms, points = bands_text_ms(config, n, max(1, repeat // 40))
-        print(f"{variant:<22} {f'{n} x {n}':<18} {ms:8.2f}  {points:13d}")
+        ms, points, values, kernel, g17 = bands_text_ms(config, n, max(1, repeat // 40))
+        print(f"{variant:<22} {f'{n} x {n}':<18} {ms:8.2f}  {points:13d}"
+              f"  {values:10d}  {kernel:9.1f}  {g17:8.1f}")
     return 0
 
 
