@@ -12,24 +12,24 @@ Configuration is a single JSON document, versioned by a mandatory
       "outputs": ["bands", "plot"]
     }
 
-Unknown keys are rejected recursively.  ``stack`` accepts ``variant``,
-``alpha_a``/``alpha_b``/``alpha_c`` (|alpha| <= 1e100), the couplings
-``t0``/``t_a``/``t_b``, and ``flux_p``/``flux_q`` for the magnetic variant;
-a setting the variant's layout does not read is rejected.  ``tolerances``
-(and ``--tol-touch``) must be positive; only the touch classifications of
-``report.txt``, ``magnetic.txt`` and ``bands.svg`` (from 201 samples) read
-them, and a run that writes none of those rejects them.  ``potential`` accepts
+Unknown keys are rejected recursively.  ``stack`` accepts ``variant`` and
+the settings of its layout (``lattice.LAYOUTS``): ``alpha_a``/``alpha_b``/
+``alpha_c`` (|alpha| <= 1e100), the couplings ``t0``/``t_a``/``t_b``, and
+``flux_p``/``flux_q`` for the magnetic variant.  ``tolerances`` (and
+``--tol-touch``) must be positive.  ``potential`` accepts
 ``{"kind": "zero"}``, ``{"kind": "file", "path": "..."}`` (a two-column text file),
 or ``{"kind": "sampled", "x": [...], "values": [...]}``, with finite
-numbers in both columns; only ``spectrum.csv`` reads it, and a run that
-does not write ``spectrum.csv`` rejects it.  ``outputs`` lists extra
-artifacts from {bands, report, spectrum, plot}, each at most once, that
-every subcommand emits alongside its own; the diagonal-slice artifacts of a
-run share one sampled surface and one touch classification.  That
-classification has one record per feature, refined on the half slice of the
-even profiles (``bands.classify_touches``): ``report.txt`` keeps every touch
-and the narrowest gap of each pair (of two exactly equal gaps, the one at
-the larger |theta1|), and ``bands.svg`` draws each record at +-theta1.
+numbers in both columns.  ``outputs`` lists extra artifacts from {bands,
+report, spectrum, plot}, each at most once, that every subcommand emits
+alongside its own.  ``_ARTIFACTS`` says what each artifact reads besides
+the stack and which surface it samples: a run refuses a section or flag
+that none of its artifacts reads, and its manifest echoes the union of what
+they read.  The diagonal-slice artifacts of a run share one sampled surface
+and one touch classification.  That classification has one record per
+feature, refined on the half slice of the even profiles
+(``bands.classify_touches``): ``report.txt`` keeps every touch and the
+narrowest gap of each pair (of two exactly equal gaps, the one at the
+larger |theta1|), and ``bands.svg`` draws each record at +-theta1.
 ``validate``'s ``--samples`` must be at least 1 and its ``--seed``
 non-negative; a ``grid.n`` or ``--samples`` whose arrays numpy cannot make
 exits 1 as a config error.
@@ -42,16 +42,15 @@ file writes back the new file's dirty pages inside the rename).  It then
 streams each artifact, a line or a chunk of lines at a time, into a temp
 file renamed into ``--out``, hashing the bytes as they are written, and
 last writes ``manifest.json`` echoing the resolved settings its artifacts
-read (``validate.txt`` alone reads no grid) and each artifact's sha256; a run
-that fails part-way leaves no manifest.  Identical configurations
-reproduce byte-identical data files.  Stdout gets one ``wrote <path>`` line
-per artifact (then validate's summary lines), stderr the diagnostics and
-errors.  A run that writes ``spectrum.csv`` also records in the manifest's
-``trace.hill`` block, from its potential's ``hill.MagnusState``, the Magnus
-step count, the worst step-halving deviation against its gate and the
-number of monodromy evaluations (null steps and deviation, and no
-evaluations, for the closed-form zero potential); these never enter the
-data files.
+read and each artifact's sha256; a run that fails part-way leaves no
+manifest.  Identical configurations reproduce byte-identical data files.
+Stdout gets one ``wrote <path>`` line per artifact (then validate's summary
+lines), stderr the diagnostics and errors.  A run that writes
+``spectrum.csv`` also records in the manifest's ``trace.hill`` block, from
+its potential's ``hill.MagnusState``, the Magnus step count, the worst
+step-halving deviation against its gate and the number of monodromy
+evaluations (null steps and deviation, and no evaluations, for the
+closed-form zero potential); these never enter the data files.
 
 Exit codes: 0 success; 1 configuration problems (including a sampling grid
 too coarse to classify) and running out of memory; 2 numerical-validation
@@ -74,7 +73,7 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import repeat
@@ -124,8 +123,7 @@ SPECTRUM_CSV_HEADER = "record,eta_band,hill_band,lambda_lo,lambda_hi"
 _ALLOWED_KEYS = {
     "": {"schema_version", "stack", "grid", "tolerances", "potential",
          "outputs"},
-    "stack": {"variant", "alpha_a", "alpha_b", "alpha_c", "t0", "t_a", "t_b",
-              "flux_p", "flux_q"},
+    "stack": {"variant"}.union(*(layout.fields for layout in LAYOUTS.values())),
     "grid": {"kind", "n"},
     "tolerances": {"tol_touch", "tol_slope"},
     "potential": {"kind", "path", "x", "values"},
@@ -134,14 +132,6 @@ _ALLOWED_KEYS = {
 
 def _g17(x: float) -> str:
     return "%.17g" % (float(x) + 0.0)  # -0.0 + 0.0 is 0.0: grids serialize uniformly
-
-
-def _g17_text(values: np.ndarray) -> np.ndarray:
-    """``_g17`` of every value, as an object array of str of the same shape:
-    ``_g17_bytes``' text, decoded."""
-    text = _g17_bytes(values)
-    return np.array(list(map(bytes.decode, text.ravel().tolist())),
-                    dtype=object).reshape(text.shape)
 
 
 # _g17_bytes' tables: 10**k, which scales |x| with E = 16 - k to 17 integer
@@ -304,8 +294,9 @@ class RunConfig:
     tol_slope: float = DEFAULT_TOL_SLOPE
     potential: PotentialSpec | None = None
     outputs: tuple[str, ...] = ()
-    tolerances_from: tuple[str, ...] = ()   # the settings that set tol_touch
-                                            # or tol_slope, for their check
+    # the config section or flag that set each checked setting (grid,
+    # tolerances, potential), the first one given
+    set_by: dict[str, str] = field(default_factory=dict)
 
 
 def _reject_unknown(section: str, mapping: dict) -> None:
@@ -366,13 +357,13 @@ def _parse_stack(raw: dict) -> StackConfig:
             f"unknown stack.variant {data['variant']!r} (one of: {names})"
         ) from None
     reads = LAYOUTS[variant].fields
-    unread = sorted(data.keys() - reads - {"variant", "flux_p", "flux_q"})
+    unread = sorted(data.keys() - reads - {"variant"})
     if unread:
         raise ConfigError(
             f"config field 'stack.{unread[0]}' is not read by variant "
             f"{variant.value} (its settings: {', '.join(sorted(reads))})")
     values = {name: _as_float(data[name], f"stack.{name}")
-              for name in sorted(reads) if name in data}
+              for name in sorted(data.keys() - {"variant", "flux_p", "flux_q"})}
     alphas = {k: v for k, v in values.items() if k.startswith("alpha_")}
     couplings = {k: v for k, v in values.items() if k not in alphas}
     for name, value in alphas.items():
@@ -458,9 +449,8 @@ def load_run_config(path: str) -> RunConfig:
 
     if "tolerances" in raw:
         tols = _need_mapping(raw["tolerances"], "tolerances")
-        run = replace(run, tolerances_from=("config section 'tolerances'",),
-                      tol_touch=_tolerance(tols.get("tol_touch", run.tol_touch),
-                                           "tolerances.tol_touch"),
+        run = replace(run, tol_touch=_tolerance(tols.get("tol_touch", run.tol_touch),
+                                                "tolerances.tol_touch"),
                       tol_slope=_tolerance(tols.get("tol_slope", run.tol_slope),
                                            "tolerances.tol_slope"))
 
@@ -480,17 +470,19 @@ def load_run_config(path: str) -> RunConfig:
             if name in raw["outputs"][:i]:
                 raise ConfigError(f"output {name!r} is listed twice in 'outputs'")
         run = replace(run, outputs=tuple(raw["outputs"]))
-    return run
+    return replace(run, set_by={name: f"config section {name!r}" for name in
+                                ("grid", "tolerances", "potential") if name in raw})
 
 
 def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "grid", None) is not None:
-        run = replace(run, grid_n=args.grid)
-    if getattr(args, "grid_kind", None) is not None:
-        run = replace(run, grid_kind=args.grid_kind)
-    if getattr(args, "tol_touch", None) is not None:
+    if args.grid is not None:
+        run = replace(run, grid_n=args.grid, set_by={"grid": "--grid", **run.set_by})
+    if args.grid_kind is not None:
+        run = replace(run, grid_kind=args.grid_kind,
+                      set_by={"grid": "--" + args.grid_kind, **run.set_by})
+    if args.tol_touch is not None:
         run = replace(run, tol_touch=_tolerance(args.tol_touch, "--tol-touch"),
-                      tolerances_from=(*run.tolerances_from, "--tol-touch"))
+                      set_by={"tolerances": "--tol-touch", **run.set_by})
     return run
 
 
@@ -501,38 +493,30 @@ def _stack_numbers(stack: StackConfig) -> dict:
 
 
 def _stack_settings(stack: StackConfig) -> dict:
-    """The numbers of the stack that its layout reads, in config order."""
-    return {k: v for k, v in _stack_numbers(stack).items() if k in stack.layout.fields}
+    """The settings of the stack that its layout reads, in config order."""
+    flux = {"flux_p": stack.flux.p, "flux_q": stack.flux.q} if stack.flux else {}
+    return {k: v for k, v in (_stack_numbers(stack) | flux).items()
+            if k in stack.layout.fields}
 
 
-def _reads_tolerances(run: RunConfig, files: list[str]) -> bool:
-    """Whether an artifact of ``files`` is built on a touch classification,
-    the one reader of the tolerances: a plot classifies only from
-    ``MIN_CLASSIFY_SAMPLES`` samples on."""
-    return ("report.txt" in files or "magnetic.txt" in files
-            or ("bands.svg" in files and run.grid_n >= MIN_CLASSIFY_SAMPLES))
-
-
-def _config_echo(run: RunConfig, files: list[str]) -> dict:
-    """The settings that the artifacts ``files`` read, as a config."""
-    stack: dict = {"variant": run.stack.variant.value, **_stack_settings(run.stack)}
-    if run.stack.flux is not None:
-        stack["flux_p"] = run.stack.flux.p
-        stack["flux_q"] = run.stack.flux.q
+def _config_echo(run: RunConfig, reads: set[str]) -> dict:
+    """The stack and the settings ``reads`` of a run (``_Artifact.reads``),
+    as a config; a run given no potential reads the zero one, which its
+    absence re-runs."""
+    stack = {"variant": run.stack.variant.value, **_stack_settings(run.stack)}
     echo = {"schema_version": SCHEMA_VERSION, "stack": stack,
             "outputs": list(run.outputs)}
-    if files != ["validate.txt"]:    # validate draws its own quasimomenta
-        echo["grid"] = {"kind": run.grid_kind, "n": run.grid_n}
-    if _reads_tolerances(run, files):
+    if "grid" in reads:
+        echo["grid"] = {key: getattr(run, "grid_" + key) for key in ("kind", "n")
+                        if "grid." + key in reads}
+    if "tolerances" in reads:
         echo["tolerances"] = {"tol_touch": run.tol_touch, "tol_slope": run.tol_slope}
-    if run.potential is not None:
+    if "potential" in reads and run.potential is not None:
         pot: dict = {"kind": run.potential.kind}
         if run.potential.kind == "sampled":
             pot["x"] = list(map(float, run.potential.x))
             pot["values"] = list(map(float, run.potential.values))
         echo["potential"] = pot
-    if "magnetic.txt" in files:  # the zone is its one grid; the default kind re-runs it
-        del echo["grid"]["kind"]
     return echo
 
 
@@ -562,7 +546,7 @@ def _write_artifact(path: str, chunks: Iterable[str | bytes]) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _write_manifest(outdir: str, command: str, run: RunConfig,
+def _write_manifest(outdir: str, command: str, echo: dict,
                     digests: dict[str, str], elapsed: float, extra: dict) -> None:
     manifest = {
         "tool": "hexband",
@@ -570,7 +554,7 @@ def _write_manifest(outdir: str, command: str, run: RunConfig,
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "elapsed_seconds": elapsed,
-        "config": _config_echo(run, list(digests)),
+        "config": echo,
         "outputs": digests,
     }
     manifest.update({key: value for key, value in extra.items() if value})
@@ -589,24 +573,6 @@ def _grid_thetas(run: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         return theta, -theta
     theta1, theta2 = full_grid(run.grid_n)
     return theta1.ravel(), theta2.ravel()
-
-
-def _require_diagonal_slice(run: RunConfig, artifact: str) -> None:
-    """Every artifact but bands.csv samples the diagonal slice of a
-    non-magnetic stack, and magnetic.txt the reduced zone of a magnetic one;
-    checked before anything is written."""
-    zone = artifact == "magnetic.txt"
-    if (run.stack.variant is StackVariant.MAGNETIC_MONOLAYER) != zone:
-        raise ConfigError(
-            f"{artifact} needs a {'' if zone else 'non-'}magnetic stack; the "
-            "'magnetic' subcommand runs magnetic_monolayer stacks alone"
-        )
-    if run.grid_kind != "diagonal":
-        where = "reduced zone" if zone else "diagonal slice"
-        raise ConfigError(
-            f"{artifact} samples the {where} only; grid.kind 'full' "
-            "(--full) serves bands.csv alone"
-        )
 
 
 @dataclass
@@ -820,7 +786,7 @@ def _emit_magnetic(ctx: _RunContext) -> list[str]:
     return lines
 
 
-def _emit_validate(ctx: _RunContext) -> list[str]:
+def _emit_validate(ctx: _RunContext) -> list[str | bytes]:
     """validate.txt; its summary lines for stdout and its largest deviation
     go to the run context."""
     run, args = ctx.run, ctx.args
@@ -843,11 +809,12 @@ def _emit_validate(ctx: _RunContext) -> list[str]:
                        route="numeric").values
     devs = np.zeros(samples)
     devs[compared] = np.max(np.abs(formulas - numeric), axis=1)
-    # one line per sample, as one chunk built column by column; a sample
-    # without a closed form has no deviation
-    first, second, deviation = _g17_text(np.stack([theta1, theta2, devs]))
-    status = np.where(compared, "compared," + deviation, "no_closed_form,")
-    rows = "\n".join(map(",".join, zip(map(str, range(samples)), first, second, status)))
+    # one line per sample, as one bytes chunk built column by column; a
+    # sample without a closed form has no deviation
+    first, second, deviation = _g17_bytes(np.stack([theta1, theta2, devs]))
+    status = np.where(compared, np.char.add(b"compared,", deviation), b"no_closed_form,")
+    rows = b"".join(b"%d,%s,%s,%s\n" % row for row in zip(
+        range(samples), first.tolist(), second.tolist(), status.tolist()))
     devs = devs[compared]
     max_dev = float(np.max(devs)) if devs.size else 0.0
     mean_dev = float(np.mean(devs)) if devs.size else 0.0
@@ -870,15 +837,70 @@ def _emit_validate(ctx: _RunContext) -> list[str]:
 #  Command driver
 # ============================================================
 
-# every artifact, in the order a run writes them; `outputs` may name the first four
-_ARTIFACTS = {"bands": ("bands.csv", _emit_bands),
-              "report": ("report.txt", _emit_report),
-              "spectrum": ("spectrum.csv", _emit_spectrum),
-              "plot": ("bands.svg", _emit_plot),
-              "gaps": ("gaps.txt", _emit_gaps),
-              "magnetic": ("magnetic.txt", _emit_magnetic),
-              "validate": ("validate.txt", _emit_validate)}
+@dataclass(frozen=True)
+class _Artifact:
+    """An artifact's file and emitter, and what it reads besides the stack:
+    the fields of the grid (``grid``), the tolerances from grid.n =
+    ``classifies_from`` on and the potential.  ``surface`` is what it
+    samples: the "diagonal slice" of a non-magnetic stack, the "reduced
+    zone" of a magnetic one, or "" for any stack and grid kind."""
+
+    file: str
+    emit: Callable[[_RunContext], Iterable[str | bytes]]
+    grid: tuple[str, ...] = ("kind", "n")
+    surface: str = "diagonal slice"
+    classifies_from: float = float("inf")
+    potential: bool = False
+    ignores: tuple[str, ...] = ()   # the sections it accepts without reading
+
+    def reads(self, run: RunConfig) -> set[str]:
+        """The sections it reads on ``run``'s grid, and ``grid.<field>``
+        for each field of the grid."""
+        sections = {"grid": bool(self.grid), "potential": self.potential,
+                    "tolerances": run.grid_n >= self.classifies_from}
+        return {name for name, read in sections.items() if read} | {
+            "grid." + key for key in self.grid}
+
+
+# every artifact, in the order a run writes them; `outputs` may name the first
+# four.  README's "What each artifact reads" table mirrors this one.
+_ARTIFACTS = {
+    "bands": _Artifact("bands.csv", _emit_bands, surface=""),
+    "report": _Artifact("report.txt", _emit_report, classifies_from=0),
+    "spectrum": _Artifact("spectrum.csv", _emit_spectrum, potential=True),
+    "plot": _Artifact("bands.svg", _emit_plot, classifies_from=MIN_CLASSIFY_SAMPLES),
+    "gaps": _Artifact("gaps.txt", _emit_gaps),
+    "magnetic": _Artifact("magnetic.txt", _emit_magnetic, ("n",), "reduced zone",
+                          classifies_from=0),
+    # validate draws its own quasimomenta; it accepts a grid and ignores it
+    # while the benchmark's validate jobs carry one
+    "validate": _Artifact("validate.txt", _emit_validate, (), "", ignores=("grid",)),
+}
 _OUTPUT_NAMES = tuple(_ARTIFACTS)[:4]
+
+
+def _check(command: str, run: RunConfig) -> tuple[list[_Artifact], set[str]]:
+    """The artifacts that a run writes and the union of what they read, once
+    each has the surface it samples and each setting the run was given is
+    read or ignored by one of them."""
+    own = "report" if command == "classify" else command
+    artifacts = [a for name, a in _ARTIFACTS.items() if name == own or name in run.outputs]
+    for a in artifacts:
+        if a.surface and run.stack.layout.flux != (a.surface == "reduced zone"):
+            raise ConfigError(
+                f"{a.file} needs a {'non-' if run.stack.layout.flux else ''}magnetic "
+                "stack; the 'magnetic' subcommand runs magnetic_monolayer stacks alone")
+        if a.surface and run.grid_kind != "diagonal":
+            raise ConfigError(f"{a.file} samples the {a.surface} only; grid.kind "
+                              "'full' (--full) serves bands.csv alone")
+    reads = set().union(*(a.reads(run) for a in artifacts))
+    for setting, source in run.set_by.items():
+        if setting not in reads.union(*(a.ignores for a in artifacts)):
+            readers = [a.file for a in _ARTIFACTS.values() if setting in a.reads(run)]
+            raise ConfigError(
+                f"{source} is read only by {', '.join(readers)}; this {command!r} run "
+                f"writes {', '.join(a.file for a in artifacts)}")
+    return artifacts, reads
 
 
 def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
@@ -886,41 +908,24 @@ def _run(command: str, run: RunConfig, args: argparse.Namespace) -> int:
     (every rename then lands on a free name), write the subcommand's artifact
     and the ``outputs`` ones, the manifest and a ``wrote`` line each;
     validation fails last.  ``elapsed_seconds`` comes from a monotonic clock."""
-    own = "report" if command == "classify" else command
-    wanted = [name for name in _ARTIFACTS if name == own or name in run.outputs]
-    files = [_ARTIFACTS[name][0] for name in wanted]
-    for name, filename in zip(wanted, files):
-        if name not in ("bands", "validate"):
-            _require_diagonal_slice(run, filename)
-    if run.potential is not None and "spectrum" not in wanted:
-        raise ConfigError(
-            f"config section 'potential' is read only for spectrum.csv, which "
-            f"this {command!r} run does not write (add \"spectrum\" to 'outputs' "
-            "or drop the potential)")
-    if run.tolerances_from and not _reads_tolerances(run, files):
-        raise ConfigError(
-            f"{run.tolerances_from[0]} is read only for report.txt, magnetic.txt "
-            f"and bands.svg from {MIN_CLASSIFY_SAMPLES} samples, none of which this "
-            f"{command!r} run writes (add \"report\" to 'outputs' or drop the "
-            "tolerances)")
-    if "validate" in wanted:
+    artifacts, reads = _check(command, run)
+    if command == "validate":
         if args.samples < 1:
             raise ConfigError(f"--samples must be at least 1, got {args.samples}")
         # up to two theta draws a sample
         _require_array_size(2 * args.samples, f"--samples {args.samples}")
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    for filename in ("manifest.json", *files):
+    for filename in ("manifest.json", *(a.file for a in artifacts)):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(args.out, filename))
     started = time.perf_counter()
     ctx = _RunContext(run, args)
-    digests = {filename: _write_artifact(os.path.join(args.out, filename),
-                                         _ARTIFACTS[name][1](ctx))
-               for name, filename in zip(wanted, files)}
-    _write_manifest(args.out, command, run, digests, time.perf_counter() - started,
-                    ctx.extra)
-    for filename in files:
+    digests = {a.file: _write_artifact(os.path.join(args.out, a.file), a.emit(ctx))
+               for a in artifacts}
+    _write_manifest(args.out, command, _config_echo(run, reads), digests,
+                    time.perf_counter() - started, ctx.extra)
+    for filename in digests:
         print(f"wrote {os.path.join(args.out, filename)}")
     for line in ctx.console:
         print(line)

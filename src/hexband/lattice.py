@@ -54,16 +54,19 @@ class Layout:
     alpha_a and alpha_b, a plain layer "cc" both with alpha_c.  A bond
     (i, j, field) is an inter-layer edge of weight field**2, and each vertex
     scale is T = 3 + (sum of its bond weights) (Kuchment & Post, Commun.
-    Math. Phys. 275, 2007)."""
+    Math. Phys. 275, 2007).  A flux layout threads each hexagon with the
+    flux p/q of ``flux_p`` and ``flux_q``."""
 
     layers: tuple[str, ...]
     bonds: tuple[tuple[int, int, str], ...] = ()
+    flux: bool = False
 
     @property
     def fields(self) -> frozenset[str]:
         """The stack settings the layout reads."""
         return frozenset({"alpha_" + r for layer in self.layers for r in layer}
-                         | {name for _, _, name in self.bonds})
+                         | {name for _, _, name in self.bonds}
+                         | ({"flux_p", "flux_q"} if self.flux else set()))
 
     @property
     def paired(self) -> bool:
@@ -72,13 +75,12 @@ class Layout:
         return "cc" in self.layers
 
 
-_MONOLAYER = Layout(("ab",))
 _AA = ((0, 2, "t0"), (1, 3, "t0"))            # a over a, b over b
 _AA_PRIME = ((0, 3, "t0"), (1, 2, "t0"))      # a over b, b over a
 _TRILAYER = _AA_PRIME + ((2, 5, "t0"), (3, 4, "t0"))
 
 LAYOUTS = {
-    StackVariant.MONOLAYER: _MONOLAYER,
+    StackVariant.MONOLAYER: Layout(("ab",)),
     StackVariant.BILAYER_AA: Layout(("ab", "ab"), _AA),
     StackVariant.BILAYER_AA_TWO_PARAM: Layout(("ab", "ab"),
                                               ((0, 2, "t_a"), (1, 3, "t_b"))),
@@ -88,7 +90,7 @@ LAYOUTS = {
     StackVariant.TRILAYER_G_HBN_G: Layout(("cc", "ab", "cc"), _TRILAYER),
     # the q = 1 flux cell is the monolayer; the q = 2 cell's gauge-fixed
     # rows live in the magnetic module
-    StackVariant.MAGNETIC_MONOLAYER: _MONOLAYER,
+    StackVariant.MAGNETIC_MONOLAYER: Layout(("ab",), flux=True),
 }
 
 
@@ -169,7 +171,7 @@ class StackConfig:
         if wanted - given:
             raise InputError(
                 f"{v.value} requires {' and '.join(sorted(wanted - given))}")
-        if v is StackVariant.MAGNETIC_MONOLAYER:
+        if self.layout.flux:
             if self.flux is None:
                 raise InputError("magnetic monolayer requires a flux specification")
             if self.flux.q not in (1, 2):

@@ -1,6 +1,8 @@
 """Config ingestion, artifact serialization, exit codes, and determinism."""
 
+import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +26,7 @@ from hexband.cli import (
     RunConfig,
     SPECTRUM_CSV_HEADER,
     _g17,
-    _g17_text,
+    _g17_bytes,
     _write_artifact,
     load_run_config,
     main,
@@ -32,7 +34,13 @@ from hexband.cli import (
 from hexband.errors import ConfigError
 from hexband.floquet import assemble, batch_points, char_poly
 from hexband.hill import MAGNUS_TOL
-from hexband.lattice import StackVariant, diagonal_slice, full_grid, structure_function
+from hexband.lattice import (
+    LAYOUTS,
+    StackVariant,
+    diagonal_slice,
+    full_grid,
+    structure_function,
+)
 
 import frozen
 
@@ -83,6 +91,11 @@ def test_importing_the_cli_loads_no_network_stack():
     added = set(json.loads(proc.stdout))
     assert "hexband.svgplot" in added
     assert not added & {"urllib.request", "http.client", "ssl", "email.parser"}
+
+
+def _decoded(text):
+    """The str of each value of a ``_g17_bytes`` array, in C order."""
+    return [value.decode() for value in text.ravel().tolist()]
 
 
 def _records(text):
@@ -319,14 +332,19 @@ class TestConfig:
           "t0": 0.3}, "stack.t0"),
         ({"variant": "magnetic_monolayer", "flux_p": 1, "flux_q": 2,
           "t0": 0.3}, "stack.t0"),
+        ({"variant": "monolayer", "alpha_a": 1.0, "flux_q": 2}, "stack.flux_q"),
     ], ids=["monolayer-alpha_c", "bilayer_aa-t_a", "bilayer_aa-alpha_c",
-            "two_param-t0", "magnetic-t0"])
+            "two_param-t0", "magnetic-t0", "monolayer-flux_q"])
     def test_setting_the_variant_does_not_read_is_config_error(
             self, tmp_path, capsys, stack, field):
         cfg = _write_config(tmp_path, stack=stack)
         code, _ = _run(tmp_path, "classify", cfg)
         assert code == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        # the flux settings are among the magnetic variant's own
+        reads = sorted(LAYOUTS[StackVariant(stack["variant"])].fields)
+        assert f"(its settings: {', '.join(reads)})" in err
 
     def test_sampled_potential_parses(self, tmp_path):
         x = list(np.linspace(0.0, 1.0, 21))
@@ -567,9 +585,9 @@ class TestBands:
     def test_column_text_is_g17_with_unsigned_zero(self, values):
         expected = ["0" if x == 0.0 else f"{x:.17g}" for x in values]
         # each value twice, in a 2-D array: repeats share one formatting
-        text = _g17_text(np.array(values + values[::-1]).reshape(2, -1))
+        text = _g17_bytes(np.array(values + values[::-1]).reshape(2, -1))
         assert text.shape == (2, len(values))
-        assert text.ravel().tolist() == expected + expected[::-1]
+        assert _decoded(text) == expected + expected[::-1]
         assert [_g17(x) for x in values] == expected
 
     # values where %.17g is hard: subnormals, signed zeros, powers of ten and
@@ -591,9 +609,9 @@ class TestBands:
     def test_column_text_is_g17_of_each_value(self, values, copies):
         # repeats share one formatting; each must still read as its own value
         values = np.concatenate([values, -values[::-1]] * copies)
-        text = cli._g17_text(values)
-        assert text.shape == values.shape and text.dtype == object
-        assert text.ravel().tolist() == [cli._g17(x) for x in values.ravel().tolist()]
+        text = _g17_bytes(values)
+        assert text.shape == values.shape and text.dtype == np.dtype("S24")
+        assert _decoded(text) == [cli._g17(x) for x in values.ravel().tolist()]
 
     @staticmethod
     def _hard_for_the_kernel(rng):
@@ -650,8 +668,8 @@ class TestBands:
             np.zeros(5000), np.full(5000, 1e-300)])  # whole blocks of "%.17g"
         expected = ["0" if x == 0.0 else "%.17g" % x for x in values.tolist()]
         with np.errstate(all="raise"):
-            assert _g17_text(values).tolist() == expected
-            assert _g17_text(values[:0]).shape == (0,)
+            assert _decoded(_g17_bytes(values)) == expected
+            assert _g17_bytes(values[:0]).shape == (0,)
 
     def test_write_takes_bytes_chunks_as_they_are(self, tmp_path):
         path = tmp_path / "bands.csv"
@@ -1443,3 +1461,221 @@ class TestOrchestration:
                        "--out", str(outdir), "--grid", "5")
         assert proc.returncode == 0, proc.stderr
         assert (outdir / "bands.csv").exists()
+
+
+# ------------------------------------------------------------
+#  What each artifact reads: the config check and the manifest echo
+# ------------------------------------------------------------
+
+# what each artifact reads besides the stack, as the README's table states it:
+# the fields of its grid, the surface it samples ("slice": the diagonal slice
+# of a non-magnetic stack, "zone": the reduced zone of a magnetic one, None:
+# any), the grid.n from which it reads the tolerances (None: never) and
+# whether it reads the potential
+_READS = {
+    "bands.csv": (("kind", "n"), None, None, False),
+    "report.txt": (("kind", "n"), "slice", 0, False),
+    "spectrum.csv": (("kind", "n"), "slice", None, True),
+    "bands.svg": (("kind", "n"), "slice", 201, False),
+    "gaps.txt": (("kind", "n"), "slice", None, False),
+    "magnetic.txt": (("n",), "zone", 0, False),
+    "validate.txt": ((), None, None, False),
+}
+_FILES = dict(zip(["bands", "report", "spectrum", "plot", "gaps", "magnetic", "validate"],
+                  _READS))
+_COMMANDS = ["bands", "classify", "spectrum", "plot", "gaps", "magnetic", "validate"]
+_STACKS = {
+    "paired": {"variant": "hetero_bilayer", "alpha_a": 0.4, "alpha_b": -0.4, "t0": 0.5},
+    "unpaired": {"variant": "trilayer_hbn_g_hbn", "alpha_a": 0.4, "alpha_b": -0.3,
+                 "alpha_c": 0.2, "t0": 0.5},
+    "q1": {"variant": "magnetic_monolayer", "alpha_a": 0.4, "alpha_b": -0.3,
+           "flux_p": 1, "flux_q": 1},
+    "q2": {"variant": "magnetic_monolayer", "alpha_a": 0.4, "alpha_b": -0.3,
+           "flux_p": 1, "flux_q": 2},
+}
+_TOLERANCES = {"tol_touch": 0.5, "tol_slope": 7.0}
+_SAMPLED = {"kind": "sampled", "x": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0]}
+_OUTPUT_SETS = [[name for k, name in enumerate(cli._OUTPUT_NAMES) if bits >> k & 1]
+                for bits in range(16)]
+
+
+def _expected_run(command, doc, flags):
+    """From ``_READS`` alone: ("refused", the texts its error must hold) or
+    ("accepted", its echo) for a run of ``command`` on the config ``doc``
+    with the flags ``flags`` (``--tol-touch``, ``--grid``)."""
+    own = "report" if command == "classify" else command
+    files = [_FILES[name] for name in _FILES
+             if name == own or name in doc.get("outputs", [])]
+    grid = {"kind": "diagonal", "n": 501, **doc.get("grid", {})}
+    grid["n"] = flags.get("--grid", grid["n"])
+    magnetic = "flux_q" in doc["stack"]
+    for name in files:
+        surface = _READS[name][1]
+        if surface and magnetic != (surface == "zone"):
+            return "refused", [f"{name} needs a"]
+        if surface and grid["kind"] != "diagonal":
+            return "refused", [f"{name} samples the"]
+    fields = {key for name in files for key in _READS[name][0]}
+    tolerances = any(_READS[name][2] is not None and grid["n"] >= _READS[name][2]
+                     for name in files)
+    potential = any(_READS[name][3] for name in files)
+    # the settings given and not read, by the section or flag that set them;
+    # validate ignores the grid it is given
+    read = {"grid": bool(fields) or "validate.txt" in files,
+            "tolerances": tolerances, "potential": potential}
+    sources = {"grid": ["config section 'grid'"] * ("grid" in doc)
+               + ["--grid"] * ("--grid" in flags),
+               "tolerances": ["config section 'tolerances'"] * ("tolerances" in doc)
+               + ["--tol-touch"] * ("--tol-touch" in flags),
+               "potential": ["config section 'potential'"] * ("potential" in doc)}
+    unread = [source for section, given in sources.items() if not read[section]
+              for source in given]
+    if unread:
+        return "refused", unread
+    # the stack echoes every alpha its layout reads, 0 where not given
+    layout = LAYOUTS[StackVariant(doc["stack"]["variant"])]
+    alphas = {name: 0.0 for name in layout.fields if name.startswith("alpha_")}
+    echo = {"schema_version": 1, "stack": {**alphas, **doc["stack"]},
+            "outputs": doc.get("outputs", [])}
+    if fields:
+        echo["grid"] = {key: grid[key] for key in fields}
+    if tolerances:
+        echo["tolerances"] = {"tol_touch": 1e-6, "tol_slope": 1e-4,
+                              **doc.get("tolerances", {})}
+        echo["tolerances"]["tol_touch"] = flags.get("--tol-touch",
+                                                    echo["tolerances"]["tol_touch"])
+    if potential and "potential" in doc:
+        echo["potential"] = doc["potential"]
+    return "accepted", echo
+
+
+class TestWhatEachArtifactReads:
+    """The config check refuses, and the manifest echoes, the settings that
+    the run's artifacts read: at the table level over every subcommand,
+    ``outputs`` subset and stack kind, then by re-running echoes."""
+
+    @staticmethod
+    def _loaded(path, doc):
+        path.write_text(json.dumps(doc))
+        return load_run_config(str(path))
+
+    @staticmethod
+    def _checked(run, command, flags):
+        """``_check`` and ``_config_echo`` of a run: ("accepted", its echo)
+        or ("refused", its error)."""
+        args = argparse.Namespace(grid=flags.get("--grid"), grid_kind=None,
+                                  tol_touch=flags.get("--tol-touch"))
+        run = cli._apply_overrides(run, args)
+        try:
+            _, reads = cli._check(command, run)
+        except ConfigError as exc:
+            return "refused", str(exc)
+        return "accepted", cli._config_echo(run, reads)
+
+    def _run_of(self, path, command, doc, flags=None):
+        try:
+            return self._checked(self._loaded(path, doc), command, flags or {})
+        except ConfigError as exc:
+            return "refused", str(exc)
+
+    def test_the_check_and_the_echo_follow_the_table(self, tmp_path):
+        path = tmp_path / "config.json"
+        grids = [None, {"kind": "diagonal", "n": 31}, {"kind": "diagonal", "n": 201},
+                 {"kind": "full", "n": 31}]
+        flag_sets = [{}, {"--tol-touch": 0.25}, {"--grid": 201}]
+        outcomes = {"accepted": 0, "refused": 0}
+        for stack, grid, potential, tolerances, outputs in itertools.product(
+                _STACKS.values(), grids, (None, _SAMPLED), (None, _TOLERANCES),
+                _OUTPUT_SETS):
+            doc = {"schema_version": 1, "stack": stack, "grid": grid,
+                   "potential": potential, "tolerances": tolerances,
+                   "outputs": outputs}
+            doc = {key: value for key, value in doc.items() if value is not None}
+            run = self._loaded(path, doc)
+            for command, flags in itertools.product(_COMMANDS, flag_sets):
+                expected, detail = _expected_run(command, doc, flags)
+                outcome, got = self._checked(run, command, flags)
+                outcomes[outcome] += 1
+                assert outcome == expected, (command, doc, flags, got)
+                if outcome == "accepted":
+                    assert got == detail, (command, doc, flags)
+                else:
+                    assert any(text in got for text in detail), (command, doc, flags, got)
+        assert min(outcomes.values()) > 1000, outcomes
+
+    def test_an_echo_reruns_and_any_setting_outside_it_is_refused(self, tmp_path):
+        path = tmp_path / "config.json"
+        stack_fields = sorted(cli._ALLOWED_KEYS["stack"] - {"variant"})
+        echoes = {}
+        for command, stack, outputs, n in itertools.product(
+                _COMMANDS, _STACKS.values(), _OUTPUT_SETS, (31, 201)):
+            doc = {"schema_version": 1, "stack": stack, "outputs": outputs,
+                   "grid": {"kind": "diagonal", "n": n}}
+            outcome, echo = self._run_of(path, command, doc)
+            if outcome == "accepted":
+                echoes[json.dumps([command, echo], sort_keys=True)] = command, echo
+        assert len(echoes) > 100
+        refusals, stacks_checked = 0, set()
+        for command, echo in echoes.values():
+            # the echo is a config the same run accepts, and echoes again
+            assert self._run_of(path, command, echo) == ("accepted", echo)
+            additions = {name: (value, f"config section {name!r}") for name, value in (
+                ("tolerances", _TOLERANCES), ("potential", {"kind": "zero"}),
+                ("grid", {"n": 31})) if name not in echo}
+            stack = json.dumps([command, echo["stack"]], sort_keys=True)
+            if stack not in stacks_checked:
+                # refused when the config is read, whatever the run writes
+                stacks_checked.add(stack)
+                additions.update({f"stack.{name}": ({**echo["stack"], name: 1}, f"stack.{name}")
+                                  for name in stack_fields if name not in echo["stack"]})
+            for name, (value, setting) in additions.items():
+                doc = {**echo, name.partition(".")[0]: value}
+                outcome, got = self._run_of(path, command, doc)
+                expected = (("refused", [setting]) if name.startswith("stack.")
+                            else _expected_run(command, doc, {}))
+                if expected[0] == "accepted":
+                    # a setting the run reads where its echo left the zero
+                    # potential out, or the grid that validate ignores
+                    assert (outcome, got) == expected, (command, echo, name)
+                    continue
+                assert outcome == "refused" and setting in got, (command, echo, name)
+                refusals += 1
+            if "tolerances" not in echo:
+                outcome, err = self._run_of(path, command, echo, {"--tol-touch": 0.25})
+                assert outcome == "refused" and "--tol-touch" in err
+            if "kind" not in echo.get("grid", {"kind": None}):
+                # the reduced zone is grid.kind "diagonal"; the full grid is refused
+                full = {**echo, "grid": {**echo["grid"], "kind": "full"}}
+                outcome, err = self._run_of(path, command, full)
+                assert outcome == "refused" and "reduced zone only" in err
+        assert refusals > 300, refusals
+
+    @pytest.mark.parametrize("command,stack", [
+        (command, stack) for command in _COMMANDS for stack in _STACKS
+        if command in ("bands", "validate")
+        or (command == "magnetic") == stack.startswith("q")])
+    def test_one_run_per_subcommand_and_stack_reruns_from_its_echo(
+            self, tmp_path, command, stack):
+        # every setting the run reads given, and a grid for validate, which
+        # ignores it; fed back as the config, the echo writes the same bytes
+        own = _FILES["report" if command == "classify" else command]
+        grid = ({"kind": "full", "n": 21} if command == "bands"
+                else {"kind": "diagonal", "n": 31 if command == "magnetic" else 201})
+        doc = {"schema_version": 1, "stack": _STACKS[stack], "grid": grid}
+        if _READS[own][2] is not None:
+            doc["tolerances"] = _TOLERANCES
+        if _READS[own][3]:
+            doc["potential"] = {"kind": "zero"}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        extra = ("--samples", "5", "--seed", "3") if command == "validate" else ()
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, "--config", str(cfg), "--out", str(first), *extra]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"] == _expected_run(command, doc, {})[1]
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(manifest["config"]))
+        assert main([command, "--config", str(echo), "--out", str(again), *extra]) == 0
+        assert json.loads((again / "manifest.json").read_text())["config"] == manifest["config"]
+        for name in manifest["outputs"]:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name

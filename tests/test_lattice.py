@@ -191,7 +191,8 @@ def test_stack_dims():
 def test_layouts_give_settings_and_closed_form_domain():
     fields = {v: LAYOUTS[v].fields for v in StackVariant}
     assert fields[StackVariant.MONOLAYER] == {"alpha_a", "alpha_b"}
-    assert fields[StackVariant.MAGNETIC_MONOLAYER] == {"alpha_a", "alpha_b"}
+    assert fields[StackVariant.MAGNETIC_MONOLAYER] == {"alpha_a", "alpha_b",
+                                                       "flux_p", "flux_q"}
     assert fields[StackVariant.BILAYER_AA] == {"alpha_a", "alpha_b", "t0"}
     assert fields[StackVariant.BILAYER_AA_TWO_PARAM] == {"alpha_a", "alpha_b",
                                                          "t_a", "t_b"}

@@ -35,7 +35,7 @@ def test_digest_sweep_prints_one_clean_line_per_job(monkeypatch, sweep_s0):
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert [fields[0] for fields in lines] == ids
     for fields in lines:
-        assert len(fields) == 5, fields
+        assert len(fields) == 6, fields
         assert fields[1] == "0", fields
         for digest in fields[2:]:
             assert digest == "-" or re.fullmatch("[0-9a-f]{64}", digest), fields

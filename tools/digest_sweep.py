@@ -5,13 +5,15 @@
 Runs every job of the three workloads' job lists (grid-bands, diag-classify
 and hill-spectrum, from ``perfbench/workloads.py``) for the seeds
 first_seed..last_seed through ``hexband.cli.main`` in one process and prints
-``id exit artifacts stdout stderr`` per job.  ``artifacts`` is the sha256 of
-the job's data artifacts (every file it wrote but ``manifest.json``, which
-holds a wall time), or ``-`` for a job that wrote none; ``stdout`` and
+``id exit artifacts stdout stderr manifest`` per job.  ``artifacts`` is the
+sha256 of the job's data artifacts (every file it wrote but
+``manifest.json``), or ``-`` for a job that wrote none; ``stdout`` and
 ``stderr`` are the sha256 of what the job printed, with its output
-directory replaced by ``<out>``.  Two checkouts that compute the same thing
-print the same lines, so a refactor is checked with ``diff`` of the two
-outputs.
+directory replaced by ``<out>``; ``manifest`` is the sha256 of its
+``manifest.json`` without the wall time ``elapsed_seconds``, dumped with
+sorted keys, or ``-`` for a job that wrote none.  Two checkouts that compute
+and echo the same thing print the same lines, so a refactor is checked with
+``diff`` of the two outputs.
 """
 
 from __future__ import annotations
@@ -43,11 +45,21 @@ def artifacts_digest(outdir: str) -> str:
     return digest.hexdigest()
 
 
+def manifest_digest(outdir: str) -> str:
+    path = os.path.join(outdir, "manifest.json")
+    if not os.path.exists(path):
+        return "-"
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    del manifest["elapsed_seconds"]
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
 def console_digest(text: str, outdir: str) -> str:
     return hashlib.sha256(text.replace(outdir, "<out>").encode()).hexdigest()
 
 
-def run_job(job: dict, work: str) -> tuple[int, str, str, str]:
+def run_job(job: dict, work: str) -> tuple[int, str, str, str, str]:
     config = os.path.join(work, f"{job['id']}.json")
     outdir = os.path.join(work, job["id"])
     os.makedirs(outdir)
@@ -57,7 +69,7 @@ def run_job(job: dict, work: str) -> tuple[int, str, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(workloads.cli_args(job, config, outdir))
     return (code, artifacts_digest(outdir), console_digest(out.getvalue(), outdir),
-            console_digest(err.getvalue(), outdir))
+            console_digest(err.getvalue(), outdir), manifest_digest(outdir))
 
 
 def main(argv: list[str]) -> int:
