@@ -124,15 +124,17 @@ def engine_rows(config: StackConfig, theta1, theta2=None, route: str = "auto"
     on theta (the q = 2 cell's matrix is not a function of F), and only the
     q = 1 cell's formula route computes its batch's F.
 
-    The points go to the engine in batches of ``batch_points``, and each
-    batch is served where it stands.  The formulas serve it whole, or
-    refuse it with a ``servable`` mask: then its servable points (if any)
-    take one more formula call and the rest one eigensolver call.  Once the
-    parameters have no closed form at all, the formulas are not tried again
-    and the eigensolver serves the batch.  A call of one batch gives that
-    batch's result as it is: the refiners make most of a classifying job's
-    calls, about 800 over a pass of the benchmark's diag-classify jobs.  A
-    longer call joins its batches.
+    The points go to the engine in batches of ``batch_points``, and one
+    loop serves every batch where it stands; it is the one place the route
+    split lives.  Each batch takes one of three outcomes: the formulas
+    serve it whole; or they refuse it with a ``servable`` mask, and its
+    servable points (if any) take one more formula call and the rest one
+    eigensolver call; or the eigensolver serves it.  A refusal with no mask
+    means the parameters have no closed form at all, so the formulas are
+    not tried again.  A call of one batch gives that batch's result as it
+    is: the refiners make most of a classifying job's calls, about 800 over
+    a pass of the benchmark's diag-classify jobs.  Any other call joins its
+    batches, a call of no points none.
 
     A stack's call of more than one batch evaluates each distinct F once,
     up to conjugation: every row, its route included, is a function of F's
@@ -189,42 +191,39 @@ def engine_rows(config: StackConfig, theta1, theta2=None, route: str = "auto"
         return np.linalg.eigvalsh(
             magnetic.assemble_robin(config, t1[index], t2[index]).affine) / 3.0
 
-    def serve(start: int) -> DispersionRoots:
-        nonlocal formulas
-        part = slice(start, start + size)
+    parts = []
+    for start in range(0, points, size):
+        part, closed = slice(start, start + size), None
         if formulas:
             try:
-                return by_formula(part)
+                parts.append(by_formula(part))
+                continue
             except NoClosedFormError as exc:
-                servable = exc.servable
-                if servable is None:
-                    formulas = False    # no point has them, in any batch
-                else:
-                    index = np.arange(start, start + len(servable))
-                    values = np.empty((len(index), dim))
-                    values[~servable] = by_eigensolver(index[~servable])
-                    if servable.any():
-                        values[servable] = by_formula(index[servable]).values
-                    return DispersionRoots(values=values, closed=servable)
-        values = by_eigensolver(part)
-        return DispersionRoots(values=values, closed=np.zeros(len(values), dtype=bool))
-
-    parts = [serve(start) for start in range(0, points, size)]
-    if not parts:       # no points
-        return DispersionRoots(values=np.empty((0, dim)),
-                               closed=np.zeros(0, dtype=bool)), None, F, None
+                # the points the formulas can serve; None when no point can,
+                # in any batch
+                closed = exc.servable
+                formulas = closed is not None
+        if closed is None:
+            values = by_eigensolver(part)
+            closed = np.zeros(len(values), dtype=bool)
+        else:
+            index = np.arange(start, start + len(closed))
+            values = np.empty((len(index), dim))
+            values[~closed] = by_eigensolver(index[~closed])
+            if closed.any():
+                values[closed] = by_formula(index[closed]).values
+        parts.append(DispersionRoots(values=values, closed=closed))
     # one point's row is indexed [0, ...], which keeps its closed a 0-d array
     inverse = 0 if scalar else inverse
     if len(parts) == 1:
         return parts[0], inverse, F, folded     # one engine batch, as it came
-    # branch names only when every batch, and so every row, took the formulas
-    names = parts[0].names if all(roots.names for roots in parts) else ()
-
-    def joined(field: str) -> np.ndarray:
-        return np.concatenate([getattr(roots, field) for roots in parts])
-
-    rows = DispersionRoots(values=joined("values"), closed=joined("closed"),
-                           names=names, order=joined("order") if names else None)
+    # the join, of no batch for a call of no points; branch names only when
+    # every batch, and so every row, took the formulas
+    names = parts[0].names if parts and all(roots.names for roots in parts) else ()
+    rows = DispersionRoots(
+        values=np.concatenate([np.empty((0, dim))] + [r.values for r in parts]),
+        closed=np.concatenate([np.zeros(0, dtype=bool)] + [r.closed for r in parts]),
+        names=names, order=np.concatenate([r.order for r in parts]) if names else None)
     return rows, inverse, F, folded
 
 

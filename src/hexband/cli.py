@@ -130,16 +130,13 @@ _ALLOWED_KEYS = {
 }
 
 
-def _g17(x: float) -> str:
-    return "%.17g" % (float(x) + 0.0)  # -0.0 + 0.0 is 0.0: grids serialize uniformly
-
-
 # _g17_bytes' tables: 10**k, which scales |x| with E = 16 - k to 17 integer
 # digits, with Dekker's split of each into two 26-bit halves; and the ASCII
 # digits of each 4-digit chunk 0000..9999 as one uint32, then again with
 # its trailing zeros as NUL
 _G17_WIDTH = 24             # "-" + 17 digits + "." + "e-308" is the longest
 _G17_BLOCK = 4096           # values per pass, which bounds its temporaries
+_G17_KERNEL_MIN = 128       # fewer values take "%.17g" each (see _g17_bytes)
 _SPLITTER = 134217729.0     # 2**27 + 1
 _POW10 = np.array([float(10 ** k) for k in range(23)])      # exact doubles
 _POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
@@ -170,8 +167,9 @@ def _exact_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _g17_bytes(values: np.ndarray) -> np.ndarray:
-    """The ASCII bytes of ``_g17`` of every value, as an ``S24`` array of the
-    same shape, made by numpy in blocks of ``_G17_BLOCK`` values.
+    """The ASCII bytes of ``"%.17g" % (x + 0.0)`` of every value x (-0.0 +
+    0.0 is 0.0, so every zero reads "0"), as an ``S24`` array of the same
+    shape, made by numpy in blocks of ``_G17_BLOCK`` values.
 
     ``%.17g`` writes 1e-4 <= |x| < 1e16 in fixed notation: the 17
     significant digits of x rounded half to even, the decimal point after
@@ -192,11 +190,16 @@ def _g17_bytes(values: np.ndarray) -> np.ndarray:
     trailing zeros all lie in the fraction, since x is not whole, so they
     are written as NUL, which ends an ``S24`` value.
 
-    Every other value takes ``"%.17g"`` itself, as ``_g17`` does: 0 and
+    Every other value takes ``"%.17g"`` itself: 0 and
     -0.0 (both written "0"), |x| < 1e-4, |x| >= 1e16, whole numbers, inf
     and nan.  No such lane reaches ``log10`` or the product, so the kernel
     raises nothing under ``np.errstate(all="raise")``.  ``tests/test_cli.py``
     holds it to ``"%.17g"`` on a million values.
+
+    A block of fewer than ``_G17_KERNEL_MIN`` values takes ``"%.17g"`` for
+    every value: below about 128 values that costs less than the kernel's
+    fixed cost, about 70 us on a 2-core x86 VM, which on ``spectrum.csv``'s
+    24-56 values added a tenth to a zero-potential ``spectrum`` job.
     """
     values = np.asarray(values, dtype=float)
     flat = values.ravel()
@@ -209,7 +212,7 @@ def _g17_bytes(values: np.ndarray) -> np.ndarray:
 def _g17_block(x: np.ndarray, text: np.ndarray) -> None:
     """``_g17_bytes`` of one block of values, written into ``text``."""
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)
+    fast = (a >= 1e-4) & (a < 1e16) & (len(x) >= _G17_KERNEL_MIN)
     # a whole number has no fraction to keep, nor its point
     fast &= np.floor(a, out=np.zeros_like(a), where=fast) != a
     slow = np.flatnonzero(~fast)
@@ -736,7 +739,7 @@ def _emit_gaps(ctx: _RunContext) -> list[str]:
     return lines
 
 
-def _emit_spectrum(ctx: _RunContext) -> list[str]:
+def _emit_spectrum(ctx: _RunContext) -> list[str | bytes]:
     """spectrum.csv; its diagnostics go to stderr and, with how the Hill layer
     got there, to the manifest only, so that spectrum.csv stays deterministic."""
     run = ctx.run
@@ -753,10 +756,12 @@ def _emit_spectrum(ctx: _RunContext) -> list[str]:
     for note in result.diagnostics:
         print(f"spectrum: {note}", file=sys.stderr)
     ctx.extra.update(notes=list(result.diagnostics), trace={"hill": hill})
-    return [SPECTRUM_CSV_HEADER,
-            *(f"band,{iv.eta_band},{iv.hill_band},{_g17(iv.lo)},{_g17(iv.hi)}"
-              for iv in result.intervals),
-            *(f"pp,,,{_g17(nu)},{_g17(nu)}" for nu in result.dirichlet)]
+    # the rows as one bytes chunk: each record's head, then its two ends
+    rows = [(b"band,%d,%d" % (iv.eta_band, iv.hill_band), iv.lo, iv.hi)
+            for iv in result.intervals] + [(b"pp,,", nu, nu) for nu in result.dirichlet]
+    ends = _g17_bytes(np.array([row[1:] for row in rows]).reshape(-1, 2)).tolist()
+    return [SPECTRUM_CSV_HEADER, b"".join(
+        b"%s,%s,%s\n" % (row[0], lo, hi) for row, (lo, hi) in zip(rows, ends))]
 
 
 def _emit_plot(ctx: _RunContext) -> list[str]:
@@ -818,12 +823,12 @@ def _emit_validate(ctx: _RunContext) -> list[str | bytes]:
     devs = devs[compared]
     max_dev = float(np.max(devs)) if devs.size else 0.0
     mean_dev = float(np.mean(devs)) if devs.size else 0.0
+    texts = _g17_bytes(np.array([max_dev, mean_dev, VALIDATE_GATE])).astype(str).tolist()
     summary = [f"samples: {samples}",
                f"compared: {devs.size}",
                f"skipped_no_closed_form: {samples - devs.size}",
-               f"max_abs_deviation: {_g17(max_dev)}",
-               f"mean_abs_deviation: {_g17(mean_dev)}",
-               f"gate: {_g17(VALIDATE_GATE)}",
+               *(f"{name}: {text}" for name, text in zip(
+                   ("max_abs_deviation", "mean_abs_deviation", "gate"), texts)),
                f"verdict: {'FAIL' if not max_dev <= VALIDATE_GATE else 'PASS'}"]
     header = _report_header(run, "closed-form vs eigensolver validation")
     # the max and (when any point was compared) the mean deviation lines

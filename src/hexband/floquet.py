@@ -16,7 +16,10 @@ places, and ``_layout_form`` reads A0, those places and T from its
 ``lattice.LAYOUTS`` entry alone: one monolayer block per layer and one
 symmetric entry per inter-layer bond.  So this module takes F, not theta:
 theta becomes F where it enters (``bands.roots_at``, the magnetic q = 1
-cell), once per call.
+cell), once per call.  ``assemble`` is the one matrix builder here; the
+q = 2 flux cell, which reads theta through two phases, is built the same
+way in ``magnetic.assemble_robin`` (F-free part, phases at fixed places,
+conjugates at the transposed places), so no entry-by-entry builder is left.
 
 Two independent routes to the roots are provided and never mixed:
 
@@ -42,7 +45,7 @@ of the polynomial's absolute terms at radius max(1, |root|).  The paired
 stacks (those with a plain layer) have closed forms on the diagonal slice
 only.  This module provides the routes;
 ``bands.roots_at`` alone decides which one serves a point, for the magnetic
-flux cells as well.
+flux cells as well, in the one batch loop of ``bands.engine_rows``.
 
 The engine is batch-first.  ``assemble`` and ``closed_form_roots`` take F
 as a complex scalar or a 1-D array of N values; a batch gives a
@@ -190,17 +193,6 @@ def _hermitian_guard(a: np.ndarray) -> None:
     if np.any(bad):
         raise EngineError(
             f"assembled matrix is not Hermitian (deviation {np.max(dev[bad]):g})")
-
-
-def _floquet_matrix(rows, scale: np.ndarray, n: int, scalar: bool) -> FloquetMatrix:
-    """Stack entries (scalars or per-point arrays) into an (n, d, d) batch,
-    guard Hermiticity at every point, and drop the batch axis for a scalar."""
-    affine = np.empty((n, len(rows), len(rows)), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            affine[:, i, j] = entry
-    _hermitian_guard(affine)
-    return FloquetMatrix(diag_scale=scale, affine=affine[0] if scalar else affine)
 
 
 @lru_cache(maxsize=1)

@@ -5,7 +5,11 @@ flux cells for q = 1 and q = 2 are ``FloquetMatrix`` values, so the
 characteristic-polynomial and eigensolver routes apply unchanged.  The q = 1
 cell is the monolayer layout: ``floquet.assemble`` builds it and
 ``floquet.closed_form_roots`` gives its roots, both at F(theta).  The q = 2
-cell is a gauge-fixed 4 x 4 cell whose rows and radical roots live here.
+cell is a gauge-fixed 4 x 4 cell whose assembly and radical roots live
+here.  ``assemble_robin`` builds it the way ``floquet.assemble`` builds a
+stack: its phase-free part (a stack's F-free part), e^{i theta} at fixed
+places and the conjugates at the transposed places, with no entry-by-entry
+matrix builder.
 
 For q = 2 the determinant collapses to a quartic in eta whose coefficients
 depend on quasimomentum only through
@@ -13,8 +17,9 @@ depend on quasimomentum only through
     G(theta) = 3 + cos(theta1) + cos(2 theta2) - cos(theta1 - 2 theta2).
 
 The four roots come in radical form and the classifier scans the reduced
-half-open zone [0, pi/q) x [-pi/q, pi/q), refining candidate minima by
-bounded simplex descent; the diagonal slice's probe-and-label stage
+half-open zone [0, pi/q) x [-pi/q, pi/q) (the grid minima of every pair in
+one padded comparison, ``_grid_local_minima``), refining candidate minima
+by bounded simplex descent; the diagonal slice's probe-and-label stage
 (``refine.classify_minima``) then tests conical contact along the locus
 theta1 = -2 theta2 that carries the G maximum.  On the closure of the q = 2
 zone G ranges over [3 - sqrt(2), 4.5] (maximum at (pi/3, -pi/6), boundary
@@ -34,7 +39,7 @@ from .errors import EngineError, GridError, VariantError
 from .floquet import (
     DispersionRoots,
     FloquetMatrix,
-    _floquet_matrix,
+    _hermitian_guard,
     _make_roots,
     _residual_gate,
     assemble,
@@ -80,21 +85,31 @@ def _require_magnetic(config: StackConfig, q: int | None = None) -> FluxSpec:
 def assemble_robin(config: StackConfig, theta1, theta2) -> FloquetMatrix:
     """Robin flux cell as a FloquetMatrix (q = 1: the monolayer layout, by
     ``floquet.assemble`` at F(theta); q = 2: the gauge-fixed 4 x 4 cell), at
-    a scalar theta or a batch (see ``hexband.floquet``)."""
+    a scalar theta or a batch (see ``hexband.floquet``).
+
+    The q = 2 cell is its phase-free part with e2, e1 and -e2 added at
+    (1, 0), (3, 0) and (3, 2), and their conjugates at the transposed
+    places; every entry is the sum its closed form writes, 1.0 + e2,
+    1.0 - conj(e2) and so on, zero signs included, and the batch is
+    guarded Hermitian as assembled."""
     if _require_magnetic(config).q == 1:
         return assemble(config, structure_function(theta1, theta2))
     an = config.vertex.alpha_a
     ab = config.vertex.alpha_b
     t1, t2, scalar = _theta_batch(theta1, theta2)
-    e1 = np.exp(1j * t1)
     e2 = np.exp(1j * t2)
-    rows = [
-        [-an, 1.0 + e2.conjugate(), 0.0, e1.conjugate()],
-        [1.0 + e2, -ab, 1.0, 0.0],
-        [0.0, 1.0, -an, 1.0 - e2.conjugate()],
-        [e1, 0.0, 1.0 - e2, -ab],
-    ]
-    return _floquet_matrix(rows, np.full(4, 3.0), len(t1), scalar)
+    phases = np.stack([e2, np.exp(1j * t1), -e2], axis=1)
+    affine = np.empty((len(t1), 4, 4), dtype=complex)
+    # the phase-free part, a stack's F-free part here; -0j where e1 stands
+    # alone, since -0.0 + x is x for every x, zero signs included (0.0 +
+    # -0.0 is 0.0)
+    affine[:] = [[-an, 1.0, 0.0, -0j], [1.0, -ab, 1.0, 0.0],
+                 [0.0, 1.0, -an, 1.0], [-0j, 0.0, 1.0, -ab]]
+    rows, cols = [1, 3, 3], [0, 0, 2]       # the places of the phases
+    affine[:, rows, cols] += phases
+    affine[:, cols, rows] += phases.conj()
+    _hermitian_guard(affine)
+    return FloquetMatrix(diag_scale=np.full(4, 3.0), affine=affine[0] if scalar else affine)
 
 
 def g_function(theta1, theta2):
@@ -181,19 +196,20 @@ def reduced_zone_grid(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _grid_local_minima(sep: np.ndarray) -> list[tuple[int, int]]:
-    """2D local minima (4-neighborhood, boundary-aware, strict), row-major.
+def _grid_local_minima(seps: np.ndarray) -> np.ndarray:
+    """(pair, i, j) of every 2D local minimum (4-neighborhood, boundary-aware,
+    strict) of a (pairs, n1, n2) stack of separations, pair-major and
+    row-major within a pair.
 
     Strictness matters: along the theta1 = 0 edge the q = 2 separations are
     constant (G is identically 4 there), and a non-strict rule would flag the
     whole plateau.
     """
     # points outside the zone are no neighbors: pad with +inf
-    padded = np.pad(sep, 1, constant_values=np.inf)
-    core = padded[1:-1, 1:-1]
-    minimum = ((core < padded[:-2, 1:-1]) & (core < padded[2:, 1:-1])
-               & (core < padded[1:-1, :-2]) & (core < padded[1:-1, 2:]))
-    return [(int(i), int(j)) for i, j in np.argwhere(minimum)]
+    padded = np.pad(seps, ((0, 0), (1, 1), (1, 1)), constant_values=np.inf)
+    core = padded[:, 1:-1, 1:-1]
+    return np.argwhere((core < padded[:, :-2, 1:-1]) & (core < padded[:, 2:, 1:-1])
+                       & (core < padded[:, 1:-1, :-2]) & (core < padded[:, 1:-1, 2:]))
 
 
 def magnetic_classify(config: StackConfig, n: int = 101,
@@ -216,19 +232,16 @@ def magnetic_classify(config: StackConfig, n: int = 101,
 
     t1_ax, t2_ax = reduced_zone_grid(flux.q, n)
     values = roots(np.repeat(t1_ax, n), np.tile(t2_ax, n)).values
-    seps = np.diff(values, axis=1)
-    lanes: list[tuple[int, int, int]] = []     # (pair, i, j)
-    for pair in range(config.dim - 1):
-        lanes += [(pair, i, j)
-                  for i, j in _grid_local_minima(seps[:, pair].reshape(n, n))]
-    if not lanes:
+    # the grid minima of each pair's separations on the zone's n x n grid
+    lanes = _grid_local_minima(np.diff(values, axis=1).T.reshape(-1, n, n))
+    if not len(lanes):
         return ()
-    pairs = np.array([pair for pair, _, _ in lanes])
+    pairs, i, j = lanes.T
 
     def separations(theta, which):
         return pair_separations(roots, theta[:, 0], theta[:, 1], pairs[which])
 
-    x0 = np.array([[t1_ax[i], t2_ax[j]] for _, i, j in lanes])
+    x0 = np.stack([t1_ax[i], t2_ax[j]], axis=1)
     lower = np.array([0.0, -np.pi / flux.q])
     upper = np.array([np.pi / flux.q, np.pi / flux.q])
     # restarting with a fresh simplex guards against premature collapse on

@@ -92,6 +92,41 @@ def test_q1_cell_is_the_monolayer_bit_for_bit():
     assert cell.names == layer.names and _same_bits(cell.order, layer.order)
 
 
+def _q2_cell_literals(cfg, t1, t2):
+    """The q = 2 cell written out entry by entry, as the reference of its
+    assembly."""
+    an, ab = cfg.vertex.alpha_a, cfg.vertex.alpha_b
+    e1, e2 = np.exp(1j * t1), np.exp(1j * t2)
+    rows = [
+        [-an, 1.0 + e2.conjugate(), 0.0, e1.conjugate()],
+        [1.0 + e2, -ab, 1.0, 0.0],
+        [0.0, 1.0, -an, 1.0 - e2.conjugate()],
+        [e1, 0.0, 1.0 - e2, -ab],
+    ]
+    affine = np.empty((len(t1), 4, 4), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            affine[:, i, j] = entry
+    return affine
+
+
+@pytest.mark.parametrize("alpha", [(0.0, 0.0), (-1.0, -1.0), (0.7, -0.3)])
+def test_q2_cell_is_its_literals_bit_for_bit(alpha):
+    cfg = _config(StackVariant.MAGNETIC_MONOLAYER, 2, *alpha, 0.0)
+    axis1, axis2 = magnetic.reduced_zone_grid(2, 31)
+    # the zone grid, and each of its theta1 at theta2 = +-0 and +-pi/2, where
+    # e2's zero imaginary part and zero signs reach the sums
+    t1 = np.concatenate([np.repeat(axis1, 31), np.repeat(axis1, 4)])
+    t2 = np.concatenate([np.tile(axis2, 31),
+                         np.tile([0.0, -0.0, np.pi / 2, -np.pi / 2], 31)])
+    # int64 views: equal floats with other zero signs differ
+    reference = _q2_cell_literals(cfg, t1, t2).view(np.int64)
+    assert np.array_equal(assemble_robin(cfg, t1, t2).affine.view(np.int64), reference)
+    for k in (0, 31, len(t1) - 3):
+        point = assemble_robin(cfg, float(t1[k]), float(t2[k])).affine
+        assert np.array_equal(point.view(np.int64), reference[k])
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -168,13 +203,17 @@ def _grid_local_minima_loop(sep):
 
 
 @settings(max_examples=60, deadline=None)
-@given(shape=st.tuples(st.integers(1, 7), st.integers(1, 7)), data=st.data())
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7)),
+       data=st.data())
 def test_grid_local_minima_matches_the_loop(shape, data):
     # small integer levels make plateaus and ties, where strictness matters
-    levels = data.draw(st.lists(st.integers(0, 3), min_size=shape[0] * shape[1],
-                                max_size=shape[0] * shape[1]))
-    sep = np.array(levels, dtype=float).reshape(shape)
-    assert _grid_local_minima(sep) == _grid_local_minima_loop(sep)
+    size = shape[0] * shape[1] * shape[2]
+    levels = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    seps = np.array(levels, dtype=float).reshape(shape)
+    # one stacked call, pair-major, against the loop on each pair's grid
+    assert [tuple(lane) for lane in _grid_local_minima(seps).tolist()] == [
+        (pair, i, j) for pair in range(shape[0])
+        for i, j in _grid_local_minima_loop(seps[pair])]
 
 
 # ============================================================

@@ -25,7 +25,6 @@ from hexband.cli import (
     BANDS_CSV_HEADER,
     RunConfig,
     SPECTRUM_CSV_HEADER,
-    _g17,
     _g17_bytes,
     _write_artifact,
     load_run_config,
@@ -91,6 +90,19 @@ def test_importing_the_cli_loads_no_network_stack():
     added = set(json.loads(proc.stdout))
     assert "hexband.svgplot" in added
     assert not added & {"urllib.request", "http.client", "ssl", "email.parser"}
+
+
+def _pct17g(x):
+    """The "%.17g" text of a value, with -0.0 written "0"."""
+    return "%.17g" % (float(x) + 0.0)
+
+
+def _kernel_text(values):
+    """The numpy kernel's text of each value of a 1-D array: the array is
+    repeated to ``_G17_KERNEL_MIN`` values at least, since a smaller block
+    takes ``"%.17g"`` itself."""
+    copies = -(-cli._G17_KERNEL_MIN // max(len(values), 1))
+    return _g17_bytes(np.tile(values, copies))[:len(values)]
 
 
 def _decoded(text):
@@ -496,12 +508,12 @@ class TestBands:
         lines = (outdir / "bands.csv").read_text().splitlines()
         assert lines[0] == BANDS_CSV_HEADER and len(lines) == 1 + 49 * dim
         for point in range(49):
-            head = [_g17(theta1[point]), _g17(theta2[point]),
-                    _g17(f.real[point]), _g17(f.imag[point])]
+            head = [_pct17g(theta1[point]), _pct17g(theta2[point]),
+                    _pct17g(f.real[point]), _pct17g(f.imag[point])]
             source = "closed_form" if roots.closed[point] else "numeric"
             for band in range(dim):
                 assert lines[1 + point * dim + band] == ",".join(
-                    [*head, str(band), _g17(roots.values[point, band]),
+                    [*head, str(band), _pct17g(roots.values[point, band]),
                      str(int(roots.admissible[point, band])), source])
         assert lines[1].split(",")[2] == lines[1 + dim].split(",")[2] == "0"
 
@@ -588,7 +600,7 @@ class TestBands:
         text = _g17_bytes(np.array(values + values[::-1]).reshape(2, -1))
         assert text.shape == (2, len(values))
         assert _decoded(text) == expected + expected[::-1]
-        assert [_g17(x) for x in values] == expected
+        assert _decoded(_kernel_text(np.array(values, dtype=float))) == expected
 
     # values where %.17g is hard: subnormals, signed zeros, powers of ten and
     # both sides of its switch to exponent notation (below 1e-4 and from 1e17)
@@ -611,7 +623,9 @@ class TestBands:
         values = np.concatenate([values, -values[::-1]] * copies)
         text = _g17_bytes(values)
         assert text.shape == values.shape and text.dtype == np.dtype("S24")
-        assert _decoded(text) == [cli._g17(x) for x in values.ravel().tolist()]
+        expected = [_pct17g(x) for x in values.ravel().tolist()]
+        assert _decoded(text) == expected
+        assert _decoded(_kernel_text(values.ravel())) == expected
 
     @staticmethod
     def _hard_for_the_kernel(rng):
@@ -834,6 +848,27 @@ class TestSpectrum:
         assert nus == pytest.approx(expected, abs=1e-6)
         for row in pp_rows:
             assert row[1] == "" and row[2] == "" and row[3] == row[4]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 5 / aim 3: the eta ranges are the sampled diagonal's "
+        "extremes; band 3's Hill band 1 ends at 1.53371292 at n = 201 and "
+        "1.53385340 at n = 2001"))
+    def test_hetero_spectrum_does_not_depend_on_the_grid(self, tmp_path):
+        stack = {"variant": "hetero_bilayer", "alpha_a": -1.0, "alpha_b": 1.0,
+                 "alpha_c": 0.0, "t0": 0.3}
+        tables = []
+        for n in (201, 2001):
+            cfg = _write_config(tmp_path, f"n{n}.json", stack=stack,
+                                grid={"kind": "diagonal", "n": n})
+            code, outdir = _run(tmp_path / str(n), "spectrum", cfg)
+            assert code == 0
+            tables.append([line.split(",") for line in
+                           (outdir / "spectrum.csv").read_text().splitlines()[1:]])
+        coarse, fine = tables
+        assert [row[:3] for row in coarse] == [row[:3] for row in fine]
+        ends = np.array([[float(x) for x in row[3:]] for row in coarse + fine])
+        coarse_ends, fine_ends = np.split(ends, 2)
+        assert np.abs(coarse_ends - fine_ends).max() <= 1e-10
 
     def test_inadmissible_stack_gives_empty_file(self, tmp_path, capsys):
         cfg = _write_config(

@@ -293,6 +293,18 @@ class TestMagneticClassify:
             assert vals[2] - vals[1] == pytest.approx(
                 frozen.MAG_GAP_ON_G4_LOCUS, abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 18: the strict 4-neighbour grid scan drops the K point's "
+        "minimum when it ties with a neighbour; n = 101 and 501 report 0.8475595"))
+    def test_q1_narrowest_gap_is_the_k_point_at_every_n(self):
+        # the q = 1 cell is the monolayer layout: its pair 0-1 separation
+        # sqrt((a - b)^2 + 4 |F|^2) / 3 is smallest at K, where F = 0
+        cfg = _mag_cfg(-0.2236, 1.3465, q=1)
+        for n in (101, 201, 501):
+            narrowest = min(r.separation for r in magnetic_classify(cfg, n=n)
+                            if r.band_pair == (0, 1))
+            assert narrowest == pytest.approx(abs(-0.2236 - 1.3465) / 3.0, abs=1e-12), n
+
     def test_requires_magnetic_variant(self):
         with pytest.raises(VariantError):
             magnetic_classify(_mono_cfg(0.0, 0.0))

@@ -1,8 +1,10 @@
 """Smoke tests of ``tools/digest_sweep.py``, the byte-for-byte refactor check,
-of ``tools/src_lines.py``, the code-line count, and of ``tools/call_cost.py``,
+of ``tools/src_lines.py``, the code-line count, of ``tools/call_cost.py``,
 the cost of a small ``roots_at`` call, of a slice's chart and grid scan, of
 a Hill scan and inversion, of a ``roots_at`` call on a full grid, of a
-fresh config's residual-gate tensor and of a full grid's ``bands.csv`` text."""
+fresh config's residual-gate tensor and of a full grid's ``bands.csv`` text,
+and of ``tools/resolution_matrix.py``, whether verdicts agree across grid
+resolutions."""
 
 import importlib.util
 import os
@@ -158,3 +160,39 @@ def test_call_cost_prints_one_line_per_route(capsys):
         dim = next(config.dim for name, _, config in tool.ROUTES if name == variant)
         assert int(values) == points[n] * dim
         assert float(kernel) > 0.0 and float(g17) > 0.0
+
+
+def test_resolution_matrix_gives_one_verdict_per_artifact():
+    tool = _tool("resolution_matrix")
+    rows = tool.verdict_rows("hetero_bilayer", tool.STACKS["hetero_bilayer"])
+    assert [row.split()[:5] for row in rows] == [
+        ["hetero_bilayer", artifact, "201", "501", "2001"]
+        for artifact in ("report.txt", "gaps.txt", "spectrum.csv")]
+    # the refined report agrees across n; the verdicts are the rest of a line
+    assert rows[0].split()[5:] == ["agree"]
+    assert all(row.split()[5] in ("agree", "differ:") for row in rows)
+
+
+def test_resolution_matrix_compares_within_the_refiner_tolerance():
+    tool = _tool("resolution_matrix")
+    record = {"kind": "gap", "band_pair": "1,2", "theta1": "2.0", "separation": "0.25"}
+    tol = tool.location_tolerance("classify", 2.0)
+
+    def differs(**fields):
+        return tool.first_difference("classify", [[record], [{**record, **fields}]])
+
+    assert differs() is None
+    assert differs(theta1="-2.0") is None       # the diagonal is even in theta1
+    assert differs(theta1=repr(2.0 + 0.9 * tol)) is None
+    moved = repr(2.0 + 1.1 * tol)
+    assert differs(theta1=moved) == f"record 1 theta1: 2.0 | {moved}"
+    assert differs(separation=repr(0.25 + 1.2 * tol)) is None
+    assert differs(separation=repr(0.25 + 1.4 * tol)) is not None
+    assert differs(kind="cone") == "record 1 kind: gap | cone"
+    assert tool.first_difference("classify", [[record], [record, record]]) == "records: 1 | 2"
+    row = {"record": "band", "eta_band": "1", "hill_band": "1", "lambda_lo": "0.5",
+           "lambda_hi": "2.0"}
+    # 1e-10 relative above 1
+    for hi, moved in (("2.0000000001", False), ("2.0000000003", True)):
+        runs = [[row], [{**row, "lambda_hi": hi}]]
+        assert (tool.first_difference("spectrum", runs) is not None) == moved
