@@ -12,27 +12,28 @@ Configuration is a single JSON document, versioned by a mandatory
       "outputs": ["bands", "plot"]
     }
 
-Unknown keys are rejected recursively.  ``stack`` accepts ``variant`` and
-the settings of its layout (``lattice.LAYOUTS``): ``alpha_a``/``alpha_b``/
-``alpha_c`` (|alpha| <= 1e100), the couplings ``t0``/``t_a``/``t_b``, and
-``flux_p``/``flux_q`` for the magnetic variant.  ``tolerances`` (and
-``--tol-touch``) must be positive.  ``potential`` accepts
-``{"kind": "zero"}``, ``{"kind": "file", "path": "..."}`` (a two-column text file),
-or ``{"kind": "sampled", "x": [...], "values": [...]}``, with finite
-numbers in both columns.  ``outputs`` lists extra artifacts from {bands,
-report, spectrum, plot}, each at most once, that every subcommand emits
-alongside its own.  ``_ARTIFACTS`` says what each artifact reads besides
-the stack and which surface it samples: a run refuses a section or flag
-that none of its artifacts reads, and its manifest echoes the union of what
-they read.  The diagonal-slice artifacts of a run share one sampled surface
-and one touch classification.  That classification has one record per
-feature, refined on the half slice of the even profiles
-(``bands.classify_touches``): ``report.txt`` keeps every touch and the
-narrowest gap of each pair (of two exactly equal gaps, the one at the
-larger |theta1|), and ``bands.svg`` draws each record at +-theta1.
-``validate``'s ``--samples`` must be at least 1 and its ``--seed``
-non-negative; a ``grid.n`` or ``--samples`` whose arrays numpy cannot make
-exits 1 as a config error.
+Each section refuses, where it is parsed, any key that it does not read
+(``_section``).  ``stack`` reads ``variant`` and the settings of its layout
+(``lattice.LAYOUTS``): ``alpha_a``/``alpha_b``/``alpha_c`` (|alpha| <=
+1e100), the couplings ``t0``/``t_a``/``t_b``, and ``flux_p``/``flux_q`` for
+the magnetic variant.  ``tolerances`` (and ``--tol-touch``) must be
+positive.  ``potential`` reads ``kind`` and the keys of that kind, each
+required: ``{"kind": "zero"}``, ``{"kind": "file", "path": "..."}`` (a
+two-column text file), or ``{"kind": "sampled", "x": [...], "values":
+[...]}``, with finite numbers in both columns.  ``outputs`` lists extra
+artifacts from {bands, report, spectrum, plot}, each at most once, that
+every subcommand emits alongside its own.  ``_ARTIFACTS`` says what each
+artifact reads besides the stack and which surface it samples: a run
+refuses a section or flag that none of its artifacts reads, and its
+manifest echoes the union of what they read.  The diagonal-slice artifacts
+of a run share one sampled surface and one touch classification.  That
+classification has one record per feature, refined on the half slice of the
+even profiles (``bands.classify_touches``): ``report.txt`` keeps every
+touch and the narrowest gap of each pair (of two exactly equal gaps, the
+one at the larger |theta1|), and ``bands.svg`` draws each record at
++-theta1.  ``validate``'s ``--samples`` must be at least 1 and its
+``--seed`` non-negative; a ``grid.n`` or ``--samples`` whose arrays numpy
+cannot make exits 1 as a config error.
 
 Subcommands: ``bands``, ``classify``, ``gaps``, ``spectrum``, ``magnetic``,
 ``validate``, ``plot``.  After its configuration checks a run removes the
@@ -120,14 +121,12 @@ VALIDATE_GATE = 1e-8
 BANDS_CSV_HEADER = "theta1,theta2,F_real,F_imag,band_index,eta,admissible,source"
 SPECTRUM_CSV_HEADER = "record,eta_band,hill_band,lambda_lo,lambda_hi"
 
-_ALLOWED_KEYS = {
-    "": {"schema_version", "stack", "grid", "tolerances", "potential",
-         "outputs"},
-    "stack": {"variant"}.union(*(layout.fields for layout in LAYOUTS.values())),
-    "grid": {"kind", "n"},
-    "tolerances": {"tol_touch", "tol_slope"},
-    "potential": {"kind", "path", "x", "values"},
-}
+# the keys each config section reads: the stack's and the potential's by
+# the variant or kind that selects them (see ``_section``)
+_DOCUMENT_KEYS = ("schema_version", "stack", "grid", "tolerances", "potential",
+                  "outputs")
+_STACK_KEYS = {variant.value: LAYOUTS[variant].fields for variant in StackVariant}
+_POTENTIAL_KEYS = {"zero": (), "file": ("path",), "sampled": ("x", "values")}
 
 
 # _g17_bytes' tables: 10**k, which scales |x| with E = 16 - k to 17 integer
@@ -302,21 +301,25 @@ class RunConfig:
     set_by: dict[str, str] = field(default_factory=dict)
 
 
-def _reject_unknown(section: str, mapping: dict) -> None:
-    allowed = _ALLOWED_KEYS[section]
-    where = f"section {section!r}" if section else "the top level"
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key {key!r} at {where} "
-                f"(allowed: {', '.join(sorted(allowed))})"
-            )
-
-
-def _need_mapping(value, section: str) -> dict:
+def _section(value, name: str, reads, select: str | None = None) -> dict:
+    """``value`` as the config section ``name`` ("" for the document): an
+    object with no key that the section does not read.  ``reads`` holds its
+    keys; for a section whose ``select`` key picks what it reads, it maps
+    each choice to the keys that choice reads besides ``select``."""
+    where = f"config section {name!r}" if name else "the config document"
     if not isinstance(value, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    _reject_unknown(section, value)
+        raise ConfigError(f"{where} must be an object")
+    if select:
+        choice = value.get(select)
+        if not isinstance(choice, str) or choice not in reads:
+            raise ConfigError(f"unknown {name}.{select} {choice!r} "
+                              f"(one of: {', '.join(reads)})")
+        where, reads = f"{name}.{select} {choice!r}", reads[choice]
+    unread = sorted(value.keys() - {select, *reads})
+    if unread:
+        key = f"{name}.{unread[0]}" if name else unread[0]
+        raise ConfigError(f"config field {key!r} is not read by {where} "
+                          f"(its settings: {', '.join(sorted(reads)) or 'none'})")
     return value
 
 
@@ -348,23 +351,9 @@ def _as_int(value, field: str) -> int:
     return value
 
 
-def _parse_stack(raw: dict) -> StackConfig:
-    data = _need_mapping(raw, "stack")
-    if "variant" not in data:
-        raise ConfigError("config field 'stack.variant' is required")
-    try:
-        variant = StackVariant(data["variant"])
-    except ValueError:
-        names = ", ".join(v.value for v in StackVariant)
-        raise ConfigError(
-            f"unknown stack.variant {data['variant']!r} (one of: {names})"
-        ) from None
-    reads = LAYOUTS[variant].fields
-    unread = sorted(data.keys() - reads - {"variant"})
-    if unread:
-        raise ConfigError(
-            f"config field 'stack.{unread[0]}' is not read by variant "
-            f"{variant.value} (its settings: {', '.join(sorted(reads))})")
+def _parse_stack(raw) -> StackConfig:
+    data = _section(raw, "stack", _STACK_KEYS, "variant")
+    variant = StackVariant(data["variant"])
     values = {name: _as_float(data[name], f"stack.{name}")
               for name in sorted(data.keys() - {"variant", "flux_p", "flux_q"})}
     alphas = {k: v for k, v in values.items() if k.startswith("alpha_")}
@@ -385,33 +374,25 @@ def _parse_stack(raw: dict) -> StackConfig:
 
 
 def _parse_potential(raw) -> PotentialSpec:
-    data = _need_mapping(raw, "potential")
-    kind = data.get("kind")
+    data = _section(raw, "potential", _POTENTIAL_KEYS, "kind")
+    kind = data["kind"]
+    missing = [f"potential.{key}" for key in _POTENTIAL_KEYS[kind] if key not in data]
+    if missing:
+        raise ConfigError(f"potential.kind {kind!r} requires {' and '.join(missing)}")
     if kind == "zero":
         return PotentialSpec.zero()
     if kind == "file":
-        if "path" not in data:
-            raise ConfigError("potential.kind 'file' requires potential.path")
         # np.loadtxt would read a list of strings as inline data rows
         if not isinstance(data["path"], str):
             raise ConfigError("config field 'potential.path' must be a string")
         return PotentialSpec.from_file(data["path"])
-    if kind == "sampled":
-        if "x" not in data or "values" not in data:
-            raise ConfigError(
-                "potential.kind 'sampled' requires potential.x and "
-                "potential.values"
-            )
-        columns = []
-        for name in ("x", "values"):
-            if not isinstance(data[name], list):
-                raise ConfigError(f"config field 'potential.{name}' must be a list")
-            columns.append([_as_float(v, f"potential.{name}[{i}]")
-                            for i, v in enumerate(data[name])])
-        return PotentialSpec.sampled(*columns)
-    raise ConfigError(
-        f"unknown potential.kind {kind!r} (one of: zero, file, sampled)"
-    )
+    columns = []
+    for name in ("x", "values"):
+        if not isinstance(data[name], list):
+            raise ConfigError(f"config field 'potential.{name}' must be a list")
+        columns.append([_as_float(v, f"potential.{name}[{i}]")
+                        for i, v in enumerate(data[name])])
+    return PotentialSpec.sampled(*columns)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -428,9 +409,7 @@ def load_run_config(path: str) -> RunConfig:
             f"config {path!r}: invalid JSON at line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a JSON object")
-    _reject_unknown("", raw)
+    _section(raw, "", _DOCUMENT_KEYS)
     if _as_int(raw.get("schema_version", 0), "schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config must declare schema_version = {SCHEMA_VERSION} "
@@ -441,7 +420,7 @@ def load_run_config(path: str) -> RunConfig:
     run = RunConfig(stack=_parse_stack(raw["stack"]))
 
     if "grid" in raw:
-        grid = _need_mapping(raw["grid"], "grid")
+        grid = _section(raw["grid"], "grid", ("kind", "n"))
         grid_kind = grid.get("kind", run.grid_kind)
         if grid_kind not in ("diagonal", "full"):
             raise ConfigError(
@@ -451,7 +430,7 @@ def load_run_config(path: str) -> RunConfig:
                       grid_n=_as_int(grid.get("n", run.grid_n), "grid.n"))
 
     if "tolerances" in raw:
-        tols = _need_mapping(raw["tolerances"], "tolerances")
+        tols = _section(raw["tolerances"], "tolerances", ("tol_touch", "tol_slope"))
         run = replace(run, tol_touch=_tolerance(tols.get("tol_touch", run.tol_touch),
                                                 "tolerances.tol_touch"),
                       tol_slope=_tolerance(tols.get("tol_slope", run.tol_slope),

@@ -67,7 +67,6 @@ AA_IMAGES_ALPHA_M1 = {
 AAP_CONE_F = 0.09                                 # cones sit at F = +-t0^2
 AAP_THETA_D_PLUS = 2.0431685409237517             # arccos((t0^2 - 1)/2)
 AAP_THETA_D_MINUS = 2.147185441531094             # arccos((-t0^2 - 1)/2)
-AAP_CONE_SLOPE = np.sqrt(3.0) / 3.09
 # alpha_a = -1, alpha_b = 1: global separation minimum and the value at F = 0
 AAP_GAP_GLOBAL = 0.6472491909385114               # 2/T, attained at F = +-t0^2
 AAP_SEP_AT_ORIGIN = 0.6498652632995852            # 2*sqrt(1 + t0^4)/T
@@ -77,11 +76,9 @@ AAP_SEP_AT_ORIGIN = 0.6498652632995852            # 2*sqrt(1 + t0^4)/T
 #  g(alpha_a, t0) = sqrt(2)*sqrt(2 t0^4 + a^2 - sqrt(4 a^2 t0^4 + a^4))/(3 + t0^2)
 # ============================================================
 
-HETERO_GAP_M1_03 = 0.005200926754189482          # exact formula value
-HETERO_GAP_M1_03_QUOTED = 0.005097               # printed reference (not the
-                                                 # formula's value: it comes from
-                                                 # sqrt(1.0324) mis-evaluated as
-                                                 # 1.016076; true 1.0160709)
+# exact formula value; the printed reference 0.005097 is not the formula's
+# value: it comes from sqrt(1.0324) mis-evaluated as 1.016076 (true 1.0160709)
+HETERO_GAP_M1_03 = 0.005200926754189482
 HETERO_GAP_M1_1 = 0.3090169943749474             # sqrt(2)/4*sqrt(3 - sqrt(5))
 
 # ============================================================

@@ -270,7 +270,8 @@ def test_criterion_06_trilayer_regressions():
     # (1) quoted origin gap, alpha_N = -1 — red
     origin = float(adjacent_separations(
         tri("trilayer_hbn_g_hbn", -1.0), THETA_K)[2])
-    clause_origin = abs(origin - 0.074) <= 0.1 * 0.074
+    quoted = frozen.BNGBN_QUOTED_ORIGIN_GAP_M1
+    clause_origin = abs(origin - quoted) <= 0.1 * quoted
 
     # (2) alpha_N = -0.1: smallest classified gap ~ 0.00483
     surface = sample_diagonal(tri("trilayer_hbn_g_hbn", -0.1), n=2001)

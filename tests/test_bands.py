@@ -23,6 +23,7 @@ from hexband.lattice import (
     StackConfig,
     StackVariant,
     VertexParams,
+    full_grid,
     structure_function,
 )
 from hexband.refine import bounded_minima, pair_separations
@@ -126,6 +127,16 @@ class TestMonolayerClassification:
                 frozen.MONO_GAP_ALPHA_1_M1, abs=1e-12)
             assert not r.flat
 
+    def test_grid_minimum_misses_the_gap_by_the_off_grid_cone(self):
+        # theta_K sits ~0.33 h off the n = 4001 grid, so the sampled minimum
+        # exceeds 2/3 by the frozen excess, while the refined gap is 2/3
+        surf = sample_diagonal(_cfg("monolayer", aa=1.0, ab=-1.0), n=4001)
+        excess = surf.separations().min() - frozen.MONO_GAP_ALPHA_1_M1
+        assert excess == pytest.approx(frozen.C1_GRID_EXCESS_N4001, rel=1e-3)
+        assert excess < 1e-6
+        (gap,) = classify_touches(surf)
+        assert gap.gap_width == pytest.approx(frozen.MONO_GAP_ALPHA_1_M1, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_gap_matches_formula(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -143,6 +154,16 @@ class TestMonolayerClassification:
 class TestAATrichotomy:
     def _aa(self, ab):
         return _cfg("bilayer_aa", aa=-1.0, ab=ab, t0=0.3)
+
+    def test_labelled_branch_images_over_the_zone(self):
+        # n - 1 divisible by 6 puts the Dirac points on the grid, so each
+        # branch reaches both ends of its image, |F| = 0 and 3
+        theta1, theta2 = full_grid(181)
+        roots = roots_at(self._aa(-1.0), theta1.ravel(), theta2.ravel())
+        for (s, u), image in frozen.AA_IMAGES_ALPHA_M1.items():
+            values = roots.values[roots.branch_labels == s + u]
+            assert len(values) == theta1.size
+            assert (values.min(), values.max()) == pytest.approx(image, abs=1e-15)
 
     def test_equal_alpha_cones(self):
         reports = classify_touches(sample_diagonal(self._aa(-1.0), n=501))
@@ -408,6 +429,11 @@ class TestAAPrime:
         fvals = sorted(abs(r.f_value) for r in cones)
         for f in fvals:
             assert f == pytest.approx(frozen.AAP_CONE_F, abs=1e-7)
+        # |F -+ t0^2| / T at theta_D+-: the slope per radian is |dF/dtheta1|
+        # = 2 sin(theta1) over T, not the Dirac point's sqrt(3) over T
+        for r in cones:
+            assert r.gamma == pytest.approx(2.0 * np.sin(r.theta1) / frozen.AA_T,
+                                            rel=1e-4)
         # the aligned-pair branches cross transversally at F = 0
         crossings = _kinds(reports, "crossing")
         assert {r.band_pair for r in crossings} == {(0, 1), (2, 3)}
@@ -478,6 +504,14 @@ class TestHeteroBilayer:
             frozen.HETERO_GAP_M1_1, rel=1e-14)
         printed = np.sqrt(2.0) / 4.0 * np.sqrt(3.0 - np.sqrt(5.0))
         assert gap_width_closed_form(cfg) == pytest.approx(printed, abs=1e-15)
+
+    @pytest.mark.parametrize("t0", [0.1, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("a", [0.05, 0.3, 1.0, 2.5])
+    def test_gap_formula_equals_its_transcription(self, a, t0):
+        for sign in (1.0, -1.0):
+            cfg = _cfg("hetero_bilayer", aa=sign * a, ab=-sign * a, t0=t0)
+            assert gap_width_closed_form(cfg) == pytest.approx(
+                frozen.ref_hetero_gap(sign * a, t0), rel=1e-12)
 
     def test_gap_vanishes_with_coupling(self):
         weak = gap_width_closed_form(

@@ -395,6 +395,49 @@ class TestConfig:
                        "must be a string"]
         assert not outdir.exists()
 
+    _DOC = {"schema_version": 1, "grid": {"kind": "diagonal", "n": 31},
+            "stack": {"variant": "monolayer", "alpha_a": 1.0, "alpha_b": -1.0}}
+    _X = [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("doc,named", [
+        ([_DOC], "config document"),
+        ({**_DOC, "grid": 31}, "config section 'grid'"),
+        ({**_DOC, "tolerances": [1e-6]}, "config section 'tolerances'"),
+        ({**_DOC, "stack": "monolayer"}, "config section 'stack'"),
+        ({**_DOC, "potential": "zero"}, "config section 'potential'"),
+        ({"schema_version": 1}, "config section 'stack'"),
+        ({**_DOC, "stack": {"alpha_a": 1.0}}, "stack.variant"),
+        # float() of an integer past the float range raises OverflowError
+        ({**_DOC, "stack": {"variant": "monolayer", "alpha_a": 10 ** 400}},
+         "stack.alpha_a"),
+        ({**_DOC, "potential": {"kind": "file"}}, "potential.path"),
+        ({**_DOC, "potential": {"kind": "sampled", "values": _X}}, "potential.x"),
+        ({**_DOC, "potential": {"kind": "sampled", "x": _X}}, "potential.values"),
+        ({**_DOC, "potential": {"kind": "spline", "x": _X}}, "potential.kind"),
+        ({**_DOC, "outputs": "bands"}, "'outputs'"),
+        ({**_DOC, "outputs": ["bands", 3]}, "'outputs'"),
+        # each potential kind refuses the keys of the others
+        ({**_DOC, "potential": {"kind": "zero", "x": _X}}, "potential.x"),
+        ({**_DOC, "potential": {"kind": "zero", "values": _X}}, "potential.values"),
+        ({**_DOC, "potential": {"kind": "zero", "path": "q.txt"}}, "potential.path"),
+        ({**_DOC, "potential": {"kind": "file", "path": "q.txt", "x": _X}},
+         "potential.x"),
+        ({**_DOC, "potential": {"kind": "sampled", "x": _X, "values": [0.0, 1.0, 0.0],
+                                "path": "q.txt"}}, "potential.path"),
+    ], ids=["document", "grid", "tolerances", "stack", "potential", "no-stack",
+            "no-variant", "alpha-overflow", "file-no-path", "sampled-no-x",
+            "sampled-no-values", "unknown-kind", "outputs-string", "outputs-number",
+            "zero-x", "zero-values", "zero-path", "file-x", "sampled-path"])
+    def test_a_malformed_config_names_its_field(self, tmp_path, capsys, doc, named):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code, outdir = _run(tmp_path, "spectrum", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hexband: config error: ")
+        assert named in err[0]
+        assert not outdir.exists()
+
 
 # ------------------------------------------------------------
 #  bands subcommand
@@ -1640,7 +1683,7 @@ class TestWhatEachArtifactReads:
 
     def test_an_echo_reruns_and_any_setting_outside_it_is_refused(self, tmp_path):
         path = tmp_path / "config.json"
-        stack_fields = sorted(cli._ALLOWED_KEYS["stack"] - {"variant"})
+        stack_fields = sorted(set().union(*(layout.fields for layout in LAYOUTS.values())))
         echoes = {}
         for command, stack, outputs, n in itertools.product(
                 _COMMANDS, _STACKS.values(), _OUTPUT_SETS, (31, 201)):

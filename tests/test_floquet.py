@@ -338,6 +338,38 @@ def test_residual_gate_trips_on_corrupted_roots():
         _residual_gate(_gate_coefficients(cfg, F), good + 1e-5)
 
 
+def test_hermitian_guard_trips_on_a_non_hermitian_batch():
+    from hexband.floquet import _hermitian_guard
+    a = assemble(ALL_NONMAGNETIC[3], np.array([0.5, 1.0 + 0.5j, -0.7])).affine
+    _hermitian_guard(a)                                    # passes silently
+    a = a.copy()
+    a[1, 0, 2] += 1e-9
+    with pytest.raises(EngineError, match="not Hermitian"):
+        _hermitian_guard(a)
+
+
+def test_real_coefficients_trip_on_an_imaginary_part_past_the_points_scale():
+    from hexband.floquet import _real_coefficients
+    coeffs = np.array([[1e6, -2.0, 3.0], [1.0, -2.0, 3.0]], dtype=complex)
+    coeffs[0, 1] += 1e-7j                                  # 1e-13 of 1e6
+    assert np.array_equal(_real_coefficients(coeffs), coeffs.real)
+    # the scale is each point's own: 1e-9 is past 1e-12 of the second's 3.0
+    coeffs[1, 2] += 1e-9j
+    with pytest.raises(EngineError, match="non-real coefficient"):
+        _real_coefficients(coeffs)
+
+
+def test_vertex_scales_are_three_plus_the_bond_weights():
+    t = frozen.TRI_T1
+    cases = [(ALL_NONMAGNETIC[1], [frozen.AA_T] * 4),
+             (_cfg(StackVariant.BILAYER_AA_TWO_PARAM, t_a=0.5, t_b=0.3),
+              [frozen.TWOP_TA, frozen.TWOP_TB] * 2),
+             (ALL_NONMAGNETIC[5], [t, t, frozen.TRI_T2, frozen.TRI_T2, t, t]),
+             (ALL_NONMAGNETIC[6], [t, t, frozen.TRI_T2, frozen.TRI_T2, t, t])]
+    for cfg, scales in cases:
+        assert assemble(cfg, 0.5).diag_scale == pytest.approx(scales, rel=1e-15)
+
+
 @pytest.mark.parametrize("variant,alpha,branch,shift,coupling", [
     (StackVariant.MONOLAYER, 1.0, "u+", 1e-6, {}),
     (StackVariant.MONOLAYER, 1.0, "u+", 1e-7, {}),

@@ -850,6 +850,16 @@ class TestBandEdges:
         assert np.all((np.repeat(edges[:, 0], 2) < inner)
                       & (inner < np.repeat(edges[:, 1], 2)))
 
+    def test_a_scan_short_of_the_edges_fails(self, monkeypatch):
+        # 2 bands have 5 edges: 0 and pi^2, 4 pi^2 twice; a scan that finds
+        # only pi^2 gives 3
+        scan = hill.dirichlet_spectrum
+        assert len(hill._band_edges(ZERO, 2)) == 5
+        monkeypatch.setattr(hill, "dirichlet_spectrum", lambda p, top: scan(p, top)[:1])
+        with pytest.raises(EngineError, match="found 3 band edges below .* where 2 "
+                                              "bands have 5"):
+            hill._band_edges(ZERO, 2)
+
     @_EDGE_CASES
     def test_an_eta_within_rounding_of_one_stays_in_its_band(self, pot):
         # 1 - |eta| below the rounding of 2 s c' or 2 c s' at a Dirichlet

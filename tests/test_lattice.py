@@ -21,6 +21,8 @@ from hexband import (
 )
 from hexband.lattice import LAYOUTS
 
+import frozen
+
 
 # ============================================================
 #  Structure function
@@ -49,6 +51,14 @@ def test_fsq_range_and_extrema():
                 rng.uniform(-np.pi, np.pi, 5000))
     assert vals.min() >= -1e-12
     assert vals.max() <= 9.0 + 1e-12
+
+
+def test_fsq_raw_grid_minimum():
+    # +-(2 pi/3, -2 pi/3) lie off the inclusive 1001-point axis, so the grid
+    # minimum of |F|^2 stays away from 0; its maximum 9 lies on it at (0, 0)
+    fsq = _fsq(*full_grid(1001))
+    assert fsq.min() == pytest.approx(frozen.FSQ_RAW_GRID_MIN_1001, rel=1e-12)
+    assert fsq.max() == 9.0
 
 
 def test_structure_function_conjugation_symmetry():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize, minimize_scalar
 
@@ -185,15 +185,28 @@ def _root_profile(centers, slopes, powers, ripple):
                           st.floats(1e-3, 4.0, **_finite),
                           st.floats(1e-3, 4.0, **_finite),
                           st.floats(0.2, 5.0, **_finite),
-                          st.sampled_from([0.3, 1.0, 3.0])),
+                          st.sampled_from([0.3, 1.0, 3.0]),
+                          st.sampled_from([None, 0, 1])),
                 min_size=1, max_size=48),
        st.floats(0.0, 0.1, **_finite),
        st.sampled_from([1e-14, 1e-12, 1e-8, 1e-4]))
+# f exactly 0 at a bracket's lower or upper end, the other end of either
+# sign (the ripple turns the second lane down): brentq returns that end
+# after 2 calls
+@example([(0.5, 1.0, 2.0, 1.0, 1.0, 0), (1.0, 0.1, 0.1, 0.2, 3.0, 1),
+          (-1.0, 0.5, 0.5, 2.0, 3.0, 1), (0.0, 1.0, 1.0, 1.0, 0.3, None)], 0.1, 1e-12)
 def test_brent_roots_match_scipy(lanes, ripple, xtol):
-    f = _root_profile([c for c, *_ in lanes], [s for *_, s, _ in lanes],
-                      [p for *_, p in lanes], ripple)
+    profile = _root_profile([c for c, *_ in lanes], [s for *_, s, _, _ in lanes],
+                            [p for *_, p, _ in lanes], ripple)
     lo = np.array([c - a for c, a, *_ in lanes])
     hi = np.array([c + b for c, _, b, *_ in lanes])
+    # a lane with a zero end shifts its profile by the profile's value there
+    shift = [0.0 if end is None else profile((lo[k], hi[k])[end], k)
+             for k, (*_, end) in enumerate(lanes)]
+
+    def f(x, k):
+        return profile(x, k) - shift[k]
+
     keep = [k for k in range(len(lanes))
             if np.signbit(f(lo[k], k)) != np.signbit(f(hi[k], k))
             or f(lo[k], k) == 0.0 or f(hi[k], k) == 0.0]
