@@ -44,13 +44,16 @@ zero-potential values, (n pi)^2.  ``invert_discriminant`` inverts eta
 between a band's two edges (see there).
 
 Integrator.  The zero potential has its monodromy in closed form.  Every
-other potential is integrated by the fourth-order Magnus method on a fixed
+other potential is integrated by the sixth-order Magnus method on a fixed
 x-grid (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470, 2009).  Each step samples the potential at its
-two Gauss nodes and applies the exact exponential of the traceless 2x2
+three Gauss nodes and applies the exact exponential of the traceless 2x2
 Magnus generator (cos/sin or cosh/sinh of its eigenvalue), so every step is
-an SL(2) map.  For a sampled potential the steps are aligned with the knots,
-so that each step sees one linear piece.
+an SL(2) map.  For y'' = (q - lambda) y the generator is affine in lambda
+(``_generator``), so a grid's coefficients are computed once per potential
+and a step map costs a few products per (step, lambda) more than a
+fourth-order one.  For a sampled potential the steps are aligned with the
+knots, so that each step sees one linear piece.
 
 Only the half edge [0, 1/2] is integrated.  For an even q, x -> 1 - x maps
 solutions to solutions, so the map from 1/2 to 1 is R N^-1 R, with the
@@ -62,9 +65,9 @@ R = diag(1, -1) (``_reflect``):
 and det W(1) = (det N)^2.  That is exact for every even q, not an
 approximation of the integrator, which is why evenness is checked exactly
 for a sampled potential (``PotentialSpec._check_even``).  The grid keeps
-``_BASE_STEPS`` = 512 steps per unit length, 256 on the half edge; for
-knots placed symmetrically about 1/2 it is the first half of the whole
-edge's grid step for step.
+``_BASE_STEPS`` = 64 steps per unit length, 32 on the half edge; for knots
+placed symmetrically about 1/2 it is the first half of the whole edge's
+grid step for step.
 
 Gates.  Two gates guard every integration, and NaN fails both:
 
@@ -72,12 +75,16 @@ Gates.  Two gates guard every integration, and NaN fails both:
   the grid with every step halved must agree within ``MAGNUS_TOL``, relative
   to max(1, |value|).  The gate starts from the base grid (see above; at
   least one step per knot interval) and halves until they agree, at most
-  ``_MAX_HALVINGS`` times; otherwise it raises ``EngineError``.  The error
-  of the method grows with the slope of q, and the base grid already
-  resolves the common slopes, so one comparison usually settles it: a
-  ladder from a coarse grid made the cost of a spectrum jump 2x or 4x from
-  one potential to the next.  A potential remembers the grid its gate
-  picked and the lambda range the gate has checked (``MagnusState``).  A
+  ``_MAX_HALVINGS`` times, to 16 384 steps per unit length; otherwise it
+  raises ``EngineError``.  The deviation falls about 64-fold per halving.
+  The error of the method grows with the slope of q, and the base grid
+  already resolves the common slopes, so one comparison usually settles it
+  (the benchmark's period-1/2 knots, values in [-3, 3], up to lambda ~ 300:
+  3.7e-11 at worst): a ladder from a coarser grid made the cost of a
+  spectrum jump 2x or 4x from one potential to the next.  Tall wells take
+  a few halvings: the double well of height 250 takes 3, that of height
+  800 takes 4.  A potential remembers the grid its gate picked and the
+  lambda range the gate has checked (``MagnusState``).  A
   later call inside that range reuses the grid without a gate.  A call
   outside it runs the gate on its own lambdas, starting from that grid, and
   widens the range.  The Dirichlet scan gates its whole scan grid, so the
@@ -105,19 +112,18 @@ Batch API.  ``integrate_monodromy`` (with ``discriminant``) takes lambda,
 and ``invert_discriminant`` takes eta and the band, as scalars or 1-D
 arrays; a scalar call is a batch of one and gives floats.  A lambda gets
 the same bits alone as inside a batch of the same grid.  Lambdas are
-integrated in chunks of up to ``_LANES`` (64) and the half edge's steps in
-blocks of ``_BLOCK`` (128), two blocks on the base grid.  Each (steps,
-lanes) plane of step-map entries holds at most ``_PLANE`` floats (64 KiB),
-so a pass's largest array, the four entry planes of its step maps, takes
-256 KiB and its temporaries peak near 650 KiB.  That is under the mmap and
-trim thresholds that glibc raises once a process frees a larger mapped
-block (an 800 KB array, say); such a process serves the temporaries from
-its heap instead of mapping and page-faulting them afresh.  At glibc's
-default thresholds they can still fault (a 391-lambda call on the base
-grid about 1 150 times).  One pass stacks as many whole blocks of a chunk
-as fit in one (2, 2, blocks, steps, lanes) array: up to 64 blocks for one
-lambda, one block for 33 to 64.  Each block's maps are multiplied pairwise
-as 2x2 blocks, one broadcast product per level of the tree, and the block
+integrated in chunks of up to ``_LANES`` (256) and the half edge's steps in
+blocks of ``_BLOCK`` (32), one block on the base grid of knots at multiples
+of 1/4.  Each (steps, lanes) plane of step-map entries holds at most
+``_PLANE`` floats (64 KiB), so a pass's largest array, the four entry planes
+of its step maps, takes 256 KiB and its temporaries peak near 660 KiB.  In
+a bare interpreter, repeated 391-lambda calls on the base grid take no
+minor page faults, and in a process that has freed a larger mapped block
+(an 800 KB array, say) glibc's raised mmap and trim thresholds serve them
+from its heap too.  One pass stacks as many whole blocks of a chunk as fit
+in one (2, 2, blocks, steps, lanes) array: up to 256 blocks for one lambda,
+one block for 129 to 256.  Each block's maps are multiplied pairwise as
+2x2 blocks, one broadcast product per level of the tree, and the block
 products then into the running product in step order; a trailing partial
 block runs alone.  The association does not depend on the chunk, and every
 operation is elementwise over the lanes, so the chunking moves no bit; nor
@@ -151,16 +157,17 @@ MAGNUS_TOL = 1e-10            # step-halving gate on d and s(1), relative to
 EVENNESS_TOL = 1e-10          # |q(x) - q(1-x)| bound at construction,
                               # relative to max(1, max |q|)
 _SMALL_LAMBDA = 1e-8          # switch to series solutions near lambda = 0
-_BASE_STEPS = 512             # Magnus steps per unit length of the coarsest
-                              # grid (256 on the half edge): up to lambda ~ 300
-                              # and slopes |q'| ~ 25 the gate passes at its
-                              # first comparison
-_MAX_HALVINGS = 5             # finest grid the halving gate compares: 32x
-_BLOCK = 128                  # Magnus steps multiplied together per block
+_BASE_STEPS = 64              # Magnus steps per unit length of the coarsest
+                              # grid (32 on the half edge): up to lambda ~ 300
+                              # and period-1/2 knots in [-3, 3] the gate
+                              # passes at its first comparison
+_MAX_HALVINGS = 8             # finest grid the halving gate compares: 256x,
+                              # 16 384 steps per unit length
+_BLOCK = 32                   # Magnus steps multiplied together per block
 _PLANE = 8192                 # float64 entries (64 KiB) of each (steps, lanes)
                               # entry plane; a pass's step maps take four
 _LANES = _PLANE // _BLOCK     # lambdas per chunk: one block fills a plane
-_GAUSS = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ this, per step
+_GAUSS = math.sqrt(15.0) / 10.0        # Gauss nodes at 1/2 -+ this and 1/2
 
 
 # ============================================================
@@ -178,13 +185,13 @@ class MagnusState:
     passing gate saw.  ``evaluations`` counts the monodromies delivered, one
     per lambda, for the zero potential too.  ``grids`` holds each grid the
     potential was integrated on, by ``halvings``: the read-only
-    (h, sigma, hq) step arrays of ``_magnus_grid``, built once per potential
-    and grid.  ``scan`` records the widest Dirichlet scan on the gated grid,
-    as (halvings, lam_max, zeros, entries): the sorted zeros of the entries
-    of N that it found, and the index of each one's entry in (c, c', s, s'),
-    or None before the first scan.  ``dirichlet_spectrum`` answers a call on
-    that grid with a lam_max at or below the record's from it, integrating
-    nothing.
+    (a0, a1, b, c0, c1) generator arrays of ``_magnus_grid``, built once per
+    potential and grid.  ``scan`` records the widest Dirichlet scan on the
+    gated grid, as (halvings, lam_max, zeros, entries): the sorted zeros of
+    the entries of N that it found, and the index of each one's entry in
+    (c, c', s, s'), or None before the first scan.  ``dirichlet_spectrum``
+    answers a call on that grid with a lam_max at or below the record's from
+    it, integrating nothing.
     """
 
     halvings: int = 0
@@ -354,34 +361,64 @@ def _grid_pieces(pot: PotentialSpec):
     return edges, per_piece
 
 
-def _magnus_grid(pot: PotentialSpec, halvings: int):
-    """Per step of the grid ``halvings`` times finer than the base grid: the
-    width h, the commutator term sqrt(3)/12 h^2 (q1 - q2) and h (q1 + q2)/2,
-    with q1, q2 the potential at the step's Gauss nodes."""
+def _grid_steps(pot: PotentialSpec, halvings: int):
+    """Left end and width of every step of the grid ``halvings`` times finer
+    than the base grid."""
     edges, per_piece = _grid_pieces(pot)
     per_piece = per_piece << halvings
     h = np.repeat(np.diff(edges) / per_piece, per_piece)
     first = np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
     left = np.repeat(edges[:-1], per_piece) + (np.arange(len(h)) - first) * h
-    q1 = pot(left + (0.5 - _GAUSS) * h)
-    q2 = pot(left + (0.5 + _GAUSS) * h)
-    grid = (h, (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2), 0.5 * h * (q1 + q2))
+    return left, h
+
+
+def _generator(h, q1, q2, q3):
+    """(a0, a1, b, c0, c1) of each step's sixth-order Magnus generator
+
+        Omega = [[a, b], [c, -a]],   a = a0 - a1 lambda,   c = c0 - c1 lambda,
+
+    from the potential q1, q2, q3 at the step's Gauss nodes 1/2 - sqrt(15)/10,
+    1/2 and 1/2 + sqrt(15)/10 (Blanes, Casas, Oteo & Ros 2009, with
+    A = [[0, 1], [q - lambda, 0]]): with d2 = sqrt(15) h (q3 - q1) / 3 and
+    d3 = 10 h (q3 - 2 q2 + q1) / 3, Omega = alpha1 + alpha3 / 12 +
+    [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240, which for this A is affine
+    in lambda.  Without the h^2 and h^3 terms, a is the fourth-order
+    commutator term and c is h times the Gauss-weighted mean of q - lambda."""
+    d2 = (math.sqrt(15.0) / 3.0) * h * (q3 - q1)
+    d3 = (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
+    h2 = h * h
+    tail = h2 * h * d2 * d2 / 3600.0
+    a1 = h2 * h * d2 / 180.0
+    a0 = q2 * a1 - h * d2 / 12.0 + h2 * d2 * d3 / 7200.0
+    b = h + tail - h2 * d3 / 180.0
+    c1 = h + tail + h2 * d3 / 180.0
+    c0 = q2 * c1 + d3 / 12.0 + h * d3 * d3 / 3600.0 - h * d2 * d2 / 120.0
+    return a0, a1, b, c0, c1
+
+
+def _magnus_grid(pot: PotentialSpec, halvings: int):
+    """The generator coefficients (a0, a1, b, c0, c1) of every step of the
+    grid ``halvings`` times finer than the base grid, read-only."""
+    left, h = _grid_steps(pot, halvings)
+    grid = _generator(h, *(pot(left + node * h)
+                           for node in (0.5 - _GAUSS, 0.5, 0.5 + _GAUSS)))
     for a in grid:
         a.flags.writeable = False
     return grid
 
 
-def _step_maps(h, sigma, hq, lam):
-    """Exact exponentials of the Magnus generators [[sigma, h], [h k, -sigma]]
-    with k = (q1 + q2)/2 - lambda, as one (2, 2, steps, lambdas) array of
-    their entries.  Each temporary but the boolean masks lives in it or in
-    one more plane."""
-    h, sigma, hq = h[:, None], sigma[:, None], hq[:, None]
-    m = np.empty((2, 2, len(h), len(lam)))
+def _step_maps(a0, a1, b, c0, c1, lam):
+    """Exact exponentials of the Magnus generators [[a, b], [c, -a]] with
+    a = a0 - a1 lambda and c = c0 - c1 lambda, as one (2, 2, steps, lambdas)
+    array of their entries.  Each temporary but the boolean masks lives in
+    it or in one more plane."""
+    a0, a1, b, c0, c1 = (v[:, None] for v in (a0, a1, b, c0, c1))
+    m = np.empty((2, 2, len(b), len(lam)))
     (s11, s12), (s21, s22) = m
-    hk = np.subtract(hq, np.multiply(h, lam, out=s21), out=s21)
-    delta = np.multiply(h, hk, out=s11)
-    delta += sigma * sigma                  # the generator squared is delta I
+    a = np.subtract(a0, np.multiply(a1, lam, out=s11), out=s11)
+    c = np.subtract(c0, np.multiply(c1, lam, out=s21), out=s21)
+    delta = np.multiply(b, c, out=s12)
+    delta += np.multiply(a, a, out=s22)     # the generator squared is delta I
     osc = delta < 0.0
     r = np.sqrt(np.abs(delta, out=s12), out=s12)
     # cos/sin where delta < 0, cosh/sinh elsewhere, so that neither is taken
@@ -393,9 +430,9 @@ def _step_maps(h, sigma, hq, lam):
     sine = np.sin(r, out=np.ones_like(r), where=osc)
     np.sinh(r, out=sine, where=grows ^ osc)
     np.divide(sine, r, out=sine, where=grows)
-    np.multiply(sine, h, out=s12)
-    np.multiply(sine, hk, out=s21)
-    shear = np.multiply(sine, sigma, out=sine)
+    np.multiply(sine, b, out=s12)
+    np.multiply(sine, c, out=s21)
+    shear = np.multiply(sine, a, out=sine)
     np.add(cosine, shear, out=s11)
     np.subtract(cosine, shear, out=s22)
     return m
@@ -407,20 +444,21 @@ def _magnus(pot: PotentialSpec, halvings: int, lam: np.ndarray):
     grids = pot.magnus.grids
     if halvings not in grids:
         grids[halvings] = _magnus_grid(pot, halvings)
-    h, sigma, hq = grids[halvings]
-    full = len(h) // _BLOCK * _BLOCK       # steps in whole blocks
+    grid = grids[halvings]
+    steps = len(grid[0])
+    full = steps // _BLOCK * _BLOCK        # steps in whole blocks
     out = np.empty((2, 2, len(lam)))
     for start in range(0, len(lam), _LANES):
         chunk = lam[start:start + _LANES]
         lanes = len(chunk)
         # whole blocks per pass, then the trailing partial block alone
         span = max(1, _PLANE // (_BLOCK * lanes)) * _BLOCK
-        cuts = sorted({*range(0, full, span), full, len(h)})
+        cuts = sorted({*range(0, full, span), full, steps})
         # [[c, s], [c', s']] at x = 0
         y = np.repeat(np.eye(2)[:, :, None], lanes, axis=2)
         for j, stop in zip(cuts, cuts[1:]):
             # (2, 2, blocks, steps, lanes): entry (i, j) of every step map
-            m = _step_maps(h[j:stop], sigma[j:stop], hq[j:stop], chunk)
+            m = _step_maps(*(g[j:stop] for g in grid), chunk)
             m = m.reshape(2, 2, -1, min(stop - j, _BLOCK), lanes)
             while m.shape[3] > 1:           # later steps multiply on the left
                 even = m.shape[3] // 2 * 2

@@ -819,21 +819,21 @@ GOLDEN = [
 # sampled-potential spectra pin the bits of the Magnus integrator: a
 # period-1/2 potential on five knots under a monolayer with alpha_a, alpha_b
 # > 0 (the benchmark's sampled jobs), and nine knots whose eight pieces need
-# one step halving, with a Dirichlet scan of 391 lambdas over two lane chunks
+# one step halving, with a Dirichlet scan of 332 lambdas over two lane chunks
 _KNOTS_5 = [0.0, 0.25, 0.5, 0.75, 1.0]
 _KNOTS_9 = [k / 8.0 for k in range(9)]
 GOLDEN_SAMPLED = [
     pytest.param(
         {"variant": "monolayer", "alpha_a": 0.6, "alpha_b": 1.2},
         {"kind": "sampled", "x": _KNOTS_5, "values": [1.5, -2.0, 1.5, -2.0, 1.5]},
-        "24cb60937b7953ac130ffc8a517041554c6fa2a18e5c673de901d1bb9864d96a",
+        "6c622083b0abf4dfa0c65edd980f09eb0e425e9df1333cb33b4fe4a71d21bc28",
         id="spectrum.csv-monolayer-period_half"),
     pytest.param(
         {"variant": "bilayer_aa_prime", "alpha_a": -0.7, "alpha_b": 0.4,
          "t0": 0.3},
         {"kind": "sampled", "x": _KNOTS_9,
          "values": [0.0, 4.0, -1.0, 6.0, 2.0, 6.0, -1.0, 4.0, 0.0]},
-        "7041feb77608f3fb798405c3d1f52112ee99af4a5c412cebc9500e0743f0dcc8",
+        "d2b679b167bf8a44e70f7b941455e2f671ae242d704ead16611d80518a260b7c",
         id="spectrum.csv-bilayer_aa_prime-nine_knots"),
 ]
 

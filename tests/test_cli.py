@@ -1011,7 +1011,8 @@ class TestSpectrum:
             traces.append(manifest["trace"]["hill"])
             assert "magnus" not in (outdir / "spectrum.csv").read_text()
         sampled_trace, zero_trace = traces
-        assert sampled_trace["magnus_steps"] >= 64
+        # the base grid's 32 steps on the half edge, halved as the gate chose
+        assert sampled_trace["magnus_steps"] in [32 << k for k in range(9)]
         assert 0.0 < sampled_trace["magnus_halving_deviation"] <= MAGNUS_TOL
         assert sampled_trace["magnus_halving_gate"] == MAGNUS_TOL
         assert sampled_trace["monodromy_evaluations"] > 0
@@ -1047,18 +1048,21 @@ class TestSpectrum:
 
     def test_unresolvable_potential_exits_2_at_the_step_halving_gate(
             self, tmp_path, capsys):
-        # a bump of height 1e5 and width 0.02: the gate's finest grid
-        # (32 times the base grid) still moves d by more than its tolerance
+        # a bump of height 2.5e6 and width 0.04: the gate's finest grid
+        # (256 times the base grid) still moves d by more than its tolerance
+        # (1.1e-8; the sixth-order step resolves the bump of height 1e5 and
+        # width 0.02 at 64 times the base grid)
         cfg = _write_config(tmp_path,
                             potential={"kind": "sampled",
-                                       "x": [0.0, 0.49, 0.5, 0.51, 1.0],
-                                       "values": [-1e5, -1e5, 0.0, -1e5, -1e5]})
+                                       "x": [0.0, 0.48, 0.5, 0.52, 1.0],
+                                       "values": [-2.5e6, -2.5e6, 0.0, -2.5e6, -2.5e6]})
         code, outdir = _run(tmp_path, "spectrum", cfg)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(
             "hexband: numerical failure: Magnus step-halving gate failed")
+        assert "from 4224 to 8448 steps" in err[0]
         assert not (outdir / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("rows,column", [

@@ -264,8 +264,8 @@ class TestMagnus:
         lams = np.concatenate([np.linspace(-10.0, 1.0, 5),
                                np.linspace(2.0, 300.0, 17)])
         m = integrate_monodromy(pot, lams)
-        # one piece, [0, 1/2]: the whole edge's grid took 256 + 205 + 52 steps
-        assert pot.magnus.steps == 256 << pot.magnus.halvings
+        # one piece, [0, 1/2]: the whole edge's grid took 32 + 26 + 7 steps
+        assert pot.magnus.steps == 32 << pot.magnus.halvings
         d_ref, s_ref = frozen.ref_rk4_monodromy(pot, knots, lams, 2048)
         assert np.all(np.abs(m.discriminant - d_ref)
                       <= 1e-9 * np.maximum(1.0, np.abs(d_ref)))
@@ -294,10 +294,9 @@ class TestMagnus:
     def test_every_step_is_unimodular(self):
         rng = np.random.default_rng(3)
         h = rng.uniform(1e-4, 0.05, 50)
-        q1, q2 = rng.uniform(-20.0, 20.0, (2, 50))
-        sigma = np.sqrt(3.0) / 12.0 * h * h * (q1 - q2)
+        q1, q2, q3 = rng.uniform(-20.0, 20.0, (3, 50))
         lams = rng.uniform(-30.0, 2000.0, 16)
-        (e11, e12), (e21, e22) = hill._step_maps(h, sigma, 0.5 * h * (q1 + q2), lams)
+        (e11, e12), (e21, e22) = hill._step_maps(*hill._generator(h, q1, q2, q3), lams)
         assert np.max(np.abs(e11 * e22 - e12 * e21 - 1.0)) < 1e-12
 
     def test_steps_are_aligned_with_the_knots(self):
@@ -305,7 +304,7 @@ class TestMagnus:
         # knot there
         pot = PotentialSpec.sampled(_KNOTS, _KNOT_VALUES)
         for halvings in (0, 2):
-            h, _, _ = hill._magnus_grid(pot, halvings)
+            _, h = hill._grid_steps(pot, halvings)
             # exact prefix sums: np.cumsum's rounding grows with the steps
             edges = np.array([math.fsum(h[:k]) for k in range(len(h) + 1)])
             for knot in [*_KNOTS[_KNOTS <= 0.5], 0.5]:
@@ -325,13 +324,27 @@ class TestMagnus:
         assert grids == []
 
     def test_unresolvable_potential_trips_the_step_halving_gate(self):
-        # a bump of height 1e5 and width 0.02 on a flat floor needs more than
-        # the finest grid the gate may compare
-        pot = PotentialSpec.sampled([0.0, 0.49, 0.5, 0.51, 1.0],
-                                    [-1e5, -1e5, 0.0, -1e5, -1e5])
-        with pytest.raises(EngineError, match="step-halving gate failed"):
-            integrate_monodromy(pot, np.array([-100.0, 50.0, 300.0]))
+        # a bump of height 2.5e6 and width 0.04 on a flat floor needs more
+        # than the finest grid the gate may compare: the deviation falls at
+        # sixth order, but is still 2.4e-9 there (the bump of height 1e5 and
+        # width 0.02 passes, at 5 halvings on lambda = -100, 50, 300)
+        pot = PotentialSpec.sampled([0.0, 0.48, 0.5, 0.52, 1.0],
+                                    [-2.5e6, -2.5e6, 0.0, -2.5e6, -2.5e6])
+        steps = len(hill._grid_steps(pot, hill._MAX_HALVINGS)[1])
+        with pytest.raises(EngineError, match=f"step-halving gate failed: .* "
+                                              f"from {steps // 2} to {steps} steps"):
+            integrate_monodromy(pot, np.array([-1e6, -5e5, 300.0]))
         assert pot.magnus.steps == 0        # no gate passed
+
+    def test_the_halving_deviation_falls_at_sixth_order(self):
+        # h against h/2 on a smooth potential: each halving divides the
+        # deviation by about 2^6 = 64, where a fourth-order step gives 16
+        pot = PotentialSpec.closure(lambda x: 20.0 * _cos2pi(x) + _five_cos(2.0 * x))
+        lams = np.linspace(-20.0, 300.0, 65)
+        maps = [hill._reflect(*hill._magnus(pot, k, lams)) for k in range(4)]
+        deviations = [hill._halving_deviation(a, b) for a, b in zip(maps, maps[1:])]
+        for coarse, fine in zip(deviations, deviations[1:]):
+            assert 40.0 <= coarse / fine <= 100.0
 
     def test_the_step_count_is_the_gated_grids(self):
         # MagnusState is the one record of the integration: a spectrum
@@ -340,8 +353,8 @@ class TestMagnus:
         assert pot.magnus.steps == 0
         result = bands_from_root_surface(pot, [(-0.9, 0.9)], n_bands=2)
         state = pot.magnus
-        # the base grid's 256 steps on [0, 1/2], halved as often as the gate chose
-        assert state.steps == len(state.grids[state.halvings][0]) == 256 << state.halvings
+        # the base grid's 32 steps on [0, 1/2], halved as often as the gate chose
+        assert state.steps == len(state.grids[state.halvings][0]) == 32 << state.halvings
         assert 0.0 < state.deviation <= MAGNUS_TOL and state.evaluations > 0
         assert [f.name for f in fields(result)] == ["intervals", "dirichlet", "diagnostics"]
 
@@ -368,34 +381,36 @@ def _three_branch_zero_monodromy(lam):
     return c, cp, s, c
 
 
-def _block_by_block_magnus(h, sigma, hq, lam):
-    """The Magnus kernel as it ran one 128-step block of up to 256 lambdas
-    at a time, with both branches of every step map taken everywhere:
-    frozen, the bit-for-bit reference of ``hill._magnus``."""
-    def step_maps(h, sigma, hq, lam):
-        h, sigma, hq = h[:, None], sigma[:, None], hq[:, None]
-        hk = hq - h * lam
-        delta = sigma * sigma + h * hk
+def _block_by_block_magnus(a0, a1, b, c0, c1, lam):
+    """The Magnus kernel, run one 32-step block of up to 100 lambdas at a
+    time, with both branches of every step map taken everywhere: frozen, the
+    bit-for-bit reference of ``hill._magnus``, which stacks blocks and
+    chunks lambdas otherwise."""
+    def step_maps(a0, a1, b, c0, c1, lam):
+        a0, a1, b, c0, c1 = (v[:, None] for v in (a0, a1, b, c0, c1))
+        a = a0 - a1 * lam
+        c = c0 - c1 * lam
+        delta = a * a + b * c
         r = np.sqrt(np.abs(delta))
         osc = delta < 0.0
         r_hyp = np.where(osc, 0.0, r)
         cosine = np.where(osc, np.cos(r), np.cosh(r_hyp))
         sine = np.divide(np.where(osc, np.sin(r), np.sinh(r_hyp)), r,
                          out=np.ones_like(r), where=r > 0.0)
-        return (cosine + sine * sigma, sine * h, sine * hk, cosine - sine * sigma)
+        return (cosine + sine * a, sine * b, sine * c, cosine - sine * a)
 
+    grid = (a0, a1, b, c0, c1)
     out = np.empty((2, 2, len(lam)))
-    for start in range(0, len(lam), 256):
-        chunk = lam[start:start + 256]
+    for start in range(0, len(lam), 100):
+        chunk = lam[start:start + 100]
         y = np.repeat(np.eye(2)[:, :, None], len(chunk), axis=2)
-        for j in range(0, len(h), 128):
-            m = np.stack(step_maps(h[j:j + 128], sigma[j:j + 128],
-                                   hq[j:j + 128], chunk))
+        for j in range(0, len(b), 32):
+            m = np.stack(step_maps(*(v[j:j + 32] for v in grid), chunk))
             m = m.reshape(2, 2, -1, len(chunk))
             while m.shape[2] > 1:
                 even = m.shape[2] // 2 * 2
-                a, b = m[:, :, 1:even:2], m[:, :, 0:even:2]
-                p = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+                a, b_ = m[:, :, 1:even:2], m[:, :, 0:even:2]
+                p = a[:, 0, None] * b_[0] + a[:, 1, None] * b_[1]
                 m = p if even == m.shape[2] else np.concatenate(
                     [p, m[:, :, even:]], axis=2)
             m = m[:, :, 0]
@@ -414,22 +429,22 @@ def _reflected(c, cp, s, sp):
 
 
 def _full_edge_grid(pot, halvings):
-    """The Magnus grid on all of [0, 1], as ``hill._magnus_grid`` built it
-    before the half-edge reflection (knot intervals inside [0, 1], 512
-    steps per unit length, halved ``halvings`` times): frozen, the
-    reference the half-edge kernel is held to within rounding."""
+    """The Magnus grid on all of [0, 1] (knot intervals inside [0, 1], 64
+    steps per unit length, halved ``halvings`` times), with the generator
+    coefficients of ``hill._generator``: frozen, the reference the half-edge
+    kernel is held to within rounding."""
     if pot.kind == "sampled":
         inner = pot.x[(pot.x > 0.0) & (pot.x < 1.0)]
         edges = np.concatenate([[0.0], inner, [1.0]])
     else:
         edges = np.array([0.0, 1.0])
-    per_piece = np.maximum(1, np.ceil(np.diff(edges) * 512)).astype(int) << halvings
+    per_piece = np.maximum(1, np.ceil(np.diff(edges) * 64)).astype(int) << halvings
     h = np.repeat(np.diff(edges) / per_piece, per_piece)
     first = np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
     left = np.repeat(edges[:-1], per_piece) + (np.arange(len(h)) - first) * h
-    q1 = pot(left + (0.5 - hill._GAUSS) * h)
-    q2 = pot(left + (0.5 + hill._GAUSS) * h)
-    return h, (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2), 0.5 * h * (q1 + q2)
+    node = math.sqrt(15.0) / 10.0
+    return hill._generator(h, pot(left + (0.5 - node) * h), pot(left + 0.5 * h),
+                           pot(left + (0.5 + node) * h))
 
 
 def _bits(arrays):
@@ -448,10 +463,11 @@ class TestKernelBits:
             _three_branch_zero_monodromy(lam))
 
     @pytest.mark.parametrize("halvings", [0, 1, 2])
-    @pytest.mark.parametrize("lanes", [1, 2, 16, 17, 63, 64, 65, 200, 391])
+    @pytest.mark.parametrize("lanes", [1, 2, 16, 17, 63, 64, 65, 200, 255, 256,
+                                       257, 391])
     @pytest.mark.parametrize("case", ["knots", "bumps"])
     def test_magnus_matches_the_block_by_block_kernel(self, case, lanes, halvings):
-        # on the half edge, "knots": 257 << halvings steps, so a partial block
+        # on the half edge, "knots": 33 << halvings steps, so a partial block
         # trails; "bumps": whole blocks only, and lambdas from below
         # min q = -40, where the planes mix oscillating and growing steps
         if case == "knots":
@@ -461,17 +477,17 @@ class TestKernelBits:
             lo = -60.0
         lams = np.random.default_rng(lanes).uniform(lo, 300.0, lanes)
         got = hill._magnus(pot, halvings, lams)
-        h, sigma, hq = pot.magnus.grids[halvings]
-        assert len(h) % hill._BLOCK != 0 if case == "knots" else len(h) % hill._BLOCK == 0
-        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
+        grid = pot.magnus.grids[halvings]
+        steps = len(grid[0])
+        assert steps % hill._BLOCK != 0 if case == "knots" else steps % hill._BLOCK == 0
+        assert _bits(got) == _bits(_block_by_block_magnus(*grid, lams))
 
     def test_magnus_matches_the_block_by_block_kernel_at_edge_lambdas(self):
         # delta = 0 (r = 0) at lambda = 0 on a flat potential, and NaN
         pot = PotentialSpec.closure(lambda x: np.zeros_like(np.asarray(x)))
         lams = np.array([0.0, np.nan, -0.0, 1e-300, -1e-300, 5.0, -5.0])
         got = hill._magnus(pot, 0, lams)
-        h, sigma, hq = pot.magnus.grids[0]
-        assert _bits(got) == _bits(_block_by_block_magnus(h, sigma, hq, lams))
+        assert _bits(got) == _bits(_block_by_block_magnus(*pot.magnus.grids[0], lams))
 
     def test_the_reflection_matches_its_frozen_form(self):
         # on half-edge maps of a sampled potential, from below min q, with
@@ -499,9 +515,9 @@ class TestKernelBits:
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     def test_a_large_call_keeps_its_temporaries_in_a_few_planes(self):
-        # 391 lambdas on 256 steps: the block-by-block kernel peaked at
-        # 2.9 MB of 256 KiB planes; each pass now holds the four entry planes
-        # of its step maps and the first tree level's product and addend
+        # 391 lambdas on 32 steps, in chunks of 256 and 135: each pass holds
+        # the four entry planes of its step maps and the first tree level's
+        # product and addend
         pot = PotentialSpec.sampled(_BUMP_KNOTS, [2.0, -1.5, 2.0, -1.5, 2.0])
         lams = np.linspace(-3.0, 300.0, 391)
         hill._magnus(pot, 0, lams[:1])          # the grid is built outside
@@ -623,7 +639,7 @@ class TestDirichletSpectrum:
             assert integrated > 0
             assert pot.magnus.scan[1] == widest + 60.0
         # so does one after the gate picked a finer grid past the record
-        pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 150.0, 0.0, 150.0, 0.0])
+        pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, 300.0, 0.0, 300.0, 0.0])
         twin = PotentialSpec.sampled(pot.x, pot.values)
         twins(pot, twin, 60.0)
         halvings = pot.magnus.halvings
@@ -663,11 +679,12 @@ class TestDirichletSpectrum:
         assert np.allclose(nu, [114.55352228, 236.77056692, 258.72268231],
                            rtol=0.0, atol=2e-8)
 
-    @pytest.mark.parametrize("amp, skew", [(20.0, 1e-10), (300.0, 1e-5)])
+    @pytest.mark.parametrize("amp, skew", [(20.0, 1.5e-9), (300.0, 1e-5)])
     def test_wronskian_gate_trips_on_a_step_map_off_sl2(self, monkeypatch, amp, skew):
         # the gate's rounding share admits the rounding of c s' and c' s, not
-        # step maps whose det is 1 + skew: at amplitude 20 the terms stay
-        # ~350 and det W = 1 + 1e-7, at 300 they reach 1e10 and det W ~ 1.04
+        # step maps whose det is 1 + skew: at amplitude 20 (32 steps) the
+        # terms stay ~360 and det W = 1 + 1e-7, at 300 (128 steps) they reach
+        # 1e10 and det W = 1 + 2.6e-3 at lambda = 150
         pot = PotentialSpec.sampled(_BUMP_KNOTS, [0.0, amp, 0.0, amp, 0.0])
         lams = np.array([-1.0, 10.0, amp / 2.0])
         integrate_monodromy(pot, lams)          # picks and gates the grid
@@ -936,12 +953,15 @@ class TestOneScan:
     """One scan of all four entries of N finds every band edge and Dirichlet
     point, each as a simple zero of its own entry."""
 
-    @pytest.mark.parametrize("height", [250.0, 300.0, 330.0, 360.0, 400.0])
+    @pytest.mark.parametrize("height", [250.0, 300.0, 330.0, 360.0, 400.0, 800.0])
     def test_a_double_well_has_every_edge_and_dirichlet_point(self, height):
         # an odd and an even state of the two wells, a zero of s(1/2) and
         # one of s'(1/2), lie closer than the scan's step: a scan of s(1) =
         # 2 s s' saw no sign change and found 2 Dirichlet points ("could not
-        # locate enough"), or at 360 found them but no partner edge of gap 4
+        # locate enough"), or at 360 found them but no partner edge of gap 4.
+        # At 800 a fourth-order step met the halving gate's rounding floor
+        # (1.4e-9 at 32 times its base grid) and exited 2; the reference
+        # agrees with itself from twice as many points within 2.5e-10
         q = [0.0, 0.0, height, height, 0.0, 0.0]
         result = bands_from_root_surface(PotentialSpec.sampled(_DOUBLE_WELL, q),
                                          [(-1.0, 1.0)])
@@ -952,6 +972,16 @@ class TestOneScan:
         assert np.allclose(edges, periodic[:8], rtol=0.0, atol=1e-8)
         assert np.allclose(result.dirichlet, _richardson(_DOUBLE_WELL, q, 4, 0),
                            rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("height, halvings", [(250.0, 3), (800.0, 4)])
+    def test_a_tall_double_well_passes_the_gate_in_few_halvings(self, height,
+                                                                halvings):
+        # a fourth-order step took 4 halvings at 250 (4 112 steps on the half
+        # edge) and never passed at 800
+        pot = PotentialSpec.sampled(_DOUBLE_WELL, [0.0, 0.0, height, height, 0.0, 0.0])
+        hill._band_edges(pot, 4)
+        assert pot.magnus.halvings <= halvings
+        assert pot.magnus.steps == 34 << pot.magnus.halvings
 
     @pytest.mark.parametrize("c", [100.0, 200.0, 300.0, 1000.0])
     def test_the_scan_top_is_past_the_last_gap_for_a_tall_potential(self, c):

@@ -14,6 +14,8 @@ import sys
 
 import pytest
 
+from hexband import hill as hill_module
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -116,14 +118,18 @@ def test_call_cost_prints_one_line_per_route(capsys):
         assert line.startswith(f"{variant:<22} {route:<18} ")
         costs = line[42:].split()
         assert len(costs) == 2 and all(float(c) > 0.0 for c in costs)
-    # the Hill scan, inversion and monodromy count of each sampled potential
+    # the Hill scan, its gated grid, inversion and monodromy count of each
+    # sampled potential: the base grid's steps on the half edge, halved
     head, *lines = hill.splitlines()
-    assert head.split() == ["Hill", "potential", "scan", "ms", "invert", "ms",
-                            "evaluations"]
-    assert len(lines) == len(tool.HILL) == 3
-    for line, (name, _, _) in zip(lines, tool.HILL):
+    assert head.split() == ["Hill", "potential", "scan", "ms", "halvings", "steps",
+                            "invert", "ms", "evaluations"]
+    assert len(lines) == len(tool.HILL) == 4
+    for line, (name, knots, values) in zip(lines, tool.HILL):
         assert line.startswith(f"{name:<41} ")
-        scan, invert, evaluations = line[42:].split()
+        scan, halvings, steps, invert, evaluations = line[42:].split()
+        base = len(hill_module._grid_steps(hill_module.PotentialSpec.sampled(
+            knots, values), 0)[1])
+        assert int(steps) == base << int(halvings)
         assert float(scan) > 0.0 and float(invert) > 0.0 and int(evaluations) > 0
     # one roots_at call on each paired stack's full grid, its formula calls
     # and engine points: one per F up to conjugation

@@ -27,13 +27,14 @@ slice's separations), each the best of 5 timings of ``REPEAT // 20`` calls.
 The third table prints, for fixed sampled potentials, the Hill layers of a
 ``spectrum`` job: one scan of the half-edge map for bands 1-4
 (``hill._band_edges``) on a fresh potential, so with its step-halving gate
-and its grids built; one inversion of the eta ends of a monolayer spectrum
-like the benchmark's, alpha = (0.6, 1.2) on the n = 201 diagonal, in bands
-1-4 (``invert_discriminant``, its edges served from the scan record); and
-the monodromies the two evaluate.
+and its grids built, and the grid the gate picked (its halvings of the
+base grid and its steps on the half edge); one inversion of the eta ends of
+a monolayer spectrum like the benchmark's, alpha = (0.6, 1.2) on the
+n = 201 diagonal, in bands 1-4 (``invert_discriminant``, its edges served
+from the scan record); and the monodromies the two evaluate.
 The times are the best of 5 timings of ``REPEAT // 40`` calls.  The
 potentials are the benchmark's period-1/2 knots, 5 cos 2 pi x on 201 knots
-and a double well of height 250.
+and double wells of height 250 and 800.
 
 The fourth table prints, for each paired stack's route of the first table,
 the time of one ``roots_at`` call on the 71 x 71 full grid of a ``bands``
@@ -147,6 +148,8 @@ HILL = [
     ("5 cos 2 pi x, 201 knots", _COS_X, 5.0 * np.cos(2.0 * np.pi * _COS_X)),
     ("double well, height 250", [0.0, 0.3, 0.35, 0.65, 0.7, 1.0],
      [0.0, 0.0, 250.0, 250.0, 0.0, 0.0]),
+    ("double well, height 800", [0.0, 0.3, 0.35, 0.65, 0.7, 1.0],
+     [0.0, 0.0, 800.0, 800.0, 0.0, 0.0]),
 ]
 HILL_BANDS = 4
 # a monolayer spectrum stack like the benchmark's
@@ -183,9 +186,11 @@ def slice_us(config: StackConfig, repeat: int) -> tuple[float, float]:
             _best_us(lambda: _grid_minima(seps, half, PROMINENCE_TOL), repeat))
 
 
-def hill_ms(knots, values, repeat: int) -> tuple[float, float, int]:
-    """Milliseconds of one scan for bands 1-4 on a fresh potential and of one
-    inversion of the benchmark's eta ends, and the monodromies they take."""
+def hill_ms(knots, values, repeat: int) -> tuple[float, int, int, float, int]:
+    """Milliseconds of one scan for bands 1-4 on a fresh potential, the
+    halvings and half-edge steps of the grid its gate picked, milliseconds of
+    one inversion of the benchmark's eta ends, and the monodromies they
+    take."""
     surface = sample_diagonal(_SPECTRUM_STACK, n=201)
     ends = np.clip([surface.values.min(axis=0), surface.values.max(axis=0)],
                    -1.0, 1.0).T.ravel()
@@ -198,7 +203,7 @@ def hill_ms(knots, values, repeat: int) -> tuple[float, float, int]:
     invert_discriminant(pot, etas, bands)
     evaluations = pot.magnus.evaluations
     invert = _best_us(lambda: invert_discriminant(pot, etas, bands), repeat)
-    return scan / 1e3, invert / 1e3, evaluations
+    return scan / 1e3, pot.magnus.halvings, pot.magnus.steps, invert / 1e3, evaluations
 
 
 def grid_ms(config: StackConfig, repeat: int) -> tuple[float, int, int]:
@@ -277,10 +282,13 @@ def main(repeat: int = REPEAT) -> int:
             chart, scan = slice_us(config, max(1, repeat // 20))
             print(f"{variant:<22} {route:<18} {chart:8.1f}  {scan:8.1f}")
     print()
-    print(f"{'Hill potential':<41} {'scan ms':>8}  {'invert ms':>9}  {'evaluations':>11}")
+    print(f"{'Hill potential':<41} {'scan ms':>8}  {'halvings':>8}  {'steps':>5}  "
+          f"{'invert ms':>9}  {'evaluations':>11}")
     for name, knots, values in HILL:
-        scan, invert, evaluations = hill_ms(knots, values, max(1, repeat // 40))
-        print(f"{name:<41} {scan:8.2f}  {invert:9.2f}  {evaluations:11d}")
+        scan, halvings, steps, invert, evaluations = hill_ms(knots, values,
+                                                             max(1, repeat // 40))
+        print(f"{name:<41} {scan:8.2f}  {halvings:8d}  {steps:5d}  {invert:9.2f}  "
+              f"{evaluations:11d}")
     print()
     print(f"{'71 x 71 full grid':<22} {'route':<18} {'call ms':>8}  "
           f"{'formula calls':>13}  {'engine points':>13}")
